@@ -181,7 +181,19 @@ pub fn dnn() -> Vec<Box<dyn Benchmark>> {
 /// Look up a benchmark by name, across the Table II suite and the DNN
 /// workload frontier.
 pub fn by_name(name: &str) -> Option<Box<dyn Benchmark>> {
-    all().into_iter().chain(dnn()).find(|b| b.name() == name)
+    // Constructs the one asked for: `dhdl-serve` calls this per request.
+    Some(match name {
+        "dotproduct" => Box::new(DotProduct::default()),
+        "outerprod" => Box::new(OuterProduct::default()),
+        "gemm" => Box::new(Gemm::default()),
+        "tpchq6" => Box::new(TpchQ6::default()),
+        "blackscholes" => Box::new(BlackScholes::default()),
+        "gda" => Box::new(Gda::default()),
+        "kmeans" => Box::new(KMeans::default()),
+        "conv2d" => Box::new(Conv2d::default()),
+        "attention" => Box::new(Attention::default()),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -209,8 +221,14 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert!(by_name("gda").is_some());
+        // Every registered benchmark, and only those, under its own name.
+        for b in all().into_iter().chain(dnn()) {
+            let found = by_name(b.name()).unwrap_or_else(|| panic!("{} not found", b.name()));
+            assert_eq!(found.name(), b.name());
+            assert_eq!(found.dataset_desc(), b.dataset_desc());
+        }
         assert!(by_name("nope").is_none());
+        assert!(by_name("saxpy").is_none());
     }
 
     #[test]

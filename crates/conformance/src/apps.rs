@@ -16,6 +16,8 @@ use dhdl_apps::{
     Attention, Benchmark, BlackScholes, Conv2d, DotProduct, Gda, Gemm, KMeans, OuterProduct, Saxpy,
     TpchQ6,
 };
+use dhdl_core::shape_hash;
+use dhdl_dse::LegalSpace;
 use dhdl_sim::{simulate, simulate_compiled, Bindings};
 
 use crate::oracle::{Conformance, Violation};
@@ -86,6 +88,14 @@ impl Conformance {
         let reference = bench.reference();
         match bench.build(&bench.default_params()) {
             Ok(design) => {
+                // A second legal point of the same shape (a MetaPipe
+                // toggle changes it) supplies the sibling skeleton.
+                let sibling = LegalSpace::new(&bench.param_space())
+                    .sample(64, 0)
+                    .iter()
+                    .filter_map(|p| bench.build(p).ok())
+                    .find(|d| shape_hash(d) == shape_hash(&design) && *d != design);
+                self.check_latency_plan(&design, sibling.as_ref(), &mut v);
                 let mut bindings = Bindings::new();
                 for (k, data) in bench.inputs() {
                     bindings = bindings.bind(&k, data);

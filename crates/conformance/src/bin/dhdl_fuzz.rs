@@ -212,6 +212,15 @@ fn main() -> ExitCode {
         }
     }
     println!("benchmarks: {benches_run} checked");
+    // Non-vacuity of the `latency-plan` oracle: a campaign in which no
+    // planned design had competing transfers compared nothing that the
+    // plan decides.
+    let (planned, contended) = conf.latency_plan_coverage();
+    println!("latency-plan: {planned} planned, {contended} with competing transfers");
+    if planned > 0 && contended == 0 {
+        println!("FAIL latency-plan: no planned design had competing transfers");
+        total_violations += 1;
+    }
     println!("violations: {total_violations}");
     eprintln!("dhdl-fuzz: done in {:.1}s", start.elapsed().as_secs_f64());
     dhdl_obs::finish("dhdl-fuzz");

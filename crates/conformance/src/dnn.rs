@@ -232,6 +232,7 @@ impl Conformance {
         self.check_structure(&design, spec.build(), &mut v);
         self.check_dnn_simulation(spec, &design, &mut v);
         self.check_estimate_sane(&design, &mut v);
+        self.check_latency_plan(&design, spec.serial().build().ok().as_ref(), &mut v);
         if spec.par.max(spec.par2) > 1 {
             if let Ok(sd) = spec.serial().build() {
                 self.check_par_monotonic(&design, &sd, spec.par.max(spec.par2), &mut v);

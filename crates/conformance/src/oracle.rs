@@ -13,6 +13,7 @@
 //! | `backend-differential`| tape-compiled backend == interpreter, bitwise     |
 //! | `estimate-finite`    | estimator cycles/area are finite and sane          |
 //! | `skeleton-recost`    | full elaborate == skeleton + recost netlist        |
+//! | `latency-plan`       | planned `estimate_cycles_net` == `estimate_cycles`, bitwise, also through a skeleton built from another parameterization of the same shape |
 //! | `par-monotonic`      | more parallelism never shrinks raw area / adds time|
 //! | `synth-capacity`     | synthesized resources are sane and bound the model |
 //! | `cache-transparency` | `EstimateCache` hit == miss == uncached, bitwise   |
@@ -20,9 +21,11 @@
 //! | `partition-identity` | K=1 partitioning == unpartitioned path, bitwise    |
 //! | `partition-sim`      | a forced cut keeps outputs bitwise and adds exactly the link cycles, on both backends |
 
-use dhdl_core::{serialize, structural_hash, Design, ParamSpace, ParamValues};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use dhdl_core::{serialize, shape_hash, structural_hash, Design, ParamSpace, ParamValues};
 use dhdl_dse::{model_fingerprint, CachedModel, CostModel, EstimateCache};
-use dhdl_estimate::{Estimate, Estimator};
+use dhdl_estimate::{estimate_cycles, estimate_cycles_net, Estimate, Estimator};
 use dhdl_sim::{
     compile, simulate, simulate_multi, simulate_partitioned, Backend, Bindings, CompileError,
     SimResult,
@@ -64,6 +67,11 @@ pub struct Conformance {
     platform: Platform,
     estimator: Estimator,
     cache: EstimateCache,
+    /// Designs through `latency-plan`.
+    planned: AtomicU64,
+    /// Of those, designs in which at least two transfers compete for the
+    /// channel.
+    contended: AtomicU64,
 }
 
 impl Default for Conformance {
@@ -83,7 +91,19 @@ impl Conformance {
             platform,
             estimator,
             cache,
+            planned: AtomicU64::new(0),
+            contended: AtomicU64::new(0),
         }
+    }
+
+    /// `(planned, contended)`: designs the `latency-plan` oracle walked,
+    /// and how many of them held at least two competing transfers — at 0
+    /// the oracle never exercised a competitor list.
+    pub fn latency_plan_coverage(&self) -> (u64, u64) {
+        (
+            self.planned.load(Ordering::Relaxed),
+            self.contended.load(Ordering::Relaxed),
+        )
     }
 
     /// The platform the checks run against.
@@ -239,6 +259,10 @@ impl Conformance {
 
     fn check_estimator(&self, spec: &DesignSpec, design: &Design, v: &mut Vec<Violation>) {
         self.check_estimate_sane(design, v);
+        // Twice the data is another parameterization of the same shape.
+        let mut longer = spec.clone();
+        longer.n *= 2;
+        self.check_latency_plan(design, longer.build().ok().as_ref(), v);
         if spec.par > 1 {
             let mut serial = spec.clone();
             serial.par = 1;
@@ -270,6 +294,48 @@ impl Conformance {
                 detail: "estimate(d) != estimate_net(d, elaborate(d)) bitwise".to_string(),
             });
         }
+    }
+
+    /// The latency fast path: the walk over the skeleton's plan equals
+    /// the reference walk bit for bit, and so does a walk over a plan
+    /// built from `sibling` — another parameterization of the same shape
+    /// (skipped, and reported, if it is not one).
+    pub(crate) fn check_latency_plan(
+        &self,
+        design: &Design,
+        sibling: Option<&Design>,
+        v: &mut Vec<Violation>,
+    ) {
+        let fpga = &self.platform.fpga;
+        let reference = estimate_cycles(design, &self.platform);
+        let own = elaborate(design, fpga);
+        let mut nets = vec![("its own skeleton", own)];
+        match sibling {
+            Some(s) if shape_hash(s) == shape_hash(design) => nets.push((
+                "a sibling's skeleton",
+                elaborate_with(design, fpga, &Skeleton::of(s)),
+            )),
+            _ => v.push(Violation {
+                invariant: "latency-plan",
+                detail: "no second parameterization of the same shape to plan from".to_string(),
+            }),
+        }
+        for (via, net) in &nets {
+            let planned = estimate_cycles_net(design, &self.platform, net);
+            if net.latency.is_none() || planned.to_bits() != reference.to_bits() {
+                v.push(Violation {
+                    invariant: "latency-plan",
+                    detail: format!(
+                        "planned walk through {via} gives {planned} cycles, reference {reference}"
+                    ),
+                });
+            }
+        }
+        let plan = nets[0].1.latency.as_deref();
+        let contended = plan.is_some_and(|p| !p.competitors.is_empty());
+        self.planned.fetch_add(1, Ordering::Relaxed);
+        self.contended
+            .fetch_add(u64::from(contended), Ordering::Relaxed);
     }
 
     /// Monotonicity in parallelism: serializing the inner pipes (par=1)

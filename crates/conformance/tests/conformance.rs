@@ -144,6 +144,11 @@ fn mini_design_campaign_is_clean() {
             violations
         );
     }
+    // The `latency-plan` oracle must not pass vacuously: it ran on every
+    // design, and some design had transfers competing for the channel.
+    let (planned, contended) = conf.latency_plan_coverage();
+    assert_eq!(planned, 15);
+    assert!(contended >= 1, "no competitor list was ever walked");
 }
 
 #[test]

@@ -35,6 +35,19 @@ impl Design {
         }
     }
 
+    /// Every field, for [`crate::structural_hash`]: destructured with no
+    /// `..`, so a field added to `Design` does not compile until the hash
+    /// covers it.
+    pub(crate) fn parts(&self) -> (&str, &[Node], NodeId, &[NodeId]) {
+        let Design {
+            name,
+            nodes,
+            top,
+            offchips,
+        } = self;
+        (name, nodes, *top, offchips)
+    }
+
     /// The design's name.
     pub fn name(&self) -> &str {
         &self.name

@@ -61,7 +61,7 @@ mod types;
 pub use builder::DesignBuilder;
 pub use design::Design;
 pub use error::{DhdlError, Result};
-pub use hash::{structural_hash, Fnv64};
+pub use hash::{shape_hash, structural_hash, Fnv64};
 pub use node::{
     by, BramSpec, CounterChain, CounterDim, Interleaving, MemFold, Node, NodeId, NodeKind,
     OuterSpec, Pattern, PipeSpec, PrimOp, QueueSpec, ReduceOp, RegReduce, RegSpec, TileSpec,

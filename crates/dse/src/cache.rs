@@ -55,9 +55,11 @@ use dhdl_target::{AreaReport, Platform};
 use crate::runner::CostModel;
 
 /// Version tag mixed into [`model_fingerprint`] and written in the disk
-/// header; bump when the on-disk entry format changes.
-/// (v2 added the `p`-prefixed parameter-memo lines.)
-const FORMAT_VERSION: &str = "dhdl-estimate-cache v2";
+/// header; bump when the on-disk entry format *or the key stream* changes.
+/// (v2 added the `p`-prefixed parameter-memo lines; v3 is the field-wise
+/// [`structural_hash`] — same line format, but every v2 key is a key of
+/// nothing, so v2 files must not load.)
+const FORMAT_VERSION: &str = "dhdl-estimate-cache v3";
 
 /// Number of independent lock shards. A power of two so the shard index
 /// is a mask of the (well-mixed) FNV key; 16 shards keep contention
@@ -685,6 +687,15 @@ mod tests {
         let rebuilt = EstimateCache::load(&dir, 0xF00D);
         assert!(rebuilt.is_empty(), "partial file must not half-load");
         assert_eq!(rebuilds(), before + 2);
+
+        // A well-formed file of the previous format version (keys from
+        // the pre-v3 hash stream): every line parses, none is trusted.
+        let v2 = text.replace(FORMAT_VERSION, "dhdl-estimate-cache v2");
+        assert_ne!(v2, text);
+        std::fs::write(&path, v2).unwrap();
+        let rebuilt = EstimateCache::load(&dir, 0xF00D);
+        assert!(rebuilt.is_empty() && rebuilt.params_len() == 0);
+        assert_eq!(rebuilds(), before + 3);
 
         dhdl_obs::init(dhdl_obs::Mode::Off);
         let _ = std::fs::remove_dir_all(&dir);

@@ -186,6 +186,7 @@ mod tests {
                 avg_width: 2.0,
             },
             pipe_depths: Vec::new(),
+            latency: None,
         }
     }
 

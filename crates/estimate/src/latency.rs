@@ -7,41 +7,218 @@
 //! iteration counts come from the counter chains (dataset annotations plus
 //! tiling factors). Off-chip transfers use the DRAM model's command
 //! count/length cost with static contention from competing accessors.
+//!
+//! Two walks compute it. [`estimate_cycles`] is the reference: it needs
+//! nothing but the design, and derives the controller list, the parent
+//! and replication maps, every pipe schedule and every pair of competing
+//! transfers on each call. [`estimate_cycles_net`] is the DSE hot path:
+//! it runs the same recurrence over the [`LatencyPlan`] that elaboration
+//! left on the [`Netlist`] — controllers and competitor lists fixed per
+//! design *shape*, pipe depths already scheduled — with replication
+//! passed down the recursion and each transfer's channel occupancy
+//! computed once, and allocates nothing. The property it leans on,
+//! **planned walk ≡ reference walk, bitwise** (a plan built from one
+//! parameterization serving every other of the same shape included), is
+//! the `latency-plan` conformance oracle; both walks share the
+//! per-controller arithmetic below and add in the same order.
 
 use std::collections::BTreeMap;
 
 use dhdl_core::analysis::traversal::parent_map;
-use dhdl_core::{Design, NodeId, NodeKind, Pattern, TileSpec};
+use dhdl_core::{Design, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, TileSpec};
 use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
-use dhdl_synth::{pipe_depth, Netlist};
+use dhdl_synth::{pipe_depth, LatencyPlan, Netlist};
 use dhdl_target::Platform;
 
 /// Fixed control overhead (in cycles) for starting/finishing one controller
 /// execution: enable/done handshake through the parent.
 const CTRL_OVERHEAD: f64 = 2.0;
 
+/// Transfers whose channel occupancies fit the planned walk's stack
+/// buffer; a design with more spills them to one heap buffer.
+const INLINE_TRANSFERS: usize = 32;
+
 /// Estimate the total execution cycles of a design on a platform.
 pub fn estimate_cycles(design: &Design, platform: &Platform) -> f64 {
-    cycles_with(design, platform, None)
+    Ctx::new(design, platform).cycles(design.top())
 }
 
-/// [`estimate_cycles`], reusing the pipe critical-path depths recorded on
-/// an already-elaborated [`Netlist`] of the same design instead of
-/// re-scheduling every pipe body. Identical result to `estimate_cycles`
-/// by construction (the netlist depths come from the same ASAP schedule).
+/// [`estimate_cycles`] over the latency plan and the pipe critical-path
+/// depths recorded on an already-elaborated [`Netlist`] of the same
+/// design. Bit-identical to `estimate_cycles` (see the module docs); a
+/// hand-assembled netlist without a plan gets the reference walk.
 pub fn estimate_cycles_net(design: &Design, platform: &Platform, net: &Netlist) -> f64 {
-    cycles_with(design, platform, Some(net))
-}
-
-fn cycles_with(design: &Design, platform: &Platform, net: Option<&Netlist>) -> f64 {
-    let ctx = Ctx {
+    let Some(plan) = net.latency.as_deref() else {
+        return estimate_cycles(design, platform);
+    };
+    let walk = Planned {
         design,
         platform,
-        parents: parent_map(design),
-        reps: replication_map(design),
         net,
+        plan,
     };
-    ctx.cycles(design.top())
+    let mut inline = [0.0; INLINE_TRANSFERS];
+    let mut spill = Vec::new();
+    let occupancy = match inline.get_mut(..plan.transfers) {
+        Some(fits) => fits,
+        None => {
+            spill.resize(plan.transfers, 0.0);
+            &mut spill[..]
+        }
+    };
+    walk.occupancy(0, 1.0, occupancy);
+    walk.cycles(0, occupancy)
+}
+
+/// Cycles of one `Pipe` execution given the critical path of its body.
+fn pipe_cycles(design: &Design, p: &PipeSpec, depth: u64) -> f64 {
+    let iters = (p.ctr.total_iters() as f64 / f64::from(p.par)).ceil();
+    let mut depth = depth as f64;
+    if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
+        let ty = design.ty(r.reg);
+        depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
+        depth += prim_cost(op.prim(), ty).latency as f64;
+    }
+    // II = 1: one iteration enters the pipeline per cycle.
+    depth + iters.max(1.0) + CTRL_OVERHEAD
+}
+
+/// Cycles of one execution of an outer controller (anything but a `Pipe`
+/// or a transfer) from the cycles of its stages, in program order.
+fn outer_cycles(design: &Design, kind: &NodeKind, stages: impl Iterator<Item = f64>) -> f64 {
+    match kind {
+        NodeKind::Sequential(s) => {
+            let iters = (s.ctr.total_iters() as f64 / f64::from(s.par)).ceil();
+            let mut body: f64 = stages.sum();
+            body += CTRL_OVERHEAD * s.stages.len() as f64;
+            body += fold_cycles(design, s);
+            iters.max(1.0) * body + CTRL_OVERHEAD
+        }
+        NodeKind::MetaPipe(s) => {
+            // (N-1) * max(stage) + sum(stages)  (§IV-B); the implicit
+            // fold, when there is one, is the last stage.
+            let n = (s.ctr.total_iters() as f64 / f64::from(s.par))
+                .ceil()
+                .max(1.0);
+            let fold = Some(fold_cycles(design, s)).filter(|&f| f > 0.0);
+            let (sum, max) = stages
+                .chain(fold)
+                .map(|t| t + CTRL_OVERHEAD)
+                .fold((0.0, 0.0), |(sum, max): (f64, f64), t| {
+                    (sum + t, max.max(t))
+                });
+            (n - 1.0) * max + sum + CTRL_OVERHEAD
+        }
+        NodeKind::ParallelCtrl { .. } => stages.fold(0.0, f64::max) + CTRL_OVERHEAD,
+        _ => 0.0,
+    }
+}
+
+/// Cycles of the implicit fold stage of an outer controller: one
+/// element-wise combine per accumulator element.
+fn fold_cycles(design: &Design, s: &OuterSpec) -> f64 {
+    let Some(f) = &s.fold else {
+        return 0.0;
+    };
+    let ty = design.ty(f.accum);
+    let (elements, lanes) = match design.kind(f.accum) {
+        NodeKind::Bram(b) => (b.elements() as f64, f64::from(b.banks.max(1))),
+        _ => (1.0, 1.0), // register fold
+    };
+    elements / lanes + prim_cost(f.op.prim(), ty).latency as f64
+}
+
+/// The channel-occupancy structure of a transfer: `(commands,
+/// run_bytes)`. A command covers one contiguous run; if the innermost
+/// tile extent covers the full innermost off-chip dimension,
+/// consecutive rows are contiguous in DRAM and merge into one long
+/// command.
+fn transfer_shape(design: &Design, t: &TileSpec) -> (u64, u64) {
+    let elem_bytes = u64::from(design.ty(t.offchip).bits()).div_ceil(8);
+    let NodeKind::OffChip { dims } = design.kind(t.offchip) else {
+        return (0, 0);
+    };
+    let inner = *t.tile.last().unwrap_or(&1);
+    let full_row = dims.last().is_some_and(|&d| d == inner);
+    let outer: u64 = t.tile[..t.tile.len().saturating_sub(1)].iter().product();
+    if full_row || t.tile.len() == 1 {
+        (1, inner * outer.max(1) * elem_bytes)
+    } else {
+        (outer.max(1), inner * elem_bytes)
+    }
+}
+
+/// Channel data/issue occupancy of one execution of one replica of a
+/// transfer, excluding command latency.
+fn channel_cycles(design: &Design, platform: &Platform, t: &TileSpec) -> f64 {
+    let (commands, run_bytes) = transfer_shape(design, t);
+    let dram = &platform.dram;
+    let data = dram.burst_cycles(run_bytes) * commands as f64;
+    let issue = (dram.command_issue_cycles * commands) as f64;
+    data.max(issue)
+}
+
+/// Analytic cycles of a tile transfer, including command structure and
+/// contention from competing accessors (§IV-B1): the shared channel also
+/// carries the traffic of every transfer that can be active at the same
+/// time, so their occupancy (`competing`, evaluated only for a transfer
+/// that moves data) adds to this one's (`own`).
+fn transfer_cycles(platform: &Platform, own: f64, competing: impl FnOnce() -> f64) -> f64 {
+    if own == 0.0 {
+        return 0.0;
+    }
+    platform.dram.command_latency_cycles as f64 + own + competing()
+}
+
+/// The planned walk: indices are positions in `plan.ctrls`.
+struct Planned<'a> {
+    design: &'a Design,
+    platform: &'a Platform,
+    net: &'a Netlist,
+    plan: &'a LatencyPlan,
+}
+
+impl Planned<'_> {
+    /// Fill `occ[slot]` with the channel occupancy of every transfer
+    /// under controller `i`, which exists `rep` times in hardware.
+    fn occupancy(&self, i: usize, rep: f64, occ: &mut [f64]) {
+        let c = &self.plan.ctrls[i];
+        let child_rep = match self.design.kind(c.id) {
+            NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
+                occ[c.slot as usize] = channel_cycles(self.design, self.platform, t) * rep;
+                return;
+            }
+            NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => rep * f64::from(s.par),
+            _ => rep,
+        };
+        for child in self.plan.children(i) {
+            self.occupancy(child, child_rep, occ);
+        }
+    }
+
+    fn cycles(&self, i: usize, occ: &[f64]) -> f64 {
+        let c = &self.plan.ctrls[i];
+        match self.design.kind(c.id) {
+            NodeKind::Pipe(p) => {
+                let depth = match self.net.pipe_depths.get(c.slot as usize) {
+                    Some(&(id, depth)) if id == c.id => depth,
+                    _ => pipe_depth(self.design, p),
+                };
+                pipe_cycles(self.design, p, depth)
+            }
+            NodeKind::TileLoad(_) | NodeKind::TileStore(_) => {
+                let (from, to) = c.competitors;
+                let competitors = &self.plan.competitors[from as usize..to as usize];
+                transfer_cycles(self.platform, occ[c.slot as usize], || {
+                    competitors.iter().fold(0.0, |t, &y| t + occ[y as usize])
+                })
+            }
+            kind => {
+                let stages = self.plan.children(i).map(|j| self.cycles(j, occ));
+                outer_cycles(self.design, kind, stages)
+            }
+        }
+    }
 }
 
 /// One controller's estimated contribution to the design's runtime.
@@ -65,13 +242,7 @@ pub struct LatencyEntry {
 /// analytic counterpart of the simulator's execution profile, used for
 /// bottleneck attribution without running anything.
 pub fn estimate_breakdown(design: &Design, platform: &Platform) -> Vec<LatencyEntry> {
-    let ctx = Ctx {
-        design,
-        platform,
-        parents: parent_map(design),
-        reps: replication_map(design),
-        net: None,
-    };
+    let ctx = Ctx::new(design, platform);
     let mut entries = Vec::new();
     // Executions of each controller: product of ancestor effective trip
     // counts (total iterations / par).
@@ -117,128 +288,41 @@ fn replication_map(design: &Design) -> BTreeMap<NodeId, f64> {
     reps
 }
 
+/// The reference walk: everything derived from the design, per call.
 struct Ctx<'a> {
     design: &'a Design,
     platform: &'a Platform,
     parents: BTreeMap<NodeId, NodeId>,
     reps: BTreeMap<NodeId, f64>,
-    /// Elaborated netlist of the same design, if the caller already has
-    /// one: supplies recorded pipe depths so bodies are not re-scheduled.
-    net: Option<&'a Netlist>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    fn new(design: &'a Design, platform: &'a Platform) -> Self {
+        Ctx {
+            design,
+            platform,
+            parents: parent_map(design),
+            reps: replication_map(design),
+        }
+    }
+
     fn cycles(&self, ctrl: NodeId) -> f64 {
         match self.design.kind(ctrl) {
-            NodeKind::Pipe(p) => {
-                let iters = (p.ctr.total_iters() as f64 / f64::from(p.par)).ceil();
-                let mut depth =
-                    self.net
-                        .and_then(|n| n.pipe_depth(ctrl))
-                        .unwrap_or_else(|| pipe_depth(self.design, p)) as f64;
-                if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
-                    let ty = self.design.ty(r.reg);
-                    depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
-                    depth += prim_cost(op.prim(), ty).latency as f64;
-                }
-                // II = 1: one iteration enters the pipeline per cycle.
-                depth + iters.max(1.0) + CTRL_OVERHEAD
+            NodeKind::Pipe(p) => pipe_cycles(self.design, p, pipe_depth(self.design, p)),
+            NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
+                let own = self.channel_cycles(ctrl, t);
+                transfer_cycles(self.platform, own, || self.contention_cycles(ctrl))
             }
-            NodeKind::Sequential(s) => {
-                let iters = (s.ctr.total_iters() as f64 / f64::from(s.par)).ceil();
-                let mut body: f64 = s.stages.iter().map(|&st| self.cycles(st)).sum();
-                body += CTRL_OVERHEAD * s.stages.len() as f64;
-                body += self.fold_cycles(ctrl);
-                iters.max(1.0) * body + CTRL_OVERHEAD
+            kind => {
+                let stages = self.design.stages(ctrl).iter().map(|&st| self.cycles(st));
+                outer_cycles(self.design, kind, stages)
             }
-            NodeKind::MetaPipe(s) => {
-                // (N-1) * max(stage) + sum(stages)  (§IV-B).
-                let n = (s.ctr.total_iters() as f64 / f64::from(s.par))
-                    .ceil()
-                    .max(1.0);
-                let mut stage_times: Vec<f64> = s
-                    .stages
-                    .iter()
-                    .map(|&st| self.cycles(st) + CTRL_OVERHEAD)
-                    .collect();
-                let fold = self.fold_cycles(ctrl);
-                if fold > 0.0 {
-                    stage_times.push(fold + CTRL_OVERHEAD);
-                }
-                let sum: f64 = stage_times.iter().sum();
-                let max = stage_times.iter().cloned().fold(0.0, f64::max);
-                (n - 1.0) * max + sum + CTRL_OVERHEAD
-            }
-            NodeKind::ParallelCtrl { stages, .. } => {
-                let max = stages.iter().map(|&st| self.cycles(st)).fold(0.0, f64::max);
-                max + CTRL_OVERHEAD
-            }
-            NodeKind::TileLoad(t) | NodeKind::TileStore(t) => self.transfer_cycles(ctrl, t),
-            _ => 0.0,
         }
     }
 
-    /// Cycles of the implicit fold stage of an outer controller: one
-    /// element-wise combine per accumulator element.
-    fn fold_cycles(&self, ctrl: NodeId) -> f64 {
-        let (NodeKind::MetaPipe(s) | NodeKind::Sequential(s)) = self.design.kind(ctrl) else {
-            return 0.0;
-        };
-        let Some(f) = &s.fold else {
-            return 0.0;
-        };
-        let ty = self.design.ty(f.accum);
-        let (elements, lanes) = match self.design.kind(f.accum) {
-            NodeKind::Bram(b) => (b.elements() as f64, f64::from(b.banks.max(1))),
-            _ => (1.0, 1.0), // register fold
-        };
-        elements / lanes + prim_cost(f.op.prim(), ty).latency as f64
-    }
-
-    /// The channel-occupancy structure of a transfer: `(commands,
-    /// run_bytes)`. A command covers one contiguous run; if the innermost
-    /// tile extent covers the full innermost off-chip dimension,
-    /// consecutive rows are contiguous in DRAM and merge into one long
-    /// command.
-    fn transfer_shape(&self, t: &TileSpec) -> (u64, u64) {
-        let elem_bytes = u64::from(self.design.ty(t.offchip).bits()).div_ceil(8);
-        let NodeKind::OffChip { dims } = self.design.kind(t.offchip) else {
-            return (0, 0);
-        };
-        let inner = *t.tile.last().unwrap_or(&1);
-        let full_row = dims.last().is_some_and(|&d| d == inner);
-        let outer: u64 = t.tile[..t.tile.len().saturating_sub(1)].iter().product();
-        if full_row || t.tile.len() == 1 {
-            (1, inner * outer.max(1) * elem_bytes)
-        } else {
-            (outer.max(1), inner * elem_bytes)
-        }
-    }
-
-    /// Channel data/issue occupancy of one execution of a transfer,
-    /// excluding command latency, scaled by its hardware replication.
+    /// [`channel_cycles`] scaled by the transfer's hardware replication.
     fn channel_cycles(&self, ctrl: NodeId, t: &TileSpec) -> f64 {
-        let (commands, run_bytes) = self.transfer_shape(t);
-        if commands == 0 {
-            return 0.0;
-        }
-        let dram = &self.platform.dram;
-        let data = dram.burst_cycles(run_bytes) * commands as f64;
-        let issue = (dram.command_issue_cycles * commands) as f64;
-        data.max(issue) * self.reps.get(&ctrl).copied().unwrap_or(1.0)
-    }
-
-    /// Analytic cycles of a tile transfer, including command structure and
-    /// contention from competing accessors (§IV-B1): the shared channel
-    /// also carries the traffic of every transfer that can be active at
-    /// the same time, so their occupancy adds to this one's.
-    fn transfer_cycles(&self, ctrl: NodeId, t: &TileSpec) -> f64 {
-        let own = self.channel_cycles(ctrl, t);
-        if own == 0.0 {
-            return 0.0;
-        }
-        let competing = self.contention_cycles(ctrl);
-        self.platform.dram.command_latency_cycles as f64 + own + competing
+        channel_cycles(self.design, self.platform, t) * self.reps.get(&ctrl).copied().unwrap_or(1.0)
     }
 
     /// Static contention estimate: the channel occupancy of every transfer

@@ -14,8 +14,9 @@
 //!
 //! * a [`Skeleton`] — everything that depends only on the design's
 //!   *structure* (controller tree, pipe body topology, per-node cost-model
-//!   lookups keyed by op and type), built once per structure and cached
-//!   per-thread keyed by [`shape_hash`];
+//!   lookups keyed by op and type, and the [`LatencyPlan`] the cycle
+//!   estimator walks), built once per structure and cached per-thread
+//!   keyed by [`shape_hash`];
 //! * a cheap re-costing pass ([`elaborate_with`]) that reads the
 //!   param-dependent values (par factors, replication, memory geometry,
 //!   banking, counter lengths) from the concrete design and produces the
@@ -32,8 +33,9 @@ use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
+use std::sync::Arc;
 
-use dhdl_core::{DType, Design, DesignStats, Fnv64, NodeId, NodeKind, Pattern, PipeSpec};
+use dhdl_core::{shape_hash, DType, Design, DesignStats, NodeId, NodeKind, Pattern, PipeSpec};
 use dhdl_target::{FpgaTarget, Resources};
 
 use crate::chardata::{
@@ -96,23 +98,15 @@ pub struct Netlist {
     pub breakdown: AreaBreakdown,
     /// Netlist structure features.
     pub features: NetFeatures,
-    /// Critical-path depth of each `Pipe` body, keyed by controller id —
-    /// a byproduct of the delay-balancing ASAP schedule, recorded so the
-    /// latency estimator can skip re-scheduling (see
-    /// [`Netlist::pipe_depth`]).
+    /// Critical-path depth of each `Pipe` body with its controller id, in
+    /// controller pre-order ([`PlanCtrl::slot`] indexes it) — a byproduct
+    /// of the delay-balancing ASAP schedule, recorded so the latency
+    /// estimator can skip re-scheduling. Equals [`pipe_depth`] on the
+    /// same design.
     pub pipe_depths: Vec<(NodeId, u64)>,
-}
-
-impl Netlist {
-    /// The recorded critical-path depth of pipe `ctrl`, if it was
-    /// elaborated as part of this netlist. Equals
-    /// [`pipe_depth`] on the same design.
-    pub fn pipe_depth(&self, ctrl: NodeId) -> Option<u64> {
-        self.pipe_depths
-            .iter()
-            .find(|(id, _)| *id == ctrl)
-            .map(|&(_, d)| d)
-    }
+    /// The skeleton's latency plan, shared (not copied) into every
+    /// netlist re-costed from it; `None` on hand-assembled netlists.
+    pub latency: Option<Arc<LatencyPlan>>,
 }
 
 /// Elaborate a design into raw resource counts on `target`.
@@ -161,7 +155,7 @@ pub fn elaborate_with(design: &Design, target: &FpgaTarget, skel: &Skeleton) -> 
     let _span = dhdl_obs::span_arg("elaborate", "shape", skel.shape);
     let _t = dhdl_obs::histogram!("synth.recost_ns").timer();
     let mut acc = Acc::default();
-    visit_plan(design, target, &skel.root, 1.0, &mut acc);
+    visit_plan(design, target, skel, 0, 1.0, &mut acc);
     let stats = DesignStats::of(design);
     Netlist {
         raw: acc.breakdown.total(),
@@ -175,142 +169,22 @@ pub fn elaborate_with(design: &Design, target: &FpgaTarget, skel: &Skeleton) -> 
             avg_width: stats.avg_width(),
         },
         pipe_depths: acc.pipe_depths,
+        latency: Some(skel.latency.clone()),
     }
 }
 
-/// A hash of everything about a design that the [`Skeleton`] bakes in:
-/// the controller tree, pipe body topology and wiring, node kinds, ops
-/// and types — and nothing that varies across DSE points of one
-/// benchmark (par factors, counter bounds, tile extents, memory
-/// geometry, banking, constant values). Two designs with equal shape
-/// hashes can share a skeleton.
-pub fn shape_hash(design: &Design) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(design.name().as_bytes());
-    h.write_u64(design.len() as u64);
-    let id_list = |h: &mut Fnv64, ids: &[NodeId]| {
-        h.write_u64(ids.len() as u64);
-        for &i in ids {
-            h.write_u64(i.index() as u64);
-        }
-    };
-    for (id, node) in design.iter() {
-        h.write_u64(id.index() as u64);
-        h.write_u64(ty_code(node.ty));
-        match &node.kind {
-            NodeKind::Const(_) => h.write_u64(1),
-            NodeKind::Prim { op, inputs } => {
-                h.write_u64(2);
-                h.write_u64(*op as u64);
-                id_list(&mut h, inputs);
-            }
-            NodeKind::Mux {
-                sel,
-                if_true,
-                if_false,
-            } => {
-                h.write_u64(3);
-                id_list(&mut h, &[*sel, *if_true, *if_false]);
-            }
-            NodeKind::Load { mem, addr } => {
-                h.write_u64(4);
-                h.write_u64(mem.index() as u64);
-                id_list(&mut h, addr);
-            }
-            NodeKind::Store { mem, addr, value } => {
-                h.write_u64(5);
-                h.write_u64(mem.index() as u64);
-                h.write_u64(value.index() as u64);
-                id_list(&mut h, addr);
-            }
-            NodeKind::Iter { ctrl, dim } => {
-                h.write_u64(6);
-                h.write_u64(ctrl.index() as u64);
-                h.write_u64(*dim as u64);
-            }
-            NodeKind::OffChip { dims } => {
-                h.write_u64(7);
-                h.write_u64(dims.len() as u64);
-            }
-            NodeKind::Bram(b) => {
-                h.write_u64(8);
-                h.write_u64(b.dims.len() as u64);
-            }
-            NodeKind::Reg(_) => h.write_u64(9),
-            NodeKind::PriorityQueue(_) => h.write_u64(10),
-            NodeKind::Pipe(p) => {
-                h.write_u64(11);
-                h.write_u64(p.ctr.dims.len() as u64);
-                h.write_u64(pattern_code(p.pattern));
-                id_list(&mut h, &p.body);
-                if let Some(r) = &p.reduce {
-                    id_list(&mut h, &[r.value, r.reg]);
-                } else {
-                    h.write_u64(0);
-                }
-            }
-            NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
-                h.write_u64(if matches!(node.kind, NodeKind::MetaPipe(_)) {
-                    12
-                } else {
-                    13
-                });
-                h.write_u64(s.ctr.dims.len() as u64);
-                h.write_u64(pattern_code(s.pattern));
-                id_list(&mut h, &s.stages);
-                id_list(&mut h, &s.locals);
-                if let Some(f) = &s.fold {
-                    id_list(&mut h, &[f.src, f.accum]);
-                } else {
-                    h.write_u64(0);
-                }
-            }
-            NodeKind::ParallelCtrl { stages, locals } => {
-                h.write_u64(14);
-                id_list(&mut h, stages);
-                id_list(&mut h, locals);
-            }
-            NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
-                h.write_u64(if matches!(node.kind, NodeKind::TileLoad(_)) {
-                    15
-                } else {
-                    16
-                });
-                id_list(&mut h, &[t.offchip, t.local]);
-                id_list(&mut h, &t.offsets);
-                h.write_u64(t.tile.len() as u64);
-            }
-        }
-    }
-    h.finish()
-}
-
-fn ty_code(ty: DType) -> u64 {
-    match ty {
-        DType::Fix { sign, int, frac } => {
-            (1 << 48) | (u64::from(sign) << 32) | (u64::from(int) << 16) | u64::from(frac)
-        }
-        DType::F32 => 2 << 48,
-        DType::F64 => 3 << 48,
-        DType::Bool => 4 << 48,
-    }
-}
-
-fn pattern_code(p: Pattern) -> u64 {
-    match p {
-        Pattern::Map => 0,
-        Pattern::Reduce(op) => 1 + op as u64,
-    }
-}
-
-/// The structure-dependent half of elaboration: the controller tree with,
+/// The structure-dependent half of elaboration: the controller tree
+/// (flat, with the competitor lists the latency estimator needs) and,
 /// per `Pipe`, resolved per-lane cost-model lookups and body wiring.
 /// Build once per benchmark structure (see [`shape_hash`]) and re-cost
 /// arbitrarily many parameterizations with [`elaborate_with`].
 #[derive(Debug, Clone)]
 pub struct Skeleton {
     shape: u64,
-    root: CtrlPlan,
+    /// The controller tree, flattened; shared with every netlist.
+    latency: Arc<LatencyPlan>,
+    /// Body plans of the `Pipe`s, indexed by [`PlanCtrl::slot`].
+    pipes: Vec<PipePlan>,
 }
 
 impl Skeleton {
@@ -320,9 +194,21 @@ impl Skeleton {
     }
 
     fn with_shape(design: &Design, shape: u64) -> Skeleton {
+        let latency = {
+            let _t = dhdl_obs::histogram!("synth.skeleton.latency_plan_ns").timer();
+            Arc::new(LatencyPlan::of(design))
+        };
+        let pipes = latency
+            .ctrls
+            .iter()
+            .filter_map(|c| match design.kind(c.id) {
+                NodeKind::Pipe(p) => Some(pipe_plan(design, p)),
+                _ => None,
+            });
         Skeleton {
             shape,
-            root: ctrl_plan(design, design.top()),
+            pipes: pipes.collect(),
+            latency,
         }
     }
 
@@ -330,16 +216,6 @@ impl Skeleton {
     pub fn shape(&self) -> u64 {
         self.shape
     }
-}
-
-/// One controller in the skeleton tree.
-#[derive(Debug, Clone)]
-struct CtrlPlan {
-    id: NodeId,
-    /// Present iff the controller is an innermost `Pipe`.
-    pipe: Option<PipePlan>,
-    /// Child stages, in program order (outer controllers only).
-    children: Vec<CtrlPlan>,
 }
 
 /// Pre-resolved structure of one pipe body.
@@ -373,23 +249,113 @@ enum BodyCost {
     Free,
 }
 
-fn ctrl_plan(design: &Design, ctrl: NodeId) -> CtrlPlan {
-    let (pipe, children) = match design.kind(ctrl) {
-        NodeKind::Pipe(p) => (Some(pipe_plan(design, p)), Vec::new()),
-        NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => (
-            None,
-            s.stages.iter().map(|&st| ctrl_plan(design, st)).collect(),
-        ),
-        NodeKind::ParallelCtrl { stages, .. } => (
-            None,
-            stages.iter().map(|&st| ctrl_plan(design, st)).collect(),
-        ),
-        _ => (None, Vec::new()),
-    };
-    CtrlPlan {
-        id: ctrl,
-        pipe,
-        children,
+/// The shape-only half of the latency recurrence, walked per design
+/// point by `dhdl_estimate::estimate_cycles_net`: which controllers there
+/// are and which off-chip transfers contend for the DRAM channel, so that
+/// the per-point walk derives neither.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LatencyPlan {
+    /// Every controller, in pre-order from the top.
+    pub ctrls: Vec<PlanCtrl>,
+    /// Number of `TileLd`/`TileSt` controllers (the range of
+    /// [`PlanCtrl::slot`] over transfers).
+    pub transfers: usize,
+    /// The concatenated competitor lists [`PlanCtrl::competitors`]
+    /// indexes: transfer slots.
+    pub competitors: Vec<u32>,
+}
+
+/// One controller of a [`LatencyPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanCtrl {
+    /// The controller node.
+    pub id: NodeId,
+    /// Controllers in this subtree, itself included: the first child is
+    /// the next entry and the next sibling lies `span` entries on.
+    pub span: u32,
+    /// `Pipe`: the position of its depth in [`Netlist::pipe_depths`].
+    /// `TileLd`/`TileSt`: its number among the transfers, in pre-order.
+    pub slot: u32,
+    /// `TileLd`/`TileSt`: the range of [`LatencyPlan::competitors`]
+    /// holding every *other* transfer that can be active at the same
+    /// time — their least common ancestor is a `MetaPipe` (stages
+    /// overlap) or a `Parallel` container — in pre-order.
+    pub competitors: (u32, u32),
+}
+
+impl LatencyPlan {
+    fn of(design: &Design) -> LatencyPlan {
+        fn flatten(
+            design: &Design,
+            id: NodeId,
+            parent: u32,
+            plan: &mut LatencyPlan,
+            parents: &mut Vec<u32>,
+            pipes: &mut u32,
+        ) {
+            let at = plan.ctrls.len();
+            let slot = match design.kind(id) {
+                NodeKind::Pipe(_) => std::mem::replace(pipes, *pipes + 1),
+                NodeKind::TileLoad(_) | NodeKind::TileStore(_) => {
+                    plan.transfers += 1;
+                    plan.transfers as u32 - 1
+                }
+                _ => 0,
+            };
+            plan.ctrls.push(PlanCtrl {
+                id,
+                span: 0,
+                slot,
+                competitors: (0, 0),
+            });
+            parents.push(parent);
+            for &stage in design.stages(id) {
+                flatten(design, stage, at as u32, plan, parents, pipes);
+            }
+            plan.ctrls[at].span = (plan.ctrls.len() - at) as u32;
+        }
+        let mut plan = LatencyPlan::default();
+        let mut parents = Vec::new();
+        flatten(design, design.top(), 0, &mut plan, &mut parents, &mut 0);
+        let transfers: Vec<usize> = (0..plan.ctrls.len())
+            .filter(|&i| {
+                let kind = design.kind(plan.ctrls[i].id);
+                matches!(kind, NodeKind::TileLoad(_) | NodeKind::TileStore(_))
+            })
+            .collect();
+        for &x in &transfers {
+            let from = plan.competitors.len() as u32;
+            for &y in transfers.iter().filter(|&&y| y != x) {
+                // The least common ancestor: the nearest ancestor of `x`
+                // whose subtree holds `y`.
+                let mut lca = parents[x] as usize;
+                while !(lca..lca + plan.ctrls[lca].span as usize).contains(&y) {
+                    lca = parents[lca] as usize;
+                }
+                if matches!(
+                    design.kind(plan.ctrls[lca].id),
+                    NodeKind::MetaPipe(_) | NodeKind::ParallelCtrl { .. }
+                ) {
+                    plan.competitors.push(plan.ctrls[y].slot);
+                }
+            }
+            plan.ctrls[x].competitors = (from, plan.competitors.len() as u32);
+        }
+        plan
+    }
+
+    /// Indices (into [`LatencyPlan::ctrls`]) of the child stages of the
+    /// controller at index `i`, in program order.
+    pub fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = i + self.ctrls[i].span as usize;
+        let mut next = i + 1;
+        std::iter::from_fn(move || {
+            (next < end).then(|| {
+                let child = next;
+                next += self.ctrls[child].span as usize;
+                child
+            })
+        })
     }
 }
 
@@ -441,13 +407,20 @@ struct Acc {
 /// of the design *exactly* — same cost lookups, same floating-point
 /// accumulation order — so netlists are bit-identical to pre-skeleton
 /// elaboration (asserted by tests).
-fn visit_plan(design: &Design, target: &FpgaTarget, plan: &CtrlPlan, rep: f64, acc: &mut Acc) {
-    let ctrl = plan.id;
+fn visit_plan(
+    design: &Design,
+    target: &FpgaTarget,
+    skel: &Skeleton,
+    at: usize,
+    rep: f64,
+    acc: &mut Acc,
+) {
+    let PlanCtrl { id: ctrl, slot, .. } = skel.latency.ctrls[at];
     match design.kind(ctrl) {
         NodeKind::Pipe(p) => {
             acc.breakdown.control += counter_cost().times(p.ctr.dims.len() as f64 * rep);
             acc.breakdown.control += controller_cost(ControllerKind::Pipe, 0).times(rep);
-            let pipe = plan.pipe.as_ref().expect("pipe plan for Pipe node");
+            let pipe = &skel.pipes[slot as usize];
             let (datapath, delays, depth) = pipe_cost(design, target, p, pipe);
             acc.breakdown.primitives += datapath.times(rep);
             acc.breakdown.delays += delays.times(rep);
@@ -468,8 +441,8 @@ fn visit_plan(design: &Design, target: &FpgaTarget, plan: &CtrlPlan, rep: f64, a
             for &m in &s.locals {
                 acc.breakdown.memories += memory_resources(design, target, m).times(child_rep);
             }
-            for child in &plan.children {
-                visit_plan(design, target, child, child_rep, acc);
+            for child in skel.latency.children(at) {
+                visit_plan(design, target, skel, child, child_rep, acc);
             }
             if let Some(f) = &s.fold {
                 // The implicit fold stage: one combiner lane per port lane,
@@ -486,8 +459,8 @@ fn visit_plan(design: &Design, target: &FpgaTarget, plan: &CtrlPlan, rep: f64, a
             for &m in locals {
                 acc.breakdown.memories += memory_resources(design, target, m).times(rep);
             }
-            for child in &plan.children {
-                visit_plan(design, target, child, rep, acc);
+            for child in skel.latency.children(at) {
+                visit_plan(design, target, skel, child, rep, acc);
             }
         }
         NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
@@ -630,7 +603,7 @@ pub(crate) fn asap_schedule(design: &Design, p: &PipeSpec) -> BTreeMap<NodeId, u
 /// Critical-path depth (latency of one iteration) of a pipe body.
 ///
 /// Stand-alone recomputation; an elaborated [`Netlist`] already carries
-/// these depths (see [`Netlist::pipe_depth`]).
+/// these depths (see [`Netlist::pipe_depths`]).
 pub fn pipe_depth(design: &Design, p: &PipeSpec) -> u64 {
     let sched = asap_schedule(design, p);
     p.body
@@ -789,6 +762,7 @@ mod tests {
                 avg_width: stats.avg_width(),
             },
             pipe_depths: depths,
+            latency: None,
         }
     }
 
@@ -816,10 +790,12 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Netlists sorted for comparison: direct-walk depths come out in
-    /// `find_all` (arena) order, skeleton depths in visit order.
+    /// Netlists made comparable: direct-walk depths come out in
+    /// `find_all` (arena) order, skeleton depths in visit order, and only
+    /// the skeleton path carries a latency plan.
     fn normalized(mut n: Netlist) -> Netlist {
         n.pipe_depths.sort_unstable();
+        n.latency = None;
         n
     }
 
@@ -876,13 +852,13 @@ mod tests {
         let net = elaborate(&d, &t);
         let pipes = d.find_all(|n| matches!(n.kind, NodeKind::Pipe(_)));
         assert!(!pipes.is_empty());
-        for id in pipes {
+        assert_eq!(net.pipe_depths.len(), pipes.len());
+        for &(id, depth) in &net.pipe_depths {
             let NodeKind::Pipe(p) = d.kind(id) else {
-                unreachable!()
+                panic!("{id} is no Pipe")
             };
-            assert_eq!(net.pipe_depth(id), Some(pipe_depth(&d, p)));
+            assert_eq!(depth, pipe_depth(&d, p));
         }
-        assert_eq!(net.pipe_depth(NodeId::from_raw(u32::MAX - 1)), None);
     }
 
     #[test]

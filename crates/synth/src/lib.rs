@@ -48,9 +48,10 @@ pub mod lowlevel;
 pub mod maxj;
 pub mod partition;
 
+pub use dhdl_core::shape_hash;
 pub use elaborate::{
-    elaborate, elaborate_with, pipe_depth, shape_hash, AreaBreakdown, NetFeatures, Netlist,
-    Skeleton,
+    elaborate, elaborate_with, pipe_depth, AreaBreakdown, LatencyPlan, NetFeatures, Netlist,
+    PlanCtrl, Skeleton,
 };
 pub use lowlevel::{design_hash, place_and_route, synthesize, SynthReport};
 pub use partition::{partition, Channel, CutKind, Partition, Partitioning};

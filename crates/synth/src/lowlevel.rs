@@ -267,6 +267,7 @@ mod tests {
             breakdown: Default::default(),
             features: NetFeatures::default(),
             pipe_depths: Vec::new(),
+            latency: None,
         };
         let rep = place_and_route(12345, &net, &t);
         assert!(rep.alms.is_finite());
