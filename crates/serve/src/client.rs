@@ -17,14 +17,14 @@
 //! Jitter is seeded ([`RetryPolicy::seed`]) so tests replay identical
 //! backoff schedules.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_RESPONSE};
+use crate::frame::{read_frame_into, write_frame, FrameError, DEFAULT_MAX_RESPONSE};
 use crate::json::Json;
 use crate::protocol::Request;
 
@@ -94,7 +94,11 @@ pub struct Client {
     policy: RetryPolicy,
     timeout: Duration,
     max_response: usize,
-    conn: Option<TcpStream>,
+    /// The socket behind its read buffer: a poisoned connection drops
+    /// both, so no byte of a torn response outlives it.
+    conn: Option<BufReader<TcpStream>>,
+    /// The response payload, reused from request to request.
+    response: Vec<u8>,
     rng: StdRng,
     /// Transport-level retries performed so far (for reporting).
     pub transport_retries: u64,
@@ -113,6 +117,7 @@ impl Client {
             timeout: Duration::from_secs(10),
             max_response: DEFAULT_MAX_RESPONSE,
             conn: None,
+            response: Vec::new(),
             rng,
             transport_retries: 0,
             rejections: 0,
@@ -125,23 +130,18 @@ impl Client {
         self
     }
 
-    fn connect(&mut self) -> io::Result<&mut TcpStream> {
+    fn attempt(&mut self, payload: &[u8]) -> Result<Json, FrameError> {
         if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
             stream.set_read_timeout(Some(self.timeout))?;
             stream.set_write_timeout(Some(self.timeout))?;
             stream.set_nodelay(true)?;
-            self.conn = Some(stream);
+            self.conn = Some(BufReader::new(stream));
         }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    fn attempt(&mut self, payload: &[u8]) -> Result<Json, FrameError> {
-        let max_response = self.max_response;
-        let stream = self.connect()?;
-        write_frame(stream, payload, crate::frame::DEFAULT_MAX_FRAME)?;
-        let bytes = read_frame(stream, max_response)?;
-        Json::parse(&bytes).map_err(|e| {
+        let conn = self.conn.as_mut().expect("just connected");
+        write_frame(conn.get_mut(), payload, crate::frame::DEFAULT_MAX_FRAME)?;
+        read_frame_into(conn, self.max_response, &mut self.response)?;
+        Json::parse(&self.response).map_err(|e| {
             FrameError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response is not valid JSON: {e}"),
@@ -257,6 +257,47 @@ mod tests {
         // The server's retry_after_ms is a floor.
         let d = policy.delay(0, 400, &mut rng);
         assert!(d >= Duration::from_millis(400));
+    }
+
+    #[test]
+    fn a_poisoned_connection_takes_its_read_buffer_with_it() {
+        use std::io::Write;
+        use std::net::TcpListener;
+
+        use crate::frame::{read_frame, DEFAULT_MAX_FRAME};
+        use crate::protocol::Op;
+
+        // A server whose first connection answers with a frame that is
+        // not JSON and, in the same write, a well-formed stale frame; its
+        // second connection answers properly.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for answer in [
+                &[&b"not json"[..], br#"{"status":"ok","from":"stale"}"#][..],
+                &[&br#"{"status":"ok","from":"fresh"}"#[..]][..],
+            ] {
+                let (mut conn, _) = listener.accept().unwrap();
+                read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap();
+                let mut wire = Vec::new();
+                for payload in answer {
+                    write_frame(&mut wire, payload, DEFAULT_MAX_FRAME).unwrap();
+                }
+                conn.write_all(&wire).unwrap();
+                // Hold the socket until the client is done with it.
+                let _ = read_frame(&mut conn, DEFAULT_MAX_FRAME);
+            }
+        });
+        let policy = RetryPolicy {
+            base: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        };
+        let mut client = Client::new(addr, policy);
+        let resp = client.request(&Request::new(Op::Health)).unwrap();
+        assert_eq!(resp.get("from").and_then(Json::as_str), Some("fresh"));
+        assert_eq!(client.transport_retries, 1);
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! A minimal, std-only JSON value: recursive-descent parser plus a
-//! deterministic renderer.
+//! A minimal, std-only JSON codec: one recursive-descent parser and one
+//! deterministic byte writer, with the [`Json`] tree built on both.
 //!
 //! The wire protocol needs exactly this much JSON and no more: objects
-//! (rendered with sorted keys so frames are byte-deterministic), arrays,
+//! (written with sorted keys so frames are byte-deterministic), arrays,
 //! strings with the standard escapes, finite numbers, booleans and null.
 //! The parser is written for hostile input — it never panics, it bounds
 //! recursion depth, and anything malformed comes back as a structured
 //! [`JsonError`] naming the byte offset, which the server turns into a
 //! structured protocol error instead of a dead connection.
+//!
+//! The hot request never builds a tree: [`crate::protocol::Request::parse`]
+//! drives the `Parser`'s primitives straight into typed fields, and the
+//! hot responses go through `ObjWriter` into the connection's frame
+//! buffer. [`Json::parse`] and [`Json::render`] are the same parser and
+//! the same writer with a tree on the other end, so there is one grammar,
+//! one escaper and one number format.
 //!
 //! Floating-point payload fields (cycles, areas) are *not* carried as
 //! JSON numbers: the protocol transports them as 16-hex-digit IEEE-754
@@ -15,12 +22,13 @@
 //! round trip is bit-exact. JSON numbers here are only used for small
 //! integers (parameter values, counts, ports), all well under 2^53.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts; deeper input is rejected
 /// rather than risking stack exhaustion on `[[[[...`-style frames.
-const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,62 +66,42 @@ impl Json {
     /// Parse a complete JSON document; trailing non-whitespace is an
     /// error (a frame carries exactly one value).
     pub fn parse(input: &[u8]) -> Result<Json, JsonError> {
-        let mut p = Parser { input, pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.input.len() {
-            return Err(p.err("trailing data after JSON value"));
-        }
+        let mut p = Parser::new(input);
+        let v = p.value(0, true)?;
+        p.finish()?;
         Ok(v)
     }
 
     /// Render to a compact string (no whitespace, object keys sorted).
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.render_into(&mut out);
-        out
+        String::from_utf8(out).expect("the writer emits ASCII syntax around `str` contents")
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Append the compact rendering to `out`.
+    pub(crate) fn render_into(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // Integers (the only numbers the protocol sends) render
-                    // without a fractional part.
-                    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                        let _ = write_int(out, *n);
-                    } else {
-                        out.push_str(&format!("{n}"));
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => render_string(s, out),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.render_into(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                let mut obj = ObjWriter::begin(out);
+                for (k, v) in map {
+                    v.render_into(obj.key(k));
                 }
-                out.push('}');
+                obj.end();
             }
         }
     }
@@ -173,36 +161,120 @@ impl Json {
     }
 }
 
-/// Render an integral f64 without a fractional part (`3` not `3.0`).
-fn write_int(out: &mut String, n: f64) -> fmt::Result {
-    use fmt::Write as _;
-    write!(out, "{}", n as i64)
+/// Append `true` / `false`.
+pub(crate) fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Append a number: integers (the only numbers the protocol sends)
+/// without a fractional part, non-finite values as `null`.
+pub(crate) fn write_num(out: &mut Vec<u8>, n: f64) {
+    use std::io::Write as _;
+    // Writing into a `Vec` cannot fail.
+    let _ = if !n.is_finite() {
+        out.write_all(b"null")
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
+/// Append `s` as a string literal, quotes and escapes included.
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    // Bytes that need no escape are copied in runs; every byte of a
+    // multi-byte UTF-8 sequence is >= 0x80 and is one of them.
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    let mut control = *b"\\u0000";
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x00..=0x1F => {
+                control[4] = HEX[usize::from(b >> 4)];
+                control[5] = HEX[usize::from(b & 0xF)];
+                &control
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
-struct Parser<'a> {
+/// Writes one object's members into a byte buffer. Keys must arrive in
+/// ascending byte order — the order a `BTreeMap<String, _>` iterates in —
+/// so that what is written directly equals what the tree renders.
+pub(crate) struct ObjWriter<'a> {
+    out: &'a mut Vec<u8>,
+    last: Option<&'a str>,
+}
+
+impl<'a> ObjWriter<'a> {
+    /// Open an object at the end of `out`.
+    pub(crate) fn begin(out: &'a mut Vec<u8>) -> Self {
+        out.push(b'{');
+        ObjWriter { out, last: None }
+    }
+
+    /// Write `"key":` and hand back the buffer for the value.
+    pub(crate) fn key(&mut self, key: &'a str) -> &mut Vec<u8> {
+        debug_assert!(
+            // `None` orders before every `Some`.
+            self.last < Some(key),
+            "object keys must ascend: `{key}` after `{:?}`",
+            self.last
+        );
+        if self.last.is_some() {
+            self.out.push(b',');
+        }
+        self.last = Some(key);
+        write_str(self.out, key);
+        self.out.push(b':');
+        self.out
+    }
+
+    /// Close the object.
+    pub(crate) fn end(self) {
+        self.out.push(b'}');
+    }
+}
+
+/// The recursive-descent parser. [`Json::parse`] builds a tree with it;
+/// [`crate::protocol::Request::parse`] calls the same primitives and keeps
+/// only the fields it knows.
+pub(crate) struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A parser at the first non-whitespace byte of `input`.
+    pub(crate) fn new(input: &'a [u8]) -> Self {
+        let mut p = Parser { input, pos: 0 };
+        p.skip_ws();
+        p
+    }
+
+    /// The document ends here: anything but trailing whitespace is an
+    /// error.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing data after JSON value"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -210,7 +282,7 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.input.get(self.pos).copied()
     }
 
@@ -244,30 +316,58 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Parse the value at the cursor, `depth` containers down. With
+    /// `keep` false the value is checked exactly as thoroughly but not
+    /// materialized: strings come back as `Null` and containers empty,
+    /// so skipping a value allocates nothing. Numbers and booleans are
+    /// returned either way.
+    pub(crate) fn value(&mut self, depth: usize, keep: bool) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.members(|p, key| {
+                    let value = p.value(depth + 1, keep)?;
+                    if keep {
+                        map.insert(key.into_owned(), value);
+                    }
+                    Ok(())
+                })?;
+                Ok(Json::Obj(map))
+            }
+            Some(b'[') => self.array(depth, keep),
+            Some(b'"') => {
+                let s = self.string()?;
+                Ok(if keep {
+                    Json::Str(s.into_owned())
+                } else {
+                    Json::Null
+                })
+            }
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => Ok(Json::Num(self.number()?)),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+    /// Walk the object at the cursor. For each member, `member` gets the
+    /// parser standing on the member's value, and the key; it must
+    /// consume exactly that value. Members arrive in document order, a
+    /// repeated key once per occurrence.
+    pub(crate) fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -275,12 +375,11 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            member(self, key)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(map)),
+                Some(b'}') => return Ok(()),
                 _ => {
                     self.pos = self.pos.saturating_sub(1);
                     return Err(self.err("expected `,` or `}` in object"));
@@ -289,7 +388,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize, keep: bool) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -299,7 +398,10 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1, keep)?;
+            if keep {
+                items.push(item);
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -312,28 +414,59 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Parse the string literal at the cursor. A literal without escapes
+    /// — every key and value a well-behaved client sends — is borrowed
+    /// from the input.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let input = self.input;
+        // Every byte of a run was checked below, one scalar at a time.
+        let run = |from: usize, to: usize| {
+            std::str::from_utf8(&input[from..to]).expect("run of validated UTF-8")
+        };
+        let mut unescaped: Option<String> = None;
+        let mut run_start = self.pos;
         loop {
+            // Most of most strings is plain ASCII: pass it in one scan.
+            let rest = &input[self.pos..];
+            self.pos += rest
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1F | 0x80..))
+                .unwrap_or(rest.len());
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => out.push(self.unicode_escape()?),
-                    _ => return Err(self.err("invalid escape")),
-                },
+                Some(b'"') => {
+                    let tail = run(run_start, self.pos - 1);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let literal = run(run_start, self.pos - 1);
+                    let c = match self.bump() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return Err(self.err("invalid escape")),
+                    };
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(literal);
+                    out.push(c);
+                    run_start = self.pos;
+                }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(b) => {
-                    // Re-decode UTF-8 starting at this byte.
+                    // Check the multi-byte scalar starting at this byte.
                     let start = self.pos - 1;
                     let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
                     let end = start + len;
@@ -341,8 +474,7 @@ impl Parser<'_> {
                         .input
                         .get(start..end)
                         .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
+                    std::str::from_utf8(slice).map_err(|_| self.err("invalid UTF-8"))?;
                     self.pos = end;
                 }
             }
@@ -382,7 +514,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -399,7 +531,7 @@ impl Parser<'_> {
         if !n.is_finite() {
             return Err(self.err("non-finite number"));
         }
-        Ok(Json::Num(n))
+        Ok(n)
     }
 }
 
@@ -443,6 +575,69 @@ mod tests {
     fn object_keys_render_sorted() {
         let v = Json::obj([("zeta", Json::Num(1.0)), ("alpha", Json::Num(2.0))]);
         assert_eq!(v.render(), r#"{"alpha":2,"zeta":1}"#);
+    }
+
+    /// The writer's escapes and number formats, pinned as bytes: the tree
+    /// and the direct response writers share them, so comparing the two
+    /// cannot show a change here.
+    #[test]
+    fn escapes_and_numbers_are_pinned() {
+        let text = |v: Json| v.render();
+        assert_eq!(
+            text(Json::Str(
+                "a\"b\\c/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}\u{e9}\u{1F4A1}".into()
+            )),
+            "\"a\\\"b\\\\c/\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\u{e9}\u{1F4A1}\""
+        );
+        for (n, want) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (7.0, "7"),
+            (-17.0, "-17"),
+            (3.5, "3.5"),
+            (8_999_999_999_999_999.0, "8999999999999999"),
+            (9.0e15, "9000000000000000"),
+            (u64::MAX as f64, "18446744073709552000"),
+            (1e300, &format!("1{}", "0".repeat(300))),
+            (f64::NAN, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(text(Json::Num(n)), want, "{n}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "object keys must ascend")]
+    fn the_writer_refuses_a_repeated_or_descending_key() {
+        let mut out = Vec::new();
+        let mut obj = ObjWriter::begin(&mut out);
+        write_num(obj.key("a"), 1.0);
+        write_num(obj.key("b"), 2.0);
+        write_num(obj.key("b"), 3.0);
+    }
+
+    #[test]
+    fn strings_without_escapes_are_borrowed_from_the_input() {
+        let mut p = Parser::new(br#""plain \u00e9" "#);
+        assert!(matches!(p.string(), Ok(Cow::Owned(s)) if s == "plain \u{e9}"));
+        let mut p = Parser::new("\"plain \u{e9}\"".as_bytes());
+        assert!(matches!(p.string(), Ok(Cow::Borrowed("plain \u{e9}"))));
+    }
+
+    #[test]
+    fn skipping_checks_what_parsing_checks() {
+        for doc in [
+            &br#"{"a":[1,{"b":"c\n"}],"a":null}"#[..],
+            br#"{"a":[1,{"b":"c\q"}]}"#,
+            br#"{"a":[1,{"b":1e999}]}"#,
+            br#"[[[[1 2]]]]"#,
+            b"\"\xc3\"",
+        ] {
+            let kept = Parser::new(doc).value(0, true).map(|_| ());
+            let skipped = Parser::new(doc).value(0, false).map(|_| ());
+            assert_eq!(kept, skipped, "{}", String::from_utf8_lossy(doc));
+        }
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub mod protocol;
 pub mod server;
 pub mod signal;
 
+#[cfg(test)]
+mod codec_tests;
+
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, LoadLevel, Permit, WorkKind};
 pub use chaos::{ChaosConfig, ChaosPlan};
 pub use client::{Client, ClientError, RetryPolicy};

@@ -29,13 +29,16 @@
 //! a sweep fetched through the server is *byte-identical* to one run
 //! in-process — the chaos suite asserts exactly that.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::io::Write as _;
 
 use dhdl_core::ParamValues;
 use dhdl_dse::{DesignPoint, SearchStrategy};
+use dhdl_estimate::Estimate;
 use dhdl_target::AreaReport;
 
-use crate::json::Json;
+use crate::json::{write_bool, write_num, write_str, Json, JsonError, ObjWriter, Parser};
 
 /// Protocol version, echoed in `health` responses.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -43,6 +46,13 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Render an `f64` as its 16-hex-digit IEEE-754 bit pattern.
 pub fn bits_str(v: f64) -> String {
     format!("{:016x}", v.to_bits())
+}
+
+/// Append an `f64` as the string [`bits_str`] renders (hex digits need no
+/// escaping).
+fn write_bits(out: &mut Vec<u8>, v: f64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "\"{:016x}\"", v.to_bits());
 }
 
 /// Parse a 16-hex-digit IEEE-754 bit pattern back to the exact `f64`.
@@ -182,163 +192,233 @@ impl Request {
         }
     }
 
-    /// Parse a request frame.
+    /// Parse a request frame. No tree is built: the known fields are read
+    /// off the parser into typed slots (a repeated key keeps its last
+    /// occurrence), everything else is checked and skipped, and the slots
+    /// are validated once the whole document has parsed — so a malformed
+    /// document is `bad_json` whatever its fields hold.
     ///
     /// # Errors
     ///
     /// Returns a structured [`ProtoError`] (`bad_json`, `bad_request`)
     /// on any malformation; the server renders it as an error response.
     pub fn parse(payload: &[u8]) -> Result<Request, ProtoError> {
-        let v = Json::parse(payload).map_err(|e| ProtoError::new("bad_json", e.to_string()))?;
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| ProtoError::new("bad_request", "request must be a JSON object"))?;
-        let op_name = obj
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::new("bad_request", "missing string field `op`"))?;
+        let bad_json = |e: JsonError| ProtoError::new("bad_json", e.to_string());
+        let bad = |message: &str| ProtoError::new("bad_request", message);
+        let mut p = Parser::new(payload);
+        let mut f = Fields::default();
+        if p.peek() != Some(b'{') {
+            p.value(0, false)
+                .and_then(|_| p.finish())
+                .map_err(bad_json)?;
+            return Err(bad("request must be a JSON object"));
+        }
+        p.members(|p, key| f.member(p, &key))
+            .and_then(|()| p.finish())
+            .map_err(bad_json)?;
+
+        let op_name = f.op.ok_or_else(|| bad("missing string field `op`"))?;
         let header = Header {
-            tenant: obj
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or("anon")
-                .to_string(),
-            priority: match obj.get("priority") {
+            tenant: f.tenant.map_or_else(|| "anon".to_string(), Cow::into_owned),
+            priority: match f.priority {
                 None => 1,
-                Some(p) => {
-                    let p = p.as_u64().ok_or_else(|| {
-                        ProtoError::new("bad_request", "`priority` must be an integer 0..=2")
-                    })?;
-                    u8::try_from(p.min(2)).expect("clamped")
-                }
+                Some(None) => return Err(bad("`priority` must be an integer 0..=2")),
+                Some(Some(p)) => u8::try_from(p.min(2)).expect("clamped"),
             },
-            deadline_ms: match obj.get("deadline_ms") {
+            deadline_ms: match f.deadline_ms {
                 None => None,
-                Some(d) => Some(d.as_u64().ok_or_else(|| {
-                    ProtoError::new(
-                        "bad_request",
-                        "`deadline_ms` must be a non-negative integer",
-                    )
-                })?),
+                Some(None) => return Err(bad("`deadline_ms` must be a non-negative integer")),
+                Some(Some(d)) => Some(d),
             },
-            key: obj.get("key").and_then(Json::as_str).map(str::to_string),
+            key: f.key.map(Cow::into_owned),
         };
-        let bench = |field: &str| -> Result<String, ProtoError> {
-            obj.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    ProtoError::new("bad_request", format!("missing string field `{field}`"))
-                })
-        };
-        let op =
-            match op_name {
-                "health" => Op::Health,
-                "stats" => Op::Stats,
-                "shutdown" => Op::Shutdown,
-                "submit" => Op::Submit {
-                    bench: bench("bench")?,
+        let bench = f.bench.map(Cow::into_owned);
+        let bench = || bench.ok_or_else(|| bad("missing string field `bench`"));
+        let op = match &*op_name {
+            "health" => Op::Health,
+            "stats" => Op::Stats,
+            "shutdown" => Op::Shutdown,
+            "submit" => Op::Submit { bench: bench()? },
+            "estimate" => {
+                let params = f.params.ok_or_else(|| bad("missing object `params`"))?;
+                let bench = bench()?;
+                // Of several bad values, the first in name order is named.
+                if let Some(name) = params.bad.iter().min() {
+                    return Err(bad(&format!(
+                        "parameter `{name}` must be a non-negative integer"
+                    )));
+                }
+                Op::Estimate {
+                    bench,
+                    params: params.values,
+                }
+            }
+            "sweep" => Op::Sweep {
+                bench: bench()?,
+                points: f.points.ok_or_else(|| bad("missing integer `points`"))? as usize,
+                seed: f.seed.unwrap_or(0xD5E),
+                strategy: match f.strategy {
+                    None => None,
+                    Some(None) => return Err(bad("`strategy` must be a string")),
+                    Some(Some(name)) => Some(SearchStrategy::parse(&name).map_err(|e| bad(&e))?),
                 },
-                "estimate" => {
-                    let params_obj = obj
-                        .get("params")
-                        .and_then(Json::as_obj)
-                        .ok_or_else(|| ProtoError::new("bad_request", "missing object `params`"))?;
-                    Op::Estimate {
-                        bench: bench("bench")?,
-                        params: params_from_json(params_obj)?,
+                num_fpgas: match f.num_fpgas {
+                    None => None,
+                    Some(Some(0)) => return Err(bad("`num_fpgas` must be at least 1")),
+                    Some(Some(k)) => {
+                        Some(u32::try_from(k).map_err(|_| bad("`num_fpgas` must be an integer"))?)
                     }
-                }
-                "sweep" => Op::Sweep {
-                    bench: bench("bench")?,
-                    points: obj
-                        .get("points")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| ProtoError::new("bad_request", "missing integer `points`"))?
-                        as usize,
-                    seed: obj.get("seed").and_then(Json::as_u64).unwrap_or(0xD5E),
-                    strategy: match obj.get("strategy") {
-                        None => None,
-                        Some(s) => {
-                            let name = s.as_str().ok_or_else(|| {
-                                ProtoError::new("bad_request", "`strategy` must be a string")
-                            })?;
-                            Some(
-                                SearchStrategy::parse(name)
-                                    .map_err(|e| ProtoError::new("bad_request", e))?,
-                            )
-                        }
-                    },
-                    num_fpgas: match obj.get("num_fpgas") {
-                        None => None,
-                        Some(k) => {
-                            let k = k.as_u64().and_then(|k| u32::try_from(k).ok()).ok_or_else(
-                                || ProtoError::new("bad_request", "`num_fpgas` must be an integer"),
-                            )?;
-                            if k == 0 {
-                                return Err(ProtoError::new(
-                                    "bad_request",
-                                    "`num_fpgas` must be at least 1",
-                                ));
-                            }
-                            Some(k)
-                        }
-                    },
+                    Some(None) => return Err(bad("`num_fpgas` must be an integer")),
                 },
-                other => {
-                    return Err(ProtoError::new(
-                        "unknown_op",
-                        format!("unrecognized op `{other}`"),
-                    ))
-                }
-            };
+            },
+            other => {
+                return Err(ProtoError::new(
+                    "unknown_op",
+                    format!("unrecognized op `{other}`"),
+                ))
+            }
+        };
         Ok(Request { header, op })
     }
 
     /// Render this request as a frame payload.
     pub fn render(&self) -> Vec<u8> {
-        let mut map = BTreeMap::new();
-        map.insert("op".to_string(), Json::Str(self.op.name().to_string()));
-        map.insert("tenant".to_string(), Json::Str(self.header.tenant.clone()));
-        map.insert(
-            "priority".to_string(),
-            Json::Num(f64::from(self.header.priority)),
-        );
-        if let Some(d) = self.header.deadline_ms {
-            map.insert("deadline_ms".to_string(), Json::Num(d as f64));
-        }
-        if let Some(k) = &self.header.key {
-            map.insert("key".to_string(), Json::Str(k.clone()));
-        }
-        match &self.op {
-            Op::Health | Op::Stats | Op::Shutdown => {}
-            Op::Submit { bench } => {
-                map.insert("bench".to_string(), Json::Str(bench.clone()));
-            }
-            Op::Estimate { bench, params } => {
-                map.insert("bench".to_string(), Json::Str(bench.clone()));
-                map.insert("params".to_string(), params_to_json(params));
-            }
+        let (bench, params, sweep) = match &self.op {
+            Op::Health | Op::Stats | Op::Shutdown => (None, None, None),
+            Op::Submit { bench } => (Some(bench), None, None),
+            Op::Estimate { bench, params } => (Some(bench), Some(params), None),
             Op::Sweep {
                 bench,
                 points,
                 seed,
                 strategy,
                 num_fpgas,
-            } => {
-                map.insert("bench".to_string(), Json::Str(bench.clone()));
-                map.insert("points".to_string(), Json::Num(*points as f64));
-                map.insert("seed".to_string(), Json::Num(*seed as f64));
-                if let Some(s) = strategy {
-                    map.insert("strategy".to_string(), Json::Str(s.name().to_string()));
-                }
-                if let Some(k) = num_fpgas {
-                    map.insert("num_fpgas".to_string(), Json::Num(f64::from(*k)));
-                }
+            } => (Some(bench), None, Some((points, seed, strategy, num_fpgas))),
+        };
+        let mut out = Vec::with_capacity(160);
+        let mut obj = ObjWriter::begin(&mut out);
+        if let Some(bench) = bench {
+            write_str(obj.key("bench"), bench);
+        }
+        if let Some(d) = self.header.deadline_ms {
+            write_num(obj.key("deadline_ms"), d as f64);
+        }
+        if let Some(k) = &self.header.key {
+            write_str(obj.key("key"), k);
+        }
+        if let Some((.., Some(k))) = sweep {
+            write_num(obj.key("num_fpgas"), f64::from(*k));
+        }
+        write_str(obj.key("op"), self.op.name());
+        if let Some(params) = params {
+            write_params(obj.key("params"), params);
+        }
+        if let Some((points, ..)) = sweep {
+            write_num(obj.key("points"), *points as f64);
+        }
+        write_num(obj.key("priority"), f64::from(self.header.priority));
+        if let Some((_, seed, ..)) = sweep {
+            write_num(obj.key("seed"), *seed as f64);
+        }
+        if let Some((_, _, Some(strategy), _)) = sweep {
+            write_str(obj.key("strategy"), strategy.name());
+        }
+        write_str(obj.key("tenant"), &self.header.tenant);
+        obj.end();
+        out
+    }
+}
+
+/// A request field whose wrong type is reported rather than read as
+/// missing: `None` if the key never occurred, `Some(None)` if its last
+/// occurrence held a value of another type.
+type Slot<T> = Option<Option<T>>;
+
+/// A `params` object: the values that are integers, and the names whose
+/// last occurrence is not.
+#[derive(Default)]
+struct Params<'a> {
+    values: ParamValues,
+    bad: Vec<Cow<'a, str>>,
+}
+
+/// The request fields [`Request::parse`] knows, as the document left them
+/// (the last occurrence of a repeated key; a plain `Option` is `None` for a
+/// mistyped value too).
+#[derive(Default)]
+struct Fields<'a> {
+    op: Option<Cow<'a, str>>,
+    tenant: Option<Cow<'a, str>>,
+    priority: Slot<u64>,
+    deadline_ms: Slot<u64>,
+    key: Option<Cow<'a, str>>,
+    bench: Option<Cow<'a, str>>,
+    params: Option<Params<'a>>,
+    points: Option<u64>,
+    seed: Option<u64>,
+    strategy: Slot<Cow<'a, str>>,
+    num_fpgas: Slot<u64>,
+}
+
+impl<'a> Fields<'a> {
+    /// Consume the value of top-level member `key` into its slot.
+    fn member(&mut self, p: &mut Parser<'a>, key: &str) -> Result<(), JsonError> {
+        let string = |p: &mut Parser<'a>| -> Result<Option<Cow<'a, str>>, JsonError> {
+            if p.peek() == Some(b'"') {
+                return Ok(Some(p.string()?));
+            }
+            p.value(1, false)?;
+            Ok(None)
+        };
+        let integer = |p: &mut Parser<'a>| -> Result<Option<u64>, JsonError> {
+            Ok(p.value(1, false)?.as_u64())
+        };
+        match key {
+            "op" => self.op = string(p)?,
+            "tenant" => self.tenant = string(p)?,
+            "priority" => self.priority = Some(integer(p)?),
+            "deadline_ms" => self.deadline_ms = Some(integer(p)?),
+            "key" => self.key = string(p)?,
+            "bench" => self.bench = string(p)?,
+            "points" => self.points = integer(p)?,
+            "seed" => self.seed = integer(p)?,
+            "strategy" => self.strategy = Some(string(p)?),
+            "num_fpgas" => self.num_fpgas = Some(integer(p)?),
+            "params" if p.peek() == Some(b'{') => {
+                let mut params = Params::default();
+                p.members(|p, name| {
+                    match p.value(2, false)?.as_u64() {
+                        Some(v) => {
+                            params.values.set(&name, v);
+                            params.bad.retain(|bad| *bad != name);
+                        }
+                        None if params.bad.contains(&name) => {}
+                        None => params.bad.push(name),
+                    }
+                    Ok(())
+                })?;
+                self.params = Some(params);
+            }
+            "params" => {
+                p.value(1, false)?;
+                self.params = None;
+            }
+            _ => {
+                p.value(1, false)?;
             }
         }
-        Json::Obj(map).render().into_bytes()
+        Ok(())
     }
+}
+
+/// Write a parameter assignment as an object (names ascend: `ParamValues`
+/// iterates in name order).
+fn write_params(out: &mut Vec<u8>, params: &ParamValues) {
+    let mut obj = ObjWriter::begin(out);
+    for (name, value) in params.iter() {
+        write_num(obj.key(name), value as f64);
+    }
+    obj.end();
 }
 
 /// Render a parameter assignment as a JSON object.
@@ -410,24 +490,47 @@ pub fn ok_response<I: IntoIterator<Item = (&'static str, Json)>>(fields: I) -> J
     Json::Obj(map)
 }
 
-/// Build a `status: "error"` response from a [`ProtoError`].
-pub fn error_response(err: &ProtoError) -> Json {
-    Json::obj([
-        ("status", Json::Str("error".to_string())),
-        ("code", Json::Str(err.code.to_string())),
-        ("message", Json::Str(err.message.clone())),
-    ])
+/// Write a `status: "error"` response for a [`ProtoError`].
+pub(crate) fn write_error(out: &mut Vec<u8>, err: &ProtoError) {
+    let mut obj = ObjWriter::begin(out);
+    write_str(obj.key("code"), err.code);
+    write_str(obj.key("message"), &err.message);
+    write_str(obj.key("status"), "error");
+    obj.end();
 }
 
-/// Build a `status: "rejected"` admission response (the 429 analogue):
+/// Write a `status: "rejected"` admission response (the 429 analogue):
 /// the request was *not* executed; the client should back off for at
 /// least `retry_after_ms` and retry.
-pub fn rejected_response(code: &str, retry_after_ms: u64) -> Json {
-    Json::obj([
-        ("status", Json::Str("rejected".to_string())),
-        ("code", Json::Str(code.to_string())),
-        ("retry_after_ms", Json::Num(retry_after_ms as f64)),
-    ])
+pub(crate) fn write_rejected(out: &mut Vec<u8>, code: &str, retry_after_ms: u64) {
+    let mut obj = ObjWriter::begin(out);
+    write_str(obj.key("code"), code);
+    write_num(obj.key("retry_after_ms"), retry_after_ms as f64);
+    write_str(obj.key("status"), "rejected");
+    obj.end();
+}
+
+/// Write the `status: "ok"` response of an `estimate`: bit-exact floats,
+/// whether the area fits the device (`valid`), whether the answer came
+/// from the cache, and whether it was served under degradation.
+pub(crate) fn write_estimate(
+    out: &mut Vec<u8>,
+    est: &Estimate,
+    valid: bool,
+    cached: bool,
+    degraded: bool,
+) {
+    let mut obj = ObjWriter::begin(out);
+    write_bits(obj.key("alms"), est.area.alms);
+    write_bits(obj.key("brams"), est.area.brams);
+    write_bool(obj.key("cached"), cached);
+    write_bits(obj.key("cycles"), est.cycles);
+    write_bool(obj.key("degraded"), degraded);
+    write_bits(obj.key("dsps"), est.area.dsps);
+    write_bits(obj.key("regs"), est.area.regs);
+    write_str(obj.key("status"), "ok");
+    write_bool(obj.key("valid"), valid);
+    obj.end();
 }
 
 #[cfg(test)]
@@ -546,16 +649,22 @@ mod tests {
     }
 
     #[test]
-    fn response_builders_set_status() {
+    fn response_writers_set_status() {
         assert_eq!(
             ok_response([]).get("status").and_then(Json::as_str),
             Some("ok")
         );
-        let e = error_response(&ProtoError::new("bad_json", "oops"));
+        let mut out = Vec::new();
+        write_error(&mut out, &ProtoError::new("bad_json", "oops"));
+        let e = Json::parse(&out).unwrap();
         assert_eq!(e.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(e.get("code").and_then(Json::as_str), Some("bad_json"));
-        let r = rejected_response("overloaded", 25);
+        assert_eq!(e.get("message").and_then(Json::as_str), Some("oops"));
+        out.clear();
+        write_rejected(&mut out, "overloaded", 25);
+        let r = Json::parse(&out).unwrap();
         assert_eq!(r.get("status").and_then(Json::as_str), Some("rejected"));
+        assert_eq!(r.get("code").and_then(Json::as_str), Some("overloaded"));
         assert_eq!(r.get("retry_after_ms").and_then(Json::as_u64), Some(25));
     }
 

@@ -1,10 +1,11 @@
 //! The threaded TCP server: accept loop, per-connection workers, op
 //! dispatch, and the graceful-drain sequence.
 //!
-//! One thread per connection reads length-prefixed request frames,
-//! dispatches onto the shared estimator + shard-striped
-//! [`EstimateCache`], and answers with one response frame per request.
-//! Robustness is layered:
+//! One thread per connection reads length-prefixed request frames
+//! through a buffered reader, dispatches onto the shared estimator +
+//! shard-striped [`EstimateCache`], and answers with one response frame
+//! per request, rendered into the connection's frame buffer and sent in
+//! one write. Robustness is layered:
 //!
 //! * **framing** — per-connection read/write timeouts and a max request
 //!   frame size enforced before allocation ([`crate::frame`]);
@@ -27,12 +28,11 @@
 //! (bounded by their read timeouts and sweep deadlines), then flushes
 //! the estimate cache and obs sinks before returning.
 
-use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dhdl_apps::Benchmark;
@@ -44,12 +44,14 @@ use dhdl_dse::{
 use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
 
-use crate::admission::{Admission, AdmissionConfig, LoadLevel, WorkKind};
+use crate::admission::{Admission, AdmissionConfig, LoadLevel, Rejection, WorkKind};
 use crate::chaos::ChaosConfig;
-use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME, DEFAULT_MAX_RESPONSE};
+use crate::frame::{
+    read_frame_into, FrameBuf, FrameError, DEFAULT_MAX_FRAME, DEFAULT_MAX_RESPONSE,
+};
 use crate::json::Json;
 use crate::protocol::{
-    bits_str, error_response, ok_response, params_to_json, point_to_json, rejected_response,
+    ok_response, params_to_json, point_to_json, write_error, write_estimate, write_rejected,
     Header, Op, ProtoError, Request, PROTOCOL_VERSION,
 };
 use crate::signal;
@@ -228,37 +230,47 @@ struct ServeCounters {
     chaos_stalls: AtomicU64,
 }
 
+/// One servable benchmark and its params-key salt.
+struct Served {
+    bench: Box<dyn Benchmark>,
+    salt: OnceLock<u64>,
+}
+
+impl Served {
+    /// The params-key salt — FNV of the benchmark's name, dataset and the
+    /// structural hash of its default-parameter design, derived on first
+    /// use. The same derivation an in-process harness uses, so a cache
+    /// warmed through the server is valid for in-process sweeps and vice
+    /// versa.
+    fn salt(&self) -> u64 {
+        *self.salt.get_or_init(|| {
+            let mut h = Fnv64::new();
+            h.write(self.bench.name().as_bytes());
+            h.write(self.bench.dataset_desc().as_bytes());
+            match self.bench.build(&self.bench.default_params()) {
+                Ok(design) => h.write_u64(structural_hash(&design)),
+                Err(_) => h.write_u64(0),
+            }
+            h.finish()
+        })
+    }
+}
+
 struct State {
     cfg: ServerConfig,
     admission: Admission,
     estimator: Estimator,
     cache: EstimateCache,
-    salts: Mutex<HashMap<String, u64>>,
+    /// Every benchmark `dhdl_apps::by_name` knows, built once at bind so
+    /// a request neither boxes a benchmark nor takes a lock for its salt.
+    served: Vec<Served>,
     draining: AtomicBool,
     counters: ServeCounters,
 }
 
 impl State {
-    /// The params-key salt for `bench` — FNV of its name, dataset and the
-    /// structural hash of its default-parameter design, memoized per
-    /// benchmark. The same derivation an in-process harness uses, so a
-    /// cache warmed through the server is valid for in-process sweeps
-    /// and vice versa.
-    fn salt_for(&self, bench: &dyn Benchmark) -> u64 {
-        let mut salts = self.salts.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&s) = salts.get(bench.name()) {
-            return s;
-        }
-        let mut h = Fnv64::new();
-        h.write(bench.name().as_bytes());
-        h.write(bench.dataset_desc().as_bytes());
-        match bench.build(&bench.default_params()) {
-            Ok(design) => h.write_u64(structural_hash(&design)),
-            Err(_) => h.write_u64(0),
-        }
-        let s = h.finish();
-        salts.insert(bench.name().to_string(), s);
-        s
+    fn served(&self, name: &str) -> Option<&Served> {
+        self.served.iter().find(|s| s.bench.name() == name)
     }
 
     fn draining(&self) -> bool {
@@ -299,7 +311,14 @@ impl Server {
                 admission,
                 estimator,
                 cache,
-                salts: Mutex::new(HashMap::new()),
+                served: dhdl_apps::all()
+                    .into_iter()
+                    .chain(dhdl_apps::dnn())
+                    .map(|bench| Served {
+                        bench,
+                        salt: OnceLock::new(),
+                    })
+                    .collect(),
                 draining: AtomicBool::new(false),
                 counters: ServeCounters::default(),
             }),
@@ -377,15 +396,30 @@ impl Server {
 }
 
 /// One connection: read a frame, apply the chaos plan, dispatch, write a
-/// frame; repeat until the peer closes, errors, or chaos kills it.
-fn handle_conn(state: &State, mut stream: TcpStream, conn_id: u64) {
+/// frame; repeat until the peer closes, errors, or chaos kills it. The
+/// reader's buffer, the request payload and the response frame are the
+/// connection's own and are reused from request to request.
+///
+/// With `DHDL_OBS` set the four stages around the dispatch are timed:
+/// `serve.frame.read_ns` (blocking, so it includes the wait for the
+/// peer's next frame), `serve.req.parse_ns`, `serve.req.encode_ns` and
+/// `serve.frame.write_ns`.
+fn handle_conn(state: &State, stream: TcpStream, conn_id: u64) {
     let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
+    let mut payload = Vec::new();
+    let mut frame = FrameBuf::default();
+    let max_response = state.cfg.max_response;
     let mut frame_idx = 0u64;
     loop {
-        let payload = match read_frame(&mut stream, state.cfg.max_frame) {
-            Ok(p) => p,
+        let timer = dhdl_obs::histogram!("serve.frame.read_ns").timer();
+        let read = read_frame_into(&mut reader, state.cfg.max_frame, &mut payload);
+        drop(timer);
+        match read {
+            Ok(()) => {}
             Err(FrameError::Closed) => return,
             Err(FrameError::TooLarge { declared, max }) => {
                 // The oversized payload still sits in the socket; answer
@@ -399,7 +433,8 @@ fn handle_conn(state: &State, mut stream: TcpStream, conn_id: u64) {
                     "frame_too_large",
                     format!("{declared}-byte frame exceeds the {max}-byte limit"),
                 );
-                let _ = respond(&mut stream, &error_response(&err), state.cfg.max_response);
+                write_error(frame.start(), &err);
+                let _ = frame.send(&mut writer, max_response);
                 return;
             }
             Err(FrameError::Io(_)) => {
@@ -407,7 +442,7 @@ fn handle_conn(state: &State, mut stream: TcpStream, conn_id: u64) {
                 // timeout: nothing sane to answer on this socket.
                 return;
             }
-        };
+        }
         let plan = state.cfg.chaos.plan(conn_id, frame_idx);
         frame_idx += 1;
         if plan.drop_conn {
@@ -418,16 +453,33 @@ fn handle_conn(state: &State, mut stream: TcpStream, conn_id: u64) {
             return;
         }
         state.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let response = match Request::parse(&payload) {
+        let timer = dhdl_obs::histogram!("serve.req.parse_ns").timer();
+        let request = Request::parse(&payload);
+        drop(timer);
+        let reply = match request {
             Ok(req) => dispatch(state, &req),
             Err(e) => {
                 state
                     .counters
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
-                error_response(&e)
+                Reply::Error(e)
             }
         };
+        let timer = dhdl_obs::histogram!("serve.req.encode_ns").timer();
+        reply.write(frame.start());
+        if frame.payload_len() > max_response {
+            // Downgrade an oversized response to a structured error.
+            let err = ProtoError::new(
+                "response_too_large",
+                format!(
+                    "{}-byte response exceeds the {max_response}-byte limit",
+                    frame.payload_len()
+                ),
+            );
+            write_error(frame.start(), &err);
+        }
+        drop(timer);
         if plan.stall {
             state.counters.chaos_stalls.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(state.cfg.chaos.stall);
@@ -440,40 +492,67 @@ fn handle_conn(state: &State, mut stream: TcpStream, conn_id: u64) {
                 .counters
                 .chaos_truncations
                 .fetch_add(1, Ordering::Relaxed);
-            let bytes = response.render().into_bytes();
-            let _ = stream.write_all(&(bytes.len() as u32).to_be_bytes());
-            let _ = stream.write_all(&bytes[..bytes.len() / 2]);
+            if let Ok(bytes) = frame.seal(max_response) {
+                let _ = writer.write_all(&bytes[..4 + (bytes.len() - 4) / 2]);
+            }
             return;
         }
-        if respond(&mut stream, &response, state.cfg.max_response).is_err() {
+        let timer = dhdl_obs::histogram!("serve.frame.write_ns").timer();
+        let sent = frame.send(&mut writer, max_response);
+        drop(timer);
+        if sent.is_err() {
             return;
         }
     }
 }
 
-/// Render and write one response frame, downgrading oversized responses
-/// to a structured `response_too_large` error.
-fn respond(stream: &mut TcpStream, response: &Json, max: usize) -> io::Result<()> {
-    let bytes = response.render().into_bytes();
-    if bytes.len() > max {
-        let err = ProtoError::new(
-            "response_too_large",
-            format!("{}-byte response exceeds the {max}-byte limit", bytes.len()),
-        );
-        return write_frame(stream, error_response(&err).render().as_bytes(), max);
-    }
-    write_frame(stream, &bytes, max)
+/// What a request is answered with. The three replies of the hot
+/// request are written field by field; the rest render a [`Json`] tree.
+enum Reply {
+    /// `status: "ok"` for an `estimate`.
+    Estimate {
+        est: Estimate,
+        valid: bool,
+        cached: bool,
+        degraded: bool,
+    },
+    /// `status: "rejected"`: admission refused the work.
+    Rejected(Rejection),
+    /// `status: "error"`.
+    Error(ProtoError),
+    /// Any other `status: "ok"` response.
+    Tree(Json),
 }
 
-fn dispatch(state: &State, req: &Request) -> Json {
+impl Reply {
+    fn error(code: &'static str, message: impl Into<String>) -> Reply {
+        Reply::Error(ProtoError::new(code, message))
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Estimate {
+                est,
+                valid,
+                cached,
+                degraded,
+            } => write_estimate(out, est, *valid, *cached, *degraded),
+            Reply::Rejected(r) => write_rejected(out, r.code, r.retry_after_ms),
+            Reply::Error(e) => write_error(out, e),
+            Reply::Tree(json) => json.render_into(out),
+        }
+    }
+}
+
+fn dispatch(state: &State, req: &Request) -> Reply {
     let t0 = Instant::now();
-    let resp = match &req.op {
+    let reply = match &req.op {
         Op::Health => handle_health(state),
         Op::Stats => handle_stats(state),
         Op::Shutdown => {
             state.draining.store(true, Ordering::SeqCst);
             state.admission.drain();
-            ok_response([("state", Json::Str("draining".to_string()))])
+            Reply::Tree(ok_response([("state", Json::Str("draining".to_string()))]))
         }
         Op::Submit { bench } => handle_submit(state, bench),
         Op::Estimate { bench, params } => handle_estimate(state, &req.header, bench, params, t0),
@@ -493,9 +572,10 @@ fn dispatch(state: &State, req: &Request) -> Json {
             num_fpgas.unwrap_or(1),
         ),
     };
-    let us = t0.elapsed().as_micros() as u64;
-    dhdl_obs::histogram!("serve.req.us").record(us);
-    resp
+    if dhdl_obs::enabled() {
+        dhdl_obs::histogram!("serve.req.us").record(t0.elapsed().as_micros() as u64);
+    }
+    reply
 }
 
 fn level_str(level: LoadLevel) -> &'static str {
@@ -506,8 +586,8 @@ fn level_str(level: LoadLevel) -> &'static str {
     }
 }
 
-fn handle_health(state: &State) -> Json {
-    ok_response([
+fn handle_health(state: &State) -> Reply {
+    Reply::Tree(ok_response([
         (
             "state",
             Json::Str(
@@ -525,15 +605,15 @@ fn handle_health(state: &State) -> Json {
         ),
         ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
         ("cache_entries", Json::Num(state.cache.len() as f64)),
-    ])
+    ]))
 }
 
-fn handle_stats(state: &State) -> Json {
+fn handle_stats(state: &State) -> Reply {
     let a = state.admission.stats();
     let c = &state.counters;
     let n = |v: u64| Json::Num(v as f64);
     let nu = |v: usize| Json::Num(v as f64);
-    ok_response([
+    Reply::Tree(ok_response([
         ("requests", n(c.requests.load(Ordering::Relaxed))),
         (
             "protocol_errors",
@@ -565,17 +645,17 @@ fn handle_stats(state: &State) -> Json {
             "level",
             Json::Str(level_str(state.admission.level()).to_string()),
         ),
-    ])
+    ]))
 }
 
-fn handle_submit(_state: &State, bench_name: &str) -> Json {
-    let Some(bench) = dhdl_apps::by_name(bench_name) else {
+fn handle_submit(state: &State, bench_name: &str) -> Reply {
+    let Some(Served { bench, .. }) = state.served(bench_name) else {
         return unknown_bench(bench_name);
     };
     let space = bench.param_space();
     let legal = LegalSpace::new(&space);
     match bench.build(&bench.default_params()) {
-        Ok(design) => ok_response([
+        Ok(design) => Reply::Tree(ok_response([
             ("bench", Json::Str(bench.name().to_string())),
             ("space_size", Json::Str(legal.size().to_string())),
             (
@@ -583,35 +663,16 @@ fn handle_submit(_state: &State, bench_name: &str) -> Json {
                 Json::Str(format!("{:016x}", structural_hash(&design))),
             ),
             ("default_params", params_to_json(&bench.default_params())),
-        ]),
-        Err(e) => error_response(&ProtoError::new(
+        ])),
+        Err(e) => Reply::error(
             "build_failed",
             format!("default parameters do not build: {e}"),
-        )),
+        ),
     }
 }
 
-fn unknown_bench(name: &str) -> Json {
-    error_response(&ProtoError::new(
-        "unknown_bench",
-        format!("no benchmark named `{name}`"),
-    ))
-}
-
-fn estimate_response(state: &State, est: &Estimate, cached: bool, degraded: bool) -> Json {
-    ok_response([
-        ("cycles", Json::Str(bits_str(est.cycles))),
-        ("alms", Json::Str(bits_str(est.area.alms))),
-        ("regs", Json::Str(bits_str(est.area.regs))),
-        ("dsps", Json::Str(bits_str(est.area.dsps))),
-        ("brams", Json::Str(bits_str(est.area.brams))),
-        (
-            "valid",
-            Json::Bool(est.area.fits(&state.estimator.platform().fpga)),
-        ),
-        ("cached", Json::Bool(cached)),
-        ("degraded", Json::Bool(degraded)),
-    ])
+fn unknown_bench(name: &str) -> Reply {
+    Reply::error("unknown_bench", format!("no benchmark named `{name}`"))
 }
 
 fn handle_estimate(
@@ -620,13 +681,19 @@ fn handle_estimate(
     bench_name: &str,
     params: &ParamValues,
     received: Instant,
-) -> Json {
+) -> Reply {
     state.counters.estimates.fetch_add(1, Ordering::Relaxed);
-    let Some(bench) = dhdl_apps::by_name(bench_name) else {
+    let Some(served) = state.served(bench_name) else {
         return unknown_bench(bench_name);
     };
-    let pk = params_key(state.salt_for(bench.as_ref()), params);
+    let pk = params_key(served.salt(), params);
     let model = CachedModel::new(&state.estimator, &state.cache);
+    let reply = |est: Estimate, cached: bool, degraded: bool| Reply::Estimate {
+        valid: est.area.fits(&state.estimator.platform().fpga),
+        est,
+        cached,
+        degraded,
+    };
     // The degraded fast path: a memoized answer is served without an
     // admission permit, even when the server is saturated or draining —
     // flagged `degraded` so the client knows it may be stale relative to
@@ -640,8 +707,11 @@ fn handle_estimate(
         if degraded {
             state.counters.degraded_hits.fetch_add(1, Ordering::Relaxed);
         }
-        dhdl_obs::histogram!("serve.estimate.hit.us").record(received.elapsed().as_micros() as u64);
-        return estimate_response(state, &est, true, degraded);
+        if dhdl_obs::enabled() {
+            dhdl_obs::histogram!("serve.estimate.hit.us")
+                .record(received.elapsed().as_micros() as u64);
+        }
+        return reply(est, true, degraded);
     }
     // Cache miss: real work, so it must pass admission.
     let _permit = match state
@@ -649,26 +719,24 @@ fn handle_estimate(
         .admit(&header.tenant, header.priority, WorkKind::Estimate)
     {
         Ok(p) => p,
-        Err(r) => return rejected_response(r.code, r.retry_after_ms),
+        Err(r) => return Reply::Rejected(r),
     };
     if let Some(deadline_ms) = header.deadline_ms {
         if received.elapsed() >= Duration::from_millis(deadline_ms) {
             // Expired work is cancelled, never silently completed.
-            return error_response(&ProtoError::new("deadline_exceeded", "deadline expired"));
+            return Reply::error("deadline_exceeded", "deadline expired");
         }
     }
-    let design = match bench.build(params) {
+    let design = match served.bench.build(params) {
         Ok(d) => d,
-        Err(e) => {
-            return error_response(&ProtoError::new(
-                "bad_params",
-                format!("design does not build: {e}"),
-            ))
-        }
+        Err(e) => return Reply::error("bad_params", format!("design does not build: {e}")),
     };
     let est = model.estimate_keyed(Some(pk), &design);
-    dhdl_obs::histogram!("serve.estimate.miss.us").record(received.elapsed().as_micros() as u64);
-    estimate_response(state, &est, false, false)
+    if dhdl_obs::enabled() {
+        dhdl_obs::histogram!("serve.estimate.miss.us")
+            .record(received.elapsed().as_micros() as u64);
+    }
+    reply(est, false, false)
 }
 
 /// Turn an idempotency key into a checkpoint filename: a sanitized
@@ -699,16 +767,17 @@ fn handle_sweep(
     seed: u64,
     strategy: Option<&SearchStrategy>,
     num_fpgas: u32,
-) -> Json {
-    let Some(bench) = dhdl_apps::by_name(bench_name) else {
+) -> Reply {
+    let Some(served) = state.served(bench_name) else {
         return unknown_bench(bench_name);
     };
+    let bench = &served.bench;
     let _permit = match state
         .admission
         .admit(&header.tenant, header.priority, WorkKind::Sweep)
     {
         Ok(p) => p,
-        Err(r) => return rejected_response(r.code, r.retry_after_ms),
+        Err(r) => return Reply::Rejected(r),
     };
     let t0 = Instant::now();
     state.counters.sweeps.fetch_add(1, Ordering::Relaxed);
@@ -726,7 +795,7 @@ fn handle_sweep(
         threads: state.cfg.sweep_threads,
         deadline,
         checkpoint,
-        cache_salt: Some(state.salt_for(bench.as_ref())),
+        cache_salt: Some(served.salt()),
         // The request's strategy wins; absent one, the server operator's
         // DHDL_DSE_STRATEGY environment decides (default random).
         strategy: strategy.cloned().unwrap_or_else(SearchStrategy::from_env),
@@ -748,7 +817,7 @@ fn handle_sweep(
         None => explore(build, &space, &model, &opts),
     };
     dhdl_obs::histogram!("serve.sweep.ms").record(t0.elapsed().as_millis() as u64);
-    ok_response([
+    Reply::Tree(ok_response([
         (
             "points",
             Json::Arr(result.points.iter().map(point_to_json).collect()),
@@ -761,5 +830,118 @@ fn handle_sweep(
         ("discarded", Json::Num(result.discarded as f64)),
         ("recovered", Json::Num(result.counts.recovered as f64)),
         ("truncated", Json::Bool(result.truncated)),
-    ])
+    ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use super::*;
+
+    thread_local! {
+        /// Allocations (and reallocations) made on this thread.
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting calls per thread so that tests
+    /// running beside this one do not show in its count.
+    struct Counting;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the counter is a
+    // const-initialized thread-local `Cell` without a destructor, so
+    // touching it neither allocates nor runs after thread teardown.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            // SAFETY: the caller's obligations are passed on as they are.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: as for `alloc`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            // SAFETY: as for `alloc`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    /// The userland path of a request as `handle_conn` walks it, on
+    /// buffers that outlive the request.
+    fn serve(state: &State, payload: &[u8], frame: &mut FrameBuf) {
+        let request = Request::parse(payload).expect("a rendered request parses");
+        dispatch(state, &request).write(frame.start());
+    }
+
+    #[test]
+    fn a_cache_hit_allocates_only_what_the_request_type_owns() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let state = &*server.state;
+        // gda has the most parameters (seven) of the nine benchmarks.
+        let bench = dhdl_apps::by_name("gda").unwrap();
+        let payload = Request::new(Op::Estimate {
+            bench: "gda".to_string(),
+            params: bench.default_params(),
+        })
+        .render();
+        let mut frame = FrameBuf::default();
+        serve(state, &payload, &mut frame);
+        let miss = frame.seal(DEFAULT_MAX_RESPONSE).unwrap()[4..].to_vec();
+        assert!(String::from_utf8_lossy(&miss).contains("\"cached\":false"));
+
+        // The first hit registers the cache's hit counters with dhdl-obs.
+        serve(state, &payload, &mut frame);
+
+        let before = ALLOCATIONS.with(Cell::get);
+        serve(state, &payload, &mut frame);
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        let hit = frame.seal(DEFAULT_MAX_RESPONSE).unwrap()[4..].to_vec();
+        assert_eq!(
+            String::from_utf8_lossy(&hit),
+            String::from_utf8_lossy(&miss).replace("\"cached\":false", "\"cached\":true")
+        );
+        // Ten today — tenant, bench, seven parameter names and one map
+        // node, which is what `Request` owns — and nothing for the JSON,
+        // the salt, the benchmark, the lookup or the response.
+        assert!(
+            allocations <= 12,
+            "a cache hit made {allocations} allocations"
+        );
+    }
+
+    #[test]
+    fn salts_equal_the_in_process_derivation() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let state = &*server.state;
+        for bench in dhdl_apps::all().into_iter().chain(dhdl_apps::dnn()) {
+            let served = state
+                .served(bench.name())
+                .expect("every benchmark is served");
+            let mut h = Fnv64::new();
+            h.write(bench.name().as_bytes());
+            h.write(bench.dataset_desc().as_bytes());
+            let design = bench.build(&bench.default_params()).unwrap();
+            h.write_u64(structural_hash(&design));
+            assert_eq!(served.salt(), h.finish(), "{}", bench.name());
+            assert!(dhdl_apps::by_name(bench.name()).is_some());
+        }
+        assert!(state.served("saxpy").is_none());
+    }
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 use dhdl_serve::json::Json;
 use dhdl_serve::{read_frame, write_frame, Client, Op, Request, RetryPolicy, Server, ServerConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const MAX_FRAME: usize = 64 * 1024;
 
@@ -29,50 +29,19 @@ fn spawn_server() -> (
     Server::spawn(cfg).unwrap()
 }
 
-/// One malformed payload, drawn from a seeded generator in the style of
-/// the conformance harness: structured mutations of valid requests plus
-/// raw garbage, so the fuzz walks both near-misses and noise.
-fn hostile_payload(rng: &mut StdRng) -> Vec<u8> {
-    let valid = Request::new(Op::Estimate {
+#[path = "support/hostile.rs"]
+mod hostile;
+use hostile::hostile_payload;
+
+/// The request the generator mutates.
+fn valid_request() -> Vec<u8> {
+    Request::new(Op::Estimate {
         bench: "dotproduct".to_string(),
         params: dhdl_core::ParamValues::new()
             .with("tile", 64)
             .with("par", 4),
     })
-    .render();
-    match rng.gen_range(0..10u32) {
-        // Raw bytes, possibly invalid UTF-8.
-        0 => (0..rng.gen_range(0..200usize))
-            .map(|_| rng.gen_range(0..=255u32) as u8)
-            .collect(),
-        // Truncated valid request.
-        1 => {
-            let cut = rng.gen_range(0..valid.len());
-            valid[..cut].to_vec()
-        }
-        // Valid JSON, wrong shape.
-        2 => b"[1,2,3]".to_vec(),
-        3 => b"42".to_vec(),
-        4 => br#"{"not_op":"health"}"#.to_vec(),
-        // Unknown / mistyped ops and fields.
-        5 => br#"{"op":"warp_drive"}"#.to_vec(),
-        6 => br#"{"op":"sweep","bench":"dotproduct","points":"many"}"#.to_vec(),
-        7 => br#"{"op":"estimate","bench":"no-such-bench","params":{}}"#.to_vec(),
-        // Deep nesting (must hit the parser's depth guard, not the stack).
-        8 => {
-            let depth = rng.gen_range(100..2000usize);
-            let mut v = vec![b'['; depth];
-            v.extend(vec![b']'; depth]);
-            v
-        }
-        // A huge (but in-limit) string body.
-        _ => {
-            let mut v = br#"{"op":""#.to_vec();
-            v.extend(vec![b'x'; rng.gen_range(0..8192usize)]);
-            v.extend(br#""}"#);
-            v
-        }
-    }
+    .render()
 }
 
 fn connect(addr: std::net::SocketAddr) -> TcpStream {
@@ -94,10 +63,11 @@ fn assert_healthy(addr: std::net::SocketAddr) {
 fn malformed_frames_get_structured_errors_and_server_survives() {
     let (addr, handle) = spawn_server();
     let mut rng = StdRng::seed_from_u64(0xF022);
+    let valid = valid_request();
     for batch in 0..20 {
         let mut stream = connect(addr);
         for _ in 0..15 {
-            let payload = hostile_payload(&mut rng);
+            let payload = hostile_payload(&mut rng, &valid);
             if write_frame(&mut stream, &payload, MAX_FRAME).is_err() {
                 // The server closed on an earlier hostile frame (its
                 // right); reconnect and keep fuzzing.
@@ -135,6 +105,61 @@ fn malformed_frames_get_structured_errors_and_server_survives() {
         assert_healthy(addr);
         let _ = batch;
     }
+    let mut client = Client::new(addr, RetryPolicy::default());
+    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
+    drop(client);
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn frames_written_back_to_back_are_answered_in_order() {
+    let (addr, handle) = spawn_server();
+    let mut stream = connect(addr);
+    // Three requests and the first half of a fourth in one TCP write: the
+    // server's buffered reader takes them in together and must hand them
+    // out one by one, keeping the partial frame until the rest arrives.
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &Request::new(Op::Health).render(), MAX_FRAME).unwrap();
+    let estimate = Request::new(Op::Estimate {
+        bench: "dotproduct".to_string(),
+        params: dhdl_apps::by_name("dotproduct").unwrap().default_params(),
+    });
+    write_frame(&mut wire, &estimate.render(), MAX_FRAME).unwrap();
+    write_frame(&mut wire, br#"{"op":"warp"}"#, MAX_FRAME).unwrap();
+    let mut fourth = Vec::new();
+    write_frame(&mut fourth, &Request::new(Op::Stats).render(), MAX_FRAME).unwrap();
+    let (head, tail) = fourth.split_at(fourth.len() / 2);
+    wire.extend_from_slice(head);
+    stream.write_all(&wire).unwrap();
+
+    let mut next = || {
+        let resp = read_frame(&mut stream, dhdl_serve::DEFAULT_MAX_RESPONSE).unwrap();
+        Json::parse(&resp).unwrap()
+    };
+    let health = next();
+    assert_eq!(
+        health.get("state").and_then(Json::as_str),
+        Some("accepting")
+    );
+    let estimate = next();
+    assert_eq!(estimate.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(estimate.get("cached").and_then(Json::as_bool), Some(false));
+    let unknown = next();
+    assert_eq!(
+        unknown.get("code").and_then(Json::as_str),
+        Some("unknown_op")
+    );
+
+    stream.write_all(tail).unwrap();
+    let stats = {
+        let resp = read_frame(&mut stream, dhdl_serve::DEFAULT_MAX_RESPONSE).unwrap();
+        Json::parse(&resp).unwrap()
+    };
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(4));
+    assert_eq!(stats.get("estimates").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("protocol_errors").and_then(Json::as_u64), Some(1));
+    drop(stream);
+
     let mut client = Client::new(addr, RetryPolicy::default());
     client.request_ok(&Request::new(Op::Shutdown)).unwrap();
     drop(client);
