@@ -51,7 +51,7 @@ pub mod tpchq6;
 
 use std::collections::BTreeMap;
 
-use dhdl_core::{Design, ParamSpace, ParamValues, Result};
+use dhdl_core::{structural_hash, Design, Fnv64, ParamSpace, ParamValues, Result};
 use dhdl_hls::HlsKernel;
 
 pub use attention::Attention;
@@ -155,6 +155,27 @@ pub trait Benchmark: Send + Sync {
     /// (GDA drives the Table IV comparison).
     fn hls_kernel(&self) -> Option<HlsKernel> {
         None
+    }
+
+    /// The parameter-memo salt (`DseOptions::cache_salt`): name, dataset
+    /// and the canonical structure of the default-parameter design.
+    /// Distinct benchmarks must never share a salt (their identical
+    /// parameter assignments would alias in a shared estimate cache),
+    /// and mixing in the default design's [`structural_hash`] retires
+    /// stale memo entries when the metaprogram itself changes shape.
+    /// Every process derives it this way, so a cache warmed by one
+    /// (`dhdl-serve`) is valid for another (an in-process sweep).
+    fn salt(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write(self.name().as_bytes());
+        h.write(self.dataset_desc().as_bytes());
+        match self.build(&self.default_params()) {
+            Ok(design) => h.write_u64(structural_hash(&design)),
+            // A benchmark whose defaults do not build still sweeps; its
+            // memo is simply keyed without the structural guard.
+            Err(_) => h.write_u64(0),
+        }
+        h.finish()
     }
 }
 

@@ -1,7 +1,12 @@
-//! The `dhdl` command-line tool: estimate, explore, simulate, profile and
-//! generate code for any benchmark of the suite, from the shell.
+//! The `dhdl` command-line tool: regenerate any table or figure of the
+//! evaluation, or estimate, explore, simulate, profile and generate code
+//! for any benchmark of the suite, from the shell.
 //!
 //! ```text
+//! dhdl table2 | table3 | table4 | fig5 | fig6 | ablations | energy
+//! dhdl dsebench | dnnbench | partbench
+//! dhdl diagnose [benchmark] [pareto_points]
+//! dhdl sweep    <benchmark> <param>
 //! dhdl list
 //! dhdl estimate <benchmark> [param=value ...]
 //! dhdl explore  <benchmark> [--points N]
@@ -11,56 +16,72 @@
 //! dhdl trace    <benchmark> [param=value ...]   # writes results/<bench>.vcd
 //! dhdl hls      <benchmark>                     # Figure 2 style C source
 //! ```
+//!
+//! The experiments' budgets come from the `DHDL_*` knobs of README.md's
+//! environment table.
 
+use std::process::ExitCode;
+
+use dhdl_apps::Benchmark;
 use dhdl_bench::report::Table;
-use dhdl_bench::Harness;
+use dhdl_bench::{knob, Harness, Report};
 use dhdl_core::ParamValues;
 use dhdl_synth::{maxj, synthesize};
 
-fn main() {
+fn main() -> ExitCode {
     dhdl_obs::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(String::as_str) else {
         usage();
-        return;
+        return ExitCode::SUCCESS;
     };
-    match cmd {
-        "list" => list(),
-        "estimate" | "explore" | "simulate" | "codegen" | "bottleneck" | "trace" | "hls" => {
-            let Some(name) = args.get(1) else {
-                eprintln!("missing benchmark name");
-                usage();
-                std::process::exit(2);
-            };
-            let Some(bench) = dhdl_apps::by_name(name) else {
-                eprintln!("unknown benchmark `{name}` (try `dhdl list`)");
-                std::process::exit(2);
-            };
-            let rest = &args[2..];
-            match cmd {
-                "estimate" => estimate(bench.as_ref(), rest),
-                "explore" => explore(bench.as_ref(), rest),
-                "simulate" => sim(bench.as_ref(), rest),
-                "codegen" => codegen(bench.as_ref(), rest),
-                "bottleneck" => bottleneck(bench.as_ref(), rest),
-                "trace" => trace(bench.as_ref(), rest),
-                "hls" => hls(bench.as_ref()),
-                _ => unreachable!(),
+    if let Some(code) = experiment(cmd, &args[1..]) {
+        return code;
+    }
+    let tool: fn(&dyn Benchmark, &[String]) = match cmd {
+        "estimate" => estimate,
+        "explore" => explore,
+        "simulate" => sim,
+        "codegen" => codegen,
+        "bottleneck" => bottleneck,
+        "trace" => trace,
+        "hls" => hls,
+        "list" | "--help" | "-h" | "help" => {
+            if cmd == "list" {
+                list()
+            } else {
+                usage()
             }
+            dhdl_obs::finish("dhdl");
+            return ExitCode::SUCCESS;
         }
-        "--help" | "-h" | "help" => usage(),
         other => {
             eprintln!("unknown command `{other}`");
             usage();
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
-    }
+    };
+    let Some(name) = args.get(1) else {
+        eprintln!("missing benchmark name");
+        usage();
+        return ExitCode::from(2);
+    };
+    let Some(bench) = dhdl_apps::by_name(name) else {
+        eprintln!("unknown benchmark `{name}` (try `dhdl list`)");
+        return ExitCode::from(2);
+    };
+    tool(bench.as_ref(), &args[2..]);
     dhdl_obs::finish("dhdl");
+    ExitCode::SUCCESS
 }
 
 fn usage() {
     eprintln!(
-        "usage:\n  dhdl list\n  dhdl estimate <benchmark> [param=value ...]\n  \
+        "usage:\n  dhdl table2 | table3 | table4 | fig5 | fig6 | ablations | energy\n  \
+         dhdl dsebench | dnnbench | partbench\n  \
+         dhdl diagnose [benchmark] [pareto_points]\n  \
+         dhdl sweep    <benchmark> <param>\n  \
+         dhdl list\n  dhdl estimate <benchmark> [param=value ...]\n  \
          dhdl explore  <benchmark> [--points N] [--strategy random|surrogate] [--num-fpgas K]\n  \
          dhdl simulate <benchmark> [param=value ...] [--profile]\n  \
          dhdl codegen  <benchmark> [param=value ...]\n  \
@@ -68,8 +89,115 @@ fn usage() {
     );
 }
 
+/// A calibrated harness for an experiment.
+fn harness(seed: u64, points: usize) -> Harness {
+    eprintln!("calibrating estimator (one-time, application independent)...");
+    Harness::new(seed, points)
+}
+
+/// Run `cmd` if it names an experiment of the evaluation, at the scale
+/// the environment knobs select: print its report, write its files and
+/// apply its gate.
+fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
+    use dhdl_bench::{
+        ablations, dnnbench, dsebench, energy, fig5, fig6, partbench, sweep, table2, table3, table4,
+    };
+    let suite = dhdl_apps::all();
+    let dse_points = |default| knob("DHDL_DSE_POINTS").unwrap_or(default);
+    let report = match cmd {
+        "table2" => table2(&suite),
+        "table3" => {
+            let h = harness(table3::SEED, dse_points(1_000));
+            table3(&h, &suite, knob("DHDL_PARETO_POINTS").unwrap_or(5)).report
+        }
+        "table4" => {
+            // The paper's GDA dimension for the HLS comparison (C = 96);
+            // the row count only scales trip counts linearly and is kept
+            // modest.
+            let gda = dhdl_apps::Gda::new(1_536, 96);
+            let n = knob("DHDL_T4_POINTS").unwrap_or(250);
+            let pipelined = knob("DHDL_T4_PIPELINED").unwrap_or(30);
+            table4(&harness(table4::SEED, 1_000), &gda, n, pipelined).report
+        }
+        "fig5" => {
+            // The paper samples up to 75,000 legal points per benchmark;
+            // default lower here for quick runs.
+            let h = harness(fig5::SEED, knob("DHDL_FIG5_POINTS").unwrap_or(3_000));
+            eprintln!("search strategy: {}", h.dse.strategy.name());
+            fig5(&h, &suite)
+        }
+        "fig6" => fig6(&harness(fig6::SEED, dse_points(1_500)), &suite).report,
+        "ablations" => ablations(&harness(ablations::SEED, dse_points(1_000)), &suite),
+        "energy" => energy(&harness(energy::SEED, dse_points(1_000)), &suite).report,
+        "diagnose" => {
+            let name = rest.first().map_or("gda", String::as_str);
+            let n = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
+            let Some(bench) = dhdl_apps::by_name(name) else {
+                eprintln!("unknown benchmark `{name}`");
+                return Some(ExitCode::FAILURE);
+            };
+            let h = harness(table3::SEED, 1_000);
+            let mut r = Report::default();
+            r.say(dhdl_bench::diagnose(&h, bench.as_ref(), n).render());
+            r
+        }
+        "sweep" => {
+            let (Some(name), Some(param)) = (rest.first(), rest.get(1)) else {
+                eprintln!("usage: dhdl sweep <benchmark> <param>");
+                return Some(ExitCode::from(2));
+            };
+            let Some(bench) = dhdl_apps::by_name(name) else {
+                eprintln!("unknown benchmark `{name}`");
+                return Some(ExitCode::from(2));
+            };
+            match sweep(&harness(sweep::SEED, 100), bench.as_ref(), param) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return Some(ExitCode::from(2));
+                }
+            }
+        }
+        "dsebench" => {
+            let only = std::env::var("DHDL_DSEBENCH_BENCHES").unwrap_or_default();
+            let only: Vec<&str> = only.split(',').map(str::trim).collect();
+            let mut benches = suite;
+            if only.iter().any(|n| !n.is_empty()) {
+                benches.retain(|b| only.contains(&b.name()));
+            }
+            let h = harness(
+                dsebench::SEED,
+                knob("DHDL_DSEBENCH_POINTS").unwrap_or(1_500),
+            );
+            let fraction: f64 = knob("DHDL_DSEBENCH_FRACTION").unwrap_or(0.1);
+            let floor = knob("DHDL_DSEBENCH_FLOOR").unwrap_or(0.9);
+            let rerun = std::env::var("DHDL_DSEBENCH_RERUN").map_or(true, |v| v != "0");
+            dsebench(&h, &benches, fraction.clamp(0.001, 1.0), floor, rerun)
+        }
+        "dnnbench" => {
+            let h = harness(dnnbench::SEED, knob("DHDL_DNN_POINTS").unwrap_or(2_000));
+            dnnbench(&h, &dhdl_apps::dnn(), dnnbench::PARETO_N).report
+        }
+        "partbench" => {
+            let h = harness(partbench::SEED, knob("DHDL_PART_POINTS").unwrap_or(800));
+            partbench(&h, &partbench::scenarios())
+        }
+        _ => return None,
+    };
+    report.emit();
+    dhdl_obs::finish(cmd);
+    if report.failures.is_empty() {
+        return Some(ExitCode::SUCCESS);
+    }
+    eprintln!("{cmd} FAILED:");
+    for f in &report.failures {
+        eprintln!("  {f}");
+    }
+    Some(ExitCode::FAILURE)
+}
+
 /// Parse `key=value` overrides on top of the benchmark's defaults.
-fn params_from(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) -> ParamValues {
+fn params_from(bench: &dyn Benchmark, rest: &[String]) -> ParamValues {
     let mut p = bench.default_params();
     for arg in rest {
         if let Some((k, v)) = arg.split_once('=') {
@@ -89,14 +217,8 @@ fn params_from(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) -> ParamValues
     p
 }
 
-fn flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
-}
-
 fn opt_usize(rest: &[String], name: &str, default: usize) -> usize {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
+    opt_str(rest, name)
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
 }
@@ -121,7 +243,7 @@ fn list() {
     println!("{}", t.render());
 }
 
-fn estimate(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
+fn estimate(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest);
     eprintln!("calibrating estimator...");
     let harness = Harness::new(0xC11, 100);
@@ -162,14 +284,14 @@ fn estimate(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
 }
 
 /// Print the benchmark in the C-like HLS form (Figure 2 of the paper).
-fn hls(bench: &dyn dhdl_apps::Benchmark) {
+fn hls(bench: &dyn Benchmark, _rest: &[String]) {
     match bench.hls_kernel() {
         Some(k) => println!("{}", dhdl_hls::to_c(&k)),
         None => eprintln!("{} has no HLS form", bench.name()),
     }
 }
 
-fn explore(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
+fn explore(bench: &dyn Benchmark, rest: &[String]) {
     let points = opt_usize(rest, "--points", 1_000);
     eprintln!("calibrating estimator...");
     let mut harness = Harness::new(0xC12, points);
@@ -212,7 +334,7 @@ fn explore(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
     println!("{}", t.render());
 }
 
-fn sim(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
+fn sim(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest);
     let harness = Harness::new(0xC13, 50);
     let design = bench.build(&p).expect("design builds");
@@ -235,7 +357,7 @@ fn sim(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
         }
     }
     println!("worst relative output error vs reference: {worst:.2e}");
-    if flag(rest, "--profile") {
+    if rest.iter().any(|a| a == "--profile") {
         println!("\nper-controller cycles (heaviest first):");
         for e in result.profile().iter().take(12) {
             println!(
@@ -246,31 +368,35 @@ fn sim(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
     }
 }
 
-fn codegen(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
+fn codegen(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest);
     let design = bench.build(&p).expect("design builds");
     println!("{}", maxj::generate(&design));
 }
 
 /// Simulate and write a VCD waveform of controller activity.
-fn trace(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
+fn trace(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest);
     let harness = Harness::new(0xC15, 50);
     let design = bench.build(&p).expect("design builds");
     let result = harness.simulate(bench, &design);
-    let vcd = result.trace().to_vcd(&design);
-    let path = dhdl_bench::report::write_result(&format!("{}.vcd", bench.name()), &vcd);
-    println!(
+    let mut r = Report::default();
+    let path = r.file(
+        &format!("{}.vcd", bench.name()),
+        result.trace().to_vcd(&design),
+    );
+    r.say(format_args!(
         "simulated {:.0} cycles; wrote {} ({} events)",
         result.cycles,
         path.display(),
         result.trace().len()
-    );
+    ));
+    r.emit();
 }
 
 /// Attribute estimated runtime and area to controllers and template
 /// classes — the "balance compute with memory bandwidth" analysis of §I.
-fn bottleneck(bench: &dyn dhdl_apps::Benchmark, rest: &[String]) {
+fn bottleneck(bench: &dyn Benchmark, rest: &[String]) {
     use dhdl_estimate::estimate_breakdown;
     use dhdl_synth::elaborate;
     let p = params_from(bench, rest);

@@ -1,23 +1,20 @@
 //! Developer tool: per-point breakdown of estimate vs. ground truth for
 //! one benchmark's Pareto points (signed errors, raw components).
-//!
-//! Usage: `diagnose [benchmark] [pareto_points]`
 
-use dhdl_bench::report::Table;
-use dhdl_bench::Harness;
+use dhdl_apps::Benchmark;
 use dhdl_synth::elaborate;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args.get(1).map(String::as_str).unwrap_or("gda");
-    let n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let bench = dhdl_apps::by_name(name).unwrap_or_else(|| {
-        eprintln!("unknown benchmark `{name}`");
-        std::process::exit(1);
-    });
-    let harness = Harness::new(0xD4D1, 1_000);
-    let dse = harness.explore(bench.as_ref());
-    let picks = harness.pareto_sample(&dse, n);
+use crate::experiments::Harness;
+use crate::report::Table;
+
+/// Explore `bench` on `harness` and tabulate estimate against ground
+/// truth, component by component, for up to `n` Pareto points.
+///
+/// # Panics
+///
+/// Panics if a Pareto point fails to build or simulate.
+pub fn diagnose(harness: &Harness, bench: &dyn Benchmark, n: usize) -> Table {
+    let dse = harness.explore(bench);
     let mut t = Table::new(&[
         "params",
         "ALM est/truth",
@@ -27,12 +24,11 @@ fn main() {
         "DSP est/truth",
         "cycles est/sim",
     ]);
-    for p in &picks {
-        let e = harness.evaluate(bench.as_ref(), p);
-        let design = bench.build(p).expect("builds");
+    for e in harness.evaluate_front(bench, &dse, n) {
+        let design = bench.build(&e.params).expect("builds");
         let net = elaborate(&design, &harness.platform.fpga);
         t.row(&[
-            p.to_string(),
+            e.params.to_string(),
             format!("{:.0}/{:.0}", e.est_area.alms, e.synth.alms),
             format!("{:.0}/{:.0}", net.raw.lut_packable, net.raw.lut_unpackable),
             format!("{:.0}/{:.0}", e.est_area.regs, e.synth.regs),
@@ -44,5 +40,5 @@ fn main() {
             format!("{:.0}/{:.0}", e.est_cycles, e.sim_cycles),
         ]);
     }
-    println!("{}", t.render());
+    t
 }

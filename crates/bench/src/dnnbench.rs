@@ -12,28 +12,34 @@
 //!
 //! Everything written to `results/BENCH_dnn.json` is a deterministic
 //! modeled quantity: the file is byte-identical across reruns and across
-//! `DHDL_DSE_THREADS` settings. Wall-clock timing goes to stderr only.
-//! `DHDL_DNN_POINTS` (default 2000) sets the DSE sample budget.
+//! `DHDL_DSE_THREADS` settings.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use dhdl_bench::report::{pct, times, write_result, Table};
-use dhdl_bench::Harness;
+use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
 use dhdl_dse::{DseResult, SearchStrategy, SurrogateConfig};
-use dhdl_sim::{compile, simulate, Bindings, CompileError, SimResult};
 
-/// Harness seed — must match `crates/bench/tests/dnn_golden.rs`.
-const SEED: u64 = 0xD4D2;
+use crate::experiments::{mean_errors, Harness};
+use crate::report::{pct, times, Report, Table};
+
+/// Harness seed of the DNN frontier run.
+pub const SEED: u64 = 0xD4D2;
 /// Pareto picks per benchmark for the estimator-error report.
-const PARETO_N: usize = 4;
+pub const PARETO_N: usize = 4;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The DNN frontier at some scale.
+#[derive(Debug, Clone)]
+pub struct DnnBench {
+    /// Mean `[alm, dsp, bram, runtime]` relative model errors over the
+    /// benchmarks' Pareto picks.
+    pub mean_errors: [f64; 4],
+    /// Interpreter vs. tape on each benchmark's best design: `None`
+    /// when the tape compiler does not support it, else `Ok` or the
+    /// first difference.
+    pub backends: Vec<Option<Result<(), String>>>,
+    /// The summary, the front CSVs and `BENCH_dnn.json`.
+    pub report: Report,
 }
 
 /// One strategy's exploration outcome, reduced to deterministic values.
@@ -53,7 +59,7 @@ struct BenchRecord {
     space_size: u128,
     strategies: Vec<StrategyRun>,
     sim_cycles: f64,
-    bit_identical: Option<bool>,
+    backends: Option<Result<(), String>>,
     fpga_s: f64,
     cpu_s: f64,
     speedup: f64,
@@ -64,9 +70,10 @@ struct BenchRecord {
 
 fn run_strategy(
     harness: &Harness,
-    bench: &dyn dhdl_apps::Benchmark,
+    bench: &dyn Benchmark,
     strategy: &'static str,
     dse: &DseResult,
+    report: &mut Report,
 ) -> StrategyRun {
     let target = &harness.platform.fpga;
     let mut front: Vec<(String, f64, f64, f64, f64)> = dse
@@ -86,14 +93,14 @@ fn run_strategy(
     for (p, c, a, d, b) in &front {
         let _ = writeln!(csv, "\"{p}\",{c:.0},{a:.4},{d:.4},{b:.4}");
     }
-    let path = write_result(&format!("dnn_front_{}_{strategy}.csv", bench.name()), &csv);
-    println!(
+    let path = report.file(&format!("dnn_front_{}_{strategy}.csv", bench.name()), csv);
+    report.say(format_args!(
         "  {strategy}: {} evaluated, {} on front, best {:.0} cycles (wrote {})",
         dse.counts.evaluated,
         front.len(),
         best.cycles,
         path.display()
-    );
+    ));
     StrategyRun {
         strategy,
         evaluated: dse.counts.evaluated,
@@ -104,44 +111,12 @@ fn run_strategy(
     }
 }
 
-/// Simulate `design` under both backends and bit-compare; returns the
-/// interpreter result plus `Some(identical)` when the tape backend
-/// supports the design (`None` on `CompileError::Unsupported`).
-fn cross_simulate(
-    harness: &Harness,
-    bench: &dyn dhdl_apps::Benchmark,
-    design: &dhdl_core::Design,
-) -> (SimResult, Option<bool>) {
-    let mut bindings = Bindings::new();
-    for (name, data) in bench.inputs() {
-        bindings = bindings.bind(&name, data);
-    }
-    let interp = simulate(design, &harness.platform, &bindings)
-        .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", bench.name()));
-    let identical = match compile(design, &harness.platform) {
-        Ok(compiled) => {
-            let tape = compiled
-                .run(&bindings)
-                .unwrap_or_else(|e| panic!("{}: tape backend failed: {e}", bench.name()));
-            match interp.bit_diff(&tape) {
-                None => Some(true),
-                Some(diff) => {
-                    println!("  BACKEND MISMATCH: {diff}");
-                    Some(false)
-                }
-            }
-        }
-        Err(CompileError::Unsupported(why)) => {
-            eprintln!("{}: tape backend unsupported ({why})", bench.name());
-            None
-        }
+fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) -> String {
+    let errors_json = |[a, d, b, r]: [f64; 4]| {
+        format!("{{\"alm\": {a:.4}, \"dsp\": {d:.4}, \"bram\": {b:.4}, \"runtime\": {r:.4}}}")
     };
-    (interp, identical)
-}
-
-fn write_json(points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) {
     let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"seed\": {SEED},\n  \"points\": {points},");
+    let _ = writeln!(json, "{{\n  \"seed\": {seed},\n  \"points\": {points},");
     json.push_str("  \"benchmarks\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = writeln!(
@@ -173,8 +148,9 @@ fn write_json(points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) {
         }
         json.push_str("     ],\n");
         let bitid = r
-            .bit_identical
-            .map_or("null".to_string(), |b| b.to_string());
+            .backends
+            .as_ref()
+            .map_or("null".to_string(), |b| b.is_ok().to_string());
         let _ = writeln!(
             json,
             "     \"sim_cycles\": {:.0}, \"backends_bit_identical\": {bitid},",
@@ -190,32 +166,30 @@ fn write_json(points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) {
         let _ = writeln!(json, "     \"bottleneck\": \"{}\",", r.bottleneck);
         let _ = writeln!(
             json,
-            "     \"model_errors\": {{\"alm\": {:.4}, \"dsp\": {:.4}, \"bram\": {:.4}, \
-             \"runtime\": {:.4}}}}}{}",
-            r.errors[0],
-            r.errors[1],
-            r.errors[2],
-            r.errors[3],
+            "     \"model_errors\": {}}}{}",
+            errors_json(r.errors),
             if i + 1 < records.len() { "," } else { "" }
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"mean_model_errors\": {{\"alm\": {:.4}, \"dsp\": {:.4}, \"bram\": {:.4}, \
-         \"runtime\": {:.4}}}\n}}",
-        mean_errors[0], mean_errors[1], mean_errors[2], mean_errors[3]
+        "  \"mean_model_errors\": {}\n}}",
+        errors_json(mean_errors)
     );
-    let path = write_result("BENCH_dnn.json", &json);
-    println!("wrote {}", path.display());
+    json
 }
 
-fn main() {
-    dhdl_obs::init_from_env();
-    let points = env_usize("DHDL_DNN_POINTS", 2_000);
-    let start = Instant::now();
-    eprintln!("calibrating estimator...");
-    let mut harness = Harness::new(SEED, points);
+/// Run the frontier over `benches` on `harness`, measuring model error
+/// on up to `pareto_n` Pareto picks of each random sweep.
+///
+/// # Panics
+///
+/// Panics if a benchmark has no valid design at this budget.
+pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usize) -> DnnBench {
+    let points = harness.dse.max_points;
+    let mut harness = harness.clone();
+    let mut report = Report::default();
     let xeon = XeonModel::default();
     let strategies: [(&'static str, SearchStrategy); 2] = [
         ("random", SearchStrategy::Random),
@@ -226,8 +200,11 @@ fn main() {
     ];
 
     let mut records = Vec::new();
-    for bench in dhdl_apps::dnn() {
-        println!("=== {} ({points} samples/strategy) ===", bench.name());
+    for bench in benches {
+        report.say(format_args!(
+            "=== {} ({points} samples/strategy) ===",
+            bench.name()
+        ));
         let mut runs = Vec::new();
         let mut random_dse = None;
         let mut space_size = 0;
@@ -237,7 +214,13 @@ fn main() {
             let dse = harness.explore(bench.as_ref());
             eprintln!("  {}", dse.stats.summary());
             space_size = dse.space_size;
-            runs.push(run_strategy(&harness, bench.as_ref(), name, &dse));
+            runs.push(run_strategy(
+                &harness,
+                bench.as_ref(),
+                name,
+                &dse,
+                &mut report,
+            ));
             if *name == "random" {
                 random_dse = Some(dse);
             }
@@ -251,7 +234,10 @@ fn main() {
             .unwrap_or_else(|| panic!("{}: no valid design found", bench.name()));
         let design = bench.build(&best.params).expect("best point builds");
         eprintln!("simulating best design ({})...", best.params);
-        let (sim, bit_identical) = cross_simulate(&harness, bench.as_ref(), &design);
+        let (sim, backends) = harness.cross_simulate(bench.as_ref(), &design);
+        if let Some(Err(diff)) = &backends {
+            report.say(format_args!("  BACKEND MISMATCH: {diff}"));
+        }
         let fpga_s = sim.seconds(&harness.platform);
         let cpu_s = xeon.seconds(&bench.work());
         let est = dhdl_estimate::Estimate {
@@ -261,26 +247,14 @@ fn main() {
         let bottleneck = dhdl_estimate::classify(&design, &est, &harness.platform).to_string();
 
         // Table-III-style model errors on a spread of Pareto picks.
-        let picks = harness.pareto_sample(&dse, PARETO_N);
-        let mut errors = [0.0f64; 4];
-        for p in &picks {
-            let eval = harness.evaluate(bench.as_ref(), p);
-            let (a, d, b, r) = eval.errors();
-            errors[0] += a;
-            errors[1] += d;
-            errors[2] += b;
-            errors[3] += r;
-        }
-        for e in &mut errors {
-            *e /= picks.len().max(1) as f64;
-        }
+        let errors = mean_errors(&harness.evaluate_front(bench.as_ref(), &dse, pareto_n));
 
         records.push(BenchRecord {
             name: bench.name().to_string(),
             space_size,
             strategies: runs,
             sim_cycles: sim.cycles,
-            bit_identical,
+            backends,
             fpga_s,
             cpu_s,
             speedup: cpu_s / fpga_s,
@@ -314,27 +288,26 @@ fn main() {
             format!("{:.3}", r.fpga_s * 1e3),
             format!("{:.3}", r.cpu_s * 1e3),
             times(r.speedup),
-            r.bit_identical.map_or("n/a".to_string(), |b| b.to_string()),
+            r.backends
+                .as_ref()
+                .map_or("n/a".to_string(), |b| b.is_ok().to_string()),
             r.bottleneck.clone(),
-            format!(
-                "{}/{}/{}/{}",
-                pct(r.errors[0]),
-                pct(r.errors[1]),
-                pct(r.errors[2]),
-                pct(r.errors[3])
-            ),
+            r.errors.map(pct).join("/"),
         ]);
     }
-    println!("\nDNN workload frontier: Pareto + speedup summary\n");
-    println!("{}", t.render());
-    println!(
-        "mean model errors: ALM {} / DSP {} / BRAM {} / runtime {}",
-        pct(mean[0]),
-        pct(mean[1]),
-        pct(mean[2]),
-        pct(mean[3])
+    report.say("\nDNN workload frontier: Pareto + speedup summary\n");
+    report.say(t.render());
+    let [a, d, b, r] = mean.map(pct);
+    report.say(format_args!(
+        "mean model errors: ALM {a} / DSP {d} / BRAM {b} / runtime {r}"
+    ));
+    report.wrote(
+        "BENCH_dnn.json",
+        json(harness.dse.seed, points, &records, mean),
     );
-    write_json(points, &records, mean);
-    eprintln!("dnnbench: done in {:.1}s", start.elapsed().as_secs_f64());
-    dhdl_obs::finish("dnnbench");
+    DnnBench {
+        mean_errors: mean,
+        backends: records.into_iter().map(|r| r.backends).collect(),
+        report,
+    }
 }

@@ -1,40 +1,22 @@
 //! Search-strategy comparison: the uniform random sweep at a full point
 //! budget versus the surrogate-guided strategy at a fraction of it,
 //! scored by Pareto hypervolume over (ln cycles, ln ALMs) with a shared
-//! reference point per benchmark. Emits `results/BENCH_dse.json` with
-//! hypervolume-vs-budget curves for both strategies across the fig5
-//! benchmarks and exits non-zero when the surrogate falls below the
-//! acceptance floor (≥90% of the random front's hypervolume at ≤10% of
-//! its budget by default).
-//!
-//! Knobs: `DHDL_DSEBENCH_POINTS` (random budget per benchmark, default
-//! 1500), `DHDL_DSEBENCH_FRACTION` (surrogate budget as a fraction of
-//! it, default 0.1), `DHDL_DSEBENCH_FLOOR` (minimum acceptable
-//! hypervolume ratio, default 0.9), `DHDL_DSEBENCH_BENCHES`
-//! (comma-separated benchmark subset), `DHDL_DSEBENCH_RERUN=0` (skip
-//! the byte-identical determinism re-run).
+//! reference point per benchmark. `results/BENCH_dse.json` carries the
+//! hypervolume-vs-budget curves of both strategies; the acceptance gate
+//! fails when the surrogate falls below the floor (≥90% of the random
+//! front's hypervolume at ≤10% of its budget by default).
 
 use std::fmt::Write as _;
 
 use dhdl_apps::Benchmark;
-use dhdl_bench::report::{write_result, Table};
-use dhdl_bench::Harness;
 use dhdl_dse::hypervolume::{hypervolume_of, reference_point};
 use dhdl_dse::{DseResult, SearchStrategy, SurrogateConfig};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use crate::experiments::Harness;
+use crate::report::{Report, Table};
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Harness seed of the strategy comparison.
+pub const SEED: u64 = 0xD5EB;
 
 /// Valid evaluated points in the scoring space: (ln cycles, ln ALMs),
 /// the same transform the surrogate's acquisition uses.
@@ -60,20 +42,18 @@ fn run(
     h.explore(bench)
 }
 
-fn main() {
-    dhdl_obs::init_from_env();
-    let budget = env_usize("DHDL_DSEBENCH_POINTS", 1_500);
-    let fraction = env_f64("DHDL_DSEBENCH_FRACTION", 0.1).clamp(0.001, 1.0);
-    let floor = env_f64("DHDL_DSEBENCH_FLOOR", 0.9);
-    let rerun = std::env::var("DHDL_DSEBENCH_RERUN").map_or(true, |v| v != "0");
-    let only: Vec<String> = std::env::var("DHDL_DSEBENCH_BENCHES")
-        .map(|v| {
-            v.split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect()
-        })
-        .unwrap_or_default();
+/// Compare the two strategies on each of `benches`: random at the
+/// harness's budget, surrogate at `fraction` of it. The gate fails on a
+/// surrogate/random hypervolume ratio below `floor` and, with `rerun`,
+/// on a surrogate re-run that differs.
+pub fn dsebench(
+    harness: &Harness,
+    benches: &[Box<dyn Benchmark>],
+    fraction: f64,
+    floor: f64,
+    rerun: bool,
+) -> Report {
+    let budget = harness.dse.max_points;
     let sur_budget = ((budget as f64 * fraction).round() as usize).max(1);
     // Budget ticks for the surrogate's hypervolume-vs-budget curve; the
     // random curve gets the same ticks (a prefix of its evaluation
@@ -87,8 +67,6 @@ fn main() {
     rnd_ticks.sort_unstable();
     rnd_ticks.dedup();
 
-    eprintln!("calibrating estimator...");
-    let harness = Harness::new(0xD5EB, budget);
     eprintln!(
         "comparing strategies: random@{budget} vs surrogate@{sur_budget} \
          ({}% of the budget), floor {floor}",
@@ -108,22 +86,16 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     let mut min_ratio = f64::INFINITY;
 
-    for bench in dhdl_apps::all() {
-        if !only.is_empty() && !only.iter().any(|n| n == bench.name()) {
-            continue;
-        }
+    for bench in benches {
         eprintln!("{}: random sweep ({budget} points)...", bench.name());
-        let random = run(&harness, bench.as_ref(), budget, SearchStrategy::Random);
+        let random = run(harness, bench.as_ref(), budget, SearchStrategy::Random);
         eprintln!(
             "{}: surrogate search ({sur_budget} points)...",
             bench.name()
         );
-        let sur = run(&harness, bench.as_ref(), sur_budget, surrogate.clone());
-        let deterministic = if rerun {
-            run(&harness, bench.as_ref(), sur_budget, surrogate.clone()) == sur
-        } else {
-            true
-        };
+        let sur = run(harness, bench.as_ref(), sur_budget, surrogate.clone());
+        let deterministic =
+            !rerun || run(harness, bench.as_ref(), sur_budget, surrogate.clone()) == sur;
 
         // One reference point per benchmark, over everything either
         // strategy evaluated, so both hypervolumes are comparable.
@@ -167,7 +139,7 @@ fn main() {
         let surrogate_curve: Vec<(usize, f64)> = sur_ticks
             .iter()
             .map(|&k| {
-                let r = run(&harness, bench.as_ref(), k, surrogate.clone());
+                let r = run(harness, bench.as_ref(), k, surrogate.clone());
                 (k, hypervolume_of(&ln_points(&r), reference))
             })
             .collect();
@@ -193,7 +165,8 @@ fn main() {
     }
     harness.flush_cache();
 
-    println!("{}", table.render());
+    let mut r = Report::default();
+    r.say(table.render());
 
     // BENCH_dse.json: deliberately free of wall-clock fields so a re-run
     // with the same seed and knobs is byte-identical.
@@ -233,22 +206,14 @@ fn main() {
     }
     let _ = writeln!(json, "  \"pass\": {}", failures.is_empty());
     json.push_str("}\n");
-    let path = write_result("BENCH_dse.json", &json);
-    println!("wrote {}", path.display());
-
-    dhdl_obs::finish("dsebench");
-    if !failures.is_empty() {
-        eprintln!("dsebench FAILED:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-    if min_ratio.is_finite() {
-        println!(
+    r.wrote("BENCH_dse.json", json);
+    if failures.is_empty() && min_ratio.is_finite() {
+        r.say(format_args!(
             "surrogate holds {:.1}% of the random front's hypervolume at {}% of the budget",
             min_ratio * 100.0,
             (fraction * 100.0).round()
-        );
+        ));
     }
+    r.failures = failures;
+    r
 }

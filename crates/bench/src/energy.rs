@@ -1,27 +1,43 @@
 //! Energy-efficiency extension: the paper's introduction motivates
 //! accelerators with "orders of magnitude improvements in performance and
-//! energy efficiency" (§I). This binary quantifies the energy side for
-//! the best generated designs: FPGA power from the platform power model
-//! over synthesized area, versus the 95 W TDP Xeon E5-2630 running the
-//! modeled CPU time.
+//! energy efficiency" (§I). This experiment quantifies the energy side
+//! for the best generated designs: FPGA power from the platform power
+//! model over synthesized area, versus the 95 W TDP Xeon E5-2630 running
+//! the modeled CPU time.
 
-use dhdl_bench::report::{times, write_result, Table};
-use dhdl_bench::Harness;
+use std::fmt::Write as _;
+
+use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
 use dhdl_synth::synthesize;
+
+use crate::experiments::Harness;
+use crate::report::{times, Report, Table};
+
+/// Harness seed of the energy run.
+pub const SEED: u64 = 0xE6E6;
 
 /// Thermal design power of the Xeon E5-2630 (watts).
 const XEON_TDP_W: f64 = 95.0;
 
-fn main() {
-    let points = std::env::var("DHDL_DSE_POINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000);
-    eprintln!("calibrating estimator...");
-    let harness = Harness::new(0xE6E6, points);
-    let xeon = XeonModel::default();
+/// The energy comparison at some scale.
+#[derive(Debug, Clone)]
+pub struct Energy {
+    /// CPU joules over FPGA joules per run of each benchmark's best
+    /// design, in order.
+    pub advantages: Vec<f64>,
+    /// The table and `energy.csv`.
+    pub report: Report,
+}
 
+/// Explore each of `benches` on `harness` and price its fastest valid
+/// design's energy against the CPU's.
+///
+/// # Panics
+///
+/// Panics if a benchmark has no valid design at this budget.
+pub fn energy(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Energy {
+    let xeon = XeonModel::default();
     let mut t = Table::new(&[
         "Benchmark",
         "FPGA W",
@@ -32,7 +48,8 @@ fn main() {
         "Perf advantage",
     ]);
     let mut csv = String::from("benchmark,fpga_w,fpga_j,cpu_w,cpu_j,energy_ratio\n");
-    for bench in dhdl_apps::all() {
+    let mut advantages = Vec::new();
+    for bench in benches {
         eprintln!("exploring {} ...", bench.name());
         let dse = harness.explore(bench.as_ref());
         let best = dse.best().expect("valid design");
@@ -57,7 +74,6 @@ fn main() {
             times(cpu_j / fpga_j),
             times(cpu_s / fpga_s),
         ]);
-        use std::fmt::Write as _;
         let _ = writeln!(
             csv,
             "{},{:.4},{:.6e},{:.1},{:.6e},{:.3}",
@@ -68,10 +84,12 @@ fn main() {
             cpu_j,
             cpu_j / fpga_j
         );
+        advantages.push(cpu_j / fpga_j);
     }
-    println!("\nEnergy efficiency of best generated designs vs the 6-core CPU\n");
-    println!("{}", t.render());
-    println!("(FPGA power from the Stratix V power model over synthesized area; CPU at TDP.)");
-    let path = write_result("energy.csv", &csv);
-    println!("wrote {}", path.display());
+    let mut report = Report::default();
+    report.say("\nEnergy efficiency of best generated designs vs the 6-core CPU\n");
+    report.say(t.render());
+    report.say("(FPGA power from the Stratix V power model over synthesized area; CPU at TDP.)");
+    report.wrote("energy.csv", csv);
+    Energy { advantages, report }
 }

@@ -5,15 +5,17 @@
 use std::sync::Arc;
 
 use dhdl_apps::Benchmark;
-use dhdl_core::{structural_hash, Design, Fnv64, ParamValues};
+use dhdl_core::{Design, ParamValues};
 use dhdl_dse::{
     explore, model_fingerprint, spread, CacheMode, CachedModel, CostModel, DseOptions, DseResult,
     EstimateCache, SearchStrategy,
 };
 use dhdl_estimate::{Estimate, Estimator};
-use dhdl_sim::{backend_from_env, simulate_with, Bindings, SimResult};
+use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, CompileError, SimResult};
 use dhdl_synth::{design_hash, place_and_route, SynthReport};
 use dhdl_target::{AreaReport, Platform};
+
+use crate::knobs::knob;
 
 /// A calibrated evaluation harness: platform, trained estimator, and the
 /// DSE configuration used across experiments.
@@ -66,27 +68,15 @@ impl Harness {
     pub fn new(seed: u64, dse_points: usize) -> Self {
         let platform = Platform::maia();
         let estimator = Self::cached_estimator(&platform, seed);
-        let threads = std::env::var("DHDL_DSE_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let deadline = std::env::var("DHDL_DSE_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(std::time::Duration::from_millis);
-        let num_fpgas = std::env::var("DHDL_DSE_NUM_FPGAS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
-            .max(1);
+        let threads = knob("DHDL_DSE_THREADS").unwrap_or(0);
+        let deadline = knob("DHDL_DSE_DEADLINE_MS").map(std::time::Duration::from_millis);
+        let num_fpgas = knob("DHDL_DSE_NUM_FPGAS").unwrap_or(1).max(1);
         let mode = CacheMode::from_env();
+        let fingerprint = model_fingerprint(&estimator);
         let cache = match mode {
             CacheMode::Off => None,
-            CacheMode::Memory => Some(Arc::new(EstimateCache::new(model_fingerprint(&estimator)))),
-            CacheMode::Disk => Some(Arc::new(EstimateCache::load(
-                &Self::cache_dir(),
-                model_fingerprint(&estimator),
-            ))),
+            CacheMode::Memory => Some(EstimateCache::new(fingerprint)),
+            CacheMode::Disk => Some(EstimateCache::load(&Self::cache_dir(), fingerprint)),
         };
         Harness {
             platform,
@@ -100,7 +90,7 @@ impl Harness {
                 ..DseOptions::default()
             },
             num_fpgas,
-            cache,
+            cache: cache.map(Arc::new),
             cache_on_disk: mode == CacheMode::Disk,
         }
     }
@@ -108,25 +98,6 @@ impl Harness {
     /// The persistent estimate-cache directory.
     fn cache_dir() -> std::path::PathBuf {
         crate::report::results_dir().join("cache")
-    }
-
-    /// The parameter-memo salt for a benchmark: its name, its dataset,
-    /// and the canonical structure of its default-parameter design.
-    /// Distinct benchmarks must never share a salt (their identical
-    /// parameter assignments would alias in the shared cache), and
-    /// mixing in the default design's [`structural_hash`] retires stale
-    /// memo entries when the metaprogram itself changes shape.
-    fn bench_salt(bench: &dyn Benchmark) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(bench.name().as_bytes());
-        h.write(bench.dataset_desc().as_bytes());
-        match bench.build(&bench.default_params()) {
-            Ok(design) => h.write_u64(structural_hash(&design)),
-            // A benchmark whose defaults do not build still sweeps; its
-            // memo is simply keyed without the structural guard.
-            Err(_) => h.write_u64(0),
-        }
-        h.finish()
     }
 
     fn cached_estimator(platform: &Platform, seed: u64) -> Estimator {
@@ -163,7 +134,7 @@ impl Harness {
             // Enable the parameter-keyed fast path: warm sweeps answer
             // repeated assignments without rebuilding or rehashing the
             // design.
-            opts.cache_salt = Some(Self::bench_salt(bench));
+            opts.cache_salt = Some(bench.salt());
         }
         if std::env::var("DHDL_DSE_CHECKPOINT").is_ok_and(|v| v != "0" && !v.is_empty()) {
             opts.checkpoint = Some(
@@ -229,30 +200,57 @@ impl Harness {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Pick up to `n` spread-out Pareto points from a DSE result.
-    pub fn pareto_sample(&self, result: &DseResult, n: usize) -> Vec<ParamValues> {
-        spread(&result.pareto, n)
-            .into_iter()
-            .map(|i| result.points[i].params.clone())
-            .collect()
+    /// The benchmark's input arrays as simulator bindings.
+    fn bindings(bench: &dyn Benchmark) -> Bindings {
+        let mut bindings = Bindings::new();
+        for (name, data) in bench.inputs() {
+            bindings = bindings.bind(&name, data);
+        }
+        bindings
     }
 
-    /// Simulate a built design on the benchmark's inputs.
-    ///
-    /// The backend is selected by `DHDL_SIM_BACKEND` (`interp` | `tape`);
-    /// both produce bit-identical results, so experiment outputs do not
-    /// depend on the knob — only wall-clock time does.
+    /// Simulate a built design on the benchmark's inputs: on the
+    /// compiled tape, or on the interpreter for a design the compiler
+    /// rejects. The two are bit-identical, so only wall-clock time
+    /// depends on which one ran.
     ///
     /// # Panics
     ///
     /// Panics if simulation fails (benchmark designs are validated).
     pub fn simulate(&self, bench: &dyn Benchmark, design: &Design) -> SimResult {
-        let mut bindings = Bindings::new();
-        for (name, data) in bench.inputs() {
-            bindings = bindings.bind(&name, data);
-        }
-        simulate_with(backend_from_env(), design, &self.platform, &bindings)
+        simulate_compiled(design, &self.platform, &Self::bindings(bench))
             .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.name()))
+    }
+
+    /// Simulate `design` under both backends and bit-compare. Returns
+    /// the interpreter's result and the verdict: `None` when the tape
+    /// compiler does not support the design, otherwise `Ok` or the first
+    /// difference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either backend fails to run.
+    pub fn cross_simulate(
+        &self,
+        bench: &dyn Benchmark,
+        design: &Design,
+    ) -> (SimResult, Option<Result<(), String>>) {
+        let bindings = Self::bindings(bench);
+        let interp = simulate(design, &self.platform, &bindings)
+            .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", bench.name()));
+        let verdict = match compile(design, &self.platform) {
+            Ok(compiled) => {
+                let tape = compiled
+                    .run(&bindings)
+                    .unwrap_or_else(|e| panic!("{}: tape backend failed: {e}", bench.name()));
+                Some(interp.bit_diff(&tape).map_or(Ok(()), Err))
+            }
+            Err(CompileError::Unsupported(why)) => {
+                eprintln!("{}: tape backend unsupported ({why})", bench.name());
+                None
+            }
+        };
+        (interp, verdict)
     }
 
     /// Fully evaluate one design point: estimate, synthesize (area ground
@@ -279,6 +277,20 @@ impl Harness {
             synth,
             sim_cycles: sim.cycles,
         }
+    }
+
+    /// Fully evaluate up to `n` spread-out Pareto points of a sweep
+    /// (§V-B's "five Pareto points ... for each of our benchmarks").
+    pub fn evaluate_front(
+        &self,
+        bench: &dyn Benchmark,
+        result: &DseResult,
+        n: usize,
+    ) -> Vec<PointEval> {
+        spread(&result.pareto, n)
+            .into_iter()
+            .map(|i| self.evaluate(bench, &result.points[i].params))
+            .collect()
     }
 }
 
@@ -311,16 +323,29 @@ impl PointEval {
         }
     }
 
-    /// `(alm, dsp, bram, runtime)` relative errors for this point.
-    pub fn errors(&self) -> (f64, f64, f64, f64) {
+    /// `[alm, dsp, bram, runtime]` relative errors for this point.
+    pub fn errors(&self) -> [f64; 4] {
         let truth = self.synth.area_report();
-        (
+        [
             Self::rel_err(self.est_area.alms, truth.alms),
             Self::rel_err(self.est_area.dsps, truth.dsps),
             Self::rel_err(self.est_area.brams, truth.brams),
             Self::rel_err(self.est_cycles, self.sim_cycles),
-        )
+        ]
     }
+}
+
+/// Mean `[alm, dsp, bram, runtime]` relative error over evaluated
+/// points (zeros for none) — the Table III figure of merit.
+pub fn mean_errors(evals: &[PointEval]) -> [f64; 4] {
+    let mut sums = [0.0f64; 4];
+    for eval in evals {
+        for (s, e) in sums.iter_mut().zip(eval.errors()) {
+            *s += e;
+        }
+    }
+    let n = evals.len().max(1) as f64;
+    sums.map(|s| s / n)
 }
 
 #[cfg(test)]
@@ -359,10 +384,9 @@ mod tests {
         let bench = DotProduct::new(1_920);
         let result = h.explore(&bench);
         assert!(!result.pareto.is_empty());
-        let picks = h.pareto_sample(&result, 2);
-        assert!(!picks.is_empty());
-        let eval = h.evaluate(&bench, &picks[0]);
-        let (alm, _dsp, _bram, rt) = eval.errors();
+        let evals = h.evaluate_front(&bench, &result, 2);
+        assert!(!evals.is_empty());
+        let [alm, _dsp, _bram, rt] = evals[0].errors();
         // Errors are finite and not absurd.
         assert!(alm < 1.0, "alm err {alm}");
         assert!(rt < 1.0, "runtime err {rt}");

@@ -7,17 +7,17 @@
 //! reported alongside for reference (they are host-specific and not used
 //! for the normalized comparison).
 
-use dhdl_bench::report::{times, write_result, Table};
-use dhdl_bench::Harness;
+use std::fmt::Write as _;
+
+use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
 use dhdl_dse::refine;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use crate::experiments::Harness;
+use crate::report::{times, Report, Table};
+
+/// Harness seed of the Figure 6 run.
+pub const SEED: u64 = 0xF166;
 
 /// The paper's Figure 6 speedups.
 const PAPER: &[(&str, f64)] = &[
@@ -30,12 +30,24 @@ const PAPER: &[(&str, f64)] = &[
     ("kmeans", 1.15),
 ];
 
-fn main() {
-    let points = env_usize("DHDL_DSE_POINTS", 1_500);
-    eprintln!("calibrating estimator...");
-    let harness = Harness::new(0xF166, points);
-    let xeon = XeonModel::default();
+/// Figure 6 at some scale.
+#[derive(Debug, Clone)]
+pub struct Fig6 {
+    /// Modeled-CPU time over simulated FPGA time of each benchmark's
+    /// best design, in order.
+    pub speedups: Vec<f64>,
+    /// The table and `fig6.csv`.
+    pub report: Report,
+}
 
+/// Explore and refine each of `benches` on `harness`, simulate the
+/// fastest valid design and compare it with the CPU model.
+///
+/// # Panics
+///
+/// Panics if a benchmark has no valid design at this budget.
+pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
+    let xeon = XeonModel::default();
     let mut t = Table::new(&[
         "Benchmark",
         "FPGA (ms)",
@@ -45,8 +57,9 @@ fn main() {
         "Host CPU (ms, measured)",
         "Best params",
     ]);
-    let mut csv_rows = Vec::new();
-    for bench in dhdl_apps::all() {
+    let mut csv = String::from("benchmark,fpga_s,cpu_model_s,speedup,paper_speedup\n");
+    let mut speedups = Vec::new();
+    for bench in benches {
         eprintln!("exploring {} ...", bench.name());
         let sampled = harness.explore(bench.as_ref());
         // Local-search refinement around the sampled Pareto front.
@@ -84,21 +97,16 @@ fn main() {
             format!("{:.3}", host.elapsed.as_secs_f64() * 1e3),
             best.params.to_string(),
         ]);
-        csv_rows.push(format!(
-            "{},{:.6e},{:.6e},{:.3},{:.3}",
-            bench.name(),
-            fpga_s,
-            cpu_s,
-            speedup,
-            paper
-        ));
+        let _ = writeln!(
+            csv,
+            "{},{fpga_s:.6e},{cpu_s:.6e},{speedup:.3},{paper:.3}",
+            bench.name()
+        );
+        speedups.push(speedup);
     }
-    println!("\nFigure 6: speedups of most performant FPGA designs over the 6-core CPU\n");
-    println!("{}", t.render());
-    let csv = format!(
-        "benchmark,fpga_s,cpu_model_s,speedup,paper_speedup\n{}\n",
-        csv_rows.join("\n")
-    );
-    let path = write_result("fig6.csv", &csv);
-    println!("wrote {}", path.display());
+    let mut report = Report::default();
+    report.say("\nFigure 6: speedups of most performant FPGA designs over the 6-core CPU\n");
+    report.say(t.render());
+    report.wrote("fig6.csv", csv);
+    Fig6 { speedups, report }
 }

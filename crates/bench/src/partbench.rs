@@ -2,7 +2,7 @@
 //!
 //! The paper's DSE is bounded by what fits on one Stratix V: tilings
 //! whose working set exceeds single-chip BRAM are estimated, marked
-//! infeasible, and never reach a Pareto front. This driver sweeps
+//! infeasible, and never reach a Pareto front. This experiment sweeps
 //! over-capacity gemm/gda/conv2d tilings three times — single-chip
 //! (K=1), and with the multi-FPGA partitioning axis opened to K=2 and
 //! K=4 — and reports the *rescued* configurations: points on a K>1
@@ -11,45 +11,39 @@
 //!
 //! Everything written to `results/BENCH_part.json` is a deterministic
 //! modeled quantity: the file is byte-identical across reruns and
-//! across `DHDL_DSE_THREADS` settings. Wall-clock timing goes to
-//! stderr only. `DHDL_PART_POINTS` (default 800) sets the DSE sample
-//! budget per sweep.
+//! across `DHDL_DSE_THREADS` settings.
 //!
-//! Exits nonzero unless at least one configuration is rescued at K=2
+//! The gate fails unless at least one configuration is rescued at K=2
 //! *and* at K=4 — the acceptance gate for the partitioning axis.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use dhdl_apps::{Benchmark, Conv2d, Gda, Gemm};
-use dhdl_bench::report::{pct, write_result, Table};
-use dhdl_bench::Harness;
 use dhdl_core::{ParamSpace, NUM_FPGAS};
 use dhdl_dse::{explore, DseOptions, DseResult};
 
+use crate::experiments::Harness;
+use crate::report::{pct, Report, Table};
+
 /// Harness seed — shared with the part-smoke CI job.
-const SEED: u64 = 0x9A27;
+pub const SEED: u64 = 0x9A27;
 
 /// Device counts swept after the single-chip baseline.
 const DEVICE_SWEEPS: [u32; 2] = [2, 4];
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One benchmark instance sized past single-chip capacity, with a
 /// tiling space that reaches the over-capacity corner (the stock
 /// `param_space` caps tiles well inside one device, so the interesting
 /// region is opened explicitly here).
-struct Scenario {
-    bench: Box<dyn Benchmark>,
-    space: ParamSpace,
+pub struct Scenario {
+    /// The oversized benchmark instance.
+    pub bench: Box<dyn Benchmark>,
+    /// Its opened-up parameter space.
+    pub space: ParamSpace,
 }
 
-fn scenarios() -> Vec<Scenario> {
+/// The three over-capacity scenarios of the full run.
+pub fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
 
     // 1024^3 gemm: three 512^2 f32 tiles sit exactly at the 8 Mbit
@@ -137,14 +131,14 @@ struct Rescue {
     whole_util: (f64, f64, f64),
 }
 
-fn sweep(harness: &Harness, sc: &Scenario, k: u32, points: usize) -> DseResult {
+fn sweep(harness: &Harness, sc: &Scenario, k: u32) -> DseResult {
     let mut space = sc.space.clone();
     if k > 1 {
         space.devices(u64::from(k));
     }
     let opts = DseOptions {
-        max_points: points,
-        seed: SEED,
+        max_points: harness.dse.max_points,
+        seed: harness.dse.seed,
         threads: harness.dse.threads,
         ..DseOptions::default()
     };
@@ -208,9 +202,9 @@ fn util_json(u: (f64, f64, f64)) -> String {
     )
 }
 
-fn write_json(points: usize, records: &[(String, String, u128, Vec<Run>)]) {
+fn json(seed: u64, points: usize, records: &[(String, String, u128, Vec<Run>)]) -> String {
     let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"seed\": {SEED},\n  \"points\": {points},");
+    let _ = writeln!(json, "{{\n  \"seed\": {seed},\n  \"points\": {points},");
     json.push_str("  \"scenarios\": [\n");
     for (i, (name, dataset, space_size, runs)) in records.iter().enumerate() {
         let _ = writeln!(
@@ -259,35 +253,32 @@ fn write_json(points: usize, records: &[(String, String, u128, Vec<Run>)]) {
         .sum();
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"total_rescued\": {total}\n}}");
-    let path = write_result("BENCH_part.json", &json);
-    println!("wrote {}", path.display());
+    json
 }
 
-fn main() {
-    dhdl_obs::init_from_env();
-    let points = env_usize("DHDL_PART_POINTS", 800);
-    let start = Instant::now();
-    eprintln!("calibrating estimator...");
-    let harness = Harness::new(SEED, points);
-
+/// Sweep each of `scenarios` at K=1, 2 and 4 with the harness's budget,
+/// seed and thread count (uncached: every point is estimated afresh).
+pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
+    let points = harness.dse.max_points;
+    let mut r = Report::default();
     let mut records = Vec::new();
-    for sc in scenarios() {
-        println!(
+    for sc in scenarios {
+        r.say(format_args!(
             "=== {} [{}] ({points} samples/sweep) ===",
             sc.bench.name(),
             sc.bench.dataset_desc()
-        );
+        ));
         let mut runs = Vec::new();
         let mut space_size = 0u128;
         for k in std::iter::once(1).chain(DEVICE_SWEEPS) {
             eprintln!("sweeping {} at K={k}...", sc.bench.name());
-            let dse = sweep(&harness, &sc, k, points);
+            let dse = sweep(harness, sc, k);
             eprintln!("  {} ({})", dse.stats.summary(), dse.counts.summary());
             if k == 1 {
                 space_size = dse.space_size;
             }
-            let run = analyze(&harness, &sc, k, &dse);
-            println!(
+            let run = analyze(harness, sc, k, &dse);
+            r.say(format_args!(
                 "  K={k}: {} evaluated, {} valid / {} infeasible, {} on front, \
                  rescued {} on front / {} anywhere",
                 run.evaluated,
@@ -296,7 +287,7 @@ fn main() {
                 run.front_size,
                 run.rescued.len(),
                 run.rescued_total
-            );
+            ));
             runs.push(run);
         }
         records.push((
@@ -340,12 +331,9 @@ fn main() {
             ]);
         }
     }
-    println!("\nMulti-FPGA partitioning: feasibility fronts\n");
-    println!("{}", t.render());
-
-    write_json(points, &records);
-    eprintln!("partbench: done in {:.1}s", start.elapsed().as_secs_f64());
-    dhdl_obs::finish("partbench");
+    r.say("\nMulti-FPGA partitioning: feasibility fronts\n");
+    r.say(t.render());
+    r.wrote("BENCH_part.json", json(harness.dse.seed, points, &records));
 
     // The acceptance gate: partitioning must rescue at least one
     // over-capacity configuration at each opened device count.
@@ -353,12 +341,13 @@ fn main() {
         let rescued: usize = records
             .iter()
             .flat_map(|(_, _, _, runs)| runs.iter())
-            .filter(|r| r.k == k)
-            .map(|r| r.rescued.len())
+            .filter(|run| run.k == k)
+            .map(|run| run.rescued.len())
             .sum();
         if rescued == 0 {
-            eprintln!("FAIL: no configuration rescued at K={k}");
-            std::process::exit(1);
+            r.failures
+                .push(format!("no configuration rescued at K={k}"));
         }
     }
+    r
 }

@@ -1,5 +1,6 @@
 //! Output formatting: aligned text tables, CSV files and ASCII scatter
-//! plots for the figure data.
+//! plots for the figure data, and the [`Report`] every experiment
+//! returns.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -95,13 +96,48 @@ pub fn results_dir() -> PathBuf {
     path
 }
 
-/// Write a string to `results/<name>`, returning the path.
-pub fn write_result(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    if let Err(e) = fs::write(&path, contents) {
-        eprintln!("warning: could not write {}: {e}", path.display());
+/// What an experiment prints and leaves under `results/`, gathered so
+/// that tests can read it and only the `dhdl` binary [`Report::emit`]s.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// The text for stdout.
+    pub text: String,
+    /// The `results/` files as `(name, contents)`.
+    pub files: Vec<(String, String)>,
+    /// Why the experiment's acceptance gate failed; empty for a pass or
+    /// an experiment without a gate.
+    pub failures: Vec<String>,
+}
+
+impl Report {
+    /// Append one line of output.
+    pub fn say(&mut self, line: impl std::fmt::Display) {
+        let _ = writeln!(self.text, "{line}");
     }
-    path
+
+    /// Add `results/<name>`, returning the path [`Report::emit`] writes.
+    pub fn file(&mut self, name: &str, contents: String) -> PathBuf {
+        self.files.push((name.to_string(), contents));
+        results_dir().join(name)
+    }
+
+    /// [`Report::file`], announced with a `wrote <path>` line.
+    pub fn wrote(&mut self, name: &str, contents: String) {
+        let path = self.file(name, contents);
+        self.say(format_args!("wrote {}", path.display()));
+    }
+
+    /// Write the files (a failure warns and carries on), then print the
+    /// text.
+    pub fn emit(&self) {
+        for (name, contents) in &self.files {
+            let path = results_dir().join(name);
+            if let Err(e) = fs::write(&path, contents) {
+                eprintln!("warning: could not write {}: {e}", path.display());
+            }
+        }
+        print!("{}", self.text);
+    }
 }
 
 /// Render an ASCII scatter plot of `(x, y, class)` points, where class 0

@@ -4,46 +4,40 @@
 //! paper's Figure 5 discussion ("points along the same vertical bar share
 //! the same inner loop parallelization factor").
 //!
-//! Usage: `sweep <benchmark> <param>`
-//!
 //! The pseudo-parameter `num_fpgas` sweeps the multi-FPGA partitioning
 //! axis (powers of two up to `DHDL_DSE_NUM_FPGAS`, default 8): the
 //! design is built at its defaults and re-estimated per device count
 //! through the partitioning pass.
 
-use dhdl_bench::report::{write_result, Table};
-use dhdl_bench::Harness;
+use dhdl_apps::Benchmark;
 use dhdl_core::{ParamKind, NUM_FPGAS};
 
-fn main() {
-    dhdl_obs::init_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(name), Some(param)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: sweep <benchmark> <param>");
-        std::process::exit(2);
-    };
-    let Some(bench) = dhdl_apps::by_name(name) else {
-        eprintln!("unknown benchmark `{name}`");
-        std::process::exit(2);
-    };
-    eprintln!("calibrating estimator...");
-    let harness = Harness::new(0x53EE, 100);
+use crate::experiments::Harness;
+use crate::report::{Report, Table};
+
+/// Harness seed of a sensitivity sweep.
+pub const SEED: u64 = 0x53EE;
+
+/// Estimate `bench` at its defaults with `param` swept over its legal
+/// values.
+///
+/// # Errors
+///
+/// Returns the message for a `param` the benchmark does not have.
+pub fn sweep(harness: &Harness, bench: &dyn Benchmark, param: &str) -> Result<Report, String> {
     let space = bench.param_space();
     let multi = param == NUM_FPGAS;
     let kind = if multi {
         ParamKind::Devices {
             max: u64::from(harness.num_fpgas.max(8)),
         }
-    } else if let Some(def) = space.defs().iter().find(|d| d.name == *param) {
+    } else if let Some(def) = space.defs().iter().find(|d| d.name == param) {
         def.kind.clone()
     } else {
         let names: Vec<&str> = space.defs().iter().map(|d| d.name.as_str()).collect();
-        eprintln!("unknown parameter `{param}`; available: {names:?} (plus `{NUM_FPGAS}`)");
-        std::process::exit(2);
-    };
-    let def = dhdl_core::ParamDef {
-        name: param.clone(),
-        kind,
+        return Err(format!(
+            "unknown parameter `{param}`; available: {names:?} (plus `{NUM_FPGAS}`)"
+        ));
     };
     let mut t = Table::new(&[
         param,
@@ -57,7 +51,7 @@ fn main() {
     ]);
     let mut evaluated = 0usize;
     let mut build_failed = 0usize;
-    for value in def.kind.legal_values() {
+    for value in kind.legal_values() {
         let mut p = bench.default_params();
         if !multi {
             // `num_fpgas` is not a construction parameter: the design is
@@ -66,16 +60,10 @@ fn main() {
         }
         let Ok(design) = bench.build(&p) else {
             build_failed += 1;
-            t.row(&[
-                value.to_string(),
-                "(build failed)".into(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ]);
+            let mut row = vec![String::new(); 8];
+            row[0] = value.to_string();
+            row[1] = "(build failed)".into();
+            t.row(&row);
             continue;
         };
         evaluated += 1;
@@ -99,25 +87,24 @@ fn main() {
             est.area.fits(&harness.platform.fpga).to_string(),
         ]);
     }
-    println!(
+    let mut r = Report::default();
+    r.say(format_args!(
         "\nSweep of `{param}` for {} (other parameters at defaults {})\n",
         bench.name(),
         bench.default_params()
-    );
-    println!("{}", t.render());
+    ));
+    r.say(t.render());
     harness.flush_cache();
     // Point-loss accounting, mirroring the resilient runner's counters.
-    println!("sweep outcomes: {evaluated} evaluated, {build_failed} build-failed");
+    r.say(format_args!(
+        "sweep outcomes: {evaluated} evaluated, {build_failed} build-failed"
+    ));
     if let Some(c) = harness.cache_stats() {
-        println!(
+        r.say(format_args!(
             "estimate cache: {} hits / {} misses ({} entries)",
             c.hits, c.misses, c.entries
-        );
+        ));
     }
-    let path = write_result(
-        &format!("sweep_{}_{}.csv", bench.name(), param),
-        &t.to_csv(),
-    );
-    println!("wrote {}", path.display());
-    dhdl_obs::finish("sweep");
+    r.wrote(&format!("sweep_{}_{param}.csv", bench.name()), t.to_csv());
+    Ok(r)
 }

@@ -1,8 +1,11 @@
 //! Table II: the evaluation benchmarks and dataset sizes.
 
-use dhdl_bench::report::{write_result, Table};
+use dhdl_apps::Benchmark;
 
-fn main() {
+use crate::report::{Report, Table};
+
+/// Tabulate `benches`: description, datasets and design parameters.
+pub fn table2(benches: &[Box<dyn Benchmark>]) -> Report {
     let mut t = Table::new(&[
         "Benchmark",
         "Description",
@@ -10,7 +13,7 @@ fn main() {
         "Scaled dataset (this run)",
         "Design parameters",
     ]);
-    for b in dhdl_apps::all() {
+    for b in benches {
         let space = b.param_space();
         let params: Vec<String> = space
             .defs()
@@ -25,8 +28,9 @@ fn main() {
             params.join(", "),
         ]);
     }
-    println!("Table II: evaluation benchmarks\n");
-    println!("{}", t.render());
-    let path = write_result("table2.csv", &t.to_csv());
-    println!("wrote {}", path.display());
+    let mut r = Report::default();
+    r.say("Table II: evaluation benchmarks\n");
+    r.say(t.render());
+    r.wrote("table2.csv", t.to_csv());
+    r
 }

@@ -1,8 +1,8 @@
 //! Golden regression for the DNN workload frontier (conv2d + attention).
 //!
-//! The full-scale run is the `dnnbench` binary; this test pins the same
-//! computations at a reduced configuration so every `cargo test`
-//! invocation guards the frontier against drift:
+//! The full-scale run is `dhdl dnnbench`; this test runs the same
+//! function at a reduced configuration so every `cargo test` invocation
+//! guards the frontier against drift:
 //!
 //! - the CPU reference kernels' outputs, pinned as FNV checksums over
 //!   the exact IEEE-754 bits (the simulator, the `dhdl-cpu` kernels and
@@ -11,9 +11,11 @@
 //! - seed-stable DSE Pareto fronts under both search strategies,
 //! - Table-III-style model errors within a golden band (the precise
 //!   errors are *reported* by `dnnbench` into EXPERIMENTS.md, not gated;
-//!   the band here only catches order-of-magnitude regressions).
+//!   the band here only catches order-of-magnitude regressions), with
+//!   the best design bit-identical on both simulator backends.
 
 use dhdl_apps::{Attention, Benchmark, Conv2d};
+use dhdl_bench::dnnbench::{dnnbench, SEED};
 use dhdl_bench::Harness;
 use dhdl_core::Fnv64;
 use dhdl_dse::{SearchStrategy, SurrogateConfig};
@@ -22,8 +24,6 @@ use dhdl_dse::{SearchStrategy, SurrogateConfig};
 const DSE_POINTS: usize = 60;
 /// Pareto picks per benchmark.
 const PARETO_N: usize = 3;
-/// Harness seed — must match the `dnnbench` binary.
-const SEED: u64 = 0xD4D2;
 
 /// FNV-64 over the reference `out` bits for `Conv2d::new(18, 4)`.
 const CONV_CHECKSUM: u64 = 0x307598b39777bfff;
@@ -164,41 +164,18 @@ fn dse_fronts_are_seed_stable_under_both_strategies() {
 #[test]
 fn dnn_model_errors_match_golden_band() {
     let harness = Harness::new(SEED, DSE_POINTS);
-    let benches = benches();
-    let mut sums = [0.0f64; 4];
-    for bench in &benches {
-        let dse = harness.explore(bench.as_ref());
-        let picks = harness.pareto_sample(&dse, PARETO_N);
-        assert!(
-            !picks.is_empty(),
-            "{}: DSE produced no Pareto points",
-            bench.name()
-        );
-        let mut errs = [0.0f64; 4];
-        for p in &picks {
-            let eval = harness.evaluate(bench.as_ref(), p);
-            let (a, d, b, r) = eval.errors();
-            errs[0] += a;
-            errs[1] += d;
-            errs[2] += b;
-            errs[3] += r;
-        }
-        let n = picks.len() as f64;
-        for (s, e) in sums.iter_mut().zip(errs) {
-            *s += e / n;
-        }
+    let frontier = dnnbench(&harness, &benches(), PARETO_N);
+    for verdict in &frontier.backends {
+        assert_eq!(*verdict, Some(Ok(())), "simulator backends disagree");
     }
-    let n = benches.len() as f64;
+    let mean = frontier.mean_errors;
     eprintln!(
         "measured dnn errors: [{:.4}, {:.4}, {:.4}, {:.4}]",
-        sums[0] / n,
-        sums[1] / n,
-        sums[2] / n,
-        sums[3] / n
+        mean[0], mean[1], mean[2], mean[3]
     );
     let axes = ["ALM", "DSP", "BRAM", "runtime"];
     for i in 0..4 {
-        let avg = sums[i] / n;
+        let avg = mean[i];
         assert!(
             (avg - GOLDEN[i]).abs() <= TOL,
             "{} average error {avg:.4} drifted from golden {:.4} (tol {TOL})",

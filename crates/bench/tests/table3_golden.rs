@@ -1,28 +1,27 @@
 //! Golden regression for the Table III model-error computation.
 //!
-//! The full-scale run (`cargo run -p dhdl-bench --bin table3`, 1000 DSE
+//! The full-scale run (`cargo run -p dhdl-bench --bin dhdl -- table3`, 1000 DSE
 //! points per benchmark, release) reproduces average absolute model
 //! errors of **2.7% ALM / 1.4% DSP / 6.1% BRAM / 5.5% runtime** against
 //! the paper's 4.8/7.5/12.3/6.1%. That run is CI's release-only job;
-//! this test pins the *same computation* at a reduced configuration
+//! this test runs the *same function* at a reduced configuration
 //! (60 DSE points, 3 Pareto picks, functional-suite dataset sizes) so
 //! every `cargo test` invocation guards the estimator against drift.
 //!
 //! The golden values below were measured at this exact configuration
-//! with the deterministic harness seed the table3 binary uses; the
+//! with the experiment's own harness seed; the
 //! absolute tolerance absorbs benign cross-platform float noise while
 //! still catching any real model regression (which moves these averages
 //! by tens of percentage points, not fractions of one).
 
 use dhdl_apps::{Benchmark, BlackScholes, DotProduct, Gda, Gemm, KMeans, OuterProduct, TpchQ6};
+use dhdl_bench::table3::{table3, SEED};
 use dhdl_bench::Harness;
 
 /// DSE sample budget (the full run uses 1000).
 const DSE_POINTS: usize = 60;
 /// Pareto picks per benchmark (the full run uses 5, §V-B).
 const PARETO_N: usize = 3;
-/// Harness seed — must match the `table3` binary.
-const SEED: u64 = 0xD4D1;
 
 /// Measured `(alm, dsp, bram, runtime)` average errors at this config.
 const GOLDEN: [f64; 4] = [0.0350, 0.0408, 0.0723, 0.0687];
@@ -48,33 +47,17 @@ fn benches() -> Vec<Box<dyn Benchmark>> {
 fn table3_errors_match_golden_values() {
     let harness = Harness::new(SEED, DSE_POINTS);
     let benches = benches();
-    let mut sums = [0.0f64; 4];
-    for bench in &benches {
-        let dse = harness.explore(bench.as_ref());
-        let picks = harness.pareto_sample(&dse, PARETO_N);
+    let table = table3(&harness, &benches, PARETO_N);
+    for (bench, evals) in benches.iter().zip(&table.evals) {
         assert!(
-            !picks.is_empty(),
+            !evals.is_empty(),
             "{}: DSE produced no Pareto points",
             bench.name()
         );
-        let mut errs = [0.0f64; 4];
-        for p in &picks {
-            let eval = harness.evaluate(bench.as_ref(), p);
-            let (a, d, b, r) = eval.errors();
-            errs[0] += a;
-            errs[1] += d;
-            errs[2] += b;
-            errs[3] += r;
-        }
-        let n = picks.len() as f64;
-        for (s, e) in sums.iter_mut().zip(errs) {
-            *s += e / n;
-        }
     }
-    let n = benches.len() as f64;
     let axes = ["ALM", "DSP", "BRAM", "runtime"];
     for i in 0..4 {
-        let avg = sums[i] / n;
+        let avg = table.mean[i];
         assert!(
             (avg - GOLDEN[i]).abs() <= TOL,
             "{} average error {avg:.4} drifted from golden {:.4} (tol {TOL})",

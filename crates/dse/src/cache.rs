@@ -360,6 +360,12 @@ impl EstimateCache {
     /// increments the `cache.l2.rebuild` obs counter, so silently
     /// losing a warm cache is impossible.
     pub fn load(dir: &Path, fingerprint: u64) -> Self {
+        Self::load_reporting(dir, fingerprint).0
+    }
+
+    /// [`EstimateCache::load`], also telling whether this load discarded
+    /// the file on disk and rebuilt.
+    fn load_reporting(dir: &Path, fingerprint: u64) -> (Self, bool) {
         let _span = dhdl_obs::span!("cache.load");
         let _t = dhdl_obs::histogram!("cache.disk.load_ns").timer();
         let cache = EstimateCache::new(fingerprint);
@@ -370,11 +376,11 @@ impl EstimateCache {
                 path.display()
             );
             dhdl_obs::counter!("cache.l2.rebuild").incr();
-            EstimateCache::new(fingerprint)
+            (EstimateCache::new(fingerprint), true)
         };
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return cache,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (cache, false),
             Err(e) => return rebuild(&format!("is unreadable ({e})")),
         };
         let mut lines = text.lines();
@@ -401,7 +407,7 @@ impl EstimateCache {
                 .unwrap_or_else(|e| e.into_inner())
                 .insert(key, est);
         }
-        cache
+        (cache, false)
     }
 
     /// Persist all entries to the versioned file under `dir`, creating
@@ -652,19 +658,18 @@ mod tests {
 
     #[test]
     fn corrupt_or_mismatched_files_rebuild_with_a_counter() {
+        // Each load reports its own rebuild: the `cache.l2.rebuild`
+        // counter is process-global, and sibling tests load corrupt
+        // caches too (`cache_consistency.rs` checks the counter itself).
         let dir = std::env::temp_dir().join(format!("dhdl-cache-rebuild-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dhdl_obs::init(dhdl_obs::Mode::Summary);
-        let rebuilds = || dhdl_obs::counter!("cache.l2.rebuild").get();
 
-        // Missing file: the normal cold start — no rebuild counted.
-        let before = rebuilds();
-        let cold = EstimateCache::load(&dir, 0xF00D);
-        assert!(cold.is_empty());
-        assert_eq!(rebuilds(), before);
+        // Missing file: the normal cold start — no rebuild.
+        let (cold, rebuilt) = EstimateCache::load_reporting(&dir, 0xF00D);
+        assert!(cold.is_empty() && !rebuilt);
 
         // A valid file whose header carries a *different* fingerprint
-        // (stale model) at this fingerprint's path: rebuild, counted.
+        // (stale model) at this fingerprint's path: rebuild.
         let other = EstimateCache::new(0xBEEF);
         other.insert(1, est(10.0));
         other.save(&dir).unwrap();
@@ -673,31 +678,32 @@ mod tests {
             EstimateCache::path_in(&dir, 0xF00D),
         )
         .unwrap();
-        let rebuilt = EstimateCache::load(&dir, 0xF00D);
-        assert!(rebuilt.is_empty());
-        assert_eq!(rebuilds(), before + 1);
+        let (loaded, rebuilt) = EstimateCache::load_reporting(&dir, 0xF00D);
+        assert!(loaded.is_empty() && rebuilt);
 
-        // A torn entry line: rebuild, counted.
+        // An intact file: loaded, no rebuild.
         let cache = EstimateCache::new(0xF00D);
         cache.insert(1, est(10.0));
         cache.insert(2, est(20.0));
         let path = cache.save(&dir).unwrap();
+        let (loaded, rebuilt) = EstimateCache::load_reporting(&dir, 0xF00D);
+        assert!(loaded.len() == 2 && !rebuilt);
+
+        // A torn entry line: rebuild.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 7]).unwrap();
-        let rebuilt = EstimateCache::load(&dir, 0xF00D);
-        assert!(rebuilt.is_empty(), "partial file must not half-load");
-        assert_eq!(rebuilds(), before + 2);
+        let (loaded, rebuilt) = EstimateCache::load_reporting(&dir, 0xF00D);
+        assert!(loaded.is_empty(), "partial file must not half-load");
+        assert!(rebuilt);
 
         // A well-formed file of the previous format version (keys from
         // the pre-v3 hash stream): every line parses, none is trusted.
         let v2 = text.replace(FORMAT_VERSION, "dhdl-estimate-cache v2");
         assert_ne!(v2, text);
         std::fs::write(&path, v2).unwrap();
-        let rebuilt = EstimateCache::load(&dir, 0xF00D);
-        assert!(rebuilt.is_empty() && rebuilt.params_len() == 0);
-        assert_eq!(rebuilds(), before + 3);
+        let (loaded, rebuilt) = EstimateCache::load_reporting(&dir, 0xF00D);
+        assert!(loaded.is_empty() && loaded.params_len() == 0 && rebuilt);
 
-        dhdl_obs::init(dhdl_obs::Mode::Off);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -286,6 +286,15 @@ fn observation_never_perturbs_sweep_results() {
     let cache = EstimateCache::new(model_fingerprint(est));
     let model = CachedModel::new(est, &cache);
     let on_cached = explore(build_dot, &space(), &model, &opts(48, 4));
+    // A corrupt cache file is a counted rebuild. The counter is
+    // process-global and only this test switches recording on in this
+    // binary, so sibling loads can only add to it: a lower bound holds.
+    let rebuilds = || dhdl_obs::counter!("cache.l2.rebuild").get();
+    let (before, dir) = (rebuilds(), tmp_dir("rebuild-counter"));
+    std::fs::write(EstimateCache::path_in(&dir, 7), "not a cache\n").unwrap();
+    assert!(EstimateCache::load(&dir, 7).is_empty());
+    assert!(rebuilds() > before, "corrupt load was not counted");
+    let _ = std::fs::remove_dir_all(&dir);
     dhdl_obs::init(dhdl_obs::Mode::Off);
 
     assert_eq!(on, off, "observation changed sweep results");

@@ -24,9 +24,9 @@
 //! [`Mode::Off`]. While disabled, every primitive costs one relaxed
 //! atomic load and a branch — no clock reads, no allocation, no locks —
 //! so instrumented hot paths (`elaborate`, `estimate_net`, the DSE
-//! runner, the estimate cache, the simulator) are unperturbed; the
-//! `obs_overhead` criterion bench in `dhdl-bench` pins this below 2% on
-//! the estimate-net hot path. Observation never changes results either
+//! runner, the estimate cache, the simulator) are unperturbed; every
+//! workload of `benchmark/run.sh` runs disabled, so that cost is part of
+//! the `sweep_cold` rows it tracks. Observation never changes results either
 //! way: sweeps are byte-identical with recording on or off (tested in
 //! `dhdl-dse`'s `cache_consistency` suite).
 //!

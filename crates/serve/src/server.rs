@@ -237,22 +237,9 @@ struct Served {
 }
 
 impl Served {
-    /// The params-key salt — FNV of the benchmark's name, dataset and the
-    /// structural hash of its default-parameter design, derived on first
-    /// use. The same derivation an in-process harness uses, so a cache
-    /// warmed through the server is valid for in-process sweeps and vice
-    /// versa.
+    /// The params-key salt ([`Benchmark::salt`]), derived on first use.
     fn salt(&self) -> u64 {
-        *self.salt.get_or_init(|| {
-            let mut h = Fnv64::new();
-            h.write(self.bench.name().as_bytes());
-            h.write(self.bench.dataset_desc().as_bytes());
-            match self.bench.build(&self.bench.default_params()) {
-                Ok(design) => h.write_u64(structural_hash(&design)),
-                Err(_) => h.write_u64(0),
-            }
-            h.finish()
-        })
+        *self.salt.get_or_init(|| self.bench.salt())
     }
 }
 

@@ -1203,36 +1203,6 @@ pub enum Backend {
     Tape,
 }
 
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Interp => write!(f, "interp"),
-            Backend::Tape => write!(f, "tape"),
-        }
-    }
-}
-
-/// Read the simulation backend from the `DHDL_SIM_BACKEND` environment
-/// variable (`interp` | `tape`; default `interp`). An unrecognized value
-/// warns on stderr and falls back to the interpreter — silently ignoring
-/// a typo'd knob would fake a comparison.
-pub fn backend_from_env() -> Backend {
-    match std::env::var("DHDL_SIM_BACKEND") {
-        Ok(v) => match v.as_str() {
-            "tape" | "compiled" => Backend::Tape,
-            "interp" | "interpreter" | "" => Backend::Interp,
-            other => {
-                eprintln!(
-                    "dhdl-sim: unknown DHDL_SIM_BACKEND `{other}` \
-                     (expected `interp` or `tape`); using interp"
-                );
-                Backend::Interp
-            }
-        },
-        Err(_) => Backend::Interp,
-    }
-}
-
 /// Simulate with an explicit backend choice.
 ///
 /// # Errors
@@ -1265,92 +1235,5 @@ pub fn simulate_compiled(
     match compile(design, platform) {
         Ok(c) => c.run(bindings),
         Err(CompileError::Unsupported(_)) => simulate(design, platform, bindings),
-    }
-}
-
-#[cfg(test)]
-mod profiling {
-    use super::*;
-    use dhdl_core::{by, DType, DesignBuilder, ReduceOp};
-    use std::time::Instant;
-
-    #[test]
-    #[ignore = "manual profiling breakdown"]
-    fn run_breakdown() {
-        let n = 9_600u64;
-        let tile = 192u64;
-        let mut b = DesignBuilder::new("dot");
-        let x = b.off_chip("x", DType::F32, &[n]);
-        let y = b.off_chip("y", DType::F32, &[n]);
-        let out = b.off_chip("out", DType::F32, &[1]);
-        b.sequential(|b| {
-            let acc = b.reg("acc", DType::F32, 0.0);
-            b.outer_fold(true, &[by(n, tile)], 1, acc, ReduceOp::Add, |b, iters| {
-                let i = iters[0];
-                let xt = b.bram("xT", DType::F32, &[tile]);
-                let yt = b.bram("yT", DType::F32, &[tile]);
-                let partial = b.reg("partial", DType::F32, 0.0);
-                b.parallel(|b| {
-                    b.tile_load(x, xt, &[i], &[tile], 1);
-                    b.tile_load(y, yt, &[i], &[tile], 1);
-                });
-                b.pipe_reduce(&[by(tile, 1)], 2, partial, ReduceOp::Add, |b, it| {
-                    let a = b.load(xt, &[it[0]]);
-                    let c = b.load(yt, &[it[0]]);
-                    b.mul(a, c)
-                });
-                partial
-            });
-            let ot = b.bram("outT", DType::F32, &[1]);
-            b.pipe(&[by(1, 1)], 1, |b, it| {
-                let a = b.load_reg(acc);
-                b.store(ot, &[it[0]], a);
-            });
-            let z = b.index_const(0);
-            b.tile_store(out, ot, &[z], &[1], 1);
-        });
-        let d = b.finish().unwrap();
-        let p = Platform::maia();
-        let bindings = Bindings::new()
-            .bind("x", (0..n).map(|i| i as f64).collect())
-            .bind("y", (0..n).map(|i| (i % 7) as f64).collect());
-        let c = compile(&d, &p).unwrap();
-        let reps = 200;
-        let time = |f: &mut dyn FnMut()| {
-            let t = Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            t.elapsed().as_secs_f64() / reps as f64 * 1e6
-        };
-        let full = time(&mut || {
-            std::hint::black_box(c.run(&bindings).unwrap());
-        });
-        let clone_t = time(&mut || {
-            std::hint::black_box(c.layout.template.clone());
-        });
-        let mut arena = c.layout.template.clone();
-        let mut queues = vec![Vec::new(); c.layout.n_queues];
-        let exec = time(&mut || {
-            arena.copy_from_slice(&c.layout.template);
-            c.tape.execute(&mut arena, &mut queues).unwrap();
-        });
-        let timing_t = time(&mut || {
-            std::hint::black_box((c.timing.profile.clone(), c.timing.trace.clone()));
-        });
-        let interp_t = time(&mut || {
-            std::hint::black_box(simulate(&d, &p, &bindings).unwrap());
-        });
-        eprintln!("interp      {interp_t:9.1} us");
-        eprintln!("full run    {full:9.1} us");
-        eprintln!("arena clone {clone_t:9.1} us");
-        eprintln!("execute     {exec:9.1} us");
-        eprintln!("timing cln  {timing_t:9.1} us");
-        eprintln!(
-            "instrs {} trace_events {} profile {}",
-            c.tape.instrs.len(),
-            c.timing.trace.events().len(),
-            c.timing.profile.len()
-        );
     }
 }

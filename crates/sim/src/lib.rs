@@ -18,8 +18,7 @@
 //! order of magnitude higher throughput. [`simulate_compiled`] prefers
 //! the tape and falls back to the interpreter for designs the compiler
 //! rejects ([`CompileError::Unsupported`]); [`simulate_with`] selects a
-//! [`Backend`] explicitly, e.g. from the `DHDL_SIM_BACKEND` environment
-//! knob via [`backend_from_env`].
+//! [`Backend`] explicitly.
 //!
 //! ```
 //! use dhdl_core::{by, DType, DesignBuilder};
@@ -62,9 +61,7 @@ mod multi;
 mod tape;
 mod trace;
 
-pub use compile::{
-    backend_from_env, compile, simulate_compiled, simulate_with, Backend, CompileError, Compiled,
-};
+pub use compile::{compile, simulate_compiled, simulate_with, Backend, CompileError, Compiled};
 pub use error::{Result, SimError};
 pub use interp::{simulate, Bindings, ProfileEntry, SimResult};
 pub use memory::DramTimeline;

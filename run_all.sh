@@ -17,9 +17,10 @@ export DHDL_DSE_CHECKPOINT="${DHDL_DSE_CHECKPOINT:-1}"
 # delete results/cache/ to force cold re-estimation.
 export DHDL_DSE_CACHE="${DHDL_DSE_CACHE:-disk}"
 
-# Observability: DHDL_OBS=summary prints a span/counter table per binary,
-# =json writes results/obs/<bin>.obs.json, =chrome writes
-# results/obs/<bin>.trace.json (load in chrome://tracing or Perfetto).
+# Observability: DHDL_OBS=summary prints a span/counter table per
+# experiment, =json writes results/obs/<experiment>.obs.json, =chrome
+# writes results/obs/<experiment>.trace.json (load in chrome://tracing
+# or Perfetto).
 # Off by default; recording never changes any result (sweeps are
 # byte-identical either way).
 export DHDL_OBS="${DHDL_OBS:-off}"
@@ -38,14 +39,9 @@ if [ "$DHDL_FUZZ_DESIGNS" -gt 0 ]; then
     --designs "$DHDL_FUZZ_DESIGNS" --seed 0
 fi
 
-# Simulator backend throughput: interpreter vs. tape-compiled, with a
-# bit-identity cross-check per benchmark (results/BENCH_sim.json).
-echo "=== simbench ==="
-cargo run -q -p dhdl-bench --bin simbench --release
-
 for b in table2 table3 table4 fig5 fig6 energy ablations; do
   echo "=== $b ==="
-  cargo run -q -p dhdl-bench --bin "$b" --release
+  cargo run -q -p dhdl-bench --bin dhdl --release -- "$b"
 done
 
 # Search-strategy comparison: the surrogate-guided DSE against the
@@ -58,7 +54,7 @@ DHDL_DSEBENCH_POINTS="${DHDL_DSEBENCH_POINTS:-1500}"
 if [ "$DHDL_DSEBENCH_POINTS" -gt 0 ]; then
   echo "=== dsebench (random@$DHDL_DSEBENCH_POINTS vs surrogate@10%) ==="
   DHDL_DSEBENCH_POINTS="$DHDL_DSEBENCH_POINTS" \
-    cargo run -q -p dhdl-bench --bin dsebench --release
+    cargo run -q -p dhdl-bench --bin dhdl --release -- dsebench
 fi
 
 # DNN workload frontier: conv2d + attention explored under both search
@@ -70,7 +66,7 @@ DHDL_DNN_POINTS="${DHDL_DNN_POINTS:-2000}"
 if [ "$DHDL_DNN_POINTS" -gt 0 ]; then
   echo "=== dnnbench ==="
   DHDL_DNN_POINTS="$DHDL_DNN_POINTS" \
-    cargo run -q -p dhdl-bench --bin dnnbench --release
+    cargo run -q -p dhdl-bench --bin dhdl --release -- dnnbench
 fi
 
 # Multi-FPGA partitioning axis: gemm/gda/conv2d swept at K=1,2,4
@@ -82,7 +78,7 @@ DHDL_PART_POINTS="${DHDL_PART_POINTS:-800}"
 if [ "$DHDL_PART_POINTS" -gt 0 ]; then
   echo "=== partbench (K=1,2,4 @ $DHDL_PART_POINTS points) ==="
   DHDL_PART_POINTS="$DHDL_PART_POINTS" \
-    cargo run -q -p dhdl-bench --bin partbench --release
+    cargo run -q -p dhdl-bench --bin dhdl --release -- partbench
 fi
 
 # DSE-as-a-service smoke: a few seconds of Zipf-skewed multi-tenant

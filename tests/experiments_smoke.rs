@@ -1,113 +1,72 @@
-//! Smoke tests for the experiment harness itself: miniature versions of
-//! each table/figure computation run under `cargo test`, so the
-//! reproduction pipeline is covered without executing the full binaries.
+//! Smoke tests for the experiment harness itself: the functions behind
+//! `dhdl table3`, `dhdl fig5`, ... run at miniature configurations under
+//! `cargo test`, so the reproduction pipeline is covered without a
+//! full-scale run.
 
-use dhdl_bench::report::{ascii_scatter, Table};
-use dhdl_bench::{Harness, PointEval};
-use dhdl_cpu::XeonModel;
-use dhdl_hls::{estimate as hls_estimate, HlsMode, ResourceLimits};
+use dhdl_apps::Benchmark;
+use dhdl_bench::{energy, fig5, fig6, table2, table3, table4, Harness};
 
 fn mini_harness() -> Harness {
     // Small sample budget; model comes from the on-disk cache when warm.
     Harness::new(0x51, 60)
 }
 
+fn only(bench: impl Benchmark + 'static) -> Vec<Box<dyn Benchmark>> {
+    vec![Box::new(bench)]
+}
+
 #[test]
 fn mini_table3_errors_are_single_digit_ish() {
-    let harness = mini_harness();
-    let bench = dhdl_apps::DotProduct::new(9_600);
-
-    let dse = harness.explore(&bench);
-    let picks = harness.pareto_sample(&dse, 3);
-    assert!(!picks.is_empty());
-    let mut worst = [0.0f64; 4];
-    for p in &picks {
-        let eval = harness.evaluate(&bench, p);
-        let (a, d, b, r) = eval.errors();
-        worst[0] = worst[0].max(a);
-        worst[1] = worst[1].max(d);
-        worst[2] = worst[2].max(b);
-        worst[3] = worst[3].max(r);
-    }
+    let table = table3(&mini_harness(), &only(dhdl_apps::DotProduct::new(9_600)), 3);
+    let evals = &table.evals[0];
+    assert!(!evals.is_empty());
     // Loose bound: every error under 30% on a mini run.
-    for (i, w) in worst.iter().enumerate() {
-        assert!(*w < 0.30, "axis {i}: {w}");
+    for eval in evals {
+        for (i, e) in eval.errors().into_iter().enumerate() {
+            assert!(e < 0.30, "axis {i}: {e}");
+        }
     }
-    let _ = PointEval::rel_err(1.0, 1.0);
+    assert!(table.report.text.contains("Average"));
 }
 
 #[test]
 fn mini_table4_ordering_holds() {
     // Our estimator must beat both HLS modes; full must cost more than
-    // restricted — the Table IV ordering, at toy scale.
-    use dhdl_apps::Benchmark as _;
-    let harness = mini_harness();
-    let gda = dhdl_apps::Gda::new(192, 32);
-    let t0 = std::time::Instant::now();
-    for _ in 0..5 {
-        let design = gda.build(&gda.default_params()).unwrap();
-        let _ = harness.estimator.estimate(&design);
-    }
-    let ours = t0.elapsed() / 5;
-    let mut kernel = gda.hls_kernel().unwrap();
-    // Table IV's "full" column pipelines the outer loop (Figure 2's L1).
-    for l in &mut kernel.loops {
-        l.pipeline = true;
-    }
-    let limits = ResourceLimits::default();
-    let restricted = hls_estimate(&kernel, HlsMode::Restricted, &limits);
-    let full = hls_estimate(&kernel, HlsMode::Full, &limits);
+    // restricted — the Table IV ordering, at toy scale, with every point
+    // pipelining the outer loop (Figure 2's L1) as Table IV's "full"
+    // column does.
+    let t = table4(&mini_harness(), &dhdl_apps::Gda::new(192, 32), 5, 5);
     // Full mode completely unrolls the inner loops: a much larger
     // scheduling problem (wall-clock comparisons are too noisy for CI).
     assert!(
-        full.scheduled_ops > restricted.scheduled_ops * 10,
-        "{full:?} vs {restricted:?}"
+        t.full_ops > t.restricted_ops * 10,
+        "{} vs {}",
+        t.full_ops,
+        t.restricted_ops
     );
     assert!(
-        full.elapsed > ours,
-        "full HLS {:?} must cost more than ours {:?}",
-        full.elapsed,
-        ours
+        t.full > t.ours,
+        "full HLS {}s must cost more than ours {}s",
+        t.full,
+        t.ours
     );
 }
 
 #[test]
 fn mini_fig5_scatter_renders() {
-    let harness = mini_harness();
-    let bench = dhdl_apps::BlackScholes::new(4_608);
-    let dse = harness.explore(&bench);
-    let target = &harness.platform.fpga;
-    let pts: Vec<(f64, f64, u8)> = dse
-        .points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let (a, _, _) = p.area.utilization(target);
-            let class = if dse.pareto.contains(&i) {
-                2
-            } else {
-                u8::from(p.valid)
-            };
-            (a, p.cycles, class)
-        })
-        .collect();
-    let plot = ascii_scatter(&pts, 48, 12);
+    let fig = fig5(&mini_harness(), &only(dhdl_apps::BlackScholes::new(4_608)));
+    let plot = &fig.text;
     assert!(plot.contains('#'), "pareto points must render:\n{plot}");
     assert!(plot.lines().count() >= 12);
+    let files: Vec<&str> = fig.files.iter().map(|f| f.0.as_str()).collect();
+    assert_eq!(files, ["fig5_blackscholes.csv", "fig5_summary.csv"]);
+    assert!(fig.files[0].1.lines().count() > 1, "no points in the CSV");
 }
 
 #[test]
 fn mini_fig6_speedup_is_finite_and_positive() {
-    use dhdl_apps::Benchmark as _;
-    let harness = mini_harness();
-    let bench = dhdl_apps::TpchQ6::new(9_600);
-    let dse = harness.explore(&bench);
-    let best = dse.best().expect("valid point");
-    let design = bench.build(&best.params).unwrap();
-    let sim = harness.simulate(&bench, &design);
-    let fpga_s = sim.seconds(&harness.platform);
-    let cpu_s = XeonModel::default().seconds(&bench.work());
-    let speedup = cpu_s / fpga_s;
+    let fig = fig6(&mini_harness(), &only(dhdl_apps::TpchQ6::new(9_600)));
+    let speedup = fig.speedups[0];
     assert!(speedup.is_finite() && speedup > 0.0);
     // At 1/10 scale tpchq6 stays in the same order of magnitude as parity.
     assert!((0.1..=10.0).contains(&speedup), "speedup {speedup}");
@@ -115,34 +74,19 @@ fn mini_fig6_speedup_is_finite_and_positive() {
 
 #[test]
 fn mini_energy_fpga_wins() {
-    use dhdl_apps::Benchmark as _;
-    let harness = mini_harness();
-    let bench = dhdl_apps::BlackScholes::new(4_608);
-    let dse = harness.explore(&bench);
-    let best = dse.best().expect("valid point");
-    let design = bench.build(&best.params).unwrap();
-    let sim = harness.simulate(&bench, &design);
-    let area = dhdl_synth::synthesize(&design, &harness.platform.fpga).area_report();
-    let fpga_j = harness.platform.power.joules(
-        &area,
-        harness.platform.fpga.fabric_clock_hz,
-        sim.seconds(&harness.platform),
-    );
-    let cpu_j = 95.0 * XeonModel::default().seconds(&bench.work());
+    let e = energy(&mini_harness(), &only(dhdl_apps::BlackScholes::new(4_608)));
     assert!(
-        cpu_j / fpga_j > 10.0,
+        e.advantages[0] > 10.0,
         "blackscholes energy advantage should be large: {}",
-        cpu_j / fpga_j
+        e.advantages[0]
     );
 }
 
 #[test]
 fn report_tables_render_for_experiment_shapes() {
-    let mut t = Table::new(&["Benchmark", "value"]);
-    for b in dhdl_apps::all() {
-        t.row(&[b.name().to_string(), b.dataset_desc()]);
-    }
-    let s = t.render();
-    assert_eq!(s.lines().count(), 2 + dhdl_apps::all().len());
-    assert!(t.to_csv().lines().count() == 1 + dhdl_apps::all().len());
+    let suite = dhdl_apps::all();
+    let t = table2(&suite);
+    // Title, blank, header, rule, one row per benchmark, blank, `wrote`.
+    assert_eq!(t.text.lines().count(), 6 + suite.len());
+    assert!(t.files[0].1.lines().count() == 1 + suite.len());
 }

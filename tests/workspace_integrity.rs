@@ -13,6 +13,7 @@
 //! (manifest present, sources gone) that would otherwise surface later
 //! or not at all.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -99,10 +100,10 @@ fn every_path_dependency_in_the_root_manifest_exists() {
         );
         checked += 1;
     }
-    // All 12 dhdl crates plus the 3 vendored dependency subsets.
+    // All 15 dhdl crates plus the 2 vendored dependency subsets.
     assert!(
-        checked >= 15,
-        "expected >= 15 path dependencies, saw {checked}"
+        checked >= 17,
+        "expected >= 17 path dependencies, saw {checked}"
     );
 }
 
@@ -120,4 +121,62 @@ fn the_device_model_crate_is_present() {
             "crates/target/src/{f} missing"
         );
     }
+}
+
+/// Every `DHDL_[A-Z0-9_]+` name in `text` that directly follows `open`
+/// and is directly followed by `close`.
+fn knob_names(text: &str, open: char, close: char, into: &mut BTreeSet<String>) {
+    for (at, _) in text.match_indices("DHDL_") {
+        let name: String = text[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+            .collect();
+        if text[..at].ends_with(open) && text[at + name.len()..].starts_with(close) {
+            into.insert(name);
+        }
+    }
+}
+
+fn rust_sources(dir: &Path, into: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("read source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_sources(&path, into);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            into.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
+    // The property: docs ≡ code. A knob is a `"DHDL_*"` string literal
+    // under `crates/`; a documented knob is a backticked name in the
+    // first cell of a row of README.md's environment table.
+    let root = repo_root();
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let mut read = BTreeSet::new();
+    for path in &sources {
+        knob_names(
+            &fs::read_to_string(path).expect("read source"),
+            '"',
+            '"',
+            &mut read,
+        );
+    }
+    let mut documented = BTreeSet::new();
+    let readme = fs::read_to_string(root.join("README.md")).expect("read README.md");
+    for row in readme.lines().filter(|l| l.starts_with("| `DHDL_")) {
+        let first_cell = row[1..].split('|').next().unwrap_or("");
+        knob_names(first_cell, '`', '`', &mut documented);
+    }
+    assert!(read.len() >= 30, "knob scan found only {read:?}");
+    let undocumented: Vec<_> = read.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&read).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "README.md environment table is out of step with the code: \
+         read but undocumented {undocumented:?}, documented but never read {stale:?}"
+    );
 }
