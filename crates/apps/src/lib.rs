@@ -161,10 +161,10 @@ pub trait Benchmark: Send + Sync {
     /// and the canonical structure of the default-parameter design.
     /// Distinct benchmarks must never share a salt (their identical
     /// parameter assignments would alias in a shared estimate cache),
-    /// and mixing in the default design's [`structural_hash`] retires
-    /// stale memo entries when the metaprogram itself changes shape.
-    /// Every process derives it this way, so a cache warmed by one
-    /// (`dhdl-serve`) is valid for another (an in-process sweep).
+    /// and mixing in the default design's [`structural_hash`] keeps two
+    /// shapes of one metaprogram from sharing memo entries. Every
+    /// caller derives it this way, so a cache filled by served
+    /// `estimate` requests answers a served `sweep` and vice versa.
     fn salt(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write(self.name().as_bytes());

@@ -248,9 +248,7 @@ fn estimate(bench: &dyn Benchmark, rest: &[String]) {
     eprintln!("calibrating estimator...");
     let harness = Harness::new(0xC11, 100);
     let design = bench.build(&p).expect("design builds");
-    // Cached single-point path (results/cache/ answers repeat queries).
-    let est = harness.estimate(&design);
-    harness.flush_cache();
+    let est = harness.estimator.estimate(&design);
     let platform = &harness.platform;
     println!("design:  {} with {p}", design.name());
     println!(

@@ -29,7 +29,7 @@ fn ln_points(r: &DseResult) -> Vec<(f64, f64)> {
 }
 
 /// One exploration run with an explicit budget and strategy on a clone
-/// of the shared harness (same calibrated model, same estimate cache).
+/// of the shared harness (same calibrated model).
 fn run(
     harness: &Harness,
     bench: &dyn Benchmark,
@@ -128,7 +128,7 @@ pub fn dsebench(
         // Curves: the random sweep evaluates in sample order, so its
         // budget-k front is the first k evaluated points; the surrogate
         // result orders points by pool index, so each tick is its own
-        // (deterministic, cache-warm) run at that budget.
+        // (deterministic) run at that budget.
         let random_curve: Vec<(usize, f64)> = rnd_ticks
             .iter()
             .map(|&k| {
@@ -163,7 +163,6 @@ pub fn dsebench(
             surrogate_curve,
         ));
     }
-    harness.flush_cache();
 
     let mut r = Report::default();
     r.say(table.render());

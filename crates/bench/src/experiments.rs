@@ -2,15 +2,10 @@
 //! evaluation of individual design points (estimate + synthesize +
 //! simulate).
 
-use std::sync::Arc;
-
 use dhdl_apps::Benchmark;
 use dhdl_core::{Design, ParamValues};
-use dhdl_dse::{
-    explore, model_fingerprint, spread, CacheMode, CachedModel, CostModel, DseOptions, DseResult,
-    EstimateCache, SearchStrategy,
-};
-use dhdl_estimate::{Estimate, Estimator};
+use dhdl_dse::{explore, spread, DseOptions, DseResult, SearchStrategy};
+use dhdl_estimate::Estimator;
 use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, CompileError, SimResult};
 use dhdl_synth::{design_hash, place_and_route, SynthReport};
 use dhdl_target::{AreaReport, Platform};
@@ -34,13 +29,6 @@ pub struct Harness {
     /// artifact — is byte-identical to a build that never heard of
     /// partitioning.
     pub num_fpgas: u32,
-    /// The shared estimate cache (`DHDL_DSE_CACHE=off` disables it),
-    /// keyed by [`dhdl_core::structural_hash`] and versioned by the
-    /// trained model + target fingerprint.
-    cache: Option<Arc<EstimateCache>>,
-    /// `true` when the cache persists under `results/cache/`
-    /// (`DHDL_DSE_CACHE=disk`, the default).
-    cache_on_disk: bool,
 }
 
 impl Harness {
@@ -57,27 +45,19 @@ impl Harness {
     /// threads, 0 = all cores), `DHDL_DSE_DEADLINE_MS` (wall-clock
     /// budget per sweep), `DHDL_DSE_CHECKPOINT=1` (stream progress
     /// to `results/checkpoints/<bench>.ckpt` so interrupted sweeps
-    /// resume), `DHDL_DSE_CACHE=off|mem|disk` (estimate memoization;
-    /// `disk` — the default — persists under `results/cache/` keyed by
-    /// the trained model's fingerprint, so repeated runs skip
-    /// re-estimating every design they have seen before), and
-    /// `DHDL_DSE_STRATEGY=random|surrogate` (how the sweep spends its
-    /// point budget; see [`SearchStrategy`]), and `DHDL_DSE_NUM_FPGAS`
-    /// (maximum devices for the multi-FPGA partitioning axis; default 1
-    /// keeps sweeps bit-identical to the single-chip toolchain).
+    /// resume), `DHDL_DSE_STRATEGY=random|surrogate` (how the sweep
+    /// spends its point budget; see [`SearchStrategy`]), and
+    /// `DHDL_DSE_NUM_FPGAS` (maximum devices for the multi-FPGA
+    /// partitioning axis; default 1 keeps sweeps bit-identical to the
+    /// single-chip toolchain). Sweeps estimate every point with the bare
+    /// estimator: no experiment revisits enough points in one process
+    /// for [`dhdl_dse::CachedModel`] to pay for its hashing.
     pub fn new(seed: u64, dse_points: usize) -> Self {
         let platform = Platform::maia();
         let estimator = Self::cached_estimator(&platform, seed);
         let threads = knob("DHDL_DSE_THREADS").unwrap_or(0);
         let deadline = knob("DHDL_DSE_DEADLINE_MS").map(std::time::Duration::from_millis);
         let num_fpgas = knob("DHDL_DSE_NUM_FPGAS").unwrap_or(1).max(1);
-        let mode = CacheMode::from_env();
-        let fingerprint = model_fingerprint(&estimator);
-        let cache = match mode {
-            CacheMode::Off => None,
-            CacheMode::Memory => Some(EstimateCache::new(fingerprint)),
-            CacheMode::Disk => Some(EstimateCache::load(&Self::cache_dir(), fingerprint)),
-        };
         Harness {
             platform,
             estimator,
@@ -90,14 +70,7 @@ impl Harness {
                 ..DseOptions::default()
             },
             num_fpgas,
-            cache: cache.map(Arc::new),
-            cache_on_disk: mode == CacheMode::Disk,
         }
-    }
-
-    /// The persistent estimate-cache directory.
-    fn cache_dir() -> std::path::PathBuf {
-        crate::report::results_dir().join("cache")
     }
 
     fn cached_estimator(platform: &Platform, seed: u64) -> Estimator {
@@ -130,12 +103,6 @@ impl Harness {
     pub fn explore(&self, bench: &dyn Benchmark) -> DseResult {
         let _span = dhdl_obs::span_labeled("sweep", bench.name());
         let mut opts = self.dse.clone();
-        if self.cache.is_some() {
-            // Enable the parameter-keyed fast path: warm sweeps answer
-            // repeated assignments without rebuilding or rehashing the
-            // design.
-            opts.cache_salt = Some(bench.salt());
-        }
         if std::env::var("DHDL_DSE_CHECKPOINT").is_ok_and(|v| v != "0" && !v.is_empty()) {
             opts.checkpoint = Some(
                 crate::report::results_dir()
@@ -151,15 +118,7 @@ impl Harness {
             // estimation time, not construction time).
             space.devices(u64::from(self.num_fpgas));
         }
-        let result = match &self.cache {
-            Some(cache) => {
-                let model = CachedModel::new(&self.estimator, cache.as_ref());
-                let result = explore(build, &space, &model, &opts);
-                self.flush_cache();
-                result
-            }
-            None => explore(build, &space, &self.estimator, &opts),
-        };
+        let result = explore(build, &space, &self.estimator, &opts);
         if result.truncated {
             eprintln!(
                 "warning: {} sweep truncated by deadline ({} of {} points skipped); \
@@ -170,34 +129,6 @@ impl Harness {
             );
         }
         result
-    }
-
-    /// Estimate one design through the shared cache (identical to
-    /// `self.estimator.estimate`, memoized). Callers that issue many
-    /// single-point estimates should [`Harness::flush_cache`] when done.
-    pub fn estimate(&self, design: &Design) -> Estimate {
-        match &self.cache {
-            Some(cache) => CachedModel::new(&self.estimator, cache.as_ref()).estimate(design),
-            None => self.estimator.estimate(design),
-        }
-    }
-
-    /// Persist the estimate cache under `results/cache/` (no-op unless
-    /// running in the default `DHDL_DSE_CACHE=disk` mode).
-    pub fn flush_cache(&self) {
-        if !self.cache_on_disk {
-            return;
-        }
-        if let Some(cache) = &self.cache {
-            if let Err(e) = cache.save(&Self::cache_dir()) {
-                eprintln!("warning: could not persist estimate cache: {e}");
-            }
-        }
-    }
-
-    /// Counters of the shared estimate cache, when one is enabled.
-    pub fn cache_stats(&self) -> Option<dhdl_dse::CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// The benchmark's input arrays as simulator bindings.
@@ -361,15 +292,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_estimate_matches_direct_estimator() {
+    fn shared_netlist_evaluation_matches_synthesize() {
         let h = Harness::new(3, 20);
         let bench = DotProduct::new(1_920);
         let design = bench.build(&bench.default_params()).unwrap();
-        let direct = h.estimator.estimate(&design);
-        // Twice: the second call is a cache hit (when caching is on) and
-        // must be bit-identical either way.
-        assert_eq!(h.estimate(&design), direct);
-        assert_eq!(h.estimate(&design), direct);
         // The shared-netlist evaluation path equals the per-call one.
         let net = h.estimator.elaborate(&design);
         assert_eq!(

@@ -19,8 +19,8 @@
 use std::fmt::Write as _;
 
 use dhdl_apps::{Benchmark, Conv2d, Gda, Gemm};
-use dhdl_core::{ParamSpace, NUM_FPGAS};
-use dhdl_dse::{explore, DseOptions, DseResult};
+use dhdl_core::ParamSpace;
+use dhdl_dse::{device_count, explore, DseOptions, DseResult};
 
 use crate::experiments::Harness;
 use crate::report::{pct, Report, Table};
@@ -151,7 +151,7 @@ fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult) -> Run {
     let mut rescued = Vec::new();
     let mut rescued_total = 0usize;
     for (i, p) in dse.points.iter().enumerate() {
-        let devices = p.params.get(NUM_FPGAS).unwrap_or(1) as u32;
+        let devices = device_count(&p.params);
         if !p.valid || devices <= 1 {
             continue;
         }
@@ -257,7 +257,7 @@ fn json(seed: u64, points: usize, records: &[(String, String, u128, Vec<Run>)]) 
 }
 
 /// Sweep each of `scenarios` at K=1, 2 and 4 with the harness's budget,
-/// seed and thread count (uncached: every point is estimated afresh).
+/// seed and thread count.
 pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
     let points = harness.dse.max_points;
     let mut r = Report::default();

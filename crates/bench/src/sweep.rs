@@ -67,14 +67,13 @@ pub fn sweep(harness: &Harness, bench: &dyn Benchmark, param: &str) -> Result<Re
             continue;
         };
         evaluated += 1;
-        // Cached path: repeated sweeps answer from results/cache/.
         let est = if multi {
             harness
                 .estimator
                 .estimate_partitioned(&design, value.clamp(1, u64::from(u32::MAX)) as u32)
                 .estimate
         } else {
-            harness.estimate(&design)
+            harness.estimator.estimate(&design)
         };
         t.row(&[
             value.to_string(),
@@ -94,17 +93,10 @@ pub fn sweep(harness: &Harness, bench: &dyn Benchmark, param: &str) -> Result<Re
         bench.default_params()
     ));
     r.say(t.render());
-    harness.flush_cache();
     // Point-loss accounting, mirroring the resilient runner's counters.
     r.say(format_args!(
         "sweep outcomes: {evaluated} evaluated, {build_failed} build-failed"
     ));
-    if let Some(c) = harness.cache_stats() {
-        r.say(format_args!(
-            "estimate cache: {} hits / {} misses ({} entries)",
-            c.hits, c.misses, c.entries
-        ));
-    }
     r.wrote(&format!("sweep_{}_{param}.csv", bench.name()), t.to_csv());
     Ok(r)
 }

@@ -288,7 +288,7 @@ impl Conformance {
         // path depends on this).
         let net = self.estimator.elaborate(design);
         let via_net = self.estimator.estimate_net(design, &net);
-        if !estimates_bit_equal(&est, &via_net) {
+        if est.to_bits() != via_net.to_bits() {
             v.push(Violation {
                 invariant: "skeleton-recost",
                 detail: "estimate(d) != estimate_net(d, elaborate(d)) bitwise".to_string(),
@@ -441,7 +441,7 @@ impl Conformance {
         // guaranteed hit. All paths must be bit-identical to uncached.
         let first = cm.estimate(design);
         let second = cm.estimate(design);
-        if !estimates_bit_equal(&direct, &first) || !estimates_bit_equal(&direct, &second) {
+        if direct.to_bits() != first.to_bits() || direct.to_bits() != second.to_bits() {
             v.push(Violation {
                 invariant: "cache-transparency",
                 detail: format!(
@@ -697,17 +697,8 @@ pub(crate) fn compare_bits(result: &SimResult, expected: &[f64], v: &mut Vec<Vio
 }
 
 fn estimate_is_sane(est: &Estimate) -> bool {
-    est.cycles.is_finite()
+    let a = &est.area;
+    est.is_finite()
         && est.cycles > 0.0
-        && [est.area.alms, est.area.regs, est.area.dsps, est.area.brams]
-            .iter()
-            .all(|x| x.is_finite() && *x >= 0.0)
-}
-
-fn estimates_bit_equal(a: &Estimate, b: &Estimate) -> bool {
-    a.cycles.to_bits() == b.cycles.to_bits()
-        && a.area.alms.to_bits() == b.area.alms.to_bits()
-        && a.area.regs.to_bits() == b.area.regs.to_bits()
-        && a.area.dsps.to_bits() == b.area.dsps.to_bits()
-        && a.area.brams.to_bits() == b.area.brams.to_bits()
+        && [a.alms, a.regs, a.dsps, a.brams].iter().all(|x| *x >= 0.0)
 }

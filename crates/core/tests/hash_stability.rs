@@ -1,13 +1,12 @@
 //! Golden-value regression tests for [`dhdl_core::structural_hash`].
 //!
-//! The structural hash keys on-disk estimate caches (`results/cache/`)
-//! and recorded fault-injection schedules. If its word stream ever
-//! changes — a field hashed in a different order, a renumbered template
-//! tag, a reordered `PrimOp` — previously cached artifacts would
-//! silently stop matching. These tests pin exact hash values for fixed
-//! designs so any such drift fails loudly; if one fails, either revert
-//! the change or bump the cache format version (`FORMAT_VERSION` in
-//! `crates/dse/src/cache.rs`) *and* these golden values together.
+//! The structural hash keys the estimate cache and recorded
+//! fault-injection schedules. If its word stream ever changes — a field
+//! hashed in a different order, a renumbered template tag, a reordered
+//! `PrimOp` — recorded schedules would silently stop matching. These
+//! tests pin exact hash values for fixed designs so any such drift fails
+//! loudly; if one fails, either revert the change or update these golden
+//! values and the schedules together.
 
 use dhdl_core::{by, structural_hash, DType, DesignBuilder, ReduceOp};
 

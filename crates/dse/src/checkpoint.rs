@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use dhdl_core::{ParamSpace, ParamValues};
-use dhdl_target::AreaReport;
+use dhdl_estimate::Estimate;
 
 use crate::runner::{DseError, PointOutcome};
 use crate::search::{DesignPoint, DseOptions};
@@ -267,14 +267,15 @@ fn record_line(index: usize, outcome: &PointOutcome, param_names: &[String]) -> 
                         .map_or("-".to_string(), |v| v.to_string())
                 })
                 .collect();
+            let [cycles, alms, regs, dsps, brams] = Estimate {
+                cycles: point.cycles,
+                area: point.area,
+            }
+            .to_bits();
             format!(
-                "P {index} {attempts} {} {:016x} {:016x} {:016x} {:016x} {:016x} {}\n",
+                "P {index} {attempts} {} {cycles:016x} {alms:016x} {regs:016x} {dsps:016x} \
+                 {brams:016x} {}\n",
                 u8::from(point.valid),
-                point.cycles.to_bits(),
-                point.area.alms.to_bits(),
-                point.area.regs.to_bits(),
-                point.area.dsps.to_bits(),
-                point.area.brams.to_bits(),
                 values.join(" ")
             )
         }
@@ -331,18 +332,11 @@ fn parse_record(line: &str, param_names: &[String]) -> Option<Record> {
                 "1" => true,
                 _ => return None,
             };
-            let mut bits = || -> Option<f64> {
-                Some(f64::from_bits(
-                    u64::from_str_radix(fields.next()?, 16).ok()?,
-                ))
-            };
-            let cycles = bits()?;
-            let area = AreaReport {
-                alms: bits()?,
-                regs: bits()?,
-                dsps: bits()?,
-                brams: bits()?,
-            };
+            let mut bits = [0u64; 5];
+            for b in &mut bits {
+                *b = u64::from_str_radix(fields.next()?, 16).ok()?;
+            }
+            let Estimate { cycles, area } = Estimate::from_bits(bits);
             let mut params = ParamValues::new();
             for name in param_names {
                 let raw = fields.next()?;
@@ -404,6 +398,7 @@ fn flatten(msg: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhdl_target::AreaReport;
 
     fn names() -> Vec<String> {
         vec!["par".to_string(), "tile".to_string()]

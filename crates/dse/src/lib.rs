@@ -26,12 +26,11 @@
 //!
 //! Estimates are memoizable: [`CachedModel`] wraps any [`CostModel`]
 //! with a sharded [`EstimateCache`] keyed by the canonical
-//! [`dhdl_core::structural_hash`], optionally persisted under
-//! `results/cache/` and versioned by [`model_fingerprint`]. A second,
-//! parameter-keyed memo level ([`params_key`], enabled per sweep via
+//! [`dhdl_core::structural_hash`], in memory for the life of the
+//! process. A second, parameter-keyed memo level ([`params_key`], enabled per sweep via
 //! [`DseOptions::cache_salt`]) lets warm sweeps skip design construction
 //! and hashing outright — the warm fast path. Sweeps are bit-identical
-//! with the cache off, on, or pre-warmed; per-sweep timing, throughput
+//! with the cache off, cold or warm; per-sweep timing, throughput
 //! and hit rates surface in [`DseResult::stats`].
 //!
 //! ```no_run
@@ -63,13 +62,13 @@ mod space;
 mod surrogate;
 
 pub use cache::{
-    devices_key, model_fingerprint, params_key, CacheMode, CacheStats, CachedModel, EstimateCache,
+    devices_key, model_fingerprint, params_key, CacheStats, CachedModel, EstimateCache,
 };
 pub use checkpoint::Checkpoint;
 pub use fault::{with_silent_panics, FaultConfig, FaultInjector, FaultPlan, InjectionCounts};
 pub use objectives::{frontier_along, perf_per_area, rank_by_perf_per_area, ResourceAxis};
 pub use pareto::{pareto_front, spread};
-pub use runner::{CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
+pub use runner::{device_count, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
 pub use search::{
     evaluate_all, explore, refine, DesignPoint, DseOptions, DseResult, SearchStrategy,
     SurrogateConfig,

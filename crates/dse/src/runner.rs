@@ -491,13 +491,10 @@ where
     let params_key = opts
         .cache_salt
         .map(|salt| crate::cache::params_key(salt, params));
-    // The device count is an ordinary parameter of the assignment
-    // (`num_fpgas`, absent on single-chip spaces), so it is already part
-    // of `params_key` — the warm fast path below distinguishes device
-    // counts for free.
-    let devices = params
-        .get(dhdl_core::NUM_FPGAS)
-        .map_or(1, |v| v.clamp(1, u64::from(u32::MAX)) as u32);
+    // The device count is an ordinary parameter of the assignment, so it
+    // is already part of `params_key` — the warm fast path below
+    // distinguishes device counts for free.
+    let devices = device_count(params);
     if let Some(pk) = params_key {
         if let Some(est) = estimator.lookup_params(pk) {
             let valid = est.area.fits(&estimator.platform().fpga);
@@ -528,7 +525,7 @@ where
                 };
             }
             let est = estimator.estimate_devices(params_key, &design, devices);
-            if !estimate_is_finite(&est) {
+            if !est.is_finite() {
                 return Attempt::NonFinite;
             }
             let valid = est.area.fits(&estimator.platform().fpga);
@@ -568,12 +565,15 @@ where
     }
 }
 
-fn estimate_is_finite(est: &Estimate) -> bool {
-    est.cycles.is_finite()
-        && est.area.alms.is_finite()
-        && est.area.regs.is_finite()
-        && est.area.dsps.is_finite()
-        && est.area.brams.is_finite()
+/// The number of devices a parameter assignment asks for: its
+/// [`dhdl_core::NUM_FPGAS`] value, or 1 on single-chip spaces, which do
+/// not carry the parameter. Everything that estimates an assignment
+/// passes this to [`CostModel::estimate_devices`], so one assignment
+/// means one estimate whoever asks.
+pub fn device_count(params: &ParamValues) -> u32 {
+    params
+        .get(dhdl_core::NUM_FPGAS)
+        .map_or(1, |v| v.clamp(1, u64::from(u32::MAX)) as u32)
 }
 
 /// Size in bits of the largest local memory exceeding `cap_bits`, if any.

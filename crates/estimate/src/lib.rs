@@ -59,6 +59,45 @@ pub struct Estimate {
 }
 
 impl Estimate {
+    /// Whether every field is finite. The sweep runner retries a
+    /// non-finite estimate as a transient fault and the estimate cache
+    /// refuses to hold one.
+    pub fn is_finite(&self) -> bool {
+        let a = &self.area;
+        [self.cycles, a.alms, a.regs, a.dsps, a.brams]
+            .iter()
+            .all(|v| v.is_finite())
+    }
+
+    /// The IEEE-754 bit patterns of the five fields in the order every
+    /// text format writes them: cycles, alms, regs, dsps, brams. Two
+    /// estimates are "the same bits" exactly when these arrays are equal
+    /// (unlike `==`, which equates `0.0` with `-0.0` and no NaN with
+    /// itself).
+    pub fn to_bits(&self) -> [u64; 5] {
+        [
+            self.cycles.to_bits(),
+            self.area.alms.to_bits(),
+            self.area.regs.to_bits(),
+            self.area.dsps.to_bits(),
+            self.area.brams.to_bits(),
+        ]
+    }
+
+    /// The inverse of [`Estimate::to_bits`].
+    pub fn from_bits(bits: [u64; 5]) -> Self {
+        let [cycles, alms, regs, dsps, brams] = bits.map(f64::from_bits);
+        Estimate {
+            cycles,
+            area: AreaReport {
+                alms,
+                regs,
+                dsps,
+                brams,
+            },
+        }
+    }
+
     /// Estimated wall-clock runtime on `platform`.
     pub fn seconds(&self, platform: &Platform) -> f64 {
         platform.cycles_to_seconds(self.cycles)
@@ -232,6 +271,27 @@ mod tests {
         assert_eq!(est.estimate(&d).area, est.area(&d));
         assert_eq!(est.estimate(&d).cycles, est.cycles(&d));
         assert_eq!(est.raw_area_net(&net), est.raw_area(&d));
+    }
+
+    #[test]
+    fn bits_round_trip_in_format_order_and_finiteness_covers_every_field() {
+        let e = Estimate::from_bits([1.5f64, 2.0, -0.0, 4.0, 5.0].map(f64::to_bits));
+        assert_eq!((e.cycles, e.area.alms), (1.5, 2.0));
+        assert_eq!((e.area.dsps, e.area.brams), (4.0, 5.0));
+        assert_eq!(Estimate::from_bits(e.to_bits()).to_bits(), e.to_bits());
+        // `==` cannot tell the zeros apart; the bits can.
+        let mut pos = e;
+        pos.area.regs = 0.0;
+        assert_eq!(pos, e);
+        assert_ne!(pos.to_bits(), e.to_bits());
+        assert!(e.is_finite());
+        for field in 0..5 {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut bits = e.to_bits();
+                bits[field] = bad.to_bits();
+                assert!(!Estimate::from_bits(bits).is_finite());
+            }
+        }
     }
 
     #[test]

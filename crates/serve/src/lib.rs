@@ -28,7 +28,7 @@
 //!   down; the chaos suite drives both at once and asserts recovery to
 //!   bit-identical results;
 //! * [`signal`] — SIGTERM/SIGINT drain: stop accepting, finish or
-//!   checkpoint in-flight sweeps, flush the cache and obs sinks, exit 0.
+//!   checkpoint in-flight sweeps, flush the obs sinks, exit 0.
 //!
 //! Binaries: `dhdl-serve` (the server) and `dhdl-loadgen` (a
 //! Zipf-skewed mixed-benchmark load generator measuring p50/p99, used

@@ -156,7 +156,7 @@ pub enum Op {
         num_fpgas: Option<u32>,
     },
     /// Begin graceful drain (stop accepting, finish in-flight work,
-    /// flush caches, exit).
+    /// exit).
     Shutdown,
 }
 

@@ -26,7 +26,7 @@
 //! Drain (SIGTERM, SIGINT, or the `shutdown` op) stops the accept loop,
 //! rejects new work with `draining`, lets in-flight connections finish
 //! (bounded by their read timeouts and sweep deadlines), then flushes
-//! the estimate cache and obs sinks before returning.
+//! the obs sinks before returning.
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,8 +38,8 @@ use std::time::{Duration, Instant};
 use dhdl_apps::Benchmark;
 use dhdl_core::{structural_hash, Fnv64, ParamValues};
 use dhdl_dse::{
-    explore, model_fingerprint, params_key, with_silent_panics, CachedModel, CostModel, DseOptions,
-    EstimateCache, FaultConfig, FaultInjector, LegalSpace, SearchStrategy,
+    device_count, explore, model_fingerprint, params_key, with_silent_panics, CachedModel,
+    CostModel, DseOptions, EstimateCache, FaultConfig, FaultInjector, LegalSpace, SearchStrategy,
 };
 use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
@@ -88,9 +88,6 @@ pub struct ServerConfig {
     /// Directory for idempotency-key checkpoints
     /// (`DHDL_SERVE_CKPT_DIR`).
     pub checkpoint_dir: PathBuf,
-    /// When set, the estimate cache loads from and flushes to this
-    /// directory (`DHDL_SERVE_CACHE_DIR`).
-    pub cache_dir: Option<PathBuf>,
     /// Estimator calibration sample count (kept small so startup is
     /// fast; calibration is deterministic in the seed).
     pub calib_samples: usize,
@@ -113,7 +110,6 @@ impl Default for ServerConfig {
             sweep_threads: 0,
             default_deadline: None,
             checkpoint_dir: std::env::temp_dir().join("dhdl-serve-ckpt"),
-            cache_dir: None,
             calib_samples: 20,
             calib_seed: 7,
         }
@@ -159,9 +155,6 @@ impl ServerConfig {
         }
         if let Some(v) = get("DHDL_SERVE_CKPT_DIR") {
             cfg.checkpoint_dir = PathBuf::from(v);
-        }
-        if let Some(v) = get("DHDL_SERVE_CACHE_DIR") {
-            cfg.cache_dir = Some(PathBuf::from(v));
         }
         cfg.chaos = ChaosConfig::from_env();
         if let Some(v) = get("DHDL_SERVE_FAULTS") {
@@ -273,8 +266,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Calibrate the estimator, load (or create) the estimate cache, and
-    /// bind the listen socket.
+    /// Calibrate the estimator, create the estimate cache, and bind the
+    /// listen socket.
     ///
     /// # Errors
     ///
@@ -283,11 +276,7 @@ impl Server {
         let _span = dhdl_obs::span!("serve.bind");
         let estimator =
             Estimator::calibrate_with(&Platform::maia(), cfg.calib_samples, cfg.calib_seed).0;
-        let fp = model_fingerprint(&estimator);
-        let cache = match &cfg.cache_dir {
-            Some(dir) => EstimateCache::load(dir, fp),
-            None => EstimateCache::new(fp),
-        };
+        let cache = EstimateCache::new(model_fingerprint(&estimator));
         let _ = std::fs::create_dir_all(&cfg.checkpoint_dir);
         let listener = TcpListener::bind(&cfg.addr)?;
         let admission = Admission::new(cfg.admission);
@@ -338,7 +327,7 @@ impl Server {
 
     /// Serve until drain is requested (SIGTERM/SIGINT, or a `shutdown`
     /// op), then drain gracefully: stop accepting, let in-flight
-    /// connections finish, flush the cache and obs sinks.
+    /// connections finish, flush the obs sinks.
     ///
     /// # Errors
     ///
@@ -367,15 +356,10 @@ impl Server {
             conns.retain(|h| !h.is_finished());
         }
         // Drain: reject new work, let in-flight connections wind down
-        // (bounded by read timeouts and sweep deadlines), then flush.
+        // (bounded by read timeouts and sweep deadlines).
         self.state.admission.drain();
         for h in conns {
             let _ = h.join();
-        }
-        if let Some(dir) = &self.state.cfg.cache_dir {
-            if let Err(e) = self.state.cache.save(dir) {
-                eprintln!("warning: estimate cache flush failed: {e}");
-            }
         }
         let _ = dhdl_obs::finish("serve");
         Ok(())
@@ -718,7 +702,7 @@ fn handle_estimate(
         Ok(d) => d,
         Err(e) => return Reply::error("bad_params", format!("design does not build: {e}")),
     };
-    let est = model.estimate_keyed(Some(pk), &design);
+    let est = model.estimate_devices(Some(pk), &design, device_count(params));
     if dhdl_obs::enabled() {
         dhdl_obs::histogram!("serve.estimate.miss.us")
             .record(received.elapsed().as_micros() as u64);

@@ -5,8 +5,8 @@
 
 use std::time::Duration;
 
-use dhdl_dse::{explore, DesignPoint, DseOptions};
-use dhdl_estimate::Estimator;
+use dhdl_dse::{device_count, explore, DesignPoint, DseOptions};
+use dhdl_estimate::{Estimate, Estimator};
 use dhdl_serve::json::Json;
 use dhdl_serve::{
     parse_faults, ChaosConfig, Client, Op, Request, RetryPolicy, Server, ServerConfig,
@@ -234,6 +234,87 @@ fn deadline_truncates_and_idempotent_retry_resumes() {
     assert_eq!(
         resp.get("code").and_then(Json::as_str),
         Some("deadline_exceeded")
+    );
+
+    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
+    drop(client);
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
+#[test]
+fn estimates_of_multi_device_points_do_not_poison_later_sweeps() {
+    const BENCH: &str = "blackscholes";
+    const POINTS: usize = 120;
+    const K: u32 = 4;
+
+    let bench = dhdl_apps::by_name(BENCH).unwrap();
+    let mut space = bench.param_space();
+    space.devices(u64::from(K));
+    let opts = DseOptions {
+        max_points: POINTS,
+        seed: 1,
+        ..DseOptions::default()
+    };
+    let reference = explore(|p| bench.build(p), &space, &estimator(), &opts);
+    let multi: Vec<&DesignPoint> = reference
+        .points
+        .iter()
+        .filter(|p| device_count(&p.params) > 1)
+        .collect();
+    assert!(!multi.is_empty(), "the sweep reached no multi-device point");
+
+    let ckpt_dir = temp_dir("devices-ckpt");
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        checkpoint_dir: ckpt_dir.clone(),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = Server::spawn(cfg).unwrap();
+    let mut client =
+        Client::new(addr, RetryPolicy::default()).with_timeout(Duration::from_secs(60));
+
+    // Asked for as a single estimate, a multi-device point answers with
+    // the sweep's bits ...
+    for p in multi {
+        let resp = client
+            .request_ok(&Request::new(Op::Estimate {
+                bench: BENCH.to_string(),
+                params: p.params.clone(),
+            }))
+            .unwrap();
+        let want = Estimate {
+            cycles: p.cycles,
+            area: p.area,
+        };
+        for (field, bits) in ["cycles", "alms", "regs", "dsps", "brams"]
+            .into_iter()
+            .zip(want.to_bits())
+        {
+            assert_eq!(
+                resp.get(field).and_then(Json::as_str),
+                Some(format!("{bits:016x}").as_str()),
+                "estimate of {} disagrees with the sweep on {field}",
+                p.params
+            );
+        }
+    }
+    // ... and the memo entries those requests left behind are the
+    // sweep's too.
+    let resp = client
+        .request_ok(&Request::new(Op::Sweep {
+            bench: BENCH.to_string(),
+            points: POINTS,
+            seed: 1,
+            strategy: None,
+            num_fpgas: Some(K),
+        }))
+        .unwrap();
+    let (points, pareto) = parse_sweep(&resp);
+    assert_eq!(
+        sweep_csv(&points, &pareto),
+        sweep_csv(&reference.points, &reference.pareto),
+        "a sweep after estimate requests must equal the in-process run"
     );
 
     client.request_ok(&Request::new(Op::Shutdown)).unwrap();

@@ -103,13 +103,11 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
 }
 
 #[test]
-fn saturation_serves_warm_cache_hits_degraded_and_drain_flushes() {
+fn saturation_serves_warm_cache_hits_degraded() {
     let ckpt_dir = temp_dir("degraded-ckpt");
-    let cache_dir = temp_dir("degraded-cache");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         checkpoint_dir: ckpt_dir.clone(),
-        cache_dir: Some(cache_dir.clone()),
         ..ServerConfig::default()
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
@@ -155,18 +153,8 @@ fn saturation_serves_warm_cache_hits_degraded_and_drain_flushes() {
         other => panic!("cold estimate during drain must be rejected, got {other:?}"),
     }
 
-    // Drain completes cleanly and flushes the estimate cache to disk.
+    // Drain completes cleanly.
     drop(client);
     handle.join().unwrap().unwrap();
-    let files: Vec<_> = std::fs::read_dir(&cache_dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    assert!(
-        files.iter().any(|f| f.starts_with("estimates_")),
-        "drain must flush the estimate cache, found {files:?}"
-    );
     let _ = std::fs::remove_dir_all(&ckpt_dir);
-    let _ = std::fs::remove_dir_all(&cache_dir);
 }

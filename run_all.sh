@@ -9,14 +9,6 @@ set -euo pipefail
 # DHDL_DSE_THREADS=<n> to pin the sweep worker count.
 export DHDL_DSE_CHECKPOINT="${DHDL_DSE_CHECKPOINT:-1}"
 
-# Memoize design-point estimates under results/cache/ (keyed by the
-# trained model's fingerprint): re-runs answer every previously seen
-# design from the cache and skip rebuilding it entirely, so a repeated
-# invocation of this script sweeps orders of magnitude faster. Set
-# DHDL_DSE_CACHE=mem for in-process-only caching or =off to disable;
-# delete results/cache/ to force cold re-estimation.
-export DHDL_DSE_CACHE="${DHDL_DSE_CACHE:-disk}"
-
 # Observability: DHDL_OBS=summary prints a span/counter table per
 # experiment, =json writes results/obs/<experiment>.obs.json, =chrome
 # writes results/obs/<experiment>.trace.json (load in chrome://tracing
