@@ -71,7 +71,7 @@ impl Benchmark for Attention {
     }
 
     fn default_params(&self) -> ParamValues {
-        let tr = if self.n.is_multiple_of(8) { 8 } else { 1 };
+        let tr = if self.n % 8 == 0 { 8 } else { 1 };
         ParamValues::new()
             .with("tr", tr)
             .with("pa", 2)

@@ -134,14 +134,7 @@ impl Benchmark for BlackScholes {
 
     fn default_params(&self) -> ParamValues {
         ParamValues::new()
-            .with(
-                "ts",
-                if self.n.is_multiple_of(1536) {
-                    1536
-                } else {
-                    96
-                },
-            )
+            .with("ts", if self.n % 1536 == 0 { 1536 } else { 96 })
             .with("ip", 2)
             .with("mp", 1)
     }

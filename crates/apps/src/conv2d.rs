@@ -85,11 +85,11 @@ impl Benchmark for Conv2d {
 
     fn default_params(&self) -> ParamValues {
         let hout = self.out_size();
-        let th = if hout.is_multiple_of(8) { 8 } else { 1 };
+        let th = if hout % 8 == 0 { 8 } else { 1 };
         ParamValues::new()
             .with("th", th)
             .with("pc", 1)
-            .with("pj", if hout.is_multiple_of(2) { 2 } else { 1 })
+            .with("pj", if hout % 2 == 0 { 2 } else { 1 })
             .with("mp", 1)
             .with("mpc", 0)
     }

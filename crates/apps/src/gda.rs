@@ -72,14 +72,7 @@ impl Benchmark for Gda {
 
     fn default_params(&self) -> ParamValues {
         ParamValues::new()
-            .with(
-                "rts",
-                if self.r.is_multiple_of(96) {
-                    96
-                } else {
-                    4.min(self.r)
-                },
-            )
+            .with("rts", if self.r % 96 == 0 { 96 } else { 4.min(self.r) })
             .with("p1", 4.min(self.d))
             .with("p2", 4.min(self.d))
             .with("m2p", 1)

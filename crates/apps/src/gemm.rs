@@ -74,7 +74,7 @@ impl Benchmark for Gemm {
     }
 
     fn default_params(&self) -> ParamValues {
-        let t = |d: u64| if d.is_multiple_of(48) { 48 } else { 8.min(d) };
+        let t = |d: u64| if d % 48 == 0 { 48 } else { 8.min(d) };
         ParamValues::new()
             .with("tm", t(self.m))
             .with("tn", t(self.n))

@@ -95,7 +95,7 @@ impl Benchmark for KMeans {
         ParamValues::new()
             .with(
                 "pts",
-                if self.points.is_multiple_of(96) {
+                if self.points % 96 == 0 {
                     96
                 } else {
                     8.min(self.points)

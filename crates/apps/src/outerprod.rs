@@ -67,11 +67,7 @@ impl Benchmark for OuterProduct {
     }
 
     fn default_params(&self) -> ParamValues {
-        let t = if self.n.is_multiple_of(96) {
-            96
-        } else {
-            32.min(self.n)
-        };
+        let t = if self.n % 96 == 0 { 96 } else { 32.min(self.n) };
         ParamValues::new()
             .with("ts1", t)
             .with("ts2", t)

@@ -60,14 +60,7 @@ impl Benchmark for Saxpy {
 
     fn default_params(&self) -> ParamValues {
         ParamValues::new()
-            .with(
-                "ts",
-                if self.n.is_multiple_of(1536) {
-                    1536
-                } else {
-                    96
-                },
-            )
+            .with("ts", if self.n % 1536 == 0 { 1536 } else { 96 })
             .with("ip", 4)
             .with("mp", 1)
     }

@@ -78,14 +78,7 @@ impl Benchmark for TpchQ6 {
 
     fn default_params(&self) -> ParamValues {
         ParamValues::new()
-            .with(
-                "ts",
-                if self.n.is_multiple_of(1536) {
-                    1536
-                } else {
-                    96
-                },
-            )
+            .with("ts", if self.n % 1536 == 0 { 1536 } else { 96 })
             .with("ip", 8)
             .with("op", 1)
             .with("mp", 1)

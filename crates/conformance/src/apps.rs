@@ -96,6 +96,7 @@ impl Conformance {
                     .filter_map(|p| bench.build(p).ok())
                     .find(|d| shape_hash(d) == shape_hash(&design) && *d != design);
                 self.check_latency_plan(&design, sibling.as_ref(), &mut v);
+                self.check_finish_analyses(&design, &mut v);
                 let mut bindings = Bindings::new();
                 for (k, data) in bench.inputs() {
                     bindings = bindings.bind(&k, data);

@@ -221,6 +221,14 @@ fn main() -> ExitCode {
         println!("FAIL latency-plan: no planned design had competing transfers");
         total_violations += 1;
     }
+    // Likewise `finish-analyses`: every verdict the three rules can
+    // reach must have been compared at least once.
+    let finish = conf.finish_coverage();
+    println!("finish-analyses: {finish}");
+    if finish.designs > 0 && !finish.is_complete() {
+        println!("FAIL finish-analyses: a verdict was never compared");
+        total_violations += 1;
+    }
     println!("violations: {total_violations}");
     eprintln!("dhdl-fuzz: done in {:.1}s", start.elapsed().as_secs_f64());
     dhdl_obs::finish("dhdl-fuzz");

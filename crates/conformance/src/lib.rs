@@ -8,7 +8,9 @@
 //!   bit-for-bit, plus `patterns`-level interpreter and `dhdl-cpu`
 //!   kernel differentials where a reference exists.
 //! - **Structural**: full `elaborate` vs. skeleton+recost netlists,
-//!   `structural_hash`/serialize round-trip stability.
+//!   `structural_hash`/serialize round-trip stability, and the banking
+//!   and double-buffering `finish()` infers vs. their set-based
+//!   definitions.
 //! - **Model**: estimator finiteness, monotonicity-in-parallelism,
 //!   capacity bounds vs. `dhdl-synth`, and `EstimateCache`
 //!   hit-equals-miss bit-identity.
@@ -26,6 +28,7 @@
 pub mod apps;
 pub mod corpus;
 pub mod dnn;
+pub mod finish;
 pub mod gen;
 pub mod oracle;
 pub mod patgen;
@@ -33,6 +36,7 @@ pub mod shrink;
 
 pub use corpus::{CaseKind, CorpusCase};
 pub use dnn::{generate_dnn, DnnKind, DnnSpec};
+pub use finish::FinishCoverage;
 pub use gen::{generate, DesignSpec, MapStep, Operand};
 pub use oracle::{Conformance, Violation};
 pub use patgen::{generate_pattern, PatternSpec};

@@ -8,6 +8,7 @@
 //! | `build`              | the spec instantiates through `DesignBuilder`      |
 //! | `rebuild-hash`       | rebuilding yields the same `structural_hash`       |
 //! | `serialize-roundtrip`| `to_text`/`from_text` is a stable fixpoint         |
+//! | `finish-analyses`    | banks, interleaving and double-buffering as `finish()` set them == the set-based definitions (`finish.rs`) |
 //! | `sim-vs-reference`   | simulator output == plain-Rust reference, bitwise  |
 //! | `sim-determinism`    | two simulator runs are bit-identical               |
 //! | `backend-differential`| tape-compiled backend == interpreter, bitwise     |
@@ -22,6 +23,7 @@
 //! | `partition-sim`      | a forced cut keeps outputs bitwise and adds exactly the link cycles, on both backends |
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use dhdl_core::{serialize, shape_hash, structural_hash, Design, ParamSpace, ParamValues};
 use dhdl_dse::{model_fingerprint, CachedModel, CostModel, EstimateCache};
@@ -34,6 +36,7 @@ use dhdl_synth::partition::{util_proxy, FIT_MARGIN};
 use dhdl_synth::{elaborate, elaborate_with, partition, synthesize, Skeleton};
 use dhdl_target::{AreaReport, FpgaTarget, MultiFpgaPlatform, Platform};
 
+use crate::finish::FinishCoverage;
 use crate::gen::DesignSpec;
 
 /// Calibration sample count for the shared estimator. Small enough to
@@ -72,6 +75,8 @@ pub struct Conformance {
     /// Of those, designs in which at least two transfers compete for the
     /// channel.
     contended: AtomicU64,
+    /// What `finish-analyses` compared.
+    pub(crate) finish: Mutex<FinishCoverage>,
 }
 
 impl Default for Conformance {
@@ -93,6 +98,7 @@ impl Conformance {
             cache,
             planned: AtomicU64::new(0),
             contended: AtomicU64::new(0),
+            finish: Mutex::default(),
         }
     }
 
@@ -144,6 +150,7 @@ impl Conformance {
         rebuilt: dhdl_core::Result<Design>,
         v: &mut Vec<Violation>,
     ) {
+        self.check_finish_analyses(design, v);
         let h1 = structural_hash(design);
         match rebuilt {
             Ok(again) => {

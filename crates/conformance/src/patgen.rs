@@ -246,13 +246,13 @@ impl Conformance {
             }
         };
         for off in design.offchips() {
-            let Some(arr) = design.node(*off).name.clone() else {
+            let Some(arr) = design.node(*off).name.as_deref() else {
                 continue;
             };
-            let Some(exp) = expected.get(&arr) else {
+            let Some(exp) = expected.get(arr) else {
                 continue; // inputs have no interpreter output
             };
-            let got = match result.output(&arr) {
+            let got = match result.output(arr) {
                 Ok(g) => g,
                 Err(e) => {
                     v.push(Violation {

@@ -149,6 +149,32 @@ fn mini_design_campaign_is_clean() {
     let (planned, contended) = conf.latency_plan_coverage();
     assert_eq!(planned, 15);
     assert!(contended >= 1, "no competitor list was ever walked");
+    // Nor `finish-analyses`: every verdict was compared.
+    let finish = conf.finish_coverage();
+    assert_eq!(finish.designs, 15);
+    assert!(finish.is_complete(), "{finish}");
+}
+
+/// `finish()`'s banking and double-buffering equal the set-based
+/// definitions on every legal point of the nine applications — the
+/// designs every sweep builds.
+#[test]
+fn finish_analyses_match_the_set_definitions_on_every_legal_point() {
+    let conf = Conformance::new();
+    let mut v = Vec::new();
+    let mut points = 0u64;
+    for bench in dhdl_apps::all().into_iter().chain(dhdl_apps::dnn()) {
+        for p in dhdl_dse::LegalSpace::new(&bench.param_space()).enumerate() {
+            if let Ok(design) = bench.build(&p) {
+                conf.check_finish_analyses(&design, &mut v);
+            }
+            points += 1;
+        }
+        assert!(v.is_empty(), "{}: {:?}", bench.name(), &v[..v.len().min(3)]);
+    }
+    let finish = conf.finish_coverage();
+    assert!(finish.designs * 2 > points, "few of {points} points build");
+    assert!(finish.designs > 50_000 && finish.is_complete(), "{finish}");
 }
 
 #[test]

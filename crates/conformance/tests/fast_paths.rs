@@ -1,16 +1,20 @@
-//! The two properties the DSE miss path leans on, checked against the
+//! The properties the DSE miss path leans on, checked against the
 //! formulations they replaced: `structural_hash` keys exactly as the
-//! historical `Debug`-text hash did, and the planned latency walk
-//! allocates nothing while agreeing with the reference walk.
+//! historical `Debug`-text hash did, the planned latency walk allocates
+//! nothing while agreeing with the reference walk, and a cold design
+//! point — build, estimate, a whole `explore` — stays inside its heap
+//! allocation budget (DESIGN.md, "Node memory layout").
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use dhdl_apps::Benchmark;
-use dhdl_core::{structural_hash, Design, Fnv64};
-use dhdl_dse::LegalSpace;
-use dhdl_estimate::{estimate_cycles, estimate_cycles_net};
+use dhdl_core::{structural_hash, Design, Fnv64, Node, ParamValues};
+use dhdl_dse::{explore, DseOptions, LegalSpace};
+use dhdl_estimate::{estimate_cycles, estimate_cycles_net, Estimator};
 use dhdl_synth::elaborate;
 use dhdl_target::Platform;
 
@@ -35,6 +39,7 @@ fn debug_text_hash(design: &Design) -> u64 {
 /// designs, two designs share a new key exactly when they shared an old.
 #[test]
 fn structural_hash_keys_exactly_as_the_debug_text_hash_did() {
+    let _alone = one_at_a_time();
     let sampled = b9().flat_map(|b| {
         let points = LegalSpace::new(&b.param_space()).sample(3000, 1);
         let built: Vec<Design> = points.iter().filter_map(|p| b.build(p).ok()).collect();
@@ -72,14 +77,28 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Heap allocations made by every thread of the process: `explore`
+/// evaluates on worker threads of its own. Only meaningful while no
+/// other test runs, which [`one_at_a_time`] arranges.
+static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by every test of this file for its whole body.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the others still get their turn.
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 struct Counting;
 
-// SAFETY: defers every operation to `System` unchanged; the counter is a
-// `const`-initialized thread-local `Cell`, which neither allocates nor
-// runs a destructor.
+// SAFETY: defers every operation to `System` unchanged; the counters are
+// a `const`-initialized thread-local `Cell`, which neither allocates nor
+// runs a destructor, and an atomic. `realloc` is the default one, which
+// comes back through `alloc`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        ALL_THREADS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -92,6 +111,7 @@ static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn planned_latency_walk_allocates_nothing() {
+    let _alone = one_at_a_time();
     let platform = Platform::maia();
     for b in b9() {
         let design = b.build(&b.default_params()).unwrap();
@@ -117,4 +137,99 @@ fn planned_latency_walk_allocates_nothing() {
             "the counter counts nothing"
         );
     }
+}
+
+/// Allocations `f` makes on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = std::hint::black_box(f());
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Upper bounds on heap allocations per application: one `build` and one
+/// `estimate` at the default point, and a whole single-threaded `explore`
+/// of 3 000 sampled points divided by its points. Measured values at the
+/// time of writing in the comment; at the parent commit the third column
+/// read 100 / 96 / 111 / 149 / 280 / 158 / 205 / 113 / 222.
+const BUDGET: [(&str, u64, u64, f64); 9] = [
+    ("dotproduct", 11, 6, 16.0),   // 8, 5, 12.1
+    ("outerprod", 10, 6, 15.0),    // 7, 4, 11.1
+    ("gemm", 11, 6, 16.0),         // 8, 4, 12.2
+    ("tpchq6", 11, 6, 16.0),       // 8, 4, 12.1
+    ("blackscholes", 17, 6, 23.0), // 13, 4, 18.1
+    ("gda", 11, 6, 16.0),          // 8, 4, 12.2
+    ("kmeans", 16, 6, 21.0),       // 12, 4, 16.1
+    ("conv2d", 11, 6, 16.0),       // 8, 4, 12.2
+    ("attention", 19, 6, 25.0),    // 15, 4, 19.9
+];
+
+/// The whole-mix mean the issue that introduced the budget asked for
+/// (141 allocations per point before it).
+const MIX_MEAN_BUDGET: f64 = 40.0;
+
+#[test]
+fn a_cold_point_stays_inside_its_allocation_budget() {
+    let _alone = one_at_a_time();
+    let (estimator, _) = Estimator::calibrate_with(&Platform::maia(), 40, 7);
+    let (mut mix_allocations, mut mix_points) = (0u64, 0u64);
+    for (bench, (name, build_max, estimate_max, explore_max)) in b9().zip(BUDGET) {
+        assert_eq!(bench.name(), name, "BUDGET lists the nine in suite order");
+        let params = bench.default_params();
+        let (built, design) = allocations_of(|| bench.build(&params));
+        let design = design.unwrap();
+        assert!(
+            built <= build_max,
+            "{name}: one build made {built} allocations, budget {build_max}"
+        );
+        // The first estimate of a shape also builds its skeleton.
+        estimator.estimate(&design);
+        let (estimated, _) = allocations_of(|| estimator.estimate(&design));
+        assert!(
+            estimated <= estimate_max,
+            "{name}: one estimate made {estimated} allocations, budget {estimate_max}"
+        );
+        let opts = DseOptions {
+            max_points: 3000,
+            seed: 1,
+            threads: 1,
+            ..DseOptions::default()
+        };
+        let space = bench.param_space();
+        let build = |p: &ParamValues| bench.build(p);
+        let before = ALL_THREADS.load(Ordering::Relaxed);
+        let result = explore(build, &space, &estimator, &opts);
+        let explored = ALL_THREADS.load(Ordering::Relaxed) - before;
+        let points = (result.points.len() + result.discarded) as u64;
+        assert!(points >= 200, "{name}: only {points} points");
+        let per_point = explored as f64 / points as f64;
+        assert!(
+            per_point <= explore_max,
+            "{name}: explore made {per_point:.1} allocations per point, budget {explore_max}"
+        );
+        mix_allocations += explored;
+        mix_points += points;
+    }
+    let mean = mix_allocations as f64 / mix_points as f64;
+    assert!(
+        mean <= MIX_MEAN_BUDGET,
+        "{mean:.1} allocations per cold point over {mix_points} points"
+    );
+    // The counters count: this thread's sees a `Vec`, the process-wide
+    // one also sees a `Vec` made on another thread.
+    let (here, _) = allocations_of(|| vec![0u8; 64]);
+    assert_eq!(here, 1, "the thread's counter counts nothing");
+    let before = ALL_THREADS.load(Ordering::Relaxed);
+    let (there, _) = allocations_of(|| {
+        std::thread::scope(|s| s.spawn(|| drop(std::hint::black_box(vec![0u8; 64]))).join())
+    });
+    assert!(
+        ALL_THREADS.load(Ordering::Relaxed) - before > there,
+        "the process-wide counter misses other threads"
+    );
+}
+
+#[test]
+fn a_node_stays_within_three_cache_lines() {
+    let size = std::mem::size_of::<Node>();
+    assert!(size <= 192, "size_of::<Node>() = {size}");
 }

@@ -5,7 +5,7 @@
 //! it, such that the required memory bandwidth can be met (§III-B2). This
 //! eliminates banks as an independent design-space variable (§IV-C).
 
-use crate::analysis::traversal::accessors;
+use crate::analysis::traversal::for_each_access;
 use crate::design::Design;
 use crate::node::{Interleaving, NodeKind};
 
@@ -14,31 +14,32 @@ use crate::node::{Interleaving, NodeKind};
 ///
 /// Each BRAM's banking factor is the maximum access parallelism over all of
 /// its accessors: `Pipe` accessors contribute their parallelization factor,
-/// and tile transfers contribute their port parallelization factor. The
-/// interleaving scheme is cyclic when parallel `Pipe` lanes touch the
-/// memory (unit-stride vector access) and blocked when only tile transfers
-/// do (streaming bursts).
+/// tile transfers their port parallelization factor and folding
+/// controllers their own factor. The interleaving scheme is cyclic when
+/// parallel `Pipe` lanes touch the memory (unit-stride vector access) and
+/// blocked when only tile transfers do (streaming bursts).
 pub fn infer(design: &mut Design) {
-    let acc = accessors(design);
-    let brams = design.find_all(|n| matches!(n.kind, NodeKind::Bram(_)));
-    for bram in brams {
-        let accs = acc.get(&bram);
-        let banks = accs
-            .map(|v| v.iter().map(|&(_, p)| p).max().unwrap_or(1))
-            .unwrap_or(1)
-            .max(1);
-        let pipe_parallel = accs.is_some_and(|v| {
-            v.iter()
-                .any(|&(c, p)| p > 1 && matches!(design.kind(c), NodeKind::Pipe(_)))
-        });
-        let interleave = if pipe_parallel {
-            Interleaving::Cyclic
-        } else {
-            Interleaving::Blocked
+    // Per node: the widest accessor, and whether a parallel Pipe is one.
+    let mut widest = vec![(1u32, false); design.len()];
+    for_each_access(design, design.top(), &mut |by, mem, _, _| {
+        let (par, pipe) = match design.kind(by) {
+            NodeKind::Pipe(p) => (p.par, true),
+            NodeKind::TileLoad(t) | NodeKind::TileStore(t) => (t.par, false),
+            NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => (s.par, false),
+            _ => (1, false),
         };
-        if let NodeKind::Bram(spec) = &mut design.node_mut(bram).kind {
+        let (banks, cyclic) = &mut widest[mem.index()];
+        *banks = (*banks).max(par);
+        *cyclic |= pipe && par > 1;
+    });
+    for (node, (banks, cyclic)) in design.nodes_mut().iter_mut().zip(widest) {
+        if let NodeKind::Bram(spec) = &mut node.kind {
             spec.banks = banks;
-            spec.interleave = interleave;
+            spec.interleave = if cyclic {
+                Interleaving::Cyclic
+            } else {
+                Interleaving::Blocked
+            };
         }
     }
 }

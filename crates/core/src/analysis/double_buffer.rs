@@ -6,58 +6,66 @@
 //! (§III-C): the same program built with `toggle = false` produces
 //! `Sequential` controllers whose buffers stay single-buffered.
 
-use crate::analysis::traversal::mem_accesses;
+use crate::analysis::traversal::{for_each_access, CtrlTree};
 use crate::design::Design;
-use crate::node::{NodeId, NodeKind};
+use crate::node::NodeKind;
+
+/// Per node: what the stages of the `MetaPipe` being looked at do to a
+/// memory — the first stage writing it and the last stage reading it —
+/// and the verdict so far.
+#[derive(Clone, Copy, Default)]
+struct MemUse {
+    first_write: Option<u32>,
+    last_read: Option<u32>,
+    double: bool,
+}
 
 /// Infer and set the `double_buf` flag on memories that communicate between
 /// MetaPipe stages (including fold sources and accumulators).
-pub fn infer(design: &mut Design) {
-    let mut to_mark: Vec<NodeId> = Vec::new();
-    for ctrl in design.controllers() {
+pub fn infer(design: &mut Design, tree: &CtrlTree) {
+    let mut uses = vec![MemUse::default(); design.len()];
+    for &ctrl in tree.order() {
         let NodeKind::MetaPipe(spec) = design.kind(ctrl) else {
             continue;
         };
-        // Per-stage access sets, in stage order.
-        let stage_accesses: Vec<_> = spec
-            .stages
-            .iter()
-            .map(|&s| mem_accesses(design, s))
-            .collect();
         for &mem in &spec.locals {
-            let writers: Vec<usize> = stage_accesses
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, w))| w.contains(&mem))
-                .map(|(i, _)| i)
-                .collect();
-            let readers: Vec<usize> = stage_accesses
-                .iter()
-                .enumerate()
-                .filter(|(_, (r, _))| r.contains(&mem))
-                .map(|(i, _)| i)
-                .collect();
-            // A buffer written in one stage and read in a later stage holds
-            // live data across the stage boundary of a pipelined controller,
-            // so it must be double-buffered.
-            let crosses = writers.iter().any(|&w| readers.iter().any(|&r| r > w));
-            if crosses {
-                to_mark.push(mem);
-            }
+            let u = &mut uses[mem.index()];
+            (u.first_write, u.last_read) = (None, None);
+        }
+        for (stage, &s) in spec.stages.iter().enumerate() {
+            let stage = stage as u32;
+            for_each_access(design, s, &mut |_, mem, read, write| {
+                let u = &mut uses[mem.index()];
+                if write && u.first_write.is_none() {
+                    u.first_write = Some(stage);
+                }
+                if read {
+                    u.last_read = Some(stage);
+                }
+            });
+        }
+        // A buffer written in one stage and read in a later stage holds
+        // live data across the stage boundary of a pipelined controller,
+        // so it must be double-buffered.
+        for &mem in &spec.locals {
+            let u = &mut uses[mem.index()];
+            u.double |= matches!((u.first_write, u.last_read), (Some(w), Some(r)) if r > w);
         }
         // The fold source buffer is produced by the body while the previous
         // iteration's value is still being accumulated.
         if let Some(f) = &spec.fold {
-            to_mark.push(f.src);
-            to_mark.push(f.accum);
+            uses[f.src.index()].double = true;
+            uses[f.accum.index()].double = true;
         }
     }
-    for mem in to_mark {
-        match &mut design.node_mut(mem).kind {
-            NodeKind::Bram(s) => s.double_buf = true,
-            NodeKind::Reg(s) => s.double_buf = true,
-            NodeKind::PriorityQueue(s) => s.double_buf = true,
-            _ => {}
+    for (node, mem) in design.nodes_mut().iter_mut().zip(uses) {
+        if mem.double {
+            match &mut node.kind {
+                NodeKind::Bram(s) => s.double_buf = true,
+                NodeKind::Reg(s) => s.double_buf = true,
+                NodeKind::PriorityQueue(s) => s.double_buf = true,
+                _ => {}
+            }
         }
     }
 }

@@ -44,7 +44,7 @@ impl DesignStats {
                 k if k.is_primitive() => {
                     s.primitives += 1;
                     s.total_width += u64::from(node.width);
-                    s.edges += design.prim_inputs(id).len();
+                    s.edges += design.prim_inputs(id).count();
                 }
                 NodeKind::Bram(b) => {
                     s.memories += 1;

@@ -1,136 +1,114 @@
-//! Memory access-set and hierarchy queries shared by the other analyses,
-//! the estimators and the simulator.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Controller-hierarchy and memory-access queries shared by the other
+//! analyses, the estimators and the partitioner.
+//!
+//! Both are flat: [`CtrlTree`] is a pre-order list plus a node-indexed
+//! parent table, and [`for_each_access`] reports accesses to a callback
+//! instead of returning sets, so the analyses `DesignBuilder::finish`
+//! runs on every design point fill node-indexed tables and build no map.
 
 use crate::design::Design;
 use crate::node::{NodeId, NodeKind};
 
-/// The set of on-chip memories read (transitively) by a controller subtree.
-pub fn mem_reads(design: &Design, ctrl: NodeId) -> BTreeSet<NodeId> {
-    let mut out = BTreeSet::new();
-    collect(design, ctrl, &mut out, &mut BTreeSet::new());
-    out
+/// Marks "no parent" in [`CtrlTree`]'s table.
+const NONE: u32 = u32::MAX;
+
+/// The controller hierarchy of a design: every controller in pre-order
+/// from the top and, indexed by node, each controller's parent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CtrlTree {
+    order: Vec<NodeId>,
+    parent: Vec<u32>,
 }
 
-/// The set of on-chip memories written (transitively) by a controller
-/// subtree.
-pub fn mem_writes(design: &Design, ctrl: NodeId) -> BTreeSet<NodeId> {
-    let mut out = BTreeSet::new();
-    collect(design, ctrl, &mut BTreeSet::new(), &mut out);
-    out
+impl CtrlTree {
+    /// Walk the controller hierarchy of `design` once.
+    pub fn of(design: &Design) -> Self {
+        fn rec(design: &Design, id: NodeId, tree: &mut CtrlTree) {
+            tree.order.push(id);
+            for &s in design.stages(id) {
+                tree.parent[s.index()] = id.index() as u32;
+                rec(design, s, tree);
+            }
+        }
+        let mut tree = CtrlTree {
+            order: Vec::with_capacity(16),
+            parent: vec![NONE; design.len()],
+        };
+        rec(design, design.top(), &mut tree);
+        tree
+    }
+
+    /// All controllers in pre-order from the top (what
+    /// [`Design::controllers`] returns).
+    pub fn order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// The parent controller of `ctrl`; `None` for the top and for nodes
+    /// that are not controllers of the hierarchy.
+    pub fn parent(&self, ctrl: NodeId) -> Option<NodeId> {
+        match self.parent.get(ctrl.index()) {
+            Some(&p) if p != NONE => Some(NodeId::from_raw(p)),
+            _ => None,
+        }
+    }
+
+    /// Whether controller `anc` is `node` or one of its ancestors.
+    pub fn is_ancestor(&self, anc: NodeId, mut node: NodeId) -> bool {
+        loop {
+            if node == anc {
+                return true;
+            }
+            match self.parent(node) {
+                Some(p) => node = p,
+                None => return false,
+            }
+        }
+    }
 }
 
-/// Both access sets in one traversal: `(reads, writes)`.
-pub fn mem_accesses(design: &Design, ctrl: NodeId) -> (BTreeSet<NodeId>, BTreeSet<NodeId>) {
-    let mut reads = BTreeSet::new();
-    let mut writes = BTreeSet::new();
-    collect(design, ctrl, &mut reads, &mut writes);
-    (reads, writes)
-}
-
-fn collect(
+/// Report every on-chip memory access made by the subtree of `ctrl` as
+/// `f(by, mem, read, write)`, where `by` is the accessing controller: a
+/// `Pipe` (its body's loads and stores and its reduction register), a
+/// tile transfer (its local buffer) or a folding outer controller (fold
+/// source and accumulator). A memory is reported once per access, not
+/// once per subtree.
+pub fn for_each_access(
     design: &Design,
     ctrl: NodeId,
-    reads: &mut BTreeSet<NodeId>,
-    writes: &mut BTreeSet<NodeId>,
+    f: &mut impl FnMut(NodeId, NodeId, bool, bool),
 ) {
     match design.kind(ctrl) {
         NodeKind::Pipe(p) => {
             for &n in &p.body {
                 match design.kind(n) {
-                    NodeKind::Load { mem, .. } => {
-                        reads.insert(*mem);
-                    }
-                    NodeKind::Store { mem, .. } => {
-                        writes.insert(*mem);
-                    }
+                    NodeKind::Load { mem, .. } => f(ctrl, *mem, true, false),
+                    NodeKind::Store { mem, .. } => f(ctrl, *mem, false, true),
                     _ => {}
                 }
             }
             if let Some(r) = &p.reduce {
-                writes.insert(r.reg);
-                reads.insert(r.reg);
+                f(ctrl, r.reg, true, true);
             }
         }
         NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
             for &st in &s.stages {
-                collect(design, st, reads, writes);
+                for_each_access(design, st, f);
             }
-            if let Some(f) = &s.fold {
-                reads.insert(f.src);
-                reads.insert(f.accum);
-                writes.insert(f.accum);
+            if let Some(fold) = &s.fold {
+                f(ctrl, fold.src, true, false);
+                f(ctrl, fold.accum, true, true);
             }
         }
         NodeKind::ParallelCtrl { stages, .. } => {
             for &st in stages {
-                collect(design, st, reads, writes);
+                for_each_access(design, st, f);
             }
         }
-        NodeKind::TileLoad(t) => {
-            writes.insert(t.local);
-        }
-        NodeKind::TileStore(t) => {
-            reads.insert(t.local);
-        }
+        NodeKind::TileLoad(t) => f(ctrl, t.local, false, true),
+        NodeKind::TileStore(t) => f(ctrl, t.local, true, false),
         _ => {}
     }
-}
-
-/// Map from each controller to its parent controller (the top maps to
-/// itself).
-pub fn parent_map(design: &Design) -> BTreeMap<NodeId, NodeId> {
-    let mut map = BTreeMap::new();
-    map.insert(design.top(), design.top());
-    design.walk_controllers(design.top(), &mut |_, id| {
-        for &s in design.stages(id) {
-            map.insert(s, id);
-        }
-    });
-    map
-}
-
-/// Whether controller `anc` is `node` or one of its ancestors, given a
-/// parent map from [`parent_map`].
-pub fn is_ancestor(parents: &BTreeMap<NodeId, NodeId>, anc: NodeId, mut node: NodeId) -> bool {
-    loop {
-        if node == anc {
-            return true;
-        }
-        match parents.get(&node) {
-            Some(&p) if p != node => node = p,
-            _ => return false,
-        }
-    }
-}
-
-/// All `Pipe`/`TileLd`/`TileSt` accessors of each on-chip memory, with
-/// their parallelization factors. Used by banking and by the off-chip
-/// contention model.
-pub fn accessors(design: &Design) -> BTreeMap<NodeId, Vec<(NodeId, u32)>> {
-    let mut out: BTreeMap<NodeId, Vec<(NodeId, u32)>> = BTreeMap::new();
-    for ctrl in design.controllers() {
-        match design.kind(ctrl) {
-            NodeKind::Pipe(p) => {
-                let (reads, writes) = mem_accesses(design, ctrl);
-                for m in reads.union(&writes) {
-                    out.entry(*m).or_default().push((ctrl, p.par));
-                }
-            }
-            NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
-                out.entry(t.local).or_default().push((ctrl, t.par));
-            }
-            NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
-                if let Some(f) = &s.fold {
-                    out.entry(f.src).or_default().push((ctrl, s.par));
-                    out.entry(f.accum).or_default().push((ctrl, s.par));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -158,41 +136,45 @@ mod tests {
     }
 
     #[test]
-    fn read_write_sets() {
+    fn accesses_name_the_accessor_and_the_direction() {
         let d = sample();
-        let top = d.top();
-        let reads = mem_reads(&d, top);
-        let writes = mem_writes(&d, top);
-        // The tile BRAM is read by the pipe and written by the TileLd.
-        let brams = d.find_all(|n| matches!(n.kind, NodeKind::Bram(_)));
-        assert_eq!(brams.len(), 1);
-        assert!(reads.contains(&brams[0]));
-        assert!(writes.contains(&brams[0]));
-        // The accumulator register is written (and read) by the reduce pipe.
-        let regs = d.find_all(|n| matches!(n.kind, NodeKind::Reg(_)));
-        assert!(writes.contains(&regs[0]));
-    }
-
-    #[test]
-    fn accessor_pars() {
-        let d = sample();
-        let brams = d.find_all(|n| matches!(n.kind, NodeKind::Bram(_)));
-        let acc = accessors(&d);
-        let pars: Vec<u32> = acc[&brams[0]].iter().map(|&(_, p)| p).collect();
-        assert!(pars.contains(&2)); // TileLd par
-        assert!(pars.contains(&4)); // Pipe par
+        let mut seen = Vec::new();
+        for_each_access(&d, d.top(), &mut |by, mem, r, w| seen.push((by, mem, r, w)));
+        let bram = d.find_all(|n| matches!(n.kind, NodeKind::Bram(_)))[0];
+        let reg = d.find_all(|n| matches!(n.kind, NodeKind::Reg(_)))[0];
+        let ctrls = d.controllers();
+        let (load, pipe) = (ctrls[2], ctrls[3]);
+        // The tile BRAM is written by the TileLd and read by the pipe; the
+        // accumulator register is read and written by the reduce pipe.
+        assert_eq!(
+            seen,
+            vec![
+                (load, bram, false, true),
+                (pipe, bram, true, false),
+                (pipe, reg, true, true)
+            ]
+        );
+        // A subtree reports only its own accesses.
+        let mut of_load = 0;
+        for_each_access(&d, load, &mut |_, _, _, _| of_load += 1);
+        assert_eq!(of_load, 1);
     }
 
     #[test]
     fn parent_and_ancestor() {
         let d = sample();
-        let parents = parent_map(&d);
-        let ctrls = d.controllers();
-        // top is its own parent; every other controller reaches top.
-        for c in &ctrls {
-            assert!(is_ancestor(&parents, d.top(), *c));
+        let tree = CtrlTree::of(&d);
+        assert_eq!(tree.order(), d.controllers());
+        // The top has no parent; every other controller reaches the top.
+        assert_eq!(tree.parent(d.top()), None);
+        for &c in tree.order() {
+            assert!(tree.is_ancestor(d.top(), c));
         }
-        let pipe = *ctrls.last().unwrap();
-        assert!(!is_ancestor(&parents, pipe, d.top()));
+        let pipe = *tree.order().last().unwrap();
+        assert_eq!(tree.parent(pipe), Some(tree.order()[1]));
+        assert!(!tree.is_ancestor(pipe, d.top()));
+        // Memories and primitives are outside the hierarchy.
+        let bram = d.find_all(|n| matches!(n.kind, NodeKind::Bram(_)))[0];
+        assert_eq!(tree.parent(bram), None);
     }
 }

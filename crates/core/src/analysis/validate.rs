@@ -1,6 +1,6 @@
 //! Structural validation of finished designs.
 
-use crate::analysis::traversal::{is_ancestor, parent_map};
+use crate::analysis::traversal::CtrlTree;
 use crate::design::Design;
 use crate::error::{DhdlError, Result};
 use crate::node::{NodeId, NodeKind, TileSpec};
@@ -21,12 +21,11 @@ use crate::types::DType;
 /// # Errors
 ///
 /// Returns a [`DhdlError`] describing the first violation found.
-pub fn check(design: &Design) -> Result<()> {
+pub fn check(design: &Design, tree: &CtrlTree) -> Result<()> {
     if !design.kind(design.top()).is_controller() {
         return Err(DhdlError::Validation("top node is not a controller".into()));
     }
-    let parents = parent_map(design);
-    for ctrl in design.controllers() {
+    for &ctrl in tree.order() {
         match design.kind(ctrl) {
             NodeKind::Pipe(p) => {
                 if p.par == 0 {
@@ -38,7 +37,7 @@ pub fn check(design: &Design) -> Result<()> {
                     return Err(DhdlError::Validation(format!("Pipe {ctrl} has empty body")));
                 }
                 for &n in &p.body {
-                    check_primitive(design, &parents, ctrl, n)?;
+                    check_primitive(design, tree, ctrl, n)?;
                 }
                 if let Some(r) = &p.reduce {
                     if !matches!(design.kind(r.reg), NodeKind::Reg(_)) {
@@ -70,7 +69,7 @@ pub fn check(design: &Design) -> Result<()> {
                 )));
             }
             NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
-                check_tile(design, &parents, ctrl, t)?;
+                check_tile(design, tree, ctrl, t)?;
             }
             _ => {}
         }
@@ -98,12 +97,7 @@ fn check_fold(design: &Design, src: NodeId, accum: NodeId) -> Result<()> {
     }
 }
 
-fn check_tile(
-    design: &Design,
-    parents: &std::collections::BTreeMap<NodeId, NodeId>,
-    ctrl: NodeId,
-    t: &TileSpec,
-) -> Result<()> {
+fn check_tile(design: &Design, tree: &CtrlTree, ctrl: NodeId, t: &TileSpec) -> Result<()> {
     let NodeKind::OffChip { dims } = design.kind(t.offchip) else {
         return Err(DhdlError::InvalidReference {
             node: t.offchip,
@@ -138,7 +132,7 @@ fn check_tile(
         match design.kind(off) {
             NodeKind::Const(_) => {}
             NodeKind::Iter { ctrl: owner, .. } => {
-                if !is_ancestor(parents, *owner, ctrl) {
+                if !tree.is_ancestor(*owner, ctrl) {
                     return Err(DhdlError::InvalidReference {
                         node: off,
                         reason: format!("iterator of {owner} is not in scope at {ctrl}"),
@@ -156,12 +150,7 @@ fn check_tile(
     Ok(())
 }
 
-fn check_primitive(
-    design: &Design,
-    parents: &std::collections::BTreeMap<NodeId, NodeId>,
-    pipe: NodeId,
-    n: NodeId,
-) -> Result<()> {
+fn check_primitive(design: &Design, tree: &CtrlTree, pipe: NodeId, n: NodeId) -> Result<()> {
     match design.kind(n) {
         NodeKind::Load { mem, addr } => check_addr(design, *mem, addr),
         NodeKind::Store { mem, addr, .. } => check_addr(design, *mem, addr),
@@ -177,7 +166,7 @@ fn check_primitive(
         NodeKind::Prim { inputs, op } => {
             for &i in inputs {
                 if let NodeKind::Iter { ctrl: owner, .. } = design.kind(i) {
-                    if !is_ancestor(parents, *owner, pipe) {
+                    if !tree.is_ancestor(*owner, pipe) {
                         return Err(DhdlError::InvalidReference {
                             node: i,
                             reason: format!("iterator used by `{op}` is out of scope in {pipe}"),

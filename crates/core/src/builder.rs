@@ -46,9 +46,10 @@ use crate::analysis;
 use crate::design::Design;
 use crate::error::{DhdlError, Result};
 use crate::node::{
-    BramSpec, CounterChain, CounterDim, MemFold, Node, NodeId, NodeKind, OuterSpec, Pattern,
+    BramSpec, CounterChain, CounterDim, Ids, MemFold, Node, NodeId, NodeKind, OuterSpec, Pattern,
     PipeSpec, PrimOp, QueueSpec, ReduceOp, RegReduce, RegSpec, TileSpec,
 };
+use crate::small::ShortStr;
 use crate::types::DType;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +66,36 @@ struct Scope {
     ctr: CounterChain,
     par: u32,
     pattern: Pattern,
-    stages: Vec<NodeId>,
-    locals: Vec<NodeId>,
+    stages: Ids,
+    locals: Ids,
     body: Vec<NodeId>,
 }
+
+impl Scope {
+    /// A scope with nothing in it yet. Only `Pipe`s collect a body.
+    fn open(kind: ScopeKind, ctr: CounterChain, par: u32, pattern: Pattern) -> Self {
+        let body = match kind {
+            ScopeKind::Pipe => Vec::with_capacity(BODY_CAPACITY),
+            _ => Vec::new(),
+        };
+        Scope {
+            kind,
+            ctr,
+            par,
+            pattern,
+            stages: Ids::new(),
+            locals: Ids::new(),
+            body,
+        }
+    }
+}
+
+/// Initial capacities of the builder's growing buffers, so a typical
+/// design (the nine applications average 55 nodes, pipe bodies a dozen)
+/// is built without regrowing them.
+const NODE_CAPACITY: usize = 64;
+const SCOPE_CAPACITY: usize = 8;
+const BODY_CAPACITY: usize = 16;
 
 /// Builder for [`Design`]s; the DHDL embedded DSL.
 ///
@@ -79,9 +106,9 @@ struct Scope {
 /// error plumbing.
 #[derive(Debug)]
 pub struct DesignBuilder {
-    name: String,
+    name: ShortStr,
     nodes: Vec<Node>,
-    offchips: Vec<NodeId>,
+    offchips: Ids,
     scopes: Vec<Scope>,
     root: Option<NodeId>,
     errors: Vec<DhdlError>,
@@ -89,12 +116,12 @@ pub struct DesignBuilder {
 
 impl DesignBuilder {
     /// Start building a design with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl AsRef<str>) -> Self {
         DesignBuilder {
-            name: name.into(),
-            nodes: Vec::new(),
-            offchips: Vec::new(),
-            scopes: Vec::new(),
+            name: name.as_ref().into(),
+            nodes: Vec::with_capacity(NODE_CAPACITY),
+            offchips: Ids::new(),
+            scopes: Vec::with_capacity(SCOPE_CAPACITY),
             root: None,
             errors: Vec::new(),
         }
@@ -106,12 +133,12 @@ impl DesignBuilder {
         id
     }
 
-    fn reserve(&mut self, name: Option<String>) -> NodeId {
+    fn reserve(&mut self) -> NodeId {
         self.push_node(Node {
             kind: NodeKind::Const(0.0), // placeholder, overwritten on scope pop
             ty: DType::Bool,
             width: 1,
-            name,
+            name: None,
         })
     }
 
@@ -161,7 +188,7 @@ impl DesignBuilder {
         }
     }
 
-    fn make_iters(&mut self, ctrl: NodeId, ndims: usize) -> Vec<NodeId> {
+    fn make_iters(&mut self, ctrl: NodeId, ndims: usize) -> Ids {
         (0..ndims)
             .map(|dim| {
                 self.push_node(Node {
@@ -181,12 +208,10 @@ impl DesignBuilder {
     /// Declare an N-dimensional off-chip memory region (`OffChipMem`).
     pub fn off_chip(&mut self, name: &str, ty: DType, dims: &[u64]) -> NodeId {
         let id = self.push_node(Node {
-            kind: NodeKind::OffChip {
-                dims: dims.to_vec(),
-            },
+            kind: NodeKind::OffChip { dims: dims.into() },
             ty,
             width: 1,
-            name: Some(name.to_string()),
+            name: Some(name.into()),
         });
         self.offchips.push(id);
         id
@@ -199,7 +224,7 @@ impl DesignBuilder {
     pub fn bram(&mut self, name: &str, ty: DType, dims: &[u64]) -> NodeId {
         let id = self.push_node(Node {
             kind: NodeKind::Bram(BramSpec {
-                dims: dims.to_vec(),
+                dims: dims.into(),
                 double_buf: false,
                 banks: 1,
                 word_width: ty.bits(),
@@ -207,7 +232,7 @@ impl DesignBuilder {
             }),
             ty,
             width: 1,
-            name: Some(name.to_string()),
+            name: Some(name.into()),
         });
         self.attach_local(id);
         id
@@ -222,7 +247,7 @@ impl DesignBuilder {
             }),
             ty,
             width: 1,
-            name: Some(name.to_string()),
+            name: Some(name.into()),
         });
         self.attach_local(id);
         id
@@ -237,7 +262,7 @@ impl DesignBuilder {
             }),
             ty,
             width: 1,
-            name: Some(name.to_string()),
+            name: Some(name.into()),
         });
         self.attach_local(id);
         id
@@ -259,17 +284,10 @@ impl DesignBuilder {
     where
         R: FoldSource,
     {
-        let id = self.reserve(None);
+        let id = self.reserve();
         let iters = self.make_iters(id, ctrs.len());
-        self.scopes.push(Scope {
-            kind,
-            ctr: CounterChain::new(ctrs),
-            par,
-            pattern,
-            stages: Vec::new(),
-            locals: Vec::new(),
-            body: Vec::new(),
-        });
+        self.scopes
+            .push(Scope::open(kind, CounterChain::new(ctrs), par, pattern));
         let ret = f(self, &iters);
         let scope = self.scopes.pop().expect("builder scope stack imbalance");
         let mem_fold = fold.map(|(accum, op)| MemFold {
@@ -368,16 +386,13 @@ impl DesignBuilder {
 
     /// Create a fork-join `Parallel` container.
     pub fn parallel(&mut self, f: impl FnOnce(&mut Self)) -> NodeId {
-        let id = self.reserve(None);
-        self.scopes.push(Scope {
-            kind: ScopeKind::Parallel,
-            ctr: CounterChain::unit(),
-            par: 1,
-            pattern: Pattern::Map,
-            stages: Vec::new(),
-            locals: Vec::new(),
-            body: Vec::new(),
-        });
+        let id = self.reserve();
+        self.scopes.push(Scope::open(
+            ScopeKind::Parallel,
+            CounterChain::unit(),
+            1,
+            Pattern::Map,
+        ));
         f(self);
         let scope = self.scopes.pop().expect("builder scope stack imbalance");
         self.nodes[id.index()].kind = NodeKind::ParallelCtrl {
@@ -424,17 +439,14 @@ impl DesignBuilder {
         reduce_to: Option<(NodeId, ReduceOp)>,
         f: impl FnOnce(&mut Self, &[NodeId]) -> Option<NodeId>,
     ) -> NodeId {
-        let id = self.reserve(None);
+        let id = self.reserve();
         let iters = self.make_iters(id, ctrs.len());
-        self.scopes.push(Scope {
-            kind: ScopeKind::Pipe,
-            ctr: CounterChain::new(ctrs),
+        self.scopes.push(Scope::open(
+            ScopeKind::Pipe,
+            CounterChain::new(ctrs),
             par,
             pattern,
-            stages: Vec::new(),
-            locals: Vec::new(),
-            body: Vec::new(),
-        });
+        ));
         let value = f(self, &iters);
         let scope = self.scopes.pop().expect("builder scope stack imbalance");
         let reduce = match (reduce_to, value) {
@@ -502,8 +514,8 @@ impl DesignBuilder {
         let spec = TileSpec {
             offchip,
             local,
-            offsets: offsets.to_vec(),
-            tile: tile.to_vec(),
+            offsets: offsets.into(),
+            tile: tile.into(),
             par,
         };
         let id = self.push_node(Node {
@@ -567,7 +579,7 @@ impl DesignBuilder {
         let id = self.push_node(Node {
             kind: NodeKind::Prim {
                 op,
-                inputs: inputs.to_vec(),
+                inputs: inputs.into(),
             },
             ty,
             width: par,
@@ -693,7 +705,7 @@ impl DesignBuilder {
         let id = self.push_node(Node {
             kind: NodeKind::Load {
                 mem,
-                addr: addr.to_vec(),
+                addr: addr.into(),
             },
             ty,
             width: par,
@@ -721,7 +733,7 @@ impl DesignBuilder {
         let id = self.push_node(Node {
             kind: NodeKind::Store {
                 mem,
-                addr: addr.to_vec(),
+                addr: addr.into(),
                 value,
             },
             ty,
@@ -762,9 +774,10 @@ impl DesignBuilder {
             .take()
             .ok_or_else(|| DhdlError::Validation("design has no root controller".into()))?;
         let mut design = Design::from_parts(self.name, self.nodes, top, self.offchips);
-        analysis::validate::check(&design)?;
+        let tree = analysis::traversal::CtrlTree::of(&design);
+        analysis::validate::check(&design, &tree)?;
         analysis::banking::infer(&mut design);
-        analysis::double_buffer::infer(&mut design);
+        analysis::double_buffer::infer(&mut design, &tree);
         Ok(design)
     }
 }

@@ -3,7 +3,8 @@
 use std::fmt;
 
 use crate::error::{DhdlError, Result};
-use crate::node::{Node, NodeId, NodeKind};
+use crate::node::{Ids, Node, NodeId, NodeKind};
+use crate::small::ShortStr;
 use crate::types::DType;
 
 /// A complete DHDL design instance: a hierarchical dataflow graph with one
@@ -14,19 +15,14 @@ use crate::types::DType;
 /// different `Design` instances from the same source (§III).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Design {
-    name: String,
+    name: ShortStr,
     nodes: Vec<Node>,
     top: NodeId,
-    offchips: Vec<NodeId>,
+    offchips: Ids,
 }
 
 impl Design {
-    pub(crate) fn from_parts(
-        name: String,
-        nodes: Vec<Node>,
-        top: NodeId,
-        offchips: Vec<NodeId>,
-    ) -> Self {
+    pub(crate) fn from_parts(name: ShortStr, nodes: Vec<Node>, top: NodeId, offchips: Ids) -> Self {
         Design {
             name,
             nodes,
@@ -86,6 +82,12 @@ impl Design {
     /// graph (banking, double-buffering).
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id.index()]
+    }
+
+    /// Every node in arena order, for the analyses that annotate the
+    /// whole graph in one pass.
+    pub(crate) fn nodes_mut(&mut self) -> &mut [Node] {
+        &mut self.nodes
     }
 
     /// The template kind of a node.
@@ -186,22 +188,19 @@ impl Design {
     /// Value operand ids of a primitive body node (for dataflow traversal
     /// inside `Pipe` bodies). Memory references are *not* included; loop
     /// iterators and constants are.
-    pub fn prim_inputs(&self, id: NodeId) -> Vec<NodeId> {
-        match &self.node(id).kind {
-            NodeKind::Prim { inputs, .. } => inputs.clone(),
+    pub fn prim_inputs(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let (list, rest): (&[NodeId], [Option<NodeId>; 3]) = match &self.node(id).kind {
+            NodeKind::Prim { inputs, .. } => (inputs, [None; 3]),
             NodeKind::Mux {
                 sel,
                 if_true,
                 if_false,
-            } => vec![*sel, *if_true, *if_false],
-            NodeKind::Load { addr, .. } => addr.clone(),
-            NodeKind::Store { addr, value, .. } => {
-                let mut v = addr.clone();
-                v.push(*value);
-                v
-            }
-            _ => Vec::new(),
-        }
+            } => (&[], [Some(*sel), Some(*if_true), Some(*if_false)]),
+            NodeKind::Load { addr, .. } => (addr, [None; 3]),
+            NodeKind::Store { addr, value, .. } => (addr, [Some(*value), None, None]),
+            _ => (&[], [None; 3]),
+        };
+        list.iter().copied().chain(rest.into_iter().flatten())
     }
 }
 

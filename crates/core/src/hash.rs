@@ -402,7 +402,7 @@ impl<const FULL: bool> Stream<FULL> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{by, DesignBuilder, Interleaving, PrimOp, ReduceOp};
+    use crate::{by, DesignBuilder, Ids, Interleaving, PrimOp, ReduceOp};
 
     /// One design holding every template of Table I.
     fn zoo(name: &str, tile: u64, par: u32) -> Design {
@@ -447,7 +447,7 @@ mod tests {
     }
 
     /// A design taken apart: name, nodes, root, off-chip declarations.
-    type Parts = (String, Vec<Node>, NodeId, Vec<NodeId>);
+    type Parts = (String, Vec<Node>, NodeId, Ids);
     /// A labelled single-field change to a design.
     type Edit = (&'static str, fn(&mut Parts));
 
@@ -497,7 +497,7 @@ mod tests {
             }),
             ("Node.width", |p| p.1[0].width = 2),
             ("Node.name none", |p| p.1[0].name = None),
-            ("Node.name empty", |p| p.1[0].name = Some(String::new())),
+            ("Node.name empty", |p| p.1[0].name = Some("".into())),
             ("Node.name other", |p| p.1[0].name = Some("b".into())),
             ("Node.name nul-padded", |p| p.1[0].name = Some("a\0".into())),
             ("Node.name 2 words", |p| {
@@ -565,7 +565,7 @@ mod tests {
         ];
         let design = zoo("zoo", 64, 4);
         let (name, nodes, top, offchips) = design.parts();
-        let base: Parts = (name.into(), nodes.to_vec(), top, offchips.to_vec());
+        let base: Parts = (name.into(), nodes.to_vec(), top, offchips.into());
         assert_eq!(base.1[0].name.as_deref(), Some("a"));
         let keys: Vec<(&str, u64)> = edits
             .iter()
@@ -574,7 +574,7 @@ mod tests {
                 edit(&mut p);
                 (
                     *label,
-                    structural_hash(&Design::from_parts(p.0, p.1, p.2, p.3)),
+                    structural_hash(&Design::from_parts(p.0.into(), p.1, p.2, p.3)),
                 )
             })
             .collect();

@@ -56,6 +56,7 @@ mod hash;
 mod node;
 mod params;
 pub mod serialize;
+mod small;
 mod types;
 
 pub use builder::DesignBuilder;
@@ -63,10 +64,12 @@ pub use design::Design;
 pub use error::{DhdlError, Result};
 pub use hash::{shape_hash, structural_hash, Fnv64};
 pub use node::{
-    by, BramSpec, CounterChain, CounterDim, Interleaving, MemFold, Node, NodeId, NodeKind,
-    OuterSpec, Pattern, PipeSpec, PrimOp, QueueSpec, ReduceOp, RegReduce, RegSpec, TileSpec,
+    by, BramSpec, CounterChain, CounterDim, Extents, Ids, Interleaving, MemFold, Node, NodeId,
+    NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp, QueueSpec, ReduceOp, RegReduce, RegSpec,
+    TileSpec,
 };
 pub use params::{ParamDef, ParamKind, ParamSpace, ParamValues, NUM_FPGAS};
+pub use small::{ShortStr, SmallList};
 pub use types::DType;
 
 pub use analysis::stats::DesignStats;

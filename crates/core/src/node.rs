@@ -6,11 +6,21 @@
 
 use std::fmt;
 
+use crate::small::{ShortStr, SmallList};
 use crate::types::DType;
 
 /// Identifier of a node inside a [`crate::Design`]'s arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(u32);
+
+/// A short list of node references — operands, addresses, offsets,
+/// stages, locals — stored inside the node up to six (the spilled `Vec`
+/// sets the list's size, and six ids fit in it).
+pub type Ids = SmallList<NodeId, 6>;
+
+/// Extents of a memory or tile, one per dimension, stored inside the
+/// node up to three dimensions.
+pub type Extents = SmallList<u64, 3>;
 
 impl NodeId {
     /// Create a `NodeId` from a raw index. Intended for arena internals and
@@ -201,7 +211,7 @@ pub enum Pattern {
 
 /// One dimension of a counter chain: iterates `0, step, 2*step, ...` up to
 /// (but excluding) `end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CounterDim {
     /// Exclusive upper bound of the iterator.
     pub end: u64,
@@ -240,21 +250,19 @@ pub fn by(end: u64, step: u64) -> CounterDim {
 /// width equals the controller's parallelization factor.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct CounterChain {
-    /// Counter dimensions, outermost first.
-    pub dims: Vec<CounterDim>,
+    /// Counter dimensions, outermost first (stored in place up to two).
+    pub dims: SmallList<CounterDim, 2>,
 }
 
 impl CounterChain {
     /// A chain with no dimensions: the controller runs exactly once.
     pub fn unit() -> Self {
-        CounterChain { dims: Vec::new() }
+        CounterChain::default()
     }
 
     /// Build a chain from dimension descriptors.
     pub fn new(dims: &[CounterDim]) -> Self {
-        CounterChain {
-            dims: dims.to_vec(),
-        }
+        CounterChain { dims: dims.into() }
     }
 
     /// Total number of iterations (product of per-dimension trip counts).
@@ -286,7 +294,7 @@ pub enum Interleaving {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BramSpec {
     /// Logical dimensions in elements.
-    pub dims: Vec<u64>,
+    pub dims: Extents,
     /// Whether the buffer is double-buffered (set by analysis for buffers
     /// that communicate between MetaPipe stages).
     pub double_buf: bool,
@@ -371,9 +379,9 @@ pub struct OuterSpec {
     /// Parallel pattern the controller was generated from.
     pub pattern: Pattern,
     /// Child controllers executed as stages, in program order.
-    pub stages: Vec<NodeId>,
+    pub stages: Ids,
     /// Memories declared in this controller's scope.
-    pub locals: Vec<NodeId>,
+    pub locals: Ids,
     /// Optional element-wise fold of a stage-produced buffer into an
     /// accumulator buffer.
     pub fold: Option<MemFold>,
@@ -388,9 +396,9 @@ pub struct TileSpec {
     pub local: NodeId,
     /// Offset value nodes, one per off-chip dimension (constants or
     /// enclosing-controller iterators).
-    pub offsets: Vec<NodeId>,
+    pub offsets: Ids,
     /// Tile extent per off-chip dimension, in elements.
-    pub tile: Vec<u64>,
+    pub tile: Extents,
     /// Parallelization factor of the on-chip write/read port.
     pub par: u32,
 }
@@ -412,7 +420,7 @@ pub enum NodeKind {
         /// Operation code.
         op: PrimOp,
         /// Operand nodes.
-        inputs: Vec<NodeId>,
+        inputs: Ids,
     },
     /// A 2:1 multiplexer.
     Mux {
@@ -428,14 +436,14 @@ pub enum NodeKind {
         /// The memory node (Bram, Reg or PriorityQueue).
         mem: NodeId,
         /// Address nodes, one per memory dimension (empty for Reg).
-        addr: Vec<NodeId>,
+        addr: Ids,
     },
     /// Store to an on-chip memory.
     Store {
         /// The memory node.
         mem: NodeId,
         /// Address nodes, one per memory dimension (empty for Reg).
-        addr: Vec<NodeId>,
+        addr: Ids,
         /// Value node.
         value: NodeId,
     },
@@ -449,7 +457,7 @@ pub enum NodeKind {
     /// An N-dimensional off-chip memory region (`OffChipMem`).
     OffChip {
         /// Dimensions in elements.
-        dims: Vec<u64>,
+        dims: Extents,
     },
     /// On-chip scratchpad memory (`BRAM`).
     Bram(BramSpec),
@@ -466,9 +474,9 @@ pub enum NodeKind {
     /// Fork-join parallel container with a synchronizing barrier (`Parallel`).
     ParallelCtrl {
         /// Concurrent child controllers.
-        stages: Vec<NodeId>,
+        stages: Ids,
         /// Memories declared in this scope.
-        locals: Vec<NodeId>,
+        locals: Ids,
     },
     /// Load a tile of data from an off-chip array (`TileLd`).
     TileLoad(TileSpec),
@@ -545,7 +553,7 @@ pub struct Node {
     /// width 1 (§III-B1).
     pub width: u32,
     /// Optional debug name.
-    pub name: Option<String>,
+    pub name: Option<ShortStr>,
 }
 
 #[cfg(test)]
@@ -592,7 +600,7 @@ mod tests {
         assert!(k.is_primitive());
         assert!(!k.is_controller());
         let b = NodeKind::Bram(BramSpec {
-            dims: vec![16],
+            dims: [16].into(),
             double_buf: false,
             banks: 1,
             word_width: 32,

@@ -7,10 +7,10 @@
 //! number of parallel iterations, and **MetaPipe toggles** controlling
 //! whether an outer loop is implemented as a `Sequential` or a `MetaPipe`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::{DhdlError, Result};
+use crate::small::{ShortStr, SmallList};
 
 /// The kind and legal range of one design parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,7 @@ fn divisors_in(n: u64, min: u64, max: u64) -> Vec<u64> {
     }
     let mut out: Vec<u64> = (1..=n)
         .take_while(|d| d * d <= n)
-        .filter(|d| n.is_multiple_of(*d))
+        .filter(|d| n % d == 0)
         .flat_map(|d| [d, n / d])
         .filter(|&d| d >= min && d <= max)
         .collect();
@@ -202,9 +202,15 @@ impl ParamSpace {
 }
 
 /// A concrete assignment of values to parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A name-sorted list of `(name, value)` entries held in place (up to
+/// eight parameters of up to 22-byte names — every benchmark's space):
+/// creating, cloning and dropping an assignment touches no heap, which a
+/// sweep does once per point.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct ParamValues {
-    map: BTreeMap<String, u64>,
+    /// Sorted by name; one entry per name.
+    entries: SmallList<(ShortStr, u64), 8>,
 }
 
 impl ParamValues {
@@ -213,21 +219,30 @@ impl ParamValues {
         Self::default()
     }
 
+    /// Where `name` is, or where it would be inserted.
+    fn position(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.entries
+            .binary_search_by(|(n, _)| n.as_bytes().cmp(name.as_bytes()))
+    }
+
     /// Set a parameter value, returning `self` for chaining.
     pub fn set(&mut self, name: &str, value: u64) -> &mut Self {
-        self.map.insert(name.to_string(), value);
+        match self.position(name) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (name.into(), value)),
+        }
         self
     }
 
     /// Builder-style `set`.
     pub fn with(mut self, name: &str, value: u64) -> Self {
-        self.map.insert(name.to_string(), value);
+        self.set(name, value);
         self
     }
 
     /// Get a parameter value if present.
     pub fn get(&self, name: &str) -> Option<u64> {
-        self.map.get(name).copied()
+        self.position(name).ok().map(|i| self.entries[i].1)
     }
 
     /// Get a required tile-size/index parameter.
@@ -266,7 +281,7 @@ impl ParamValues {
 
     /// Iterate over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.map.iter().map(|(k, &v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (k.as_str(), *v))
     }
 }
 
@@ -277,11 +292,20 @@ impl fmt::Display for ParamValues {
     }
 }
 
+impl fmt::Debug for ParamValues {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 impl FromIterator<(String, u64)> for ParamValues {
+    /// The last value given for a name wins.
     fn from_iter<T: IntoIterator<Item = (String, u64)>>(iter: T) -> Self {
-        ParamValues {
-            map: iter.into_iter().collect(),
+        let mut values = ParamValues::new();
+        for (name, value) in iter {
+            values.set(&name, value);
         }
+        values
     }
 }
 

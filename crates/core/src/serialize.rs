@@ -8,8 +8,8 @@
 use crate::design::Design;
 use crate::error::{DhdlError, Result};
 use crate::node::{
-    BramSpec, CounterChain, CounterDim, Interleaving, MemFold, Node, NodeId, NodeKind, OuterSpec,
-    Pattern, PipeSpec, PrimOp, QueueSpec, RegReduce, RegSpec, TileSpec,
+    BramSpec, CounterChain, CounterDim, Extents, Ids, Interleaving, MemFold, Node, NodeId,
+    NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp, QueueSpec, RegReduce, RegSpec, TileSpec,
 };
 use crate::types::DType;
 
@@ -57,7 +57,7 @@ pub fn from_text(text: &str) -> Result<Design> {
             .map_err(|e| bad(&e.to_string()))?,
     );
     let off_line = lines.next().ok_or_else(|| bad("missing offchips"))?;
-    let offchips: Vec<NodeId> = off_line
+    let offchips: Ids = off_line
         .strip_prefix("offchips")
         .ok_or_else(|| bad("bad offchips line"))?
         .split_whitespace()
@@ -80,7 +80,7 @@ pub fn from_text(text: &str) -> Result<Design> {
         let name = if name_raw.is_empty() {
             None
         } else {
-            Some(unescape(name_raw))
+            Some(unescape(name_raw).into())
         };
         let kind = parse_kind(&mut parts)?;
         nodes.push((
@@ -100,7 +100,12 @@ pub fn from_text(text: &str) -> Result<Design> {
         }
     }
     let nodes = nodes.into_iter().map(|(_, n)| n).collect();
-    Ok(Design::from_parts(unescape(name), nodes, top, offchips))
+    Ok(Design::from_parts(
+        unescape(name).into(),
+        nodes,
+        top,
+        offchips,
+    ))
 }
 
 fn bad(msg: &str) -> DhdlError {
@@ -279,9 +284,9 @@ fn parse_ty(s: &str) -> Result<DType> {
     }
 }
 
-fn parse_ids(s: &str) -> Result<Vec<NodeId>> {
+fn parse_ids<C: FromIterator<NodeId>>(s: &str) -> Result<C> {
     if s.is_empty() {
-        return Ok(Vec::new());
+        return Ok(C::from_iter([]));
     }
     s.split(',')
         .map(|p| {
@@ -292,9 +297,9 @@ fn parse_ids(s: &str) -> Result<Vec<NodeId>> {
         .collect()
 }
 
-fn parse_dims(s: &str) -> Result<Vec<u64>> {
+fn parse_dims(s: &str) -> Result<Extents> {
     if s.is_empty() {
-        return Ok(Vec::new());
+        return Ok(Extents::new());
     }
     s.split(',')
         .map(|p| p.parse::<u64>().map_err(|e| bad(&format!("{e}"))))
@@ -316,7 +321,7 @@ fn parse_ctr(s: &str) -> Result<CounterChain> {
                 step: step.parse().map_err(|e| bad(&format!("{e}")))?,
             })
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Result<_>>()?;
     Ok(CounterChain { dims })
 }
 

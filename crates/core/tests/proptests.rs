@@ -1,8 +1,28 @@
 //! Property tests over the core IR: builder/analysis invariants and
 //! parameter-space algebra.
 
+use std::collections::BTreeMap;
+
 use dhdl_core::{by, DType, DesignBuilder, NodeKind, ParamKind, ParamSpace, ParamValues};
 use proptest::prelude::*;
+
+/// Parameter names of every length class: one byte, typical, exactly
+/// the in-place capacity (22), one past it, much longer, non-ASCII, and
+/// more distinct names than an assignment holds in place (8).
+const NAMES: [&str; 12] = [
+    "a",
+    "b",
+    "p",
+    "ts",
+    "tile",
+    "mp1",
+    "num_fpgas",
+    "größe",
+    "exactly_twenty_two_b_s",
+    "twenty_three_bytes_long",
+    "a_parameter_name_far_longer_than_any_benchmark_uses",
+    "z",
+];
 
 /// Build a representative tiled design from arbitrary-ish knobs.
 fn tiled_design(n_pow: u32, tile_pow: u32, par_pow: u32, toggle: bool) -> dhdl_core::Design {
@@ -92,6 +112,45 @@ proptest! {
         prop_assert!(vals.windows(2).all(|w| w[0] < w[1]));
         for v in vals {
             prop_assert_eq!(n % v, 0);
+        }
+    }
+
+    /// `ParamValues` against a `BTreeMap<String, u64>` model: a later
+    /// `set` overwrites, iteration is in name order, and equality does
+    /// not depend on insertion order.
+    #[test]
+    fn param_values_behave_as_a_sorted_map(
+        ops in prop::collection::vec((0usize..NAMES.len(), 0u64..1000), 0..40),
+        rotate in 0usize..40,
+    ) {
+        let mut model: BTreeMap<String, u64> = BTreeMap::new();
+        let mut values = ParamValues::new();
+        for &(name, value) in &ops {
+            model.insert(NAMES[name].to_string(), value);
+            values.set(NAMES[name], value);
+            prop_assert_eq!(values.get(NAMES[name]), Some(value));
+        }
+        let got: Vec<(String, u64)> = values.iter().map(|(k, v)| (k.to_string(), v)).collect();
+        let want: Vec<(String, u64)> = model.clone().into_iter().collect();
+        prop_assert_eq!(&got, &want);
+        for name in NAMES {
+            prop_assert_eq!(values.get(name), model.get(name).copied());
+        }
+        // The final assignment, inserted in another order and collected
+        // from an iterator that repeats a name, is the same value.
+        let mut shuffled = want.clone();
+        shuffled.rotate_left(rotate % want.len().max(1));
+        let mut other = ParamValues::new();
+        for (name, value) in &shuffled {
+            other = other.with(name, *value);
+        }
+        prop_assert_eq!(&other, &values);
+        let stale = want.first().map(|(name, value)| (name.clone(), value + 1));
+        let collected: ParamValues = stale.into_iter().chain(want.clone()).collect();
+        prop_assert_eq!(&collected, &values);
+        prop_assert_eq!(collected.to_string(), values.to_string());
+        if let Some((name, value)) = want.first() {
+            prop_assert!(other.clone().with(name, value + 1) != values);
         }
     }
 

@@ -299,6 +299,7 @@ fn record_line(index: usize, outcome: &PointOutcome, param_names: &[String]) -> 
 /// A parsed checkpoint record: a point outcome (`P`/`D` lines) or a
 /// surrogate round (`S` lines).
 #[derive(Debug, PartialEq)]
+#[allow(clippy::large_enum_variant)] // outcomes outnumber rounds; see `PointOutcome`
 enum Record {
     Outcome(usize, PointOutcome),
     Round(u64, SurrogateRound),

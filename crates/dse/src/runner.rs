@@ -171,7 +171,12 @@ impl std::fmt::Display for DseError {
 }
 
 /// The outcome of one sampled design point.
+///
+/// The evaluated point is held in place although it is by far the
+/// largest variant (its parameters are): it is also by far the most
+/// common one, and boxing it would put back a heap allocation per point.
 #[derive(Debug, Clone, PartialEq)]
+#[allow(clippy::large_enum_variant)]
 pub enum PointOutcome {
     /// The point was estimated successfully.
     Evaluated {
@@ -459,7 +464,9 @@ where
     (outcomes, stats)
 }
 
-/// What one isolated evaluation attempt produced.
+/// What one isolated evaluation attempt produced (the point in place,
+/// as in [`PointOutcome`]).
+#[allow(clippy::large_enum_variant)]
 enum Attempt {
     Point(DesignPoint),
     Build(String),

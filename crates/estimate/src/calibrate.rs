@@ -188,7 +188,7 @@ pub fn calibrate(target: &FpgaTarget, n: usize, seed: u64) -> (AreaEstimator, Ca
         let design = random_design(seed.wrapping_add(k as u64));
         let net = elaborate(&design, target);
         let report = place_and_route(design_hash(&design), &net, target);
-        let f = features(&net);
+        let f = features(&net).to_vec();
         // Scale-free fractional targets (see `AreaEstimator`).
         let luts = net.raw.luts().max(1.0);
         let regs = net.raw.regs.max(1.0);

@@ -10,7 +10,7 @@
 //! occupy their own ALMs.
 
 use dhdl_core::Design;
-use dhdl_mlp::Regressor;
+use dhdl_mlp::{Regressor, Scratch};
 use dhdl_synth::{elaborate, Netlist};
 use dhdl_target::{AreaReport, FpgaTarget};
 
@@ -19,8 +19,8 @@ use dhdl_target::{AreaReport, FpgaTarget};
 pub const N_FEATURES: usize = 11;
 
 /// Extract the 11-dimensional feature vector of an elaborated netlist.
-pub fn features(net: &Netlist) -> Vec<f64> {
-    vec![
+pub fn features(net: &Netlist) -> [f64; N_FEATURES] {
+    [
         net.raw.luts(),
         net.raw.lut_packable,
         net.raw.regs,
@@ -59,10 +59,12 @@ impl AreaEstimator {
     /// Estimate the post-place-and-route area of an elaborated netlist.
     pub fn estimate_net(&self, net: &Netlist) -> AreaReport {
         let f = features(net);
-        let route_frac = self.routing.predict(&f).max(0.0);
+        // One pair of forward-pass buffers serves the three networks.
+        let mut scratch = Scratch::default();
+        let route_frac = self.routing.predict_with(&f, &mut scratch).max(0.0);
         let routing = route_frac * net.raw.luts();
-        let dup_regs = self.dup_regs.predict(&f).max(0.0) * net.raw.regs;
-        let unavail_frac = self.unavail.predict(&f).max(0.0);
+        let dup_regs = self.dup_regs.predict_with(&f, &mut scratch).max(0.0) * net.raw.regs;
+        let unavail_frac = self.unavail.predict_with(&f, &mut scratch).max(0.0);
         // Duplicated BRAMs are a linear function of the routing LUTs
         // (per unit of raw BRAM), clamped to the physically meaningful
         // range: duplication adds between 0 and 100% of the raw BRAMs

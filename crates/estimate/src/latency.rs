@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use dhdl_core::analysis::traversal::parent_map;
+use dhdl_core::analysis::traversal::CtrlTree;
 use dhdl_core::{Design, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, TileSpec};
 use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
 use dhdl_synth::{pipe_depth, LatencyPlan, Netlist};
@@ -292,7 +292,7 @@ fn replication_map(design: &Design) -> BTreeMap<NodeId, f64> {
 struct Ctx<'a> {
     design: &'a Design,
     platform: &'a Platform,
-    parents: BTreeMap<NodeId, NodeId>,
+    tree: CtrlTree,
     reps: BTreeMap<NodeId, f64>,
 }
 
@@ -301,7 +301,7 @@ impl<'a> Ctx<'a> {
         Ctx {
             design,
             platform,
-            parents: parent_map(design),
+            tree: CtrlTree::of(design),
             reps: replication_map(design),
         }
     }
@@ -351,10 +351,7 @@ impl<'a> Ctx<'a> {
 
     fn ancestors(&self, mut id: NodeId) -> Vec<NodeId> {
         let mut chain = vec![id];
-        while let Some(&p) = self.parents.get(&id) {
-            if p == id {
-                break;
-            }
+        while let Some(p) = self.tree.parent(id) {
             chain.push(p);
             id = p;
         }

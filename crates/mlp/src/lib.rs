@@ -29,7 +29,7 @@ mod network;
 mod norm;
 mod train;
 
-pub use network::{Activation, Mlp};
+pub use network::{Activation, Mlp, Scratch};
 pub use norm::Normalizer;
 pub use train::{mse, train_rprop, train_sgd, Dataset, SgdConfig, TrainConfig, TrainReport};
 
@@ -100,9 +100,14 @@ impl Regressor {
 
     /// Predict the target for one feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
-        let x = self.inputs.apply(features);
-        let y = self.net.forward(&x);
-        self.outputs.invert(0, y[0])
+        self.predict_with(features, &mut Scratch::default())
+    }
+
+    /// [`Regressor::predict`] through caller-owned buffers.
+    pub fn predict_with(&self, features: &[f64], scratch: &mut Scratch) -> f64 {
+        self.inputs.apply_into(features, &mut scratch.cur);
+        self.net.forward_in(scratch);
+        self.outputs.invert(0, scratch.cur[0])
     }
 
     /// Serialize to plain text.

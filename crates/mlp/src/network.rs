@@ -91,6 +91,7 @@ impl Layer {
 
     fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
+        out.reserve(self.outputs);
         for o in 0..self.outputs {
             let row = &self.weights[o * (self.inputs + 1)..(o + 1) * (self.inputs + 1)];
             let mut acc = row[self.inputs]; // bias
@@ -100,6 +101,15 @@ impl Layer {
             out.push(self.activation.apply(acc));
         }
     }
+}
+
+/// The two buffers a forward pass alternates between. A caller that
+/// predicts repeatedly keeps one and passes it to
+/// [`crate::Regressor::predict_with`], so only the first pass allocates.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    pub(crate) cur: Vec<f64>,
+    pub(crate) next: Vec<f64>,
 }
 
 /// A fully connected feed-forward network.
@@ -170,14 +180,23 @@ impl Mlp {
     ///
     /// Panics if `x.len()` differs from [`Mlp::input_size`].
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_size(), "input width mismatch");
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
+        let mut scratch = Scratch {
+            cur: x.to_vec(),
+            next: Vec::new(),
+        };
+        self.forward_in(&mut scratch);
+        scratch.cur
+    }
+
+    /// [`Mlp::forward`] on the input held in `scratch.cur`, which holds
+    /// the output afterwards.
+    pub(crate) fn forward_in(&self, scratch: &mut Scratch) {
+        let Scratch { cur, next } = scratch;
+        assert_eq!(cur.len(), self.input_size(), "input width mismatch");
         for layer in &self.layers {
-            layer.forward(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
+            layer.forward(cur, next);
+            std::mem::swap(cur, next);
         }
-        cur
     }
 
     /// Forward pass retaining every layer's output (for backpropagation).

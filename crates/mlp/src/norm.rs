@@ -40,18 +40,24 @@ impl Normalizer {
     /// Normalize one row into `[0, 1]` per column (constant columns map to
     /// 0.5; out-of-range values extrapolate linearly).
     pub fn apply(&self, row: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.apply_into(row, &mut out);
+        out
+    }
+
+    /// [`Normalizer::apply`] into a caller-owned buffer, which is cleared
+    /// first.
+    pub(crate) fn apply_into(&self, row: &[f64], out: &mut Vec<f64>) {
         assert_eq!(row.len(), self.width(), "row width mismatch");
-        row.iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let span = self.maxs[i] - self.mins[i];
-                if span <= 0.0 {
-                    0.5
-                } else {
-                    (v - self.mins[i]) / span
-                }
-            })
-            .collect()
+        out.clear();
+        out.extend(row.iter().enumerate().map(|(i, &v)| {
+            let span = self.maxs[i] - self.mins[i];
+            if span <= 0.0 {
+                0.5
+            } else {
+                (v - self.mins[i]) / span
+            }
+        }));
     }
 
     /// Invert [`Normalizer::apply`] for one column.

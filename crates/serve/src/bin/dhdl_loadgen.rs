@@ -111,7 +111,7 @@ fn client_loop(
     while Instant::now() < until {
         n += 1;
         let global = requests.fetch_add(1, Ordering::Relaxed);
-        if sweep_every > 0 && n.is_multiple_of(sweep_every) {
+        if sweep_every > 0 && n % sweep_every == 0 {
             // An occasional small sweep with an idempotency key: any
             // retry resumes the server-side checkpoint.
             let pop = &pops[zipf(&mut rng, pops.len())];
@@ -123,7 +123,7 @@ fn client_loop(
                 num_fpgas: None,
             });
             req.header.tenant = format!("loadgen-{}", seed & 0xF);
-            req.header.priority = u8::from(n.is_multiple_of(3));
+            req.header.priority = u8::from(n % 3 == 0);
             req.header.key = Some(format!("lg-{seed}-{n}"));
             match client.request(&req) {
                 Ok(resp) => match resp.get("status").and_then(Json::as_str) {
@@ -146,7 +146,7 @@ fn client_loop(
             }
             continue;
         }
-        if global.is_multiple_of(501) {
+        if global % 501 == 0 {
             // Sprinkle health probes through the trace.
             let _ = client.request(&Request::new(Op::Health));
             continue;

@@ -94,7 +94,15 @@ fn parse_reference(payload: &[u8]) -> Result<Request, ProtoError> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| ProtoError::new("bad_request", "missing integer `points`"))?
                 as usize,
-            seed: obj.get("seed").and_then(Json::as_u64).unwrap_or(0xD5E),
+            seed: match obj.get("seed") {
+                None => 0xD5E,
+                Some(s) => s.as_u64().ok_or_else(|| {
+                    ProtoError::new(
+                        "bad_request",
+                        "`seed` must be a non-negative integer below 9e15",
+                    )
+                })?,
+            },
             strategy: match obj.get("strategy") {
                 None => None,
                 Some(s) => {
@@ -491,7 +499,8 @@ fn any_request(rng: &mut StdRng) -> Request {
         _ => Op::Sweep {
             bench: any_string(rng),
             points: rng.gen_range(0..100_000usize),
-            // Seeds beyond 2^53 render through `f64`, as they always did.
+            // Seeds beyond 2^53 render through `f64`, as they always did
+            // (and the server refuses them).
             seed: rng.next_u64() >> rng.gen_range(0..64u32),
             strategy: [None, Some("random"), Some("surrogate")][rng.gen_range(0..3usize)]
                 .map(|s| SearchStrategy::parse(s).unwrap()),

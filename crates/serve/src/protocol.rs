@@ -143,7 +143,9 @@ pub enum Op {
         bench: String,
         /// Points to sample (capped by the server's configured maximum).
         points: usize,
-        /// Sampling seed.
+        /// Sampling seed. On the wire it is a JSON number: a request
+        /// whose `seed` is not an exact integer below 9e15 is refused as
+        /// `bad_request`; one without a `seed` uses `0xD5E`.
         seed: u64,
         /// Search strategy (`random`/`surrogate` on the wire). `None`
         /// leaves the choice to the server (its `DHDL_DSE_STRATEGY`
@@ -256,7 +258,16 @@ impl Request {
             "sweep" => Op::Sweep {
                 bench: bench()?,
                 points: f.points.ok_or_else(|| bad("missing integer `points`"))? as usize,
-                seed: f.seed.unwrap_or(0xD5E),
+                seed: match f.seed {
+                    None => 0xD5E,
+                    // Numbers travel as `f64`: a seed that is not an exact
+                    // integer there (2^53 and beyond) would run another
+                    // sweep than the one asked for.
+                    Some(None) => {
+                        return Err(bad("`seed` must be a non-negative integer below 9e15"))
+                    }
+                    Some(Some(seed)) => seed,
+                },
                 strategy: match f.strategy {
                     None => None,
                     Some(None) => return Err(bad("`strategy` must be a string")),
@@ -355,7 +366,7 @@ struct Fields<'a> {
     bench: Option<Cow<'a, str>>,
     params: Option<Params<'a>>,
     points: Option<u64>,
-    seed: Option<u64>,
+    seed: Slot<u64>,
     strategy: Slot<Cow<'a, str>>,
     num_fpgas: Slot<u64>,
 }
@@ -381,7 +392,7 @@ impl<'a> Fields<'a> {
             "key" => self.key = string(p)?,
             "bench" => self.bench = string(p)?,
             "points" => self.points = integer(p)?,
-            "seed" => self.seed = integer(p)?,
+            "seed" => self.seed = Some(integer(p)?),
             "strategy" => self.strategy = Some(string(p)?),
             "num_fpgas" => self.num_fpgas = Some(integer(p)?),
             "params" if p.peek() == Some(b'{') => {

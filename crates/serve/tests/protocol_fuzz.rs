@@ -166,6 +166,57 @@ fn frames_written_back_to_back_are_answered_in_order() {
     handle.join().unwrap().unwrap();
 }
 
+/// A sweep seed travels as a JSON number, an `f64`: one that is not an
+/// exact integer there used to be read as "no seed" and the sweep ran
+/// with the default `0xD5E` instead of the seed asked for.
+#[test]
+fn a_sweep_seed_that_does_not_survive_f64_is_refused_not_replaced() {
+    let (addr, handle) = spawn_server();
+    let mut stream = connect(addr);
+    let mut sweep = |seed: Option<u64>| {
+        let mut req = Request::new(Op::Sweep {
+            bench: "dotproduct".to_string(),
+            points: 8,
+            seed: seed.unwrap_or(0),
+            strategy: None,
+            num_fpgas: None,
+        })
+        .render();
+        if seed.is_none() {
+            // No `seed` member at all: the documented default applies.
+            let text = String::from_utf8(req).unwrap();
+            assert!(text.contains(r#","seed":0"#), "{text}");
+            req = text.replace(r#","seed":0"#, "").into_bytes();
+        }
+        write_frame(&mut stream, &req, MAX_FRAME).unwrap();
+        let resp = read_frame(&mut stream, dhdl_serve::DEFAULT_MAX_RESPONSE).unwrap();
+        Json::parse(&resp).unwrap()
+    };
+    for refused in [1u64 << 53, (1 << 53) + 1, u64::MAX] {
+        let v = sweep(Some(refused));
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(v.get("code").and_then(Json::as_str), Some("bad_request"));
+        let message = v.get("message").and_then(Json::as_str).unwrap_or_default();
+        assert!(message.contains("`seed`"), "seed {refused}: {v:?}");
+    }
+    // Every seed the wire can carry still runs, and is the seed used: the
+    // default and an explicit 0xD5E agree, another seed does not.
+    let points = |v: &Json| v.get("points").map(Json::render);
+    let (default, explicit) = (sweep(None), sweep(Some(0xD5E)));
+    assert_eq!(default.get("status").and_then(Json::as_str), Some("ok"));
+    assert!(points(&default).is_some());
+    assert_eq!(points(&default), points(&explicit));
+    let other = sweep(Some(8_999_999_999_999_999));
+    assert_eq!(other.get("status").and_then(Json::as_str), Some("ok"));
+    assert_ne!(points(&other), points(&default));
+    drop(stream);
+
+    let mut client = Client::new(addr, RetryPolicy::default());
+    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
+    drop(client);
+    handle.join().unwrap().unwrap();
+}
+
 #[test]
 fn oversized_and_torn_frames_are_bounded_and_survivable() {
     let (addr, handle) = spawn_server();

@@ -87,8 +87,11 @@ impl Layout {
                 len,
                 real,
                 named: node.name.is_some(),
-                lookup_name: node.name.clone().unwrap_or_default(),
-                output_name: node.name.clone().unwrap_or_else(|| format!("{off}")),
+                lookup_name: node.name.as_deref().unwrap_or_default().to_string(),
+                output_name: node
+                    .name
+                    .as_deref()
+                    .map_or_else(|| format!("{off}"), str::to_string),
             });
         }
         let mut mem_base = BTreeMap::new();

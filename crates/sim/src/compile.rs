@@ -1010,11 +1010,11 @@ impl<'a> Emitter<'a> {
         let desc = TileDesc {
             offchip_base: self.layout.offchip_base(t.offchip).expect("laid out"),
             offchip: t.offchip,
-            dims: dims.clone(),
+            dims: dims.to_vec(),
             strides,
             local_base: self.layout.mem_base(t.local).expect("laid out"),
             local_len,
-            tile: t.tile.clone(),
+            tile: t.tile.to_vec(),
             tile_elems,
             offsets: t.offsets.iter().map(|&o| self.slot(o)).collect(),
             load,

@@ -259,8 +259,8 @@ fn simulate_inner(design: &Design, platform: &Platform, bindings: &Bindings) -> 
         let name = design
             .node(off)
             .name
-            .clone()
-            .unwrap_or_else(|| format!("{off}"));
+            .as_deref()
+            .map_or_else(|| format!("{off}"), str::to_string);
         offchip.insert(name, sim.offchip.remove(&off).unwrap_or_default());
     }
     Ok(SimResult {
@@ -320,7 +320,12 @@ impl<'a> Sim<'a> {
                 continue;
             };
             let elements: u64 = dims.iter().product();
-            let name = design.node(off).name.clone().unwrap_or_default();
+            let name = design
+                .node(off)
+                .name
+                .as_deref()
+                .unwrap_or_default()
+                .to_string();
             let data = match bindings.get(&name) {
                 Some(d) => {
                     if d.len() as u64 != elements {
@@ -726,8 +731,8 @@ impl<'a> Sim<'a> {
     }
 
     fn flat_index(&self, mem: NodeId, addr: &[NodeId]) -> Result<usize> {
-        let dims: Vec<u64> = match self.design.kind(mem) {
-            NodeKind::Bram(b) => b.dims.clone(),
+        let dims: &[u64] = match self.design.kind(mem) {
+            NodeKind::Bram(b) => &b.dims,
             NodeKind::Reg(_) | NodeKind::PriorityQueue(_) => return Ok(0),
             _ => return Err(SimError::Malformed(format!("access to non-memory {mem}"))),
         };

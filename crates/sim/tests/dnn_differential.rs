@@ -228,6 +228,16 @@ fn attn_inputs(n: u64, d: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 fn attention_fragment_matches_bitwise() {
     let (n, d) = (16u64, 8u64);
     let (q, k, v) = attn_inputs(n, d);
+    // Per column of V, its smallest and largest entry. Computed row by
+    // row, once: the per-output strided min/max scan over `v[row * d +
+    // col]` that stood here crashed rustc 1.95 in LLVM's LoopVectorizePass
+    // at opt-level 3 (TESTING.md, "Release builds").
+    let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); d as usize];
+    for row in v.chunks(d as usize) {
+        for (b, &x) in bounds.iter_mut().zip(row) {
+            *b = (b.0.min(x), b.1.max(x));
+        }
+    }
     for (tr, pa, mp, mps) in [
         (4, 1, false, false),
         (4, 2, true, false),
@@ -247,12 +257,7 @@ fn attention_fragment_matches_bitwise() {
         let r = simulate(&de, &p, &bindings).unwrap();
         let out = r.output("out").unwrap();
         for (i, x) in out.iter().enumerate() {
-            let col = i % d as usize;
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for row in 0..n as usize {
-                lo = lo.min(v[row * d as usize + col]);
-                hi = hi.max(v[row * d as usize + col]);
-            }
+            let (lo, hi) = bounds[i % d as usize];
             assert!(
                 *x >= lo - 1e-5 && *x <= hi + 1e-5,
                 "tr={tr} pa={pa}: out[{i}] = {x} outside [{lo}, {hi}]"

@@ -154,7 +154,14 @@ pub fn elaborate_with(design: &Design, target: &FpgaTarget, skel: &Skeleton) -> 
     );
     let _span = dhdl_obs::span_arg("elaborate", "shape", skel.shape);
     let _t = dhdl_obs::histogram!("synth.recost_ns").timer();
-    let mut acc = Acc::default();
+    // Everything the walk pushes to is sized up front: one depth per
+    // pipe, and a schedule as long as the longest body.
+    let longest_body = skel.pipes.iter().map(|p| p.body.len()).max().unwrap_or(0);
+    let mut acc = Acc {
+        pipe_depths: Vec::with_capacity(skel.pipes.len()),
+        sched: Vec::with_capacity(longest_body),
+        ..Acc::default()
+    };
     visit_plan(design, target, skel, 0, 1.0, &mut acc);
     let stats = DesignStats::of(design);
     Netlist {
@@ -380,14 +387,13 @@ fn pipe_plan(design: &Design, p: &PipeSpec) -> PipePlan {
                 }
                 _ => BodyCost::Free,
             };
-            let inputs = design.prim_inputs(n);
-            edges += inputs.len() as f64;
+            edges += design.prim_inputs(n).count() as f64;
             BodyPlan {
                 cost,
                 ty: node.ty,
-                sched_inputs: inputs
-                    .iter()
-                    .filter_map(|i| position.get(i).copied())
+                sched_inputs: design
+                    .prim_inputs(n)
+                    .filter_map(|i| position.get(&i).copied())
                     .collect(),
             }
         })
@@ -401,6 +407,9 @@ struct Acc {
     edges: f64,
     phys_prims: f64,
     pipe_depths: Vec<(NodeId, u64)>,
+    /// Scratch of [`pipe_cost`], reused from pipe to pipe: the ASAP
+    /// schedule of the body being costed, `(start, latency)` per node.
+    sched: Vec<(u64, u64)>,
 }
 
 /// The param-dependent re-costing pass. Mirrors a direct recursive walk
@@ -421,7 +430,7 @@ fn visit_plan(
             acc.breakdown.control += counter_cost().times(p.ctr.dims.len() as f64 * rep);
             acc.breakdown.control += controller_cost(ControllerKind::Pipe, 0).times(rep);
             let pipe = &skel.pipes[slot as usize];
-            let (datapath, delays, depth) = pipe_cost(design, target, p, pipe);
+            let (datapath, delays, depth) = pipe_cost(design, target, p, pipe, &mut acc.sched);
             acc.breakdown.primitives += datapath.times(rep);
             acc.breakdown.delays += delays.times(rep);
             acc.edges += pipe.edges * rep * f64::from(p.par);
@@ -482,11 +491,11 @@ fn pipe_cost(
     target: &FpgaTarget,
     p: &PipeSpec,
     plan: &PipePlan,
+    sched: &mut Vec<(u64, u64)>,
 ) -> (Resources, Resources, u64) {
     let par = f64::from(p.par);
-    let n = plan.body.len();
     let mut res = Resources::zero();
-    let mut lat: Vec<u64> = Vec::with_capacity(n);
+    sched.clear();
     // Datapath nodes, replicated by the vector width. Resolve the
     // param-dependent access costs once, capturing latencies for the
     // schedule below.
@@ -497,7 +506,7 @@ fn pipe_cost(
             BodyCost::Free => OpCost::default(),
         };
         res += cost.res.times(par);
-        lat.push(cost.latency);
+        sched.push((0, cost.latency));
     }
     // Reduction tree and accumulator for reduce-patterned pipes.
     if let Some(r) = &p.reduce {
@@ -511,14 +520,13 @@ fn pipe_cost(
     // ASAP schedule: start[k] = max over already-scheduled body inputs of
     // their ready time (body order is topological; a forward reference
     // would be timing-free here, matching the direct walk).
-    let mut start = vec![0u64; n];
     for (k, b) in plan.body.iter().enumerate() {
-        start[k] = b
+        sched[k].0 = b
             .sched_inputs
             .iter()
             .map(|&j| j as usize)
             .filter(|&j| j < k)
-            .map(|j| start[j] + lat[j])
+            .map(|j| sched[j].0 + sched[j].1)
             .max()
             .unwrap_or(0);
     }
@@ -528,16 +536,19 @@ fn pipe_cost(
     let mut delays = Resources::zero();
     for (k, b) in plan.body.iter().enumerate() {
         for &j in &b.sched_inputs {
-            let j = j as usize;
-            let ready = start[j] + lat[j];
-            let slack = start[k].saturating_sub(ready);
+            let (start, lat) = sched[j as usize];
+            let slack = sched[k].0.saturating_sub(start + lat);
             if slack > 0 {
-                let bits = plan.body[j].ty.bits() * p.par;
+                let bits = plan.body[j as usize].ty.bits() * p.par;
                 delays += delay_cost(target, slack, bits);
             }
         }
     }
-    let depth = (0..n).map(|k| start[k] + lat[k]).max().unwrap_or(0);
+    let depth = sched
+        .iter()
+        .map(|(start, lat)| start + lat)
+        .max()
+        .unwrap_or(0);
     (res, delays, depth)
 }
 
@@ -591,8 +602,7 @@ pub(crate) fn asap_schedule(design: &Design, p: &PipeSpec) -> BTreeMap<NodeId, u
     for &n in &p.body {
         let t = design
             .prim_inputs(n)
-            .iter()
-            .filter_map(|&i| start.get(&i).map(|&s| s + body_node_latency(design, i)))
+            .filter_map(|i| start.get(&i).map(|&s| s + body_node_latency(design, i)))
             .max()
             .unwrap_or(0);
         start.insert(n, t);
@@ -632,7 +642,7 @@ mod tests {
         fn body_edges(design: &Design, p: &PipeSpec) -> f64 {
             p.body
                 .iter()
-                .map(|&n| design.prim_inputs(n).len() as f64)
+                .map(|&n| design.prim_inputs(n).count() as f64)
                 .sum()
         }
 

@@ -42,7 +42,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dhdl_core::analysis::traversal::{is_ancestor, parent_map};
+use dhdl_core::analysis::traversal::CtrlTree;
 use dhdl_core::{Design, NodeId, NodeKind};
 use dhdl_target::{BoardLink, FpgaTarget, Resources};
 
@@ -283,7 +283,7 @@ struct Ctx<'a> {
     /// Pre-order leaf-unit index range `[start, end)` of each controller
     /// subtree.
     subtree: BTreeMap<NodeId, (usize, usize)>,
-    parents: BTreeMap<NodeId, NodeId>,
+    tree: CtrlTree,
 }
 
 impl<'a> Ctx<'a> {
@@ -397,7 +397,7 @@ impl<'a> Ctx<'a> {
             scope,
             body_execs,
             subtree,
-            parents: parent_map(design),
+            tree: CtrlTree::of(design),
         }
     }
 
@@ -450,10 +450,7 @@ impl<'a> Ctx<'a> {
         let mut kept_ctrls = kept_units.clone();
         for &u in &kept_units {
             let mut n = u;
-            while let Some(&p) = self.parents.get(&n) {
-                if p == n {
-                    break;
-                }
+            while let Some(p) = self.tree.parent(n) {
                 kept_ctrls.insert(p);
                 n = p;
             }
@@ -667,7 +664,7 @@ impl<'a> Ctx<'a> {
         // (subtree-local memories are private to each replica share).
         let outside = |m: &NodeId| -> bool {
             match self.scope.get(m) {
-                Some(&s) => !is_ancestor(&self.parents, ctrl, s),
+                Some(&s) => !self.tree.is_ancestor(ctrl, s),
                 None => true,
             }
         };

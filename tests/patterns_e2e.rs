@@ -18,13 +18,13 @@ fn run_and_compare(prog: &PatternProgram, name: &str, inputs: &BTreeMap<String, 
     }
     let result = simulate(&design, &Platform::maia(), &bindings).expect("simulation succeeds");
     for off in design.offchips() {
-        let Some(arr_name) = design.node(*off).name.clone() else {
+        let Some(arr_name) = design.node(*off).name.as_deref() else {
             continue;
         };
-        let Some(exp) = expected.get(&arr_name) else {
+        let Some(exp) = expected.get(arr_name) else {
             continue; // inputs
         };
-        let got = result.output(&arr_name).expect("output exists");
+        let got = result.output(arr_name).expect("output exists");
         assert_eq!(got.len(), exp.len(), "{name}: `{arr_name}` length");
         for (i, (g, e)) in got.iter().zip(exp).enumerate() {
             assert!(

@@ -45,7 +45,7 @@ fn every_benchmark_estimates_synthesizes_and_generates() {
         for &off in design.offchips() {
             let name = design.node(off).name.clone().unwrap();
             assert!(
-                code.contains(&name),
+                code.contains(name.as_str()),
                 "{}: `{name}` missing from maxj",
                 bench.name()
             );

@@ -82,6 +82,32 @@ fn every_workspace_member_exists_with_a_manifest() {
     }
 }
 
+/// Clippy reads the minimum supported Rust from each package's own
+/// `rust-version`: a member that does not inherit the workspace's gets
+/// suggestions (and no `incompatible_msrv` warnings) as if there were
+/// none — how fifteen `is_multiple_of` calls (1.87) once got in under
+/// `rust-version = "1.75"`.
+#[test]
+fn every_member_inherits_the_workspace_rust_version() {
+    let root = repo_root();
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("read root Cargo.toml");
+    assert!(
+        manifest.contains("\nrust-version = \""),
+        "[workspace.package] sets no rust-version"
+    );
+    let mut members = member_dirs(&root, &manifest);
+    members.push(root); // the façade package
+    for dir in &members {
+        let text = fs::read_to_string(dir.join("Cargo.toml")).expect("read member manifest");
+        assert!(
+            text.lines()
+                .any(|l| l.trim() == "rust-version.workspace = true"),
+            "{}/Cargo.toml does not inherit `rust-version.workspace = true`",
+            dir.display()
+        );
+    }
+}
+
 #[test]
 fn every_path_dependency_in_the_root_manifest_exists() {
     let root = repo_root();
