@@ -85,7 +85,9 @@ fn usage() {
          dhdl explore  <benchmark> [--points N] [--strategy random|surrogate] [--num-fpgas K]\n  \
          dhdl simulate <benchmark> [param=value ...] [--profile]\n  \
          dhdl codegen  <benchmark> [param=value ...]\n  \
-         dhdl bottleneck <benchmark> [param=value ...]"
+         dhdl bottleneck <benchmark> [param=value ...]\n  \
+         dhdl trace    <benchmark> [param=value ...]   # writes results/<bench>.vcd\n  \
+         dhdl hls      <benchmark>                     # Figure 2 style C source"
     );
 }
 
@@ -108,7 +110,8 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
         "table2" => table2(&suite),
         "table3" => {
             let h = harness(table3::SEED, dse_points(1_000));
-            table3(&h, &suite, knob("DHDL_PARETO_POINTS").unwrap_or(5)).report
+            // Five spread-out Pareto points per benchmark.
+            table3(&h, &suite, 5).report
         }
         "table4" => {
             // The paper's GDA dimension for the HLS comparison (C = 96);
@@ -116,8 +119,8 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
             // modest.
             let gda = dhdl_apps::Gda::new(1_536, 96);
             let n = knob("DHDL_T4_POINTS").unwrap_or(250);
-            let pipelined = knob("DHDL_T4_PIPELINED").unwrap_or(30);
-            table4(&harness(table4::SEED, 1_000), &gda, n, pipelined).report
+            // The first 30 points carry an outer-loop PIPELINE directive.
+            table4(&harness(table4::SEED, 1_000), &gda, n, 30).report
         }
         "fig5" => {
             // The paper samples up to 75,000 legal points per benchmark;
@@ -169,10 +172,10 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
                 dsebench::SEED,
                 knob("DHDL_DSEBENCH_POINTS").unwrap_or(1_500),
             );
-            let fraction: f64 = knob("DHDL_DSEBENCH_FRACTION").unwrap_or(0.1);
             let floor = knob("DHDL_DSEBENCH_FLOOR").unwrap_or(0.9);
-            let rerun = std::env::var("DHDL_DSEBENCH_RERUN").map_or(true, |v| v != "0");
-            dsebench(&h, &benches, fraction.clamp(0.001, 1.0), floor, rerun)
+            // The surrogate gets a tenth of the random budget, and the
+            // re-run is the determinism check.
+            dsebench(&h, &benches, 0.1, floor, true)
         }
         "dnnbench" => {
             let h = harness(dnnbench::SEED, knob("DHDL_DNN_POINTS").unwrap_or(2_000));

@@ -18,7 +18,7 @@ use dhdl_apps::{
 };
 use dhdl_core::shape_hash;
 use dhdl_dse::LegalSpace;
-use dhdl_sim::{simulate, simulate_compiled, Bindings};
+use dhdl_sim::Bindings;
 
 use crate::oracle::{Conformance, Violation};
 
@@ -101,46 +101,21 @@ impl Conformance {
                 for (k, data) in bench.inputs() {
                     bindings = bindings.bind(&k, data);
                 }
-                match simulate(&design, self.platform(), &bindings) {
-                    Ok(result) => {
-                        for (arr, expected) in &reference {
-                            match result.output(arr) {
-                                Ok(got) => compare(
-                                    "app-sim-vs-reference",
-                                    name,
-                                    arr,
-                                    got,
-                                    expected,
-                                    &mut v,
-                                ),
-                                Err(e) => v.push(Violation {
-                                    invariant: "app-sim-vs-reference",
-                                    detail: format!("{name}: {e}"),
-                                }),
-                            }
-                        }
-                        // The tape-compiled backend must agree with the
-                        // interpreter bit-for-bit on every benchmark
-                        // (outputs, cycles, transfers, profile, trace).
-                        match simulate_compiled(&design, self.platform(), &bindings) {
-                            Ok(tape) => {
-                                if let Some(diff) = result.bit_diff(&tape) {
-                                    v.push(Violation {
-                                        invariant: "app-backend-differential",
-                                        detail: format!("{name}: {diff}"),
-                                    });
-                                }
+                // The references are tolerance-based, so the shared layer
+                // gets none; its `backend-differential` is bit-exact here
+                // as on generated designs.
+                if let Some(result) = self.check_backends(&design, &bindings, None, &mut v) {
+                    for (arr, expected) in &reference {
+                        match result.output(arr) {
+                            Ok(got) => {
+                                compare("app-sim-vs-reference", name, arr, got, expected, &mut v)
                             }
                             Err(e) => v.push(Violation {
-                                invariant: "app-backend-differential",
-                                detail: format!("{name}: tape backend failed: {e}"),
+                                invariant: "app-sim-vs-reference",
+                                detail: format!("{name}: {e}"),
                             }),
                         }
                     }
-                    Err(e) => v.push(Violation {
-                        invariant: "app-sim-vs-reference",
-                        detail: format!("{name}: simulation failed: {e}"),
-                    }),
                 }
             }
             Err(e) => v.push(Violation {

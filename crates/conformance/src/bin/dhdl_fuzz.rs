@@ -18,10 +18,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dhdl_conformance::corpus::{load_dir, write_case, CaseKind, CorpusCase};
-use dhdl_conformance::{
-    generate, generate_dnn, generate_pattern, shrink, shrink_dnn, shrink_pattern, Conformance,
-    Violation,
-};
+use dhdl_conformance::{generate, generate_dnn, generate_pattern, Conformance, Violation};
 
 struct Args {
     designs: u64,
@@ -116,91 +113,53 @@ fn main() -> ExitCode {
         over
     };
 
+    // One campaign per kind of spec: how many, the kind's name in the
+    // `FAIL`, `N checked` and `budget exhausted` lines, and its generator.
+    type Generate = fn(u64, u64) -> CaseKind;
+    let kinds: [(u64, [&str; 3], Generate); 3] = [
+        (
+            args.designs,
+            ["design", "designs", "designs"],
+            |seed, id| CaseKind::Design(generate(seed, id)),
+        ),
+        (
+            args.patterns,
+            ["pattern", "patterns", "patterns"],
+            |seed, id| CaseKind::Pattern(generate_pattern(seed, id)),
+        ),
+        (args.dnn, ["dnn", "dnn", "dnn fragments"], |seed, id| {
+            CaseKind::Dnn(generate_dnn(seed, id))
+        }),
+    ];
     let mut total_violations = 0usize;
-    let mut designs_run = 0u64;
-    for case_id in 0..args.designs {
-        if out_of_time(case_id, "designs") {
-            break;
+    for (count, [label, counted, budgeted], generate) in kinds {
+        let mut run = 0u64;
+        for case_id in 0..count {
+            if out_of_time(case_id, budgeted) {
+                break;
+            }
+            let spec = generate(args.seed, case_id);
+            let violations = spec.check(&conf);
+            if !violations.is_empty() {
+                total_violations += violations.len();
+                let invariant = violations[0].invariant;
+                let case = CorpusCase {
+                    invariant: invariant.to_string(),
+                    kind: spec.shrink(&conf, invariant),
+                };
+                print_violations(label, &spec.to_line(), &violations);
+                persist(&args.out, &case);
+            }
+            run += 1;
+            if run % 50 == 0 {
+                eprintln!(
+                    "dhdl-fuzz: {run} {budgeted} in {:.1}s",
+                    start.elapsed().as_secs_f64()
+                );
+            }
         }
-        let spec = generate(args.seed, case_id);
-        let violations = conf.check_design(&spec);
-        if !violations.is_empty() {
-            total_violations += violations.len();
-            let invariant = violations[0].invariant;
-            let small = shrink(&conf, &spec, invariant);
-            let case = CorpusCase {
-                invariant: invariant.to_string(),
-                kind: CaseKind::Design(small),
-            };
-            print_violations(
-                "design",
-                &dhdl_conformance::corpus::design_to_line(&spec),
-                &violations,
-            );
-            persist(&args.out, &case);
-        }
-        designs_run += 1;
-        if case_id % 50 == 49 {
-            eprintln!(
-                "dhdl-fuzz: {} designs in {:.1}s",
-                case_id + 1,
-                start.elapsed().as_secs_f64()
-            );
-        }
+        println!("{counted}: {run} checked");
     }
-    println!("designs: {designs_run} checked");
-
-    let mut patterns_run = 0u64;
-    for case_id in 0..args.patterns {
-        if out_of_time(case_id, "patterns") {
-            break;
-        }
-        let spec = generate_pattern(args.seed, case_id);
-        let violations = conf.check_pattern(&spec);
-        if !violations.is_empty() {
-            total_violations += violations.len();
-            let invariant = violations[0].invariant;
-            let small = shrink_pattern(&conf, &spec, invariant);
-            let case = CorpusCase {
-                invariant: invariant.to_string(),
-                kind: CaseKind::Pattern(small),
-            };
-            print_violations(
-                "pattern",
-                &dhdl_conformance::corpus::pattern_to_line(&spec),
-                &violations,
-            );
-            persist(&args.out, &case);
-        }
-        patterns_run += 1;
-    }
-    println!("patterns: {patterns_run} checked");
-
-    let mut dnn_run = 0u64;
-    for case_id in 0..args.dnn {
-        if out_of_time(case_id, "dnn fragments") {
-            break;
-        }
-        let spec = generate_dnn(args.seed, case_id);
-        let violations = conf.check_dnn(&spec);
-        if !violations.is_empty() {
-            total_violations += violations.len();
-            let invariant = violations[0].invariant;
-            let small = shrink_dnn(&conf, &spec, invariant);
-            let case = CorpusCase {
-                invariant: invariant.to_string(),
-                kind: CaseKind::Dnn(small),
-            };
-            print_violations(
-                "dnn",
-                &dhdl_conformance::corpus::dnn_to_line(&spec),
-                &violations,
-            );
-            persist(&args.out, &case);
-        }
-        dnn_run += 1;
-    }
-    println!("dnn: {dnn_run} checked");
 
     let mut benches_run = 0u64;
     if !args.skip_benches && !out_of_time(0, "benchmarks") {
@@ -219,6 +178,14 @@ fn main() -> ExitCode {
     println!("latency-plan: {planned} planned, {contended} with competing transfers");
     if planned > 0 && contended == 0 {
         println!("FAIL latency-plan: no planned design had competing transfers");
+        total_violations += 1;
+    }
+    // `backend-differential`: a campaign in which the tape compiled no
+    // design compared the interpreter with nothing.
+    let (compiled, fell_back) = conf.backend_coverage();
+    println!("backend-differential: {compiled} compiled, {fell_back} fell back");
+    if compiled == 0 && fell_back > 0 {
+        println!("FAIL backend-differential: the tape compiled no design");
         total_violations += 1;
     }
     // Likewise `finish-analyses`: every verdict the three rules can
@@ -256,7 +223,7 @@ fn replay(conf: &Conformance, dir: &Path) -> ExitCode {
     };
     let mut total = 0usize;
     for (path, case) in &cases {
-        let violations = case.check(conf);
+        let violations = case.kind.check(conf);
         let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
@@ -312,7 +279,7 @@ fn emit_corpus(conf: &Conformance, dir: &Path, seed: u64) -> ExitCode {
         }
     }
     for case in &cases {
-        let violations = case.check(conf);
+        let violations = case.kind.check(conf);
         if !violations.is_empty() {
             eprintln!(
                 "dhdl-fuzz: refusing to emit a failing seed case ({} violations)",

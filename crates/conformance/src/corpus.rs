@@ -24,6 +24,7 @@ use crate::dnn::{DnnKind, DnnSpec};
 use crate::gen::{DesignSpec, MapStep, Operand};
 use crate::oracle::{Conformance, Violation};
 use crate::patgen::{PatRhs, PatStep, PatternSpec};
+use crate::shrink::{shrink, shrink_dnn, shrink_pattern};
 
 /// The corpus file header line.
 pub const HEADER: &str = "dhdl-fuzz case v1";
@@ -61,11 +62,7 @@ impl CorpusCase {
 
     /// Render the whole case file.
     pub fn to_text(&self) -> String {
-        let line = match &self.kind {
-            CaseKind::Design(s) => design_to_line(s),
-            CaseKind::Pattern(s) => pattern_to_line(s),
-            CaseKind::Dnn(s) => dnn_to_line(s),
-        };
+        let line = self.kind.to_line();
         format!("{HEADER}\ninvariant={}\n{line}\n", self.invariant)
     }
 
@@ -98,13 +95,33 @@ impl CorpusCase {
             kind,
         })
     }
+}
 
-    /// Run the oracle on this case.
+impl CaseKind {
+    /// The spec's one-line encoding.
+    pub fn to_line(&self) -> String {
+        match self {
+            CaseKind::Design(s) => design_to_line(s),
+            CaseKind::Pattern(s) => pattern_to_line(s),
+            CaseKind::Dnn(s) => dnn_to_line(s),
+        }
+    }
+
+    /// Run the spec's layered oracle.
     pub fn check(&self, conf: &Conformance) -> Vec<Violation> {
-        match &self.kind {
+        match self {
             CaseKind::Design(s) => conf.check_design(s),
             CaseKind::Pattern(s) => conf.check_pattern(s),
             CaseKind::Dnn(s) => conf.check_dnn(s),
+        }
+    }
+
+    /// Greedily shrink a failing spec while it still violates `invariant`.
+    pub fn shrink(&self, conf: &Conformance, invariant: &str) -> CaseKind {
+        match self {
+            CaseKind::Design(s) => CaseKind::Design(shrink(conf, s, invariant)),
+            CaseKind::Pattern(s) => CaseKind::Pattern(shrink_pattern(conf, s, invariant)),
+            CaseKind::Dnn(s) => CaseKind::Dnn(shrink_dnn(conf, s, invariant)),
         }
     }
 }

@@ -13,11 +13,11 @@
 
 use dhdl_apps::{attention::HEAD_DIM, conv2d::KERNEL, Arrays, Attention, Benchmark, Conv2d};
 use dhdl_core::{DType, Design, ParamKind, ParamSpace, ParamValues};
-use dhdl_sim::{compile, simulate, Bindings, CompileError};
+use dhdl_sim::Bindings;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::oracle::{compare_bits, Conformance, Violation};
+use crate::oracle::{Conformance, Violation};
 
 /// Which DNN workload family a spec instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,7 +230,15 @@ impl Conformance {
             }
         };
         self.check_structure(&design, spec.build(), &mut v);
-        self.check_dnn_simulation(spec, &design, &mut v);
+        let inputs = spec.inputs();
+        let mut bindings = Bindings::new();
+        for (name, data) in &inputs {
+            bindings = bindings.bind(name, data.clone());
+        }
+        let expected = spec.reference(&inputs);
+        if let Some(first) = self.check_backends(&design, &bindings, Some(&expected), &mut v) {
+            self.check_determinism(&design, &bindings, &first, &mut v);
+        }
         self.check_estimate_sane(&design, &mut v);
         self.check_latency_plan(&design, spec.serial().build().ok().as_ref(), &mut v);
         if spec.par.max(spec.par2) > 1 {
@@ -242,61 +250,6 @@ impl Conformance {
         self.check_cache(&design, &mut v);
         self.check_params(&spec.param_space(), &spec.param_values(), &mut v);
         v
-    }
-
-    fn check_dnn_simulation(&self, spec: &DnnSpec, design: &Design, v: &mut Vec<Violation>) {
-        let inputs = spec.inputs();
-        let mut bindings = Bindings::new();
-        for (name, data) in &inputs {
-            bindings = bindings.bind(name, data.clone());
-        }
-        let first = match simulate(design, self.platform(), &bindings) {
-            Ok(r) => r,
-            Err(e) => {
-                v.push(Violation {
-                    invariant: "sim-vs-reference",
-                    detail: format!("simulation failed on a legal DNN fragment: {e}"),
-                });
-                return;
-            }
-        };
-        let expected = spec.reference(&inputs);
-        compare_bits(&first, &expected, v);
-        match simulate(design, self.platform(), &bindings) {
-            Ok(second) => {
-                if first.bit_diff(&second).is_some() {
-                    v.push(Violation {
-                        invariant: "sim-determinism",
-                        detail: "re-running the simulator changed outputs or cycles".to_string(),
-                    });
-                }
-            }
-            Err(e) => v.push(Violation {
-                invariant: "sim-determinism",
-                detail: format!("second simulation failed: {e}"),
-            }),
-        }
-        // Backend differential: the tape-compiled backend must be
-        // bit-identical to the interpreter on every fragment it accepts.
-        match compile(design, self.platform()) {
-            Ok(compiled) => match compiled.run(&bindings) {
-                Ok(tape) => {
-                    if let Some(diff) = first.bit_diff(&tape) {
-                        v.push(Violation {
-                            invariant: "backend-differential",
-                            detail: format!("tape backend diverged from interpreter: {diff}"),
-                        });
-                    }
-                }
-                Err(e) => v.push(Violation {
-                    invariant: "backend-differential",
-                    detail: format!("tape backend failed where the interpreter succeeded: {e}"),
-                }),
-            },
-            // Fragments outside the tape subset fall back to the
-            // interpreter in `simulate_compiled`; nothing to cross-check.
-            Err(CompileError::Unsupported(_)) => {}
-        }
     }
 }
 

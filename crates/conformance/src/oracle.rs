@@ -11,7 +11,7 @@
 //! | `finish-analyses`    | banks, interleaving and double-buffering as `finish()` set them == the set-based definitions (`finish.rs`) |
 //! | `sim-vs-reference`   | simulator output == plain-Rust reference, bitwise  |
 //! | `sim-determinism`    | two simulator runs are bit-identical               |
-//! | `backend-differential`| tape-compiled backend == interpreter, bitwise     |
+//! | `backend-differential`| tape-compiled backend == interpreter, bitwise, on every design the tape compiles (counted: [`Conformance::backend_coverage`]) |
 //! | `estimate-finite`    | estimator cycles/area are finite and sane          |
 //! | `skeleton-recost`    | full elaborate == skeleton + recost netlist        |
 //! | `latency-plan`       | planned `estimate_cycles_net` == `estimate_cycles`, bitwise, also through a skeleton built from another parameterization of the same shape |
@@ -20,7 +20,7 @@
 //! | `cache-transparency` | `EstimateCache` hit == miss == uncached, bitwise   |
 //! | `paramspace-legal`   | the sampled parameters are legal in their space    |
 //! | `partition-identity` | K=1 partitioning == unpartitioned path, bitwise    |
-//! | `partition-sim`      | a forced cut keeps outputs bitwise and adds exactly the link cycles, on both backends |
+//! | `partition-sim`      | a forced cut is structurally sound, and its tape-side run is the interpreter's run plus exactly the plan's link cycles |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -28,10 +28,7 @@ use std::sync::Mutex;
 use dhdl_core::{serialize, shape_hash, structural_hash, Design, ParamSpace, ParamValues};
 use dhdl_dse::{model_fingerprint, CachedModel, CostModel, EstimateCache};
 use dhdl_estimate::{estimate_cycles, estimate_cycles_net, Estimate, Estimator};
-use dhdl_sim::{
-    compile, simulate, simulate_multi, simulate_partitioned, Backend, Bindings, CompileError,
-    SimResult,
-};
+use dhdl_sim::{compile, simulate, simulate_partitioned, Bindings, CompileError, SimResult};
 use dhdl_synth::partition::{util_proxy, FIT_MARGIN};
 use dhdl_synth::{elaborate, elaborate_with, partition, synthesize, Skeleton};
 use dhdl_target::{AreaReport, FpgaTarget, MultiFpgaPlatform, Platform};
@@ -75,6 +72,10 @@ pub struct Conformance {
     /// Of those, designs in which at least two transfers compete for the
     /// channel.
     contended: AtomicU64,
+    /// Designs through `backend-differential` that the tape compiled.
+    compiled: AtomicU64,
+    /// Designs it rejected, where the oracle had nothing to compare.
+    fell_back: AtomicU64,
     /// What `finish-analyses` compared.
     pub(crate) finish: Mutex<FinishCoverage>,
 }
@@ -98,6 +99,8 @@ impl Conformance {
             cache,
             planned: AtomicU64::new(0),
             contended: AtomicU64::new(0),
+            compiled: AtomicU64::new(0),
+            fell_back: AtomicU64::new(0),
             finish: Mutex::default(),
         }
     }
@@ -109,6 +112,16 @@ impl Conformance {
         (
             self.planned.load(Ordering::Relaxed),
             self.contended.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(compiled, fell_back)`: designs `backend-differential` ran on
+    /// the tape, and designs the tape compiler rejected — at 0 compiled
+    /// the oracle never compared two backends.
+    pub fn backend_coverage(&self) -> (u64, u64) {
+        (
+            self.compiled.load(Ordering::Relaxed),
+            self.fell_back.load(Ordering::Relaxed),
         )
     }
 
@@ -135,12 +148,21 @@ impl Conformance {
             }
         };
         self.check_structure(&design, spec.build(), &mut v);
-        self.check_simulation(spec, &design, &mut v);
+        let (x, y) = spec.inputs();
+        let expected = spec.reference(&x, &y);
+        let mut bindings = Bindings::new().bind("x", x);
+        if spec.uses_second() {
+            bindings = bindings.bind("y", y);
+        }
+        let base = self.check_backends(&design, &bindings, Some(&expected), &mut v);
+        if let Some(base) = &base {
+            self.check_determinism(&design, &bindings, base, &mut v);
+        }
         self.check_estimator(spec, &design, &mut v);
         self.check_synth(&design, &mut v);
         self.check_cache(&design, &mut v);
         self.check_params(&spec.param_space(), &spec.param_values(), &mut v);
-        self.check_partition(spec, &design, &mut v);
+        self.check_partition(&design, &bindings, base.as_ref(), &mut v);
         v
     }
 
@@ -193,45 +215,80 @@ impl Conformance {
         }
     }
 
-    fn check_simulation(&self, spec: &DesignSpec, design: &Design, v: &mut Vec<Violation>) {
-        let (x, y) = spec.inputs();
-        let mut bindings = Bindings::new().bind("x", x.clone());
-        if spec.uses_second() {
-            bindings = bindings.bind("y", y.clone());
-        }
-        let first = match simulate(design, &self.platform, &bindings) {
+    /// The simulation layer of every simulated kind: one interpreter
+    /// run, compared bit for bit with `reference` where the kind has an
+    /// exact one, and one tape compile-and-run held to the interpreter
+    /// through [`SimResult::bit_diff`] — outputs, cycles, transfers,
+    /// profile and trace alike. Returns the interpreter's result, the
+    /// base every later simulation check compares against.
+    pub(crate) fn check_backends(
+        &self,
+        design: &Design,
+        bindings: &Bindings,
+        reference: Option<&[f64]>,
+        v: &mut Vec<Violation>,
+    ) -> Option<SimResult> {
+        let interp = match simulate(design, &self.platform, bindings) {
             Ok(r) => r,
             Err(e) => {
                 v.push(Violation {
                     invariant: "sim-vs-reference",
                     detail: format!("simulation failed on a legal design: {e}"),
                 });
-                return;
+                return None;
             }
         };
-        let expected = spec.reference(&x, &y);
-        compare_bits(&first, &expected, v);
-        if first.cycles <= 0.0 || !first.cycles.is_finite() {
+        if let Some(expected) = reference {
+            compare_bits(&interp, expected, v);
+        }
+        if interp.cycles <= 0.0 || !interp.cycles.is_finite() {
             v.push(Violation {
                 invariant: "sim-vs-reference",
-                detail: format!("non-positive simulated cycle count: {}", first.cycles),
+                detail: format!("non-positive simulated cycle count: {}", interp.cycles),
             });
         }
-        match simulate(design, &self.platform, &bindings) {
+        let compiled = match compile(design, &self.platform) {
+            Ok(compiled) => compiled,
+            // Outside the tape subset there is no second backend to
+            // compare; the count keeps that from going unnoticed.
+            Err(CompileError::Unsupported(_)) => {
+                self.fell_back.fetch_add(1, Ordering::Relaxed);
+                return Some(interp);
+            }
+        };
+        self.compiled.fetch_add(1, Ordering::Relaxed);
+        match compiled.run(bindings) {
+            Ok(tape) => {
+                if let Some(diff) = interp.bit_diff(&tape) {
+                    v.push(Violation {
+                        invariant: "backend-differential",
+                        detail: format!("tape backend diverged from interpreter: {diff}"),
+                    });
+                }
+            }
+            Err(e) => v.push(Violation {
+                invariant: "backend-differential",
+                detail: format!("tape backend failed where the interpreter succeeded: {e}"),
+            }),
+        }
+        Some(interp)
+    }
+
+    /// A second interpreter run on the same inputs is `first`, bit for
+    /// bit.
+    pub(crate) fn check_determinism(
+        &self,
+        design: &Design,
+        bindings: &Bindings,
+        first: &SimResult,
+        v: &mut Vec<Violation>,
+    ) {
+        match simulate(design, &self.platform, bindings) {
             Ok(second) => {
-                let a = first.output("out").ok();
-                let b = second.output("out").ok();
-                let outputs_match = match (a, b) {
-                    (Some(a), Some(b)) => {
-                        a.len() == b.len()
-                            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                    }
-                    _ => false,
-                };
-                if !outputs_match || first.cycles.to_bits() != second.cycles.to_bits() {
+                if let Some(diff) = first.bit_diff(&second) {
                     v.push(Violation {
                         invariant: "sim-determinism",
-                        detail: "re-running the simulator changed outputs or cycles".to_string(),
+                        detail: format!("re-running the simulator changed the result: {diff}"),
                     });
                 }
             }
@@ -239,28 +296,6 @@ impl Conformance {
                 invariant: "sim-determinism",
                 detail: format!("second simulation failed: {e}"),
             }),
-        }
-        // Backend differential: the tape-compiled backend must be
-        // bit-identical to the interpreter on every design it accepts —
-        // outputs, cycles, transfers, profile and trace alike.
-        match compile(design, &self.platform) {
-            Ok(compiled) => match compiled.run(&bindings) {
-                Ok(tape) => {
-                    if let Some(diff) = first.bit_diff(&tape) {
-                        v.push(Violation {
-                            invariant: "backend-differential",
-                            detail: format!("tape backend diverged from interpreter: {diff}"),
-                        });
-                    }
-                }
-                Err(e) => v.push(Violation {
-                    invariant: "backend-differential",
-                    detail: format!("tape backend failed where the interpreter succeeded: {e}"),
-                }),
-            },
-            // Designs outside the tape subset fall back to the interpreter
-            // in `simulate_compiled`; there is nothing to cross-check.
-            Err(CompileError::Unsupported(_)) => {}
         }
     }
 
@@ -468,13 +503,15 @@ impl Conformance {
     /// The multi-FPGA layer: K=1 partitioning is the unpartitioned path
     /// bit for bit, and a forced cut (against a deliberately shrunken
     /// device, since generated designs fit a real Stratix V whole) is a
-    /// pure scheduling transform — outputs stay bitwise identical and
-    /// the cycle count grows by exactly the plan's link cycles, under
-    /// both simulation backends.
+    /// pure scheduling transform. A plan never changes the executed
+    /// schedule, so what is independent here is the plan's structure and
+    /// that `simulate_partitioned` — one tape-side run per plan — is the
+    /// interpreter's `base` run plus exactly the plan's link cycles.
     pub(crate) fn check_partition(
         &self,
-        spec: &DesignSpec,
         design: &Design,
+        bindings: &Bindings,
+        base: Option<&SimResult>,
         v: &mut Vec<Violation>,
     ) {
         let fpga = &self.platform.fpga;
@@ -494,18 +531,10 @@ impl Conformance {
             });
         }
 
-        let (x, y) = spec.inputs();
-        let mut bindings = Bindings::new().bind("x", x);
-        if spec.uses_second() {
-            bindings = bindings.bind("y", y);
-        }
-        let base = match simulate(design, &self.platform, &bindings) {
-            Ok(r) => r,
-            // An unsimulatable design is already pinned by
-            // `sim-vs-reference`; partitioned runs would only cascade.
-            Err(_) => return,
-        };
-        match simulate_multi(Backend::Interp, design, &self.platform, 1, &bindings) {
+        // An unsimulatable design is already pinned by
+        // `sim-vs-reference`; partitioned runs would only cascade.
+        let Some(base) = base else { return };
+        match simulate_partitioned(design, &mp, &p1, bindings) {
             Ok(m) => {
                 if m.devices_used != 1 || m.link_cycles != 0.0 {
                     v.push(Violation {
@@ -579,7 +608,7 @@ impl Conformance {
                 detail: format!("plan link cycles are not sane: {link_cycles}"),
             });
         }
-        let interp = match simulate_partitioned(Backend::Interp, design, &mp, &parts, &bindings) {
+        let mut cut = match simulate_partitioned(design, &mp, &parts, bindings) {
             Ok(m) => m,
             Err(e) => {
                 v.push(Violation {
@@ -589,54 +618,27 @@ impl Conformance {
                 return;
             }
         };
-        let outputs_match = match (base.output("out"), interp.output("out")) {
-            (Ok(a), Ok(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            _ => false,
-        };
-        if !outputs_match {
-            v.push(Violation {
-                invariant: "partition-sim",
-                detail: "a cut changed functional outputs (must be a pure scheduling transform)"
-                    .to_string(),
-            });
-        }
-        if interp.link_cycles.to_bits() != link_cycles.to_bits()
-            || interp.result.cycles.to_bits() != (base.cycles + link_cycles).to_bits()
+        if cut.link_cycles.to_bits() != link_cycles.to_bits()
+            || cut.result.cycles.to_bits() != (base.cycles + link_cycles).to_bits()
         {
             v.push(Violation {
                 invariant: "partition-sim",
                 detail: format!(
                     "cycle accounting: base {} + link {} != partitioned {} (reported link {})",
-                    base.cycles, link_cycles, interp.result.cycles, interp.link_cycles
+                    base.cycles, link_cycles, cut.result.cycles, cut.link_cycles
                 ),
             });
         }
-        // The tape backend must refuse-and-fall-back, never miscompile:
-        // its partitioned result is bit-identical to the interpreter's.
-        match simulate_partitioned(Backend::Tape, design, &mp, &parts, &bindings) {
-            Ok(tape) => {
-                if let Some(diff) = interp.result.bit_diff(&tape.result) {
-                    v.push(Violation {
-                        invariant: "partition-sim",
-                        detail: format!("tape backend diverged on a partitioned run: {diff}"),
-                    });
-                }
-                if tape.link_cycles.to_bits() != interp.link_cycles.to_bits() {
-                    v.push(Violation {
-                        invariant: "partition-sim",
-                        detail: format!(
-                            "tape link cycles {} != interpreter link cycles {}",
-                            tape.link_cycles, interp.link_cycles
-                        ),
-                    });
-                }
-            }
-            Err(e) => v.push(Violation {
+        // Apart from the cycle count just checked, the cut run is the
+        // base run: outputs, transfers, profile and trace.
+        cut.result.cycles = base.cycles;
+        if let Some(diff) = base.bit_diff(&cut.result) {
+            v.push(Violation {
                 invariant: "partition-sim",
-                detail: format!("tape backend failed on a partitioned run: {e}"),
-            }),
+                detail: format!(
+                    "a cut changed the run (must be a pure scheduling transform): {diff}"
+                ),
+            });
         }
     }
 
@@ -670,7 +672,7 @@ impl Conformance {
     }
 }
 
-pub(crate) fn compare_bits(result: &SimResult, expected: &[f64], v: &mut Vec<Violation>) {
+fn compare_bits(result: &SimResult, expected: &[f64], v: &mut Vec<Violation>) {
     let got = match result.output("out") {
         Ok(g) => g,
         Err(e) => {

@@ -10,17 +10,33 @@
 
 use crate::dnn::{DnnKind, DnnSpec};
 use crate::gen::{DesignSpec, MapStep};
-use crate::oracle::Conformance;
+use crate::oracle::{Conformance, Violation};
 use crate::patgen::{PatRhs, PatternSpec};
 
 /// Upper bound on accepted shrink steps (safety net; real cases converge
 /// in far fewer).
 const MAX_ROUNDS: usize = 64;
 
-fn still_fails(conf: &Conformance, spec: &DesignSpec, invariant: &str) -> bool {
-    conf.check_design(spec)
-        .iter()
-        .any(|v| v.invariant == invariant)
+/// The greedy loop every spec kind shares: take the first of
+/// `candidates(best)` that differs from `best` and still violates
+/// `invariant`, until no candidate does (or the round cap is hit).
+fn greedy<S: Clone + PartialEq>(
+    start: &S,
+    candidates: impl Fn(&S) -> Vec<S>,
+    check: impl Fn(&S) -> Vec<Violation>,
+    invariant: &str,
+) -> S {
+    let mut best = start.clone();
+    for _ in 0..MAX_ROUNDS {
+        let next = candidates(&best)
+            .into_iter()
+            .find(|cand| *cand != best && check(cand).iter().any(|v| v.invariant == invariant));
+        match next {
+            Some(cand) => best = cand,
+            None => break,
+        }
+    }
+    best
 }
 
 /// Make `spec` self-consistent after a structural edit: parallelism must
@@ -135,27 +151,7 @@ fn candidates(spec: &DesignSpec) -> Vec<DesignSpec> {
 /// Greedily shrink a failing design spec while preserving the violated
 /// invariant. Returns the smallest spec found (possibly the input).
 pub fn shrink(conf: &Conformance, spec: &DesignSpec, invariant: &str) -> DesignSpec {
-    let mut best = spec.clone();
-    for _ in 0..MAX_ROUNDS {
-        let mut improved = false;
-        for cand in candidates(&best) {
-            if cand != best && still_fails(conf, &cand, invariant) {
-                best = cand;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best
-}
-
-fn dnn_still_fails(conf: &Conformance, spec: &DnnSpec, invariant: &str) -> bool {
-    conf.check_dnn(spec)
-        .iter()
-        .any(|v| v.invariant == invariant)
+    greedy(spec, candidates, |s| conf.check_design(s), invariant)
 }
 
 /// Make a DNN spec self-consistent after a structural edit: the tile
@@ -245,27 +241,7 @@ fn dnn_candidates(spec: &DnnSpec) -> Vec<DnnSpec> {
 /// Greedily shrink a failing DNN fragment spec while preserving the
 /// violated invariant. Returns the smallest spec found.
 pub fn shrink_dnn(conf: &Conformance, spec: &DnnSpec, invariant: &str) -> DnnSpec {
-    let mut best = *spec;
-    for _ in 0..MAX_ROUNDS {
-        let mut improved = false;
-        for cand in dnn_candidates(&best) {
-            if cand != best && dnn_still_fails(conf, &cand, invariant) {
-                best = cand;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best
-}
-
-fn pattern_still_fails(conf: &Conformance, spec: &PatternSpec, invariant: &str) -> bool {
-    conf.check_pattern(spec)
-        .iter()
-        .any(|v| v.invariant == invariant)
+    greedy(spec, dnn_candidates, |s| conf.check_dnn(s), invariant)
 }
 
 fn pattern_candidates(spec: &PatternSpec) -> Vec<PatternSpec> {
@@ -303,19 +279,10 @@ fn pattern_candidates(spec: &PatternSpec) -> Vec<PatternSpec> {
 
 /// Greedily shrink a failing pattern spec, preserving the invariant.
 pub fn shrink_pattern(conf: &Conformance, spec: &PatternSpec, invariant: &str) -> PatternSpec {
-    let mut best = spec.clone();
-    for _ in 0..MAX_ROUNDS {
-        let mut improved = false;
-        for cand in pattern_candidates(&best) {
-            if cand != best && pattern_still_fails(conf, &cand, invariant) {
-                best = cand;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best
+    greedy(
+        spec,
+        pattern_candidates,
+        |s| conf.check_pattern(s),
+        invariant,
+    )
 }

@@ -149,6 +149,11 @@ fn mini_design_campaign_is_clean() {
     let (planned, contended) = conf.latency_plan_coverage();
     assert_eq!(planned, 15);
     assert!(contended >= 1, "no competitor list was ever walked");
+    // Nor `backend-differential`: the tape compiled some design, so two
+    // backends were compared.
+    let (compiled, fell_back) = conf.backend_coverage();
+    assert_eq!(compiled + fell_back, 15);
+    assert!(compiled > 0, "every design fell back to the interpreter");
     // Nor `finish-analyses`: every verdict was compared.
     let finish = conf.finish_coverage();
     assert_eq!(finish.designs, 15);

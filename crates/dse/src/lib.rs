@@ -66,11 +66,10 @@ pub use cache::{
 };
 pub use checkpoint::Checkpoint;
 pub use fault::{with_silent_panics, FaultConfig, FaultInjector, FaultPlan, InjectionCounts};
-pub use objectives::{frontier_along, perf_per_area, rank_by_perf_per_area, ResourceAxis};
+pub use objectives::{frontier_along, ResourceAxis};
 pub use pareto::{pareto_front, spread};
 pub use runner::{device_count, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
 pub use search::{
-    evaluate_all, explore, refine, DesignPoint, DseOptions, DseResult, SearchStrategy,
-    SurrogateConfig,
+    explore, refine, DesignPoint, DseOptions, DseResult, SearchStrategy, SurrogateConfig,
 };
 pub use space::LegalSpace;

@@ -1,9 +1,7 @@
-//! Ranking objectives over explored design points.
+//! Per-resource objectives over explored design points.
 //!
-//! The paper evaluates designs "in terms of performance and
-//! performance-per-area" (§I contributions). Besides the (cycles, ALMs)
-//! Pareto frontier, this module ranks points by throughput per resource
-//! and extracts per-resource frontiers matching each panel of Figure 5.
+//! Besides the (cycles, ALMs) Pareto frontier, this module extracts the
+//! per-resource frontiers matching each panel of Figure 5.
 
 use crate::pareto::pareto_front;
 use crate::search::{DesignPoint, DseResult};
@@ -49,26 +47,6 @@ pub fn frontier_along(result: &DseResult, axis: ResourceAxis) -> Vec<usize> {
         .map(|p| (p.cycles, axis.of(p), p.valid))
         .collect();
     pareto_front(&tuples)
-}
-
-/// Performance-per-area score of a point: inverse of `cycles × alms`
-/// (higher is better). Invalid points score zero.
-pub fn perf_per_area(p: &DesignPoint) -> f64 {
-    if !p.valid || p.cycles <= 0.0 || p.area.alms <= 0.0 {
-        0.0
-    } else {
-        1.0 / (p.cycles * p.area.alms)
-    }
-}
-
-/// Indices of the evaluated points ranked by performance-per-area,
-/// best first.
-pub fn rank_by_perf_per_area(result: &DseResult) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..result.points.len()).collect();
-    idx.sort_by(|&a, &b| {
-        perf_per_area(&result.points[b]).total_cmp(&perf_per_area(&result.points[a]))
-    });
-    idx
 }
 
 #[cfg(test)]
@@ -126,26 +104,6 @@ mod tests {
         // The fastest point leads both frontiers.
         assert_eq!(alm_front[0], 2);
         assert_eq!(dsp_front[0], 2);
-    }
-
-    #[test]
-    fn perf_per_area_prefers_small_fast_designs() {
-        let small_fast = point(100.0, 10.0, 1.0, 1.0, true);
-        let big_fast = point(90.0, 1000.0, 1.0, 1.0, true);
-        assert!(perf_per_area(&small_fast) > perf_per_area(&big_fast));
-        assert_eq!(perf_per_area(&point(10.0, 10.0, 1.0, 1.0, false)), 0.0);
-    }
-
-    #[test]
-    fn ranking_is_descending() {
-        let r = result(vec![
-            point(100.0, 100.0, 0.0, 0.0, true),
-            point(10.0, 10.0, 0.0, 0.0, true),
-            point(50.0, 50.0, 0.0, 0.0, false),
-        ]);
-        let ranked = rank_by_perf_per_area(&r);
-        assert_eq!(ranked[0], 1);
-        assert_eq!(*ranked.last().unwrap(), 2); // invalid last
     }
 
     #[test]

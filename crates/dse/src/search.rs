@@ -469,24 +469,6 @@ fn merge_counts(a: OutcomeCounts, b: OutcomeCounts) -> OutcomeCounts {
     }
 }
 
-/// Evaluate an explicit list of parameter assignments on the resilient
-/// runner (no sampling), returning outcomes in input order. This is the
-/// building block `explore`/`refine` share, exposed for harnesses that
-/// walk hand-picked point lists.
-pub fn evaluate_all<F, E>(
-    build: F,
-    candidates: &[ParamValues],
-    estimator: &E,
-    opts: &DseOptions,
-) -> Vec<PointOutcome>
-where
-    F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
-    E: CostModel + ?Sized,
-{
-    let deadline = opts.deadline.map(|d| Instant::now() + d);
-    runner::evaluate_points(&build, estimator, candidates, opts, deadline, None).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

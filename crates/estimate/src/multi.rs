@@ -20,7 +20,7 @@
 //! sequential scopes (overlapped scopes hide all but one).
 
 use dhdl_core::Design;
-use dhdl_synth::partition::{partition, Partitioning};
+use dhdl_synth::partition::partition;
 use dhdl_target::{AreaReport, MultiFpgaPlatform};
 
 use crate::{Estimate, Estimator};
@@ -56,11 +56,6 @@ fn area_max(areas: &[AreaReport]) -> AreaReport {
 }
 
 impl Estimator {
-    /// The multi-FPGA platform of `k` copies of this estimator's device.
-    pub fn multi_platform(&self, k: u32) -> MultiFpgaPlatform {
-        MultiFpgaPlatform::from_platform(self.platform(), k)
-    }
-
     /// Estimate a design across up to `k` devices.
     ///
     /// `k <= 1` is byte-identical to [`Estimator::estimate`] (the
@@ -70,38 +65,22 @@ impl Estimator {
     /// area model, and channel traffic adds exposed link cycles.
     pub fn estimate_partitioned(&self, design: &Design, k: u32) -> PartitionedEstimate {
         let base = self.estimate(design);
+        let whole = || PartitionedEstimate {
+            estimate: base,
+            per_device: vec![base.area],
+            link_cycles: 0.0,
+            devices_used: 1,
+        };
         if k <= 1 {
-            return PartitionedEstimate {
-                estimate: base,
-                per_device: vec![base.area],
-                link_cycles: 0.0,
-                devices_used: 1,
-            };
+            return whole();
         }
         let _span = dhdl_obs::span_arg("estimate_partitioned", "k", u64::from(k));
-        let multi = self.multi_platform(k);
+        let multi = MultiFpgaPlatform::from_platform(self.platform(), k);
         let parts = partition(design, multi.device(), &multi.link, k);
-        self.estimate_with_partitioning(design, &multi, &parts, base)
-    }
-
-    /// [`Estimator::estimate_partitioned`] on an already-computed
-    /// [`Partitioning`] (callers that also simulate hold one).
-    pub fn estimate_with_partitioning(
-        &self,
-        _design: &Design,
-        multi: &MultiFpgaPlatform,
-        parts: &Partitioning,
-        base: Estimate,
-    ) -> PartitionedEstimate {
         if parts.is_single() {
             // The placer kept the design whole: identical to the
             // single-chip estimate on one of the K devices.
-            return PartitionedEstimate {
-                estimate: base,
-                per_device: vec![base.area],
-                link_cycles: 0.0,
-                devices_used: 1,
-            };
+            return whole();
         }
         let per_device: Vec<AreaReport> = parts
             .partitions

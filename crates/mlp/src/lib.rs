@@ -31,7 +31,7 @@ mod train;
 
 pub use network::{Activation, Mlp, Scratch};
 pub use norm::Normalizer;
-pub use train::{mse, train_rprop, train_sgd, Dataset, SgdConfig, TrainConfig, TrainReport};
+pub use train::{mse, train_rprop, Dataset, TrainConfig, TrainReport};
 
 /// A regression model bundling a network with its input/output normalizers,
 /// predicting a single scalar from a feature vector.

@@ -160,69 +160,6 @@ fn batch_gradients(net: &Mlp, data: &Dataset, grads: &mut [f64]) {
     }
 }
 
-/// Configuration for [`train_sgd`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SgdConfig {
-    /// Maximum number of epochs.
-    pub max_epochs: usize,
-    /// Stop once mean squared error falls below this threshold.
-    pub target_mse: f64,
-    /// Learning rate.
-    pub learning_rate: f64,
-    /// Momentum coefficient.
-    pub momentum: f64,
-}
-
-impl Default for SgdConfig {
-    fn default() -> Self {
-        SgdConfig {
-            max_epochs: 2000,
-            target_mse: 1e-5,
-            learning_rate: 0.05,
-            momentum: 0.9,
-        }
-    }
-}
-
-/// Train `net` with full-batch gradient descent plus momentum — the
-/// classical baseline the RPROP default is compared against (RPROP's
-/// sign-based steps make it insensitive to feature scaling, which is why
-/// Encog and this crate default to it).
-pub fn train_sgd(net: &mut Mlp, data: &Dataset, cfg: &SgdConfig) -> TrainReport {
-    let n = net.weight_count();
-    let mut grads = vec![0.0; n];
-    let mut velocity = vec![0.0; n];
-    let mut final_mse = mse(net, data);
-    let mut epochs = 0;
-    if data.is_empty() {
-        return TrainReport {
-            epochs,
-            mse: final_mse,
-        };
-    }
-    let scale = 1.0 / data.len() as f64;
-    for epoch in 0..cfg.max_epochs {
-        batch_gradients(net, data, &mut grads);
-        let mut w = 0usize;
-        for layer in net.layers.iter_mut() {
-            for weight in layer.weights.iter_mut() {
-                velocity[w] = cfg.momentum * velocity[w] - cfg.learning_rate * grads[w] * scale;
-                *weight += velocity[w];
-                w += 1;
-            }
-        }
-        epochs = epoch + 1;
-        final_mse = mse(net, data);
-        if final_mse < cfg.target_mse {
-            break;
-        }
-    }
-    TrainReport {
-        epochs,
-        mse: final_mse,
-    }
-}
-
 /// Train `net` on `data` with resilient backpropagation (RPROP+).
 ///
 /// RPROP adapts a per-weight step size from the *sign* of successive
@@ -303,39 +240,6 @@ mod tests {
         let mut net = Mlp::new(&[1, 4, 1], Activation::Sigmoid, 5);
         let report = train_rprop(&mut net, &data, &TrainConfig::default());
         assert!(report.mse < 1e-4, "{report:?}");
-    }
-
-    #[test]
-    fn sgd_learns_and_rprop_converges_faster() {
-        let mut data = Dataset::new();
-        for i in 0..20 {
-            let x = i as f64 / 20.0;
-            data.push(&[x], &[0.5 * x + 0.1]);
-        }
-        let mut sgd_net = Mlp::new(&[1, 4, 1], Activation::Sigmoid, 2);
-        let mut rprop_net = sgd_net.clone();
-        let sgd = train_sgd(
-            &mut sgd_net,
-            &data,
-            &SgdConfig {
-                max_epochs: 400,
-                target_mse: 0.0,
-                ..SgdConfig::default()
-            },
-        );
-        let rp = train_rprop(
-            &mut rprop_net,
-            &data,
-            &TrainConfig {
-                max_epochs: 400,
-                target_mse: 0.0,
-                ..TrainConfig::default()
-            },
-        );
-        assert!(sgd.mse < 0.05, "sgd must learn: {sgd:?}");
-        // RPROP reaches a lower error in the same epoch budget (the reason
-        // it is the default).
-        assert!(rp.mse <= sgd.mse * 1.5, "rprop {rp:?} vs sgd {sgd:?}");
     }
 
     #[test]

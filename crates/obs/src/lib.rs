@@ -13,9 +13,10 @@
 //!   (`histogram!("estimate.area_ns").timer()` records on drop) —
 //!
 //! all recorded into a process-global, thread-safe [`Recorder`] and
-//! drained through pluggable [`Sink`]s: a human-readable summary table,
-//! machine-readable JSON, and Chrome `trace_event` JSON loadable in
-//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! drained as a human-readable summary table ([`write_summary`]),
+//! machine-readable JSON ([`write_json`]) or Chrome `trace_event` JSON
+//! ([`write_chrome`]) loadable in `chrome://tracing` or
+//! [Perfetto](https://ui.perfetto.dev).
 //!
 //! ## Off by default, near-zero overhead
 //!
@@ -56,7 +57,7 @@ mod span;
 
 pub use metrics::{Counter, HistSnapshot, Histogram, Timer};
 pub use recorder::{Recorder, Report, SpanRollup};
-pub use sink::{ChromeSink, JsonSink, Sink, SummarySink};
+pub use sink::{write_chrome, write_json, write_summary};
 pub use span::{Span, SpanEvent};
 
 use std::path::PathBuf;
@@ -200,7 +201,7 @@ pub fn span_labeled(name: &'static str, label: &str) -> Span {
     Span::start(name, None, Some(label.to_string()))
 }
 
-/// Drain the global recorder through the sink the active [`Mode`]
+/// Drain the global recorder in the format the active [`Mode`]
 /// selects: a summary table on stderr, or a JSON/Chrome-trace file named
 /// after `label` under `results/obs/`. Returns the path written, if any.
 /// A no-op (returning `None`) when observation is off.
@@ -214,13 +215,13 @@ pub fn finish(label: &str) -> Option<PathBuf> {
         Mode::Off => None,
         Mode::Summary => {
             let mut out = Vec::new();
-            if SummarySink::new(&mut out).emit(&report).is_ok() {
+            if write_summary(&report, &mut out).is_ok() {
                 eprint!("{}", String::from_utf8_lossy(&out));
             }
             None
         }
-        Mode::Json => write_report(label, "obs.json", |w| JsonSink::new(w).emit(&report)),
-        Mode::Chrome => write_report(label, "trace.json", |w| ChromeSink::new(w).emit(&report)),
+        Mode::Json => write_report(label, "obs.json", |w| write_json(&report, w)),
+        Mode::Chrome => write_report(label, "trace.json", |w| write_chrome(&report, w)),
     }
 }
 

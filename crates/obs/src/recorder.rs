@@ -23,8 +23,8 @@ const MAX_SPANS: usize = 1 << 20;
 /// [`crate::counter!`] and [`crate::histogram!`] primitives.
 ///
 /// One process-global instance exists ([`crate::recorder`]); the type is
-/// public so tests and custom harnesses can snapshot and render it
-/// through any [`crate::Sink`]. Counter and histogram storage is leaked
+/// public so tests and custom harnesses can snapshot it and render the
+/// [`Report`] with [`crate::write_json`] and its siblings. Counter and histogram storage is leaked
 /// on registration to hand out `&'static` handles — the registry is
 /// bounded by the (static) set of metric names in the codebase.
 #[derive(Debug)]

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use dhdl_obs::{init, recorder, ChromeSink, Mode, Report, Sink, SpanEvent, SummarySink};
+use dhdl_obs::{init, recorder, write_chrome, write_json, write_summary, Mode, Report, SpanEvent};
 use proptest::proptest;
 
 /// Serialize tests that touch the global recorder mode.
@@ -439,7 +439,7 @@ fn synthetic_report() -> Report {
 fn chrome_trace_round_trips_through_a_parser() {
     let report = synthetic_report();
     let mut out = Vec::new();
-    ChromeSink::new(&mut out).emit(&report).unwrap();
+    write_chrome(&report, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
     let doc = Parser::parse(&text);
 
@@ -492,7 +492,7 @@ fn chrome_trace_round_trips_through_a_parser() {
 fn json_sink_round_trips_through_the_parser() {
     let report = synthetic_report();
     let mut out = Vec::new();
-    dhdl_obs::JsonSink::new(&mut out).emit(&report).unwrap();
+    write_json(&report, &mut out).unwrap();
     let doc = Parser::parse(&String::from_utf8(out).unwrap());
     assert_eq!(doc.get("counters").get("cache.l1.hit").as_num() as u64, 42);
     assert_eq!(doc.get("span_events").as_num() as usize, 3);
@@ -516,7 +516,7 @@ fn summary_sink_renders_all_sections() {
     init(Mode::Off);
     let report = recorder().snapshot();
     let mut out = Vec::new();
-    SummarySink::new(&mut out).emit(&report).unwrap();
+    write_summary(&report, &mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
     for needle in [
         "dhdl-obs summary",

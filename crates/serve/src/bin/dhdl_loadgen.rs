@@ -17,9 +17,9 @@
 //!
 //! Knobs: first CLI argument or `DHDL_SERVE_ADDR` picks the server;
 //! `DHDL_LOADGEN_SECS` (default 10), `DHDL_LOADGEN_CLIENTS` (default
-//! 4), `DHDL_LOADGEN_SEED` (default 42), `DHDL_LOADGEN_SWEEP_EVERY`
-//! (default 150 requests; 0 disables sweeps),
-//! `DHDL_LOADGEN_SHUTDOWN=1` sends a `shutdown` op when done.
+//! 4), `DHDL_LOADGEN_SEED` (default 42), `DHDL_LOADGEN_SHUTDOWN=1`
+//! sends a `shutdown` op when done. Every client sends one keyed sweep
+//! per `SWEEP_EVERY` (150) requests.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -33,6 +33,9 @@ use dhdl_serve::json::Json;
 use dhdl_serve::{Client, ClientError, Op, Request, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Requests per client between two keyed sweeps.
+const SWEEP_EVERY: u64 = 150;
 
 /// Per-benchmark population of legal points the trace draws from.
 struct Population {
@@ -94,7 +97,6 @@ fn client_loop(
     pops: &[Population],
     seed: u64,
     until: Instant,
-    sweep_every: u64,
     requests: &AtomicU64,
 ) -> Tally {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -111,7 +113,7 @@ fn client_loop(
     while Instant::now() < until {
         n += 1;
         let global = requests.fetch_add(1, Ordering::Relaxed);
-        if sweep_every > 0 && n % sweep_every == 0 {
+        if n % SWEEP_EVERY == 0 {
             // An occasional small sweep with an idempotency key: any
             // retry resumes the server-side checkpoint.
             let pop = &pops[zipf(&mut rng, pops.len())];
@@ -215,7 +217,6 @@ fn main() {
     let secs = env_u64("DHDL_LOADGEN_SECS", 10);
     let clients = env_u64("DHDL_LOADGEN_CLIENTS", 4).max(1);
     let seed = env_u64("DHDL_LOADGEN_SEED", 42);
-    let sweep_every = env_u64("DHDL_LOADGEN_SWEEP_EVERY", 150);
     let out = std::env::var("DHDL_LOADGEN_OUT")
         .unwrap_or_else(|_| "results/BENCH_serve.json".to_string());
 
@@ -236,7 +237,7 @@ fn main() {
             .map(|i| {
                 let pops = Arc::clone(&pops);
                 let requests = Arc::clone(&requests);
-                s.spawn(move || client_loop(addr, &pops, seed + i, until, sweep_every, &requests))
+                s.spawn(move || client_loop(addr, &pops, seed + i, until, &requests))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

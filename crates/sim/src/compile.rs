@@ -1193,34 +1193,6 @@ impl<'a> TimingWalk<'a> {
     }
 }
 
-/// Which simulator implementation executes a design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The tree-walking reference interpreter ([`simulate`]).
-    #[default]
-    Interp,
-    /// The tape-compiled executor ([`simulate_compiled`]).
-    Tape,
-}
-
-/// Simulate with an explicit backend choice.
-///
-/// # Errors
-///
-/// Exactly the errors of [`simulate`] — both backends produce identical
-/// results, including error cases.
-pub fn simulate_with(
-    backend: Backend,
-    design: &Design,
-    platform: &Platform,
-    bindings: &Bindings,
-) -> Result<SimResult> {
-    match backend {
-        Backend::Interp => simulate(design, platform, bindings),
-        Backend::Tape => simulate_compiled(design, platform, bindings),
-    }
-}
-
 /// Simulate via the tape-compiled backend, falling back to the
 /// interpreter for designs the compiler does not support.
 ///
@@ -1234,6 +1206,9 @@ pub fn simulate_compiled(
 ) -> Result<SimResult> {
     match compile(design, platform) {
         Ok(c) => c.run(bindings),
-        Err(CompileError::Unsupported(_)) => simulate(design, platform, bindings),
+        Err(CompileError::Unsupported(_)) => {
+            dhdl_obs::counter!("sim.tape.fallback").incr();
+            simulate(design, platform, bindings)
+        }
     }
 }

@@ -17,8 +17,9 @@
 //! results (outputs, cycles, profile, trace, errors) at roughly an
 //! order of magnitude higher throughput. [`simulate_compiled`] prefers
 //! the tape and falls back to the interpreter for designs the compiler
-//! rejects ([`CompileError::Unsupported`]); [`simulate_with`] selects a
-//! [`Backend`] explicitly.
+//! rejects ([`CompileError::Unsupported`], counted as
+//! `sim.tape.fallback`); [`simulate_partitioned`] is that run plus the
+//! link cycles of a multi-device plan.
 //!
 //! ```
 //! use dhdl_core::{by, DType, DesignBuilder};
@@ -61,9 +62,9 @@ mod multi;
 mod tape;
 mod trace;
 
-pub use compile::{compile, simulate_compiled, simulate_with, Backend, CompileError, Compiled};
+pub use compile::{compile, simulate_compiled, CompileError, Compiled};
 pub use error::{Result, SimError};
 pub use interp::{simulate, Bindings, ProfileEntry, SimResult};
 pub use memory::DramTimeline;
-pub use multi::{simulate_multi, simulate_partitioned, MultiSimResult};
+pub use multi::{simulate_partitioned, MultiSimResult};
 pub use trace::{Trace, TraceEvent};

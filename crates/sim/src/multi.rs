@@ -1,41 +1,30 @@
-//! Multi-device simulation: execute a partitioned design across a
-//! [`MultiFpgaPlatform`] schedule.
+//! Multi-device simulation: a design under a [`Partitioning`].
 //!
-//! Partitioning never changes what a design computes — the cut moves
-//! controllers onto other devices, and every cut memory edge becomes an
-//! explicit inter-board channel that streams exactly the values the
-//! on-chip memory would have held. The functional outputs of a
-//! partitioned design are therefore **bit-identical** to the
-//! unpartitioned run; what changes is timing. [`simulate_partitioned`]
-//! runs the ordinary functional simulation (the global controller
-//! schedule is unchanged — partitions still synchronize through their
-//! parents, now across the link) and adds the exposed link cycles of the
-//! partitioning's channels: stream occupancy serialized on the shared
-//! link bandwidth, plus first-word latency per refill for channels in
-//! sequential scopes.
-//!
-//! The reference interpreter executes every multi-device schedule. The
-//! tape backend compiles single-device schedules only: a non-single
-//! partitioning under [`Backend::Tape`] is treated exactly like a design
-//! the tape compiler rejects ([`CompileError::Unsupported`] semantics)
-//! and falls back to the interpreter — the tape never miscompiles a
-//! schedule it does not model.
-//!
-//! [`CompileError::Unsupported`]: crate::CompileError::Unsupported
+//! Partitioning never changes what a design computes, nor the schedule
+//! that computes it — the cut moves controllers onto other devices, every
+//! cut memory edge becomes an inter-board channel that streams exactly
+//! the values the on-chip memory would have held, and partitions still
+//! synchronize through their parents, now across the link. The run of a
+//! partitioned design is therefore the single-device run, and what a cut
+//! adds is time: [`simulate_partitioned`] is [`simulate_compiled`] on the
+//! base platform plus the exposed link cycles of the plan's channels
+//! ([`Partitioning::link_cycles`]: stream occupancy serialized on the
+//! shared link bandwidth, plus first-word latency per refill for
+//! channels in sequential scopes).
 
 use dhdl_core::Design;
-use dhdl_synth::partition::{partition, Partitioning};
-use dhdl_target::{MultiFpgaPlatform, Platform};
+use dhdl_synth::partition::Partitioning;
+use dhdl_target::MultiFpgaPlatform;
 
-use crate::compile::{simulate_with, Backend};
+use crate::compile::simulate_compiled;
 use crate::error::Result;
-use crate::interp::{simulate, Bindings, SimResult};
+use crate::interp::{Bindings, SimResult};
 
 /// The result of a multi-device simulation.
 #[derive(Debug, Clone)]
 pub struct MultiSimResult {
     /// The functional simulation result. `result.cycles` includes the
-    /// exposed link cycles; outputs are bit-identical to the
+    /// exposed link cycles; everything else is bit-identical to the
     /// unpartitioned run.
     pub result: SimResult,
     /// Exposed inter-board link cycles included in `result.cycles`
@@ -46,85 +35,21 @@ pub struct MultiSimResult {
     pub devices_used: u32,
 }
 
-impl MultiSimResult {
-    /// Final contents of the off-chip memory named `name` (delegates to
-    /// [`SimResult::output`]).
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`SimResult::output`].
-    pub fn output(&self, name: &str) -> Result<&[f64]> {
-        self.result.output(name)
-    }
-}
-
-/// Simulate a design on `k` devices, partitioning it first.
-///
-/// `k <= 1` is identical to [`simulate_with`] on the single-board
-/// platform — the partitioning pass is not consulted at all. For
-/// `k > 1` the placer cuts the design (or leaves it whole if it fits one
-/// device) and the run is scored with [`simulate_partitioned`].
+/// Simulate a design under an already-computed [`Partitioning`]: the
+/// single-device run with `parts.link_cycles(&multi.link)` added to the
+/// cycle count — exactly `0.0` for a plan without channels, so an uncut
+/// plan is bit-identical to [`simulate_compiled`] on the base platform.
 ///
 /// # Errors
 ///
-/// Exactly the errors of [`simulate`] — partitioning itself cannot fail.
-pub fn simulate_multi(
-    backend: Backend,
-    design: &Design,
-    platform: &Platform,
-    k: u32,
-    bindings: &Bindings,
-) -> Result<MultiSimResult> {
-    if k <= 1 {
-        let result = simulate_with(backend, design, platform, bindings)?;
-        return Ok(MultiSimResult {
-            result,
-            link_cycles: 0.0,
-            devices_used: 1,
-        });
-    }
-    let multi = MultiFpgaPlatform::from_platform(platform, k);
-    let parts = partition(design, multi.device(), &multi.link, k);
-    simulate_partitioned(backend, design, &multi, &parts, bindings)
-}
-
-/// Simulate a design under an already-computed [`Partitioning`].
-///
-/// A single (uncut) partitioning is identical to [`simulate_with`] on
-/// the base platform. A real cut runs the same functional schedule —
-/// outputs are bit-identical to the unpartitioned design — and adds
-/// `parts.link_cycles(&multi.link)` to the cycle count. The tape backend
-/// does not model multi-device schedules; a non-single partitioning
-/// under [`Backend::Tape`] falls back to the reference interpreter
-/// rather than miscompiling.
-///
-/// # Errors
-///
-/// Exactly the errors of [`simulate`].
+/// Exactly the errors of [`simulate_compiled`].
 pub fn simulate_partitioned(
-    backend: Backend,
     design: &Design,
     multi: &MultiFpgaPlatform,
     parts: &Partitioning,
     bindings: &Bindings,
 ) -> Result<MultiSimResult> {
-    if parts.is_single() {
-        let result = simulate_with(backend, design, &multi.base, bindings)?;
-        return Ok(MultiSimResult {
-            result,
-            link_cycles: 0.0,
-            devices_used: 1,
-        });
-    }
-    let _span = dhdl_obs::span_arg(
-        "simulate_partitioned",
-        "devices",
-        u64::from(parts.devices_used()),
-    );
-    // Multi-device schedules run on the reference interpreter for every
-    // backend: the tape compiles single-device schedules only, and an
-    // unsupported schedule must fall back, never miscompile.
-    let mut result = simulate(design, &multi.base, bindings)?;
+    let mut result = simulate_compiled(design, &multi.base, bindings)?;
     let link_cycles = parts.link_cycles(&multi.link);
     result.cycles += link_cycles;
     Ok(MultiSimResult {
@@ -137,10 +62,11 @@ pub fn simulate_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::simulate;
     use dhdl_core::{by, DType, DesignBuilder};
-    use dhdl_synth::partition::{Channel, CutKind, Partition};
+    use dhdl_synth::partition::{partition, Channel, CutKind, Partition};
     use dhdl_synth::Netlist;
-    use dhdl_target::Resources;
+    use dhdl_target::{Platform, Resources};
 
     /// A small tiled square-then-double chain with real outputs.
     fn chain() -> Design {
@@ -180,23 +106,16 @@ mod tests {
     /// tested against a synthetic cut with known channel traffic.
     fn synthetic_cut(design: &Design) -> Partitioning {
         let mem = design.find_all(|n| n.name.as_deref() == Some("mT"))[0];
+        let on = |device| Partition {
+            device,
+            units: vec![],
+            net: Netlist::default(),
+            endpoints: Resources::default(),
+        };
         Partitioning {
             num_devices: 2,
             cut: CutKind::LeafRanges,
-            partitions: vec![
-                Partition {
-                    device: 0,
-                    units: vec![],
-                    net: Netlist::default(),
-                    endpoints: Resources::default(),
-                },
-                Partition {
-                    device: 1,
-                    units: vec![],
-                    net: Netlist::default(),
-                    endpoints: Resources::default(),
-                },
-            ],
+            partitions: vec![on(0), on(1)],
             channels: vec![Channel {
                 src: 0,
                 dst: 1,
@@ -209,27 +128,28 @@ mod tests {
         }
     }
 
+    /// The placer's plan for `chain()` at budget `k` is the single plan,
+    /// and the run under it is the interpreter's run bit for bit.
+    fn assert_single_plan_is_the_single_board_run(k: u32) {
+        let d = chain();
+        let multi = MultiFpgaPlatform::from_platform(&Platform::maia(), k);
+        let parts = partition(&d, multi.device(), &multi.link, k);
+        assert!(parts.is_single());
+        let base = simulate(&d, &multi.base, &inputs()).unwrap();
+        let m = simulate_partitioned(&d, &multi, &parts, &inputs()).unwrap();
+        assert_eq!(m.devices_used, 1);
+        assert_eq!(m.link_cycles.to_bits(), 0.0f64.to_bits());
+        assert_eq!(base.bit_diff(&m.result), None);
+    }
+
     #[test]
     fn k1_is_identical_to_single_board() {
-        let d = chain();
-        let p = Platform::maia();
-        let base = simulate(&d, &p, &inputs()).unwrap();
-        let m = simulate_multi(Backend::Interp, &d, &p, 1, &inputs()).unwrap();
-        assert_eq!(m.devices_used, 1);
-        assert_eq!(m.link_cycles, 0.0);
-        assert_eq!(m.result.cycles, base.cycles);
-        assert_eq!(m.result.output("y").unwrap(), base.output("y").unwrap());
+        assert_single_plan_is_the_single_board_run(1);
     }
 
     #[test]
     fn small_design_stays_whole_at_k4() {
-        let d = chain();
-        let p = Platform::maia();
-        let base = simulate(&d, &p, &inputs()).unwrap();
-        let m = simulate_multi(Backend::Interp, &d, &p, 4, &inputs()).unwrap();
-        assert_eq!(m.devices_used, 1);
-        assert_eq!(m.result.cycles, base.cycles);
-        assert_eq!(m.result.output("y").unwrap(), base.output("y").unwrap());
+        assert_single_plan_is_the_single_board_run(4);
     }
 
     #[test]
@@ -240,27 +160,16 @@ mod tests {
         let parts = synthetic_cut(&d);
         assert!(!parts.is_single());
         let base = simulate(&d, &p, &inputs()).unwrap();
-        let m = simulate_partitioned(Backend::Interp, &d, &multi, &parts, &inputs()).unwrap();
-        // Outputs are bit-identical: partitioning never changes values.
-        assert_eq!(m.result.output("y").unwrap(), base.output("y").unwrap());
+        let mut m = simulate_partitioned(&d, &multi, &parts, &inputs()).unwrap();
         // Cycles grow by exactly the exposed link cycles.
         let expected = parts.link_cycles(&multi.link);
         assert!(expected > 0.0);
         assert_eq!(m.link_cycles, expected);
         assert_eq!(m.result.cycles, base.cycles + expected);
         assert_eq!(m.devices_used, 2);
-    }
-
-    #[test]
-    fn tape_backend_falls_back_on_partitioned_schedules() {
-        let d = chain();
-        let p = Platform::maia();
-        let multi = MultiFpgaPlatform::from_platform(&p, 2);
-        let parts = synthetic_cut(&d);
-        let i = simulate_partitioned(Backend::Interp, &d, &multi, &parts, &inputs()).unwrap();
-        let t = simulate_partitioned(Backend::Tape, &d, &multi, &parts, &inputs()).unwrap();
-        assert_eq!(t.result.cycles, i.result.cycles);
-        assert_eq!(t.result.output("y").unwrap(), i.result.output("y").unwrap());
-        assert_eq!(t.link_cycles, i.link_cycles);
+        // Everything else is the interpreter's run: partitioning never
+        // changes values, transfers, profile or trace.
+        m.result.cycles = base.cycles;
+        assert_eq!(base.bit_diff(&m.result), None);
     }
 }

@@ -6,8 +6,11 @@
 //! interpreter rather than miscompile.
 
 use dhdl_core::{by, DType, Design, DesignBuilder, PrimOp, ReduceOp};
-use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, CompileError};
-use dhdl_target::Platform;
+use dhdl_sim::{
+    compile, simulate, simulate_compiled, simulate_partitioned, Bindings, CompileError,
+};
+use dhdl_synth::partition::{Channel, CutKind, Partition, Partitioning};
+use dhdl_target::{MultiFpgaPlatform, Platform};
 
 fn assert_identical(d: &Design, bindings: &Bindings) {
     let p = Platform::maia();
@@ -315,7 +318,9 @@ fn exp_ln_lanes_are_bit_identical_to_libm() {
 /// A conv-shaped body whose per-row partial sums fold through a priority
 /// queue is outside the tape compiler's model: `compile` must refuse
 /// with `Unsupported`, and `simulate_compiled` must fall back to
-/// interpreter-identical results — never miscompile.
+/// interpreter-identical results — never miscompile. The fallback
+/// composes with a cut: under a two-device plan the run is still the
+/// interpreter's, plus the plan's link cycles.
 ///
 /// The builder's structural validation (rightly) refuses to construct a
 /// queue-sourced fold, so the design is produced the way a hostile or
@@ -385,5 +390,36 @@ fn unsupported_conv_body_falls_back() {
         ),
     }
     let (img_data, _) = conv_inputs(size, 1);
-    assert_identical(&d, &Bindings::new().bind("img", img_data));
+    let bindings = Bindings::new().bind("img", img_data);
+    assert_identical(&d, &bindings);
+
+    let on = |device| Partition {
+        device,
+        units: vec![],
+        net: Default::default(),
+        endpoints: Default::default(),
+    };
+    let parts = Partitioning {
+        num_devices: 2,
+        cut: CutKind::LeafRanges,
+        partitions: vec![on(0), on(1)],
+        channels: vec![Channel {
+            src: 0,
+            dst: 1,
+            mem: pt,
+            words: hout * hout,
+            word_bits: 32,
+            transfers: 3,
+            overlapped: false,
+        }],
+    };
+    let multi = MultiFpgaPlatform::from_platform(&p, 2);
+    let link = parts.link_cycles(&multi.link);
+    assert!(link > 0.0);
+    let base = simulate(&d, &p, &bindings).unwrap();
+    let mut cut = simulate_partitioned(&d, &multi, &parts, &bindings).unwrap();
+    assert_eq!(cut.link_cycles, link);
+    assert_eq!(cut.result.cycles, base.cycles + link);
+    cut.result.cycles = base.cycles;
+    assert_eq!(base.bit_diff(&cut.result), None);
 }

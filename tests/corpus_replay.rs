@@ -23,7 +23,7 @@ fn corpus_replays_with_zero_violations() {
     let conf = Conformance::new();
     let mut failures = Vec::new();
     for (path, case) in &cases {
-        let violations = case.check(&conf);
+        let violations = case.kind.check(&conf);
         if !violations.is_empty() {
             failures.push(format!("{}: {:?}", path.display(), violations));
         }
