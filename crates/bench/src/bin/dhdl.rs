@@ -24,9 +24,10 @@ use std::process::ExitCode;
 
 use dhdl_apps::Benchmark;
 use dhdl_bench::report::Table;
-use dhdl_bench::{knob, Harness, Report};
+use dhdl_bench::{knob, simulate_bench, Harness, Report};
 use dhdl_core::ParamValues;
 use dhdl_synth::{maxj, synthesize};
+use dhdl_target::Platform;
 
 fn main() -> ExitCode {
     dhdl_obs::init_from_env();
@@ -337,14 +338,14 @@ fn explore(bench: &dyn Benchmark, rest: &[String]) {
 
 fn sim(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest);
-    let harness = Harness::new(0xC13, 50);
+    let platform = Platform::maia();
     let design = bench.build(&p).expect("design builds");
-    let result = harness.simulate(bench, &design);
+    let result = simulate_bench(&platform, bench, &design);
     println!(
         "simulated {} with {p}: {:.0} cycles ({:.4} ms), {} off-chip transfers",
         bench.name(),
         result.cycles,
-        result.seconds(&harness.platform) * 1e3,
+        result.seconds(&platform) * 1e3,
         result.transfers
     );
     // Validate against the reference.
@@ -378,9 +379,8 @@ fn codegen(bench: &dyn Benchmark, rest: &[String]) {
 /// Simulate and write a VCD waveform of controller activity.
 fn trace(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest);
-    let harness = Harness::new(0xC15, 50);
     let design = bench.build(&p).expect("design builds");
-    let result = harness.simulate(bench, &design);
+    let result = simulate_bench(&Platform::maia(), bench, &design);
     let mut r = Report::default();
     let path = r.file(
         &format!("{}.vcd", bench.name()),
@@ -401,19 +401,16 @@ fn bottleneck(bench: &dyn Benchmark, rest: &[String]) {
     use dhdl_estimate::estimate_breakdown;
     use dhdl_synth::elaborate;
     let p = params_from(bench, rest);
-    let harness = Harness::new(0xC14, 50);
+    let platform = Platform::maia();
     let design = bench.build(&p).expect("design builds");
     println!("estimated cycle attribution (heaviest controllers first):");
-    for e in estimate_breakdown(&design, &harness.platform)
-        .iter()
-        .take(10)
-    {
+    for e in estimate_breakdown(&design, &platform).iter().take(10) {
         println!(
             "{:>14.0} cycles  {:>10.0} runs x {:>10.0}  {}",
             e.total, e.executions, e.per_execution, e.label
         );
     }
-    let net = elaborate(&design, &harness.platform.fpga);
+    let net = elaborate(&design, &platform.fpga);
     println!("\nraw area by template class (LUTs / regs / DSPs / BRAMs):");
     let rows = [
         ("primitives", net.breakdown.primitives),

@@ -54,7 +54,7 @@ pub fn energy(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Energy {
         let dse = harness.explore(bench.as_ref());
         let best = dse.best().expect("valid design");
         let design = bench.build(&best.params).expect("builds");
-        let sim = harness.simulate(bench.as_ref(), &design);
+        let sim = crate::simulate_bench(&harness.platform, bench.as_ref(), &design);
         let fpga_s = sim.seconds(&harness.platform);
         // Power priced over the *synthesized* (ground truth) area.
         let area = synthesize(&design, &harness.platform.fpga).area_report();

@@ -12,6 +12,29 @@ use dhdl_target::{AreaReport, Platform};
 
 use crate::knobs::knob;
 
+/// The benchmark's input arrays as simulator bindings.
+fn bindings(bench: &dyn Benchmark) -> Bindings {
+    let mut bindings = Bindings::new();
+    for (name, data) in bench.inputs() {
+        bindings = bindings.bind(&name, data);
+    }
+    bindings
+}
+
+/// Simulate a built design on the benchmark's inputs: on the compiled
+/// tape, or on the interpreter for a design the compiler rejects. The
+/// two are bit-identical, so only wall-clock time depends on which one
+/// ran. Needs a platform, not a calibrated [`Harness`]: simulation never
+/// reads the estimator.
+///
+/// # Panics
+///
+/// Panics if simulation fails (benchmark designs are validated).
+pub fn simulate_bench(platform: &Platform, bench: &dyn Benchmark, design: &Design) -> SimResult {
+    simulate_compiled(design, platform, &bindings(bench))
+        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.name()))
+}
+
 /// A calibrated evaluation harness: platform, trained estimator, and the
 /// DSE configuration used across experiments.
 #[derive(Debug, Clone)]
@@ -131,28 +154,6 @@ impl Harness {
         result
     }
 
-    /// The benchmark's input arrays as simulator bindings.
-    fn bindings(bench: &dyn Benchmark) -> Bindings {
-        let mut bindings = Bindings::new();
-        for (name, data) in bench.inputs() {
-            bindings = bindings.bind(&name, data);
-        }
-        bindings
-    }
-
-    /// Simulate a built design on the benchmark's inputs: on the
-    /// compiled tape, or on the interpreter for a design the compiler
-    /// rejects. The two are bit-identical, so only wall-clock time
-    /// depends on which one ran.
-    ///
-    /// # Panics
-    ///
-    /// Panics if simulation fails (benchmark designs are validated).
-    pub fn simulate(&self, bench: &dyn Benchmark, design: &Design) -> SimResult {
-        simulate_compiled(design, &self.platform, &Self::bindings(bench))
-            .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.name()))
-    }
-
     /// Simulate `design` under both backends and bit-compare. Returns
     /// the interpreter's result and the verdict: `None` when the tape
     /// compiler does not support the design, otherwise `Ok` or the first
@@ -166,7 +167,7 @@ impl Harness {
         bench: &dyn Benchmark,
         design: &Design,
     ) -> (SimResult, Option<Result<(), String>>) {
-        let bindings = Self::bindings(bench);
+        let bindings = bindings(bench);
         let interp = simulate(design, &self.platform, &bindings)
             .unwrap_or_else(|e| panic!("{}: interpreter failed: {e}", bench.name()));
         let verdict = match compile(design, &self.platform) {
@@ -200,7 +201,7 @@ impl Harness {
         let net = self.estimator.elaborate(&design);
         let est = self.estimator.estimate_net(&design, &net);
         let synth = place_and_route(design_hash(&design), &net, &self.platform.fpga);
-        let sim = self.simulate(bench, &design);
+        let sim = simulate_bench(&self.platform, bench, &design);
         PointEval {
             params: params.clone(),
             est_area: est.area,

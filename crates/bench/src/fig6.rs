@@ -79,7 +79,7 @@ pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
             best.params, best.cycles
         );
         let design = bench.build(&best.params).expect("best point builds");
-        let sim = harness.simulate(bench.as_ref(), &design);
+        let sim = crate::simulate_bench(&harness.platform, bench.as_ref(), &design);
         let fpga_s = sim.seconds(&harness.platform);
         let cpu_s = xeon.seconds(&bench.work());
         let host = dhdl_cpu::run(bench.as_ref(), 3);

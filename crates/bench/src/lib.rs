@@ -52,7 +52,7 @@ pub use diagnose::diagnose;
 pub use dnnbench::dnnbench;
 pub use dsebench::dsebench;
 pub use energy::energy;
-pub use experiments::{mean_errors, Harness, PointEval};
+pub use experiments::{mean_errors, simulate_bench, Harness, PointEval};
 pub use fig5::fig5;
 pub use fig6::fig6;
 pub use knobs::knob;

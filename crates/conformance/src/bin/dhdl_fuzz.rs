@@ -188,6 +188,10 @@ fn main() -> ExitCode {
         println!("FAIL backend-differential: the tape compiled no design");
         total_violations += 1;
     }
+    // What the tape ran them as: with no blocked kernel the comparison
+    // never reached the lane-major fast path.
+    let (blocked, serial) = conf.kernel_coverage();
+    println!("tape kernels: {blocked} blocked, {serial} serial");
     // Likewise `finish-analyses`: every verdict the three rules can
     // reach must have been compared at least once.
     let finish = conf.finish_coverage();

@@ -76,6 +76,9 @@ pub struct Conformance {
     compiled: AtomicU64,
     /// Designs it rejected, where the oracle had nothing to compare.
     fell_back: AtomicU64,
+    /// Pipe kernels of the compiled designs, by the block width the
+    /// tape's hazard analysis chose: `[blocked, serial]`.
+    kernels: [AtomicU64; 2],
     /// What `finish-analyses` compared.
     pub(crate) finish: Mutex<FinishCoverage>,
 }
@@ -101,6 +104,7 @@ impl Conformance {
             contended: AtomicU64::new(0),
             compiled: AtomicU64::new(0),
             fell_back: AtomicU64::new(0),
+            kernels: Default::default(),
             finish: Mutex::default(),
         }
     }
@@ -122,6 +126,18 @@ impl Conformance {
         (
             self.compiled.load(Ordering::Relaxed),
             self.fell_back.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(blocked, serial)`: pipe kernels of the designs
+    /// `backend-differential` compiled that ran in lane-major blocks,
+    /// and kernels held at width 1 — at 0 blocked the oracle never
+    /// exercised the tape's fast path.
+    pub fn kernel_coverage(&self) -> (u64, u64) {
+        let [blocked, serial] = &self.kernels;
+        (
+            blocked.load(Ordering::Relaxed),
+            serial.load(Ordering::Relaxed),
         )
     }
 
@@ -257,6 +273,9 @@ impl Conformance {
             }
         };
         self.compiled.fetch_add(1, Ordering::Relaxed);
+        let (blocked, serial) = compiled.kernels();
+        self.kernels[0].fetch_add(blocked as u64, Ordering::Relaxed);
+        self.kernels[1].fetch_add(serial as u64, Ordering::Relaxed);
         match compiled.run(bindings) {
             Ok(tape) => {
                 if let Some(diff) = interp.bit_diff(&tape) {

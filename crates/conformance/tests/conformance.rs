@@ -154,6 +154,8 @@ fn mini_design_campaign_is_clean() {
     let (compiled, fell_back) = conf.backend_coverage();
     assert_eq!(compiled + fell_back, 15);
     assert!(compiled > 0, "every design fell back to the interpreter");
+    let (blocked, _serial) = conf.kernel_coverage();
+    assert!(blocked > 0, "no kernel ran in lane-major blocks");
     // Nor `finish-analyses`: every verdict was compared.
     let finish = conf.finish_coverage();
     assert_eq!(finish.designs, 15);

@@ -46,8 +46,11 @@
 //! its 16 lock shards from the key's low 4 bits. The finisher is a
 //! bijection, so it cannot merge two keys.
 //!
-//! The full key's word stream is part of the on-disk cache format and of
-//! recorded fault schedules: it must never change silently.
+//! The full key's word stream decides which points a recorded fault
+//! schedule hits (`dhdl_dse::fault` plans by it), salts `dhdl-serve`'s
+//! parameter memo and is folded into the digests `benchmark/` and
+//! DESIGN.md quote; nothing persists it to disk any more (PR 15 deleted
+//! the cache file format). It must still never change silently.
 //! `crates/core/tests/hash_stability.rs` pins golden values, the tests
 //! below flip every field, and `crates/conformance/tests` checks the key
 //! against the historical `Debug`-text formulation over the nine

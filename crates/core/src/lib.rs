@@ -51,7 +51,6 @@ pub mod analysis;
 mod builder;
 mod design;
 mod error;
-pub mod export;
 mod hash;
 mod node;
 mod params;

@@ -85,11 +85,6 @@ impl DType {
         matches!(self, DType::F32 | DType::F64)
     }
 
-    /// Whether this type is a fixed-point (integer-like) type.
-    pub fn is_fixed(&self) -> bool {
-        matches!(self, DType::Fix { .. })
-    }
-
     /// Quantize an `f64` working value to this type's representable set.
     ///
     /// The functional simulator computes in `f64` and calls this after every

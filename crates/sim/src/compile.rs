@@ -5,14 +5,20 @@
 //! 1. **Emission** flattens the hierarchy into a [`crate::tape::Tape`] in
 //!    the interpreter's exact execution order: outer controllers become a
 //!    single linearized loop (members execute sequentially in linear
-//!    order, as the interpreter runs them), pipes become nested counted
-//!    loops with iterator-decode instructions, and every body node
-//!    lowers to one instruction over arena slots. Structural errors the
-//!    interpreter would raise mid-run (`ZeroTripLoop`, `Malformed`,
-//!    `Unevaluated`) compile to an `Abort` at the exact position the
-//!    interpreter would first discover them; data-dependent errors
-//!    (out-of-bounds addresses) stay runtime checks inside the
-//!    instructions.
+//!    order, as the interpreter runs them) with iterator-decode
+//!    instructions, and a pipe becomes counted loops over its enclosing
+//!    dimensions around one `Kernel`: its innermost dimension and whole
+//!    body, every body node lowered straight to one micro-op over arena
+//!    slots. That is the only encoding of a body; what the hazard
+//!    analysis ([`lane_major_unobservable`]) decides is the kernel's
+//!    *block width* — 32 iterations evaluated op-by-op when that order
+//!    is provably unobservable, one iteration at a time otherwise.
+//!    Structural errors the interpreter would raise mid-run
+//!    (`ZeroTripLoop`, `Malformed`, `Unevaluated`) compile to an `Abort`
+//!    at the exact position the interpreter would first discover them
+//!    (inside a body: after a single-trip kernel of the ops that precede
+//!    it); data-dependent errors (out-of-bounds addresses) stay runtime
+//!    checks inside the micro-ops.
 //! 2. **Timing** exploits the fact that for any design the emitter
 //!    accepts, the interpreter's timing model is *data-independent*:
 //!    pipe and fold durations are closed-form in static shapes, tile
@@ -34,10 +40,10 @@
 //! [`simulate`]: same outputs, same cycles, same profile and trace, same
 //! errors.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use dhdl_core::{Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, TileSpec};
+use dhdl_core::{DType, Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, TileSpec};
 use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
 use dhdl_synth::pipe_depth;
 use dhdl_target::Platform;
@@ -47,7 +53,7 @@ use crate::error::{Result, SimError};
 use crate::interp::STAGE_OVERHEAD;
 use crate::interp::{build_profile, error_counter, simulate, Bindings, ProfileEntry, SimResult};
 use crate::memory::DramTimeline;
-use crate::tape::{Instr, KOp, KSrc, Kernel, Tape, TileDesc};
+use crate::tape::{Access, Instr, KKind, KOp, KSrc, Kernel, Tape, TileDesc};
 use crate::trace::{Trace, TraceEvent};
 
 /// Why a design could not be compiled to a tape.
@@ -123,13 +129,16 @@ pub fn compile(
     } else {
         TimingWalk::run(design, platform)
     };
-    dhdl_obs::counter!("sim.compile.count").incr();
-    dhdl_obs::counter!("sim.compile.kernels").add(tape.kernels.len() as u64);
-    Ok(Compiled {
+    let compiled = Compiled {
         layout,
         tape,
         timing,
-    })
+    };
+    let (blocked, serial) = compiled.kernels();
+    dhdl_obs::counter!("sim.compile.count").incr();
+    dhdl_obs::counter!("sim.compile.kernels.blocked").add(blocked as u64);
+    dhdl_obs::counter!("sim.compile.kernels.serial").add(serial as u64);
+    Ok(compiled)
 }
 
 impl Compiled {
@@ -158,6 +167,13 @@ impl Compiled {
     /// Number of tape instructions (diagnostic).
     pub fn instruction_count(&self) -> usize {
         self.tape.instrs.len()
+    }
+
+    /// `(blocked, serial)`: pipe kernels the hazard analysis let run in
+    /// lane-major blocks, and kernels held at width 1 (diagnostic).
+    pub fn kernels(&self) -> (usize, usize) {
+        let blocked = self.tape.kernels.iter().filter(|k| k.blocked).count();
+        (blocked, self.tape.kernels.len() - blocked)
     }
 
     fn run_inner(&self, bindings: &Bindings) -> Result<SimResult> {
@@ -244,39 +260,104 @@ struct Emitter<'a> {
     aborted: bool,
 }
 
-/// Memory and reduction hazard analysis for a candidate fused kernel
-/// (the cross-op half of the fusion safety conditions; dataflow is
-/// checked during op construction in `try_build_kernel`).
-fn kernel_hazards_ok(ops: &[KOp]) -> bool {
-    // Per-memory address-term lists, plus every loaded/stored arena
-    // range and every reduction accumulator.
-    let mut stores: BTreeMap<NodeId, Vec<&[(KSrc, u64)]>> = BTreeMap::new();
-    let mut loads: BTreeMap<NodeId, Vec<&[(KSrc, u64)]>> = BTreeMap::new();
-    let mut ranges: Vec<(usize, u64)> = Vec::new();
+/// A pipe body under construction: its micro-ops, plus the dataflow
+/// bookkeeping that turns an operand node into a [`KSrc`].
+#[derive(Default)]
+struct Body {
+    /// Trip count of the kernel's loop.
+    trips: u64,
+    ops: Vec<KOp>,
+    /// Latest micro-op writing each slot so far: readers see the most
+    /// recent producer, exactly as `vals` reads do in the interpreter.
+    producer: BTreeMap<usize, usize>,
+}
+
+impl Body {
+    /// The operand in `slot`, as read at this point of the body.
+    fn src(&self, slot: usize) -> KSrc {
+        let lane = self.producer.get(&slot).copied();
+        KSrc { slot, lane }
+    }
+
+    fn push(&mut self, dst: usize, ty: DType, kind: KKind) {
+        self.producer.insert(dst, self.ops.len());
+        self.ops.push(KOp { dst, ty, kind });
+    }
+}
+
+/// Linear coefficient of an address in the innermost counter of a
+/// `trips`-iteration kernel. `Some` only when the address is provably
+/// affine (every term loop-invariant or innermost-linear) and every
+/// intermediate value round-trips exactly through the per-lane path's
+/// f64 representation; then a block whose two end addresses are in
+/// bounds needs no per-lane checks.
+fn stride_of(ops: &[KOp], trips: u64, terms: &[(KSrc, u64)]) -> Option<i64> {
+    let mut stride = 0i64;
+    let mut suffix = 1i64;
+    for &(src, dim) in terms.iter().rev() {
+        match src.lane.map(|i| &ops[i].kind) {
+            None | Some(KKind::Outer { .. }) => {}
+            Some(&KKind::Lin { step }) => {
+                let max = (trips - 1).checked_mul(step)?;
+                if max >= (1u64 << 53) {
+                    return None;
+                }
+                stride = stride.checked_add(i64::try_from(step).ok()?.checked_mul(suffix)?)?;
+            }
+            Some(_) => return None,
+        }
+        suffix = suffix.checked_mul(i64::try_from(dim).ok()?)?;
+    }
+    Some(stride)
+}
+
+/// Where a body `Load`/`Store` lands.
+enum Target {
+    /// Priority queue, by dense index.
+    Queue(usize),
+    /// Arena-resident `Bram`/`Reg`.
+    Mem(Access),
+}
+
+/// The block-width decision: is evaluating `ops` op-by-op over a block
+/// of iterations (lane-major) instead of iteration-by-iteration
+/// unobservable? Only then may the kernel run [`crate::tape::LANES`]
+/// wide; otherwise it runs at width 1, which is iteration order. It is
+/// unobservable when:
+///
+/// * the body has no queue traffic (a queue's state orders every access
+///   to it);
+/// * dataflow is strictly forward — no operand reads a slot that some
+///   micro-op of the body writes other than through that op's lanes, so
+///   no op sees a previous iteration's value (this also covers an
+///   `Iter` of another controller re-quantized in place);
+/// * for any memory both loaded and stored in the body, every access
+///   uses the same address terms, those terms are invariant or driven
+///   by the innermost iterator, and at least one term has a nonzero
+///   step — the address is then strictly monotone in the iteration
+///   counter, so a load can never observe (or miss) a different
+///   iteration's store;
+/// * a memory stored by more than one op (and never loaded) uses
+///   identical address terms for all of them, keeping the per-address
+///   last writer identical under the reordering;
+/// * reduction accumulators are disjoint from every loaded or stored
+///   memory range and from each other (the reduction itself is
+///   evaluated sequentially per lane, preserving the exact chain).
+fn lane_major_unobservable(ops: &[KOp]) -> bool {
+    let written: BTreeSet<usize> = ops.iter().map(|op| op.dst).collect();
+    let mut stores: BTreeMap<NodeId, Vec<&Access>> = BTreeMap::new();
+    let mut loads: BTreeMap<NodeId, Vec<&Access>> = BTreeMap::new();
     let mut accs: Vec<usize> = Vec::new();
+    let carried = |s: KSrc| s.lane.is_none() && written.contains(&s.slot);
     for op in ops {
-        match op {
-            KOp::Load {
-                mem,
-                terms,
-                base,
-                size,
-                ..
-            } => {
-                loads.entry(*mem).or_default().push(terms);
-                ranges.push((*base, *size));
-            }
-            KOp::Store {
-                mem,
-                terms,
-                base,
-                size,
-                ..
-            } => {
-                stores.entry(*mem).or_default().push(terms);
-                ranges.push((*base, *size));
-            }
-            KOp::Reduce { acc, .. } => accs.push(*acc),
+        if op.kind.any_src(carried) {
+            return false;
+        }
+        match &op.kind {
+            KKind::Load { at, .. } => loads.entry(at.mem).or_default().push(at),
+            KKind::Store { at, .. } => stores.entry(at.mem).or_default().push(at),
+            KKind::Reduce { .. } => accs.push(op.dst),
+            KKind::QPop { .. } | KKind::QPush { .. } => return false,
             _ => {}
         }
     }
@@ -285,10 +366,8 @@ fn kernel_hazards_ok(ops: &[KOp]) -> bool {
     // every accessed memory range (a load/store hitting the live
     // accumulator would observe mid-block state).
     for (i, &a) in accs.iter().enumerate() {
-        if accs[..i].contains(&a) {
-            return false;
-        }
-        if ranges.iter().any(|&(b, s)| a >= b && ((a - b) as u64) < s) {
+        let hit = |at: &&Access| a >= at.base && ((a - at.base) as u64) < at.size;
+        if accs[..i].contains(&a) || loads.values().chain(stores.values()).flatten().any(hit) {
             return false;
         }
     }
@@ -296,35 +375,20 @@ fn kernel_hazards_ok(ops: &[KOp]) -> bool {
         // All stores to one memory must agree on the address, so the
         // per-address last writer is the textually last store op at the
         // highest lane under both orders.
-        let first = st[0];
-        if st[1..].iter().any(|t| *t != first) {
+        let first = &st[0].terms;
+        if st[1..].iter().any(|at| at.terms != *first) {
             return false;
         }
         if let Some(ld) = loads.get(mem) {
             // A memory both loaded and stored: same address for every
             // access, and the address must be strictly monotone in the
-            // innermost counter (each term loop-invariant or
-            // innermost-linear, at least one linear with nonzero step)
-            // so lane `l` can only ever observe lane `l`'s own store.
-            if ld.iter().any(|t| *t != first) {
+            // innermost counter (affine with a nonzero stride: each term
+            // loop-invariant or innermost-linear, see `stride_of`) so
+            // lane `l` can only ever observe lane `l`'s own store.
+            if ld.iter().any(|at| at.terms != *first) {
                 return false;
             }
-            let mut linear = false;
-            for (src, _) in first {
-                match src {
-                    KSrc::Slot(_) => {}
-                    KSrc::Lane(i) => match &ops[*i] {
-                        KOp::Outer { .. } => {}
-                        KOp::Lin { step, .. } => {
-                            if *step != 0 {
-                                linear = true;
-                            }
-                        }
-                        _ => return false,
-                    },
-                }
-            }
-            if !linear {
+            if st[0].stride.map_or(true, |s| s == 0) {
                 return false;
             }
         }
@@ -523,29 +587,24 @@ impl<'a> Emitter<'a> {
         if let Some(r) = &p.reduce {
             // The reduce register resets element 0 to the identity once
             // per pipe execution.
-            match self.design.kind(r.reg) {
-                NodeKind::Reg(_) => {
-                    let base = self.layout.mem_base(r.reg).expect("laid out");
-                    self.push(Instr::Fill {
-                        base,
-                        len: 1,
-                        val: r.op.identity(),
-                    });
-                }
-                NodeKind::Bram(b) if b.elements() >= 1 => {
-                    let base = self.layout.mem_base(r.reg).expect("laid out");
-                    self.push(Instr::Fill {
-                        base,
-                        len: 1,
-                        val: r.op.identity(),
-                    });
-                }
-                NodeKind::Bram(_) | NodeKind::PriorityQueue(_) => {
+            let elements = match self.design.kind(r.reg) {
+                NodeKind::Reg(_) => Some(1),
+                NodeKind::Bram(b) => Some(b.elements()),
+                NodeKind::PriorityQueue(_) => Some(0),
+                _ => None, // skipped silently; the reduce step aborts below
+            };
+            match elements {
+                Some(0) => {
                     return Err(
                         self.unsupported(format!("reduce register {} has no element 0", r.reg))
                     )
                 }
-                _ => {} // skipped silently; the reduce step aborts below
+                Some(_) => self.push(Instr::Fill {
+                    base: self.layout.mem_base(r.reg).expect("laid out"),
+                    len: 1,
+                    val: r.op.identity(),
+                }),
+                None => {}
             }
         }
         let iters = iter_nodes(self.design, ctrl);
@@ -560,410 +619,158 @@ impl<'a> Emitter<'a> {
                 "pipe {ctrl} has more iterators than counter dimensions"
             )));
         }
+        // Enclosing pipe dimensions are counted loops on the tape; the
+        // innermost one (a single trip for a unit chain) is the kernel's.
         let base_depth = self.depth;
-        for &(t, _) in &dims {
+        let (inner_trips, enclosing) = match dims.split_last() {
+            Some((&(t, _), enclosing)) => (t, enclosing),
+            None => (1, &dims[..]),
+        };
+        for &(t, _) in enclosing {
             self.push(Instr::LoopStart { trips: t });
             self.depth += 1;
         }
-        // Index of the first innermost-body instruction (right after the
-        // innermost `LoopStart`), for the fusion attempt below.
-        let body_start = self.tape.instrs.len();
-        // Re-bind every iterator at the top of the innermost body: the
-        // interpreter rebinds all dimensions each iteration, which
-        // matters when an `Iter` node inside the body re-quantizes its
-        // own slot.
+        let mut body = Body {
+            trips: inner_trips,
+            ..Body::default()
+        };
+        // Re-bind every iterator at the top of the body: the interpreter
+        // rebinds all dimensions each iteration, which matters when an
+        // `Iter` node inside the body re-quantizes its own slot.
         for (d, &it) in iters.iter().enumerate() {
-            // Each pipe dimension's counter is driven directly by its own
-            // loop (div 1, modulus == trips), so the decode reduces to a
-            // multiply.
-            self.push(Instr::IterLin {
-                dst: self.slot(it),
-                depth: base_depth + d,
-                step: dims[d].1,
-            });
+            let step = dims[d].1;
+            let kind = if d == enclosing.len() {
+                KKind::Lin { step }
+            } else {
+                let depth = base_depth + d;
+                KKind::Outer { depth, step }
+            };
+            body.push(self.slot(it), DType::F64, kind);
         }
-        for &n in &p.body {
-            self.emit_node(n)?;
-        }
-        if let Some(r) = &p.reduce {
+        // `Err` is the structural error the interpreter raises at this
+        // point of its first iteration, after evaluating what precedes.
+        let mut built = p
+            .body
+            .iter()
+            .try_for_each(|&n| self.emit_node(n, &mut body));
+        if let (Ok(()), Some(r)) = (&built, &p.reduce) {
             match self.design.kind(r.reg) {
                 NodeKind::Bram(_) | NodeKind::Reg(_) => {
+                    let (val, op) = (body.src(self.slot(r.value)), r.op);
+                    let ty = self.design.ty(r.reg);
                     let acc = self.layout.mem_base(r.reg).expect("laid out");
-                    self.push(Instr::ReduceStep {
-                        acc,
-                        val: self.slot(r.value),
-                        op: r.op,
-                        ty: self.design.ty(r.reg),
-                    });
+                    body.push(acc, DType::F64, KKind::Reduce { val, op, ty });
                 }
-                _ => self.abort(SimError::Unevaluated(r.reg)),
+                _ => built = Err(SimError::Unevaluated(r.reg)),
             }
         }
-        // Fuse the innermost loop into a block-vectorized kernel when the
-        // body passes the safety analysis; the unfused form remains the
-        // fallback for bodies with cross-iteration hazards.
-        let mut fused = false;
-        if !self.aborted && !dims.is_empty() {
-            let innermost = base_depth + dims.len() - 1;
-            if let Some(kernel) =
-                self.try_build_kernel(body_start, dims[dims.len() - 1].0, innermost)
-            {
-                let ki = self.tape.kernels.len();
-                self.tape.kernels.push(kernel);
-                // Drop the innermost `LoopStart` and its body; the
-                // kernel instruction replaces the whole loop.
-                self.tape.instrs.truncate(body_start - 1);
-                self.tape.instrs.push(Instr::Kernel(ki));
-                fused = true;
-            }
+        let blocked = lane_major_unobservable(&body.ops);
+        self.push(Instr::Kernel(self.tape.kernels.len()));
+        self.tape.kernels.push(Kernel {
+            // A body that aborts runs once, up to the abort.
+            trips: if built.is_ok() { inner_trips } else { 1 },
+            ops: body.ops,
+            blocked,
+        });
+        if let Err(e) = built {
+            self.abort(e);
         }
-        let ends = dims.len() - usize::from(fused);
-        for _ in 0..ends {
+        for _ in enclosing {
             self.push(Instr::LoopEnd);
         }
         self.depth = base_depth;
         Ok(())
     }
 
-    /// Try to convert the innermost-loop body `instrs[start..]` into a
-    /// fused [`Kernel`].
-    ///
-    /// Fusion evaluates the body op-by-op over blocks of iterations
-    /// (lane-major) instead of iteration-by-iteration, so it is only
-    /// performed when that reordering is provably unobservable:
-    ///
-    /// * the body contains only lane-safe instruction kinds (no queues,
-    ///   tiles, fills, folds, nested loops or aborts);
-    /// * dataflow is strictly forward — every operand slot is either
-    ///   written by an *earlier* body instruction or by none at all
-    ///   (loop-invariant), so no op reads a previous iteration's value;
-    /// * for any memory both loaded and stored in the body, every access
-    ///   uses the same address terms, those terms are invariant or
-    ///   driven by the innermost iterator, and at least one term has a
-    ///   nonzero step — the address is then strictly monotone in the
-    ///   iteration counter, so a load can never observe (or miss) a
-    ///   different iteration's store;
-    /// * a memory stored by more than one instruction (and never loaded)
-    ///   must use identical address terms for all of them, keeping the
-    ///   per-address last-writer identical under the reordering;
-    /// * reduction accumulators are disjoint from every loaded or stored
-    ///   memory range and from each other (the reduction itself is
-    ///   evaluated sequentially per lane, preserving the exact chain).
-    fn try_build_kernel(&self, start: usize, trips: u64, innermost_depth: usize) -> Option<Kernel> {
-        let body = &self.tape.instrs[start..];
-        if body.is_empty() || body.len() > 64 {
-            return None;
-        }
-        // Every arena slot written by any body instruction (forward-
-        // dataflow guard: reading one of these before it is written this
-        // iteration would observe the previous iteration's value).
-        let mut all_dsts: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        for i in body {
-            match i {
-                Instr::IterLin { dst, .. }
-                | Instr::Bin { dst, .. }
-                | Instr::Un { dst, .. }
-                | Instr::Mux { dst, .. }
-                | Instr::Load { dst, .. }
-                | Instr::Store { dst, .. } => {
-                    all_dsts.insert(*dst);
-                }
-                Instr::Requant { slot, .. } => {
-                    all_dsts.insert(*slot);
-                }
-                Instr::ReduceStep { .. } => {}
-                _ => return None, // queues, tiles, fills, folds, loops, aborts
+    /// Resolve the memory of a body access, with the interpreter's
+    /// `flat_index` checks.
+    fn target(
+        &self,
+        mem: NodeId,
+        addr: &[NodeId],
+        body: &Body,
+    ) -> std::result::Result<Target, SimError> {
+        let (dims, size): (&[u64], u64) = match self.design.kind(mem) {
+            NodeKind::PriorityQueue(_) => {
+                return Ok(Target::Queue(self.layout.queue(mem).expect("laid out")))
             }
-        }
-        let mut ops: Vec<KOp> = Vec::with_capacity(body.len());
-        // Latest micro-op writing each slot so far (readers see the most
-        // recent producer, exactly as slot reads do in the unfused loop).
-        let mut producer: BTreeMap<usize, usize> = BTreeMap::new();
-        let resolve = |producer: &BTreeMap<usize, usize>, slot: usize| -> Option<KSrc> {
-            if let Some(&i) = producer.get(&slot) {
-                Some(KSrc::Lane(i))
-            } else if all_dsts.contains(&slot) {
-                None // written later in the body: a loop-carried read
-            } else {
-                Some(KSrc::Slot(slot))
+            NodeKind::Reg(_) => (&[], 1),
+            NodeKind::Bram(b) if addr.len() == b.dims.len() => (&b.dims, b.dims.iter().product()),
+            NodeKind::Bram(b) => {
+                return Err(SimError::Malformed(format!(
+                    "access to {mem}: address rank {} != memory rank {}",
+                    addr.len(),
+                    b.dims.len()
+                )))
             }
+            _ => return Err(SimError::Malformed(format!("access to non-memory {mem}"))),
         };
-        let resolve_terms =
-            |producer: &BTreeMap<usize, usize>, (ts, tl): (u32, u32)| -> Option<Vec<(KSrc, u64)>> {
-                self.tape.addr_pool[ts as usize..(ts + tl) as usize]
-                    .iter()
-                    .map(|&(slot, dim)| resolve(producer, slot).map(|s| (s, dim)))
-                    .collect()
-            };
-        for instr in body {
-            let j = ops.len();
-            match instr {
-                Instr::IterLin { dst, depth, step } => {
-                    ops.push(if *depth == innermost_depth {
-                        KOp::Lin {
-                            dst: *dst,
-                            step: *step,
-                        }
-                    } else {
-                        KOp::Outer {
-                            dst: *dst,
-                            depth: *depth,
-                            step: *step,
-                        }
-                    });
-                    producer.insert(*dst, j);
-                }
-                Instr::Bin { op, a, b, dst, ty } => {
-                    ops.push(KOp::Bin {
-                        op: *op,
-                        a: resolve(&producer, *a)?,
-                        b: resolve(&producer, *b)?,
-                        dst: *dst,
-                        ty: *ty,
-                    });
-                    producer.insert(*dst, j);
-                }
-                Instr::Un { op, a, dst, ty } => {
-                    ops.push(KOp::Un {
-                        op: *op,
-                        a: resolve(&producer, *a)?,
-                        dst: *dst,
-                        ty: *ty,
-                    });
-                    producer.insert(*dst, j);
-                }
-                Instr::Mux { sel, t, f, dst, ty } => {
-                    ops.push(KOp::Mux {
-                        sel: resolve(&producer, *sel)?,
-                        t: resolve(&producer, *t)?,
-                        f: resolve(&producer, *f)?,
-                        dst: *dst,
-                        ty: *ty,
-                    });
-                    producer.insert(*dst, j);
-                }
-                Instr::Requant { slot, ty } => {
-                    // Only meaningful on a slot an earlier body op wrote;
-                    // re-quantizing an external slot in place mutates
-                    // loop-invariant state and blocks fusion.
-                    let a = match resolve(&producer, *slot)? {
-                        KSrc::Lane(i) => KSrc::Lane(i),
-                        KSrc::Slot(_) => return None,
-                    };
-                    ops.push(KOp::Requant {
-                        a,
-                        dst: *slot,
-                        ty: *ty,
-                    });
-                    producer.insert(*slot, j);
-                }
-                Instr::Load {
-                    base,
-                    terms,
-                    size,
-                    mem,
-                    dst,
-                    ty,
-                } => {
-                    ops.push(KOp::Load {
-                        base: *base,
-                        terms: resolve_terms(&producer, *terms)?,
-                        size: *size,
-                        mem: *mem,
-                        dst: *dst,
-                        ty: *ty,
-                    });
-                    producer.insert(*dst, j);
-                }
-                Instr::Store {
-                    base,
-                    terms,
-                    size,
-                    mem,
-                    val,
-                    mem_ty,
-                    dst,
-                    dst_ty,
-                } => {
-                    ops.push(KOp::Store {
-                        base: *base,
-                        terms: resolve_terms(&producer, *terms)?,
-                        size: *size,
-                        mem: *mem,
-                        val: resolve(&producer, *val)?,
-                        mem_ty: *mem_ty,
-                        dst: *dst,
-                        dst_ty: *dst_ty,
-                    });
-                    producer.insert(*dst, j);
-                }
-                Instr::ReduceStep { acc, val, op, ty } => {
-                    ops.push(KOp::Reduce {
-                        acc: *acc,
-                        val: resolve(&producer, *val)?,
-                        op: *op,
-                        ty: *ty,
-                    });
-                }
-                _ => return None,
-            }
-        }
-        kernel_hazards_ok(&ops).then_some(Kernel { trips, ops })
+        let terms: Vec<(KSrc, u64)> = std::iter::zip(addr, dims)
+            .map(|(&a, &dim)| (body.src(self.slot(a)), dim))
+            .collect();
+        Ok(Target::Mem(Access {
+            base: self.layout.mem_base(mem).expect("laid out"),
+            stride: stride_of(&body.ops, body.trips, &terms),
+            terms,
+            size,
+            mem,
+        }))
     }
 
-    /// Append address terms `(slot, dim)` for a Bram access to the pool.
-    fn addr_terms(&mut self, addr: &[NodeId], dims: &[u64]) -> (u32, u32) {
-        let start = self.tape.addr_pool.len() as u32;
-        for (d, &a) in addr.iter().enumerate() {
-            let slot = self.slot(a);
-            self.tape.addr_pool.push((slot, dims[d]));
-        }
-        (start, addr.len() as u32)
-    }
-
-    fn emit_node(&mut self, n: NodeId) -> EmitResult {
-        if self.aborted {
-            return Ok(());
-        }
+    /// Lower one body node to its micro-op. `Err` is the structural
+    /// error the interpreter's `eval_node` raises for it.
+    fn emit_node(&self, n: NodeId, body: &mut Body) -> std::result::Result<(), SimError> {
         let design = self.design;
         let node = design.node(n);
-        let ty = node.ty;
-        let dst = self.slot(n);
-        match &node.kind {
+        let src = |id: NodeId| body.src(self.slot(id));
+        let kind = match &node.kind {
             // Constants are pre-quantized into the arena template; the
             // interpreter's re-store of the same value is a no-op.
-            NodeKind::Const(_) => {}
+            NodeKind::Const(_) => return Ok(()),
             // An iterator read back through the body re-quantizes in
             // place.
-            NodeKind::Iter { .. } => self.push(Instr::Requant { slot: dst, ty }),
-            NodeKind::Prim { op, inputs } => {
-                if inputs.is_empty() {
-                    self.abort(SimError::Malformed(format!(
+            NodeKind::Iter { .. } => KKind::Requant { a: src(n) },
+            NodeKind::Prim { op, inputs } => match inputs[..] {
+                [] => {
+                    return Err(SimError::Malformed(format!(
                         "primitive {op:?} at {n} has no operands"
-                    )));
-                    return Ok(());
+                    )))
                 }
-                if inputs.len() == 1 {
-                    self.push(Instr::Un {
-                        op: *op,
-                        a: self.slot(inputs[0]),
-                        dst,
-                        ty,
-                    });
-                } else {
-                    self.push(Instr::Bin {
-                        op: *op,
-                        a: self.slot(inputs[0]),
-                        b: self.slot(inputs[1]),
-                        dst,
-                        ty,
-                    });
-                }
-            }
+                [a] => KKind::Un { op: *op, a: src(a) },
+                [a, b, ..] => KKind::Bin {
+                    op: *op,
+                    a: src(a),
+                    b: src(b),
+                },
+            },
             NodeKind::Mux {
                 sel,
                 if_true,
                 if_false,
-            } => self.push(Instr::Mux {
-                sel: self.slot(*sel),
-                t: self.slot(*if_true),
-                f: self.slot(*if_false),
-                dst,
-                ty,
-            }),
-            NodeKind::Load { mem, addr } => match design.kind(*mem) {
-                NodeKind::PriorityQueue(_) => {
-                    let q = self.layout.queue(*mem).expect("laid out");
-                    self.push(Instr::QPop { q, dst, ty });
-                }
-                NodeKind::Reg(_) => {
-                    let base = self.layout.mem_base(*mem).expect("laid out");
-                    self.push(Instr::Load {
-                        base,
-                        terms: (self.tape.addr_pool.len() as u32, 0),
-                        size: 1,
-                        mem: *mem,
-                        dst,
-                        ty,
-                    });
-                }
-                NodeKind::Bram(b) => {
-                    if addr.len() != b.dims.len() {
-                        self.abort(SimError::Malformed(format!(
-                            "access to {mem}: address rank {} != memory rank {}",
-                            addr.len(),
-                            b.dims.len()
-                        )));
-                        return Ok(());
-                    }
-                    let base = self.layout.mem_base(*mem).expect("laid out");
-                    let size = b.dims.iter().product();
-                    let terms = self.addr_terms(addr, &b.dims);
-                    self.push(Instr::Load {
-                        base,
-                        terms,
-                        size,
-                        mem: *mem,
-                        dst,
-                        ty,
-                    });
-                }
-                _ => self.abort(SimError::Malformed(format!("access to non-memory {mem}"))),
+            } => KKind::Mux {
+                sel: src(*sel),
+                t: src(*if_true),
+                f: src(*if_false),
             },
-            NodeKind::Store { mem, addr, value } => match design.kind(*mem) {
-                NodeKind::PriorityQueue(_) => {
-                    let q = self.layout.queue(*mem).expect("laid out");
-                    self.push(Instr::QPush {
-                        q,
-                        val: self.slot(*value),
-                        mem_ty: design.ty(*mem),
-                        dst,
-                        dst_ty: ty,
-                    });
-                }
-                NodeKind::Reg(_) => {
-                    let base = self.layout.mem_base(*mem).expect("laid out");
-                    self.push(Instr::Store {
-                        base,
-                        terms: (self.tape.addr_pool.len() as u32, 0),
-                        size: 1,
-                        mem: *mem,
-                        val: self.slot(*value),
-                        mem_ty: design.ty(*mem),
-                        dst,
-                        dst_ty: ty,
-                    });
-                }
-                NodeKind::Bram(b) => {
-                    if addr.len() != b.dims.len() {
-                        self.abort(SimError::Malformed(format!(
-                            "access to {mem}: address rank {} != memory rank {}",
-                            addr.len(),
-                            b.dims.len()
-                        )));
-                        return Ok(());
-                    }
-                    let base = self.layout.mem_base(*mem).expect("laid out");
-                    let size = b.dims.iter().product();
-                    let terms = self.addr_terms(addr, &b.dims);
-                    self.push(Instr::Store {
-                        base,
-                        terms,
-                        size,
-                        mem: *mem,
-                        val: self.slot(*value),
-                        mem_ty: design.ty(*mem),
-                        dst,
-                        dst_ty: ty,
-                    });
-                }
-                _ => self.abort(SimError::Malformed(format!("access to non-memory {mem}"))),
+            NodeKind::Load { mem, addr } => match self.target(*mem, addr, body)? {
+                Target::Queue(q) => KKind::QPop { q },
+                Target::Mem(at) => KKind::Load { at },
             },
-            other => self.abort(SimError::Malformed(format!(
-                "{} cannot appear in a pipe body",
-                other.template_name()
-            ))),
-        }
+            NodeKind::Store { mem, addr, value } => {
+                let (val, mem_ty) = (src(*value), design.ty(*mem));
+                match self.target(*mem, addr, body)? {
+                    Target::Queue(q) => KKind::QPush { q, val, mem_ty },
+                    Target::Mem(at) => KKind::Store { at, val, mem_ty },
+                }
+            }
+            other => {
+                return Err(SimError::Malformed(format!(
+                    "{} cannot appear in a pipe body",
+                    other.template_name()
+                )))
+            }
+        };
+        body.push(self.slot(n), node.ty, kind);
         Ok(())
     }
 

@@ -107,11 +107,6 @@ impl SimResult {
             })
     }
 
-    /// Names of all off-chip memories in the result, sorted.
-    pub fn output_names(&self) -> impl Iterator<Item = &str> {
-        self.offchip.keys().map(String::as_str)
-    }
-
     /// Bit-exact comparison against another result (any backend).
     ///
     /// Returns `None` when cycles, transfer counts, every off-chip array,
@@ -198,18 +193,6 @@ impl SimResult {
     /// [`Trace::to_vcd`]).
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Render the profile as an indented report.
-    pub fn profile_report(&self) -> String {
-        let mut out = String::new();
-        for e in &self.profile {
-            out.push_str(&format!(
-                "{:>14.0} cycles  {:>8} runs  {}\n",
-                e.cycles, e.executions, e.label
-            ));
-        }
-        out
     }
 }
 

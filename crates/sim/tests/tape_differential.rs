@@ -2,7 +2,9 @@
 //! *bit-identical* to the interpreter — outputs, cycles, transfers,
 //! profile, trace, and errors — on every design either can run.
 
-use dhdl_core::{by, DType, DesignBuilder, PrimOp, ReduceOp};
+use std::cell::Cell;
+
+use dhdl_core::{by, DType, Design, DesignBuilder, NodeId, NodeKind, PipeSpec, PrimOp, ReduceOp};
 use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, SimError};
 use dhdl_target::Platform;
 
@@ -292,5 +294,349 @@ fn unknown_output_lists_names_on_both_backends() {
             }
             other => panic!("expected UnknownOutput, got {other:?}"),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The half of the tape the fuzzer never generates: bodies the hazard
+// analysis must hold at width 1, and block-boundary cases of the ones it
+// lets run 32 wide. Every case goes through `assert_identical` and
+// states the `(blocked, serial)` census it expects, so an analysis that
+// changes its mind shows up here and not as a slow (or wrong) row.
+// ---------------------------------------------------------------------
+
+/// `x[n]` is tile-loaded into `xT`, `body` builds the pipes, `yT[n]` is
+/// tile-stored to `y`; `x[i] = f(i)`. Everything is `F64`, so no
+/// quantization step can absorb a wrong low bit. Asserts the kernel
+/// census, then bit identity.
+fn check(
+    n: u64,
+    f: impl Fn(u64) -> f64,
+    census: (usize, usize),
+    body: impl FnOnce(&mut DesignBuilder, NodeId, NodeId),
+    patch: impl FnOnce(&mut Design),
+) {
+    let mut b = DesignBuilder::new("case");
+    let x = b.off_chip("x", DType::F64, &[n]);
+    let y = b.off_chip("y", DType::F64, &[n]);
+    b.sequential(|b| {
+        let xt = b.bram("xT", DType::F64, &[n]);
+        let yt = b.bram("yT", DType::F64, &[n]);
+        let z = b.index_const(0);
+        b.tile_load(x, xt, &[z], &[n], 1);
+        body(b, xt, yt);
+        b.tile_store(y, yt, &[z], &[n], 1);
+    });
+    let mut d = b.finish().unwrap();
+    patch(&mut d);
+    let compiled = compile(&d, &Platform::maia()).unwrap();
+    assert_eq!(compiled.kernels(), census, "(blocked, serial) kernels");
+    assert_identical(&d, &Bindings::new().bind("x", (0..n).map(f).collect()));
+}
+
+fn no_patch(_: &mut Design) {}
+
+/// The pipe whose body holds `n`.
+fn pipe_of(d: &mut Design, n: NodeId) -> &mut PipeSpec {
+    let id = d
+        .find_all(|node| matches!(&node.kind, NodeKind::Pipe(p) if p.body.contains(&n)))
+        .pop()
+        .expect("a pipe holds the node");
+    match &mut d.node_mut(id).kind {
+        NodeKind::Pipe(p) => p,
+        _ => unreachable!(),
+    }
+}
+
+fn wobble(i: u64) -> f64 {
+    ((i * 37) % 23) as f64 * 0.375 - 3.0
+}
+
+#[test]
+fn register_recurrence_argmin_is_serial() {
+    check(
+        40,
+        |i| wobble(i) - i as f64 * 0.125, // the minimum keeps moving
+        (0, 1),
+        |b, xt, yt| {
+            let best = b.reg("best", DType::F64, 1e9);
+            let best_i = b.reg("bestI", DType::F64, 0.0);
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let v = b.load(xt, &[it[0]]);
+                let prev = b.load_reg(best);
+                let prev_i = b.load_reg(best_i);
+                let better = b.lt(v, prev);
+                let nd = b.mux(better, v, prev);
+                let ni = b.mux(better, it[0], prev_i);
+                b.store_reg(best, nd);
+                b.store_reg(best_i, ni);
+                // The running argmin, iteration by iteration.
+                b.store(yt, &[it[0]], ni);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn accumulate_at_an_inner_invariant_address_is_serial() {
+    // acc[c] += x[c * 10 + j] across the innermost j: the address does
+    // not move with the innermost counter.
+    check(
+        40,
+        wobble,
+        (0, 1),
+        |b, xt, yt| {
+            b.pipe(&[by(4, 1), by(10, 1)], 1, |b, it| {
+                let ten = b.index_const(10);
+                let row = b.mul(it[0], ten);
+                let i = b.add(row, it[1]);
+                let v = b.load(xt, &[i]);
+                let prev = b.load(yt, &[it[0]]);
+                let s = b.add(prev, v);
+                b.store(yt, &[it[0]], s);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn scatter_through_a_loaded_index_is_serial() {
+    // y[x[i] mod 8] += 1: a histogram. Colliding indices make every
+    // iteration depend on the previous ones.
+    check(
+        40,
+        |i| ((i * 5) % 8) as f64,
+        (0, 1),
+        |b, xt, yt| {
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let k = b.load(xt, &[it[0]]);
+                let prev = b.load(yt, &[k]);
+                let one = b.constant(1.0, DType::F64);
+                let s = b.add(prev, one);
+                b.store(yt, &[k], s);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn reading_a_slot_a_later_op_writes_sees_the_previous_iteration() {
+    // s = x[i] + t; t = s * 0.5 — with `s` rewired to read `t`, which the
+    // body only produces afterwards: iteration i reads iteration i-1's
+    // `t`, and the first iteration whatever the slot held (0.0).
+    let nodes = Cell::new(None);
+    check(
+        40,
+        wobble,
+        (0, 1),
+        |b, xt, yt| {
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let v = b.load(xt, &[it[0]]);
+                let s = b.add(v, v);
+                let half = b.constant(0.5, DType::F64);
+                let t = b.mul(s, half);
+                b.store(yt, &[it[0]], t);
+                nodes.set(Some((s, v, t)));
+            });
+        },
+        |d| {
+            let (s, v, t) = nodes.get().unwrap();
+            d.node_mut(s).kind = NodeKind::Prim {
+                op: PrimOp::Add,
+                inputs: [v, t].into(),
+            };
+        },
+    );
+}
+
+#[test]
+fn an_iter_in_the_body_is_requantized_in_place() {
+    // The pipe's own iterator, narrowed to ufix2.0 and listed in the
+    // body: re-bound every iteration, so lanes are independent (blocked)
+    // and everything after it sees min(i, 3).
+    let own = Cell::new(None);
+    check(
+        40,
+        wobble,
+        (1, 0),
+        |b, xt, yt| {
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let v = b.load(xt, &[it[0]]);
+                let w = b.add(v, it[0]);
+                b.store(yt, &[it[0]], w);
+                own.set(Some((it[0], v)));
+            });
+        },
+        |d| {
+            let (it, v) = own.get().unwrap();
+            d.node_mut(it).ty = DType::fixed(false, 2, 0);
+            let body = &mut pipe_of(d, v).body;
+            body.insert(1, it); // after the load, before the add
+        },
+    );
+    // An enclosing controller's iterator: bound once per outer
+    // iteration, so the pipe's first iteration reads it raw and every
+    // later one clamped — a recurrence through the slot (serial).
+    let outer = Cell::new(None);
+    check(
+        40,
+        wobble,
+        (0, 1),
+        |b, xt, yt| {
+            b.sequential_ctr(&[by(40, 8)], 1, |b, oi| {
+                b.pipe(&[by(8, 1)], 1, |b, it| {
+                    let i = b.add(oi[0], it[0]);
+                    let v = b.load(xt, &[i]);
+                    b.store(yt, &[i], v);
+                    outer.set(Some((oi[0], v)));
+                });
+            });
+        },
+        |d| {
+            let (oi, v) = outer.get().unwrap();
+            d.node_mut(oi).ty = DType::fixed(false, 4, 0);
+            pipe_of(d, v).body.push(oi);
+        },
+    );
+}
+
+#[test]
+fn queue_pop_and_push_in_one_body_is_serial() {
+    check(
+        12,
+        wobble,
+        (0, 2),
+        |b, xt, yt| {
+            let q = b.priority_queue("q", DType::F64, 16);
+            b.pipe(&[by(12, 1)], 1, |b, it| {
+                let v = b.load(xt, &[it[0]]);
+                b.store(q, &[], v);
+            });
+            // Pop the minimum, push back its double, emit the popped one.
+            b.pipe(&[by(12, 1)], 1, |b, it| {
+                let v = b.load(q, &[]);
+                let w = b.add(v, v);
+                b.store(q, &[], w);
+                b.store(yt, &[it[0]], v);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn out_of_bounds_store_raises_the_interpreters_error() {
+    // Serial: the scatter index leaves the memory in iteration 3.
+    check(
+        40,
+        |i| if i == 3 { 40.0 } else { (i % 8) as f64 },
+        (0, 1),
+        |b, xt, yt| {
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let k = b.load(xt, &[it[0]]);
+                let prev = b.load(yt, &[k]);
+                b.store(yt, &[k], prev);
+            });
+        },
+        no_patch,
+    );
+    // Blocked: iteration 40 (second block, lane 8) leaves `yT` at the
+    // second store; iteration 41 leaves the larger `zT` at the first.
+    // Lane-major evaluation meets 41's first, the interpreter 40's.
+    check(
+        64,
+        |i| match i {
+            40 => 64.0,
+            41 => 200.0,
+            _ => i as f64,
+        },
+        (1, 0),
+        |b, xt, yt| {
+            let zt = b.bram("zT", DType::F64, &[128]);
+            b.pipe(&[by(64, 1)], 1, |b, it| {
+                let k = b.load(xt, &[it[0]]);
+                b.store(zt, &[k], k);
+                b.store(yt, &[k], it[0]);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn structural_abort_after_two_body_ops() {
+    // The third body node loses its operands: the interpreter evaluates
+    // the two before it, then raises `Malformed` — unless one of those
+    // two fails first. The kernel is the two loads, run once.
+    for first in [2.0, 99.0] {
+        let third = Cell::new(None);
+        check(
+            8,
+            |_| first,
+            (1, 0),
+            |b, xt, yt| {
+                b.pipe(&[by(2, 1), by(4, 1)], 1, |b, it| {
+                    let k = b.load(xt, &[it[1]]);
+                    let v = b.load(xt, &[k]);
+                    let w = b.add(v, v);
+                    b.store(yt, &[it[1]], w);
+                    third.set(Some(w));
+                });
+            },
+            |d| {
+                d.node_mut(third.get().unwrap()).kind = NodeKind::Prim {
+                    op: PrimOp::Add,
+                    inputs: [].into(),
+                };
+            },
+        );
+    }
+}
+
+#[test]
+fn a_body_of_more_than_64_ops_is_blocked() {
+    check(
+        100,
+        wobble,
+        (1, 0),
+        |b, xt, yt| {
+            b.pipe(&[by(100, 1)], 1, |b, it| {
+                let mut v = b.load(xt, &[it[0]]);
+                let c = b.constant(1.0625, DType::F64);
+                for k in 0..70 {
+                    v = if k % 2 == 0 { b.mul(v, c) } else { b.add(v, c) };
+                }
+                b.store(yt, &[it[0]], v);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn trip_counts_around_the_block_width() {
+    for n in [1, 31, 32, 33] {
+        check(
+            n,
+            wobble,
+            (2, 0),
+            |b, xt, yt| {
+                let sum = b.reg("sum", DType::F64, 0.0);
+                b.pipe_reduce(&[by(n, 1)], 1, sum, ReduceOp::Add, |b, it| {
+                    let v = b.load(xt, &[it[0]]);
+                    b.mul(v, v)
+                });
+                b.pipe(&[by(n, 1)], 1, |b, it| {
+                    let v = b.load(xt, &[it[0]]);
+                    let s = b.load_reg(sum);
+                    let w = b.add(v, s);
+                    b.store(yt, &[it[0]], w);
+                });
+            },
+            no_patch,
+        );
     }
 }

@@ -85,3 +85,40 @@ fn corpus_designs_are_bit_identical_across_backends() {
          the compilable subset regressed"
     );
 }
+
+/// The schedule of the nine applications at default parameters: which
+/// pipe kernels the hazard analysis runs in lane-major blocks and which
+/// it holds at width 1. A diff here means the analysis changed its mind
+/// about a body — look at it before looking at a slow `sim_steady` row.
+#[test]
+fn kernel_census_of_the_nine_applications() {
+    let platform = Platform::maia();
+    let census: Vec<(String, (usize, usize))> = dhdl_apps::all()
+        .into_iter()
+        .chain(dhdl_apps::dnn())
+        .map(|bench| {
+            let design = bench
+                .build(&bench.default_params())
+                .expect("defaults build");
+            let compiled = compile(&design, &platform).expect("the tape accepts every app");
+            (bench.name().to_string(), compiled.kernels())
+        })
+        .collect();
+    let expected = [
+        ("dotproduct", (2, 0)),
+        ("outerprod", (1, 0)),
+        ("gemm", (1, 0)),
+        ("tpchq6", (2, 0)),
+        ("blackscholes", (1, 0)),
+        ("gda", (2, 0)),
+        // The per-point recurrences: `dist[c]` accumulated across `j`,
+        // the register argmin, the scatter through the loaded `bestIdx`.
+        ("kmeans", (2, 3)),
+        ("conv2d", (1, 0)),
+        ("attention", (6, 0)),
+    ];
+    let got: Vec<(&str, (usize, usize))> = census.iter().map(|(n, k)| (n.as_str(), *k)).collect();
+    assert_eq!(got, expected, "(blocked, serial) kernels per application");
+    let pipes: usize = census.iter().map(|(_, (b, s))| b + s).sum();
+    assert_eq!(pipes, 21);
+}

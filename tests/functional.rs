@@ -229,18 +229,3 @@ fn fixed_point_datapath_quantizes() {
         assert_eq!((got * 16.0).fract(), 0.0, "index {i}: {got}");
     }
 }
-
-#[test]
-fn dot_export_works_for_benchmarks() {
-    for bench in dhdl_apps::all().into_iter().take(3) {
-        let design = bench.build(&bench.default_params()).unwrap();
-        let dot = dhdl_core::export::to_dot(&design);
-        assert!(dot.starts_with("digraph"), "{}", bench.name());
-        assert_eq!(
-            dot.matches('{').count(),
-            dot.matches('}').count(),
-            "{}",
-            bench.name()
-        );
-    }
-}

@@ -212,7 +212,7 @@ fn pattern_benchmark_flows_through_the_whole_toolchain() {
     assert!(!dse.pareto.is_empty());
     let best = dse.best().unwrap();
     let design = bench.build(&best.params).unwrap();
-    let sim = harness.simulate(&bench, &design);
+    let sim = dhdl_bench::simulate_bench(&harness.platform, &bench, &design);
     let expected = bench.reference()["dist"][0];
     let got = sim.output("dist").unwrap()[0];
     assert!(

@@ -87,7 +87,7 @@ fn dse_best_points_simulate_close_to_estimates() {
         let dse = harness.explore(bench.as_ref());
         let best = dse.best().unwrap_or_else(|| panic!("{name}: no best"));
         let design = bench.build(&best.params).unwrap();
-        let sim = harness.simulate(bench.as_ref(), &design);
+        let sim = dhdl_bench::simulate_bench(&harness.platform, bench.as_ref(), &design);
         let err = (best.cycles - sim.cycles).abs() / sim.cycles;
         assert!(
             err < 0.25,
@@ -190,7 +190,7 @@ fn simulator_trace_exports_valid_vcd() {
     let bench = dhdl_apps::DotProduct::new(1_920);
     use dhdl_apps::Benchmark as _;
     let design = bench.build(&bench.default_params()).unwrap();
-    let result = harness.simulate(&bench, &design);
+    let result = dhdl_bench::simulate_bench(&harness.platform, &bench, &design);
     assert!(!result.trace().is_empty());
     let vcd = result.trace().to_vcd(&design);
     assert!(vcd.contains("$enddefinitions"));
