@@ -92,7 +92,7 @@ fn usage() {
     );
 }
 
-/// A calibrated harness for an experiment.
+/// A calibrated harness for an experiment or a tool.
 fn harness(seed: u64, points: usize) -> Harness {
     eprintln!("calibrating estimator (one-time, application independent)...");
     Harness::new(seed, points)
@@ -200,20 +200,20 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
     Some(ExitCode::FAILURE)
 }
 
-/// Parse `key=value` overrides on top of the benchmark's defaults.
-fn params_from(bench: &dyn Benchmark, rest: &[String]) -> ParamValues {
+/// Parse `key=value` overrides on top of the benchmark's defaults. An
+/// argument that is neither one of the tool's `flags` nor `name=<integer>`
+/// exits 2: carrying on would answer for the defaults instead.
+fn params_from(bench: &dyn Benchmark, rest: &[String], flags: &[&str]) -> ParamValues {
     let mut p = bench.default_params();
-    for arg in rest {
-        if let Some((k, v)) = arg.split_once('=') {
-            match v.parse::<u64>() {
-                Ok(v) => {
-                    p.set(k, v);
-                }
-                Err(_) => {
-                    eprintln!("ignoring non-numeric parameter `{arg}`");
-                }
-            }
-        }
+    for arg in rest.iter().filter(|a| !flags.contains(&a.as_str())) {
+        let parsed = arg
+            .split_once('=')
+            .and_then(|(k, v)| Some((k, v.parse::<u64>().ok()?)));
+        let Some((k, v)) = parsed else {
+            eprintln!("bad argument `{arg}`: expected <param>=<integer>");
+            std::process::exit(2);
+        };
+        p.set(k, v);
     }
     if !bench.param_space().is_legal(&p) {
         eprintln!("warning: {p} is outside the legal (pruned) space");
@@ -248,9 +248,8 @@ fn list() {
 }
 
 fn estimate(bench: &dyn Benchmark, rest: &[String]) {
-    let p = params_from(bench, rest);
-    eprintln!("calibrating estimator...");
-    let harness = Harness::new(0xC11, 100);
+    let p = params_from(bench, rest, &[]);
+    let harness = harness(0xC11, 100);
     let design = bench.build(&p).expect("design builds");
     let est = harness.estimator.estimate(&design);
     let platform = &harness.platform;
@@ -295,8 +294,7 @@ fn hls(bench: &dyn Benchmark, _rest: &[String]) {
 
 fn explore(bench: &dyn Benchmark, rest: &[String]) {
     let points = opt_usize(rest, "--points", 1_000);
-    eprintln!("calibrating estimator...");
-    let mut harness = Harness::new(0xC12, points);
+    let mut harness = harness(0xC12, points);
     // The flag wins over the DHDL_DSE_STRATEGY env var Harness read.
     if let Some(name) = opt_str(rest, "--strategy") {
         match dhdl_dse::SearchStrategy::parse(&name) {
@@ -337,7 +335,7 @@ fn explore(bench: &dyn Benchmark, rest: &[String]) {
 }
 
 fn sim(bench: &dyn Benchmark, rest: &[String]) {
-    let p = params_from(bench, rest);
+    let p = params_from(bench, rest, &["--profile"]);
     let platform = Platform::maia();
     let design = bench.build(&p).expect("design builds");
     let result = simulate_bench(&platform, bench, &design);
@@ -371,14 +369,14 @@ fn sim(bench: &dyn Benchmark, rest: &[String]) {
 }
 
 fn codegen(bench: &dyn Benchmark, rest: &[String]) {
-    let p = params_from(bench, rest);
+    let p = params_from(bench, rest, &[]);
     let design = bench.build(&p).expect("design builds");
     println!("{}", maxj::generate(&design));
 }
 
 /// Simulate and write a VCD waveform of controller activity.
 fn trace(bench: &dyn Benchmark, rest: &[String]) {
-    let p = params_from(bench, rest);
+    let p = params_from(bench, rest, &[]);
     let design = bench.build(&p).expect("design builds");
     let result = simulate_bench(&Platform::maia(), bench, &design);
     let mut r = Report::default();
@@ -400,7 +398,7 @@ fn trace(bench: &dyn Benchmark, rest: &[String]) {
 fn bottleneck(bench: &dyn Benchmark, rest: &[String]) {
     use dhdl_estimate::estimate_breakdown;
     use dhdl_synth::elaborate;
-    let p = params_from(bench, rest);
+    let p = params_from(bench, rest, &[]);
     let platform = Platform::maia();
     let design = bench.build(&p).expect("design builds");
     println!("estimated cycle attribution (heaviest controllers first):");

@@ -56,12 +56,10 @@ pub struct Harness {
 
 impl Harness {
     /// Build a harness: calibrates the estimator against the synthesis
-    /// model (the paper's one-time, application-independent training).
-    ///
-    /// Trained models are cached on disk (keyed by target and seed) in the
-    /// results directory, mirroring the paper's "characterized once for a
-    /// given target device and toolchain" workflow: the first run per seed
-    /// trains; later runs load in milliseconds.
+    /// model (the paper's one-time, application-independent training) and
+    /// touches no file. The trained model is never persisted: calibration
+    /// is a pure function of platform and seed that costs ~0.2 s, and a
+    /// model file could outlive the characterization it was fitted on.
     ///
     /// Sweep resilience knobs come from the environment so every
     /// experiment driver shares them: `DHDL_DSE_THREADS` (worker
@@ -77,7 +75,7 @@ impl Harness {
     /// for [`dhdl_dse::CachedModel`] to pay for its hashing.
     pub fn new(seed: u64, dse_points: usize) -> Self {
         let platform = Platform::maia();
-        let estimator = Self::cached_estimator(&platform, seed);
+        let estimator = Estimator::calibrate(&platform, seed);
         let threads = knob("DHDL_DSE_THREADS").unwrap_or(0);
         let deadline = knob("DHDL_DSE_DEADLINE_MS").map(std::time::Duration::from_millis);
         let num_fpgas = knob("DHDL_DSE_NUM_FPGAS").unwrap_or(1).max(1);
@@ -96,27 +94,6 @@ impl Harness {
         }
     }
 
-    fn cached_estimator(platform: &Platform, seed: u64) -> Estimator {
-        let cache = crate::report::results_dir().join(format!(
-            "model_{}_{seed:x}.txt",
-            platform
-                .fpga
-                .name
-                .replace(|c: char| !c.is_alphanumeric(), "_")
-        ));
-        if let Ok(text) = std::fs::read_to_string(&cache) {
-            if let Ok(model) = dhdl_estimate::AreaEstimator::from_text(&text) {
-                return Estimator::from_model(platform, model);
-            }
-            eprintln!("stale model cache at {}; retraining", cache.display());
-        }
-        let estimator = Estimator::calibrate(platform, seed);
-        if let Err(e) = std::fs::write(&cache, estimator.area_model().to_text()) {
-            eprintln!("could not cache model at {}: {e}", cache.display());
-        }
-        estimator
-    }
-
     /// Explore a benchmark's design space with the harness settings on
     /// the resilient parallel runner. With `DHDL_DSE_CHECKPOINT=1`,
     /// progress streams to `results/checkpoints/<bench>.ckpt`: an
@@ -128,7 +105,7 @@ impl Harness {
         let mut opts = self.dse.clone();
         if std::env::var("DHDL_DSE_CHECKPOINT").is_ok_and(|v| v != "0" && !v.is_empty()) {
             opts.checkpoint = Some(
-                crate::report::results_dir()
+                dhdl_obs::results_dir()
                     .join("checkpoints")
                     .join(format!("{}.ckpt", bench.name())),
             );
@@ -284,6 +261,13 @@ pub fn mean_errors(evals: &[PointEval]) -> [f64; 4] {
 mod tests {
     use super::*;
     use dhdl_apps::DotProduct;
+    use std::sync::OnceLock;
+
+    /// One calibration for the whole test binary.
+    fn harness() -> &'static Harness {
+        static HARNESS: OnceLock<Harness> = OnceLock::new();
+        HARNESS.get_or_init(|| Harness::new(3, 40))
+    }
 
     #[test]
     fn rel_err_handles_zero_truth() {
@@ -294,7 +278,7 @@ mod tests {
 
     #[test]
     fn shared_netlist_evaluation_matches_synthesize() {
-        let h = Harness::new(3, 20);
+        let h = harness();
         let bench = DotProduct::new(1_920);
         let design = bench.build(&bench.default_params()).unwrap();
         // The shared-netlist evaluation path equals the per-call one.
@@ -307,7 +291,7 @@ mod tests {
 
     #[test]
     fn harness_end_to_end_on_small_benchmark() {
-        let h = Harness::new(3, 40);
+        let h = harness();
         let bench = DotProduct::new(1_920);
         let result = h.explore(&bench);
         assert!(!result.pareto.is_empty());

@@ -88,14 +88,6 @@ impl Table {
     }
 }
 
-/// The results directory (created on demand).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("DHDL_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    let _ = fs::create_dir_all(&path);
-    path
-}
-
 /// What an experiment prints and leaves under `results/`, gathered so
 /// that tests can read it and only the `dhdl` binary [`Report::emit`]s.
 #[derive(Debug, Clone, Default)]
@@ -118,7 +110,7 @@ impl Report {
     /// Add `results/<name>`, returning the path [`Report::emit`] writes.
     pub fn file(&mut self, name: &str, contents: String) -> PathBuf {
         self.files.push((name.to_string(), contents));
-        results_dir().join(name)
+        dhdl_obs::results_dir().join(name)
     }
 
     /// [`Report::file`], announced with a `wrote <path>` line.
@@ -130,9 +122,10 @@ impl Report {
     /// Write the files (a failure warns and carries on), then print the
     /// text.
     pub fn emit(&self) {
+        let dir = dhdl_obs::results_dir();
         for (name, contents) in &self.files {
-            let path = results_dir().join(name);
-            if let Err(e) = fs::write(&path, contents) {
+            let path = dir.join(name);
+            if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, contents)) {
                 eprintln!("warning: could not write {}: {e}", path.display());
             }
         }

@@ -19,6 +19,7 @@ use dhdl_bench::dnnbench::{dnnbench, SEED};
 use dhdl_bench::Harness;
 use dhdl_core::Fnv64;
 use dhdl_dse::{SearchStrategy, SurrogateConfig};
+use std::sync::OnceLock;
 
 /// DSE sample budget (the full run uses more).
 const DSE_POINTS: usize = 60;
@@ -37,6 +38,12 @@ const GOLDEN: [f64; 4] = [0.0318, 0.0632, 0.0708, 0.1276];
 const TOL: f64 = 0.06;
 /// Hard ceiling per axis.
 const CEILING: [f64; 4] = [0.30, 0.30, 0.35, 0.35];
+
+/// One calibration for the whole test binary.
+fn harness() -> &'static Harness {
+    static HARNESS: OnceLock<Harness> = OnceLock::new();
+    HARNESS.get_or_init(|| Harness::new(SEED, DSE_POINTS))
+}
 
 fn benches() -> Vec<Box<dyn Benchmark>> {
     vec![Box::new(Conv2d::new(18, 4)), Box::new(Attention::new(16))]
@@ -81,7 +88,7 @@ fn reference_checksums_are_pinned() {
 
 #[test]
 fn estimates_are_finite_and_monotone_in_par() {
-    let h = Harness::new(SEED, DSE_POINTS);
+    let h = harness();
     for bench in benches() {
         let space = bench.param_space();
         let defaults = bench.default_params();
@@ -146,7 +153,7 @@ fn dse_fronts_are_seed_stable_under_both_strategies() {
         SearchStrategy::Random,
         SearchStrategy::Surrogate(SurrogateConfig::default()),
     ] {
-        let mut h = Harness::new(SEED, DSE_POINTS);
+        let mut h = harness().clone();
         h.dse.strategy = strategy.clone();
         for bench in benches() {
             let a = front_hash(&h, bench.as_ref());
@@ -163,8 +170,7 @@ fn dse_fronts_are_seed_stable_under_both_strategies() {
 
 #[test]
 fn dnn_model_errors_match_golden_band() {
-    let harness = Harness::new(SEED, DSE_POINTS);
-    let frontier = dnnbench(&harness, &benches(), PARETO_N);
+    let frontier = dnnbench(harness(), &benches(), PARETO_N);
     for verdict in &frontier.backends {
         assert_eq!(*verdict, Some(Ok(())), "simulator backends disagree");
     }

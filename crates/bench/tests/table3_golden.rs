@@ -72,40 +72,3 @@ fn table3_errors_match_golden_values() {
         );
     }
 }
-
-/// The goldens of this crate run on the trained models tracked under
-/// `results/` (`Harness::new` loads a model file when there is one), so
-/// each file must be what calibration produces today: a calibration
-/// change that leaves a file behind would have the goldens test an old
-/// model.
-#[test]
-fn tracked_model_files_equal_a_fresh_calibration() {
-    use dhdl_estimate::Estimator;
-    use dhdl_target::Platform;
-
-    const PREFIX: &str = "model_Stratix_V__MAIA__";
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    let mut checked = 0;
-    for entry in std::fs::read_dir(&dir).expect("crates/bench/results exists") {
-        let path = entry.unwrap().path();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let Some(seed) = name
-            .strip_prefix(PREFIX)
-            .and_then(|rest| rest.strip_suffix(".txt"))
-        else {
-            continue;
-        };
-        let seed = u64::from_str_radix(seed, 16)
-            .unwrap_or_else(|_| panic!("{name}: the suffix is not a hex seed"));
-        let fresh = Estimator::calibrate(&Platform::maia(), seed)
-            .area_model()
-            .to_text();
-        assert!(
-            std::fs::read_to_string(&path).unwrap() == fresh,
-            "{name} is not what `Estimator::calibrate(&Platform::maia(), {seed:#x})` produces; \
-             regenerate the file (delete it and re-run the tests) and re-check the goldens"
-        );
-        checked += 1;
-    }
-    assert!(checked >= 3, "only {checked} model files found in {dir:?}");
-}

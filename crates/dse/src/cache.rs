@@ -283,9 +283,10 @@ impl EstimateCache {
 /// stays because `benchmark/` constructs caches with it.
 pub fn model_fingerprint(estimator: &Estimator) -> u64 {
     let mut h = Fnv64::new();
-    h.write(estimator.area_model().to_text().as_bytes());
-    // Platform's Debug rendering covers every numeric field of the
-    // device and power models; Fnv64 hashes it without allocating.
+    // The Debug renderings cover every weight of the area model and
+    // every numeric field of the device and power models; Fnv64 hashes
+    // them without allocating.
+    let _ = write!(h, "{:?}", estimator.area_model());
     let _ = write!(h, "{:?}", estimator.platform());
     h.finish()
 }

@@ -85,49 +85,6 @@ impl AreaEstimator {
     pub fn estimate(&self, design: &Design, target: &FpgaTarget) -> AreaReport {
         self.estimate_net(&elaborate(design, target))
     }
-
-    /// Serialize the trained model to text.
-    pub fn to_text(&self) -> String {
-        format!(
-            "{}==\n{}==\n{}==\nbram {} {} {}\n",
-            self.routing.to_text(),
-            self.dup_regs.to_text(),
-            self.unavail.to_text(),
-            self.bram_linear.0,
-            self.bram_linear.1,
-            self.regs_per_alm
-        )
-    }
-
-    /// Deserialize a model from [`AreaEstimator::to_text`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed section.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut parts = text.split("==\n");
-        let routing = Regressor::from_text(parts.next().ok_or("missing routing net")?)?;
-        let dup_regs = Regressor::from_text(parts.next().ok_or("missing dup-regs net")?)?;
-        let unavail = Regressor::from_text(parts.next().ok_or("missing unavail net")?)?;
-        let tail = parts.next().ok_or("missing bram line")?;
-        let nums: Vec<f64> = tail
-            .trim()
-            .strip_prefix("bram")
-            .ok_or("bad bram line")?
-            .split_whitespace()
-            .map(|s| s.parse::<f64>().map_err(|e| e.to_string()))
-            .collect::<Result<_, _>>()?;
-        if nums.len() != 3 {
-            return Err("bram line needs 3 numbers".into());
-        }
-        Ok(AreaEstimator {
-            routing,
-            dup_regs,
-            unavail,
-            bram_linear: (nums[0], nums[1]),
-            regs_per_alm: nums[2],
-        })
-    }
 }
 
 /// Close an area estimate given correction terms (shared between the hybrid

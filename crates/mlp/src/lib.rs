@@ -109,33 +109,6 @@ impl Regressor {
         self.net.forward_in(scratch);
         self.outputs.invert(0, scratch.cur[0])
     }
-
-    /// Serialize to plain text.
-    pub fn to_text(&self) -> String {
-        format!(
-            "{}--\n{}--\n{}",
-            self.net.to_text(),
-            self.inputs.to_text(),
-            self.outputs.to_text()
-        )
-    }
-
-    /// Deserialize from [`Regressor::to_text`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed section.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut parts = text.split("--\n");
-        let net = Mlp::from_text(parts.next().ok_or("missing network")?)?;
-        let inputs = Normalizer::from_text(parts.next().ok_or("missing input norm")?)?;
-        let outputs = Normalizer::from_text(parts.next().ok_or("missing output norm")?)?;
-        Ok(Regressor {
-            net,
-            inputs,
-            outputs,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -165,8 +138,8 @@ mod tests {
     #[test]
     fn training_is_bit_identical_per_seed() {
         // The DSE surrogate's determinism story rests on this: the same
-        // seed and data must yield byte-identical weights — so the whole
-        // serialized model, and every prediction, must match bit for bit.
+        // seed and data must yield identical weights — so the whole
+        // model, and every prediction, must match bit for bit.
         let samples: Vec<(Vec<f64>, f64)> = (0..30)
             .map(|i| {
                 let x = i as f64 / 30.0;
@@ -177,14 +150,13 @@ mod tests {
         let a = Regressor::fit(&samples, 6, 1234, &cfg);
         let b = Regressor::fit(&samples, 6, 1234, &cfg);
         assert_eq!(a, b);
-        assert_eq!(a.to_text(), b.to_text());
         assert_eq!(
             a.predict(&[0.4, 0.6]).to_bits(),
             b.predict(&[0.4, 0.6]).to_bits()
         );
         // A different seed initializes differently.
         let c = Regressor::fit(&samples, 6, 1235, &cfg);
-        assert_ne!(a.to_text(), c.to_text());
+        assert_ne!(a, c);
     }
 
     #[test]
@@ -208,15 +180,5 @@ mod tests {
         let poison = vec![(vec![0.1], f64::NAN)];
         assert!(Regressor::try_fit(&poison, 4, 7, &TrainConfig::default()).is_none());
         assert!(Regressor::try_fit(&[], 4, 7, &TrainConfig::default()).is_none());
-    }
-
-    #[test]
-    fn regressor_roundtrip() {
-        let samples: Vec<(Vec<f64>, f64)> = (0..10)
-            .map(|i| (vec![i as f64, (10 - i) as f64], i as f64 * 2.0))
-            .collect();
-        let r = Regressor::fit(&samples, 4, 2, &TrainConfig::default());
-        let back = Regressor::from_text(&r.to_text()).unwrap();
-        assert_eq!(r.predict(&[3.0, 7.0]), back.predict(&[3.0, 7.0]));
     }
 }

@@ -42,25 +42,6 @@ impl Activation {
             }
         }
     }
-
-    fn tag(self) -> &'static str {
-        match self {
-            Activation::Sigmoid => "sigmoid",
-            Activation::Tanh => "tanh",
-            Activation::Linear => "linear",
-            Activation::Relu => "relu",
-        }
-    }
-
-    fn from_tag(s: &str) -> Option<Self> {
-        match s {
-            "sigmoid" => Some(Activation::Sigmoid),
-            "tanh" => Some(Activation::Tanh),
-            "linear" => Some(Activation::Linear),
-            "relu" => Some(Activation::Relu),
-            _ => None,
-        }
-    }
 }
 
 /// One fully connected layer: `outputs × (inputs + 1)` weights, the last
@@ -211,65 +192,6 @@ impl Mlp {
         }
         acts
     }
-
-    /// Serialize the network to a plain-text format.
-    pub fn to_text(&self) -> String {
-        let mut s = String::from("mlp v1\n");
-        for l in &self.layers {
-            s.push_str(&format!(
-                "layer {} {} {}\n",
-                l.inputs,
-                l.outputs,
-                l.activation.tag()
-            ));
-            for w in &l.weights {
-                s.push_str(&format!("{w:e}\n"));
-            }
-        }
-        s
-    }
-
-    /// Deserialize a network from [`Mlp::to_text`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty input")?;
-        if header != "mlp v1" {
-            return Err(format!("bad header `{header}`"));
-        }
-        let mut layers = Vec::new();
-        let mut line = lines.next();
-        while let Some(l) = line {
-            let parts: Vec<&str> = l.split_whitespace().collect();
-            if parts.len() != 4 || parts[0] != "layer" {
-                return Err(format!("expected layer header, got `{l}`"));
-            }
-            let inputs: usize = parts[1].parse().map_err(|e| format!("{e}"))?;
-            let outputs: usize = parts[2].parse().map_err(|e| format!("{e}"))?;
-            let activation =
-                Activation::from_tag(parts[3]).ok_or_else(|| format!("bad activation {l}"))?;
-            let n = outputs * (inputs + 1);
-            let mut weights = Vec::with_capacity(n);
-            for _ in 0..n {
-                let w = lines.next().ok_or("truncated weights")?;
-                weights.push(w.trim().parse::<f64>().map_err(|e| format!("{e}"))?);
-            }
-            layers.push(Layer {
-                inputs,
-                outputs,
-                activation,
-                weights,
-            });
-            line = lines.next();
-        }
-        if layers.is_empty() {
-            return Err("no layers".into());
-        }
-        Ok(Mlp { layers })
-    }
 }
 
 #[cfg(test)]
@@ -292,23 +214,6 @@ mod tests {
         let c = Mlp::new(&[4, 3, 2], Activation::Tanh, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn roundtrip_text() {
-        let net = Mlp::new(&[5, 4, 1], Activation::Sigmoid, 3);
-        let text = net.to_text();
-        let back = Mlp::from_text(&text).unwrap();
-        let x = [0.1, -0.2, 0.3, 0.4, -0.5];
-        assert_eq!(net.forward(&x), back.forward(&x));
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(Mlp::from_text("").is_err());
-        assert!(Mlp::from_text("mlp v1\nlayer x y z\n").is_err());
-        assert!(Mlp::from_text("nope").is_err());
-        assert!(Mlp::from_text("mlp v1\n").is_err());
     }
 
     #[test]

@@ -69,49 +69,6 @@ impl Normalizer {
             self.mins[col] + v * span
         }
     }
-
-    /// Serialize to plain text.
-    pub fn to_text(&self) -> String {
-        let mut s = format!("norm v1 {}\n", self.width());
-        for i in 0..self.width() {
-            s.push_str(&format!("{:e} {:e}\n", self.mins[i], self.maxs[i]));
-        }
-        s
-    }
-
-    /// Deserialize from [`Normalizer::to_text`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty input")?;
-        let parts: Vec<&str> = header.split_whitespace().collect();
-        if parts.len() != 3 || parts[0] != "norm" || parts[1] != "v1" {
-            return Err(format!("bad header `{header}`"));
-        }
-        let width: usize = parts[2].parse().map_err(|e| format!("{e}"))?;
-        let mut mins = Vec::with_capacity(width);
-        let mut maxs = Vec::with_capacity(width);
-        for _ in 0..width {
-            let line = lines.next().ok_or("truncated")?;
-            let mut it = line.split_whitespace();
-            let lo: f64 = it
-                .next()
-                .ok_or("missing min")?
-                .parse()
-                .map_err(|e| format!("{e}"))?;
-            let hi: f64 = it
-                .next()
-                .ok_or("missing max")?
-                .parse()
-                .map_err(|e| format!("{e}"))?;
-            mins.push(lo);
-            maxs.push(hi);
-        }
-        Ok(Normalizer { mins, maxs })
-    }
 }
 
 #[cfg(test)]
@@ -134,15 +91,6 @@ mod tests {
         let n = Normalizer::fit(&rows);
         assert_eq!(n.apply(&[7.0]), vec![0.5]);
         assert_eq!(n.invert(0, 0.3), 7.0);
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let rows = vec![vec![1.0, -2.0, 3.5], vec![4.0, 8.0, -1.0]];
-        let n = Normalizer::fit(&rows);
-        let back = Normalizer::from_text(&n.to_text()).unwrap();
-        assert_eq!(n, back);
-        assert!(Normalizer::from_text("junk").is_err());
     }
 
     #[test]

@@ -4,15 +4,6 @@ use dhdl_mlp::{mse, train_rprop, Activation, Dataset, Mlp, Normalizer, TrainConf
 use proptest::prelude::*;
 
 proptest! {
-    /// Text serialization round-trips the network bit-exactly.
-    #[test]
-    fn network_text_roundtrip(inputs in 1usize..8, hidden in 1usize..8, seed: u64) {
-        let net = Mlp::new(&[inputs, hidden, 1], Activation::Sigmoid, seed);
-        let back = Mlp::from_text(&net.to_text()).expect("parses");
-        let x = vec![0.25; inputs];
-        prop_assert_eq!(net.forward(&x), back.forward(&x));
-    }
-
     /// Normalizer: apply is bounded on in-range data and invert is the
     /// exact inverse on every column.
     #[test]

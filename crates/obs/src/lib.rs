@@ -225,11 +225,11 @@ pub fn finish(label: &str) -> Option<PathBuf> {
     }
 }
 
-/// The observation output directory, `<results>/obs/`, where `<results>`
-/// honors `DHDL_RESULTS_DIR` (default `results`) like the bench harness.
-pub fn obs_dir() -> PathBuf {
-    let results = std::env::var("DHDL_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    PathBuf::from(results).join("obs")
+/// The directory every tool writes its output files under:
+/// `DHDL_RESULTS_DIR`, or `results` relative to the working directory.
+/// Only names the path; whoever writes a file creates the directory.
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("DHDL_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }
 
 fn write_report(
@@ -237,7 +237,7 @@ fn write_report(
     ext: &str,
     emit: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>,
 ) -> Option<PathBuf> {
-    let dir = obs_dir();
+    let dir = results_dir().join("obs");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: could not create {}: {e}", dir.display());
         return None;

@@ -194,11 +194,22 @@ fn client_loop(
     tally
 }
 
+/// Parse a knob's value; the error is the warning to print, worded as
+/// the `dhdl` binary words its own.
+fn parse_knob(key: &str, value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("warning: {key}: `{value}` is not a valid number; using the default"))
+}
+
 fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let Ok(value) = std::env::var(key) else {
+        return default;
+    };
+    parse_knob(key, &value).unwrap_or_else(|warning| {
+        eprintln!("{warning}");
+        default
+    })
 }
 
 fn main() {
@@ -351,5 +362,20 @@ fn main() {
             merged.violations.len()
         );
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn a_typo_warns_with_the_variable_and_the_value() {
+        assert_eq!(parse_knob("DHDL_LOADGEN_SECS", "10"), Ok(10));
+        let warning = parse_knob("DHDL_LOADGEN_SECS", "1O").unwrap_err();
+        assert_eq!(
+            warning,
+            "warning: DHDL_LOADGEN_SECS: `1O` is not a valid number; using the default"
+        );
     }
 }

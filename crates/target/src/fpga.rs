@@ -118,7 +118,7 @@ impl AreaReport {
 /// An FPGA device preset: capacities, packing geometry and fabric clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FpgaTarget {
-    /// Device name; encoded into calibration-model cache filenames.
+    /// Device name.
     pub name: String,
     /// Adaptive logic modules (each holds one fracturable 8-input LUT).
     pub alms: u64,

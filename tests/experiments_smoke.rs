@@ -5,10 +5,12 @@
 
 use dhdl_apps::Benchmark;
 use dhdl_bench::{energy, fig5, fig6, table2, table3, table4, Harness};
+use std::sync::OnceLock;
 
-fn mini_harness() -> Harness {
-    // Small sample budget; model comes from the on-disk cache when warm.
-    Harness::new(0x51, 60)
+/// Small sample budget; one calibration for the whole test binary.
+fn mini_harness() -> &'static Harness {
+    static HARNESS: OnceLock<Harness> = OnceLock::new();
+    HARNESS.get_or_init(|| Harness::new(0x51, 60))
 }
 
 fn only(bench: impl Benchmark + 'static) -> Vec<Box<dyn Benchmark>> {
@@ -17,7 +19,7 @@ fn only(bench: impl Benchmark + 'static) -> Vec<Box<dyn Benchmark>> {
 
 #[test]
 fn mini_table3_errors_are_single_digit_ish() {
-    let table = table3(&mini_harness(), &only(dhdl_apps::DotProduct::new(9_600)), 3);
+    let table = table3(mini_harness(), &only(dhdl_apps::DotProduct::new(9_600)), 3);
     let evals = &table.evals[0];
     assert!(!evals.is_empty());
     // Loose bound: every error under 30% on a mini run.
@@ -35,7 +37,7 @@ fn mini_table4_ordering_holds() {
     // restricted — the Table IV ordering, at toy scale, with every point
     // pipelining the outer loop (Figure 2's L1) as Table IV's "full"
     // column does.
-    let t = table4(&mini_harness(), &dhdl_apps::Gda::new(192, 32), 5, 5);
+    let t = table4(mini_harness(), &dhdl_apps::Gda::new(192, 32), 5, 5);
     // Full mode completely unrolls the inner loops: a much larger
     // scheduling problem (wall-clock comparisons are too noisy for CI).
     assert!(
@@ -54,7 +56,7 @@ fn mini_table4_ordering_holds() {
 
 #[test]
 fn mini_fig5_scatter_renders() {
-    let fig = fig5(&mini_harness(), &only(dhdl_apps::BlackScholes::new(4_608)));
+    let fig = fig5(mini_harness(), &only(dhdl_apps::BlackScholes::new(4_608)));
     let plot = &fig.text;
     assert!(plot.contains('#'), "pareto points must render:\n{plot}");
     assert!(plot.lines().count() >= 12);
@@ -65,7 +67,7 @@ fn mini_fig5_scatter_renders() {
 
 #[test]
 fn mini_fig6_speedup_is_finite_and_positive() {
-    let fig = fig6(&mini_harness(), &only(dhdl_apps::TpchQ6::new(9_600)));
+    let fig = fig6(mini_harness(), &only(dhdl_apps::TpchQ6::new(9_600)));
     let speedup = fig.speedups[0];
     assert!(speedup.is_finite() && speedup > 0.0);
     // At 1/10 scale tpchq6 stays in the same order of magnitude as parity.
@@ -74,7 +76,7 @@ fn mini_fig6_speedup_is_finite_and_positive() {
 
 #[test]
 fn mini_energy_fpga_wins() {
-    let e = energy(&mini_harness(), &only(dhdl_apps::BlackScholes::new(4_608)));
+    let e = energy(mini_harness(), &only(dhdl_apps::BlackScholes::new(4_608)));
     assert!(
         e.advantages[0] > 10.0,
         "blackscholes energy advantage should be large: {}",

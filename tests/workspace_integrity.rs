@@ -206,3 +206,39 @@ fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
          read but undocumented {undocumented:?}, documented but never read {stale:?}"
     );
 }
+
+#[test]
+fn no_tracked_file_lives_under_a_results_directory() {
+    // A results file is an output. A tracked one is an input that no run
+    // regenerates: three trained-model files once sat under
+    // `crates/bench/results/` and fed every golden. The tracked tree is
+    // what the root `.gitignore`'s anchored rules leave.
+    let root = repo_root();
+    let gitignore = fs::read_to_string(root.join(".gitignore")).expect("read .gitignore");
+    let ignored: Vec<PathBuf> = gitignore
+        .lines()
+        .filter_map(|rule| rule.strip_prefix('/'))
+        .map(|rule| root.join(rule.trim_end_matches('/')))
+        .chain([root.join(".git")])
+        .collect();
+    let mut pending = vec![root];
+    let mut walked = 0;
+    while let Some(dir) = pending.pop() {
+        walked += 1;
+        for entry in fs::read_dir(&dir).expect("read directory") {
+            let entry = entry.expect("directory entry");
+            let path = entry.path();
+            if entry.file_type().expect("file type").is_dir() && !ignored.contains(&path) {
+                assert_ne!(
+                    entry.file_name(),
+                    "results",
+                    "{} is not ignored: move its files or delete them",
+                    path.display()
+                );
+                pending.push(path);
+            }
+        }
+    }
+    // At least every member crate and its `src/`.
+    assert!(walked >= 30, "the walk saw only {walked} directories");
+}
