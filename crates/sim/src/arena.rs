@@ -1,8 +1,12 @@
 //! Two-region value arena for the compiled simulation backend.
 //!
-//! The interpreter keeps simulation state in per-node `BTreeMap`s (one
-//! lookup per memory access) plus a `vals` vector. The compiled backend
-//! lays *everything* out as offsets into one flat `Vec<f64>`:
+//! Both backends resolve a design to fixed slots before they execute
+//! it; they differ in when, and in what a slot is. The interpreter does
+//! it once per *run*: `Sim::new` builds node-indexed tables (one `Vec`
+//! per memory, a `vals` vector with the constants already quantized)
+//! and the run indexes them by `NodeId`. The compiled backend does it
+//! once per *compile*, and lays *everything* out as offsets into one
+//! flat `Vec<f64>` that every run of the tape starts from:
 //!
 //! - **Stable region** (front): every off-chip array (in
 //!   [`Design::offchips`] order) followed by every on-chip `Bram`

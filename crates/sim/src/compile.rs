@@ -112,9 +112,11 @@ pub fn compile(
 ) -> std::result::Result<Compiled, CompileError> {
     let _span = dhdl_obs::span!("sim.compile");
     let layout = Layout::new(design);
+    let iters = iter_index(design);
     let mut em = Emitter {
         design,
         layout: &layout,
+        iters: &iters,
         tape: Tape::default(),
         depth: 0,
         aborted: false,
@@ -231,19 +233,23 @@ impl Compiled {
     }
 }
 
-/// Iterator nodes owned by a controller, ordered by dimension — the
-/// interpreter's `iter_nodes`, run once at compile time instead of once
-/// per controller execution.
-fn iter_nodes(design: &Design, ctrl: NodeId) -> Vec<NodeId> {
-    let mut iters: Vec<(usize, NodeId)> = design
+/// The iterator nodes of every controller that owns any, ordered by
+/// dimension (then id): one walk of the design per [`compile`], however
+/// many controllers it has.
+fn iter_index(design: &Design) -> BTreeMap<NodeId, Vec<NodeId>> {
+    let mut all: Vec<(NodeId, usize, NodeId)> = design
         .iter()
         .filter_map(|(id, n)| match n.kind {
-            NodeKind::Iter { ctrl: c, dim } if c == ctrl => Some((dim, id)),
+            NodeKind::Iter { ctrl, dim } => Some((ctrl, dim, id)),
             _ => None,
         })
         .collect();
-    iters.sort_unstable();
-    iters.into_iter().map(|(_, id)| id).collect()
+    all.sort_unstable();
+    let mut index: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for (ctrl, _, id) in all {
+        index.entry(ctrl).or_default().push(id);
+    }
+    index
 }
 
 type EmitResult = std::result::Result<(), CompileError>;
@@ -252,6 +258,8 @@ type EmitResult = std::result::Result<(), CompileError>;
 struct Emitter<'a> {
     design: &'a Design,
     layout: &'a Layout,
+    /// [`iter_index`] of `design`.
+    iters: &'a BTreeMap<NodeId, Vec<NodeId>>,
     tape: Tape,
     /// Static loop-nesting depth at the current emission point.
     depth: usize,
@@ -421,6 +429,11 @@ impl<'a> Emitter<'a> {
         self.layout.slot(id)
     }
 
+    /// `ctrl`'s iterator nodes, ordered by dimension.
+    fn iter_nodes(&self, ctrl: NodeId) -> &'a [NodeId] {
+        self.iters.get(&ctrl).map_or(&[], Vec::as_slice)
+    }
+
     /// `Bram`/`Reg` storage length, in elements.
     fn mem_len(&self, id: NodeId) -> usize {
         match self.design.kind(id) {
@@ -495,7 +508,7 @@ impl<'a> Emitter<'a> {
                 _ => {}
             }
         }
-        let iters = iter_nodes(self.design, ctrl);
+        let iters = self.iter_nodes(ctrl);
         self.push(Instr::LoopStart { trips: total });
         let depth = self.depth;
         self.depth += 1;
@@ -607,7 +620,7 @@ impl<'a> Emitter<'a> {
                 None => {}
             }
         }
-        let iters = iter_nodes(self.design, ctrl);
+        let iters = self.iter_nodes(ctrl);
         let dims: Vec<(u64, u64)> = p
             .ctr
             .dims
@@ -858,7 +871,7 @@ impl<'a> TimingWalk<'a> {
         Timing {
             cycles,
             transfers: w.dram.transfers(),
-            profile: build_profile(design, &w.profile),
+            profile: build_profile(design, w.profile.iter().map(|(&ctrl, &row)| (ctrl, row))),
             trace: w.trace,
         }
     }

@@ -5,6 +5,15 @@
 //! dataflow order with type quantization, tile transfers move data between
 //! off-chip arrays and on-chip buffers, and folds/reductions accumulate.
 //!
+//! What depends on the [`Design`] alone is resolved once per *run*, in
+//! `Sim::new`: memories, the profile and node values live in node-indexed
+//! tables, every constant is quantized into its value slot, and each
+//! controller's iterators are one run of a sorted list. Executing the
+//! design then only indexes. (The tape backend resolves the same things
+//! once per *compile*, in code of its own: this interpreter is the
+//! reference the tape is checked against, so it borrows nothing from
+//! `compile`, `tape` or `arena`.)
+//!
 //! For timing, the simulator resolves what the estimator only
 //! approximates: `MetaPipe` stages are scheduled with the full pipeline
 //! recurrence over *measured* per-wave stage durations (not the static
@@ -15,9 +24,10 @@
 //! reported in Table III.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use dhdl_core::{
-    CounterChain, Design, MemFold, NodeId, NodeKind, Pattern, PipeSpec, PrimOp, TileSpec,
+    CounterChain, Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp, TileSpec,
 };
 use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
 use dhdl_synth::pipe_depth;
@@ -244,26 +254,30 @@ fn simulate_inner(design: &Design, platform: &Platform, bindings: &Bindings) -> 
             .name
             .as_deref()
             .map_or_else(|| format!("{off}"), str::to_string);
-        offchip.insert(name, sim.offchip.remove(&off).unwrap_or_default());
+        offchip.insert(name, sim.offchip[off.index()].take().unwrap_or_default());
     }
+    dhdl_obs::counter!("sim.interp.node_evals").add(sim.node_evals);
+    dhdl_obs::counter!("sim.interp.ctrl_execs").add(sim.ctrl_execs);
+    let rows = (0..).map(NodeId::from_raw).zip(sim.profile.iter().copied());
     Ok(SimResult {
         cycles,
         transfers: sim.dram.transfers(),
         offchip,
-        profile: build_profile(design, &sim.profile),
+        profile: build_profile(design, rows),
         trace: sim.trace,
     })
 }
 
-/// Convert raw per-controller accumulators into the sorted profile —
-/// shared by both backends so labels and ordering match bit-for-bit.
+/// Convert raw per-controller accumulators (in `NodeId` order;
+/// controllers that never ran timed are skipped) into the sorted profile
+/// — shared by both backends so labels and ordering match bit-for-bit.
 pub(crate) fn build_profile(
     design: &Design,
-    profile: &BTreeMap<NodeId, (u64, f64)>,
+    rows: impl Iterator<Item = (NodeId, (u64, f64))>,
 ) -> Vec<ProfileEntry> {
-    let mut out: Vec<ProfileEntry> = profile
-        .iter()
-        .map(|(&ctrl, &(executions, cycles))| ProfileEntry {
+    let mut out: Vec<ProfileEntry> = rows
+        .filter(|&(_, (executions, _))| executions > 0)
+        .map(|(ctrl, (executions, cycles))| ProfileEntry {
             ctrl,
             label: format!(
                 "{} {}{}",
@@ -284,20 +298,47 @@ pub(crate) fn build_profile(
     out
 }
 
+/// One run's state. Every table is indexed by `NodeId::index()` and
+/// sized to the design, so the run path never searches. The memory
+/// tables are read through `slot`/`slot_mut`: a reference the design
+/// text got wrong is an `Unevaluated` error, not an index panic.
 struct Sim<'a> {
     design: &'a Design,
     platform: &'a Platform,
-    offchip: BTreeMap<NodeId, Vec<f64>>,
-    onchip: BTreeMap<NodeId, Vec<f64>>,
+    /// Off-chip arrays (`None`: not an array this run allocated).
+    offchip: Vec<Option<Vec<f64>>>,
+    /// `Bram`/`Reg`/`PriorityQueue` contents (`None`: not a memory).
+    onchip: Vec<Option<Vec<f64>>>,
+    /// Node values. Constants hold their quantized value from the start;
+    /// iterators and body nodes are written as the run reaches them.
     vals: Vec<f64>,
+    /// Every `Iter` node as `(ctrl, dim, id)`, sorted: a controller's
+    /// iterators are one contiguous run, in dimension order.
+    iters: Vec<(NodeId, usize, NodeId)>,
     dram: DramTimeline,
-    profile: BTreeMap<NodeId, (u64, f64)>,
+    /// `(timed executions, cycles)` per controller.
+    profile: Vec<(u64, f64)>,
+    /// Pipeline depth of each `Pipe` that has run: a function of the
+    /// design alone, scheduled at the pipe's first execution (a body the
+    /// run rejects is never scheduled).
+    depth: Vec<Option<f64>>,
     trace: Trace,
+    node_evals: u64,
+    ctrl_execs: u64,
+}
+
+/// The contents of memory `id`, if the run allocated any.
+fn slot(table: &[Option<Vec<f64>>], id: NodeId) -> Option<&Vec<f64>> {
+    table.get(id.index())?.as_ref()
+}
+
+fn slot_mut(table: &mut [Option<Vec<f64>>], id: NodeId) -> Option<&mut Vec<f64>> {
+    table.get_mut(id.index())?.as_mut()
 }
 
 impl<'a> Sim<'a> {
     fn new(design: &'a Design, platform: &'a Platform, bindings: &Bindings) -> Result<Self> {
-        let mut offchip = BTreeMap::new();
+        let mut offchip = vec![None; design.len()];
         for &off in design.offchips() {
             let NodeKind::OffChip { dims } = design.kind(off) else {
                 continue;
@@ -322,7 +363,7 @@ impl<'a> Sim<'a> {
                 }
                 None => vec![0.0; elements as usize],
             };
-            offchip.insert(off, data);
+            offchip[off.index()] = Some(data);
         }
         for name in bindings.map.keys() {
             let known = design
@@ -333,30 +374,36 @@ impl<'a> Sim<'a> {
                 return Err(SimError::UnknownBinding(name.clone()));
             }
         }
-        let mut onchip = BTreeMap::new();
+        let mut onchip = vec![None; design.len()];
+        let mut vals = vec![0.0; design.len()];
+        let mut iters = Vec::new();
         for (id, node) in design.iter() {
             match &node.kind {
-                NodeKind::Bram(b) => {
-                    onchip.insert(id, vec![0.0; b.elements() as usize]);
-                }
-                NodeKind::Reg(r) => {
-                    onchip.insert(id, vec![r.init]);
-                }
-                NodeKind::PriorityQueue(_) => {
-                    onchip.insert(id, Vec::new());
-                }
+                NodeKind::Bram(b) => onchip[id.index()] = Some(vec![0.0; b.elements() as usize]),
+                NodeKind::Reg(r) => onchip[id.index()] = Some(vec![r.init]),
+                NodeKind::PriorityQueue(_) => onchip[id.index()] = Some(Vec::new()),
+                // Constants are materialized in the datapath at their
+                // declared type; quantize so f32 designs do not see f64
+                // literals.
+                NodeKind::Const(v) => vals[id.index()] = node.ty.quantize(*v),
+                NodeKind::Iter { ctrl, dim } => iters.push((*ctrl, *dim, id)),
                 _ => {}
             }
         }
+        iters.sort_unstable();
         Ok(Sim {
             design,
             platform,
             offchip,
             onchip,
-            vals: vec![0.0; design.len()],
+            vals,
+            iters,
             dram: DramTimeline::new(),
-            profile: BTreeMap::new(),
+            profile: vec![(0, 0.0); design.len()],
+            depth: vec![None; design.len()],
             trace: Trace::default(),
+            node_evals: 0,
+            ctrl_execs: 0,
         })
     }
 
@@ -367,9 +414,10 @@ impl<'a> Sim<'a> {
     /// functional-only); `conc` is the replication concurrency multiplier
     /// applied to transfer durations.
     fn run(&mut self, ctrl: NodeId, start: f64, timed: bool, conc: f64) -> Result<f64> {
+        self.ctrl_execs += 1;
         let dur = self.run_inner(ctrl, start, timed, conc)?;
         if timed {
-            let e = self.profile.entry(ctrl).or_insert((0, 0.0));
+            let e = &mut self.profile[ctrl.index()];
             e.0 += 1;
             e.1 += dur;
             self.trace.events.push(TraceEvent {
@@ -382,30 +430,22 @@ impl<'a> Sim<'a> {
     }
 
     fn run_inner(&mut self, ctrl: NodeId, start: f64, timed: bool, conc: f64) -> Result<f64> {
-        match self.design.kind(ctrl).clone() {
-            NodeKind::Pipe(p) => self.run_pipe(ctrl, &p),
-            NodeKind::Sequential(s) => {
-                let dur = self.run_outer(
-                    ctrl, &s.ctr, s.par, &s.stages, s.fold, false, start, timed, conc,
-                )?;
-                Ok(dur)
-            }
-            NodeKind::MetaPipe(s) => {
-                let dur = self.run_outer(
-                    ctrl, &s.ctr, s.par, &s.stages, s.fold, true, start, timed, conc,
-                )?;
-                Ok(dur)
-            }
+        // `design` outlives `self`'s borrow, so the spec is read in place.
+        let design = self.design;
+        match design.kind(ctrl) {
+            NodeKind::Pipe(p) => self.run_pipe(ctrl, p),
+            NodeKind::Sequential(s) => self.run_outer(ctrl, s, false, start, timed, conc),
+            NodeKind::MetaPipe(s) => self.run_outer(ctrl, s, true, start, timed, conc),
             NodeKind::ParallelCtrl { stages, .. } => {
                 let mut max = 0.0f64;
-                for &st in &stages {
+                for &st in stages {
                     let d = self.run(st, start, timed, conc)?;
                     max = max.max(d);
                 }
                 Ok(max + STAGE_OVERHEAD)
             }
-            NodeKind::TileLoad(t) => self.run_tile(&t, true, start, timed, conc),
-            NodeKind::TileStore(t) => self.run_tile(&t, false, start, timed, conc),
+            NodeKind::TileLoad(t) => self.run_tile(t, true, start, timed, conc),
+            NodeKind::TileStore(t) => self.run_tile(t, false, start, timed, conc),
             other => Err(SimError::Malformed(format!(
                 "{} is not an executable controller",
                 other.template_name()
@@ -414,14 +454,10 @@ impl<'a> Sim<'a> {
     }
 
     /// Execute an outer controller (`Sequential` or `MetaPipe`).
-    #[allow(clippy::too_many_arguments)]
     fn run_outer(
         &mut self,
         ctrl: NodeId,
-        ctr: &CounterChain,
-        par: u32,
-        stages: &[NodeId],
-        fold: Option<MemFold>,
+        s: &OuterSpec,
         pipelined: bool,
         start: f64,
         timed: bool,
@@ -429,109 +465,96 @@ impl<'a> Sim<'a> {
     ) -> Result<f64> {
         // An empty (unit) chain means "run once"; a chain with real
         // dimensions whose product is zero can never execute its body.
-        let total = ctr.total_iters();
+        let total = s.ctr.total_iters();
         if total == 0 {
             return Err(SimError::ZeroTripLoop(ctrl));
         }
-        let n_stages = stages.len() + usize::from(fold.is_some());
+        let n_stages = s.stages.len() + usize::from(s.fold.is_some());
         if n_stages == 0 {
             return Err(SimError::Malformed(format!(
                 "outer controller {ctrl} has no stages"
             )));
         }
-        let par = u64::from(par.max(1));
-        let waves = total.div_ceil(par);
+        let par = u64::from(s.par.max(1));
         // Fold accumulators start each controller execution at the
         // reduction identity (reduce semantics of the source pattern).
-        if let Some(f) = fold {
-            let id = f.op.identity();
-            if let Some(state) = self.onchip.get_mut(&f.accum) {
-                for v in state.iter_mut() {
-                    *v = id;
-                }
+        if let Some(f) = s.fold {
+            if let Some(state) = slot_mut(&mut self.onchip, f.accum) {
+                state.fill(f.op.identity());
             }
         }
-        // Pipeline recurrence state: finish time of each stage in the
-        // previous wave (for Sequential, stages within a wave serialize and
-        // waves serialize).
+        // The ready time of stage `st` given this wave's finish times so
+        // far (`cur`) and the previous wave's (`finish`); for Sequential,
+        // stages within a wave serialize and waves serialize.
+        let ready = |st: usize, cur: &[f64], finish: &[f64]| {
+            if st == 0 {
+                finish[0]
+            } else if pipelined {
+                cur[st - 1].max(finish[st])
+            } else {
+                cur[st - 1]
+            }
+        };
         let mut finish = vec![start; n_stages];
+        let mut cur = vec![0.0f64; n_stages];
         let iters = self.iter_nodes(ctrl);
-        for wave in 0..waves {
-            let members: Vec<u64> = (wave * par..((wave + 1) * par).min(total)).collect();
-            for (mi, &lin) in members.iter().enumerate() {
-                self.bind_iters(&iters, ctr, lin);
-                let member_timed = timed && mi == 0;
-                let member_conc = conc * members.len() as f64;
-                if member_timed {
-                    let mut cur = vec![0.0f64; n_stages];
-                    for (s, &stage) in stages.iter().enumerate() {
-                        let ready = if s == 0 {
-                            finish[0]
-                        } else if pipelined {
-                            cur[s - 1].max(finish[s])
-                        } else {
-                            cur[s - 1]
-                        };
-                        let d = self.run(stage, ready, true, member_conc)?;
-                        cur[s] = ready + d + STAGE_OVERHEAD;
-                    }
-                    if let Some(f) = fold {
-                        let s = n_stages - 1;
-                        let ready = if s == 0 {
-                            finish[0]
-                        } else if pipelined {
-                            cur[s - 1].max(finish[s])
-                        } else {
-                            cur[s - 1]
-                        };
-                        let d = self.run_fold(&f)?;
-                        cur[s] = ready + d + STAGE_OVERHEAD;
-                    }
-                    if !pipelined {
-                        // Sequential: next wave starts after this one ends.
-                        let end = cur[n_stages - 1];
-                        finish = vec![end; n_stages];
-                    } else {
-                        finish = cur;
-                    }
+        for lin in 0..total {
+            self.bind_iters(iters.clone(), &s.ctr, lin);
+            // Members of one wave run concurrently; only the first is
+            // timed.
+            let wave = lin / par;
+            let member_conc = conc * (((wave + 1) * par).min(total) - wave * par) as f64;
+            if timed && lin % par == 0 {
+                for (st, &stage) in s.stages.iter().enumerate() {
+                    let at = ready(st, &cur, &finish);
+                    let d = self.run(stage, at, true, member_conc)?;
+                    cur[st] = at + d + STAGE_OVERHEAD;
+                }
+                if let Some(f) = &s.fold {
+                    let st = n_stages - 1;
+                    let at = ready(st, &cur, &finish);
+                    cur[st] = at + self.run_fold(f)? + STAGE_OVERHEAD;
+                }
+                if pipelined {
+                    std::mem::swap(&mut finish, &mut cur);
                 } else {
-                    for &stage in stages {
-                        self.run(stage, 0.0, false, member_conc)?;
-                    }
-                    if let Some(f) = fold {
-                        self.run_fold(&f)?;
-                    }
+                    // Sequential: next wave starts after this one ends.
+                    finish.fill(cur[n_stages - 1]);
+                }
+            } else {
+                for &stage in &s.stages {
+                    self.run(stage, 0.0, false, member_conc)?;
+                }
+                if let Some(f) = &s.fold {
+                    self.run_fold(f)?;
                 }
             }
         }
         Ok(finish[n_stages - 1] - start + STAGE_OVERHEAD)
     }
 
-    /// Iterator nodes owned by a controller, ordered by dimension.
-    fn iter_nodes(&self, ctrl: NodeId) -> Vec<NodeId> {
-        let mut iters: Vec<(usize, NodeId)> = self
-            .design
-            .iter()
-            .filter_map(|(id, n)| match n.kind {
-                NodeKind::Iter { ctrl: c, dim } if c == ctrl => Some((dim, id)),
-                _ => None,
-            })
-            .collect();
-        iters.sort_unstable();
-        iters.into_iter().map(|(_, id)| id).collect()
+    /// Where `ctrl`'s iterator nodes sit in `self.iters`, ordered by
+    /// dimension.
+    fn iter_nodes(&self, ctrl: NodeId) -> Range<usize> {
+        let lo = self.iters.partition_point(|e| e.0 < ctrl);
+        let n = self.iters[lo..].iter().take_while(|e| e.0 == ctrl).count();
+        lo..lo + n
     }
 
-    /// Decode linear iteration `lin` into per-dimension iterator values.
-    fn bind_iters(&mut self, iters: &[NodeId], ctr: &CounterChain, lin: u64) {
+    /// Decode linear iteration `lin` into per-dimension iterator values;
+    /// iterators beyond the chain's rank read zero.
+    fn bind_iters(&mut self, iters: Range<usize>, ctr: &CounterChain, lin: u64) {
+        for k in iters.clone().skip(ctr.dims.len()) {
+            self.vals[self.iters[k].2.index()] = 0.0;
+        }
         let mut rem = lin;
-        let mut coords = vec![0u64; ctr.dims.len()];
         for (d, dim) in ctr.dims.iter().enumerate().rev() {
             let trips = dim.trip_count().max(1);
-            coords[d] = (rem % trips) * dim.step;
+            if d < iters.len() {
+                let it = self.iters[iters.start + d].2;
+                self.vals[it.index()] = ((rem % trips) * dim.step) as f64;
+            }
             rem /= trips;
-        }
-        for (d, &it) in iters.iter().enumerate() {
-            self.vals[it.index()] = coords.get(d).copied().unwrap_or(0) as f64;
         }
     }
 
@@ -546,9 +569,8 @@ impl<'a> Sim<'a> {
         // A reduce pipe computes the reduction of its own iteration range:
         // the accumulator starts at the identity each execution.
         if let Some(r) = &p.reduce {
-            let id = r.op.identity();
-            if let Some(state) = self.onchip.get_mut(&r.reg) {
-                state[0] = id;
+            if let Some(state) = slot_mut(&mut self.onchip, r.reg) {
+                state[0] = r.op.identity();
             }
         }
         // Functional execution over the full iteration space.
@@ -561,8 +583,8 @@ impl<'a> Sim<'a> {
         let iters = self.iter_nodes(ctrl);
         let mut coords = vec![0u64; dims.len()];
         for _ in 0..total {
-            for (d, &it) in iters.iter().enumerate() {
-                self.vals[it.index()] = (coords[d] * dims[d].1) as f64;
+            for (d, k) in iters.clone().enumerate() {
+                self.vals[self.iters[k].2.index()] = (coords[d] * dims[d].1) as f64;
             }
             self.eval_body(p)?;
             // Advance the counter chain (row-major, last dim fastest).
@@ -574,15 +596,20 @@ impl<'a> Sim<'a> {
                 coords[d] = 0;
             }
         }
+        self.node_evals += total * p.body.len() as u64;
         // Timing: depth + ceil(iters/par) at II=1, plus a one-cycle counter
         // re-initialization bubble per outer-dimension wrap (a control
         // artifact the analytical model ignores).
-        let mut depth = pipe_depth(self.design, p) as f64;
-        if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
-            let ty = self.design.ty(r.reg);
-            depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
-            depth += prim_cost(op.prim(), ty).latency as f64;
-        }
+        let design = self.design;
+        let depth = *self.depth[ctrl.index()].get_or_insert_with(|| {
+            let mut depth = pipe_depth(design, p) as f64;
+            if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
+                let ty = design.ty(r.reg);
+                depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
+                depth += prim_cost(op.prim(), ty).latency as f64;
+            }
+            depth
+        });
         let eff_iters = (total as f64 / f64::from(p.par.max(1))).ceil().max(1.0);
         let outer_wraps: f64 = if dims.len() > 1 {
             dims[..dims.len() - 1]
@@ -601,20 +628,16 @@ impl<'a> Sim<'a> {
             self.vals[n.index()] = v;
         }
         if let Some(r) = &p.reduce {
-            let v = self.operand(r.value)?;
-            let state = self
-                .onchip
-                .get_mut(&r.reg)
-                .ok_or(SimError::Unevaluated(r.reg))?;
-            let ty = self.design.ty(r.reg);
-            state[0] = ty.quantize(r.op.apply(state[0], v));
+            let v = self.vals[r.value.index()];
+            let state = slot_mut(&mut self.onchip, r.reg).ok_or(SimError::Unevaluated(r.reg))?;
+            state[0] = self.design.ty(r.reg).quantize(r.op.apply(state[0], v));
         }
         Ok(())
     }
 
     fn eval_node(&mut self, n: NodeId) -> Result<f64> {
-        let node = self.design.node(n);
-        let ty = node.ty;
+        let design = self.design;
+        let node = design.node(n);
         let v = match &node.kind {
             NodeKind::Const(v) => *v,
             NodeKind::Iter { .. } => self.vals[n.index()],
@@ -624,12 +647,8 @@ impl<'a> Sim<'a> {
                         "primitive {op:?} at {n} has no operands"
                     )));
                 }
-                let a = self.operand(inputs[0])?;
-                let b = if inputs.len() > 1 {
-                    self.operand(inputs[1])?
-                } else {
-                    0.0
-                };
+                let a = self.vals[inputs[0].index()];
+                let b = inputs.get(1).map_or(0.0, |b| self.vals[b.index()]);
                 apply_prim(*op, a, b)
             }
             NodeKind::Mux {
@@ -637,60 +656,41 @@ impl<'a> Sim<'a> {
                 if_true,
                 if_false,
             } => {
-                if self.operand(*sel)? != 0.0 {
-                    self.operand(*if_true)?
+                let taken = if self.vals[sel.index()] != 0.0 {
+                    if_true
                 } else {
-                    self.operand(*if_false)?
-                }
+                    if_false
+                };
+                self.vals[taken.index()]
             }
             NodeKind::Load { mem, addr } => {
                 let idx = self.flat_index(*mem, addr)?;
-                match self.design.kind(*mem) {
-                    NodeKind::PriorityQueue(_) => {
-                        // Pop the minimum element.
-                        let q = self
-                            .onchip
-                            .get_mut(mem)
-                            .ok_or(SimError::Unevaluated(*mem))?;
-                        if q.is_empty() {
-                            0.0
-                        } else {
-                            // total_cmp so a NaN pushed into the queue
-                            // (e.g. from a 0/0 upstream) sorts last
-                            // instead of panicking the comparator.
-                            let (mi, _) = q
-                                .iter()
-                                .enumerate()
-                                .min_by(|a, b| a.1.total_cmp(b.1))
-                                .expect("nonempty");
-                            q.remove(mi)
-                        }
-                    }
-                    _ => {
-                        let state = self.onchip.get(mem).ok_or(SimError::Unevaluated(*mem))?;
-                        state[idx]
-                    }
+                let state = slot_mut(&mut self.onchip, *mem).ok_or(SimError::Unevaluated(*mem))?;
+                if !matches!(design.kind(*mem), NodeKind::PriorityQueue(_)) {
+                    state[idx]
+                } else if state.is_empty() {
+                    0.0
+                } else {
+                    // Pop the minimum element; total_cmp so a NaN pushed
+                    // into the queue (e.g. from a 0/0 upstream) sorts
+                    // last instead of panicking the comparator.
+                    let (mi, _) = state
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| a.1.total_cmp(b.1))
+                        .expect("nonempty");
+                    state.remove(mi)
                 }
             }
             NodeKind::Store { mem, addr, value } => {
-                let v = self.operand(*value)?;
-                let mem_ty = self.design.ty(*mem);
+                let v = self.vals[value.index()];
+                let stored = design.ty(*mem).quantize(v);
                 let idx = self.flat_index(*mem, addr)?;
-                match self.design.kind(*mem) {
-                    NodeKind::PriorityQueue(_) => {
-                        let q = self
-                            .onchip
-                            .get_mut(mem)
-                            .ok_or(SimError::Unevaluated(*mem))?;
-                        q.push(mem_ty.quantize(v));
-                    }
-                    _ => {
-                        let state = self
-                            .onchip
-                            .get_mut(mem)
-                            .ok_or(SimError::Unevaluated(*mem))?;
-                        state[idx] = mem_ty.quantize(v);
-                    }
+                let state = slot_mut(&mut self.onchip, *mem).ok_or(SimError::Unevaluated(*mem))?;
+                if matches!(design.kind(*mem), NodeKind::PriorityQueue(_)) {
+                    state.push(stored);
+                } else {
+                    state[idx] = stored;
                 }
                 v
             }
@@ -701,16 +701,7 @@ impl<'a> Sim<'a> {
                 )))
             }
         };
-        Ok(ty.quantize(v))
-    }
-
-    fn operand(&self, id: NodeId) -> Result<f64> {
-        match self.design.kind(id) {
-            // Constants are materialized in the datapath at their declared
-            // type; quantize so f32 designs do not see f64 literals.
-            NodeKind::Const(v) => Ok(self.design.ty(id).quantize(*v)),
-            _ => Ok(self.vals[id.index()]),
-        }
+        Ok(node.ty.quantize(v))
     }
 
     fn flat_index(&self, mem: NodeId, addr: &[NodeId]) -> Result<usize> {
@@ -728,7 +719,7 @@ impl<'a> Sim<'a> {
         }
         let mut idx: i64 = 0;
         for (d, &a) in addr.iter().enumerate() {
-            let v = self.operand(a)? as i64;
+            let v = self.vals[a.index()] as i64;
             idx = idx * dims[d] as i64 + v;
         }
         let size: u64 = dims.iter().product();
@@ -744,25 +735,38 @@ impl<'a> Sim<'a> {
 
     /// Execute the implicit fold stage of an outer controller.
     fn run_fold(&mut self, f: &MemFold) -> Result<f64> {
-        let src = self
-            .onchip
-            .get(&f.src)
-            .ok_or(SimError::Unevaluated(f.src))?
-            .clone();
+        if slot(&self.onchip, f.src).is_none() {
+            return Err(SimError::Unevaluated(f.src));
+        }
         let ty = self.design.ty(f.accum);
         let banks = match self.design.kind(f.accum) {
             NodeKind::Bram(b) => b.banks.max(1),
             _ => 1,
         };
-        let accum = self
-            .onchip
-            .get_mut(&f.accum)
+        // The accumulator leaves the table while it is folded into, so
+        // the source can be read beside it.
+        let mut accum = self.onchip[f.accum.index()]
+            .take()
             .ok_or(SimError::Unevaluated(f.accum))?;
-        for (a, &s) in accum.iter_mut().zip(&src) {
-            *a = ty.quantize(f.op.apply(*a, s));
-        }
+        let src_len = match slot(&self.onchip, f.src) {
+            Some(src) => {
+                for (a, &s) in accum.iter_mut().zip(src) {
+                    *a = ty.quantize(f.op.apply(*a, s));
+                }
+                src.len()
+            }
+            // The source *is* the accumulator: each element folds with
+            // its own pre-fold value.
+            None => {
+                for a in accum.iter_mut() {
+                    *a = ty.quantize(f.op.apply(*a, *a));
+                }
+                accum.len()
+            }
+        };
+        self.onchip[f.accum.index()] = Some(accum);
         let lat = prim_cost(f.op.prim(), ty).latency as f64;
-        Ok(src.len() as f64 / f64::from(banks) + lat)
+        Ok(src_len as f64 / f64::from(banks) + lat)
     }
 
     /// Execute a tile transfer: functional copy plus a DRAM reservation.
@@ -774,7 +778,8 @@ impl<'a> Sim<'a> {
         timed: bool,
         conc: f64,
     ) -> Result<f64> {
-        let NodeKind::OffChip { dims } = self.design.kind(t.offchip).clone() else {
+        let design = self.design;
+        let NodeKind::OffChip { dims } = design.kind(t.offchip) else {
             return Err(SimError::Malformed("tile target is not off-chip".into()));
         };
         if t.tile.len() != dims.len() || t.offsets.len() != dims.len() {
@@ -786,51 +791,52 @@ impl<'a> Sim<'a> {
                 dims.len()
             )));
         }
-        // Resolve offsets.
-        let mut offsets = Vec::with_capacity(t.offsets.len());
-        for &o in &t.offsets {
-            offsets.push(self.operand(o)? as u64);
-        }
+        // Per dimension: resolved offset, tile extent, array extent and
+        // row-major stride.
+        let axes: Vec<(u64, u64, u64, u64)> = (0..dims.len())
+            .map(|d| {
+                let offset = self.vals[t.offsets[d].index()] as u64;
+                (offset, t.tile[d], dims[d], dims[d + 1..].iter().product())
+            })
+            .collect();
         // Functional copy, iterating the tile's coordinate space.
         let tile_elems: u64 = t.tile.iter().product();
-        let local_len = self
-            .onchip
-            .get(&t.local)
-            .map(Vec::len)
-            .ok_or(SimError::Unevaluated(t.local))?;
+        let local = slot_mut(&mut self.onchip, t.local).ok_or(SimError::Unevaluated(t.local))?;
+        // An array the off-chip list never declared has no element to
+        // move: `Unevaluated`, but only once the address is in range.
+        let array = slot_mut(&mut self.offchip, t.offchip).map_or(&mut [][..], |a| a);
+        let local_len = local.len().max(1);
         for lin in 0..tile_elems {
             // Decode lin into tile coordinates (row-major).
             let mut rem = lin;
             let mut off_idx: u64 = 0;
-            for (d, &extent) in t.tile.iter().enumerate().rev() {
-                let c = rem % extent;
+            for &(offset, extent, size, stride) in axes.iter().rev() {
+                let global = offset + rem % extent;
                 rem /= extent;
-                let global = offsets[d] + c;
-                if global >= dims[d] {
+                if global >= size {
                     return Err(SimError::OutOfBounds {
                         mem: t.offchip,
                         index: global as i64,
-                        size: dims[d],
+                        size,
                     });
                 }
-                // Accumulate with the dimension's stride.
-                let stride: u64 = dims[d + 1..].iter().product();
                 off_idx += global * stride;
             }
-            let li = (lin as usize) % local_len.max(1);
+            let li = (lin as usize) % local_len;
+            let elem = array
+                .get_mut(off_idx as usize)
+                .ok_or(SimError::Unevaluated(t.offchip))?;
             if load {
-                let v = self.offchip[&t.offchip][off_idx as usize];
-                self.onchip.get_mut(&t.local).expect("checked")[li] = v;
+                local[li] = *elem;
             } else {
-                let v = self.onchip[&t.local][li];
-                self.offchip.get_mut(&t.offchip).expect("checked")[off_idx as usize] = v;
+                *elem = local[li];
             }
         }
         // Timing: reserve the shared channel.
         if !timed {
             return Ok(0.0);
         }
-        let elem_bytes = u64::from(self.design.ty(t.offchip).bits()).div_ceil(8);
+        let elem_bytes = u64::from(design.ty(t.offchip).bits()).div_ceil(8);
         let inner = *t.tile.last().unwrap_or(&1);
         let full_row = dims.last().is_some_and(|&d| d == inner);
         let outer: u64 = t.tile[..t.tile.len().saturating_sub(1)].iter().product();

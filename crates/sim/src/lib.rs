@@ -10,13 +10,18 @@
 //! estimator does not model. The gap between simulated and estimated
 //! cycles reproduces the runtime-estimation error of Table III.
 //!
-//! Two execution backends share those semantics: [`simulate`] is the
-//! per-cycle reference interpreter, and [`compile`]/[`Compiled::run`]
-//! lower a design once into a flat-arena instruction tape with
-//! precomputed timing and fused inner-loop kernels — bit-identical
-//! results (outputs, cycles, profile, trace, errors) at roughly an
-//! order of magnitude higher throughput. [`simulate_compiled`] prefers
-//! the tape and falls back to the interpreter for designs the compiler
+//! Two execution backends share those semantics, written independently
+//! so that one can check the other. [`simulate`] is the reference
+//! interpreter: each run resolves the design once (node-indexed state
+//! tables, constants quantized into their value slots, every
+//! controller's iterators) and then walks the controller hierarchy,
+//! evaluating bodies node by node and measuring timing as it goes.
+//! [`compile`]/[`Compiled::run`] resolve once per *compile* instead: a
+//! flat-arena instruction tape with precomputed timing and one micro-op
+//! kernel per pipe body, replayed per input set — bit-identical results
+//! (outputs, cycles, profile, trace, errors) at several times the
+//! interpreter's throughput. [`simulate_compiled`] prefers the tape and
+//! falls back to the interpreter for designs the compiler
 //! rejects ([`CompileError::Unsupported`], counted as
 //! `sim.tape.fallback`); [`simulate_partitioned`] is that run plus the
 //! link cycles of a multi-device plan.

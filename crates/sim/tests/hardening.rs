@@ -256,3 +256,123 @@ fn fold_design_still_simulates_after_hardening() {
     // Each wave sums (0+1)+(1+1)+(2+1)+(3+1) = 10; 4 waves = 40.
     assert_eq!(r.output("out").unwrap()[0], 40.0);
 }
+
+// ---------------------------------------------------------------------
+// The interpreter keeps its state in node-indexed tables. A design text
+// may point a memory reference at any node at all (`from_text` checks
+// nothing), so every table read must answer a wrong reference with the
+// structured error it always was — never with an index panic.
+// ---------------------------------------------------------------------
+
+/// `acc[j] = Σ_i (i + j)` by a fold of `t` into `acc`, stored to `out`.
+/// The node ids the cases below rewrite are asserted, not assumed.
+fn fold_text() -> String {
+    let mut b = DesignBuilder::new("fold");
+    let out = b.off_chip("out", DType::F64, &[4]);
+    b.sequential(|b| {
+        let acc = b.bram("acc", DType::F64, &[4]);
+        b.outer_fold(true, &[by(8, 1)], 1, acc, ReduceOp::Add, |b, iters| {
+            let i = iters[0];
+            let t = b.bram("t", DType::F64, &[4]);
+            b.pipe(&[by(4, 1)], 1, |b, it| {
+                let iv = b.add(i, it[0]);
+                let w = b.load(t, &[it[0]]);
+                let zero = b.sub(w, w);
+                let s = b.add(iv, zero);
+                b.store(t, &[it[0]], s);
+            });
+            t
+        });
+        let z = b.index_const(0);
+        b.tile_store(out, acc, &[z], &[4], 1);
+    });
+    let text = dhdl_core::serialize::to_text(&b.finish().unwrap());
+    for line in [
+        "offchips 0\n",
+        "node 0 ty=f64 w=1 name=out OffChip",
+        "node 2 ty=f64 w=1 name=acc Bram",
+        "fold=5:2:Add",
+        "node 8 ty=ufix32.0 w=1 name= Prim op=Add in=4,7",
+        "Load mem=5 addr=7",
+        "Store mem=5 addr=7 val=11",
+        "node 13 ty=ufix32.0 w=1 name= Const v=0e0",
+        "TileStore off=0 local=2 offsets=13",
+    ] {
+        assert!(text.contains(line), "`{line}` not in:\n{text}");
+    }
+    text
+}
+
+/// Simulate `fold_text()` with `from` rewritten to `to`.
+fn run_rewritten(from: &str, to: &str) -> Result<dhdl_sim::SimResult, SimError> {
+    let d = dhdl_core::serialize::from_text(&fold_text().replace(from, to)).unwrap();
+    simulate(&d, &platform(), &Bindings::new())
+}
+
+#[test]
+fn a_reference_to_the_wrong_node_is_a_structured_error() {
+    let id = dhdl_core::NodeId::from_raw;
+    let ok = run_rewritten("fold", "fold").unwrap();
+    assert_eq!(ok.output("out").unwrap(), &[28.0, 36.0, 44.0, 52.0]);
+    // A `Load`/`Store` whose memory is a primitive, a constant, or the
+    // off-chip array (a memory, but not one a body can address).
+    for (from, to) in [
+        ("Load mem=5", "Load mem=8"),
+        ("Load mem=5", "Load mem=0"),
+        ("Store mem=5", "Store mem=13"),
+        ("Store mem=5", "Store mem=0"),
+    ] {
+        let r = run_rewritten(from, to);
+        assert!(
+            matches!(&r, Err(SimError::Malformed(m)) if m.contains("non-memory")),
+            "{to}: {r:?}"
+        );
+    }
+    // A fold whose source or accumulator is no memory; a tile transfer
+    // whose on-chip side is none.
+    for (from, to, culprit) in [
+        ("fold=5:2:Add", "fold=13:2:Add", 13),
+        ("fold=5:2:Add", "fold=5:13:Add", 13),
+        ("fold=5:2:Add", "fold=0:2:Add", 0),
+        ("off=0 local=2", "off=0 local=8", 8),
+    ] {
+        let r = run_rewritten(from, to);
+        assert_eq!(r.err(), Some(SimError::Unevaluated(id(culprit))), "{to}");
+    }
+    // An off-chip array the `offchips` line never declared is a memory
+    // the run never allocated. An out-of-range tile on it is still the
+    // range error; an in-range one finds no element to move (with the
+    // map-based state that one case was an `expect` panic).
+    let undeclared = fold_text().replace("offchips 0\n", "offchips\n");
+    for (offset, expected) in [
+        (
+            "Const v=9e0",
+            SimError::OutOfBounds {
+                mem: id(0),
+                index: 9,
+                size: 4,
+            },
+        ),
+        ("Const v=0e0", SimError::Unevaluated(id(0))),
+    ] {
+        let text = undeclared.replace("Const v=0e0", offset);
+        let d = dhdl_core::serialize::from_text(&text).unwrap();
+        let r = simulate(&d, &platform(), &Bindings::new());
+        assert_eq!(r.err(), Some(expected), "{offset}");
+    }
+}
+
+#[test]
+fn a_fold_of_an_accumulator_into_itself_reads_the_pre_fold_contents() {
+    // The pipe stores `i + j` straight into `acc` and the fold's source
+    // is `acc` too: every wave doubles what the pipe just wrote, each
+    // element exactly once, so the last wave (i = 7) leaves 2·(7 + j).
+    let text = fold_text()
+        .replace("Store mem=5", "Store mem=2")
+        .replace("fold=5:2:Add", "fold=2:2:Add");
+    let d = dhdl_core::serialize::from_text(&text).unwrap();
+    let r = simulate(&d, &platform(), &Bindings::new()).unwrap();
+    assert_eq!(r.output("out").unwrap(), &[14.0, 16.0, 18.0, 20.0]);
+    let tape = dhdl_sim::simulate_compiled(&d, &platform(), &Bindings::new()).unwrap();
+    assert_eq!(r.bit_diff(&tape), None);
+}

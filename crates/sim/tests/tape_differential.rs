@@ -1,6 +1,11 @@
 //! Differential conformance: the tape-compiled backend must be
 //! *bit-identical* to the interpreter — outputs, cycles, transfers,
 //! profile, trace, and errors — on every design either can run.
+//!
+//! Two assumptions both backends lean on are pinned here as well, on
+//! the interpreter alone: a constant read from its slot is the constant
+//! quantized at the read, and timing is a function of the design, not of
+//! the data.
 
 use std::cell::Cell;
 
@@ -19,6 +24,21 @@ fn assert_identical(d: &dhdl_core::Design, bindings: &Bindings) {
         (Err(a), Err(b)) => assert_eq!(a, b, "backends raise different errors"),
         _ => panic!("one backend errored: interp={interp:?} tape={tape:?}"),
     }
+}
+
+/// `timing-independence`: the interpreter, run on two input sets, may
+/// differ in its outputs and in nothing else. The tape stamps one
+/// precomputed timing on every run and the interpreter schedules each
+/// pipe once per run; both are sound only if this holds.
+fn assert_timing_independent(d: &Design, first: &Bindings, second: &Bindings) {
+    let p = Platform::maia();
+    let a = simulate(d, &p, first).expect("first input set runs");
+    let b = simulate(d, &p, second).expect("second input set runs");
+    let name = d.name();
+    assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "`{name}` cycles");
+    assert_eq!(a.transfers, b.transfers, "`{name}` transfers");
+    assert_eq!(a.profile(), b.profile(), "`{name}` profile");
+    assert_eq!(a.trace().events(), b.trace().events(), "`{name}` trace");
 }
 
 fn dot_product() -> dhdl_core::Design {
@@ -80,6 +100,7 @@ fn compile_once_run_many_inputs() {
         let a = simulate(&d, &p, &bindings).unwrap();
         let b = compiled.run(&bindings).unwrap();
         assert_eq!(a.bit_diff(&b), None, "seed {seed}");
+        assert_timing_independent(&d, &bindings, &Bindings::new());
     }
 }
 
@@ -308,7 +329,8 @@ fn unknown_output_lists_names_on_both_backends() {
 /// `x[n]` is tile-loaded into `xT`, `body` builds the pipes, `yT[n]` is
 /// tile-stored to `y`; `x[i] = f(i)`. Everything is `F64`, so no
 /// quantization step can absorb a wrong low bit. Asserts the kernel
-/// census, then bit identity.
+/// census, then bit identity, then that feeding `x` back to front moves
+/// no timing.
 fn check(
     n: u64,
     f: impl Fn(u64) -> f64,
@@ -331,7 +353,13 @@ fn check(
     patch(&mut d);
     let compiled = compile(&d, &Platform::maia()).unwrap();
     assert_eq!(compiled.kernels(), census, "(blocked, serial) kernels");
-    assert_identical(&d, &Bindings::new().bind("x", (0..n).map(f).collect()));
+    let forward = Bindings::new().bind("x", (0..n).map(&f).collect());
+    assert_identical(&d, &forward);
+    // (A case that pins an error has no timing to compare.)
+    if simulate(&d, &Platform::maia(), &forward).is_ok() {
+        let backward = Bindings::new().bind("x", (0..n).rev().map(&f).collect());
+        assert_timing_independent(&d, &forward, &backward);
+    }
 }
 
 fn no_patch(_: &mut Design) {}
@@ -639,4 +667,86 @@ fn trip_counts_around_the_block_width() {
             no_patch,
         );
     }
+}
+
+#[test]
+fn constants_read_from_their_slot_equal_constants_quantized_per_read() {
+    // Three constants their types cannot represent: 0.3 at sfix3.2 is
+    // 0.25, 0.1 at f32 is 0.100000001490116…, 1.6 and 2.6 at the index
+    // type are 2 and 3. `c3` and `c1` are read as body operands before
+    // *and* after the body evaluates the `Const` nodes themselves (the
+    // patch lists them mid-body, as a parsed design may); `off` and `k`
+    // are never in a body: a tile offset and a load address.
+    let n = 8u64;
+    let consts = Cell::new(None);
+    let mut b = DesignBuilder::new("consts");
+    let x = b.off_chip("x", DType::F64, &[n + 4]);
+    let y = b.off_chip("y", DType::F64, &[n]);
+    b.sequential(|b| {
+        let xt = b.bram("xT", DType::F64, &[n]);
+        let yt = b.bram("yT", DType::F64, &[n]);
+        let off = b.constant(1.6, DType::index());
+        b.tile_load(x, xt, &[off], &[n], 1);
+        let c3 = b.constant(0.3, DType::fixed(true, 3, 2));
+        let c1 = b.constant(0.1, DType::F32);
+        let k = b.constant(2.6, DType::index());
+        b.pipe(&[by(n, 1)], 1, |b, it| {
+            let v = b.load(xt, &[it[0]]);
+            let before = b.add(v, c3);
+            let mid = b.add(before, c1);
+            let after = b.add(mid, c3);
+            let w = b.load(xt, &[k]);
+            let sum = b.add(after, w);
+            b.store(yt, &[it[0]], sum);
+            consts.set(Some((c3, c1, mid)));
+        });
+        let z = b.index_const(0);
+        b.tile_store(y, yt, &[z], &[n], 1);
+    });
+    let mut d = b.finish().unwrap();
+    let (c3, c1, mid) = consts.get().unwrap();
+    let body = &mut pipe_of(&mut d, mid).body;
+    let at = body.iter().position(|&n| n == mid).unwrap();
+    body.splice(at..at, [c3, c1]); // after `before`, before `mid`
+    let xs: Vec<f64> = (0..n + 4).map(wobble).collect();
+    let bindings = Bindings::new().bind("x", xs.clone());
+    let r = simulate(&d, &Platform::maia(), &bindings).unwrap();
+    let expected: Vec<f64> = (0..n as usize)
+        .map(|i| ((xs[i + 2] + 0.25) + f64::from(0.1f32)) + 0.25 + xs[3 + 2])
+        .collect();
+    assert_eq!(r.output("y").unwrap(), expected);
+    assert_identical(&d, &bindings);
+}
+
+#[test]
+fn timing_is_independent_of_the_data_on_the_nine_applications() {
+    // Default parameters and dataset sizes, unoptimized: gemm alone is
+    // seconds a run, so the applications run side by side.
+    let names: Vec<&str> = dhdl_apps::all()
+        .iter()
+        .chain(&dhdl_apps::dnn())
+        .map(|bench| bench.name())
+        .collect();
+    assert_eq!(names.len(), 9);
+    std::thread::scope(|s| {
+        for name in names {
+            s.spawn(move || {
+                let bench = dhdl_apps::by_name(name).unwrap();
+                let d = bench.build(&bench.default_params()).unwrap();
+                // The second set is the first with every array back to
+                // front and rotated: new data in every position, each
+                // value still in the domain its column was drawn from.
+                let (mut first, mut second) = (Bindings::new(), Bindings::new());
+                for (i, (array, data)) in bench.inputs().into_iter().enumerate() {
+                    let mut other = data.clone();
+                    other.reverse();
+                    other.rotate_left((7 * i + 3) % data.len());
+                    assert_ne!(other, data, "{name}: `{array}` did not move");
+                    first = first.bind(&array, data);
+                    second = second.bind(&array, other);
+                }
+                assert_timing_independent(&d, &first, &second);
+            });
+        }
+    });
 }
