@@ -43,7 +43,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use dhdl_core::{DType, Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, TileSpec};
+use dhdl_core::{
+    DType, Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp, TileSpec,
+};
 use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
 use dhdl_synth::pipe_depth;
 use dhdl_target::Platform;
@@ -89,9 +91,13 @@ struct Timing {
 
 /// A design lowered to an instruction tape, ready to run many times.
 ///
-/// Compile once, run per input set — the per-run cost is one arena
-/// `clone` plus straight-line tape execution with zero per-cycle map
-/// lookups or graph walks.
+/// Compile once, run per input set. Per compile: the arena layout, the
+/// control tape, every kernel's ops with their block width, strides and
+/// `quant`/`uniform` flags, and the timing. Per run: one clone of the
+/// arena template with the bound inputs laid over it, the lane vectors
+/// of the widest blocked kernel, straight-line tape execution, and a
+/// copy of each off-chip array out of the arena. No map lookup, graph
+/// walk or allocation happens per block.
 #[derive(Debug, Clone)]
 pub struct Compiled {
     layout: Layout,
@@ -136,10 +142,7 @@ pub fn compile(
         tape,
         timing,
     };
-    let (blocked, serial) = compiled.kernels();
-    dhdl_obs::counter!("sim.compile.count").incr();
-    dhdl_obs::counter!("sim.compile.kernels.blocked").add(blocked as u64);
-    dhdl_obs::counter!("sim.compile.kernels.serial").add(serial as u64);
+    compiled.publish_census();
     Ok(compiled)
 }
 
@@ -152,7 +155,7 @@ impl Compiled {
     /// design and inputs.
     pub fn run(&self, bindings: &Bindings) -> Result<SimResult> {
         let _span = dhdl_obs::span!("sim.tape");
-        let result = self.run_inner(bindings);
+        let result = self.run_inner(bindings, false);
         match &result {
             Ok(r) => {
                 dhdl_obs::counter!("sim.tape.runs").incr();
@@ -178,7 +181,51 @@ impl Compiled {
         (blocked, self.tape.kernels.len() - blocked)
     }
 
-    fn run_inner(&self, bindings: &Bindings) -> Result<SimResult> {
+    /// [`Compiled::run`] with every kernel held at width 1, the order
+    /// that needs no proof: what the `width-differential` tests compare
+    /// the block path against. A test entry point, not a schedule.
+    #[doc(hidden)]
+    pub fn run_serial(&self, bindings: &Bindings) -> Result<SimResult> {
+        self.run_inner(bindings, true)
+    }
+
+    /// What the compiler decided, as counters: kernels by block width,
+    /// ops by the two per-op claims, and body accesses by how a block
+    /// performs them (every access of a serial kernel is per-lane; a
+    /// uniform load is one read, splatted).
+    fn publish_census(&self) {
+        let (blocked, serial) = self.kernels();
+        dhdl_obs::counter!("sim.compile.count").incr();
+        dhdl_obs::counter!("sim.compile.kernels.blocked").add(blocked as u64);
+        dhdl_obs::counter!("sim.compile.kernels.serial").add(serial as u64);
+        let (mut ops, mut uniform, mut quant_elided) = (0u64, 0u64, 0u64);
+        let mut accesses = [0u64; 4]; // unit, splat, strided, per-lane
+        for (k, op) in (self.tape.kernels.iter()).flat_map(|k| k.ops.iter().map(move |op| (k, op)))
+        {
+            ops += 1;
+            uniform += u64::from(k.blocked && op.uniform);
+            quant_elided += u64::from(!op.quant);
+            if let KKind::Load { at } | KKind::Store { at, .. } = &op.kind {
+                accesses[match at.stride {
+                    _ if !k.blocked => 3,
+                    _ if op.uniform => 1,
+                    Some(1) => 0,
+                    Some(0) => 1,
+                    Some(_) => 2,
+                    None => 3,
+                }] += 1;
+            }
+        }
+        dhdl_obs::counter!("sim.compile.ops").add(ops);
+        dhdl_obs::counter!("sim.compile.ops.uniform").add(uniform);
+        dhdl_obs::counter!("sim.compile.ops.quant_elided").add(quant_elided);
+        dhdl_obs::counter!("sim.compile.accesses.unit").add(accesses[0]);
+        dhdl_obs::counter!("sim.compile.accesses.splat").add(accesses[1]);
+        dhdl_obs::counter!("sim.compile.accesses.strided").add(accesses[2]);
+        dhdl_obs::counter!("sim.compile.accesses.per_lane").add(accesses[3]);
+    }
+
+    fn run_inner(&self, bindings: &Bindings, serial: bool) -> Result<SimResult> {
         // Binding validation mirrors the interpreter's `Sim::new` exactly:
         // shape checks in off-chip declaration order first, then the
         // unknown-binding sweep in sorted binding order.
@@ -215,7 +262,7 @@ impl Compiled {
             }
         }
         let mut queues = vec![Vec::new(); self.layout.n_queues];
-        self.tape.execute(&mut arena, &mut queues)?;
+        self.tape.execute(&mut arena, &mut queues, serial)?;
         let mut offchip = BTreeMap::new();
         for r in &self.layout.offchips {
             offchip.insert(
@@ -287,9 +334,47 @@ impl Body {
         KSrc { slot, lane }
     }
 
+    /// Append a micro-op, deriving the two claims the executor checks in
+    /// debug builds. `quant` is cleared where quantizing at `ty` is
+    /// provably the identity: `ty` is `F64`; a predicate (0.0 or 1.0) at
+    /// `Bool`; a `Mux` whose two arms, or a `Store` whose value, body ops
+    /// produced at this same `ty` (quantization is idempotent; a constant
+    /// or outer operand carries its own node's type, so no claim).
+    /// `uniform` is set where no operand can differ between iterations of
+    /// one kernel call: an `Outer`, and a `Bin`/`Un`/`Mux`/`Load` whose
+    /// every operand is a slot no earlier op wrote or another uniform op.
+    /// Only a blocked kernel acts on it, where no later op writes such a
+    /// slot either (forward-only dataflow) and no op stores to a memory a
+    /// uniform load reads (asserted in `emit_pipe`).
     fn push(&mut self, dst: usize, ty: DType, kind: KKind) {
+        let at_ty = |s: KSrc| s.lane.is_some_and(|i| self.ops[i].ty == ty);
+        let predicate =
+            |op: PrimOp| op.is_predicate() || matches!(op, PrimOp::And | PrimOp::Or | PrimOp::Not);
+        let quant = ty != DType::F64
+            && match &kind {
+                KKind::Bin { op, .. } | KKind::Un { op, .. } => {
+                    !(ty == DType::Bool && predicate(*op))
+                }
+                KKind::Mux { t, f, .. } => !(at_ty(*t) && at_ty(*f)),
+                KKind::Store { val, .. } => !at_ty(*val),
+                _ => true,
+            };
+        let varies = |s: KSrc| s.lane.is_some_and(|i| !self.ops[i].uniform);
+        let uniform = match &kind {
+            KKind::Outer { .. } => true,
+            KKind::Bin { .. } | KKind::Un { .. } | KKind::Mux { .. } | KKind::Load { .. } => {
+                !kind.any_src(varies)
+            }
+            _ => false,
+        };
         self.producer.insert(dst, self.ops.len());
-        self.ops.push(KOp { dst, ty, kind });
+        self.ops.push(KOp {
+            dst,
+            ty,
+            kind,
+            quant,
+            uniform,
+        });
     }
 }
 
@@ -678,6 +763,21 @@ impl<'a> Emitter<'a> {
             }
         }
         let blocked = lane_major_unobservable(&body.ops);
+        // A uniform load is read once per block, so a blocked body must
+        // not store to its memory. None does: a memory both loaded and
+        // stored blocks only at an address with a nonzero stride in the
+        // innermost counter, which no uniform address has, and reduction
+        // accumulators lie outside every loaded range.
+        let stored = |mem| {
+            (body.ops.iter()).any(|op| matches!(&op.kind, KKind::Store { at, .. } if at.mem == mem))
+        };
+        debug_assert!(
+            !blocked
+                || !(body.ops.iter()).any(
+                    |op| matches!(&op.kind, KKind::Load { at } if op.uniform && stored(at.mem))
+                ),
+            "pipe {ctrl}: a blocked body stores to a memory it loads at a uniform address"
+        );
         self.push(Instr::Kernel(self.tape.kernels.len()));
         self.tape.kernels.push(Kernel {
             // A body that aborts runs once, up to the abort.

@@ -19,6 +19,21 @@
 //! writes its value through to its arena slot, where the next iteration
 //! finds it.
 //!
+//! Decided **per compile**: the ops, their operands and slots, the block
+//! width, each access's stride, and two claims per op the executor
+//! checks in debug builds rather than trusts — [`KOp::quant`] (can
+//! quantizing the result change it?) and [`KOp::uniform`] (can it differ
+//! between the lanes of a block?). **Per run**: one lane vector per op
+//! of the widest blocked kernel, owned by [`Tape::execute`]; no kernel
+//! call allocates or zeroes anything. **Per block**: each op once, its
+//! operands *borrowed* from the lane vectors of the ops that produced
+//! them (a slot operand is splatted into a scratch vector). Arithmetic
+//! covers the whole fixed-width vector so it unrolls and vectorizes —
+//! lanes past the block's live count hold stale values nothing reads —
+//! while loads, stores, the reduction and the write-through honour the
+//! live count. A uniform op is evaluated for lane 0 and splatted; an
+//! affine in-bounds access is one slice copy at stride 1, one read at 0.
+//!
 //! The executor is *bit-identical* to the interpreter by construction:
 //! per lane, every micro-op replicates the corresponding `eval_node`
 //! arm's f64 operation order and quantization points, and structural
@@ -119,9 +134,10 @@ pub(crate) enum Instr {
     Abort(usize),
 }
 
-/// Iterations per block of a blocked kernel: each micro-op is dispatched
-/// once per block instead of once per iteration, amortizing dispatch
-/// ~32x on hot inner loops.
+/// Iterations per block of a blocked kernel: a micro-op is dispatched
+/// once per block and its arithmetic is one fixed-width loop over
+/// `[f64; LANES]`. 16 and 64 both measured slower overall (more
+/// dispatches; less of a 48- or 96-trip loop in whole blocks).
 const LANES: usize = 32;
 
 /// Operand of a micro-op: the scratch slot of the operand node, and —
@@ -130,10 +146,10 @@ const LANES: usize = 32;
 ///
 /// Every op writes through to its slot, so at width 1 `arena[slot]` is
 /// always the value the interpreter's `vals` read would return; `lane`
-/// is what a blocked kernel reads instead, one value per lane. With no
-/// `lane` the slot is read as is: loop-invariant if no op of the body
-/// writes it, loop-carried (the previous iteration's value) if a later
-/// one does — which is why such a body is never blocked.
+/// is what a blocked kernel reads instead: the producing op's lane
+/// vector, borrowed where it lies. With no `lane` the slot is read as is
+/// (splatted for a block): loop-invariant if no op of the body writes
+/// it, loop-carried if a later one does — so such a body never blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KSrc {
     /// Arena slot of the operand node.
@@ -175,6 +191,14 @@ pub(crate) struct KOp {
     pub ty: DType,
     /// What it computes.
     pub kind: KKind,
+    /// `false` where the compiler proved quantizing at `ty` the identity
+    /// (`compile::Body::push`): the executor skips it, and in debug
+    /// builds re-quantizes and requires equal bits.
+    pub quant: bool,
+    /// `true` where no operand can differ between the iterations of one
+    /// kernel call: a blocked kernel evaluates lane 0 and splats, and in
+    /// debug builds evaluates every live lane and requires equal bits.
+    pub uniform: bool,
 }
 
 /// What a [`KOp`] computes.
@@ -329,16 +353,24 @@ fn get<const W: usize>(lanes: &[[f64; W]], arena: &[f64], src: KSrc, l: usize) -
     }
 }
 
-/// Materialize an operand's block: copy the producing op's lane vector,
-/// or splat its arena slot (constant across the block: at width 1
-/// trivially, in a blocked kernel because no micro-op writes it and
-/// memory regions are disjoint from node slots). Keeps the per-lane
-/// loops below free of source dispatch so they vectorize.
+/// An operand's block, borrowed: the producing op's lane vector where it
+/// lies, or the arena slot splatted into `tmp` (constant across the
+/// block: at width 1 trivially, in a blocked kernel because no micro-op
+/// writes it and memory regions are disjoint from node slots). Keeps the
+/// per-lane loops below free of source dispatch so they vectorize.
 #[inline]
-fn mat<const W: usize>(lanes: &[[f64; W]], arena: &[f64], src: KSrc) -> [f64; W] {
+fn operand<'a, const W: usize>(
+    lanes: &'a [[f64; W]],
+    arena: &[f64],
+    src: KSrc,
+    tmp: &'a mut [f64; W],
+) -> &'a [f64; W] {
     match src.lane {
-        Some(i) if W > 1 => lanes[i],
-        _ => [arena[src.slot]; W],
+        Some(i) if W > 1 => &lanes[i],
+        _ => {
+            *tmp = [arena[src.slot]; W];
+            tmp
+        }
     }
 }
 
@@ -358,44 +390,60 @@ fn addr_at<const W: usize>(
     idx
 }
 
-/// Lane-wise primitive evaluation: one operation dispatch per block,
-/// with the hot arithmetic ops written out so LLVM can vectorize them.
+/// Lane-wise primitive evaluation: one operation dispatch per block.
+/// Everything the hardware does in one instruction is written out over
+/// the whole fixed-width vector (lanes from `live` up compute on stale
+/// values nothing reads), so LLVM unrolls and vectorizes it; the libm
+/// calls and `Rem` stop at `live`.
 #[inline]
-fn bin_block<const W: usize>(op: PrimOp, a: &[f64; W], b: &[f64; W], out: &mut [f64]) {
+fn bin_block<const W: usize>(
+    op: PrimOp,
+    a: &[f64; W],
+    b: &[f64; W],
+    out: &mut [f64; W],
+    live: usize,
+) {
     macro_rules! lanewise {
-        ($f:expr) => {
-            for (l, o) in out.iter_mut().enumerate() {
-                *o = $f(a[l], b[l]);
+        ($n:expr, $f:expr) => {
+            for l in 0..$n {
+                out[l] = $f(a[l], b[l]);
             }
         };
     }
     match op {
-        PrimOp::Add => lanewise!(|x: f64, y: f64| x + y),
-        PrimOp::Sub => lanewise!(|x: f64, y: f64| x - y),
-        PrimOp::Mul => lanewise!(|x: f64, y: f64| x * y),
-        PrimOp::Div => lanewise!(|x: f64, y: f64| x / y),
-        PrimOp::Lt => lanewise!(|x: f64, y: f64| f64::from(x < y)),
-        PrimOp::Le => lanewise!(|x: f64, y: f64| f64::from(x <= y)),
-        PrimOp::Gt => lanewise!(|x: f64, y: f64| f64::from(x > y)),
-        PrimOp::Ge => lanewise!(|x: f64, y: f64| f64::from(x >= y)),
-        PrimOp::Min => lanewise!(|x: f64, y: f64| x.min(y)),
-        PrimOp::Max => lanewise!(|x: f64, y: f64| x.max(y)),
-        PrimOp::Neg => lanewise!(|x: f64, _: f64| -x),
-        PrimOp::Abs => lanewise!(|x: f64, _: f64| x.abs()),
-        PrimOp::Sqrt => lanewise!(|x: f64, _: f64| x.sqrt()),
+        PrimOp::Add => lanewise!(W, |x: f64, y: f64| x + y),
+        PrimOp::Sub => lanewise!(W, |x: f64, y: f64| x - y),
+        PrimOp::Mul => lanewise!(W, |x: f64, y: f64| x * y),
+        PrimOp::Div => lanewise!(W, |x: f64, y: f64| x / y),
+        PrimOp::Lt => lanewise!(W, |x: f64, y: f64| f64::from(x < y)),
+        PrimOp::Le => lanewise!(W, |x: f64, y: f64| f64::from(x <= y)),
+        PrimOp::Gt => lanewise!(W, |x: f64, y: f64| f64::from(x > y)),
+        PrimOp::Ge => lanewise!(W, |x: f64, y: f64| f64::from(x >= y)),
+        PrimOp::Eq => lanewise!(W, |x: f64, y: f64| f64::from(x == y)),
+        PrimOp::Ne => lanewise!(W, |x: f64, y: f64| f64::from(x != y)),
+        // (`&`/`|`, not `&&`/`||`: same truth table, no branch per lane.)
+        PrimOp::And => lanewise!(W, |x: f64, y: f64| f64::from((x != 0.0) & (y != 0.0))),
+        PrimOp::Or => lanewise!(W, |x: f64, y: f64| f64::from((x != 0.0) | (y != 0.0))),
+        PrimOp::Not => lanewise!(W, |x: f64, _: f64| f64::from(x == 0.0)),
+        PrimOp::Min => lanewise!(W, |x: f64, y: f64| x.min(y)),
+        PrimOp::Max => lanewise!(W, |x: f64, y: f64| x.max(y)),
+        PrimOp::Neg => lanewise!(W, |x: f64, _: f64| -x),
+        PrimOp::Abs => lanewise!(W, |x: f64, _: f64| x.abs()),
+        PrimOp::Sqrt => lanewise!(W, |x: f64, _: f64| x.sqrt()),
         // exp/ln dominate softmax and blackscholes inner loops: batching
         // them here hoists the op dispatch out of the lane loop while
         // making the exact libm calls apply_prim makes, so results stay
         // bit-identical per lane.
-        PrimOp::Exp => lanewise!(|x: f64, _: f64| x.exp()),
-        PrimOp::Ln => lanewise!(|x: f64, _: f64| x.ln()),
-        _ => lanewise!(|x, y| apply_prim(op, x, y)),
+        PrimOp::Exp => lanewise!(live, |x: f64, _: f64| x.exp()),
+        PrimOp::Ln => lanewise!(live, |x: f64, _: f64| x.ln()),
+        PrimOp::Rem => lanewise!(live, |x, y| apply_prim(op, x, y)),
     }
 }
 
-/// Lane-wise quantization: one type dispatch per block.
+/// Lane-wise quantization: one type dispatch per block. The casts run
+/// over the whole vector; fixed point stops at `live`.
 #[inline]
-fn quantize_block(ty: DType, out: &mut [f64]) {
+fn quantize_block<const W: usize>(ty: DType, out: &mut [f64; W], live: usize) {
     match ty {
         DType::F64 => {}
         DType::F32 => {
@@ -409,11 +457,17 @@ fn quantize_block(ty: DType, out: &mut [f64]) {
             }
         }
         fix => {
-            for o in out.iter_mut() {
+            for o in &mut out[..live] {
                 *o = fix.quantize(*o);
             }
         }
     }
+}
+
+/// Whether quantizing `x` at `ty` leaves its bits alone (what a
+/// `quant == false` op claims of every value it produces).
+fn idle(ty: DType, x: f64) -> bool {
+    ty.quantize(x).to_bits() == x.to_bits()
 }
 
 /// Earliest out-of-bounds access of a block, ordered by (lane, op
@@ -427,30 +481,114 @@ fn note_oob(err: &mut FirstOob, l: usize, j: usize, at: &Access, index: i64) {
     }
 }
 
-/// `(first index, stride)` of a `b`-lane block of accesses at `at`
-/// when the address is affine in the lane index and both endpoints
-/// are in bounds — then every lane is, and the block needs no
-/// per-lane checks. `None` (always, at width 1) falls back to the
-/// exact per-lane walk.
+/// `(arena index of lane 0, stride)` of a `b`-lane block of accesses at
+/// `at` when the address is affine in the lane index and both endpoints
+/// are in bounds — then every lane is, and the block needs no per-lane
+/// checks. `None` (always, at width 1) falls back to the exact per-lane
+/// walk.
 fn affine_block<const W: usize>(
     prev: &[[f64; W]],
     arena: &[f64],
     at: &Access,
     b: usize,
-) -> Option<(i64, i64)> {
+) -> Option<(usize, i64)> {
     if W == 1 {
         return None;
     }
     let s = at.stride?;
     let idx0 = addr_at(prev, arena, &at.terms, 0);
     let last = idx0.checked_add(s.checked_mul(b as i64 - 1)?)?;
-    (idx0 >= 0 && last >= 0 && (idx0 as u64) < at.size && (last as u64) < at.size)
-        .then_some((idx0, s))
+    if idx0 < 0 || last < 0 || idx0 as u64 >= at.size || last as u64 >= at.size {
+        return None;
+    }
+    // The stride is the compiler's claim; the terms are the definition.
+    debug_assert!((0..b).all(|l| addr_at(prev, arena, &at.terms, l) == idx0 + l as i64 * s));
+    Some((at.base + idx0 as usize, s))
+}
+
+/// Write `q[..b]` to a block's addresses at `at`: one slice copy when
+/// they are consecutive and in bounds, lane by lane otherwise.
+#[inline]
+fn store_block<const W: usize>(
+    prev: &[[f64; W]],
+    arena: &mut [f64],
+    at: &Access,
+    q: &[f64; W],
+    b: usize,
+    j: usize,
+    err: &mut FirstOob,
+) {
+    match affine_block(prev, arena, at, b) {
+        Some((first, 1)) => arena[first..first + b].copy_from_slice(&q[..b]),
+        Some((first, s)) => {
+            for (l, &x) in q[..b].iter().enumerate() {
+                arena[(first as i64 + l as i64 * s) as usize] = x;
+            }
+        }
+        None => {
+            for (l, &x) in q[..b].iter().enumerate() {
+                let idx = addr_at(prev, arena, &at.terms, l);
+                if idx < 0 || idx as u64 >= at.size {
+                    note_oob(err, l, j, at, idx);
+                } else {
+                    arena[at.base + idx as usize] = x;
+                }
+            }
+        }
+    }
+}
+
+/// Lane `l` of an op that may be [`KOp::uniform`], unquantized, as
+/// `apply_prim` and the per-lane address walk compute it. `Err` is a
+/// load's out-of-bounds access.
+fn scalar<'k, const W: usize>(
+    kind: &'k KKind,
+    frames: &[Frame],
+    prev: &[[f64; W]],
+    arena: &[f64],
+    l: usize,
+) -> std::result::Result<f64, (&'k Access, i64)> {
+    let get = |src| get(prev, arena, src, l);
+    Ok(match kind {
+        KKind::Outer { depth, step } => (frames[*depth].counter * step) as f64,
+        KKind::Bin { op, a, b } => apply_prim(*op, get(*a), get(*b)),
+        KKind::Un { op, a } => apply_prim(*op, get(*a), 0.0),
+        KKind::Mux { sel, t, f } => get(if get(*sel) != 0.0 { *t } else { *f }),
+        KKind::Load { at } => {
+            let idx = addr_at(prev, arena, &at.terms, l);
+            if idx < 0 || idx as u64 >= at.size {
+                return Err((at, idx));
+            }
+            arena[at.base + idx as usize]
+        }
+        _ => unreachable!("compile marks no other kind uniform"),
+    })
+}
+
+/// `Reduce { Add, F32 }` over a block: `a = (a + x) as f32 as f64` per
+/// value, in lane order. When the accumulator and every value already
+/// are `f32`s the chain runs in `f32` — the `f32` sum of two `f32`s *is*
+/// their `f64` sum rounded to `f32` (53 >= 2 * 24 + 2 bits: the double
+/// rounding is innocuous) — and the dependent path loses two conversions
+/// a step. Anything else (an `F64`-typed value, a NaN whose payload `f32`
+/// cannot hold) takes the chain as written.
+#[inline]
+fn sum_f32<const W: usize>(a: f64, v: &[f64; W], live: usize) -> f64 {
+    let chain = || v[..live].iter().fold(a, |a, &x| (a + x) as f32 as f64);
+    let is_f32 = |x: f64| idle(DType::F32, x);
+    if W == 1 || !v[..live].iter().fold(is_f32(a), |ok, &x| ok & is_f32(x)) {
+        return chain();
+    }
+    let sum = v[..live].iter().fold(a as f32, |s, &x| s + x as f32);
+    debug_assert_eq!(f64::from(sum).to_bits(), chain().to_bits(), "f32 reduce");
+    f64::from(sum)
 }
 
 impl Kernel {
     /// Execute the loop in blocks of `W` iterations (`W` is [`LANES`] or
-    /// 1, per [`Kernel::blocked`]).
+    /// 1, per [`Kernel::blocked`]). `lanes` is one vector per micro-op,
+    /// lent by [`Tape::execute`] and left as it falls; width 1 has none,
+    /// every operand being read from its written-through slot.
     ///
     /// Per lane, every micro-op performs exactly the f64 operations of
     /// the interpreter's `eval_node` arm. Within a block the ops run
@@ -471,13 +609,16 @@ impl Kernel {
         frames: &[Frame],
         arena: &mut [f64],
         queues: &mut [Vec<f64>],
+        lanes: &mut [[f64; W]],
     ) -> Result<()> {
-        // One lane vector per micro-op. Width 1 keeps none: every operand
-        // is read from its written-through slot, so an op only needs
-        // somewhere to put its value on the way there (allocating them
-        // anyway cost kmeans ~10 %: its kernels run 8-33 trips a call).
-        let mut lanes = vec![[0.0f64; W]; if W > 1 { self.ops.len() } else { 0 }];
         let mut one = [0.0f64; W];
+        // Where slot operands are splatted (a mux has three).
+        let (mut ta, mut tb, mut tc) = ([0.0f64; W], [0.0f64; W], [0.0f64; W]);
+        // `base + l * step` in f64 is exact while the counter stays under
+        // 2^53; width 1 keeps the integer form (the float one cost
+        // kmeans ~3 %).
+        let lin_in_f64 =
+            |step: u64| W > 1 && self.trips.checked_mul(step).is_some_and(|m| m < 1 << 53);
         let mut c0 = 0u64;
         while c0 < self.trips {
             // Lanes in this block (spelled out for width 1 so it folds).
@@ -497,72 +638,101 @@ impl Kernel {
                 } else {
                     (&[], &mut one)
                 };
+                if W > 1 && kop.uniform {
+                    match scalar(&kop.kind, frames, prev, arena, 0) {
+                        Ok(raw) => {
+                            debug_assert!(
+                                err.is_some()
+                                    || (1..b).all(|l| scalar(&kop.kind, frames, prev, arena, l)
+                                        .is_ok_and(|x| x.to_bits() == raw.to_bits())),
+                                "op {j} is marked uniform and differs between lanes"
+                            );
+                            let v = if kop.quant { kop.ty.quantize(raw) } else { raw };
+                            debug_assert!(kop.quant || err.is_some() || idle(kop.ty, v));
+                            out.fill(v);
+                            arena[kop.dst] = v;
+                        }
+                        // Every lane leaves the memory; iteration 0 is
+                        // the first the interpreter would see do so.
+                        Err((at, idx)) => {
+                            note_oob(&mut err, 0, j, at, idx);
+                            out.fill(0.0);
+                        }
+                    }
+                    continue;
+                }
                 match &kop.kind {
+                    KKind::Lin { step } if lin_in_f64(*step) => {
+                        let (base, step) = ((c0 * step) as f64, *step as f64);
+                        for (l, o) in out.iter_mut().enumerate() {
+                            *o = base + l as f64 * step;
+                        }
+                    }
                     KKind::Lin { step } => {
                         for (l, o) in out[..b].iter_mut().enumerate() {
                             *o = ((c0 + l as u64) * step) as f64;
                         }
                     }
                     KKind::Outer { depth, step } => {
-                        out[..b].fill((frames[*depth].counter * step) as f64);
+                        out.fill((frames[*depth].counter * step) as f64);
                     }
                     KKind::Bin { op, a, b: bb } => {
-                        let va = mat(prev, arena, *a);
-                        let vb = mat(prev, arena, *bb);
-                        bin_block(*op, &va, &vb, &mut out[..b]);
+                        let va = operand(prev, arena, *a, &mut ta);
+                        let vb = operand(prev, arena, *bb, &mut tb);
+                        bin_block(*op, va, vb, out, b);
                     }
                     KKind::Un { op, a } => {
-                        let va = mat(prev, arena, *a);
-                        bin_block(*op, &va, &[0.0; W], &mut out[..b]);
+                        let va = operand(prev, arena, *a, &mut ta);
+                        bin_block(*op, va, &[0.0; W], out, b);
                     }
                     KKind::Mux { sel, t, f } => {
-                        let vs = mat(prev, arena, *sel);
-                        let vt = mat(prev, arena, *t);
-                        let vf = mat(prev, arena, *f);
-                        for (l, o) in out[..b].iter_mut().enumerate() {
-                            *o = if vs[l] != 0.0 { vt[l] } else { vf[l] };
+                        let vs = operand(prev, arena, *sel, &mut ta);
+                        let vt = operand(prev, arena, *t, &mut tb);
+                        let vf = operand(prev, arena, *f, &mut tc);
+                        for l in 0..W {
+                            out[l] = if vs[l] != 0.0 { vt[l] } else { vf[l] };
                         }
                     }
                     KKind::Requant { a } => {
-                        *out = mat(prev, arena, *a);
+                        *out = *operand(prev, arena, *a, &mut ta);
                     }
-                    KKind::Load { at } => {
-                        if let Some((idx0, s)) = affine_block(prev, arena, at, b) {
+                    KKind::Load { at } => match affine_block(prev, arena, at, b) {
+                        Some((first, 1)) => out[..b].copy_from_slice(&arena[first..first + b]),
+                        Some((first, 0)) => out.fill(arena[first]),
+                        Some((first, s)) => {
                             for (l, o) in out[..b].iter_mut().enumerate() {
-                                *o = arena[(at.base as i64 + idx0 + l as i64 * s) as usize];
+                                *o = arena[(first as i64 + l as i64 * s) as usize];
                             }
-                        } else {
+                        }
+                        None => {
                             for (l, o) in out[..b].iter_mut().enumerate() {
                                 let idx = addr_at(prev, arena, &at.terms, l);
                                 if idx < 0 || idx as u64 >= at.size {
-                                    // The lane keeps a stale value; the
-                                    // block raises before anything
-                                    // observable reads it.
+                                    // The block raises before anything
+                                    // observable reads the lane; until
+                                    // then it holds zero, not what some
+                                    // earlier kernel left there.
                                     note_oob(&mut err, l, j, at, idx);
+                                    *o = 0.0;
                                 } else {
                                     *o = arena[at.base + idx as usize];
                                 }
                             }
                         }
-                    }
+                    },
                     KKind::Store { at, val, mem_ty } => {
-                        *out = mat(prev, arena, *val);
-                        if let Some((idx0, s)) = affine_block(prev, arena, at, b) {
-                            let mut q = *out;
-                            quantize_block(*mem_ty, &mut q[..b]);
-                            for (l, &qv) in q[..b].iter().enumerate() {
-                                arena[(at.base as i64 + idx0 + l as i64 * s) as usize] = qv;
-                            }
+                        let v = operand(prev, arena, *val, &mut ta);
+                        // The memory receives the value at the memory's
+                        // type: the value itself when it already is at
+                        // the node's type and the two are one.
+                        if !kop.quant && *mem_ty == kop.ty {
+                            store_block(prev, arena, at, v, b, j, &mut err);
                         } else {
-                            for (l, &x) in out[..b].iter().enumerate() {
-                                let idx = addr_at(prev, arena, &at.terms, l);
-                                if idx < 0 || idx as u64 >= at.size {
-                                    note_oob(&mut err, l, j, at, idx);
-                                } else {
-                                    arena[at.base + idx as usize] = mem_ty.quantize(x);
-                                }
-                            }
+                            tb = *v;
+                            quantize_block(*mem_ty, &mut tb, b);
+                            store_block(prev, arena, at, &tb, b, j, &mut err);
                         }
+                        *out = *v;
                     }
                     KKind::QPop { q } => {
                         debug_assert!(W == 1, "queue ops are never blocked");
@@ -582,14 +752,10 @@ impl Kernel {
                         queues[*q].push(mem_ty.quantize(out[0]));
                     }
                     KKind::Reduce { val, op, ty } => {
-                        let v = mat(prev, arena, *val);
+                        let v = operand(prev, arena, *val, &mut ta);
                         let mut a = arena[kop.dst];
                         match (op, ty) {
-                            (ReduceOp::Add, DType::F32) => {
-                                for &x in &v[..b] {
-                                    a = (a + x) as f32 as f64;
-                                }
-                            }
+                            (ReduceOp::Add, DType::F32) => a = sum_f32(a, v, b),
                             (ReduceOp::Add, DType::F64) => {
                                 for &x in &v[..b] {
                                     a += x;
@@ -604,7 +770,15 @@ impl Kernel {
                         out[b - 1] = a;
                     }
                 }
-                quantize_block(kop.ty, &mut out[..b]);
+                if kop.quant {
+                    quantize_block(kop.ty, out, b);
+                } else {
+                    debug_assert!(
+                        err.is_some() || out[..b].iter().all(|&x| idle(kop.ty, x)),
+                        "op {j} is marked as needing no quantization at {} and does",
+                        kop.ty
+                    );
+                }
                 arena[kop.dst] = out[b - 1];
             }
             if let Some((_, _, e)) = err {
@@ -616,11 +790,25 @@ impl Kernel {
     }
 }
 
+/// `acc[i] = quantize(op(acc[i], src[i]))`, operator and type matched
+/// once for the whole buffer.
+fn fold_into(acc: &mut [f64], src: &[f64], op: ReduceOp, ty: DType) {
+    let pairs = acc.iter_mut().zip(src);
+    match (op, ty) {
+        (ReduceOp::Add, DType::F32) => pairs.for_each(|(a, &s)| *a = (*a + s) as f32 as f64),
+        (ReduceOp::Add, DType::F64) => pairs.for_each(|(a, &s)| *a += s),
+        _ => pairs.for_each(|(a, &s)| *a = ty.quantize(op.apply(*a, s))),
+    }
+}
+
 impl Tape {
-    /// Run the tape to completion over `arena` and `queues`.
-    pub fn execute(&self, arena: &mut [f64], queues: &mut [Vec<f64>]) -> Result<()> {
+    /// Run the tape to completion over `arena` and `queues`; `serial`
+    /// holds every kernel at width 1 (see `Compiled::run_serial`).
+    pub fn execute(&self, arena: &mut [f64], queues: &mut [Vec<f64>], serial: bool) -> Result<()> {
         let mut ip = 0usize;
         let mut frames: Vec<Frame> = Vec::with_capacity(16);
+        // One lane vector per op of the widest blocked kernel so far.
+        let mut lanes: Vec<[f64; LANES]> = Vec::new();
         while ip < self.instrs.len() {
             match &self.instrs[ip] {
                 Instr::Fill { base, len, val } => {
@@ -635,12 +823,21 @@ impl Tape {
                     op,
                     ty,
                 } => {
-                    // Forward in place: slot `i` is read before any slot
-                    // `>= i` is written, so this matches the
-                    // interpreter's clone-then-zip even when `src ==
-                    // acc`.
-                    for i in 0..*len {
-                        arena[acc + i] = ty.quantize(op.apply(arena[acc + i], arena[src + i]));
+                    let (src, acc, len) = (*src, *acc, *len);
+                    if src + len <= acc || acc + len <= src {
+                        // Two buffers, borrowed apart: the loop needs no
+                        // index and no aliasing assumption.
+                        let (lo, hi) = arena.split_at_mut(src.max(acc));
+                        let (lo, hi) = (&mut lo[src.min(acc)..][..len], &mut hi[..len]);
+                        let (a, s) = if src < acc { (hi, lo) } else { (lo, hi) };
+                        fold_into(a, s, *op, *ty);
+                    } else {
+                        // A buffer folded into itself, forward in place:
+                        // slot `i` is read before any slot `>= i` is
+                        // written, as in the interpreter's clone-then-zip.
+                        for i in 0..len {
+                            arena[acc + i] = ty.quantize(op.apply(arena[acc + i], arena[src + i]));
+                        }
                     }
                 }
                 Instr::Tile(t) => self.run_tile(&self.tiles[*t], arena)?,
@@ -673,10 +870,13 @@ impl Tape {
                 }
                 Instr::Kernel(k) => {
                     let k = &self.kernels[*k];
-                    if k.blocked {
-                        k.run::<LANES>(&frames, arena, queues)?;
+                    if k.blocked && !serial {
+                        if lanes.len() < k.ops.len() {
+                            lanes.resize(k.ops.len(), [0.0; LANES]);
+                        }
+                        k.run::<LANES>(&frames, arena, queues, &mut lanes)?;
                     } else {
-                        k.run::<1>(&frames, arena, queues)?;
+                        k.run::<1>(&frames, arena, queues, &mut [])?;
                     }
                 }
                 Instr::Abort(e) => return Err(self.errors[*e].clone()),
@@ -780,6 +980,82 @@ impl Tape {
 
 #[cfg(test)]
 mod tests {
+    // The two per-op claims `compile::Body::push` derives are checked by
+    // the block path in debug builds, not trusted: a kernel handed a
+    // wrong one must trip. (Release builds compile the checks out, and
+    // these two tests with them.)
+    #[cfg(debug_assertions)]
+    mod a_wrong_claim_trips_the_debug_check {
+        use super::super::*;
+
+        /// `lin` (slot 8) counts 0, 1, 2, …; `second` follows it, writing
+        /// slot 9. Memory is slots 0..8, holding 0.1, 1.1, ….
+        fn run(second: KOp) {
+            let lin = KOp {
+                dst: 8,
+                ty: DType::F64,
+                kind: KKind::Lin { step: 1 },
+                quant: false,
+                uniform: false,
+            };
+            let kernel = Kernel {
+                trips: 8,
+                ops: vec![lin, second],
+                blocked: true,
+            };
+            let mut arena: Vec<f64> = (0..10).map(|i| f64::from(i) + 0.1).collect();
+            let mut lanes = vec![[0.0; LANES]; 2];
+            kernel
+                .run::<LANES>(&[], &mut arena, &mut [], &mut lanes)
+                .expect("every access is in bounds");
+        }
+
+        const LIN: KSrc = KSrc {
+            slot: 8,
+            lane: Some(0),
+        };
+
+        #[test]
+        #[should_panic(expected = "needing no quantization")]
+        fn an_add_at_f32_marked_idle() {
+            // i + 0.1 is no f32 for any i.
+            let b = KSrc {
+                slot: 0,
+                lane: None,
+            };
+            run(KOp {
+                dst: 9,
+                ty: DType::F32,
+                kind: KKind::Bin {
+                    op: PrimOp::Add,
+                    a: LIN,
+                    b,
+                },
+                quant: false,
+                uniform: false,
+            });
+        }
+
+        #[test]
+        #[should_panic(expected = "marked uniform")]
+        fn a_load_at_a_lin_address_marked_uniform() {
+            let at = Access {
+                base: 0,
+                terms: vec![(LIN, 8)],
+                size: 8,
+                mem: NodeId::from_raw(0),
+                stride: Some(1),
+            };
+            run(KOp {
+                dst: 9,
+                ty: DType::F64,
+                kind: KKind::Load { at },
+                quant: false,
+                uniform: true,
+            });
+        }
+    }
+
     /// The data path has one encoding, [`super::KOp`]. A scalar
     /// instruction added to the tape "just for this case" is a second
     /// one, which the differential fuzzer would then have to reach

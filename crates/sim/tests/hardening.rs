@@ -376,3 +376,44 @@ fn a_fold_of_an_accumulator_into_itself_reads_the_pre_fold_contents() {
     let tape = dhdl_sim::simulate_compiled(&d, &platform(), &Bindings::new()).unwrap();
     assert_eq!(r.bit_diff(&tape), None);
 }
+
+#[test]
+fn a_fold_between_two_buffers_next_to_a_fold_of_one_into_itself() {
+    // The tape folds two distinct buffers through a split borrow and a
+    // buffer into itself through the in-place loop; both at `F32`, with
+    // values (multiples of 0.1) whose sums round at every step. The
+    // first fold leaves acc[j] = Σ_i f32(0.1·(i + j)); the second doubles
+    // what the pipe just stored, leaving 2·f32(0.1·(7 + j)).
+    let mut b = DesignBuilder::new("folds");
+    let out = b.off_chip("out", DType::F32, &[8]);
+    b.sequential(|b| {
+        let acc = b.bram("acc", DType::F32, &[4]);
+        let own = b.bram("own", DType::F32, &[4]);
+        for (accum, into_itself) in [(acc, false), (own, true)] {
+            b.outer_fold(true, &[by(8, 1)], 1, accum, ReduceOp::Add, |b, iters| {
+                let t = b.bram("t", DType::F32, &[4]);
+                let src = if into_itself { accum } else { t };
+                b.pipe(&[by(4, 1)], 1, |b, it| {
+                    let ij = b.add(iters[0], it[0]);
+                    let tenth = b.constant(0.1, DType::F64);
+                    let v = b.mul(ij, tenth);
+                    b.store(src, &[it[0]], v);
+                });
+                src
+            });
+        }
+        let (z, four) = (b.index_const(0), b.index_const(4));
+        b.tile_store(out, acc, &[z], &[4], 1);
+        b.tile_store(out, own, &[four], &[4], 1);
+    });
+    let d = b.finish().unwrap();
+    let r = simulate(&d, &platform(), &Bindings::new()).unwrap();
+    let f32_of = |x: f64| f64::from(x as f32);
+    let expected: Vec<f64> = (0..4)
+        .map(|j| (0..8).fold(0.0, |a, i| f32_of(a + f32_of(0.1 * f64::from(i + j)))))
+        .chain((0..4).map(|j| 2.0 * f32_of(0.1 * f64::from(7 + j))))
+        .collect();
+    assert_eq!(r.output("out").unwrap(), expected);
+    let tape = dhdl_sim::simulate_compiled(&d, &platform(), &Bindings::new()).unwrap();
+    assert_eq!(r.bit_diff(&tape), None);
+}

@@ -6,11 +6,18 @@
 //! the interpreter alone: a constant read from its slot is the constant
 //! quantized at the read, and timing is a function of the design, not of
 //! the data.
+//!
+//! And one the tape leans on alone, `width-differential`: a kernel the
+//! hazard analysis runs in 32-lane blocks — slice copies, splats,
+//! elided quantization, uniform ops and all — computes what the same
+//! kernel computes one iteration at a time.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dhdl_core::{by, DType, Design, DesignBuilder, NodeId, NodeKind, PipeSpec, PrimOp, ReduceOp};
-use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, SimError};
+use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, Compiled, SimError};
 use dhdl_target::Platform;
 
 fn assert_identical(d: &dhdl_core::Design, bindings: &Bindings) {
@@ -39,6 +46,18 @@ fn assert_timing_independent(d: &Design, first: &Bindings, second: &Bindings) {
     assert_eq!(a.transfers, b.transfers, "`{name}` transfers");
     assert_eq!(a.profile(), b.profile(), "`{name}` profile");
     assert_eq!(a.trace().events(), b.trace().events(), "`{name}` trace");
+}
+
+/// `width-differential`: `run` against `run_serial`, every kernel held
+/// at width 1 — the order that needs no proof. Returns how many kernels
+/// the comparison actually covered (the blocked ones).
+fn assert_width_independent(name: &str, compiled: &Compiled, bindings: &Bindings) -> usize {
+    match (compiled.run(bindings), compiled.run_serial(bindings)) {
+        (Ok(a), Ok(b)) => assert_eq!(a.bit_diff(&b), None, "`{name}`: blocks vs width 1"),
+        (Err(a), Err(b)) => assert_eq!(a, b, "`{name}`: blocks and width 1 raise different errors"),
+        (a, b) => panic!("`{name}`: one width errored: blocks={a:?} width 1={b:?}"),
+    }
+    compiled.kernels().0
 }
 
 fn dot_product() -> dhdl_core::Design {
@@ -355,6 +374,10 @@ fn check(
     assert_eq!(compiled.kernels(), census, "(blocked, serial) kernels");
     let forward = Bindings::new().bind("x", (0..n).map(&f).collect());
     assert_identical(&d, &forward);
+    assert_eq!(
+        assert_width_independent("case", &compiled, &forward),
+        census.0
+    );
     // (A case that pins an error has no timing to compare.)
     if simulate(&d, &Platform::maia(), &forward).is_ok() {
         let backward = Bindings::new().bind("x", (0..n).rev().map(&f).collect());
@@ -718,10 +741,10 @@ fn constants_read_from_their_slot_equal_constants_quantized_per_read() {
     assert_identical(&d, &bindings);
 }
 
-#[test]
-fn timing_is_independent_of_the_data_on_the_nine_applications() {
-    // Default parameters and dataset sizes, unoptimized: gemm alone is
-    // seconds a run, so the applications run side by side.
+/// `f(name, design, inputs)` for each of the nine applications at
+/// default parameters and dataset sizes. Unoptimized, gemm alone is
+/// seconds a run, so the applications run side by side.
+fn on_the_nine_applications(f: impl Fn(&str, &Design, BTreeMap<String, Vec<f64>>) + Sync) {
     let names: Vec<&str> = dhdl_apps::all()
         .iter()
         .chain(&dhdl_apps::dnn())
@@ -730,23 +753,253 @@ fn timing_is_independent_of_the_data_on_the_nine_applications() {
     assert_eq!(names.len(), 9);
     std::thread::scope(|s| {
         for name in names {
+            let f = &f;
             s.spawn(move || {
                 let bench = dhdl_apps::by_name(name).unwrap();
                 let d = bench.build(&bench.default_params()).unwrap();
-                // The second set is the first with every array back to
-                // front and rotated: new data in every position, each
-                // value still in the domain its column was drawn from.
-                let (mut first, mut second) = (Bindings::new(), Bindings::new());
-                for (i, (array, data)) in bench.inputs().into_iter().enumerate() {
-                    let mut other = data.clone();
-                    other.reverse();
-                    other.rotate_left((7 * i + 3) % data.len());
-                    assert_ne!(other, data, "{name}: `{array}` did not move");
-                    first = first.bind(&array, data);
-                    second = second.bind(&array, other);
-                }
-                assert_timing_independent(&d, &first, &second);
+                f(name, &d, bench.inputs());
             });
         }
     });
+}
+
+#[test]
+fn timing_is_independent_of_the_data_on_the_nine_applications() {
+    on_the_nine_applications(|name, d, inputs| {
+        // The second set is the first with every array back to
+        // front and rotated: new data in every position, each
+        // value still in the domain its column was drawn from.
+        let (mut first, mut second) = (Bindings::new(), Bindings::new());
+        for (i, (array, data)) in inputs.into_iter().enumerate() {
+            let mut other = data.clone();
+            other.reverse();
+            other.rotate_left((7 * i + 3) % data.len());
+            assert_ne!(other, data, "{name}: `{array}` did not move");
+            first = first.bind(&array, data);
+            second = second.bind(&array, other);
+        }
+        assert_timing_independent(d, &first, &second);
+    });
+}
+
+#[test]
+fn blocks_equal_width_one_on_the_nine_applications() {
+    let compared = AtomicUsize::new(0);
+    on_the_nine_applications(|name, d, inputs| {
+        let compiled = compile(d, &Platform::maia()).unwrap();
+        let bindings = inputs
+            .into_iter()
+            .fold(Bindings::new(), |b, (array, data)| b.bind(&array, data));
+        let n = assert_width_independent(name, &compiled, &bindings);
+        compared.fetch_add(n, Ordering::Relaxed);
+    });
+    // All but kmeans' three per-point recurrences.
+    assert_eq!(compared.into_inner(), 18, "blocked kernels compared");
+}
+
+// ---------------------------------------------------------------------
+// The edges of the block path's fast paths (PR 24): where a slice copy,
+// a splat, an elided quantization, a uniform op, the f32 reduction or
+// the float iterator stops applying, the exact path next to it must take
+// over without a seam. Every case is bit-compared with the interpreter
+// and with width 1 by `check`.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_tail_block_whose_last_live_lane_leaves_the_memory() {
+    // Unit-stride store: `n + 1` iterations into an `n`-element buffer,
+    // so only the tail block's last live lane (lane 0 of a 1-lane tail,
+    // lane 30 of a 31-lane one) is out of bounds and the slice copy must
+    // not happen.
+    for n in [32, 62] {
+        check(
+            n,
+            wobble,
+            (1, 0),
+            |b, _, yt| {
+                b.pipe(&[by(n + 1, 1)], 1, |b, it| {
+                    b.store(yt, &[it[0]], it[0]);
+                });
+            },
+            no_patch,
+        );
+    }
+    // Strided load: the counter steps by 2 through `n + 2`, so the last
+    // iteration reads `xT[n]`; the store behind it leaves `yT` in the
+    // same lane and must lose to the load.
+    for n in [64, 60] {
+        check(
+            n,
+            wobble,
+            (1, 0),
+            |b, xt, yt| {
+                b.pipe(&[by(n + 2, 2)], 1, |b, it| {
+                    let v = b.load(xt, &[it[0]]);
+                    b.store(yt, &[it[0]], v);
+                });
+            },
+            no_patch,
+        );
+    }
+}
+
+#[test]
+fn an_out_of_bounds_uniform_load_wins_over_a_later_lanes_earlier_op() {
+    // `zT[x[i]]` faults in iteration 5 only; `yT[99]` — a constant
+    // address, so a uniform load, evaluated once — faults in every
+    // iteration. The interpreter meets iteration 0's `yT[99]` first.
+    check(
+        40,
+        |i| if i == 5 { 1000.0 } else { i as f64 },
+        (1, 0),
+        |b, xt, yt| {
+            let zt = b.bram("zT", DType::F64, &[64]);
+            let wt = b.bram("wT", DType::F64, &[40]);
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let k = b.load(xt, &[it[0]]);
+                let w = b.load(zt, &[k]);
+                let far = b.index_const(99);
+                let u = b.load(yt, &[far]);
+                let s = b.add(w, u);
+                b.store(wt, &[it[0]], s);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn an_f32_reduction_of_values_that_are_and_are_not_f32s() {
+    // Four 33-iteration reductions (a 1-lane tail each) into an `F32`
+    // register declared at 0.1, which no f32 holds. Narrowed to f32
+    // first, the values take the f32 chain: tile 0 is zeros of both
+    // signs, tile 1 ordinary values and +inf, tile 2 +inf then -inf (a
+    // NaN from there on), tile 3 a NaN with a payload f32 cannot hold.
+    // Fed raw, the `F64`-typed values are no f32s and take the chain as
+    // written: tile 0 ends in 1 + (2^-24 + 2^-50), which rounds up to
+    // the next f32, where narrowing the addend first would leave a tie
+    // that rounds back down to 1.
+    let value = |i: u64| match (i / 33, i % 33) {
+        (0, 30) => 1.0,
+        (0, 31) => 2f64.powi(-24) + 2f64.powi(-50),
+        (0, r) => [-0.0, 0.0][r as usize % 2],
+        (1, 7) | (2, 4) => f64::INFINITY,
+        (2, 20) => f64::NEG_INFINITY,
+        (3, 9) => f64::from_bits(0x7ff8_0000_0000_0001),
+        _ => wobble(i) + 0.1,
+    };
+    for narrow in [true, false] {
+        let narrowed = Cell::new(None);
+        check(
+            132,
+            value,
+            (2, 0),
+            |b, xt, yt| {
+                let sum = b.reg("sum", DType::F32, 0.1);
+                b.sequential_ctr(&[by(132, 33)], 1, |b, oi| {
+                    b.pipe_reduce(&[by(33, 1)], 1, sum, ReduceOp::Add, |b, it| {
+                        let i = b.add(oi[0], it[0]);
+                        let v = b.load(xt, &[i]);
+                        if narrow {
+                            // (`v + 0` is an `F64` node to the builder;
+                            // the patch below retypes it.)
+                            let zero = b.constant(0.0, DType::F32);
+                            narrowed.set(Some(b.add(v, zero)));
+                        }
+                        narrowed.get().unwrap_or(v)
+                    });
+                    b.pipe(&[by(1, 1)], 1, |b, _| {
+                        let s = b.load_reg(sum);
+                        b.store(yt, &[oi[0]], s);
+                    });
+                });
+            },
+            |d| {
+                if let Some(v32) = narrowed.get() {
+                    d.node_mut(v32).ty = DType::F32;
+                }
+            },
+        );
+    }
+}
+
+#[test]
+fn an_iterator_past_two_to_the_53_keeps_the_integer_form() {
+    // Step 2^53 + 1: iteration 3 is 3 * 2^53 + 3, which rounds *up* to
+    // 3 * 2^53 + 4 as an integer converted once, and would be 3 * 2^53
+    // as `base + l * step` in f64. The maximum keeps the difference.
+    const STEP: u64 = (1 << 53) + 1;
+    check(
+        4,
+        wobble,
+        (2, 0),
+        |b, _, yt| {
+            let top = b.reg("top", DType::F64, 0.0);
+            b.pipe_reduce(&[by(4 * STEP, STEP)], 1, top, ReduceOp::Max, |b, it| {
+                let zero = b.constant(0.0, DType::F64);
+                b.add(it[0], zero)
+            });
+            b.pipe(&[by(4, 1)], 1, |b, it| {
+                let m = b.load_reg(top);
+                b.store(yt, &[it[0]], m);
+            });
+        },
+        no_patch,
+    );
+}
+
+#[test]
+fn a_mux_with_a_constant_arm_is_still_quantized() {
+    // An `F32` mux between an `F32` value and the `F64` constant 0.1: the
+    // constant carries its own type, so the mux's quantization is not
+    // idle and must not be elided. (The patch retypes the two nodes the
+    // builder would have promoted to `F64`.)
+    let f32s = Cell::new(None);
+    check(
+        40,
+        wobble,
+        (1, 0),
+        |b, xt, yt| {
+            b.pipe(&[by(40, 1)], 1, |b, it| {
+                let v = b.load(xt, &[it[0]]);
+                let half = b.constant(0.5, DType::F32);
+                let v32 = b.mul(v, half);
+                let zero = b.constant(0.0, DType::F64);
+                let tenth = b.constant(0.1, DType::F64);
+                let neg = b.lt(v, zero);
+                let m = b.mux(neg, tenth, v32);
+                b.store(yt, &[it[0]], m);
+                f32s.set(Some([v32, m]));
+            });
+        },
+        |d| {
+            for n in f32s.get().unwrap() {
+                d.node_mut(n).ty = DType::F32;
+            }
+        },
+    );
+}
+
+#[test]
+fn transcendentals_with_a_one_lane_tail() {
+    // 33 iterations: the second block has one live lane and 31 stale
+    // ones, which exp, ln, sqrt and the division must neither fault on
+    // nor leak from. Negative inputs make NaNs of ln and sqrt.
+    check(
+        33,
+        wobble,
+        (1, 0),
+        |b, xt, yt| {
+            b.pipe(&[by(33, 1)], 1, |b, it| {
+                let v = b.load(xt, &[it[0]]);
+                let e = b.exp(v);
+                let l = b.ln(v);
+                let r = b.sqrt(e);
+                let q = b.div(l, r);
+                let w = b.add(q, e);
+                b.store(yt, &[it[0]], w);
+            });
+        },
+        no_patch,
+    );
 }

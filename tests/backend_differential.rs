@@ -10,9 +10,20 @@
 use std::path::Path;
 
 use dhdl_conformance::corpus::load_dir;
-use dhdl_conformance::CaseKind;
+use dhdl_conformance::{generate, CaseKind, DesignSpec};
 use dhdl_sim::{compile, simulate, Bindings, CompileError};
 use dhdl_target::Platform;
+
+/// The inputs the conformance oracle feeds `spec`.
+fn bindings_of(spec: &DesignSpec) -> Bindings {
+    let (x, y) = spec.inputs();
+    let bindings = Bindings::new().bind("x", x);
+    if spec.uses_second() {
+        bindings.bind("y", y)
+    } else {
+        bindings
+    }
+}
 
 #[test]
 fn corpus_designs_are_bit_identical_across_backends() {
@@ -33,11 +44,7 @@ fn corpus_designs_are_bit_identical_across_backends() {
                 continue;
             }
         };
-        let (x, y) = spec.inputs();
-        let mut bindings = Bindings::new().bind("x", x);
-        if spec.uses_second() {
-            bindings = bindings.bind("y", y);
-        }
+        let bindings = bindings_of(spec);
         let compiled = match compile(&design, &platform) {
             Ok(c) => c,
             Err(CompileError::Unsupported(_)) => continue,
@@ -84,6 +91,42 @@ fn corpus_designs_are_bit_identical_across_backends() {
         "tape backend compiled only {compiled_cases}/{design_cases} corpus designs — \
          the compilable subset regressed"
     );
+}
+
+/// `width-differential`, the half `dhdl-sim`'s own suite cannot reach
+/// (it does not see the generators): on the corpus and on 300 generated
+/// designs, every kernel the hazard analysis runs in 32-lane blocks must
+/// equal, bit for bit, the same tape with every kernel held at width 1 —
+/// the block path's slice copies, splats, elided quantization and
+/// uniform ops against the one order that needs no proof.
+#[test]
+fn blocks_equal_width_one_on_the_corpus_and_on_generated_designs() {
+    let cases = load_dir(Path::new("tests/corpus")).expect("corpus directory loads");
+    let corpus = cases.into_iter().filter_map(|(_, case)| match case.kind {
+        CaseKind::Design(spec) => Some(spec),
+        _ => None,
+    });
+    let platform = Platform::maia();
+    let (mut designs, mut kernels) = (0usize, 0usize);
+    for spec in corpus.chain((0..300).map(|case| generate(0, case))) {
+        let Ok(design) = spec.build() else { continue };
+        let Ok(compiled) = compile(&design, &platform) else {
+            continue;
+        };
+        let bindings = bindings_of(&spec);
+        let name = spec.name();
+        match (compiled.run(&bindings), compiled.run_serial(&bindings)) {
+            (Ok(blocks), Ok(serial)) => {
+                assert_eq!(blocks.bit_diff(&serial), None, "{name}: blocks vs width 1")
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{name}: the two widths raise different errors"),
+            (a, b) => panic!("{name}: one width errored: blocks={a:?} width 1={b:?}"),
+        }
+        designs += 1;
+        kernels += compiled.kernels().0;
+    }
+    assert!(designs >= 300, "only {designs} designs compiled");
+    assert!(kernels > 0, "no blocked kernel was compared");
 }
 
 /// The schedule of the nine applications at default parameters: which
