@@ -64,10 +64,8 @@ impl Harness {
     /// Sweep resilience knobs come from the environment so every
     /// experiment driver shares them: `DHDL_DSE_THREADS` (worker
     /// threads, 0 = all cores), `DHDL_DSE_DEADLINE_MS` (wall-clock
-    /// budget per sweep), `DHDL_DSE_CHECKPOINT=1` (stream progress
-    /// to `results/checkpoints/<bench>.ckpt` so interrupted sweeps
-    /// resume), `DHDL_DSE_STRATEGY=random|surrogate` (how the sweep
-    /// spends its point budget; see [`SearchStrategy`]), and
+    /// budget per sweep), `DHDL_DSE_STRATEGY=random|surrogate` (how the
+    /// sweep spends its point budget; see [`SearchStrategy`]), and
     /// `DHDL_DSE_NUM_FPGAS` (maximum devices for the multi-FPGA
     /// partitioning axis; default 1 keeps sweeps bit-identical to the
     /// single-chip toolchain). Sweeps estimate every point with the bare
@@ -95,21 +93,11 @@ impl Harness {
     }
 
     /// Explore a benchmark's design space with the harness settings on
-    /// the resilient parallel runner. With `DHDL_DSE_CHECKPOINT=1`,
-    /// progress streams to `results/checkpoints/<bench>.ckpt`: an
-    /// interrupted sweep (crash, kill, or `DHDL_DSE_DEADLINE_MS` expiry)
-    /// resumes from there on the next run, and a completed sweep cleans
-    /// its checkpoint up.
+    /// the resilient parallel runner. A sweep the `DHDL_DSE_DEADLINE_MS`
+    /// deadline cut short is re-run, not resumed: the re-run without the
+    /// deadline returns the complete result, bit for bit.
     pub fn explore(&self, bench: &dyn Benchmark) -> DseResult {
         let _span = dhdl_obs::span_labeled("sweep", bench.name());
-        let mut opts = self.dse.clone();
-        if std::env::var("DHDL_DSE_CHECKPOINT").is_ok_and(|v| v != "0" && !v.is_empty()) {
-            opts.checkpoint = Some(
-                dhdl_obs::results_dir()
-                    .join("checkpoints")
-                    .join(format!("{}.ckpt", bench.name())),
-            );
-        }
         let build = |p: &ParamValues| bench.build(p);
         let mut space = bench.param_space();
         if self.num_fpgas > 1 {
@@ -118,11 +106,11 @@ impl Harness {
             // estimation time, not construction time).
             space.devices(u64::from(self.num_fpgas));
         }
-        let result = explore(build, &space, &self.estimator, &opts);
+        let result = explore(build, &space, &self.estimator, &self.dse);
         if result.truncated {
             eprintln!(
                 "warning: {} sweep truncated by deadline ({} of {} points skipped); \
-                 re-run with DHDL_DSE_CHECKPOINT=1 to resume",
+                 re-run without the deadline for the complete result",
                 bench.name(),
                 result.counts.skipped,
                 result.counts.skipped + result.counts.evaluated + result.discarded

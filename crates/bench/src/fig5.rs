@@ -102,7 +102,7 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
             "sweep outcomes: {}{}",
             dse.counts.summary(),
             if dse.truncated {
-                " [TRUNCATED by deadline; resumable]"
+                " [TRUNCATED by deadline]"
             } else {
                 ""
             }

@@ -17,12 +17,11 @@
 //!
 //! Sweeps run on a resilient parallel runner: points fan out over a
 //! work-stealing thread pool with per-point panic isolation and bounded
-//! retries, discards are accounted per cause in [`OutcomeCounts`], a
-//! wall-clock [`DseOptions::deadline`] truncates gracefully, and
-//! [`DseOptions::checkpoint`] streams completed points to disk so an
-//! interrupted sweep resumes without re-evaluating them. The
-//! [`FaultInjector`] harness injects deterministic panics, NaNs and
-//! latency spikes so those paths stay tested.
+//! retries, discards are accounted per cause in [`OutcomeCounts`], and a
+//! wall-clock [`DseOptions::deadline`] truncates gracefully. A sweep is a
+//! pure function of its options, so an interrupted one is re-run, not
+//! resumed. The [`FaultInjector`] harness injects deterministic panics,
+//! NaNs and latency spikes so those paths stay tested.
 //!
 //! Estimates are memoizable: [`CachedModel`] wraps any [`CostModel`]
 //! with a sharded [`EstimateCache`] keyed by the canonical
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod checkpoint;
 mod fault;
 pub mod hypervolume;
 mod objectives;
@@ -64,7 +62,6 @@ mod surrogate;
 pub use cache::{
     devices_key, model_fingerprint, params_key, CacheStats, CachedModel, EstimateCache,
 };
-pub use checkpoint::Checkpoint;
 pub use fault::{with_silent_panics, FaultConfig, FaultInjector, FaultPlan, InjectionCounts};
 pub use objectives::{frontier_along, ResourceAxis};
 pub use pareto::{pareto_front, spread};

@@ -12,7 +12,7 @@ pub fn pareto_front(points: &[(f64, f64, bool)]) -> Vec<usize> {
     // index *explicitly* (not by leaning on sort stability), so the
     // frontier is a deterministic function of the point list however it
     // was assembled — a requirement for comparing strategies bit-exactly
-    // across thread counts and checkpoint resumes.
+    // across thread counts and truncated re-runs.
     idx.sort_by(|&a, &b| {
         points[a]
             .0

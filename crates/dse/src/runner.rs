@@ -25,7 +25,6 @@ use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
 
 use crate::cache::CacheStats;
-use crate::checkpoint::Checkpoint;
 use crate::search::{DesignPoint, DseOptions};
 
 /// A cost model the sweep runner can query for design estimates.
@@ -187,8 +186,8 @@ pub enum PointOutcome {
     },
     /// The point was discarded, with the reason recorded.
     Discarded(DseError),
-    /// The deadline expired before the point was claimed; a resumed run
-    /// picks it up from the checkpoint.
+    /// The deadline expired before the point was claimed; re-running the
+    /// sweep without the deadline evaluates it.
     Skipped,
 }
 
@@ -354,44 +353,20 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Evaluate `samples` in parallel, one [`PointOutcome`] per input index,
-/// plus the sweep's timing and cache accounting.
+/// Evaluate `batch` in parallel, one [`PointOutcome`] per input position
+/// (`outcomes[i]` belongs to `batch[i]`), plus the sweep's timing and
+/// cache accounting.
 ///
-/// Indices present in `checkpoint`'s completed set are reused without
-/// re-evaluation; freshly computed outcomes are appended to the
-/// checkpoint as they finish. When `deadline` passes, workers stop
-/// claiming points and the unclaimed remainder comes back as
-/// [`PointOutcome::Skipped`].
-pub(crate) fn evaluate_points<F, E>(
+/// Workers claim positions in order, so when `deadline` passes and they
+/// stop claiming, the evaluated outcomes are a prefix of the batch and
+/// each equals what an uninterrupted call computes for that position;
+/// the unclaimed remainder comes back as [`PointOutcome::Skipped`].
+pub(crate) fn evaluate<F, E>(
     build: &F,
     estimator: &E,
-    samples: &[ParamValues],
+    batch: &[&ParamValues],
     opts: &DseOptions,
     deadline: Option<Instant>,
-    checkpoint: Option<&Checkpoint>,
-) -> (Vec<PointOutcome>, SweepStats)
-where
-    F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
-    E: CostModel + ?Sized,
-{
-    let batch: Vec<(usize, &ParamValues)> = samples.iter().enumerate().collect();
-    evaluate_indexed(build, estimator, &batch, opts, deadline, checkpoint)
-}
-
-/// Evaluate an explicitly-keyed batch in parallel, one [`PointOutcome`]
-/// per input position. Each item carries its own checkpoint key, so
-/// callers that dispatch points out of sample order (the surrogate
-/// strategy's acquisition batches) still get stable checkpoint records:
-/// `batch[i].0` is looked up in — and appended to — the checkpoint, while
-/// the returned vector stays positional (`outcomes[i]` belongs to
-/// `batch[i]`).
-pub(crate) fn evaluate_indexed<F, E>(
-    build: &F,
-    estimator: &E,
-    batch: &[(usize, &ParamValues)],
-    opts: &DseOptions,
-    deadline: Option<Instant>,
-    checkpoint: Option<&Checkpoint>,
 ) -> (Vec<PointOutcome>, SweepStats)
 where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
@@ -403,7 +378,6 @@ where
     let n = batch.len();
     let threads = resolve_threads(opts.threads).min(n.max(1));
     let next = AtomicUsize::new(0);
-    let done = checkpoint.map(Checkpoint::completed);
     let per_worker: Vec<Vec<(usize, PointOutcome)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -422,19 +396,10 @@ where
                         if pos >= n {
                             break;
                         }
-                        let (key, params) = batch[pos];
-                        if let Some(prev) = done.as_ref().and_then(|d| d.get(&key)) {
-                            dhdl_obs::counter!("dse.points.checkpoint_reuse").incr();
-                            local.push((pos, prev.clone()));
-                            continue;
-                        }
                         let outcome = {
                             let _t = dhdl_obs::histogram!("dse.point.eval_ns").timer();
-                            evaluate_one(build, estimator, params, opts)
+                            evaluate_one(build, estimator, batch[pos], opts)
                         };
-                        if let Some(ckpt) = checkpoint {
-                            ckpt.append(key, &outcome);
-                        }
                         local.push((pos, outcome));
                     }
                     local
@@ -665,7 +630,8 @@ mod tests {
             assert!(p != &panic_on, "injected build panic");
             tiny_build(p)
         };
-        let (outcomes, stats) = evaluate_points(&build, &est, &samples, &opts, None, None);
+        let batch: Vec<&ParamValues> = samples.iter().collect();
+        let (outcomes, stats) = evaluate(&build, &est, &batch, &opts, None);
         assert_eq!(outcomes.len(), samples.len());
         assert_eq!(stats.evaluated, samples.len() - 1);
         assert!(stats.elapsed_secs >= 0.0);

@@ -4,16 +4,15 @@
 //! Since the resilient-runner rework, `explore` and `refine` fan their
 //! point evaluations out over [`crate::runner`]: panics are isolated per
 //! point, transient failures are retried, every loss is accounted in
-//! [`OutcomeCounts`], a deadline truncates gracefully, and checkpoints
-//! make interrupted sweeps resumable.
+//! [`OutcomeCounts`], and a deadline truncates gracefully. An interrupted
+//! sweep is re-run, not resumed: a sweep is a pure function of its
+//! options, so the re-run returns what the interrupted one would have.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dhdl_core::{Design, ParamSpace, ParamValues};
 use dhdl_target::AreaReport;
 
-use crate::checkpoint::Checkpoint;
 use crate::pareto::pareto_front;
 use crate::runner::{self, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
 use crate::space::LegalSpace;
@@ -21,8 +20,8 @@ use crate::space::LegalSpace;
 /// How [`explore`] walks the legal space.
 ///
 /// Both strategies spend the same budget ([`DseOptions::max_points`])
-/// and share the resilient runner, checkpointing and estimate-cache
-/// machinery; they differ only in *which* points get evaluated.
+/// and share the resilient runner and estimate-cache machinery; they
+/// differ only in *which* points get evaluated.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum SearchStrategy {
     /// The paper's uniform random sweep (§IV-C): sample `max_points`
@@ -74,24 +73,6 @@ impl SearchStrategy {
         match self {
             SearchStrategy::Random => "random",
             SearchStrategy::Surrogate(_) => "surrogate",
-        }
-    }
-
-    /// Full descriptor pinned into checkpoint headers: any tuning change
-    /// alters the descriptor, so a checkpoint written under one strategy
-    /// configuration is stale under another instead of silently resumed.
-    pub(crate) fn descriptor(&self) -> String {
-        match self {
-            SearchStrategy::Random => "random".to_string(),
-            SearchStrategy::Surrogate(c) => format!(
-                "surrogate init={} batch={} pool_factor={} explore={:016x} hidden={} epochs={}",
-                c.init,
-                c.batch,
-                c.pool_factor,
-                c.explore.to_bits(),
-                c.hidden,
-                c.epochs
-            ),
         }
     }
 }
@@ -157,14 +138,9 @@ pub struct DseOptions {
     pub retries: u32,
     /// Wall-clock budget for the sweep. When it expires, the sweep stops
     /// claiming points and returns a partial result flagged
-    /// [`DseResult::truncated`]; unevaluated points stay out of the
-    /// checkpoint so a resumed run picks them up.
+    /// [`DseResult::truncated`] whose evaluated points are the
+    /// uninterrupted sweep's at the same sample indices.
     pub deadline: Option<Duration>,
-    /// Checkpoint file for crash/interrupt resume. Completed points
-    /// stream to this file as they finish; a sweep finding a matching
-    /// checkpoint resumes instead of re-evaluating, and a complete
-    /// (untruncated) sweep deletes it.
-    pub checkpoint: Option<PathBuf>,
     /// Salt for the parameter-keyed fast path of the estimate cache
     /// (see [`crate::params_key`]). It must identify the
     /// metaprogram and dataset whose `build` maps parameter assignments
@@ -187,7 +163,6 @@ impl Default for DseOptions {
             threads: 0,
             retries: 2,
             deadline: None,
-            checkpoint: None,
             cache_salt: None,
             strategy: SearchStrategy::Random,
         }
@@ -228,8 +203,8 @@ pub struct DseResult {
     /// nothing is lost silently.
     pub errors: Vec<(usize, DseError)>,
     /// `true` when the deadline expired before every sampled point was
-    /// evaluated; the result is valid but partial, and re-running with
-    /// the same checkpoint resumes where it stopped.
+    /// evaluated; the result is valid but partial, and re-running without
+    /// the deadline returns the complete one.
     pub truncated: bool,
     /// Sweep performance accounting: wall-clock time, throughput and
     /// estimate-cache hit/miss counters. Not part of equality — two
@@ -316,15 +291,14 @@ pub(crate) fn point_tuples(points: &[DesignPoint]) -> Vec<(f64, f64, bool)> {
 /// estimated area exceeds the device are kept but flagged invalid (the
 /// gray points of Figure 5). Evaluation runs on a work-stealing thread
 /// pool with per-point panic isolation; see [`DseOptions`] for the
-/// thread, retry, deadline and checkpoint knobs. Results are
-/// deterministic in `opts.seed` for every thread count.
+/// thread, retry and deadline knobs. Results are deterministic in
+/// `opts.seed` for every thread count.
 ///
 /// The budget is spent per [`DseOptions::strategy`]: the default
 /// [`SearchStrategy::Random`] evaluates a uniform sample of
 /// `max_points` legal points, while [`SearchStrategy::Surrogate`]
 /// routes the same budget through the active-learning loop in the
-/// `surrogate` module. Both are deterministic per seed and resumable
-/// through the same checkpoint machinery.
+/// `surrogate` module. Both are deterministic per seed.
 pub fn explore<F, E>(build: F, space: &ParamSpace, estimator: &E, opts: &DseOptions) -> DseResult
 where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
@@ -347,31 +321,9 @@ where
     let legal = LegalSpace::new(space);
     let samples = legal.sample(opts.max_points, opts.seed);
     let deadline = opts.deadline.map(|d| Instant::now() + d);
-    // A checkpoint that cannot be opened costs resumability, never the
-    // sweep itself.
-    let checkpoint = opts.checkpoint.as_ref().and_then(|path| {
-        match Checkpoint::open(path, space, opts, legal.size()) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("warning: checkpoint {} unavailable: {e}", path.display());
-                None
-            }
-        }
-    });
-    let (outcomes, stats) = runner::evaluate_points(
-        &build,
-        estimator,
-        &samples,
-        opts,
-        deadline,
-        checkpoint.as_ref(),
-    );
+    let batch: Vec<&ParamValues> = samples.iter().collect();
+    let (outcomes, stats) = runner::evaluate(&build, estimator, &batch, opts, deadline);
     let truncated = outcomes.iter().any(|o| matches!(o, PointOutcome::Skipped));
-    if !truncated {
-        if let Some(ckpt) = checkpoint {
-            ckpt.remove();
-        }
-    }
     DseResult::from_outcomes(outcomes, legal.size(), truncated, stats)
 }
 
@@ -425,8 +377,8 @@ where
             }
         }
         let any_new = !candidates.is_empty();
-        let (outcomes, round_stats) =
-            runner::evaluate_points(&build, estimator, &candidates, opts, None, None);
+        let batch: Vec<&ParamValues> = candidates.iter().collect();
+        let (outcomes, round_stats) = runner::evaluate(&build, estimator, &batch, opts, None);
         stats.absorb(round_stats);
         let round_counts = OutcomeCounts::tally(&outcomes);
         counts = merge_counts(counts, round_counts);
@@ -537,18 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_descriptors_pin_the_tuning() {
-        assert_eq!(SearchStrategy::Random.descriptor(), "random");
-        let a = SearchStrategy::Surrogate(SurrogateConfig::default()).descriptor();
-        let b = SearchStrategy::Surrogate(SurrogateConfig {
-            batch: 99,
-            ..SurrogateConfig::default()
-        })
-        .descriptor();
-        assert_ne!(a, b, "tuning changes must change the descriptor");
-    }
-
-    #[test]
     fn exploration_finds_pareto_points() {
         let est = estimator();
         let opts = DseOptions {
@@ -620,9 +560,9 @@ mod tests {
 
     #[test]
     fn best_scans_valid_points_not_frontier_order() {
-        // A result whose `pareto` list is deliberately mis-ordered (as a
-        // checkpoint merger or external producer might build it): best()
-        // must still return the fastest valid point.
+        // A result whose `pareto` list is deliberately mis-ordered (as an
+        // external producer might build it): best() must still return
+        // the fastest valid point.
         let mk = |cycles: f64, alms: f64, valid: bool| DesignPoint {
             params: ParamValues::new().with("tile", cycles as u64),
             cycles,

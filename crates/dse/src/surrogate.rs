@@ -12,20 +12,14 @@
 //! of the space — is dispatched onto the same resilient runner as the
 //! random sweep. Retraining after each batch closes the loop.
 //!
-//! Determinism and resume share one mechanism: the loop is a pure
-//! function of `(seed, evaluated outcomes)`. Candidate pool order comes
-//! from [`LegalSpace::sample`] (seeded), batch evaluation is keyed by
-//! pool index (thread-count independent), training is full-batch RPROP
-//! (deterministic), and the only randomness — the ε-greedy tail — comes
-//! from a serializable SplitMix64 [`SurrogateRng`]. A resumed run
-//! *replays* the loop from round zero: completed points come back
-//! bit-exactly from the checkpoint, so every training set, every
-//! acquisition score and every RNG draw is reproduced and the run
-//! continues exactly where it stopped. The checkpoint additionally
-//! records each round's RNG state and training-set size (`S` records) so
-//! a replay that diverges — which can only mean foreign code or a doctored
-//! file, since the header pins seed, budget and strategy tuning — is
-//! detected and warned about instead of trusted silently.
+//! The loop is a pure function of `(seed, evaluated outcomes)`.
+//! Candidate pool order comes from [`LegalSpace::sample`] (seeded),
+//! batch evaluation is positional (thread-count independent), training
+//! is full-batch RPROP (deterministic), and the only randomness — the
+//! ε-greedy tail — comes from a seeded SplitMix64 [`SurrogateRng`]. So
+//! every round a deadline lets finish is the uninterrupted run's round,
+//! and an interrupted search is re-run, not resumed: a resume would
+//! replay every round's training anyway, which is nearly all of the cost.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -33,7 +27,6 @@ use std::time::Instant;
 use dhdl_core::{Design, ParamSpace, ParamValues};
 use dhdl_mlp::{Regressor, TrainConfig};
 
-use crate::checkpoint::{Checkpoint, SurrogateRound};
 use crate::hypervolume::{improvement, reference_point, staircase};
 use crate::pareto::pareto_front;
 use crate::runner::{self, CostModel, OutcomeCounts, PointOutcome, SweepStats};
@@ -41,23 +34,17 @@ use crate::search::{point_tuples, DseOptions, DseResult, SurrogateConfig};
 use crate::space::LegalSpace;
 
 /// A minimal deterministic RNG for the acquisition loop's ε-greedy
-/// draws: SplitMix64, whose entire state is one serializable `u64` (the
-/// vendored `rand` subset exposes no state extraction, and the
-/// checkpoint must record the RNG state per round).
+/// draws: SplitMix64, whose entire state is one `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SurrogateRng {
+struct SurrogateRng {
     state: u64,
 }
 
 impl SurrogateRng {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SurrogateRng {
             state: seed ^ 0x6A09_E667_F3BC_C909, // sqrt(2) bits, decorrelate from raw seed
         }
-    }
-
-    pub(crate) fn state(&self) -> u64 {
-        self.state
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -94,21 +81,12 @@ where
     let budget = opts.max_points;
     let _span = dhdl_obs::span_arg("dse.surrogate.explore", "budget", budget as u64);
     let legal = LegalSpace::new(space);
-    // The fixed candidate pool. Indices into it are the checkpoint keys,
-    // so its order must depend only on (space, seed, budget, tuning) —
+    // The fixed candidate pool. Indices into it order the result, so its
+    // order must depend only on (space, seed, budget, tuning) —
     // `LegalSpace::sample` is seeded and single-threaded.
     let pool = legal.sample(budget.saturating_mul(cfg.pool_factor.max(1)), opts.seed);
     let param_names: Vec<String> = space.defs().iter().map(|d| d.name.clone()).collect();
     let deadline = opts.deadline.map(|d| Instant::now() + d);
-    let checkpoint = opts.checkpoint.as_ref().and_then(|path| {
-        match Checkpoint::open(path, space, opts, legal.size()) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("warning: checkpoint {} unavailable: {e}", path.display());
-                None
-            }
-        }
-    });
 
     let mut rng = SurrogateRng::new(opts.seed);
     // Pool indices not yet successfully evaluated or discarded, in pool
@@ -125,27 +103,6 @@ where
             .max(1)
             .min(budget - attempted)
             .min(remaining.len());
-        // Record (or verify, on resume) this round's replay state before
-        // the selection below advances the RNG.
-        let record = SurrogateRound {
-            rng_state: rng.state(),
-            train_len: evaluated.len(),
-        };
-        if let Some(ckpt) = &checkpoint {
-            match ckpt.surrogate_round(round) {
-                None => ckpt.append_surrogate_round(round, &record),
-                Some(prev) if *prev == record => {}
-                Some(prev) => {
-                    eprintln!(
-                        "warning: surrogate replay diverged from checkpoint at round {round} \
-                         (recorded rng={:016x} train={}, replayed rng={:016x} train={}); \
-                         results may not match the interrupted run",
-                        prev.rng_state, prev.train_len, record.rng_state, record.train_len
-                    );
-                    dhdl_obs::counter!("checkpoint.surrogate_divergence").incr();
-                }
-            }
-        }
         let batch: Vec<usize> = if round == 0 {
             // Seed round: the first pool entries are already a uniform
             // random draw from the legal space.
@@ -162,21 +119,13 @@ where
             )
         };
         dhdl_obs::histogram!("dse.surrogate.batch_size").record(batch.len() as u64);
-        let items: Vec<(usize, &ParamValues)> = batch.iter().map(|&i| (i, &pool[i])).collect();
-        let (outcomes, round_stats) = runner::evaluate_indexed(
-            build,
-            estimator,
-            &items,
-            opts,
-            deadline,
-            checkpoint.as_ref(),
-        );
+        let items: Vec<&ParamValues> = batch.iter().map(|&i| &pool[i]).collect();
+        let (outcomes, round_stats) = runner::evaluate(build, estimator, &items, opts, deadline);
         stats.absorb(round_stats);
         let mut skipped = false;
         for (pos, outcome) in outcomes.into_iter().enumerate() {
             if matches!(outcome, PointOutcome::Skipped) {
-                // Left unclaimed by the deadline: stays out of the
-                // checkpoint, re-dispatched by a resumed run.
+                // Left unclaimed by the deadline: the search stops here.
                 skipped = true;
             } else {
                 evaluated.insert(batch[pos], outcome);
@@ -191,12 +140,6 @@ where
         round += 1;
     }
     dhdl_obs::histogram!("dse.surrogate.rounds").record(round);
-
-    if !truncated {
-        if let Some(ckpt) = checkpoint {
-            ckpt.remove();
-        }
-    }
     assemble(evaluated, budget, attempted, legal.size(), truncated, stats)
 }
 
@@ -334,7 +277,7 @@ fn ln_obj(v: f64) -> f64 {
 }
 
 /// Assemble the [`DseResult`] in canonical pool-index order — the same
-/// for every thread count and for interrupted-then-resumed runs. A
+/// for every thread count. A
 /// truncated run reports the unfilled remainder of the budget as
 /// skipped, mirroring the random sweep's accounting.
 fn assemble(
@@ -386,8 +329,8 @@ mod tests {
         let draws_b: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(draws_a, draws_b);
         assert_ne!(SurrogateRng::new(43).next_u64(), draws_a[0]);
-        // Restoring from the exposed state continues the sequence.
-        let mut c = SurrogateRng { state: a.state() };
+        // The state is one `u64`: restoring it continues the sequence.
+        let mut c = SurrogateRng { state: a.state };
         assert_eq!(c.next_u64(), b.next_u64());
     }
 

@@ -5,8 +5,7 @@
 //! requests drawn Zipf-style over a per-benchmark population of legal
 //! design points (a few hot points dominate, a long tail keeps missing
 //! the cache — the realistic DSE-frontend access pattern), mixed with
-//! occasional small sweeps (carrying idempotency keys) and health
-//! probes. Every response is validated; anything that is not a
+//! occasional small sweeps and health probes. Every response is validated; anything that is not a
 //! well-formed protocol answer counts as a *protocol violation* and
 //! fails the run — this is the assertion the CI smoke job leans on
 //! while chaos is armed on the server side.
@@ -114,8 +113,8 @@ fn client_loop(
         n += 1;
         let global = requests.fetch_add(1, Ordering::Relaxed);
         if n % SWEEP_EVERY == 0 {
-            // An occasional small sweep with an idempotency key: any
-            // retry resumes the server-side checkpoint.
+            // An occasional small sweep: a retry re-runs it, mostly
+            // from the server's estimate cache.
             let pop = &pops[zipf(&mut rng, pops.len())];
             let mut req = Request::new(Op::Sweep {
                 bench: pop.bench.to_string(),
@@ -126,7 +125,6 @@ fn client_loop(
             });
             req.header.tenant = format!("loadgen-{}", seed & 0xF);
             req.header.priority = u8::from(n % 3 == 0);
-            req.header.key = Some(format!("lg-{seed}-{n}"));
             match client.request(&req) {
                 Ok(resp) => match resp.get("status").and_then(Json::as_str) {
                     Some("ok") => {

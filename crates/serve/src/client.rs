@@ -10,9 +10,10 @@
 //!   retried the same way, honoring the server's `retry_after_ms` as a
 //!   floor on the backoff delay;
 //! * `status: "error"` responses are **never** retried — they are
-//!   deterministic verdicts about the request, not about the weather;
-//! * sweeps should carry an idempotency `key` so every retry resumes
-//!   the server-side checkpoint instead of restarting the sweep.
+//!   deterministic verdicts about the request, not about the weather.
+//!
+//! A retried sweep is re-run: sweeps are deterministic, and the points
+//! an interrupted attempt estimated come back from the server's cache.
 //!
 //! Jitter is seeded ([`RetryPolicy::seed`]) so tests replay identical
 //! backoff schedules.

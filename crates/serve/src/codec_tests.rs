@@ -60,7 +60,6 @@ fn parse_reference(payload: &[u8]) -> Result<Request, ProtoError> {
                 )
             })?),
         },
-        key: obj.get("key").and_then(Json::as_str).map(str::to_string),
     };
     let bench = |field: &str| -> Result<String, ProtoError> {
         obj.get(field)
@@ -160,7 +159,6 @@ fn valid_requests() -> Vec<Request> {
         tenant: "team-\"a\"\n".into(),
         priority: 0,
         deadline_ms: Some(250),
-        key: Some("sweep-17".into()),
     };
     vec![
         Request::new(Op::Health),
@@ -316,7 +314,6 @@ fn mutated_request(rng: &mut StdRng) -> Vec<u8> {
         "tenant",
         "priority",
         "deadline_ms",
-        "key",
         "bench",
         "params",
         "points",
@@ -354,7 +351,9 @@ fn mutated_request(rng: &mut StdRng) -> Vec<u8> {
                 members.insert(rng.gen_range(0..=members.len()), dup);
             }
             _ => {
-                let unknown = ["", "x", "Op", "params ", "caf\u{e9}"][rng.gen_range(0..5usize)];
+                // `key` is the retired idempotency key old clients send.
+                let unknown =
+                    ["", "x", "Op", "params ", "caf\u{e9}", "key"][rng.gen_range(0..6usize)];
                 let at = rng.gen_range(0..=members.len());
                 members.insert(at, (unknown.to_string(), any_value(rng)));
             }
@@ -414,9 +413,6 @@ fn render_reference(req: &Request) -> Vec<u8> {
     );
     if let Some(d) = req.header.deadline_ms {
         map.insert("deadline_ms".to_string(), Json::Num(d as f64));
-    }
-    if let Some(k) = &req.header.key {
-        map.insert("key".to_string(), Json::Str(k.clone()));
     }
     match &req.op {
         Op::Health | Op::Stats | Op::Shutdown => {}
@@ -512,7 +508,6 @@ fn any_request(rng: &mut StdRng) -> Request {
             tenant: any_string(rng),
             priority: rng.gen_range(0..=2u32) as u8,
             deadline_ms: (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(0..1u64 << 53)),
-            key: (rng.gen_range(0..2u32) == 0).then(|| any_string(rng)),
         },
         op,
     }

@@ -21,14 +21,14 @@
 //! * [`frame`] — length-prefixed framing with limits enforced before
 //!   allocation, plus socket read/write timeouts against stalled peers;
 //! * [`client`] — jittered-exponential retries over transport faults
-//!   and rejections, with idempotency keys mapping to server-side sweep
-//!   checkpoints so a retried sweep resumes rather than restarts;
+//!   and rejections; a retried sweep is re-run, and the points its
+//!   interrupted attempt estimated come back from the estimate cache;
 //! * [`chaos`] — deterministic seeded connection faults (drops, stalls,
 //!   truncated frames) mirroring [`dhdl_dse::FaultInjector`] one layer
 //!   down; the chaos suite drives both at once and asserts recovery to
 //!   bit-identical results;
-//! * [`signal`] — SIGTERM/SIGINT drain: stop accepting, finish or
-//!   checkpoint in-flight sweeps, flush the obs sinks, exit 0.
+//! * [`signal`] — SIGTERM/SIGINT drain: stop accepting, let in-flight
+//!   sweeps finish or hit their deadlines, flush the obs sinks, exit 0.
 //!
 //! Binaries: `dhdl-serve` (the server) and `dhdl-loadgen` (a
 //! Zipf-skewed mixed-benchmark load generator measuring p50/p99, used

@@ -16,11 +16,11 @@
 //! | `shutdown` | — | begins graceful drain |
 //!
 //! Common header fields: `tenant` (admission-queue key, default
-//! `"anon"`), `priority` (0 = sheddable … 2 = critical, default 1),
-//! `deadline_ms` (propagated into [`dhdl_dse::DseOptions::deadline`];
-//! expired work is cancelled, never silently completed), and `key` (an
-//! idempotency key: retried sweeps bearing the same key resume from the
-//! server-side checkpoint instead of restarting).
+//! `"anon"`), `priority` (0 = sheddable … 2 = critical, default 1)
+//! and `deadline_ms` (propagated into [`dhdl_dse::DseOptions::deadline`];
+//! expired work is cancelled, never silently completed). Members the
+//! parser does not know are skipped, so a client still sending the
+//! retired idempotency `key` gets the same answer as one that does not.
 //!
 //! ## Bit-exact floats
 //!
@@ -101,9 +101,6 @@ pub struct Header {
     /// Request deadline in milliseconds, propagated into
     /// [`dhdl_dse::DseOptions::deadline`].
     pub deadline_ms: Option<u64>,
-    /// Idempotency key: a retried sweep with the same key resumes from
-    /// the server-side checkpoint written by the interrupted attempt.
-    pub key: Option<String>,
 }
 
 impl Default for Header {
@@ -112,7 +109,6 @@ impl Default for Header {
             tenant: "anon".to_string(),
             priority: 1,
             deadline_ms: None,
-            key: None,
         }
     }
 }
@@ -232,7 +228,6 @@ impl Request {
                 Some(None) => return Err(bad("`deadline_ms` must be a non-negative integer")),
                 Some(Some(d)) => Some(d),
             },
-            key: f.key.map(Cow::into_owned),
         };
         let bench = f.bench.map(Cow::into_owned);
         let bench = || bench.ok_or_else(|| bad("missing string field `bench`"));
@@ -314,9 +309,6 @@ impl Request {
         if let Some(d) = self.header.deadline_ms {
             write_num(obj.key("deadline_ms"), d as f64);
         }
-        if let Some(k) = &self.header.key {
-            write_str(obj.key("key"), k);
-        }
         if let Some((.., Some(k))) = sweep {
             write_num(obj.key("num_fpgas"), f64::from(*k));
         }
@@ -362,7 +354,6 @@ struct Fields<'a> {
     tenant: Option<Cow<'a, str>>,
     priority: Slot<u64>,
     deadline_ms: Slot<u64>,
-    key: Option<Cow<'a, str>>,
     bench: Option<Cow<'a, str>>,
     params: Option<Params<'a>>,
     points: Option<u64>,
@@ -389,7 +380,6 @@ impl<'a> Fields<'a> {
             "tenant" => self.tenant = string(p)?,
             "priority" => self.priority = Some(integer(p)?),
             "deadline_ms" => self.deadline_ms = Some(integer(p)?),
-            "key" => self.key = string(p)?,
             "bench" => self.bench = string(p)?,
             "points" => self.points = integer(p)?,
             "seed" => self.seed = Some(integer(p)?),
@@ -559,7 +549,6 @@ mod tests {
                     tenant: "team-a".into(),
                     priority: 0,
                     deadline_ms: Some(250),
-                    key: Some("sweep-17".into()),
                 },
                 op: Op::Sweep {
                     bench: "gemm".into(),

@@ -14,11 +14,11 @@
 //!   explicit 429-style response with `retry_after_ms`;
 //! * **deadlines** — `deadline_ms` headers propagate into
 //!   [`DseOptions::deadline`]; expired sweeps stop claiming points and
-//!   return flagged `truncated` with their checkpoint retained, never
-//!   silently completed;
-//! * **idempotency** — a sweep's `key` header names a server-side
-//!   checkpoint, so a client retry after a torn connection resumes the
-//!   interrupted sweep instead of restarting it;
+//!   return flagged `truncated`, never silently completed;
+//! * **retries** — a sweep is a pure function of its request, so a
+//!   client retry after a torn connection re-runs it, and the points the
+//!   interrupted attempt estimated come back from the shared
+//!   [`EstimateCache`] through the params memo;
 //! * **chaos** — the connection-level [`ChaosConfig`] and the
 //!   evaluation-level [`FaultInjector`] can be armed from the
 //!   environment; the chaos suite asserts results stay bit-identical.
@@ -30,13 +30,12 @@
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dhdl_apps::Benchmark;
-use dhdl_core::{structural_hash, Fnv64, ParamValues};
+use dhdl_core::{structural_hash, ParamValues};
 use dhdl_dse::{
     device_count, explore, model_fingerprint, params_key, with_silent_panics, CachedModel,
     CostModel, DseOptions, EstimateCache, FaultConfig, FaultInjector, LegalSpace, SearchStrategy,
@@ -85,9 +84,6 @@ pub struct ServerConfig {
     /// Default deadline applied when a request carries none
     /// (`DHDL_SERVE_DEADLINE_MS`; `None` = unbounded).
     pub default_deadline: Option<Duration>,
-    /// Directory for idempotency-key checkpoints
-    /// (`DHDL_SERVE_CKPT_DIR`).
-    pub checkpoint_dir: PathBuf,
     /// Estimator calibration sample count (kept small so startup is
     /// fast; calibration is deterministic in the seed).
     pub calib_samples: usize,
@@ -109,7 +105,6 @@ impl Default for ServerConfig {
             max_sweep_points: 2_000,
             sweep_threads: 0,
             default_deadline: None,
-            checkpoint_dir: std::env::temp_dir().join("dhdl-serve-ckpt"),
             calib_samples: 20,
             calib_seed: 7,
         }
@@ -152,9 +147,6 @@ impl ServerConfig {
                 }
                 Err(_) => eprintln!("warning: DHDL_SERVE_TIMEOUT_MS={v} is not an integer"),
             }
-        }
-        if let Some(v) = get("DHDL_SERVE_CKPT_DIR") {
-            cfg.checkpoint_dir = PathBuf::from(v);
         }
         cfg.chaos = ChaosConfig::from_env();
         if let Some(v) = get("DHDL_SERVE_FAULTS") {
@@ -277,7 +269,6 @@ impl Server {
         let estimator =
             Estimator::calibrate_with(&Platform::maia(), cfg.calib_samples, cfg.calib_seed).0;
         let cache = EstimateCache::new(model_fingerprint(&estimator));
-        let _ = std::fs::create_dir_all(&cfg.checkpoint_dir);
         let listener = TcpListener::bind(&cfg.addr)?;
         let admission = Admission::new(cfg.admission);
         Ok(Server {
@@ -710,26 +701,6 @@ fn handle_estimate(
     reply(est, false, false)
 }
 
-/// Turn an idempotency key into a checkpoint filename: a sanitized
-/// prefix for debuggability plus an FNV suffix so distinct keys can
-/// never collide after sanitization.
-fn checkpoint_name(key: &str) -> String {
-    let safe: String = key
-        .chars()
-        .take(32)
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let mut h = Fnv64::new();
-    h.write(key.as_bytes());
-    format!("{safe}-{:016x}.ckpt", h.finish())
-}
-
 fn handle_sweep(
     state: &State,
     header: &Header,
@@ -756,16 +727,11 @@ fn handle_sweep(
         .deadline_ms
         .map(Duration::from_millis)
         .or(state.cfg.default_deadline);
-    let checkpoint = header
-        .key
-        .as_ref()
-        .map(|k| state.cfg.checkpoint_dir.join(checkpoint_name(k)));
     let opts = DseOptions {
         max_points: points.min(state.cfg.max_sweep_points),
         seed,
         threads: state.cfg.sweep_threads,
         deadline,
-        checkpoint,
         cache_salt: Some(served.salt()),
         // The request's strategy wins; absent one, the server operator's
         // DHDL_DSE_STRATEGY environment decides (default random).
@@ -808,6 +774,8 @@ fn handle_sweep(
 mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+
+    use dhdl_core::Fnv64;
 
     use super::*;
 
@@ -891,6 +859,46 @@ mod tests {
             allocations <= 12,
             "a cache hit made {allocations} allocations"
         );
+    }
+
+    #[test]
+    fn a_retired_key_member_changes_no_response_byte() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let state = &*server.state;
+        let mut frame = FrameBuf::default();
+        let mut answer = |payload: &[u8]| {
+            serve(state, payload, &mut frame);
+            frame.seal(DEFAULT_MAX_RESPONSE).unwrap()[4..].to_vec()
+        };
+        let bench = dhdl_apps::by_name("dotproduct").unwrap();
+        for op in [
+            Op::Estimate {
+                bench: "dotproduct".to_string(),
+                params: bench.default_params(),
+            },
+            Op::Sweep {
+                bench: "dotproduct".to_string(),
+                points: 40,
+                seed: 7,
+                strategy: None,
+                num_fpgas: None,
+            },
+        ] {
+            let plain = Request::new(op).render();
+            // An estimate's first answer is a miss, every later one a hit.
+            answer(&plain);
+            let want = answer(&plain);
+            // Clients predating this protocol send an idempotency `key`,
+            // as a string or (mistyped) as a number.
+            for key in ["\"sweep-17\"", "17"] {
+                let keyed = [format!("{{\"key\":{key},").as_bytes(), &plain[1..]].concat();
+                assert_eq!(answer(&keyed), want, "{}", String::from_utf8_lossy(&keyed));
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! async-signal-safe handler for `SIGTERM`/`SIGINT` that does exactly
 //! one thing: store into a process-global [`AtomicBool`]. The accept
 //! loop polls [`drain_requested`] between (nonblocking) accepts and
-//! begins the drain sequence when it flips — stop accepting, finish or
-//! checkpoint in-flight sweeps, flush the obs sinks, exit 0.
+//! begins the drain sequence when it flips — stop accepting, let
+//! in-flight sweeps finish or hit their deadlines, flush the obs sinks,
+//! exit 0.
 //!
 //! On non-unix targets the handler is a no-op and drain is reachable
 //! only via the `shutdown` protocol op, which sets the same flag through

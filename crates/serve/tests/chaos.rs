@@ -20,13 +20,6 @@ fn estimator() -> Estimator {
     Estimator::calibrate_with(&Platform::maia(), 20, 7).0
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dhdl-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// Render a sweep result as the CSV the figure pipeline consumes: one
 /// bit-pattern row per point plus the Pareto index list. Byte equality
 /// of two renderings is bit-identity of the results.
@@ -100,12 +93,10 @@ fn chaotic_server_sweep_is_bit_identical_to_fault_free_in_process() {
     // A server under fire: connection drops, truncated responses and
     // stalls at the transport layer, plus 5% transient evaluation
     // panics underneath the runner.
-    let ckpt_dir = temp_dir("chaos-ckpt");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         chaos: ChaosConfig::parse("drop=0.15,trunc=0.1,stall=0.05,stall_ms=3,seed=11").unwrap(),
         faults: Some(parse_faults("panic=0.05,seed=9").unwrap()),
-        checkpoint_dir: ckpt_dir.clone(),
         read_timeout: Duration::from_secs(2),
         write_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
@@ -129,16 +120,13 @@ fn chaotic_server_sweep_is_bit_identical_to_fault_free_in_process() {
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
     }
 
-    let mut sweep = Request::new(Op::Sweep {
+    let sweep = Request::new(Op::Sweep {
         bench: BENCH.to_string(),
         points: POINTS,
         seed: SEED,
         strategy: None,
         num_fpgas: None,
     });
-    // The idempotency key: every chaos-forced retry resumes the same
-    // server-side checkpoint instead of restarting the sweep.
-    sweep.header.key = Some("chaos-sweep-1".to_string());
     let resp = client.request_ok(&sweep).expect("sweep survives chaos");
     assert_eq!(resp.get("truncated").and_then(Json::as_bool), Some(false));
     let (points, pareto) = parse_sweep(&resp);
@@ -166,11 +154,10 @@ fn chaotic_server_sweep_is_bit_identical_to_fault_free_in_process() {
     assert_eq!(resp.get("state").and_then(Json::as_str), Some("draining"));
     drop(client);
     handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
 #[test]
-fn deadline_truncates_and_idempotent_retry_resumes() {
+fn deadline_truncates_and_retry_completes() {
     const BENCH: &str = "gemm";
     const POINTS: usize = 120;
     const SEED: u64 = 0xDEAD;
@@ -185,17 +172,15 @@ fn deadline_truncates_and_idempotent_retry_resumes() {
     let reference = explore(|p| bench.build(p), &space, &estimator(), &opts);
     let reference_csv = sweep_csv(&reference.points, &reference.pareto);
 
-    let ckpt_dir = temp_dir("deadline-ckpt");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        checkpoint_dir: ckpt_dir.clone(),
         ..ServerConfig::default()
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
     let mut client = Client::new(addr, RetryPolicy::default());
 
     // An expired deadline cancels the sweep — it comes back flagged
-    // `truncated`, never silently completed — and leaves a checkpoint.
+    // `truncated`, never silently completed.
     let mut first = Request::new(Op::Sweep {
         bench: BENCH.to_string(),
         points: POINTS,
@@ -203,7 +188,6 @@ fn deadline_truncates_and_idempotent_retry_resumes() {
         strategy: None,
         num_fpgas: None,
     });
-    first.header.key = Some("resume-me".to_string());
     first.header.deadline_ms = Some(0);
     let resp = client.request_ok(&first).unwrap();
     assert_eq!(
@@ -212,8 +196,8 @@ fn deadline_truncates_and_idempotent_retry_resumes() {
         "a 0ms deadline must truncate, not silently complete"
     );
 
-    // The retry with the same idempotency key and no deadline resumes
-    // the checkpoint and completes, matching the reference exactly.
+    // The retry without the deadline completes, matching the reference
+    // exactly.
     let mut retry = first.clone();
     retry.header.deadline_ms = None;
     let resp = client.request_ok(&retry).unwrap();
@@ -239,7 +223,6 @@ fn deadline_truncates_and_idempotent_retry_resumes() {
     client.request_ok(&Request::new(Op::Shutdown)).unwrap();
     drop(client);
     handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
 #[test]
@@ -264,10 +247,8 @@ fn estimates_of_multi_device_points_do_not_poison_later_sweeps() {
         .collect();
     assert!(!multi.is_empty(), "the sweep reached no multi-device point");
 
-    let ckpt_dir = temp_dir("devices-ckpt");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        checkpoint_dir: ckpt_dir.clone(),
         ..ServerConfig::default()
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
@@ -320,5 +301,4 @@ fn estimates_of_multi_device_points_do_not_poison_later_sweeps() {
     client.request_ok(&Request::new(Op::Shutdown)).unwrap();
     drop(client);
     handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }

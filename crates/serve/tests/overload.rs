@@ -9,17 +9,9 @@ use dhdl_serve::{
     AdmissionConfig, Client, ClientError, Op, Request, RetryPolicy, Server, ServerConfig,
 };
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dhdl-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
     const GLOBAL_CAP: usize = 3;
-    let ckpt_dir = temp_dir("overload-ckpt");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         admission: AdmissionConfig {
@@ -30,7 +22,6 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
         },
         max_sweep_points: 150,
         sweep_threads: 1,
-        checkpoint_dir: ckpt_dir.clone(),
         ..ServerConfig::default()
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
@@ -99,15 +90,12 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
     client.request_ok(&Request::new(Op::Shutdown)).unwrap();
     drop(client);
     handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
 #[test]
 fn saturation_serves_warm_cache_hits_degraded() {
-    let ckpt_dir = temp_dir("degraded-ckpt");
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        checkpoint_dir: ckpt_dir.clone(),
         ..ServerConfig::default()
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
@@ -156,5 +144,4 @@ fn saturation_serves_warm_cache_hits_degraded() {
     // Drain completes cleanly.
     drop(client);
     handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
 }

@@ -23,7 +23,6 @@ fn spawn_server() -> (
         max_frame: MAX_FRAME,
         read_timeout: Duration::from_millis(500),
         write_timeout: Duration::from_millis(500),
-        checkpoint_dir: std::env::temp_dir().join(format!("dhdl-fuzz-ckpt-{}", std::process::id())),
         ..ServerConfig::default()
     };
     Server::spawn(cfg).unwrap()

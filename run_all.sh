@@ -2,13 +2,6 @@
 # Regenerate every table and figure of the evaluation (EXPERIMENTS.md).
 set -euo pipefail
 
-# Stream DSE progress to results/checkpoints/<bench>.ckpt so an
-# interrupted run (Ctrl-C, crash, or a DHDL_DSE_DEADLINE_MS expiry)
-# resumes where it left off on the next invocation; completed sweeps
-# clean their checkpoints up. Set DHDL_DSE_CHECKPOINT=0 to disable,
-# DHDL_DSE_THREADS=<n> to pin the sweep worker count.
-export DHDL_DSE_CHECKPOINT="${DHDL_DSE_CHECKPOINT:-1}"
-
 # Observability: DHDL_OBS=summary prints a span/counter table per
 # experiment, =json writes results/obs/<experiment>.obs.json, =chrome
 # writes results/obs/<experiment>.trace.json (load in chrome://tracing
