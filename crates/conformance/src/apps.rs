@@ -104,7 +104,7 @@ impl Conformance {
                 // The references are tolerance-based, so the shared layer
                 // gets none; its `backend-differential` is bit-exact here
                 // as on generated designs.
-                if let Some(result) = self.check_backends(&design, &bindings, None, &mut v) {
+                if let Some((result, _)) = self.check_backends(&design, &bindings, None, &mut v) {
                     for (arr, expected) in &reference {
                         match result.output(arr) {
                             Ok(got) => {

@@ -132,6 +132,7 @@ fn main() -> ExitCode {
         }),
     ];
     let mut total_violations = 0usize;
+    let mut designs_checked = 0;
     for (count, [label, counted, budgeted], generate) in kinds {
         let mut run = 0u64;
         for case_id in 0..count {
@@ -159,6 +160,9 @@ fn main() -> ExitCode {
             }
         }
         println!("{counted}: {run} checked");
+        if label == "design" {
+            designs_checked = run;
+        }
     }
 
     let mut benches_run = 0u64;
@@ -192,6 +196,14 @@ fn main() -> ExitCode {
     // never reached the lane-major fast path.
     let (blocked, serial) = conf.kernel_coverage();
     println!("tape kernels: {blocked} blocked, {serial} serial");
+    // `partition-sim` on generated designs: with no forced cut spanning
+    // two devices it compared single-device plans only.
+    let (cut, channels) = conf.cut_coverage();
+    println!("partition-sim: {cut} cut, {channels} channels");
+    if designs_checked > 0 && cut == 0 {
+        println!("FAIL partition-sim: no forced cut spanned two devices");
+        total_violations += 1;
+    }
     // Likewise `finish-analyses`: every verdict the three rules can
     // reach must have been compared at least once.
     let finish = conf.finish_coverage();

@@ -236,7 +236,7 @@ impl Conformance {
             bindings = bindings.bind(name, data.clone());
         }
         let expected = spec.reference(&inputs);
-        if let Some(first) = self.check_backends(&design, &bindings, Some(&expected), &mut v) {
+        if let Some((first, _)) = self.check_backends(&design, &bindings, Some(&expected), &mut v) {
             self.check_determinism(&design, &bindings, &first, &mut v);
         }
         self.check_estimate_sane(&design, &mut v);

@@ -20,7 +20,7 @@
 //! | `cache-transparency` | `EstimateCache` hit == miss == uncached, bitwise   |
 //! | `paramspace-legal`   | the sampled parameters are legal in their space    |
 //! | `partition-identity` | K=1 partitioning == unpartitioned path, bitwise    |
-//! | `partition-sim`      | a forced cut is structurally sound, and its tape-side run is the interpreter's run plus exactly the plan's link cycles |
+//! | `partition-sim`      | a forced cut is structurally sound, and its tape-side run is the interpreter's run plus exactly the plan's link cycles (cuts counted: [`Conformance::cut_coverage`]) |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -28,7 +28,7 @@ use std::sync::Mutex;
 use dhdl_core::{serialize, shape_hash, structural_hash, Design, ParamSpace, ParamValues};
 use dhdl_dse::{model_fingerprint, CachedModel, CostModel, EstimateCache};
 use dhdl_estimate::{estimate_cycles, estimate_cycles_net, Estimate, Estimator};
-use dhdl_sim::{compile, simulate, simulate_partitioned, Bindings, CompileError, SimResult};
+use dhdl_sim::{compile, simulate, Bindings, CompileError, Compiled, SimResult};
 use dhdl_synth::partition::{util_proxy, FIT_MARGIN};
 use dhdl_synth::{elaborate, elaborate_with, partition, synthesize, Skeleton};
 use dhdl_target::{AreaReport, FpgaTarget, MultiFpgaPlatform, Platform};
@@ -79,6 +79,10 @@ pub struct Conformance {
     /// Pipe kernels of the compiled designs, by the block width the
     /// tape's hazard analysis chose: `[blocked, serial]`.
     kernels: [AtomicU64; 2],
+    /// Designs whose forced cut in `partition-sim` spans more than one
+    /// device, and the channels of those cuts.
+    cut: AtomicU64,
+    channels: AtomicU64,
     /// What `finish-analyses` compared.
     pub(crate) finish: Mutex<FinishCoverage>,
 }
@@ -105,6 +109,8 @@ impl Conformance {
             compiled: AtomicU64::new(0),
             fell_back: AtomicU64::new(0),
             kernels: Default::default(),
+            cut: AtomicU64::new(0),
+            channels: AtomicU64::new(0),
             finish: Mutex::default(),
         }
     }
@@ -141,6 +147,16 @@ impl Conformance {
         )
     }
 
+    /// `(cut, channels)`: designs whose forced cut in `partition-sim`
+    /// placed them on more than one device, and the channels those cuts
+    /// carry — at 0 cut the invariant compared single-device plans only.
+    pub fn cut_coverage(&self) -> (u64, u64) {
+        (
+            self.cut.load(Ordering::Relaxed),
+            self.channels.load(Ordering::Relaxed),
+        )
+    }
+
     /// The platform the checks run against.
     pub fn platform(&self) -> &Platform {
         &self.platform
@@ -171,14 +187,15 @@ impl Conformance {
             bindings = bindings.bind("y", y);
         }
         let base = self.check_backends(&design, &bindings, Some(&expected), &mut v);
-        if let Some(base) = &base {
+        if let Some((base, _)) = &base {
             self.check_determinism(&design, &bindings, base, &mut v);
         }
         self.check_estimator(spec, &design, &mut v);
         self.check_synth(&design, &mut v);
         self.check_cache(&design, &mut v);
         self.check_params(&spec.param_space(), &spec.param_values(), &mut v);
-        self.check_partition(&design, &bindings, base.as_ref(), &mut v);
+        let base = base.as_ref().map(|(run, tape)| (run, tape.as_ref()));
+        self.check_partition(&design, &bindings, base, &mut v);
         v
     }
 
@@ -236,14 +253,16 @@ impl Conformance {
     /// exact one, and one tape compile-and-run held to the interpreter
     /// through [`SimResult::bit_diff`] — outputs, cycles, transfers,
     /// profile and trace alike. Returns the interpreter's result, the
-    /// base every later simulation check compares against.
+    /// base every later simulation check compares against, and the tape
+    /// (`None` where the design fell back), so later checks run it
+    /// without compiling again.
     pub(crate) fn check_backends(
         &self,
         design: &Design,
         bindings: &Bindings,
         reference: Option<&[f64]>,
         v: &mut Vec<Violation>,
-    ) -> Option<SimResult> {
+    ) -> Option<(SimResult, Option<Compiled>)> {
         let interp = match simulate(design, &self.platform, bindings) {
             Ok(r) => r,
             Err(e) => {
@@ -269,7 +288,7 @@ impl Conformance {
             // compare; the count keeps that from going unnoticed.
             Err(CompileError::Unsupported(_)) => {
                 self.fell_back.fetch_add(1, Ordering::Relaxed);
-                return Some(interp);
+                return Some((interp, None));
             }
         };
         self.compiled.fetch_add(1, Ordering::Relaxed);
@@ -290,7 +309,7 @@ impl Conformance {
                 detail: format!("tape backend failed where the interpreter succeeded: {e}"),
             }),
         }
-        Some(interp)
+        Some((interp, Some(compiled)))
     }
 
     /// A second interpreter run on the same inputs is `first`, bit for
@@ -522,15 +541,16 @@ impl Conformance {
     /// The multi-FPGA layer: K=1 partitioning is the unpartitioned path
     /// bit for bit, and a forced cut (against a deliberately shrunken
     /// device, since generated designs fit a real Stratix V whole) is a
-    /// pure scheduling transform. A plan never changes the executed
-    /// schedule, so what is independent here is the plan's structure and
-    /// that `simulate_partitioned` — one tape-side run per plan — is the
-    /// interpreter's `base` run plus exactly the plan's link cycles.
+    /// pure scheduling transform. A plan never changes the executed run,
+    /// so what is independent here is the plan's structure, and one more
+    /// run of `tape` (the interpreter where `check_backends` fell back)
+    /// serves both plans: under each it is the interpreter's `base` run
+    /// plus exactly the plan's link cycles.
     pub(crate) fn check_partition(
         &self,
         design: &Design,
         bindings: &Bindings,
-        base: Option<&SimResult>,
+        base: Option<(&SimResult, Option<&Compiled>)>,
         v: &mut Vec<Violation>,
     ) {
         let fpga = &self.platform.fpga;
@@ -552,24 +572,34 @@ impl Conformance {
 
         // An unsimulatable design is already pinned by
         // `sim-vs-reference`; partitioned runs would only cascade.
-        let Some(base) = base else { return };
-        match simulate_partitioned(design, &mp, &p1, bindings) {
-            Ok(m) => {
-                if m.devices_used != 1 || m.link_cycles != 0.0 {
+        let Some((base, tape)) = base else { return };
+        let mut run = match tape {
+            Some(tape) => tape.run(bindings),
+            None => simulate(design, &mp.base, bindings),
+        };
+        match &mut run {
+            Ok(run) => {
+                // The run under the K=1 plan: the shared run plus its link
+                // cycles, which must be none.
+                let link = p1.link_cycles(&mp.link);
+                if p1.devices_used() != 1 || link != 0.0 {
                     v.push(Violation {
                         invariant: "partition-identity",
                         detail: format!(
-                            "K=1 run reports {} devices and {} link cycles",
-                            m.devices_used, m.link_cycles
+                            "K=1 run reports {} devices and {link} link cycles",
+                            p1.devices_used()
                         ),
                     });
                 }
-                if let Some(diff) = base.bit_diff(&m.result) {
+                let cycles = run.cycles;
+                run.cycles = cycles + link;
+                if let Some(diff) = base.bit_diff(run) {
                     v.push(Violation {
                         invariant: "partition-identity",
                         detail: format!("K=1 multi-device run diverged from simulate: {diff}"),
                     });
                 }
+                run.cycles = cycles;
             }
             Err(e) => v.push(Violation {
                 invariant: "partition-identity",
@@ -594,6 +624,11 @@ impl Conformance {
         };
         let parts = partition(design, &tiny, &mp.link, mp.num_devices);
         let used = parts.devices_used();
+        if used > 1 {
+            self.cut.fetch_add(1, Ordering::Relaxed);
+            self.channels
+                .fetch_add(parts.channels.len() as u64, Ordering::Relaxed);
+        }
         if used < 1 || used > mp.num_devices {
             v.push(Violation {
                 invariant: "partition-sim",
@@ -627,8 +662,8 @@ impl Conformance {
                 detail: format!("plan link cycles are not sane: {link_cycles}"),
             });
         }
-        let mut cut = match simulate_partitioned(design, &mp, &parts, bindings) {
-            Ok(m) => m,
+        let mut cut = match run {
+            Ok(run) => run,
             Err(e) => {
                 v.push(Violation {
                     invariant: "partition-sim",
@@ -637,21 +672,26 @@ impl Conformance {
                 return;
             }
         };
-        if cut.link_cycles.to_bits() != link_cycles.to_bits()
-            || cut.result.cycles.to_bits() != (base.cycles + link_cycles).to_bits()
+        // The run under the cut: the shared run plus the plan's link
+        // cycles, priced again — the oracle composes the run itself, so
+        // the link term must be a function of plan and link alone.
+        let reported = parts.link_cycles(&mp.link);
+        cut.cycles += reported;
+        if reported.to_bits() != link_cycles.to_bits()
+            || cut.cycles.to_bits() != (base.cycles + link_cycles).to_bits()
         {
             v.push(Violation {
                 invariant: "partition-sim",
                 detail: format!(
                     "cycle accounting: base {} + link {} != partitioned {} (reported link {})",
-                    base.cycles, link_cycles, cut.result.cycles, cut.link_cycles
+                    base.cycles, link_cycles, cut.cycles, reported
                 ),
             });
         }
         // Apart from the cycle count just checked, the cut run is the
         // base run: outputs, transfers, profile and trace.
-        cut.result.cycles = base.cycles;
-        if let Some(diff) = base.bit_diff(&cut.result) {
+        cut.cycles = base.cycles;
+        if let Some(diff) = base.bit_diff(&cut) {
             v.push(Violation {
                 invariant: "partition-sim",
                 detail: format!(

@@ -156,6 +156,9 @@ fn mini_design_campaign_is_clean() {
     assert!(compiled > 0, "every design fell back to the interpreter");
     let (blocked, _serial) = conf.kernel_coverage();
     assert!(blocked > 0, "no kernel ran in lane-major blocks");
+    // Nor `partition-sim`: some forced cut spanned devices.
+    let (cut, _channels) = conf.cut_coverage();
+    assert!(cut > 0, "no forced cut spanned two devices");
     // Nor `finish-analyses`: every verdict was compared.
     let finish = conf.finish_coverage();
     assert_eq!(finish.designs, 15);
@@ -329,14 +332,46 @@ fn partition_oracle_forced_cuts_are_not_vacuous() {
     // until the whole design overflows it; if the placer still returned
     // single-device plans the invariant would hold vacuously. Replicate
     // the oracle's shrink rule and confirm generated specs really split.
-    use dhdl_synth::partition::{util_proxy, FIT_MARGIN};
+    // The plans themselves are pinned too: every forced-cut plan at
+    // K = 2, 3 and 4 folds into one FNV-64 digest — units, every channel
+    // field and each partition's raw resource bits.
+    use dhdl_core::Fnv64;
+    use dhdl_synth::partition::{util_proxy, Partitioning, FIT_MARGIN};
     use dhdl_synth::{elaborate, partition};
     use dhdl_target::{FpgaTarget, MultiFpgaPlatform, Platform};
+    fn fold(h: &mut Fnv64, plan: &Partitioning) {
+        h.write_u64(plan.partitions.len() as u64);
+        for part in &plan.partitions {
+            h.write_u64(part.units.len() as u64);
+            for u in &part.units {
+                h.write_u64(u.index() as u64);
+            }
+            let r = &part.net.raw;
+            for x in [r.lut_packable, r.lut_unpackable, r.regs, r.dsps, r.brams] {
+                h.write_u64(x.to_bits());
+            }
+        }
+        h.write_u64(plan.channels.len() as u64);
+        for ch in &plan.channels {
+            for x in [
+                u64::from(ch.src),
+                u64::from(ch.dst),
+                ch.mem.index() as u64,
+                ch.words,
+                u64::from(ch.word_bits),
+                ch.transfers,
+                u64::from(ch.overlapped),
+            ] {
+                h.write_u64(x);
+            }
+        }
+    }
     let platform = Platform::maia();
     let fpga = &platform.fpga;
     let mp = MultiFpgaPlatform::from_platform(&platform, 4);
     let mut cut = 0;
-    for id in 0..12u64 {
+    let mut digest = Fnv64::new();
+    for id in 0..200u64 {
         let design = generate(0, id).build().expect("builds");
         let u = util_proxy(&elaborate(&design, fpga).raw, fpga);
         assert!(
@@ -351,12 +386,21 @@ fn partition_oracle_forced_cuts_are_not_vacuous() {
             brams: shrink(fpga.brams),
             ..fpga.clone()
         };
-        if partition(&design, &tiny, &mp.link, mp.num_devices).devices_used() > 1 {
-            cut += 1;
+        for k in 2..=mp.num_devices {
+            let plan = partition(&design, &tiny, &mp.link, k);
+            if k == mp.num_devices && plan.devices_used() > 1 {
+                cut += 1;
+            }
+            fold(&mut digest, &plan);
         }
     }
     assert!(
-        cut >= 6,
-        "only {cut}/12 specs were cut; the oracle barely fires"
+        cut >= 100,
+        "only {cut}/200 specs were cut; the oracle barely fires"
+    );
+    assert_eq!(
+        format!("{:016x}", digest.finish()),
+        "428c58b78abbe7cb",
+        "forced-cut plans changed"
     );
 }

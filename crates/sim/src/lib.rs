@@ -23,8 +23,9 @@
 //! interpreter's throughput. [`simulate_compiled`] prefers the tape and
 //! falls back to the interpreter for designs the compiler
 //! rejects ([`CompileError::Unsupported`], counted as
-//! `sim.tape.fallback`); [`simulate_partitioned`] is that run plus the
-//! link cycles of a multi-device plan.
+//! `sim.tape.fallback`). A multi-device plan never changes the executed
+//! run: under a `dhdl_synth` partitioning it is that run plus the plan's
+//! `link_cycles`.
 //!
 //! ```
 //! use dhdl_core::{by, DType, DesignBuilder};
@@ -63,7 +64,6 @@ mod compile;
 mod error;
 mod interp;
 mod memory;
-mod multi;
 mod tape;
 mod trace;
 
@@ -71,5 +71,4 @@ pub use compile::{compile, simulate_compiled, CompileError, Compiled};
 pub use error::{Result, SimError};
 pub use interp::{simulate, Bindings, ProfileEntry, SimResult};
 pub use memory::DramTimeline;
-pub use multi::{simulate_partitioned, MultiSimResult};
 pub use trace::{Trace, TraceEvent};

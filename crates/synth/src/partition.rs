@@ -30,11 +30,15 @@
 //! cloned, controllers/locals that the partition does not keep are pruned
 //! from the stage/local lists, and the ordinary [`elaborate`] pass runs
 //! on the result, so partition areas are priced by exactly the same
-//! template models as whole designs. Channel endpoint FIFOs are added
-//! analytically on top. (Derived designs share the original arena, so
-//! the netlist *features* — used only by the estimator's correction
-//! networks — still see whole-design statistics; the resource counts,
-//! which drive capacity checks, are exact for the pruned tree.)
+//! template models as whole designs. Each contiguous leaf range is derived
+//! and elaborated once per call: the leaf-range DP of every device count
+//! and the plans it picks read the same table, whose cells the
+//! `synth.partition.range_elaborations` counter counts. Channel endpoint
+//! FIFOs are added analytically on top. (Derived designs share the
+//! original arena, so the netlist *features* — used only by the
+//! estimator's correction networks — still see whole-design statistics;
+//! the resource counts, which drive capacity checks, are exact for the
+//! pruned tree.)
 //!
 //! Cross-device traffic assumes host-broadcast off-chip inputs: every
 //! device's DRAM holds the input arrays, so only *on-chip* memories
@@ -184,10 +188,11 @@ pub fn partition(design: &Design, target: &FpgaTarget, link: &BoardLink, k: u32)
     let ctx = Ctx::new(design, target, link);
     let mut candidates: Vec<Partitioning> = Vec::new();
     // Leaf-range plans: one per device count, boundaries from a min-max
-    // DP over contiguous range costs.
+    // DP over contiguous range costs, every range priced once per call.
+    let table = ctx.range_table();
     for parts in 2..=k.min(units.len() as u32) {
-        if let Some(plan) = ctx.best_ranges(parts as usize) {
-            candidates.push(ctx.build_ranges(k, &plan));
+        if let Some(plan) = table.best(parts as usize) {
+            candidates.push(ctx.build_ranges(k, &plan, &table));
         }
     }
     // Replica plans: one per parallelized outer controller.
@@ -262,6 +267,62 @@ fn leaf_units(design: &Design) -> Vec<NodeId> {
 /// counter, priced by the same characterized models as everything else.
 fn endpoint_cost(target: &FpgaTarget, link: &BoardLink, word_bits: u32) -> Resources {
     bram_cost(target, link.fifo_depth, word_bits.max(1), 1, false) + counter_cost()
+}
+
+/// Every contiguous leaf range `i..j` elaborated once: row `i` holds the
+/// derived-design netlists of `i..i+1` through `i..u` (no channel
+/// endpoints) and their utilization proxies. The DP of every device count
+/// reads the costs, and a chosen range's netlist is cloned from here.
+struct RangeTable {
+    nets: Vec<Vec<Netlist>>,
+    cost: Vec<Vec<f64>>,
+}
+
+impl RangeTable {
+    fn net(&self, i: usize, j: usize) -> &Netlist {
+        &self.nets[i][j - i - 1]
+    }
+
+    fn cost(&self, i: usize, j: usize) -> f64 {
+        self.cost[i][j - i - 1]
+    }
+
+    /// Min-max DP over contiguous leaf ranges: boundaries of the best
+    /// `parts`-way split, scored by each range's utilization proxy.
+    fn best(&self, parts: usize) -> Option<Vec<(usize, usize)>> {
+        let u = self.nets.len();
+        if parts > u {
+            return None;
+        }
+        // f[d][j] = best max-cost splitting units 0..j into d ranges.
+        let inf = f64::INFINITY;
+        let mut f = vec![vec![inf; u + 1]; parts + 1];
+        let mut cut_at = vec![vec![0usize; u + 1]; parts + 1];
+        f[0][0] = 0.0;
+        for d in 1..=parts {
+            for j in d..=u {
+                for i in (d - 1)..j {
+                    let c = f[d - 1][i].max(self.cost(i, j));
+                    if c < f[d][j] {
+                        f[d][j] = c;
+                        cut_at[d][j] = i;
+                    }
+                }
+            }
+        }
+        if !f[parts][u].is_finite() {
+            return None;
+        }
+        let mut bounds = Vec::with_capacity(parts);
+        let mut j = u;
+        for d in (1..=parts).rev() {
+            let i = cut_at[d][j];
+            bounds.push((i, j));
+            j = i;
+        }
+        bounds.reverse();
+        Some(bounds)
+    }
 }
 
 /// Shared analysis state for candidate-plan construction.
@@ -480,16 +541,9 @@ impl<'a> Ctx<'a> {
         derived
     }
 
-    /// Netlist of a partition: derived-design elaboration plus channel
-    /// endpoint hardware.
-    fn partition_net(
-        &self,
-        keep: &BTreeSet<usize>,
-        par_override: Option<(NodeId, u32)>,
-        endpoint_bits: &[u32],
-    ) -> (Netlist, Resources) {
-        let derived = self.derive(keep, par_override);
-        let mut net = elaborate(&derived, self.target);
+    /// A partition's netlist: its derived design's elaboration `net` plus
+    /// the hardware of its channel endpoints, which is also returned.
+    fn with_endpoints(&self, mut net: Netlist, endpoint_bits: &[u32]) -> (Netlist, Resources) {
         let mut endpoints = Resources::zero();
         for &bits in endpoint_bits {
             endpoints += endpoint_cost(self.target, self.link, bits);
@@ -499,58 +553,32 @@ impl<'a> Ctx<'a> {
         (net, endpoints)
     }
 
-    /// Min-max DP over contiguous leaf ranges: boundaries of the best
-    /// `parts`-way split, scored by each range's derived-design
-    /// utilization proxy.
-    fn best_ranges(&self, parts: usize) -> Option<Vec<(usize, usize)>> {
+    /// Derive and elaborate every contiguous leaf range once.
+    fn range_table(&self) -> RangeTable {
         let u = self.units.len();
-        if parts > u {
-            return None;
-        }
-        // cost[i][j] = utilization of the partition keeping units i..j.
-        let mut cost = vec![vec![0.0f64; u + 1]; u];
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..u {
-            for j in (i + 1)..=u {
-                let keep: BTreeSet<usize> = (i..j).collect();
-                let derived = self.derive(&keep, None);
-                cost[i][j] = util_proxy(&elaborate(&derived, self.target).raw, self.target);
-            }
-        }
-        // f[d][j] = best max-cost splitting units 0..j into d ranges.
-        let inf = f64::INFINITY;
-        let mut f = vec![vec![inf; u + 1]; parts + 1];
-        let mut cut_at = vec![vec![0usize; u + 1]; parts + 1];
-        f[0][0] = 0.0;
-        for d in 1..=parts {
-            for j in d..=u {
-                for i in (d - 1)..j {
-                    let c = f[d - 1][i].max(cost[i][j]);
-                    if c < f[d][j] {
-                        f[d][j] = c;
-                        cut_at[d][j] = i;
-                    }
-                }
-            }
-        }
-        if !f[parts][u].is_finite() {
-            return None;
-        }
-        let mut bounds = Vec::with_capacity(parts);
-        let mut j = u;
-        for d in (1..=parts).rev() {
-            let i = cut_at[d][j];
-            bounds.push((i, j));
-            j = i;
-        }
-        bounds.reverse();
-        Some(bounds)
+        let nets: Vec<Vec<Netlist>> = (0..u)
+            .map(|i| {
+                ((i + 1)..=u)
+                    .map(|j| elaborate(&self.derive(&(i..j).collect(), None), self.target))
+                    .collect()
+            })
+            .collect();
+        dhdl_obs::counter!("synth.partition.range_elaborations").add((u * (u + 1) / 2) as u64);
+        let cost = nets
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|n| util_proxy(&n.raw, self.target))
+                    .collect()
+            })
+            .collect();
+        RangeTable { nets, cost }
     }
 
     /// Build the full plan for a leaf-range split: partitions in range
     /// order (device = rank), channels wherever a memory's accessors
     /// span partitions.
-    fn build_ranges(&self, k: u32, ranges: &[(usize, usize)]) -> Partitioning {
+    fn build_ranges(&self, k: u32, ranges: &[(usize, usize)], table: &RangeTable) -> Partitioning {
         let part_of = |unit: usize| -> u32 {
             ranges
                 .iter()
@@ -628,8 +656,8 @@ impl<'a> Ctx<'a> {
             .iter()
             .enumerate()
             .map(|(d, &(a, b))| {
-                let keep: BTreeSet<usize> = (a..b).collect();
-                let (net, endpoints) = self.partition_net(&keep, None, &endpoint_bits[d]);
+                let (net, endpoints) =
+                    self.with_endpoints(table.net(a, b).clone(), &endpoint_bits[d]);
                 Partition {
                     device: d as u32,
                     units: self.units[a..b].to_vec(),
@@ -720,8 +748,9 @@ impl<'a> Ctx<'a> {
                 } else {
                     (lo..hi).collect()
                 };
-                let (net, endpoints) =
-                    self.partition_net(&keep, Some((ctrl, share(d))), &endpoint_bits[d as usize]);
+                let derived = self.derive(&keep, Some((ctrl, share(d))));
+                let (net, endpoints) = self
+                    .with_endpoints(elaborate(&derived, self.target), &endpoint_bits[d as usize]);
                 Partition {
                     device: d,
                     units: if d == 0 {
