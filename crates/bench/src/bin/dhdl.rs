@@ -4,12 +4,12 @@
 //!
 //! ```text
 //! dhdl table2 | table3 | table4 | fig5 | fig6 | ablations | energy
-//! dhdl dsebench | dnnbench | partbench
+//! dhdl dnnbench | partbench
 //! dhdl diagnose [benchmark] [pareto_points]
 //! dhdl sweep    <benchmark> <param>
 //! dhdl list
 //! dhdl estimate <benchmark> [param=value ...]
-//! dhdl explore  <benchmark> [--points N]
+//! dhdl explore  <benchmark> [--points N] [--num-fpgas K]
 //! dhdl simulate <benchmark> [param=value ...] [--profile]
 //! dhdl codegen  <benchmark> [param=value ...]
 //! dhdl bottleneck <benchmark> [param=value ...]
@@ -79,11 +79,11 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage:\n  dhdl table2 | table3 | table4 | fig5 | fig6 | ablations | energy\n  \
-         dhdl dsebench | dnnbench | partbench\n  \
+         dhdl dnnbench | partbench\n  \
          dhdl diagnose [benchmark] [pareto_points]\n  \
          dhdl sweep    <benchmark> <param>\n  \
          dhdl list\n  dhdl estimate <benchmark> [param=value ...]\n  \
-         dhdl explore  <benchmark> [--points N] [--strategy random|surrogate] [--num-fpgas K]\n  \
+         dhdl explore  <benchmark> [--points N] [--num-fpgas K]\n  \
          dhdl simulate <benchmark> [param=value ...] [--profile]\n  \
          dhdl codegen  <benchmark> [param=value ...]\n  \
          dhdl bottleneck <benchmark> [param=value ...]\n  \
@@ -103,7 +103,7 @@ fn harness(seed: u64, points: usize) -> Harness {
 /// apply its gate.
 fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
     use dhdl_bench::{
-        ablations, dnnbench, dsebench, energy, fig5, fig6, partbench, sweep, table2, table3, table4,
+        ablations, dnnbench, energy, fig5, fig6, partbench, sweep, table2, table3, table4,
     };
     let suite = dhdl_apps::all();
     let dse_points = |default| knob("DHDL_DSE_POINTS").unwrap_or(default);
@@ -126,9 +126,10 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
         "fig5" => {
             // The paper samples up to 75,000 legal points per benchmark;
             // default lower here for quick runs.
-            let h = harness(fig5::SEED, knob("DHDL_FIG5_POINTS").unwrap_or(3_000));
-            eprintln!("search strategy: {}", h.dse.strategy.name());
-            fig5(&h, &suite)
+            fig5(
+                &harness(fig5::SEED, knob("DHDL_FIG5_POINTS").unwrap_or(3_000)),
+                &suite,
+            )
         }
         "fig6" => fig6(&harness(fig6::SEED, dse_points(1_500)), &suite).report,
         "ablations" => ablations(&harness(ablations::SEED, dse_points(1_000)), &suite),
@@ -161,22 +162,6 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
                     return Some(ExitCode::from(2));
                 }
             }
-        }
-        "dsebench" => {
-            let only = std::env::var("DHDL_DSEBENCH_BENCHES").unwrap_or_default();
-            let only: Vec<&str> = only.split(',').map(str::trim).collect();
-            let mut benches = suite;
-            if only.iter().any(|n| !n.is_empty()) {
-                benches.retain(|b| only.contains(&b.name()));
-            }
-            let h = harness(
-                dsebench::SEED,
-                knob("DHDL_DSEBENCH_POINTS").unwrap_or(1_500),
-            );
-            let floor = knob("DHDL_DSEBENCH_FLOOR").unwrap_or(0.9);
-            // The surrogate gets a tenth of the random budget, and the
-            // re-run is the determinism check.
-            dsebench(&h, &benches, 0.1, floor, true)
         }
         "dnnbench" => {
             let h = harness(dnnbench::SEED, knob("DHDL_DNN_POINTS").unwrap_or(2_000));
@@ -219,19 +204,6 @@ fn params_from(bench: &dyn Benchmark, rest: &[String], flags: &[&str]) -> ParamV
         eprintln!("warning: {p} is outside the legal (pruned) space");
     }
     p
-}
-
-fn opt_usize(rest: &[String], name: &str, default: usize) -> usize {
-    opt_str(rest, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn opt_str(rest: &[String], name: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1))
-        .cloned()
 }
 
 fn list() {
@@ -292,24 +264,38 @@ fn hls(bench: &dyn Benchmark, _rest: &[String]) {
     }
 }
 
-fn explore(bench: &dyn Benchmark, rest: &[String]) {
-    let points = opt_usize(rest, "--points", 1_000);
-    let mut harness = harness(0xC12, points);
-    // The flag wins over the DHDL_DSE_STRATEGY env var Harness read.
-    if let Some(name) = opt_str(rest, "--strategy") {
-        match dhdl_dse::SearchStrategy::parse(&name) {
-            Ok(s) => harness.dse.strategy = s,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+/// `explore`'s flags, `--points <integer>` and `--num-fpgas <integer>`,
+/// in any order. Any other argument exits 2 naming it, as in
+/// [`params_from`]: carrying on would sweep the defaults instead.
+fn explore_flags(rest: &[String]) -> (Option<usize>, Option<usize>) {
+    let bad = |arg: &str| -> ! {
+        eprintln!("bad argument `{arg}`: expected --points <integer> or --num-fpgas <integer>");
+        std::process::exit(2);
+    };
+    let (mut points, mut num_fpgas) = (None, None);
+    let mut args = rest.iter();
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--points" => &mut points,
+            "--num-fpgas" => &mut num_fpgas,
+            _ => bad(flag),
+        };
+        match args.next() {
+            Some(v) => *slot = Some(v.parse().unwrap_or_else(|_| bad(&format!("{flag} {v}")))),
+            None => bad(flag),
         }
     }
+    (points, num_fpgas)
+}
+
+fn explore(bench: &dyn Benchmark, rest: &[String]) {
+    let (points, num_fpgas) = explore_flags(rest);
+    let mut harness = harness(0xC12, points.unwrap_or(1_000));
     // The flag wins over DHDL_DSE_NUM_FPGAS; > 1 adds the `num_fpgas`
     // partitioning axis to the swept space.
-    harness.num_fpgas = opt_usize(rest, "--num-fpgas", harness.num_fpgas as usize)
-        .clamp(1, u32::MAX as usize) as u32;
-    eprintln!("search strategy: {}", harness.dse.strategy.name());
+    if let Some(k) = num_fpgas {
+        harness.num_fpgas = k.clamp(1, u32::MAX as usize) as u32;
+    }
     if harness.num_fpgas > 1 {
         eprintln!("multi-FPGA axis: up to {} devices", harness.num_fpgas);
     }

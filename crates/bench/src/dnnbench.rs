@@ -2,23 +2,25 @@
 //!
 //! For each DNN-shaped benchmark (a 3x3 line-buffer convolution and an
 //! attention-shaped GEMM–softmax–GEMM pipeline) this runs the Figure-5
-//! and Figure-6 pipelines side by side: explore the design space under
-//! *both* search strategies (pure random and surrogate-guided), emit the
-//! Pareto fronts, simulate the fastest design under both simulator
-//! backends with a bit-exact cross-check, and compare modeled FPGA time
-//! against the modeled Xeon CPU time. Table-III-style estimator errors
-//! on Pareto picks are *reported* (these workloads sit outside the
-//! calibration set by design), not gated.
+//! and Figure-6 pipelines side by side: sweep the design space (both
+//! spaces fit inside the default budget, so the random sweep enumerates
+//! them), emit the Pareto front, simulate the fastest design under both
+//! simulator backends with a bit-exact cross-check, and compare modeled
+//! FPGA time against the modeled Xeon CPU time. Table-III-style
+//! estimator errors on Pareto picks are *reported* (these workloads sit
+//! outside the calibration set by design), not gated.
 //!
 //! Everything written to `results/BENCH_dnn.json` is a deterministic
 //! modeled quantity: the file is byte-identical across reruns and across
-//! `DHDL_DSE_THREADS` settings.
+//! `DHDL_DSE_THREADS` settings. Its `strategies` array holds one entry,
+//! the `random` sweep, so readers of the file's earlier two-entry shape
+//! keep working.
 
 use std::fmt::Write as _;
 
 use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
-use dhdl_dse::{DseResult, SearchStrategy, SurrogateConfig};
+use dhdl_dse::DseResult;
 
 use crate::experiments::{mean_errors, Harness};
 use crate::report::{pct, times, Report, Table};
@@ -42,9 +44,8 @@ pub struct DnnBench {
     pub report: Report,
 }
 
-/// One strategy's exploration outcome, reduced to deterministic values.
-struct StrategyRun {
-    strategy: &'static str,
+/// A sweep's outcome, reduced to deterministic values.
+struct SweepRun {
     evaluated: usize,
     valid: usize,
     /// `(params, cycles, alm_frac, dsp_frac, bram_frac)` per front point.
@@ -57,7 +58,7 @@ struct StrategyRun {
 struct BenchRecord {
     name: String,
     space_size: u128,
-    strategies: Vec<StrategyRun>,
+    sweep: SweepRun,
     sim_cycles: f64,
     backends: Option<Result<(), String>>,
     fpga_s: f64,
@@ -68,13 +69,12 @@ struct BenchRecord {
     errors: [f64; 4],
 }
 
-fn run_strategy(
+fn sweep_run(
     harness: &Harness,
     bench: &dyn Benchmark,
-    strategy: &'static str,
     dse: &DseResult,
     report: &mut Report,
-) -> StrategyRun {
+) -> SweepRun {
     let target = &harness.platform.fpga;
     let mut front: Vec<(String, f64, f64, f64, f64)> = dse
         .pareto
@@ -93,16 +93,15 @@ fn run_strategy(
     for (p, c, a, d, b) in &front {
         let _ = writeln!(csv, "\"{p}\",{c:.0},{a:.4},{d:.4},{b:.4}");
     }
-    let path = report.file(&format!("dnn_front_{}_{strategy}.csv", bench.name()), csv);
+    let path = report.file(&format!("dnn_front_{}_random.csv", bench.name()), csv);
     report.say(format_args!(
-        "  {strategy}: {} evaluated, {} on front, best {:.0} cycles (wrote {})",
+        "  random: {} evaluated, {} on front, best {:.0} cycles (wrote {})",
         dse.counts.evaluated,
         front.len(),
         best.cycles,
         path.display()
     ));
-    StrategyRun {
-        strategy,
+    SweepRun {
         evaluated: dse.counts.evaluated,
         valid: dse.points.iter().filter(|p| p.valid).count(),
         front,
@@ -124,29 +123,22 @@ fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]
             "    {{\"name\": \"{}\", \"space_size\": {},",
             r.name, r.space_size
         );
-        json.push_str("     \"strategies\": [\n");
-        for (j, s) in r.strategies.iter().enumerate() {
+        let s = &r.sweep;
+        let _ = write!(
+            json,
+            "     \"strategies\": [\n       {{\"strategy\": \"random\", \"evaluated\": {}, \
+             \"valid\": {}, \"best_params\": \"{}\", \"best_cycles\": {:.0}, \"front\": [",
+            s.evaluated, s.valid, s.best_params, s.best_cycles
+        );
+        for (k, (p, c, a, d, b)) in s.front.iter().enumerate() {
             let _ = write!(
                 json,
-                "       {{\"strategy\": \"{}\", \"evaluated\": {}, \"valid\": {}, \
-                 \"best_params\": \"{}\", \"best_cycles\": {:.0}, \"front\": [",
-                s.strategy, s.evaluated, s.valid, s.best_params, s.best_cycles
-            );
-            for (k, (p, c, a, d, b)) in s.front.iter().enumerate() {
-                let _ = write!(
-                    json,
-                    "{}{{\"params\": \"{p}\", \"cycles\": {c:.0}, \"alm\": {a:.4}, \
-                     \"dsp\": {d:.4}, \"bram\": {b:.4}}}",
-                    if k > 0 { ", " } else { "" }
-                );
-            }
-            let _ = writeln!(
-                json,
-                "]}}{}",
-                if j + 1 < r.strategies.len() { "," } else { "" }
+                "{}{{\"params\": \"{p}\", \"cycles\": {c:.0}, \"alm\": {a:.4}, \
+                 \"dsp\": {d:.4}, \"bram\": {b:.4}}}",
+                if k > 0 { ", " } else { "" }
             );
         }
-        json.push_str("     ],\n");
+        json.push_str("]}\n     ],\n");
         let bitid = r
             .backends
             .as_ref()
@@ -188,16 +180,8 @@ fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]
 /// Panics if a benchmark has no valid design at this budget.
 pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usize) -> DnnBench {
     let points = harness.dse.max_points;
-    let mut harness = harness.clone();
     let mut report = Report::default();
     let xeon = XeonModel::default();
-    let strategies: [(&'static str, SearchStrategy); 2] = [
-        ("random", SearchStrategy::Random),
-        (
-            "surrogate",
-            SearchStrategy::Surrogate(SurrogateConfig::default()),
-        ),
-    ];
 
     let mut records = Vec::new();
     for bench in benches {
@@ -205,27 +189,10 @@ pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usi
             "=== {} ({points} samples/strategy) ===",
             bench.name()
         ));
-        let mut runs = Vec::new();
-        let mut random_dse = None;
-        let mut space_size = 0;
-        for (name, strategy) in &strategies {
-            eprintln!("exploring {} [{name}]...", bench.name());
-            harness.dse.strategy = strategy.clone();
-            let dse = harness.explore(bench.as_ref());
-            eprintln!("  {}", dse.stats.summary());
-            space_size = dse.space_size;
-            runs.push(run_strategy(
-                &harness,
-                bench.as_ref(),
-                name,
-                &dse,
-                &mut report,
-            ));
-            if *name == "random" {
-                random_dse = Some(dse);
-            }
-        }
-        let dse = random_dse.expect("random strategy ran");
+        eprintln!("exploring {}...", bench.name());
+        let dse = harness.explore(bench.as_ref());
+        eprintln!("  {}", dse.stats.summary());
+        let sweep = sweep_run(harness, bench.as_ref(), &dse, &mut report);
 
         // Fastest random-front design: simulate under both backends and
         // compare against the modeled CPU time (fig6 pipeline).
@@ -251,8 +218,8 @@ pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usi
 
         records.push(BenchRecord {
             name: bench.name().to_string(),
-            space_size,
-            strategies: runs,
+            space_size: dse.space_size,
+            sweep,
             sim_cycles: sim.cycles,
             backends,
             fpga_s,
@@ -283,7 +250,7 @@ pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usi
         t.row(&[
             r.name.clone(),
             r.space_size.to_string(),
-            r.strategies[0].best_params.clone(),
+            r.sweep.best_params.clone(),
             format!("{:.0}", r.sim_cycles),
             format!("{:.3}", r.fpga_s * 1e3),
             format!("{:.3}", r.cpu_s * 1e3),

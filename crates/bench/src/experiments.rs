@@ -4,7 +4,7 @@
 
 use dhdl_apps::Benchmark;
 use dhdl_core::{Design, ParamValues};
-use dhdl_dse::{explore, spread, DseOptions, DseResult, SearchStrategy};
+use dhdl_dse::{explore, spread, DseOptions, DseResult};
 use dhdl_estimate::Estimator;
 use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, CompileError, SimResult};
 use dhdl_synth::{design_hash, place_and_route, SynthReport};
@@ -64,11 +64,9 @@ impl Harness {
     /// Sweep resilience knobs come from the environment so every
     /// experiment driver shares them: `DHDL_DSE_THREADS` (worker
     /// threads, 0 = all cores), `DHDL_DSE_DEADLINE_MS` (wall-clock
-    /// budget per sweep), `DHDL_DSE_STRATEGY=random|surrogate` (how the
-    /// sweep spends its point budget; see [`SearchStrategy`]), and
-    /// `DHDL_DSE_NUM_FPGAS` (maximum devices for the multi-FPGA
-    /// partitioning axis; default 1 keeps sweeps bit-identical to the
-    /// single-chip toolchain). Sweeps estimate every point with the bare
+    /// budget per sweep) and `DHDL_DSE_NUM_FPGAS` (maximum devices for
+    /// the multi-FPGA partitioning axis; default 1 keeps sweeps
+    /// bit-identical to the single-chip toolchain). Sweeps estimate every point with the bare
     /// estimator: no experiment revisits enough points in one process
     /// for [`dhdl_dse::CachedModel`] to pay for its hashing.
     pub fn new(seed: u64, dse_points: usize) -> Self {
@@ -85,7 +83,6 @@ impl Harness {
                 seed,
                 threads,
                 deadline,
-                strategy: SearchStrategy::from_env(),
                 ..DseOptions::default()
             },
             num_fpgas,

@@ -25,7 +25,6 @@ mod tests {
     #[test]
     fn a_typo_warns_with_the_variable_and_the_value() {
         assert_eq!(parse::<usize>("DHDL_FIG5_POINTS", "3000"), Ok(3_000));
-        assert_eq!(parse::<f64>("DHDL_DSEBENCH_FLOOR", "0.9"), Ok(0.9));
         let warning = parse::<usize>("DHDL_FIG5_POINTS", "3k").unwrap_err();
         assert!(
             warning.starts_with("warning: DHDL_FIG5_POINTS: `3k`"),

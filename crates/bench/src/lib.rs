@@ -21,8 +21,8 @@
 //! * [`energy()`] — energy per run against the CPU at TDP;
 //! * [`diagnose()`], [`sweep()`] — per-point error breakdown and
 //!   one-parameter sensitivity slices;
-//! * [`dsebench()`], [`dnnbench()`], [`partbench()`] — search strategies,
-//!   the DNN workloads and the multi-FPGA axis.
+//! * [`dnnbench()`], [`partbench()`] — the DNN workloads and the
+//!   multi-FPGA axis.
 //!
 //! Each experiment's harness seed is the `SEED` constant of its module.
 //! Nothing here measures the toolchain's own speed (Table IV's
@@ -34,7 +34,6 @@
 pub mod ablations;
 pub mod diagnose;
 pub mod dnnbench;
-pub mod dsebench;
 pub mod energy;
 pub mod experiments;
 pub mod fig5;
@@ -50,7 +49,6 @@ pub mod table4;
 pub use ablations::ablations;
 pub use diagnose::diagnose;
 pub use dnnbench::dnnbench;
-pub use dsebench::dsebench;
 pub use energy::energy;
 pub use experiments::{mean_errors, simulate_bench, Harness, PointEval};
 pub use fig5::fig5;

@@ -8,7 +8,7 @@
 //!   the exact IEEE-754 bits (the simulator, the `dhdl-cpu` kernels and
 //!   the conformance references are all bit-exact against these),
 //! - estimator finiteness and monotonicity in parallelism,
-//! - seed-stable DSE Pareto fronts under both search strategies,
+//! - seed-stable DSE Pareto fronts,
 //! - Table-III-style model errors within a golden band (the precise
 //!   errors are *reported* by `dnnbench` into EXPERIMENTS.md, not gated;
 //!   the band here only catches order-of-magnitude regressions), with
@@ -18,7 +18,6 @@ use dhdl_apps::{Attention, Benchmark, Conv2d};
 use dhdl_bench::dnnbench::{dnnbench, SEED};
 use dhdl_bench::Harness;
 use dhdl_core::Fnv64;
-use dhdl_dse::{SearchStrategy, SurrogateConfig};
 use std::sync::OnceLock;
 
 /// DSE sample budget (the full run uses more).
@@ -148,23 +147,17 @@ fn front_hash(h: &Harness, bench: &dyn Benchmark) -> u64 {
 }
 
 #[test]
-fn dse_fronts_are_seed_stable_under_both_strategies() {
-    for strategy in [
-        SearchStrategy::Random,
-        SearchStrategy::Surrogate(SurrogateConfig::default()),
-    ] {
-        let mut h = harness().clone();
-        h.dse.strategy = strategy.clone();
-        for bench in benches() {
-            let a = front_hash(&h, bench.as_ref());
-            let b = front_hash(&h, bench.as_ref());
-            assert_eq!(
-                a,
-                b,
-                "{} ({strategy:?}): re-running DSE changed the Pareto front",
-                bench.name()
-            );
-        }
+fn dse_fronts_are_seed_stable() {
+    let h = harness();
+    for bench in benches() {
+        let a = front_hash(h, bench.as_ref());
+        let b = front_hash(h, bench.as_ref());
+        assert_eq!(
+            a,
+            b,
+            "{}: re-running DSE changed the Pareto front",
+            bench.name()
+        );
     }
 }
 

@@ -8,12 +8,11 @@
 //! Pareto-optimal surface over execution time and ALM usage — the data
 //! behind Figure 5.
 //!
-//! Two [`SearchStrategy`] implementations spend the point budget: the
-//! paper's uniform random sweep (the default) and a surrogate-guided
-//! active-learning loop that trains `dhdl-mlp` regressors online and
-//! acquires the candidates with the highest predicted Pareto-hypervolume
-//! improvement ([`hypervolume`]) — reaching a comparable front at a
-//! fraction of the evaluations (see `results/BENCH_dse.json`).
+//! The point budget is spent the paper's way: a seeded uniform sample
+//! of the legal space, every point estimated. At microseconds an
+//! estimate, a sweep over tens of thousands of points takes a fraction
+//! of a second, so there is no second, model-guided way to choose which
+//! points to evaluate (DESIGN.md, "Why the sweep is random").
 //!
 //! Sweeps run on a resilient parallel runner: points fan out over a
 //! work-stealing thread pool with per-point panic isolation and bounded
@@ -51,13 +50,11 @@
 
 mod cache;
 mod fault;
-pub mod hypervolume;
 mod objectives;
 mod pareto;
 mod runner;
 mod search;
 mod space;
-mod surrogate;
 
 pub use cache::{
     devices_key, model_fingerprint, params_key, CacheStats, CachedModel, EstimateCache,
@@ -66,7 +63,5 @@ pub use fault::{with_silent_panics, FaultConfig, FaultInjector, FaultPlan, Injec
 pub use objectives::{frontier_along, ResourceAxis};
 pub use pareto::{pareto_front, spread};
 pub use runner::{device_count, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
-pub use search::{
-    explore, refine, DesignPoint, DseOptions, DseResult, SearchStrategy, SurrogateConfig,
-};
+pub use search::{explore, refine, DesignPoint, DseOptions, DseResult};
 pub use space::LegalSpace;

@@ -17,108 +17,6 @@ use crate::pareto::pareto_front;
 use crate::runner::{self, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
 use crate::space::LegalSpace;
 
-/// How [`explore`] walks the legal space.
-///
-/// Both strategies spend the same budget ([`DseOptions::max_points`])
-/// and share the resilient runner and estimate-cache machinery; they
-/// differ only in *which* points get evaluated.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SearchStrategy {
-    /// The paper's uniform random sweep (§IV-C): sample `max_points`
-    /// legal points and evaluate them all. The default, bit-identical to
-    /// the historical `explore` behavior.
-    #[default]
-    Random,
-    /// Active learning: seed with a small random batch, train a
-    /// `dhdl-mlp` surrogate on evaluated points, and spend the rest of
-    /// the budget on the candidates with the highest predicted
-    /// Pareto-hypervolume improvement. See [`SurrogateConfig`] and the
-    /// DESIGN.md "Surrogate-guided search" section.
-    Surrogate(SurrogateConfig),
-}
-
-impl SearchStrategy {
-    /// Parse a strategy name as accepted by the `DHDL_DSE_STRATEGY`
-    /// knob: `random` or `surrogate` (default tuning).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "random" => Ok(SearchStrategy::Random),
-            "surrogate" => Ok(SearchStrategy::Surrogate(SurrogateConfig::default())),
-            other => Err(format!(
-                "unknown DSE strategy `{other}` (expected `random` or `surrogate`)"
-            )),
-        }
-    }
-
-    /// Read the strategy from the `DHDL_DSE_STRATEGY` environment
-    /// variable; an unset variable means [`SearchStrategy::Random`] and
-    /// an unparseable value warns to stderr and falls back to random, so
-    /// a typo can never silently change *and* crash a sweep.
-    pub fn from_env() -> Self {
-        match std::env::var("DHDL_DSE_STRATEGY") {
-            Ok(v) => SearchStrategy::parse(&v).unwrap_or_else(|e| {
-                eprintln!("warning: DHDL_DSE_STRATEGY ignored: {e}");
-                SearchStrategy::Random
-            }),
-            Err(_) => SearchStrategy::Random,
-        }
-    }
-
-    /// Short human/machine-readable name (`random` / `surrogate`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SearchStrategy::Random => "random",
-            SearchStrategy::Surrogate(_) => "surrogate",
-        }
-    }
-}
-
-/// Tuning for [`SearchStrategy::Surrogate`]. The defaults hold the
-/// dsebench acceptance bar (≥90% of the random front's hypervolume at
-/// 10% of its budget on the fig5 benchmarks); see EXPERIMENTS.md.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurrogateConfig {
-    /// Size of the initial uniform-random seed batch the first
-    /// surrogates are trained on.
-    pub init: usize,
-    /// Points acquired (dispatched to the runner) per round after the
-    /// seed batch.
-    pub batch: usize,
-    /// Candidate-pool size as a multiple of the budget: the surrogate
-    /// scores `max_points × pool_factor` uniformly sampled legal points
-    /// and only ever evaluates points from that pool. With the default
-    /// factor of 10, a surrogate run at 10% of a random sweep's budget
-    /// scores exactly the pool that sweep would have evaluated.
-    pub pool_factor: usize,
-    /// Fraction of each acquisition batch drawn uniformly at random from
-    /// the unevaluated pool instead of by predicted improvement —
-    /// ε-greedy exploration so a mistrained surrogate cannot starve
-    /// whole regions of the space.
-    pub explore: f64,
-    /// Hidden-layer width of the surrogate networks (the paper's area
-    /// networks use six hidden nodes, §IV-B2).
-    pub hidden: usize,
-    /// RPROP epochs per (re)training round.
-    pub epochs: usize,
-}
-
-impl Default for SurrogateConfig {
-    fn default() -> Self {
-        SurrogateConfig {
-            init: 32,
-            batch: 16,
-            pool_factor: 10,
-            explore: 0.25,
-            hidden: 6,
-            epochs: 250,
-        }
-    }
-}
-
 /// Options controlling a design-space exploration run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DseOptions {
@@ -149,9 +47,6 @@ pub struct DseOptions {
     /// `None` (the default) disables the fast path; the structural-hash
     /// cache still applies when the cost model carries one.
     pub cache_salt: Option<u64>,
-    /// Which points the sweep spends its budget on; see
-    /// [`SearchStrategy`].
-    pub strategy: SearchStrategy,
 }
 
 impl Default for DseOptions {
@@ -164,7 +59,6 @@ impl Default for DseOptions {
             retries: 2,
             deadline: None,
             cache_salt: None,
-            strategy: SearchStrategy::Random,
         }
     }
 }
@@ -276,7 +170,7 @@ impl DseResult {
     }
 }
 
-pub(crate) fn point_tuples(points: &[DesignPoint]) -> Vec<(f64, f64, bool)> {
+fn point_tuples(points: &[DesignPoint]) -> Vec<(f64, f64, bool)> {
     points
         .iter()
         .map(|p| (p.cycles, p.area.alms, p.valid))
@@ -289,31 +183,13 @@ pub(crate) fn point_tuples(points: &[DesignPoint]) -> Vec<(f64, f64, bool)> {
 /// assignment; points whose designs fail to build or exceed the local
 /// memory cap are discarded immediately (§IV-C), and points whose
 /// estimated area exceeds the device are kept but flagged invalid (the
-/// gray points of Figure 5). Evaluation runs on a work-stealing thread
-/// pool with per-point panic isolation; see [`DseOptions`] for the
-/// thread, retry and deadline knobs. Results are deterministic in
-/// `opts.seed` for every thread count.
-///
-/// The budget is spent per [`DseOptions::strategy`]: the default
-/// [`SearchStrategy::Random`] evaluates a uniform sample of
-/// `max_points` legal points, while [`SearchStrategy::Surrogate`]
-/// routes the same budget through the active-learning loop in the
-/// `surrogate` module. Both are deterministic per seed.
+/// gray points of Figure 5). The budget is the paper's uniform random
+/// sweep: a seeded sample of `max_points` legal points, all of them
+/// evaluated. Evaluation runs on a work-stealing thread pool with
+/// per-point panic isolation; see [`DseOptions`] for the thread, retry
+/// and deadline knobs. Results are deterministic in `opts.seed` for
+/// every thread count.
 pub fn explore<F, E>(build: F, space: &ParamSpace, estimator: &E, opts: &DseOptions) -> DseResult
-where
-    F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
-    E: CostModel + ?Sized,
-{
-    match &opts.strategy {
-        SearchStrategy::Random => explore_random(build, space, estimator, opts),
-        SearchStrategy::Surrogate(cfg) => {
-            crate::surrogate::explore_surrogate(&build, space, estimator, opts, cfg)
-        }
-    }
-}
-
-/// The uniform random sweep (the historical `explore` body, unchanged).
-fn explore_random<F, E>(build: F, space: &ParamSpace, estimator: &E, opts: &DseOptions) -> DseResult
 where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
     E: CostModel + ?Sized,
@@ -466,26 +342,6 @@ mod tests {
 
     fn estimator() -> Estimator {
         Estimator::calibrate_with(&Platform::maia(), 30, 11).0
-    }
-
-    #[test]
-    fn strategy_parsing_accepts_the_knob_vocabulary() {
-        assert_eq!(SearchStrategy::parse("random"), Ok(SearchStrategy::Random));
-        assert_eq!(SearchStrategy::parse(""), Ok(SearchStrategy::Random));
-        assert_eq!(
-            SearchStrategy::parse(" Surrogate "),
-            Ok(SearchStrategy::Surrogate(SurrogateConfig::default()))
-        );
-        let err = SearchStrategy::parse("genetic").unwrap_err();
-        assert!(
-            err.contains("genetic") && err.contains("surrogate"),
-            "{err}"
-        );
-        assert_eq!(SearchStrategy::parse("random").unwrap().name(), "random");
-        assert_eq!(
-            SearchStrategy::parse("surrogate").unwrap().name(),
-            "surrogate"
-        );
     }
 
     #[test]

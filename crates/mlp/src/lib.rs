@@ -49,27 +49,14 @@ impl Regressor {
     /// Samples with a non-finite feature or target are skipped (and
     /// counted on the `mlp.train.skipped_nonfinite` obs counter) rather
     /// than fitted: a single NaN target would otherwise poison every
-    /// gradient and silently ruin the whole network — exactly what an
-    /// injected estimator fault must not be able to do to a DSE
-    /// surrogate.
+    /// gradient and silently ruin the whole network — exactly what one
+    /// degenerate characterization sample must not be able to do to the
+    /// estimator's calibration.
     ///
     /// # Panics
     ///
-    /// Panics if no finite sample remains; use [`Regressor::try_fit`]
-    /// for untrusted data.
+    /// Panics if no finite sample remains.
     pub fn fit(samples: &[(Vec<f64>, f64)], hidden: usize, seed: u64, cfg: &TrainConfig) -> Self {
-        Self::try_fit(samples, hidden, seed, cfg)
-            .expect("cannot fit a regressor to no (finite) data")
-    }
-
-    /// The non-panicking form of [`Regressor::fit`]: `None` when
-    /// `samples` contains no finite sample to train on.
-    pub fn try_fit(
-        samples: &[(Vec<f64>, f64)],
-        hidden: usize,
-        seed: u64,
-        cfg: &TrainConfig,
-    ) -> Option<Self> {
         let finite: Vec<&(Vec<f64>, f64)> = samples
             .iter()
             .filter(|(x, y)| y.is_finite() && x.iter().all(|v| v.is_finite()))
@@ -78,9 +65,10 @@ impl Regressor {
         if skipped > 0 {
             dhdl_obs::counter!("mlp.train.skipped_nonfinite").add(skipped as u64);
         }
-        if finite.is_empty() {
-            return None;
-        }
+        assert!(
+            !finite.is_empty(),
+            "cannot fit a regressor to no (finite) data"
+        );
         let xs: Vec<Vec<f64>> = finite.iter().map(|(x, _)| x.clone()).collect();
         let ys: Vec<Vec<f64>> = finite.iter().map(|&&(_, y)| vec![y]).collect();
         let inputs = Normalizer::fit(&xs);
@@ -91,11 +79,11 @@ impl Regressor {
         }
         let mut net = Mlp::new(&[xs[0].len(), hidden, 1], Activation::Sigmoid, seed);
         train_rprop(&mut net, &data, cfg);
-        Some(Regressor {
+        Regressor {
             net,
             inputs,
             outputs,
-        })
+        }
     }
 
     /// Predict the target for one feature vector.
@@ -137,9 +125,9 @@ mod tests {
 
     #[test]
     fn training_is_bit_identical_per_seed() {
-        // The DSE surrogate's determinism story rests on this: the same
-        // seed and data must yield identical weights — so the whole
-        // model, and every prediction, must match bit for bit.
+        // Calibration is a pure function of platform and seed because of
+        // this: the same seed and data must yield identical weights — so
+        // the whole model, and every prediction, must match bit for bit.
         let samples: Vec<(Vec<f64>, f64)> = (0..30)
             .map(|i| {
                 let x = i as f64 / 30.0;
@@ -176,9 +164,10 @@ mod tests {
         let guarded = Regressor::fit(&samples, 4, 7, &TrainConfig::default());
         assert_eq!(clean, guarded);
         assert!(guarded.predict(&[0.5]).is_finite());
-        // All-poison data refuses to fit instead of panicking.
+        // All-poison data is refused, not fitted.
         let poison = vec![(vec![0.1], f64::NAN)];
-        assert!(Regressor::try_fit(&poison, 4, 7, &TrainConfig::default()).is_none());
-        assert!(Regressor::try_fit(&[], 4, 7, &TrainConfig::default()).is_none());
+        let fit =
+            std::panic::catch_unwind(|| Regressor::fit(&poison, 4, 7, &TrainConfig::default()));
+        assert!(fit.is_err());
     }
 }

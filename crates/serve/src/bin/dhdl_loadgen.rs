@@ -120,7 +120,6 @@ fn client_loop(
                 bench: pop.bench.to_string(),
                 points: 40,
                 seed: seed ^ n,
-                strategy: None,
                 num_fpgas: None,
             });
             req.header.tenant = format!("loadgen-{}", seed & 0xF);

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 
 use dhdl_core::ParamValues;
-use dhdl_dse::SearchStrategy;
 use dhdl_estimate::Estimate;
 use dhdl_target::AreaReport;
 use proptest::prelude::*;
@@ -18,8 +17,8 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::json::{Json, MAX_DEPTH};
 use crate::protocol::{
-    ok_response, params_from_json, params_to_json, write_error, write_estimate, write_rejected,
-    Header, Op, ProtoError, Request,
+    check_strategy, ok_response, params_from_json, params_to_json, write_error, write_estimate,
+    write_rejected, Header, Op, ProtoError, Request,
 };
 
 #[path = "../tests/support/hostile.rs"]
@@ -86,14 +85,12 @@ fn parse_reference(payload: &[u8]) -> Result<Request, ProtoError> {
                 params: params_from_json(params_obj)?,
             }
         }
-        "sweep" => Op::Sweep {
-            bench: bench("bench")?,
-            points: obj
-                .get("points")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ProtoError::new("bad_request", "missing integer `points`"))?
-                as usize,
-            seed: match obj.get("seed") {
+        "sweep" => {
+            let bench = bench("bench")?;
+            let points = obj.get("points").and_then(Json::as_u64);
+            let points =
+                points.ok_or_else(|| ProtoError::new("bad_request", "missing integer `points`"))?;
+            let seed = match obj.get("seed") {
                 None => 0xD5E,
                 Some(s) => s.as_u64().ok_or_else(|| {
                     ProtoError::new(
@@ -101,28 +98,20 @@ fn parse_reference(payload: &[u8]) -> Result<Request, ProtoError> {
                         "`seed` must be a non-negative integer below 9e15",
                     )
                 })?,
-            },
-            strategy: match obj.get("strategy") {
-                None => None,
-                Some(s) => {
-                    let name = s.as_str().ok_or_else(|| {
-                        ProtoError::new("bad_request", "`strategy` must be a string")
-                    })?;
-                    Some(
-                        SearchStrategy::parse(name)
-                            .map_err(|e| ProtoError::new("bad_request", e))?,
-                    )
-                }
-            },
-            num_fpgas: match obj.get("num_fpgas") {
+            };
+            if let Some(s) = obj.get("strategy") {
+                let name = s
+                    .as_str()
+                    .ok_or_else(|| ProtoError::new("bad_request", "`strategy` must be a string"))?;
+                check_strategy(name)?;
+            }
+            let num_fpgas = match obj.get("num_fpgas") {
                 None => None,
                 Some(k) => {
-                    let k = k
-                        .as_u64()
-                        .and_then(|k| u32::try_from(k).ok())
-                        .ok_or_else(|| {
-                            ProtoError::new("bad_request", "`num_fpgas` must be an integer")
-                        })?;
+                    let k = k.as_u64().and_then(|k| u32::try_from(k).ok());
+                    let k = k.ok_or_else(|| {
+                        ProtoError::new("bad_request", "`num_fpgas` must be an integer")
+                    })?;
                     if k == 0 {
                         return Err(ProtoError::new(
                             "bad_request",
@@ -131,8 +120,14 @@ fn parse_reference(payload: &[u8]) -> Result<Request, ProtoError> {
                     }
                     Some(k)
                 }
-            },
-        },
+            };
+            Op::Sweep {
+                bench,
+                points: points as usize,
+                seed,
+                num_fpgas,
+            }
+        }
         other => {
             return Err(ProtoError::new(
                 "unknown_op",
@@ -183,7 +178,6 @@ fn valid_requests() -> Vec<Request> {
                 bench: "gemm".into(),
                 points: 40,
                 seed: 8_999_999_999_999_999,
-                strategy: Some(SearchStrategy::parse("surrogate").unwrap()),
                 num_fpgas: Some(4),
             },
         },
@@ -427,15 +421,11 @@ fn render_reference(req: &Request) -> Vec<u8> {
             bench,
             points,
             seed,
-            strategy,
             num_fpgas,
         } => {
             map.insert("bench".to_string(), Json::Str(bench.clone()));
             map.insert("points".to_string(), Json::Num(*points as f64));
             map.insert("seed".to_string(), Json::Num(*seed as f64));
-            if let Some(s) = strategy {
-                map.insert("strategy".to_string(), Json::Str(s.name().to_string()));
-            }
             if let Some(k) = num_fpgas {
                 map.insert("num_fpgas".to_string(), Json::Num(f64::from(*k)));
             }
@@ -498,8 +488,6 @@ fn any_request(rng: &mut StdRng) -> Request {
             // Seeds beyond 2^53 render through `f64`, as they always did
             // (and the server refuses them).
             seed: rng.next_u64() >> rng.gen_range(0..64u32),
-            strategy: [None, Some("random"), Some("surrogate")][rng.gen_range(0..3usize)]
-                .map(|s| SearchStrategy::parse(s).unwrap()),
             num_fpgas: (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(1..=u32::MAX)),
         },
     };

@@ -12,7 +12,7 @@
 //! | `stats` | — | request/admission/cache counters |
 //! | `submit` | `bench` | design validated; legal-space size |
 //! | `estimate` | `bench`, `params` | bit-exact estimate for one point |
-//! | `sweep` | `bench`, `points`, `seed`, optional `strategy` and `num_fpgas` | full DSE result (points + front) |
+//! | `sweep` | `bench`, `points`, `seed`, optional `num_fpgas` | full DSE result (points + front) |
 //! | `shutdown` | — | begins graceful drain |
 //!
 //! Common header fields: `tenant` (admission-queue key, default
@@ -21,6 +21,11 @@
 //! expired work is cancelled, never silently completed). Members the
 //! parser does not know are skipped, so a client still sending the
 //! retired idempotency `key` gets the same answer as one that does not.
+//! Every sweep is a random sweep, but its retired `strategy` member is
+//! still read: `"random"` (trimmed, any case, or empty) gets the answer a
+//! request without it gets, and any other value is refused as
+//! `bad_request` instead of answered with a sweep the client did not
+//! ask for.
 //!
 //! ## Bit-exact floats
 //!
@@ -34,7 +39,7 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 
 use dhdl_core::ParamValues;
-use dhdl_dse::{DesignPoint, SearchStrategy};
+use dhdl_dse::DesignPoint;
 use dhdl_estimate::Estimate;
 use dhdl_target::AreaReport;
 
@@ -114,6 +119,9 @@ impl Default for Header {
 }
 
 /// The operation a request asks for.
+// `Estimate` holds its `ParamValues` inline: an `Op` lives for one
+// request, and boxing them would add an allocation to every cache hit.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Liveness/state probe.
@@ -143,10 +151,6 @@ pub enum Op {
         /// whose `seed` is not an exact integer below 9e15 is refused as
         /// `bad_request`; one without a `seed` uses `0xD5E`.
         seed: u64,
-        /// Search strategy (`random`/`surrogate` on the wire). `None`
-        /// leaves the choice to the server (its `DHDL_DSE_STRATEGY`
-        /// environment).
-        strategy: Option<SearchStrategy>,
         /// Maximum devices for the multi-FPGA partitioning axis. `None`
         /// or `Some(1)` sweeps the single-chip space (bit-identical to
         /// requests predating the field); `Some(k > 1)` adds the
@@ -250,10 +254,10 @@ impl Request {
                     params: params.values,
                 }
             }
-            "sweep" => Op::Sweep {
-                bench: bench()?,
-                points: f.points.ok_or_else(|| bad("missing integer `points`"))? as usize,
-                seed: match f.seed {
+            "sweep" => {
+                let bench = bench()?;
+                let points = f.points.ok_or_else(|| bad("missing integer `points`"))? as usize;
+                let seed = match f.seed {
                     None => 0xD5E,
                     // Numbers travel as `f64`: a seed that is not an exact
                     // integer there (2^53 and beyond) would run another
@@ -262,21 +266,27 @@ impl Request {
                         return Err(bad("`seed` must be a non-negative integer below 9e15"))
                     }
                     Some(Some(seed)) => seed,
-                },
-                strategy: match f.strategy {
-                    None => None,
+                };
+                match f.strategy {
+                    None => {}
                     Some(None) => return Err(bad("`strategy` must be a string")),
-                    Some(Some(name)) => Some(SearchStrategy::parse(&name).map_err(|e| bad(&e))?),
-                },
-                num_fpgas: match f.num_fpgas {
+                    Some(Some(name)) => check_strategy(&name)?,
+                }
+                let num_fpgas = match f.num_fpgas {
                     None => None,
                     Some(Some(0)) => return Err(bad("`num_fpgas` must be at least 1")),
                     Some(Some(k)) => {
                         Some(u32::try_from(k).map_err(|_| bad("`num_fpgas` must be an integer"))?)
                     }
                     Some(None) => return Err(bad("`num_fpgas` must be an integer")),
-                },
-            },
+                };
+                Op::Sweep {
+                    bench,
+                    points,
+                    seed,
+                    num_fpgas,
+                }
+            }
             other => {
                 return Err(ProtoError::new(
                     "unknown_op",
@@ -297,9 +307,8 @@ impl Request {
                 bench,
                 points,
                 seed,
-                strategy,
                 num_fpgas,
-            } => (Some(bench), None, Some((points, seed, strategy, num_fpgas))),
+            } => (Some(bench), None, Some((points, seed, num_fpgas))),
         };
         let mut out = Vec::with_capacity(160);
         let mut obj = ObjWriter::begin(&mut out);
@@ -320,15 +329,25 @@ impl Request {
             write_num(obj.key("points"), *points as f64);
         }
         write_num(obj.key("priority"), f64::from(self.header.priority));
-        if let Some((_, seed, ..)) = sweep {
+        if let Some((_, seed, _)) = sweep {
             write_num(obj.key("seed"), *seed as f64);
-        }
-        if let Some((_, _, Some(strategy), _)) = sweep {
-            write_str(obj.key("strategy"), strategy.name());
         }
         write_str(obj.key("tenant"), &self.header.tenant);
         obj.end();
         out
+    }
+}
+
+/// Accept the retired `strategy` member of a sweep only when it names the
+/// random sweep every sweep is: `random` in any case, or empty, around
+/// any whitespace. Any other value is refused, not swept at random.
+pub(crate) fn check_strategy(name: &str) -> Result<(), ProtoError> {
+    match name.trim().to_ascii_lowercase().as_str() {
+        "" | "random" => Ok(()),
+        _ => Err(ProtoError::new(
+            "bad_request",
+            format!("`strategy` `{name}` is not served: every sweep is `random`"),
+        )),
     }
 }
 
@@ -554,7 +573,6 @@ mod tests {
                     bench: "gemm".into(),
                     points: 300,
                     seed: 42,
-                    strategy: None,
                     num_fpgas: None,
                 },
             },
@@ -562,7 +580,6 @@ mod tests {
                 bench: "gemm".into(),
                 points: 40,
                 seed: 7,
-                strategy: Some(SearchStrategy::parse("surrogate").unwrap()),
                 num_fpgas: Some(4),
             }),
             Request::new(Op::Estimate {
@@ -589,6 +606,10 @@ mod tests {
             (br#"{"op":"warp"}"#, "unknown_op"),
             (br#"{"op":"sweep"}"#, "bad_request"),
             (br#"{"op":"sweep","bench":"gemm"}"#, "bad_request"),
+            (
+                br#"{"op":"sweep","bench":"gemm","points":10,"strategy":"surrogate"}"#,
+                "bad_request",
+            ),
             (
                 br#"{"op":"sweep","bench":"gemm","points":10,"strategy":"genetic"}"#,
                 "bad_request",

@@ -38,7 +38,7 @@ use dhdl_apps::Benchmark;
 use dhdl_core::{structural_hash, ParamValues};
 use dhdl_dse::{
     device_count, explore, model_fingerprint, params_key, with_silent_panics, CachedModel,
-    CostModel, DseOptions, EstimateCache, FaultConfig, FaultInjector, LegalSpace, SearchStrategy,
+    CostModel, DseOptions, EstimateCache, FaultConfig, FaultInjector, LegalSpace,
 };
 use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
@@ -522,7 +522,6 @@ fn dispatch(state: &State, req: &Request) -> Reply {
             bench,
             points,
             seed,
-            strategy,
             num_fpgas,
         } => handle_sweep(
             state,
@@ -530,7 +529,6 @@ fn dispatch(state: &State, req: &Request) -> Reply {
             bench,
             *points,
             *seed,
-            strategy.as_ref(),
             num_fpgas.unwrap_or(1),
         ),
     };
@@ -707,7 +705,6 @@ fn handle_sweep(
     bench_name: &str,
     points: usize,
     seed: u64,
-    strategy: Option<&SearchStrategy>,
     num_fpgas: u32,
 ) -> Reply {
     let Some(served) = state.served(bench_name) else {
@@ -733,9 +730,6 @@ fn handle_sweep(
         threads: state.cfg.sweep_threads,
         deadline,
         cache_salt: Some(served.salt()),
-        // The request's strategy wins; absent one, the server operator's
-        // DHDL_DSE_STRATEGY environment decides (default random).
-        strategy: strategy.cloned().unwrap_or_else(SearchStrategy::from_env),
         ..DseOptions::default()
     };
     let mut space = bench.param_space();
@@ -817,8 +811,11 @@ mod tests {
     /// The userland path of a request as `handle_conn` walks it, on
     /// buffers that outlive the request.
     fn serve(state: &State, payload: &[u8], frame: &mut FrameBuf) {
-        let request = Request::parse(payload).expect("a rendered request parses");
-        dispatch(state, &request).write(frame.start());
+        match Request::parse(payload) {
+            Ok(request) => dispatch(state, &request),
+            Err(e) => Reply::Error(e),
+        }
+        .write(frame.start());
     }
 
     #[test]
@@ -884,7 +881,6 @@ mod tests {
                 bench: "dotproduct".to_string(),
                 points: 40,
                 seed: 7,
-                strategy: None,
                 num_fpgas: None,
             },
         ] {
@@ -898,6 +894,47 @@ mod tests {
                 let keyed = [format!("{{\"key\":{key},").as_bytes(), &plain[1..]].concat();
                 assert_eq!(answer(&keyed), want, "{}", String::from_utf8_lossy(&keyed));
             }
+        }
+    }
+
+    #[test]
+    fn a_random_strategy_member_changes_no_response_byte_and_another_is_refused() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let state = &*server.state;
+        let mut frame = FrameBuf::default();
+        let mut answer = |payload: &[u8]| {
+            serve(state, payload, &mut frame);
+            frame.seal(DEFAULT_MAX_RESPONSE).unwrap()[4..].to_vec()
+        };
+        let plain = Request::new(Op::Sweep {
+            bench: "dotproduct".to_string(),
+            points: 40,
+            seed: 7,
+            num_fpgas: None,
+        })
+        .render();
+        let want = answer(&plain);
+        // Clients predating this protocol may name the sweep's strategy.
+        let with =
+            |value: &str| [format!("{{\"strategy\":{value},").as_bytes(), &plain[1..]].concat();
+        for value in ["\"random\"", "\" Random \"", "\"RANDOM\"", "\"\""] {
+            assert_eq!(answer(&with(value)), want, "strategy {value}");
+        }
+        // One that asked for another strategy is refused, not handed a
+        // random sweep.
+        for value in ["surrogate", "genetic"] {
+            let refused = Json::parse(&answer(&with(&format!("\"{value}\"")))).unwrap();
+            assert_eq!(refused.get("status").and_then(Json::as_str), Some("error"));
+            assert_eq!(
+                refused.get("code").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            let message = refused.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(&format!("`{value}`")), "{message}");
         }
     }
 

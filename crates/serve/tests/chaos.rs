@@ -124,7 +124,6 @@ fn chaotic_server_sweep_is_bit_identical_to_fault_free_in_process() {
         bench: BENCH.to_string(),
         points: POINTS,
         seed: SEED,
-        strategy: None,
         num_fpgas: None,
     });
     let resp = client.request_ok(&sweep).expect("sweep survives chaos");
@@ -185,7 +184,6 @@ fn deadline_truncates_and_retry_completes() {
         bench: BENCH.to_string(),
         points: POINTS,
         seed: SEED,
-        strategy: None,
         num_fpgas: None,
     });
     first.header.deadline_ms = Some(0);
@@ -287,7 +285,6 @@ fn estimates_of_multi_device_points_do_not_poison_later_sweeps() {
             bench: BENCH.to_string(),
             points: POINTS,
             seed: 1,
-            strategy: None,
             num_fpgas: Some(K),
         }))
         .unwrap();

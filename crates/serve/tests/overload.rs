@@ -45,7 +45,6 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
                         bench: "dotproduct".to_string(),
                         points: 150,
                         seed: 0x0DD + i,
-                        strategy: None,
                         num_fpgas: None,
                     });
                     req.header.tenant = format!("tenant-{i}");

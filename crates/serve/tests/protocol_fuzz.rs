@@ -177,7 +177,6 @@ fn a_sweep_seed_that_does_not_survive_f64_is_refused_not_replaced() {
             bench: "dotproduct".to_string(),
             points: 8,
             seed: seed.unwrap_or(0),
-            strategy: None,
             num_fpgas: None,
         })
         .render();

@@ -29,24 +29,11 @@ for b in table2 table3 table4 fig5 fig6 energy ablations; do
   cargo run -q -p dhdl-bench --bin dhdl --release -- "$b"
 done
 
-# Search-strategy comparison: the surrogate-guided DSE against the
-# random sweep at 10% of its budget (results/BENCH_dse.json). dsebench
-# exits nonzero — failing this script loudly — if the surrogate front's
-# hypervolume regresses below DHDL_DSEBENCH_FLOOR (default 90%) of the
-# random front's on any benchmark, or if its determinism re-run
-# diverges. Budget-capped via DHDL_DSEBENCH_POINTS; set it to 0 to skip.
-DHDL_DSEBENCH_POINTS="${DHDL_DSEBENCH_POINTS:-1500}"
-if [ "$DHDL_DSEBENCH_POINTS" -gt 0 ]; then
-  echo "=== dsebench (random@$DHDL_DSEBENCH_POINTS vs surrogate@10%) ==="
-  DHDL_DSEBENCH_POINTS="$DHDL_DSEBENCH_POINTS" \
-    cargo run -q -p dhdl-bench --bin dhdl --release -- dsebench
-fi
-
-# DNN workload frontier: conv2d + attention explored under both search
-# strategies, the best designs simulated under both simulator backends
-# with a bit-exact cross-check, and modeled speedups vs. the CPU model
-# (results/BENCH_dnn.json, byte-identical across re-runs and thread
-# counts). Set DHDL_DNN_POINTS=0 to skip.
+# DNN workload frontier: conv2d + attention swept, the best designs
+# simulated under both simulator backends with a bit-exact cross-check,
+# and modeled speedups vs. the CPU model (results/BENCH_dnn.json,
+# byte-identical across re-runs and thread counts). Set
+# DHDL_DNN_POINTS=0 to skip.
 DHDL_DNN_POINTS="${DHDL_DNN_POINTS:-2000}"
 if [ "$DHDL_DNN_POINTS" -gt 0 ]; then
   echo "=== dnnbench ==="
