@@ -1,9 +1,11 @@
 //! The properties the DSE miss path leans on, checked against the
 //! formulations they replaced: `structural_hash` keys exactly as the
 //! historical `Debug`-text hash did, the planned latency walk allocates
-//! nothing while agreeing with the reference walk, and a cold design
+//! nothing while agreeing with the reference walk, a cold design
 //! point — build, estimate, a whole `explore` — stays inside its heap
-//! allocation budget (DESIGN.md, "Node memory layout").
+//! allocation budget (DESIGN.md, "Node memory layout"), and the sweep's
+//! workers, which decode their own sample indices, evaluate exactly the
+//! assignments `LegalSpace::sample` lists.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,8 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dhdl_apps::Benchmark;
-use dhdl_core::{structural_hash, Design, Fnv64, Node, ParamValues};
-use dhdl_dse::{explore, DseOptions, LegalSpace};
+use dhdl_core::{structural_hash, Design, Fnv64, Node, ParamSpace, ParamValues};
+use dhdl_dse::{explore, DseOptions, DseResult, LegalSpace};
 use dhdl_estimate::{estimate_cycles, estimate_cycles_net, Estimator};
 use dhdl_synth::elaborate;
 use dhdl_target::Platform;
@@ -226,6 +228,122 @@ fn a_cold_point_stays_inside_its_allocation_budget() {
         ALL_THREADS.load(Ordering::Relaxed) - before > there,
         "the process-wide counter misses other threads"
     );
+}
+
+/// Every legal point of `space` in index order, built name by name in
+/// def order by an odometer over the legal values (the last def turns
+/// fastest) — the construction `LegalSpace::try_point` must equal.
+fn points_name_by_name(space: &ParamSpace) -> Vec<ParamValues> {
+    let legal: Vec<Vec<u64>> = space.defs().iter().map(|d| d.kind.legal_values()).collect();
+    let mut digits = vec![0usize; legal.len()];
+    let mut points = Vec::new();
+    loop {
+        points.push(
+            space
+                .defs()
+                .iter()
+                .zip(&legal)
+                .zip(&digits)
+                .fold(ParamValues::new(), |v, ((d, vals), &k)| {
+                    v.with(&d.name, vals[k])
+                }),
+        );
+        let Some(turn) = (0..legal.len())
+            .rev()
+            .find(|&i| digits[i] + 1 < legal[i].len())
+        else {
+            return points;
+        };
+        digits[turn] += 1;
+        digits[turn + 1..].iter_mut().for_each(|k| *k = 0);
+    }
+}
+
+/// The sweep decodes indices on its workers through `try_point`; the
+/// nine applications' 51 360 legal points decode to the assignments built
+/// name by name, and `sample_indices` decoded is `sample` on either side
+/// of the enumerate-everything cut-over.
+#[test]
+fn every_legal_point_decodes_to_its_name_by_name_assignment() {
+    let _alone = one_at_a_time();
+    let mut total = 0;
+    for b in b9() {
+        let space = b.param_space();
+        let ls = LegalSpace::new(&space);
+        let reference = points_name_by_name(&space);
+        assert_eq!(reference.len() as u128, ls.size(), "{}", b.name());
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(
+                ls.try_point(i as u128).as_ref(),
+                Some(want),
+                "{} #{i}",
+                b.name()
+            );
+        }
+        let size = reference.len();
+        for n in [size / 2, size - 1, size, size + 1, 3000] {
+            for seed in [1, 7] {
+                let indices = ls.sample_indices(n, seed);
+                let decoded: Vec<ParamValues> = indices
+                    .iter()
+                    .map(|&i| reference[i as usize].clone())
+                    .collect();
+                assert_eq!(decoded, ls.sample(n, seed), "{} n={n}", b.name());
+                if n >= size {
+                    assert!(indices.iter().copied().eq(0..size as u128));
+                } else {
+                    assert_eq!(indices.len(), n, "{} n={n}", b.name());
+                }
+            }
+        }
+        total += size;
+    }
+    assert_eq!(total, 51_360);
+}
+
+/// `explore` evaluates exactly the points `LegalSpace::sample` returns,
+/// in its order, for any thread count: the evaluated points and the
+/// discarded sample indices interleave back into the sample.
+#[test]
+fn explore_evaluates_the_sample_in_order_on_any_thread_count() {
+    let _alone = one_at_a_time();
+    let (estimator, _) = Estimator::calibrate_with(&Platform::maia(), 40, 7);
+    for b in b9() {
+        let space = b.param_space();
+        let sample = LegalSpace::new(&space).sample(3000, 1);
+        let build = |p: &ParamValues| b.build(p);
+        let runs: Vec<DseResult> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let opts = DseOptions {
+                    max_points: 3000,
+                    seed: 1,
+                    threads,
+                    ..DseOptions::default()
+                };
+                explore(build, &space, &estimator, &opts)
+            })
+            .collect();
+        let r = &runs[0];
+        assert!(!r.truncated);
+        assert_eq!(
+            r.points.len() + r.errors.len(),
+            sample.len(),
+            "{}",
+            b.name()
+        );
+        let mut points = r.points.iter();
+        let mut errors = r.errors.iter().map(|&(i, _)| i).peekable();
+        for (i, want) in sample.iter().enumerate() {
+            if errors.next_if_eq(&i).is_none() {
+                let got = points.next().expect("a point per sampled index");
+                assert_eq!(&got.params, want, "{} #{i}", b.name());
+            }
+        }
+        assert!(errors.next().is_none(), "{}: stray error index", b.name());
+        assert_eq!(runs[1], runs[0], "{}: 2 threads", b.name());
+        assert_eq!(runs[2], runs[0], "{}: 4 threads", b.name());
+    }
 }
 
 #[test]

@@ -232,7 +232,8 @@ impl OutcomeCounts {
         )
     }
 
-    fn record(&mut self, outcome: &PointOutcome) {
+    /// Count one outcome.
+    pub(crate) fn record(&mut self, outcome: &PointOutcome) {
         match outcome {
             PointOutcome::Evaluated { attempts, .. } => {
                 self.evaluated += 1;
@@ -264,15 +265,6 @@ impl OutcomeCounts {
             }
         }
     }
-
-    /// Tally a slice of outcomes.
-    pub(crate) fn tally(outcomes: &[PointOutcome]) -> Self {
-        let mut counts = OutcomeCounts::default();
-        for o in outcomes {
-            counts.record(o);
-        }
-        counts
-    }
 }
 
 /// Performance accounting for one sweep: wall-clock time, throughput
@@ -283,7 +275,10 @@ impl OutcomeCounts {
 /// fast they ran or how many cache hits they took.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepStats {
-    /// Wall-clock seconds spent evaluating points.
+    /// Wall-clock seconds of the whole sweep: the [`crate::explore`] call
+    /// from sampling to the assembled result, and after
+    /// [`crate::refine`] also each of its rounds, from candidate
+    /// generation to the new front.
     pub elapsed_secs: f64,
     /// Points successfully evaluated in this sweep.
     pub evaluated: usize,
@@ -353,29 +348,69 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Evaluate `batch` in parallel, one [`PointOutcome`] per input position
-/// (`outcomes[i]` belongs to `batch[i]`), plus the sweep's timing and
-/// cache accounting.
+/// What the workers of one [`evaluate`] call produced: each worker's
+/// outcomes tagged with their positions, plus the batch's cache
+/// accounting.
+pub(crate) struct WorkerOutcomes {
+    /// Positions in the batch.
+    n: usize,
+    /// One list per worker, each sorted by position (a worker claims
+    /// ascending positions).
+    per_worker: Vec<Vec<(usize, PointOutcome)>>,
+    /// Estimate-cache counter deltas over the batch, when the model has
+    /// a cache ([`CostModel::cache_stats`]).
+    pub(crate) cache: Option<CacheStats>,
+}
+
+impl WorkerOutcomes {
+    /// The outcomes in position order, each moved out of its worker's
+    /// list once; a position no worker claimed is
+    /// [`PointOutcome::Skipped`].
+    pub(crate) fn into_ordered(self) -> impl ExactSizeIterator<Item = PointOutcome> {
+        // Which worker holds each position, then every list drains front
+        // to back: positions are disjoint and each list is sorted.
+        let mut owner = vec![usize::MAX; self.n];
+        for (w, list) in self.per_worker.iter().enumerate() {
+            for &(pos, _) in list {
+                owner[pos] = w;
+            }
+        }
+        let mut lists: Vec<_> = self.per_worker.into_iter().map(Vec::into_iter).collect();
+        owner.into_iter().map(move |w| match lists.get_mut(w) {
+            Some(list) => {
+                list.next()
+                    .expect("a worker holds every position it claimed")
+                    .1
+            }
+            None => PointOutcome::Skipped,
+        })
+    }
+}
+
+/// Evaluate the `n` positions of a batch in parallel: each worker claims
+/// a position, decodes its parameter assignment with `decode` and
+/// evaluates it. [`WorkerOutcomes::into_ordered`] yields one [`PointOutcome`]
+/// per position.
 ///
 /// Workers claim positions in order, so when `deadline` passes and they
 /// stop claiming, the evaluated outcomes are a prefix of the batch and
 /// each equals what an uninterrupted call computes for that position;
 /// the unclaimed remainder comes back as [`PointOutcome::Skipped`].
-pub(crate) fn evaluate<F, E>(
+pub(crate) fn evaluate<F, D, E>(
     build: &F,
     estimator: &E,
-    batch: &[&ParamValues],
+    n: usize,
+    decode: D,
     opts: &DseOptions,
     deadline: Option<Instant>,
-) -> (Vec<PointOutcome>, SweepStats)
+) -> WorkerOutcomes
 where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
+    D: Fn(usize) -> ParamValues + Sync,
     E: CostModel + ?Sized,
 {
-    let _span = dhdl_obs::span_arg("dse.evaluate", "points", batch.len() as u64);
-    let start = Instant::now();
+    let _span = dhdl_obs::span_arg("dse.evaluate", "points", n as u64);
     let cache_before = estimator.cache_stats();
-    let n = batch.len();
     let threads = resolve_threads(opts.threads).min(n.max(1));
     let next = AtomicUsize::new(0);
     let per_worker: Vec<Vec<(usize, PointOutcome)>> = std::thread::scope(|s| {
@@ -398,7 +433,7 @@ where
                         }
                         let outcome = {
                             let _t = dhdl_obs::histogram!("dse.point.eval_ns").timer();
-                            evaluate_one(build, estimator, batch[pos], opts)
+                            evaluate_one(build, estimator, decode(pos), opts)
                         };
                         local.push((pos, outcome));
                     }
@@ -411,29 +446,19 @@ where
             .map(|h| h.join().expect("sweep worker panicked outside isolation"))
             .collect()
     });
-    let mut outcomes = vec![PointOutcome::Skipped; n];
-    for (i, outcome) in per_worker.into_iter().flatten() {
-        outcomes[i] = outcome;
-    }
-    let stats = SweepStats {
-        elapsed_secs: start.elapsed().as_secs_f64(),
-        evaluated: outcomes
-            .iter()
-            .filter(|o| matches!(o, PointOutcome::Evaluated { .. }))
-            .count(),
+    WorkerOutcomes {
+        n,
+        per_worker,
         cache: estimator.cache_stats().map(|after| match cache_before {
             Some(before) => after.since(&before),
             None => after,
         }),
-    };
-    (outcomes, stats)
+    }
 }
 
-/// What one isolated evaluation attempt produced (the point in place,
-/// as in [`PointOutcome`]).
-#[allow(clippy::large_enum_variant)]
+/// What one isolated evaluation attempt produced.
 enum Attempt {
-    Point(DesignPoint),
+    Point { est: Estimate, valid: bool },
     Build(String),
     MemCap { bits: u64, cap_bits: u64 },
     NonFinite,
@@ -447,13 +472,22 @@ enum Attempt {
 fn evaluate_one<F, E>(
     build: &F,
     estimator: &E,
-    params: &ParamValues,
+    params: ParamValues,
     opts: &DseOptions,
 ) -> PointOutcome
 where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
     E: CostModel + ?Sized,
 {
+    let evaluated = |params, est: Estimate, valid, attempts| PointOutcome::Evaluated {
+        point: DesignPoint {
+            params,
+            cycles: est.cycles,
+            area: est.area,
+            valid,
+        },
+        attempts,
+    };
     // Warm fast path: a memoized parameter key skips design construction
     // and structural hashing outright. Only successfully evaluated
     // (finite, under-mem-cap) assignments ever enter the memo, and the
@@ -462,23 +496,15 @@ where
     // hits bypass transient faults, as all cache hits do).
     let params_key = opts
         .cache_salt
-        .map(|salt| crate::cache::params_key(salt, params));
+        .map(|salt| crate::cache::params_key(salt, &params));
     // The device count is an ordinary parameter of the assignment, so it
     // is already part of `params_key` — the warm fast path below
     // distinguishes device counts for free.
-    let devices = device_count(params);
+    let devices = device_count(&params);
     if let Some(pk) = params_key {
         if let Some(est) = estimator.lookup_params(pk) {
             let valid = est.area.fits(&estimator.platform().fpga);
-            return PointOutcome::Evaluated {
-                point: DesignPoint {
-                    params: params.clone(),
-                    cycles: est.cycles,
-                    area: est.area,
-                    valid,
-                },
-                attempts: 1,
-            };
+            return evaluated(params, est, valid, 1);
         }
     }
     let max_attempts = opts.retries.saturating_add(1);
@@ -486,7 +512,7 @@ where
     loop {
         attempts += 1;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let design = match build(params) {
+            let design = match build(&params) {
                 Ok(d) => d,
                 Err(e) => return Attempt::Build(e.to_string()),
             };
@@ -501,16 +527,11 @@ where
                 return Attempt::NonFinite;
             }
             let valid = est.area.fits(&estimator.platform().fpga);
-            Attempt::Point(DesignPoint {
-                params: params.clone(),
-                cycles: est.cycles,
-                area: est.area,
-                valid,
-            })
+            Attempt::Point { est, valid }
         }));
         match result {
-            Ok(Attempt::Point(point)) => {
-                return PointOutcome::Evaluated { point, attempts };
+            Ok(Attempt::Point { est, valid }) => {
+                return evaluated(params, est, valid, attempts);
             }
             Ok(Attempt::Build(msg)) => {
                 return PointOutcome::Discarded(DseError::Build(msg));
@@ -630,14 +651,20 @@ mod tests {
             assert!(p != &panic_on, "injected build panic");
             tiny_build(p)
         };
-        let batch: Vec<&ParamValues> = samples.iter().collect();
-        let (outcomes, stats) = evaluate(&build, &est, &batch, &opts, None);
-        assert_eq!(outcomes.len(), samples.len());
-        assert_eq!(stats.evaluated, samples.len() - 1);
-        assert!(stats.elapsed_secs >= 0.0);
+        let workers = evaluate(
+            &build,
+            &est,
+            samples.len(),
+            |i| samples[i].clone(),
+            &opts,
+            None,
+        );
         // A bare Estimator carries no cache.
-        assert!(stats.cache.is_none());
-        let counts = OutcomeCounts::tally(&outcomes);
+        assert!(workers.cache.is_none());
+        let outcomes: Vec<PointOutcome> = workers.into_ordered().collect();
+        assert_eq!(outcomes.len(), samples.len());
+        let mut counts = OutcomeCounts::default();
+        outcomes.iter().for_each(|o| counts.record(o));
         assert_eq!(counts.eval_failed, 1);
         assert_eq!(counts.evaluated, samples.len() - 1);
         match &outcomes[1] {

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 use dhdl_core::{Design, ParamSpace, ParamValues};
 use dhdl_target::AreaReport;
 
+use crate::cache::CacheStats;
 use crate::pareto::pareto_front;
 use crate::runner::{self, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
 use crate::space::LegalSpace;
@@ -139,17 +140,18 @@ impl DseResult {
         self.pareto.iter().map(|&i| &self.points[i])
     }
 
-    /// Assemble a result from per-sample outcomes in sample order.
+    /// Assemble a result from per-sample outcomes in sample order; the
+    /// caller fills in [`SweepStats::elapsed_secs`].
     fn from_outcomes(
-        outcomes: Vec<PointOutcome>,
+        outcomes: impl ExactSizeIterator<Item = PointOutcome>,
         space_size: u128,
-        truncated: bool,
-        stats: SweepStats,
+        cache: Option<CacheStats>,
     ) -> Self {
-        let counts = OutcomeCounts::tally(&outcomes);
-        let mut points = Vec::with_capacity(counts.evaluated);
+        let mut counts = OutcomeCounts::default();
+        let mut points = Vec::with_capacity(outcomes.len());
         let mut errors = Vec::new();
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for (i, outcome) in outcomes.enumerate() {
+            counts.record(&outcome);
             match outcome {
                 PointOutcome::Evaluated { point, .. } => points.push(point),
                 PointOutcome::Discarded(err) => errors.push((i, err)),
@@ -164,8 +166,12 @@ impl DseResult {
             discarded: counts.discarded(),
             counts,
             errors,
-            truncated,
-            stats,
+            truncated: counts.skipped > 0,
+            stats: SweepStats {
+                elapsed_secs: 0.0,
+                evaluated: counts.evaluated,
+                cache,
+            },
         }
     }
 }
@@ -194,13 +200,28 @@ where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
     E: CostModel + ?Sized,
 {
+    let start = Instant::now();
     let legal = LegalSpace::new(space);
-    let samples = legal.sample(opts.max_points, opts.seed);
+    let indices = {
+        let _span = dhdl_obs::span!("dse.sample");
+        legal.sample_indices(opts.max_points, opts.seed)
+    };
     let deadline = opts.deadline.map(|d| Instant::now() + d);
-    let batch: Vec<&ParamValues> = samples.iter().collect();
-    let (outcomes, stats) = runner::evaluate(&build, estimator, &batch, opts, deadline);
-    let truncated = outcomes.iter().any(|o| matches!(o, PointOutcome::Skipped));
-    DseResult::from_outcomes(outcomes, legal.size(), truncated, stats)
+    let outcomes = runner::evaluate(
+        &build,
+        estimator,
+        indices.len(),
+        |i| legal.point(indices[i]),
+        opts,
+        deadline,
+    );
+    let mut result = {
+        let _span = dhdl_obs::span!("dse.assemble");
+        let cache = outcomes.cache;
+        DseResult::from_outcomes(outcomes.into_ordered(), legal.size(), cache)
+    };
+    result.stats.elapsed_secs = start.elapsed().as_secs_f64();
+    result
 }
 
 /// Refine a DSE result with local search: for every Pareto point, evaluate
@@ -229,6 +250,7 @@ where
     let mut errors = result.errors.clone();
     let mut stats = result.stats;
     for _ in 0..rounds {
+        let round_start = Instant::now();
         let frontier: Vec<ParamValues> = pareto.iter().map(|&i| points[i].params.clone()).collect();
         let mut candidates = Vec::new();
         for params in frontier {
@@ -253,12 +275,18 @@ where
             }
         }
         let any_new = !candidates.is_empty();
-        let batch: Vec<&ParamValues> = candidates.iter().collect();
-        let (outcomes, round_stats) = runner::evaluate(&build, estimator, &batch, opts, None);
-        stats.absorb(round_stats);
-        let round_counts = OutcomeCounts::tally(&outcomes);
-        counts = merge_counts(counts, round_counts);
-        for outcome in outcomes {
+        let outcomes = runner::evaluate(
+            &build,
+            estimator,
+            candidates.len(),
+            |i| candidates[i].clone(),
+            opts,
+            None,
+        );
+        let cache = outcomes.cache;
+        let evaluated_before = counts.evaluated;
+        for outcome in outcomes.into_ordered() {
+            counts.record(&outcome);
             match outcome {
                 PointOutcome::Evaluated { point, .. } => points.push(point),
                 // Refinement candidates have no stable sample index;
@@ -270,6 +298,11 @@ where
         let new_pareto = pareto_front(&point_tuples(&points));
         let improved = new_pareto != pareto;
         pareto = new_pareto;
+        stats.absorb(SweepStats {
+            elapsed_secs: round_start.elapsed().as_secs_f64(),
+            evaluated: counts.evaluated - evaluated_before,
+            cache,
+        });
         if !any_new || !improved {
             break;
         }
@@ -283,17 +316,6 @@ where
         errors,
         truncated: result.truncated,
         stats,
-    }
-}
-
-fn merge_counts(a: OutcomeCounts, b: OutcomeCounts) -> OutcomeCounts {
-    OutcomeCounts {
-        evaluated: a.evaluated + b.evaluated,
-        build_failed: a.build_failed + b.build_failed,
-        mem_cap: a.mem_cap + b.mem_cap,
-        eval_failed: a.eval_failed + b.eval_failed,
-        recovered: a.recovered + b.recovered,
-        skipped: a.skipped + b.skipped,
     }
 }
 

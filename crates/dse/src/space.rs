@@ -67,26 +67,34 @@ impl LegalSpace {
 
     /// Draw up to `n` distinct legal points uniformly at random
     /// ("we randomly generate estimates for up to 75,000 legal points to
-    /// give a representative view of the entire design space", §IV-C).
+    /// give a representative view of the entire design space", §IV-C):
+    /// [`LegalSpace::sample_indices`], decoded.
     pub fn sample(&self, n: usize, seed: u64) -> Vec<ParamValues> {
+        self.sample_indices(n, seed)
+            .into_iter()
+            .map(|i| self.point(i))
+            .collect()
+    }
+
+    /// The linear indices [`LegalSpace::sample`] decodes, in the same
+    /// order: every index `0..size` when the space holds at most `n`
+    /// points, else up to `n` distinct seeded draws. Every index is below
+    /// [`LegalSpace::size`].
+    pub fn sample_indices(&self, n: usize, seed: u64) -> Vec<u128> {
         let size = self.size();
         if size <= n as u128 {
-            return self.enumerate();
+            return (0..size).collect();
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut seen = BTreeSet::new();
         let mut out = Vec::with_capacity(n);
-        // Rejection sampling with a generous retry budget. Indices are
-        // decoded through the checked `try_point`, so a bad draw can
-        // never abort the sweep.
+        // Rejection sampling with a generous retry budget.
         let mut tries = 0usize;
         while out.len() < n && tries < n * 20 {
             tries += 1;
             let idx = rng.gen_range(0..u64::MAX) as u128 % size;
             if seen.insert(idx) {
-                if let Some(p) = self.try_point(idx) {
-                    out.push(p);
-                }
+                out.push(idx);
             }
         }
         out

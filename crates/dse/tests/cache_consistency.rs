@@ -253,10 +253,12 @@ fn observation_never_perturbs_sweep_results() {
 
     // And the observed sweeps actually recorded something.
     let report = dhdl_obs::recorder().snapshot();
-    assert!(
-        report.spans.iter().any(|s| s.name == "dse.evaluate"),
-        "no dse.evaluate span recorded"
-    );
+    for name in ["dse.sample", "dse.evaluate", "dse.assemble"] {
+        assert!(
+            report.spans.iter().any(|s| s.name == name),
+            "no {name} span recorded"
+        );
+    }
     assert!(
         report.spans.iter().any(|s| s.name == "estimate_net"),
         "no estimate_net span recorded"
