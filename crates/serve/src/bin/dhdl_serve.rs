@@ -1,16 +1,20 @@
 //! `dhdl-serve`: run the DSE-as-a-service server until SIGTERM/SIGINT
 //! (or a `shutdown` op), then drain gracefully and exit 0.
 //!
-//! All configuration comes from `DHDL_SERVE_*` environment knobs (see
-//! the README's environment table); `DHDL_OBS` arms the observability
-//! layer as everywhere else in the workspace.
+//! The binary reads one knob, `DHDL_SERVE_ADDR` (the listen address;
+//! `127.0.0.1:0` picks a port), and serves every other setting at its
+//! [`ServerConfig`] default. `DHDL_OBS` arms the observability layer as
+//! everywhere else in the workspace.
 
 use dhdl_serve::{Server, ServerConfig};
 
 fn main() {
     dhdl_obs::init_from_env();
     dhdl_serve::signal::install_handlers();
-    let cfg = ServerConfig::from_env();
+    let mut cfg = ServerConfig::default();
+    if let Ok(addr) = std::env::var("DHDL_SERVE_ADDR") {
+        cfg.addr = addr;
+    }
     let server = match Server::bind(cfg) {
         Ok(s) => s,
         Err(e) => {

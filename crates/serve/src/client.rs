@@ -161,7 +161,13 @@ impl Client {
         let payload = req.render();
         let mut last_io: Option<io::Error> = None;
         let mut last_reject: Option<String> = None;
+        let mut floor_ms = 0;
         for attempt in 0..self.policy.max_attempts {
+            if attempt > 0 {
+                // Back off before each retry, never after the last attempt.
+                let delay = self.policy.delay(attempt - 1, floor_ms, &mut self.rng);
+                std::thread::sleep(delay);
+            }
             match self.attempt(&payload) {
                 Ok(resp) => match resp.get("status").and_then(Json::as_str) {
                     Some("rejected") => {
@@ -171,18 +177,16 @@ impl Client {
                             .and_then(Json::as_str)
                             .unwrap_or("rejected")
                             .to_string();
-                        let floor = resp
-                            .get("retry_after_ms")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0);
                         // Draining never clears; retrying would only
                         // stretch the drain window.
                         if code == "draining" {
                             return Err(ClientError::Rejected(code));
                         }
+                        floor_ms = resp
+                            .get("retry_after_ms")
+                            .and_then(Json::as_u64)
+                            .unwrap_or(0);
                         last_reject = Some(code);
-                        let delay = self.policy.delay(attempt, floor, &mut self.rng);
-                        std::thread::sleep(delay);
                     }
                     Some(_) => return Ok(resp),
                     None => {
@@ -200,8 +204,7 @@ impl Client {
                         FrameError::Io(e) => e,
                         other => io::Error::other(other.to_string()),
                     });
-                    let delay = self.policy.delay(attempt, 0, &mut self.rng);
-                    std::thread::sleep(delay);
+                    floor_ms = 0;
                 }
             }
         }
@@ -299,6 +302,35 @@ mod tests {
         assert_eq!(client.transport_retries, 1);
         drop(client);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn the_last_failed_attempt_returns_without_backing_off() {
+        use std::net::TcpListener;
+        use std::time::Instant;
+
+        use crate::protocol::Op;
+
+        // A port that was just bound and released refuses connections.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            base: Duration::from_millis(400),
+            cap: Duration::from_millis(400),
+            ..RetryPolicy::default()
+        };
+        let mut client = Client::new(addr, policy);
+        let t0 = Instant::now();
+        let result = client.request(&Request::new(Op::Health));
+        let elapsed = t0.elapsed();
+        assert!(matches!(result, Err(ClientError::Io(_))), "{result:?}");
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "a spent budget still waited {elapsed:?}"
+        );
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //! * [`signal`] — SIGTERM/SIGINT drain: stop accepting, let in-flight
 //!   sweeps finish or hit their deadlines, flush the obs sinks, exit 0.
 //!
-//! Binaries: `dhdl-serve` (the server) and `dhdl-loadgen` (a
-//! Zipf-skewed mixed-benchmark load generator measuring p50/p99, used
-//! by the CI smoke job and `results/BENCH_serve.json`).
+//! Binary: `dhdl-serve`, the server at [`ServerConfig::default`] with
+//! its listen address from `DHDL_SERVE_ADDR`.
 
 #![warn(missing_docs)]
 
@@ -57,4 +56,4 @@ pub use protocol::{
     bits_str, parse_bits, point_from_json, point_to_json, Header, Op, ProtoError, Request,
     PROTOCOL_VERSION,
 };
-pub use server::{parse_faults, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

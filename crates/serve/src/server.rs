@@ -20,8 +20,9 @@
 //!   interrupted attempt estimated come back from the shared
 //!   [`EstimateCache`] through the params memo;
 //! * **chaos** — the connection-level [`ChaosConfig`] and the
-//!   evaluation-level [`FaultInjector`] can be armed from the
-//!   environment; the chaos suite asserts results stay bit-identical.
+//!   evaluation-level [`FaultInjector`] are armed through
+//!   [`ServerConfig`]'s `chaos` and `faults` fields; the chaos suite
+//!   asserts results stay bit-identical.
 //!
 //! Drain (SIGTERM, SIGINT, or the `shutdown` op) stops the accept loop,
 //! rejects new work with `draining`, lets in-flight connections finish
@@ -55,19 +56,20 @@ use crate::protocol::{
 };
 use crate::signal;
 
-/// Everything configurable about a [`Server`].
+/// Everything configurable about a [`Server`]. The `dhdl-serve` binary
+/// sets only `addr` (from `DHDL_SERVE_ADDR`); tests set the rest.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Listen address (`DHDL_SERVE_ADDR`; `127.0.0.1:0` picks a port).
+    /// Listen address (`127.0.0.1:0` picks a port).
     pub addr: String,
-    /// Admission bounds (`DHDL_SERVE_QUEUE_CAP` sets the per-tenant cap).
+    /// Admission bounds.
     pub admission: AdmissionConfig,
-    /// Connection-level chaos (`DHDL_SERVE_CHAOS`).
+    /// Connection-level chaos.
     pub chaos: ChaosConfig,
-    /// Evaluation-level fault injection (`DHDL_SERVE_FAULTS`).
+    /// Evaluation-level fault injection.
     pub faults: Option<FaultConfig>,
     /// Per-connection socket read timeout: an idle or stalled peer is
-    /// disconnected after this long (`DHDL_SERVE_TIMEOUT_MS`).
+    /// disconnected after this long.
     pub read_timeout: Duration,
     /// Per-connection socket write timeout.
     pub write_timeout: Duration,
@@ -76,13 +78,12 @@ pub struct ServerConfig {
     /// Maximum response frame; larger responses become a structured
     /// `response_too_large` error.
     pub max_response: usize,
-    /// Cap on `points` accepted by a sweep request
-    /// (`DHDL_SERVE_MAX_POINTS`).
+    /// Cap on `points` accepted by a sweep request.
     pub max_sweep_points: usize,
     /// Worker threads per sweep (`0` = all cores).
     pub sweep_threads: usize,
-    /// Default deadline applied when a request carries none
-    /// (`DHDL_SERVE_DEADLINE_MS`; `None` = unbounded).
+    /// Default deadline applied when a request carries none (`None` =
+    /// unbounded).
     pub default_deadline: Option<Duration>,
     /// Estimator calibration sample count (kept small so startup is
     /// fast; calibration is deterministic in the seed).
@@ -109,97 +110,6 @@ impl Default for ServerConfig {
             calib_seed: 7,
         }
     }
-}
-
-impl ServerConfig {
-    /// Build a config from the `DHDL_SERVE_*` environment knobs (see the
-    /// README's environment table); unset knobs keep their defaults.
-    pub fn from_env() -> Self {
-        let mut cfg = ServerConfig::default();
-        let get = |k: &str| std::env::var(k).ok();
-        if let Some(v) = get("DHDL_SERVE_ADDR") {
-            cfg.addr = v;
-        }
-        let parse_usize = |k: &str, into: &mut usize| {
-            if let Some(v) = get(k) {
-                match v.parse() {
-                    Ok(n) => *into = n,
-                    Err(_) => eprintln!("warning: {k}={v} is not an integer; keeping default"),
-                }
-            }
-        };
-        parse_usize("DHDL_SERVE_QUEUE_CAP", &mut cfg.admission.tenant_cap);
-        parse_usize("DHDL_SERVE_GLOBAL_CAP", &mut cfg.admission.global_cap);
-        parse_usize("DHDL_SERVE_SWEEP_CAP", &mut cfg.admission.sweep_cap);
-        parse_usize("DHDL_SERVE_MAX_POINTS", &mut cfg.max_sweep_points);
-        parse_usize("DHDL_SERVE_THREADS", &mut cfg.sweep_threads);
-        if let Some(v) = get("DHDL_SERVE_DEADLINE_MS") {
-            match v.parse() {
-                Ok(ms) => cfg.default_deadline = Some(Duration::from_millis(ms)),
-                Err(_) => eprintln!("warning: DHDL_SERVE_DEADLINE_MS={v} is not an integer"),
-            }
-        }
-        if let Some(v) = get("DHDL_SERVE_TIMEOUT_MS") {
-            match v.parse() {
-                Ok(ms) => {
-                    cfg.read_timeout = Duration::from_millis(ms);
-                    cfg.write_timeout = Duration::from_millis(ms);
-                }
-                Err(_) => eprintln!("warning: DHDL_SERVE_TIMEOUT_MS={v} is not an integer"),
-            }
-        }
-        cfg.chaos = ChaosConfig::from_env();
-        if let Some(v) = get("DHDL_SERVE_FAULTS") {
-            match parse_faults(&v) {
-                Ok(f) => cfg.faults = Some(f),
-                Err(e) => eprintln!("warning: DHDL_SERVE_FAULTS: {e}; faults stay off"),
-            }
-        }
-        cfg
-    }
-}
-
-/// Parse the `DHDL_SERVE_FAULTS` knob:
-/// `"panic=0.05,nan=0.01,spike=0.02,spike_ms=5,seed=9,hard=1"`.
-///
-/// # Errors
-///
-/// Returns a description of the offending clause.
-pub fn parse_faults(s: &str) -> Result<FaultConfig, String> {
-    let mut cfg = FaultConfig::default();
-    for clause in s.split(',').filter(|c| !c.trim().is_empty()) {
-        let (k, v) = clause
-            .split_once('=')
-            .ok_or_else(|| format!("fault clause `{clause}` is not key=value"))?;
-        let rate = || -> Result<f64, String> {
-            let r: f64 = v
-                .parse()
-                .map_err(|_| format!("fault rate `{v}` is not a number"))?;
-            if !(0.0..=1.0).contains(&r) {
-                return Err(format!("fault rate `{v}` outside [0,1]"));
-            }
-            Ok(r)
-        };
-        match k.trim() {
-            "panic" => cfg.panic_rate = rate()?,
-            "nan" => cfg.nan_rate = rate()?,
-            "spike" => cfg.spike_rate = rate()?,
-            "spike_ms" => {
-                cfg.spike = Duration::from_millis(
-                    v.parse()
-                        .map_err(|_| format!("spike_ms `{v}` is not an integer"))?,
-                )
-            }
-            "seed" => {
-                cfg.seed = v
-                    .parse()
-                    .map_err(|_| format!("seed `{v}` is not an integer"))?
-            }
-            "hard" => cfg.transient = v != "1" && v != "true",
-            other => return Err(format!("unknown fault key `{other}`")),
-        }
-    }
-    Ok(cfg)
 }
 
 #[derive(Debug, Default)]

@@ -5,12 +5,10 @@
 
 use std::time::Duration;
 
-use dhdl_dse::{device_count, explore, DesignPoint, DseOptions};
+use dhdl_dse::{device_count, explore, DesignPoint, DseOptions, FaultConfig};
 use dhdl_estimate::{Estimate, Estimator};
 use dhdl_serve::json::Json;
-use dhdl_serve::{
-    parse_faults, ChaosConfig, Client, Op, Request, RetryPolicy, Server, ServerConfig,
-};
+use dhdl_serve::{ChaosConfig, Client, Op, Request, RetryPolicy, Server, ServerConfig};
 use dhdl_target::Platform;
 
 /// The server's calibration recipe, repeated in-process so both sides
@@ -95,8 +93,18 @@ fn chaotic_server_sweep_is_bit_identical_to_fault_free_in_process() {
     // panics underneath the runner.
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        chaos: ChaosConfig::parse("drop=0.15,trunc=0.1,stall=0.05,stall_ms=3,seed=11").unwrap(),
-        faults: Some(parse_faults("panic=0.05,seed=9").unwrap()),
+        chaos: ChaosConfig {
+            seed: 11,
+            drop_rate: 0.15,
+            truncate_rate: 0.1,
+            stall_rate: 0.05,
+            stall: Duration::from_millis(3),
+        },
+        faults: Some(FaultConfig {
+            seed: 9,
+            panic_rate: 0.05,
+            ..FaultConfig::default()
+        }),
         read_timeout: Duration::from_secs(2),
         write_timeout: Duration::from_secs(2),
         ..ServerConfig::default()

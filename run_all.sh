@@ -53,25 +53,10 @@ if [ "$DHDL_PART_POINTS" -gt 0 ]; then
     cargo run -q -p dhdl-bench --bin dhdl --release -- partbench
 fi
 
-# DSE-as-a-service smoke: a few seconds of Zipf-skewed multi-tenant
-# traffic against a live dhdl-serve instance, recording throughput and
-# hit/miss latency percentiles (results/BENCH_serve.json). The load
-# generator exits nonzero on any protocol violation, then drains the
-# server via the shutdown op; `wait` propagates the server's exit code.
-# Set DHDL_LOADGEN_SECS=0 to skip.
-DHDL_LOADGEN_SECS="${DHDL_LOADGEN_SECS:-5}"
-if [ "$DHDL_LOADGEN_SECS" -gt 0 ]; then
-  echo "=== serve smoke (${DHDL_LOADGEN_SECS}s) ==="
-  SERVE_ADDR="${DHDL_SERVE_ADDR:-127.0.0.1:7561}"
-  DHDL_SERVE_ADDR="$SERVE_ADDR" target/release/dhdl-serve &
-  SERVE_PID=$!
-  for _ in $(seq 1 120); do
-    if (exec 3<>"/dev/tcp/${SERVE_ADDR%:*}/${SERVE_ADDR#*:}") 2>/dev/null; then
-      break
-    fi
-    sleep 0.5
-  done
-  DHDL_SERVE_ADDR="$SERVE_ADDR" DHDL_LOADGEN_SECS="$DHDL_LOADGEN_SECS" \
-    DHDL_LOADGEN_SHUTDOWN=1 target/release/dhdl-loadgen
-  wait "$SERVE_PID"
-fi
+# DSE-as-a-service smoke: the benchmark's two serve workloads, two
+# seconds each, against a `dhdl-serve` child. Each exits nonzero on any
+# response that is not `ok`, carries the wrong `cached` flag, or differs
+# by a bit from the in-process estimate.
+echo "=== serve smoke ==="
+bash benchmark/run.sh --workload serve_hot --seed 1 --seconds 2 --trace 0
+bash benchmark/run.sh --workload serve_cold --seed 1 --seconds 2 --trace 0

@@ -149,14 +149,22 @@ fn the_device_model_crate_is_present() {
     }
 }
 
-/// Every `DHDL_[A-Z0-9_]+` name in `text` that directly follows `open`
-/// and is directly followed by `close`.
-fn knob_names(text: &str, open: char, close: char, into: &mut BTreeSet<String>) {
-    for (at, _) in text.match_indices("DHDL_") {
-        let name: String = text[at..]
+/// Every `DHDL_[A-Z0-9_]+` name in `text`, with the byte offset it
+/// starts at.
+fn knob_mentions(text: &str) -> impl Iterator<Item = (usize, String)> + '_ {
+    text.match_indices("DHDL_").map(|(at, _)| {
+        let name = text[at..]
             .chars()
             .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
             .collect();
+        (at, name)
+    })
+}
+
+/// Every knob name in `text` that directly follows `open` and is
+/// directly followed by `close`.
+fn knob_names(text: &str, open: char, close: char, into: &mut BTreeSet<String>) {
+    for (at, name) in knob_mentions(text) {
         if text[..at].ends_with(open) && text[at + name.len()..].starts_with(close) {
             into.insert(name);
         }
@@ -174,12 +182,9 @@ fn rust_sources(dir: &Path, into: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
-    // The property: docs ≡ code. A knob is a `"DHDL_*"` string literal
-    // under `crates/`; a documented knob is a backticked name in the
-    // first cell of a row of README.md's environment table.
-    let root = repo_root();
+/// The knobs the code reads: every `"DHDL_*"` string literal under
+/// `crates/`.
+fn knobs_read(root: &Path) -> BTreeSet<String> {
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
     let mut read = BTreeSet::new();
@@ -191,19 +196,54 @@ fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
             &mut read,
         );
     }
+    read
+}
+
+#[test]
+fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
+    // The property: docs ≡ code. A documented knob is a backticked name
+    // in the first cell of a row of README.md's environment table.
+    let root = repo_root();
+    let read = knobs_read(&root);
     let mut documented = BTreeSet::new();
     let readme = fs::read_to_string(root.join("README.md")).expect("read README.md");
     for row in readme.lines().filter(|l| l.starts_with("| `DHDL_")) {
         let first_cell = row[1..].split('|').next().unwrap_or("");
         knob_names(first_cell, '`', '`', &mut documented);
     }
-    assert!(read.len() >= 25, "knob scan found only {read:?}");
+    assert!(read.len() >= 11, "knob scan found only {read:?}");
     let undocumented: Vec<_> = read.difference(&documented).collect();
     let stale: Vec<_> = documented.difference(&read).collect();
     assert!(
         undocumented.is_empty() && stale.is_empty(),
         "README.md environment table is out of step with the code: \
          read but undocumented {undocumented:?}, documented but never read {stale:?}"
+    );
+}
+
+#[test]
+fn every_knob_the_code_reads_has_a_setter() {
+    // A knob is configuration only if something sets it: CI, the
+    // experiment script, the verification notes or the benchmark. One
+    // that nothing sets is a default nobody changes — make it a constant
+    // or a field the tests set instead.
+    let root = repo_root();
+    let mut setter_files = vec![
+        root.join(".github/workflows/ci.yml"),
+        root.join("run_all.sh"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    rust_sources(&root.join("benchmark/src"), &mut setter_files);
+    let mut set = BTreeSet::new();
+    for path in &setter_files {
+        let text =
+            fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        set.extend(knob_mentions(&text).map(|(_, name)| name));
+    }
+    let unset: Vec<_> = knobs_read(&root).difference(&set).cloned().collect();
+    assert!(
+        unset.is_empty(),
+        "knobs the code reads that nothing sets: {unset:?}"
     );
 }
 
