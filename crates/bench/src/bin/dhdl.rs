@@ -291,8 +291,8 @@ fn explore_flags(rest: &[String]) -> (Option<usize>, Option<usize>) {
 fn explore(bench: &dyn Benchmark, rest: &[String]) {
     let (points, num_fpgas) = explore_flags(rest);
     let mut harness = harness(0xC12, points.unwrap_or(1_000));
-    // The flag wins over DHDL_DSE_NUM_FPGAS; > 1 adds the `num_fpgas`
-    // partitioning axis to the swept space.
+    // `--num-fpgas` > 1 adds the `num_fpgas` partitioning axis to the
+    // swept space.
     if let Some(k) = num_fpgas {
         harness.num_fpgas = k.clamp(1, u32::MAX as usize) as u32;
     }

@@ -16,14 +16,13 @@
 //! the `random` sweep, so readers of the file's earlier two-entry shape
 //! keep working.
 
-use std::fmt::Write as _;
-
 use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
 use dhdl_dse::DseResult;
+use dhdl_obs::json::Json;
 
 use crate::experiments::{mean_errors, Harness};
-use crate::report::{pct, times, Report, Table};
+use crate::report::{fixed, pct, times, Report, Table};
 
 /// Harness seed of the DNN frontier run.
 pub const SEED: u64 = 0xD4D2;
@@ -89,11 +88,20 @@ fn sweep_run(
     let best = dse
         .best()
         .unwrap_or_else(|| panic!("{}: no valid design found", bench.name()));
-    let mut csv = String::from("params,cycles,alm_frac,dsp_frac,bram_frac\n");
+    let mut csv = Table::new(&["params", "cycles", "alm_frac", "dsp_frac", "bram_frac"]);
     for (p, c, a, d, b) in &front {
-        let _ = writeln!(csv, "\"{p}\",{c:.0},{a:.4},{d:.4},{b:.4}");
+        csv.row(&[
+            p.clone(),
+            format!("{c:.0}"),
+            format!("{a:.4}"),
+            format!("{d:.4}"),
+            format!("{b:.4}"),
+        ]);
     }
-    let path = report.file(&format!("dnn_front_{}_random.csv", bench.name()), csv);
+    let path = report.file(
+        &format!("dnn_front_{}_random.csv", bench.name()),
+        csv.to_csv(),
+    );
     report.say(format_args!(
         "  random: {} evaluated, {} on front, best {:.0} cycles (wrote {})",
         dse.counts.evaluated,
@@ -110,66 +118,57 @@ fn sweep_run(
     }
 }
 
-fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) -> String {
-    let errors_json = |[a, d, b, r]: [f64; 4]| {
-        format!("{{\"alm\": {a:.4}, \"dsp\": {d:.4}, \"bram\": {b:.4}, \"runtime\": {r:.4}}}")
+fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) -> Json {
+    let errors = |[a, d, b, r]: [f64; 4]| {
+        Json::obj([
+            ("alm", fixed(a, 4)),
+            ("dsp", fixed(d, 4)),
+            ("bram", fixed(b, 4)),
+            ("runtime", fixed(r, 4)),
+        ])
     };
-    let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"seed\": {seed},\n  \"points\": {points},");
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"space_size\": {},",
-            r.name, r.space_size
-        );
+    let benchmarks = records.iter().map(|r| {
         let s = &r.sweep;
-        let _ = write!(
-            json,
-            "     \"strategies\": [\n       {{\"strategy\": \"random\", \"evaluated\": {}, \
-             \"valid\": {}, \"best_params\": \"{}\", \"best_cycles\": {:.0}, \"front\": [",
-            s.evaluated, s.valid, s.best_params, s.best_cycles
-        );
-        for (k, (p, c, a, d, b)) in s.front.iter().enumerate() {
-            let _ = write!(
-                json,
-                "{}{{\"params\": \"{p}\", \"cycles\": {c:.0}, \"alm\": {a:.4}, \
-                 \"dsp\": {d:.4}, \"bram\": {b:.4}}}",
-                if k > 0 { ", " } else { "" }
-            );
-        }
-        json.push_str("]}\n     ],\n");
-        let bitid = r
+        let front = s.front.iter().map(|(p, c, a, d, b)| {
+            Json::obj([
+                ("params", Json::Str(p.clone())),
+                ("cycles", fixed(*c, 0)),
+                ("alm", fixed(*a, 4)),
+                ("dsp", fixed(*d, 4)),
+                ("bram", fixed(*b, 4)),
+            ])
+        });
+        let random = Json::obj([
+            ("strategy", Json::Str("random".to_string())),
+            ("evaluated", Json::Num(s.evaluated as f64)),
+            ("valid", Json::Num(s.valid as f64)),
+            ("best_params", Json::Str(s.best_params.clone())),
+            ("best_cycles", fixed(s.best_cycles, 0)),
+            ("front", Json::Arr(front.collect())),
+        ]);
+        let bit_identical = r
             .backends
             .as_ref()
-            .map_or("null".to_string(), |b| b.is_ok().to_string());
-        let _ = writeln!(
-            json,
-            "     \"sim_cycles\": {:.0}, \"backends_bit_identical\": {bitid},",
-            r.sim_cycles
-        );
-        let _ = writeln!(
-            json,
-            "     \"fpga_ms\": {:.4}, \"cpu_model_ms\": {:.4}, \"speedup\": {:.3},",
-            r.fpga_s * 1e3,
-            r.cpu_s * 1e3,
-            r.speedup
-        );
-        let _ = writeln!(json, "     \"bottleneck\": \"{}\",", r.bottleneck);
-        let _ = writeln!(
-            json,
-            "     \"model_errors\": {}}}{}",
-            errors_json(r.errors),
-            if i + 1 < records.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"mean_model_errors\": {}\n}}",
-        errors_json(mean_errors)
-    );
-    json
+            .map_or(Json::Null, |b| Json::Bool(b.is_ok()));
+        Json::obj([
+            ("name", Json::Str(r.name.clone())),
+            ("space_size", Json::Num(r.space_size as f64)),
+            ("strategies", Json::Arr(vec![random])),
+            ("sim_cycles", fixed(r.sim_cycles, 0)),
+            ("backends_bit_identical", bit_identical),
+            ("fpga_ms", fixed(r.fpga_s * 1e3, 4)),
+            ("cpu_model_ms", fixed(r.cpu_s * 1e3, 4)),
+            ("speedup", fixed(r.speedup, 3)),
+            ("bottleneck", Json::Str(r.bottleneck.clone())),
+            ("model_errors", errors(r.errors)),
+        ])
+    });
+    Json::obj([
+        ("seed", Json::Num(seed as f64)),
+        ("points", Json::Num(points as f64)),
+        ("benchmarks", Json::Arr(benchmarks.collect())),
+        ("mean_model_errors", errors(mean_errors)),
+    ])
 }
 
 /// Run the frontier over `benches` on `harness`, measuring model error
@@ -270,7 +269,7 @@ pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usi
     ));
     report.wrote(
         "BENCH_dnn.json",
-        json(harness.dse.seed, points, &records, mean),
+        json(harness.dse.seed, points, &records, mean).render() + "\n",
     );
     DnnBench {
         mean_errors: mean,

@@ -5,8 +5,6 @@
 //! model over synthesized area, versus the 95 W TDP Xeon E5-2630 running
 //! the modeled CPU time.
 
-use std::fmt::Write as _;
-
 use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
 use dhdl_synth::synthesize;
@@ -47,7 +45,14 @@ pub fn energy(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Energy {
         "Energy advantage",
         "Perf advantage",
     ]);
-    let mut csv = String::from("benchmark,fpga_w,fpga_j,cpu_w,cpu_j,energy_ratio\n");
+    let mut csv = Table::new(&[
+        "benchmark",
+        "fpga_w",
+        "fpga_j",
+        "cpu_w",
+        "cpu_j",
+        "energy_ratio",
+    ]);
     let mut advantages = Vec::new();
     for bench in benches {
         eprintln!("exploring {} ...", bench.name());
@@ -74,22 +79,20 @@ pub fn energy(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Energy {
             times(cpu_j / fpga_j),
             times(cpu_s / fpga_s),
         ]);
-        let _ = writeln!(
-            csv,
-            "{},{:.4},{:.6e},{:.1},{:.6e},{:.3}",
-            bench.name(),
-            fpga_w,
-            fpga_j,
-            XEON_TDP_W,
-            cpu_j,
-            cpu_j / fpga_j
-        );
+        csv.row(&[
+            bench.name().to_string(),
+            format!("{fpga_w:.4}"),
+            format!("{fpga_j:.6e}"),
+            format!("{XEON_TDP_W:.1}"),
+            format!("{cpu_j:.6e}"),
+            format!("{:.3}", cpu_j / fpga_j),
+        ]);
         advantages.push(cpu_j / fpga_j);
     }
     let mut report = Report::default();
     report.say("\nEnergy efficiency of best generated designs vs the 6-core CPU\n");
     report.say(t.render());
     report.say("(FPGA power from the Stratix V power model over synthesized area; CPU at TDP.)");
-    report.wrote("energy.csv", csv);
+    report.wrote("energy.csv", csv.to_csv());
     Energy { advantages, report }
 }

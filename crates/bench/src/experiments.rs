@@ -45,8 +45,8 @@ pub struct Harness {
     pub estimator: Estimator,
     /// DSE options (sample budget, seed, memory cap).
     pub dse: DseOptions,
-    /// Maximum devices for the multi-FPGA DSE axis (`DHDL_DSE_NUM_FPGAS`
-    /// or `--num-fpgas`; default 1 = single-chip). When `> 1`,
+    /// Maximum devices for the multi-FPGA DSE axis (`dhdl explore
+    /// --num-fpgas`; default 1 = single-chip). When `> 1`,
     /// [`Harness::explore`] adds the `num_fpgas` parameter to every
     /// benchmark's space; at 1 the space — and therefore every sweep
     /// artifact — is byte-identical to a build that never heard of
@@ -63,10 +63,8 @@ impl Harness {
     ///
     /// Sweep resilience knobs come from the environment so every
     /// experiment driver shares them: `DHDL_DSE_THREADS` (worker
-    /// threads, 0 = all cores), `DHDL_DSE_DEADLINE_MS` (wall-clock
-    /// budget per sweep) and `DHDL_DSE_NUM_FPGAS` (maximum devices for
-    /// the multi-FPGA partitioning axis; default 1 keeps sweeps
-    /// bit-identical to the single-chip toolchain). Sweeps estimate every point with the bare
+    /// threads, 0 = all cores) and `DHDL_DSE_DEADLINE_MS` (wall-clock
+    /// budget per sweep). Sweeps estimate every point with the bare
     /// estimator: no experiment revisits enough points in one process
     /// for [`dhdl_dse::CachedModel`] to pay for its hashing.
     pub fn new(seed: u64, dse_points: usize) -> Self {
@@ -74,7 +72,6 @@ impl Harness {
         let estimator = Estimator::calibrate(&platform, seed);
         let threads = knob("DHDL_DSE_THREADS").unwrap_or(0);
         let deadline = knob("DHDL_DSE_DEADLINE_MS").map(std::time::Duration::from_millis);
-        let num_fpgas = knob("DHDL_DSE_NUM_FPGAS").unwrap_or(1).max(1);
         Harness {
             platform,
             estimator,
@@ -85,7 +82,7 @@ impl Harness {
                 deadline,
                 ..DseOptions::default()
             },
-            num_fpgas,
+            num_fpgas: 1,
         }
     }
 

@@ -8,7 +8,6 @@
 //! Pareto front).
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use dhdl_apps::Benchmark;
 use dhdl_dse::{frontier_along, ResourceAxis};
@@ -61,9 +60,16 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
         // CSV: one row per point with all three panels' coordinates, the
         // (cycles, ALM) front highlighted across panels as in the paper,
         // plus the per-axis frontiers.
-        let mut csv = String::from(
-            "alm_frac,dsp_frac,bram_frac,cycles,valid,pareto,pareto_dsp,pareto_bram\n",
-        );
+        let mut csv = Table::new(&[
+            "alm_frac",
+            "dsp_frac",
+            "bram_frac",
+            "cycles",
+            "valid",
+            "pareto",
+            "pareto_dsp",
+            "pareto_bram",
+        ]);
         let pareto: BTreeSet<usize> = dse.pareto.iter().copied().collect();
         let dsp_front: BTreeSet<usize> = frontier_along(&dse, ResourceAxis::Dsps)
             .into_iter()
@@ -71,6 +77,7 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
         let bram_front: BTreeSet<usize> = frontier_along(&dse, ResourceAxis::Brams)
             .into_iter()
             .collect();
+        let flag = |on: bool| u8::from(on).to_string();
         let mut scatter = Vec::new();
         for (i, p) in dse.points.iter().enumerate() {
             let (a, d, b) = p.area.utilization(target);
@@ -79,18 +86,19 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
             } else {
                 u8::from(p.valid)
             };
-            let _ = writeln!(
-                csv,
-                "{a:.4},{d:.4},{b:.4},{:.0},{},{},{},{}",
-                p.cycles,
-                u8::from(p.valid),
-                u8::from(pareto.contains(&i)),
-                u8::from(dsp_front.contains(&i)),
-                u8::from(bram_front.contains(&i))
-            );
+            csv.row(&[
+                format!("{a:.4}"),
+                format!("{d:.4}"),
+                format!("{b:.4}"),
+                format!("{:.0}", p.cycles),
+                flag(p.valid),
+                flag(pareto.contains(&i)),
+                flag(dsp_front.contains(&i)),
+                flag(bram_front.contains(&i)),
+            ]);
             scatter.push((a, p.cycles, class));
         }
-        let path = r.file(&format!("fig5_{}.csv", bench.name()), csv);
+        let path = r.file(&format!("fig5_{}.csv", bench.name()), csv.to_csv());
         r.say(format_args!(
             "\n=== {} ({} pts, wrote {}) ===",
             bench.name(),

@@ -7,8 +7,6 @@
 //! reported alongside for reference (they are host-specific and not used
 //! for the normalized comparison).
 
-use std::fmt::Write as _;
-
 use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
 use dhdl_dse::refine;
@@ -57,7 +55,13 @@ pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
         "Host CPU (ms, measured)",
         "Best params",
     ]);
-    let mut csv = String::from("benchmark,fpga_s,cpu_model_s,speedup,paper_speedup\n");
+    let mut csv = Table::new(&[
+        "benchmark",
+        "fpga_s",
+        "cpu_model_s",
+        "speedup",
+        "paper_speedup",
+    ]);
     let mut speedups = Vec::new();
     for bench in benches {
         eprintln!("exploring {} ...", bench.name());
@@ -97,16 +101,18 @@ pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
             format!("{:.3}", host.elapsed.as_secs_f64() * 1e3),
             best.params.to_string(),
         ]);
-        let _ = writeln!(
-            csv,
-            "{},{fpga_s:.6e},{cpu_s:.6e},{speedup:.3},{paper:.3}",
-            bench.name()
-        );
+        csv.row(&[
+            bench.name().to_string(),
+            format!("{fpga_s:.6e}"),
+            format!("{cpu_s:.6e}"),
+            format!("{speedup:.3}"),
+            format!("{paper:.3}"),
+        ]);
         speedups.push(speedup);
     }
     let mut report = Report::default();
     report.say("\nFigure 6: speedups of most performant FPGA designs over the 6-core CPU\n");
     report.say(t.render());
-    report.wrote("fig6.csv", csv);
+    report.wrote("fig6.csv", csv.to_csv());
     Fig6 { speedups, report }
 }

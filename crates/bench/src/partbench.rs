@@ -16,14 +16,13 @@
 //! The gate fails unless at least one configuration is rescued at K=2
 //! *and* at K=4 — the acceptance gate for the partitioning axis.
 
-use std::fmt::Write as _;
-
 use dhdl_apps::{Benchmark, Conv2d, Gda, Gemm};
 use dhdl_core::ParamSpace;
 use dhdl_dse::{device_count, explore, DseOptions, DseResult};
+use dhdl_obs::json::Json;
 
 use crate::experiments::Harness;
-use crate::report::{pct, Report, Table};
+use crate::report::{fixed, pct, Report, Table};
 
 /// Harness seed — shared with the part-smoke CI job.
 pub const SEED: u64 = 0x9A27;
@@ -105,9 +104,12 @@ struct Run {
     front_size: usize,
     /// Best (min-cycles) valid point, if any: `(params, cycles)`.
     best: Option<(String, f64)>,
-    /// Front points rescued by partitioning: on this front with
-    /// `num_fpgas > 1` and unpartitioned-infeasible on one device.
-    rescued: Vec<Rescue>,
+    /// Front points rescued by partitioning — on this front with
+    /// `num_fpgas > 1` and unpartitioned-infeasible on one device — with
+    /// the estimator's view of why, as `BENCH_part.json` records them.
+    rescued: Vec<Json>,
+    /// Largest share of a rescued point's cycles spent on the links.
+    worst_link: f64,
     /// All configurations partitioning made feasible, on the front or
     /// not: valid at `num_fpgas > 1`, infeasible on one device. A
     /// nonzero count with an empty `rescued` list means the cut buys
@@ -115,20 +117,6 @@ struct Run {
     /// single-chip design (the honest outcome for workloads whose
     /// fastest tilings already fit).
     rescued_total: usize,
-}
-
-/// A configuration partitioning made feasible, with the estimator's
-/// view of why.
-struct Rescue {
-    params: String,
-    devices: u32,
-    devices_used: u32,
-    cycles: f64,
-    link_cycles: f64,
-    /// Worst per-device utilization after the cut (ALM, DSP, BRAM).
-    part_util: (f64, f64, f64),
-    /// Unpartitioned single-device utilization (the infeasible one).
-    whole_util: (f64, f64, f64),
 }
 
 fn sweep(harness: &Harness, sc: &Scenario, k: u32) -> DseResult {
@@ -149,7 +137,7 @@ fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult) -> Run {
     let target = &harness.platform.fpga;
     let on_front: std::collections::BTreeSet<usize> = dse.pareto.iter().copied().collect();
     let mut rescued = Vec::new();
-    let mut rescued_total = 0usize;
+    let (mut rescued_total, mut worst_link) = (0usize, 0.0f64);
     for (i, p) in dse.points.iter().enumerate() {
         let devices = device_count(&p.params);
         if !p.valid || devices <= 1 {
@@ -171,15 +159,23 @@ fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult) -> Run {
             continue;
         }
         let pe = harness.estimator.estimate_partitioned(&design, devices);
-        rescued.push(Rescue {
-            params: p.params.to_string(),
-            devices,
-            devices_used: pe.devices_used,
-            cycles: pe.estimate.cycles,
-            link_cycles: pe.link_cycles,
-            part_util: pe.estimate.area.utilization(target),
-            whole_util: whole.area.utilization(target),
-        });
+        worst_link = worst_link.max(pe.link_cycles / pe.estimate.cycles);
+        rescued.push(Json::obj([
+            ("params", Json::Str(p.params.to_string())),
+            ("devices", Json::Num(f64::from(devices))),
+            ("devices_used", Json::Num(f64::from(pe.devices_used))),
+            ("cycles", fixed(pe.estimate.cycles, 0)),
+            ("link_cycles", fixed(pe.link_cycles, 0)),
+            // Worst device after the cut, and the one device that failed.
+            (
+                "per_device_util",
+                util_json(pe.estimate.area.utilization(target)),
+            ),
+            (
+                "single_device_util",
+                util_json(whole.area.utilization(target)),
+            ),
+        ]));
     }
     let valid = dse.points.iter().filter(|p| p.valid).count();
     let best = dse.best().map(|p| (p.params.to_string(), p.cycles));
@@ -191,69 +187,55 @@ fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult) -> Run {
         front_size: dse.pareto.len(),
         best,
         rescued,
+        worst_link,
         rescued_total,
     }
 }
 
-fn util_json(u: (f64, f64, f64)) -> String {
-    format!(
-        "{{\"alm\": {:.4}, \"dsp\": {:.4}, \"bram\": {:.4}}}",
-        u.0, u.1, u.2
-    )
+fn util_json((alm, dsp, bram): (f64, f64, f64)) -> Json {
+    Json::obj([
+        ("alm", fixed(alm, 4)),
+        ("dsp", fixed(dsp, 4)),
+        ("bram", fixed(bram, 4)),
+    ])
 }
 
-fn json(seed: u64, points: usize, records: &[(String, String, u128, Vec<Run>)]) -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"seed\": {seed},\n  \"points\": {points},");
-    json.push_str("  \"scenarios\": [\n");
-    for (i, (name, dataset, space_size, runs)) in records.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"dataset\": \"{dataset}\", \"space_size\": {space_size},"
-        );
-        json.push_str("     \"runs\": [\n");
-        for (j, r) in runs.iter().enumerate() {
-            let best = r.best.as_ref().map_or("null".to_string(), |(p, c)| {
-                format!("{{\"params\": \"{p}\", \"cycles\": {c:.0}}}")
-            });
-            let _ = write!(
-                json,
-                "       {{\"k\": {}, \"evaluated\": {}, \"valid\": {}, \"infeasible\": {}, \
-                 \"front_size\": {}, \"best\": {best}, \"rescued_total\": {}, \"rescued\": [",
-                r.k, r.evaluated, r.valid, r.infeasible, r.front_size, r.rescued_total
-            );
-            for (m, resc) in r.rescued.iter().enumerate() {
-                let _ = write!(
-                    json,
-                    "{}{{\"params\": \"{}\", \"devices\": {}, \"devices_used\": {}, \
-                     \"cycles\": {:.0}, \"link_cycles\": {:.0}, \
-                     \"per_device_util\": {}, \"single_device_util\": {}}}",
-                    if m > 0 { ", " } else { "" },
-                    resc.params,
-                    resc.devices,
-                    resc.devices_used,
-                    resc.cycles,
-                    resc.link_cycles,
-                    util_json(resc.part_util),
-                    util_json(resc.whole_util),
-                );
-            }
-            let _ = writeln!(json, "]}}{}", if j + 1 < runs.len() { "," } else { "" });
-        }
-        let _ = writeln!(
-            json,
-            "     ]}}{}",
-            if i + 1 < records.len() { "," } else { "" }
-        );
-    }
+fn run_json(r: &Run) -> Json {
+    let best = r.best.as_ref().map_or(Json::Null, |(p, c)| {
+        Json::obj([("params", Json::Str(p.clone())), ("cycles", fixed(*c, 0))])
+    });
+    Json::obj([
+        ("k", Json::Num(f64::from(r.k))),
+        ("evaluated", Json::Num(r.evaluated as f64)),
+        ("valid", Json::Num(r.valid as f64)),
+        ("infeasible", Json::Num(r.infeasible as f64)),
+        ("front_size", Json::Num(r.front_size as f64)),
+        ("best", best),
+        ("rescued_total", Json::Num(r.rescued_total as f64)),
+        ("rescued", Json::Arr(r.rescued.clone())),
+    ])
+}
+
+fn json(seed: u64, points: usize, records: &[(String, String, u128, Vec<Run>)]) -> Json {
+    let scenarios = records.iter().map(|(name, dataset, space_size, runs)| {
+        Json::obj([
+            ("name", Json::Str(name.clone())),
+            ("dataset", Json::Str(dataset.clone())),
+            ("space_size", Json::Num(*space_size as f64)),
+            ("runs", Json::Arr(runs.iter().map(run_json).collect())),
+        ])
+    });
     let total: usize = records
         .iter()
         .flat_map(|(_, _, _, runs)| runs.iter())
         .map(|r| r.rescued.len())
         .sum();
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"total_rescued\": {total}\n}}");
-    json
+    Json::obj([
+        ("seed", Json::Num(seed as f64)),
+        ("points", Json::Num(points as f64)),
+        ("scenarios", Json::Arr(scenarios.collect())),
+        ("total_rescued", Json::Num(total as f64)),
+    ])
 }
 
 /// Sweep each of `scenarios` at K=1, 2 and 4 with the harness's budget,
@@ -309,11 +291,6 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
     ]);
     for (name, _, _, runs) in &records {
         for r in runs {
-            let link = r
-                .rescued
-                .iter()
-                .map(|resc| resc.link_cycles / resc.cycles)
-                .fold(0.0f64, f64::max);
             t.row(&[
                 name.clone(),
                 r.k.to_string(),
@@ -326,14 +303,17 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
                 if r.rescued.is_empty() {
                     "-".to_string()
                 } else {
-                    pct(link)
+                    pct(r.worst_link)
                 },
             ]);
         }
     }
     r.say("\nMulti-FPGA partitioning: feasibility fronts\n");
     r.say(t.render());
-    r.wrote("BENCH_part.json", json(harness.dse.seed, points, &records));
+    r.wrote(
+        "BENCH_part.json",
+        json(harness.dse.seed, points, &records).render() + "\n",
+    );
 
     // The acceptance gate: partitioning must rescue at least one
     // over-capacity configuration at each opened device count.

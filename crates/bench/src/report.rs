@@ -6,6 +6,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
+use dhdl_obs::json::Json;
+
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -181,6 +183,16 @@ pub fn times(x: f64) -> String {
 /// Format a fraction as a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
+}
+
+/// `x` rounded to `digits` decimals as a JSON number: the value
+/// `format!("{x:.digits$}")` prints.
+pub fn fixed(x: f64, digits: usize) -> Json {
+    Json::Num(
+        format!("{x:.digits$}")
+            .parse()
+            .expect("a formatted f64 parses"),
+    )
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! the same inner loop parallelization factor").
 //!
 //! The pseudo-parameter `num_fpgas` sweeps the multi-FPGA partitioning
-//! axis (powers of two up to `DHDL_DSE_NUM_FPGAS`, default 8): the
+//! axis (powers of two up to 8): the
 //! design is built at its defaults and re-estimated per device count
 //! through the partitioning pass.
 
@@ -28,9 +28,7 @@ pub fn sweep(harness: &Harness, bench: &dyn Benchmark, param: &str) -> Result<Re
     let space = bench.param_space();
     let multi = param == NUM_FPGAS;
     let kind = if multi {
-        ParamKind::Devices {
-            max: u64::from(harness.num_fpgas.max(8)),
-        }
+        ParamKind::Devices { max: 8 }
     } else if let Some(def) = space.defs().iter().find(|d| d.name == param) {
         def.kind.clone()
     } else {

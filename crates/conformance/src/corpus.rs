@@ -19,6 +19,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use dhdl_core::{DType, PrimOp, ReduceOp};
+use dhdl_obs::json::{bits_str, parse_bits};
 
 use crate::dnn::{DnnKind, DnnSpec};
 use crate::gen::{DesignSpec, MapStep, Operand};
@@ -161,16 +162,6 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusCase)>, String> {
         .collect()
 }
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn f64_from_hex(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad float bits `{s}`: {e}"))
-}
-
 fn ty_text(ty: DType) -> String {
     match ty {
         DType::F32 => "f32".to_string(),
@@ -250,7 +241,7 @@ fn reduce_parse(s: &str) -> Result<Option<ReduceOp>, String> {
 
 fn operand_text(o: Operand) -> String {
     match o {
-        Operand::Lit(c) => format!("l:{}", f64_hex(c)),
+        Operand::Lit(c) => format!("l:{}", bits_str(c)),
         Operand::Second => "y".to_string(),
         Operand::Index => "i".to_string(),
     }
@@ -261,7 +252,9 @@ fn operand_parse(s: &str) -> Result<Operand, String> {
         "y" => Ok(Operand::Second),
         "i" => Ok(Operand::Index),
         other => match other.strip_prefix("l:") {
-            Some(bits) => Ok(Operand::Lit(f64_from_hex(bits)?)),
+            Some(bits) => Ok(Operand::Lit(
+                parse_bits(bits).ok_or_else(|| format!("bad float bits `{bits}`"))?,
+            )),
             None => Err(format!("unrecognized operand `{other}`")),
         },
     }
@@ -277,7 +270,7 @@ fn steps_text(steps: &[MapStep]) -> String {
             MapStep::Bin { op, rhs } => format!("bin:{}:{}", prim_text(*op), operand_text(*rhs)),
             MapStep::Un { op } => format!("un:{}", prim_text(*op)),
             MapStep::Select { thresh, rhs } => {
-                format!("sel:{}:{}", f64_hex(*thresh), operand_text(*rhs))
+                format!("sel:{}:{}", bits_str(*thresh), operand_text(*rhs))
             }
         })
         .collect::<Vec<_>>()
@@ -311,7 +304,8 @@ fn steps_parse(s: &str) -> Result<Vec<MapStep>, String> {
                         .split_once(':')
                         .ok_or_else(|| format!("malformed sel step `{item}`"))?;
                     Ok(MapStep::Select {
-                        thresh: f64_from_hex(thresh)?,
+                        thresh: parse_bits(thresh)
+                            .ok_or_else(|| format!("bad float bits `{thresh}`"))?,
                         rhs: operand_parse(rhs)?,
                     })
                 }
@@ -439,7 +433,7 @@ pub fn dnn_from_line(line: &str) -> Result<DnnSpec, String> {
 
 fn pat_rhs_text(r: PatRhs) -> String {
     match r {
-        PatRhs::Lit(c) => format!("l:{}", f64_hex(c)),
+        PatRhs::Lit(c) => format!("l:{}", bits_str(c)),
         PatRhs::In0 => "in0".to_string(),
         PatRhs::In1 => "in1".to_string(),
     }
@@ -450,7 +444,9 @@ fn pat_rhs_parse(s: &str) -> Result<PatRhs, String> {
         "in0" => Ok(PatRhs::In0),
         "in1" => Ok(PatRhs::In1),
         other => match other.strip_prefix("l:") {
-            Some(bits) => Ok(PatRhs::Lit(f64_from_hex(bits)?)),
+            Some(bits) => Ok(PatRhs::Lit(
+                parse_bits(bits).ok_or_else(|| format!("bad float bits `{bits}`"))?,
+            )),
             None => Err(format!("unrecognized pattern rhs `{other}`")),
         },
     }

@@ -1,34 +1,34 @@
-//! A minimal, std-only JSON codec: one recursive-descent parser and one
-//! deterministic byte writer, with the [`Json`] tree built on both.
+//! The workspace's one JSON codec: a std-only recursive-descent parser
+//! and a deterministic byte writer, with the [`Json`] tree built on both.
 //!
-//! The wire protocol needs exactly this much JSON and no more: objects
-//! (written with sorted keys so frames are byte-deterministic), arrays,
-//! strings with the standard escapes, finite numbers, booleans and null.
-//! The parser is written for hostile input — it never panics, it bounds
-//! recursion depth, and anything malformed comes back as a structured
-//! [`JsonError`] naming the byte offset, which the server turns into a
-//! structured protocol error instead of a dead connection.
+//! It covers exactly what the toolchain's files and wire protocol use:
+//! objects (written with sorted keys so output is byte-deterministic),
+//! arrays, strings with the standard escapes, finite numbers, booleans
+//! and null. The parser is written for hostile input — it never panics,
+//! it bounds recursion depth, and anything malformed comes back as a
+//! structured [`JsonError`] naming the byte offset, which `dhdl-serve`
+//! turns into a structured protocol error instead of a dead connection.
 //!
-//! The hot request never builds a tree: [`crate::protocol::Request::parse`]
-//! drives the `Parser`'s primitives straight into typed fields, and the
-//! hot responses go through `ObjWriter` into the connection's frame
-//! buffer. [`Json::parse`] and [`Json::render`] are the same parser and
-//! the same writer with a tree on the other end, so there is one grammar,
-//! one escaper and one number format.
+//! Callers that must not allocate a tree use the primitives directly:
+//! `dhdl-serve` drives the [`Parser`] straight into typed request fields
+//! and writes its hot responses through [`ObjWriter`], and the
+//! observation sinks stream a span at a time the same way.
+//! [`Json::parse`] and [`Json::render`] are the same parser and the same
+//! writer with a tree on the other end, so there is one grammar, one
+//! escaper and one number format.
 //!
-//! Floating-point payload fields (cycles, areas) are *not* carried as
-//! JSON numbers: the protocol transports them as 16-hex-digit IEEE-754
-//! bit-pattern strings (see [`crate::protocol::bits_str`]) so every
-//! round trip is bit-exact. JSON numbers here are only used for small
-//! integers (parameter values, counts, ports), all well under 2^53.
+//! Floating-point values that must round-trip exactly (cycles, areas)
+//! are *not* carried as JSON numbers but as 16-hex-digit IEEE-754
+//! bit-pattern strings ([`bits_str`] / [`parse_bits`]).
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write as _;
 
 /// Maximum nesting depth the parser accepts; deeper input is rejected
 /// rather than risking stack exhaustion on `[[[[...`-style frames.
-pub(crate) const MAX_DEPTH: usize = 64;
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +80,7 @@ impl Json {
     }
 
     /// Append the compact rendering to `out`.
-    pub(crate) fn render_into(&self, out: &mut Vec<u8>) {
+    pub fn render_into(&self, out: &mut Vec<u8>) {
         match self {
             Json::Null => out.extend_from_slice(b"null"),
             Json::Bool(b) => write_bool(out, *b),
@@ -161,15 +161,35 @@ impl Json {
     }
 }
 
+/// Render an `f64` as its 16-hex-digit IEEE-754 bit pattern.
+pub fn bits_str(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// Append an `f64` as the string literal of [`bits_str`] (hex digits need
+/// no escaping).
+pub fn write_bits(out: &mut Vec<u8>, v: f64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "\"{:016x}\"", v.to_bits());
+}
+
+/// Parse a 16-hex-digit IEEE-754 bit pattern back to the exact `f64`.
+pub fn parse_bits(s: &str) -> Option<f64> {
+    if s.len() != 16 {
+        return None;
+    }
+    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
 /// Append `true` / `false`.
-pub(crate) fn write_bool(out: &mut Vec<u8>, b: bool) {
+pub fn write_bool(out: &mut Vec<u8>, b: bool) {
     out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-/// Append a number: integers (the only numbers the protocol sends)
-/// without a fractional part, non-finite values as `null`.
-pub(crate) fn write_num(out: &mut Vec<u8>, n: f64) {
-    use std::io::Write as _;
+/// Append a number: integral values below 9·10^15 without a fractional
+/// part, others in Rust's shortest round-trip form, non-finite values as
+/// `null`.
+pub fn write_num(out: &mut Vec<u8>, n: f64) {
     // Writing into a `Vec` cannot fail.
     let _ = if !n.is_finite() {
         out.write_all(b"null")
@@ -180,8 +200,15 @@ pub(crate) fn write_num(out: &mut Vec<u8>, n: f64) {
     };
 }
 
+/// Append an unsigned integer with all its digits; [`write_num`] would
+/// round one above 2^53 (a 64-bit hash, say).
+pub fn write_u64(out: &mut Vec<u8>, n: u64) {
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
 /// Append `s` as a string literal, quotes and escapes included.
-pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push(b'"');
     // Bytes that need no escape are copied in runs; every byte of a
@@ -214,20 +241,20 @@ pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
 /// Writes one object's members into a byte buffer. Keys must arrive in
 /// ascending byte order — the order a `BTreeMap<String, _>` iterates in —
 /// so that what is written directly equals what the tree renders.
-pub(crate) struct ObjWriter<'a> {
+pub struct ObjWriter<'a> {
     out: &'a mut Vec<u8>,
     last: Option<&'a str>,
 }
 
 impl<'a> ObjWriter<'a> {
     /// Open an object at the end of `out`.
-    pub(crate) fn begin(out: &'a mut Vec<u8>) -> Self {
+    pub fn begin(out: &'a mut Vec<u8>) -> Self {
         out.push(b'{');
         ObjWriter { out, last: None }
     }
 
     /// Write `"key":` and hand back the buffer for the value.
-    pub(crate) fn key(&mut self, key: &'a str) -> &mut Vec<u8> {
+    pub fn key(&mut self, key: &'a str) -> &mut Vec<u8> {
         debug_assert!(
             // `None` orders before every `Some`.
             self.last < Some(key),
@@ -244,22 +271,22 @@ impl<'a> ObjWriter<'a> {
     }
 
     /// Close the object.
-    pub(crate) fn end(self) {
+    pub fn end(self) {
         self.out.push(b'}');
     }
 }
 
 /// The recursive-descent parser. [`Json::parse`] builds a tree with it;
-/// [`crate::protocol::Request::parse`] calls the same primitives and keeps
-/// only the fields it knows.
-pub(crate) struct Parser<'a> {
+/// `dhdl-serve`'s request parser calls the same primitives and keeps only
+/// the fields it knows.
+pub struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     /// A parser at the first non-whitespace byte of `input`.
-    pub(crate) fn new(input: &'a [u8]) -> Self {
+    pub fn new(input: &'a [u8]) -> Self {
         let mut p = Parser { input, pos: 0 };
         p.skip_ws();
         p
@@ -267,7 +294,7 @@ impl<'a> Parser<'a> {
 
     /// The document ends here: anything but trailing whitespace is an
     /// error.
-    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+    pub fn finish(&mut self) -> Result<(), JsonError> {
         self.skip_ws();
         if self.pos != self.input.len() {
             return Err(self.err("trailing data after JSON value"));
@@ -282,7 +309,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    pub(crate) fn peek(&self) -> Option<u8> {
+    /// The byte at the cursor, if any.
+    pub fn peek(&self) -> Option<u8> {
         self.input.get(self.pos).copied()
     }
 
@@ -321,7 +349,7 @@ impl<'a> Parser<'a> {
     /// materialized: strings come back as `Null` and containers empty,
     /// so skipping a value allocates nothing. Numbers and booleans are
     /// returned either way.
-    pub(crate) fn value(&mut self, depth: usize, keep: bool) -> Result<Json, JsonError> {
+    pub fn value(&mut self, depth: usize, keep: bool) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -359,7 +387,7 @@ impl<'a> Parser<'a> {
     /// parser standing on the member's value, and the key; it must
     /// consume exactly that value. Members arrive in document order, a
     /// repeated key once per occurrence.
-    pub(crate) fn members(
+    pub fn members(
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
@@ -417,7 +445,7 @@ impl<'a> Parser<'a> {
     /// Parse the string literal at the cursor. A literal without escapes
     /// — every key and value a well-behaved client sends — is borrowed
     /// from the input.
-    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let input = self.input;
         // Every byte of a run was checked below, one scalar at a time.

@@ -47,9 +47,16 @@
 //! Output files land under `results/obs/` (respecting
 //! `DHDL_RESULTS_DIR`): `<label>.obs.json` for [`Mode::Json`] and
 //! `<label>.trace.json` for [`Mode::Chrome`].
+//!
+//! ## JSON
+//!
+//! [`json`] is the workspace's one JSON codec. The sinks here, the
+//! `BENCH_*.json` writers of `dhdl-bench` and the wire protocol of
+//! `dhdl-serve` all write and read JSON through it.
 
 #![deny(missing_docs)]
 
+pub mod json;
 mod metrics;
 mod recorder;
 mod sink;

@@ -4,6 +4,7 @@
 
 use std::io::{self, Write};
 
+use crate::json::{write_num, write_str, write_u64, ObjWriter};
 use crate::recorder::Report;
 
 /// Format nanoseconds with a human-scale unit.
@@ -82,79 +83,58 @@ pub fn write_summary(report: &Report, mut w: impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Machine-readable JSON dump (the `DHDL_OBS=json` output): counters,
-/// histogram digests, span rollups and the dropped-span count. The
-/// format is a single flat object; see EXPERIMENTS.md for a sample.
+/// histogram digests, span rollups and the span-event and dropped-span
+/// counts, as one compact object with sorted keys; EXPERIMENTS.md
+/// § Observability shows a sample.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_json(report: &Report, mut w: impl Write) -> io::Result<()> {
-    writeln!(w, "{{")?;
-    writeln!(w, "  \"counters\": {{")?;
-    let n = report.counters.len();
-    for (i, (name, value)) in report.counters.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        writeln!(w, "    \"{}\": {value}{comma}", json_escape(name))?;
+    let mut out = Vec::new();
+    let mut doc = ObjWriter::begin(&mut out);
+    let mut counters = ObjWriter::begin(doc.key("counters"));
+    for (name, value) in &report.counters {
+        write_u64(counters.key(name), *value);
     }
-    writeln!(w, "  }},")?;
-    writeln!(w, "  \"histograms\": {{")?;
-    let n = report.histograms.len();
-    for (i, (name, h)) in report.histograms.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        writeln!(
-            w,
-            "    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"mean\": {:.1}, \"p50\": {}, \"p99\": {}}}{comma}",
-            json_escape(name),
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.99)
-        )?;
+    counters.end();
+    write_u64(doc.key("dropped_spans"), report.dropped_spans);
+    let mut histograms = ObjWriter::begin(doc.key("histograms"));
+    for (name, h) in &report.histograms {
+        let mut hist = ObjWriter::begin(histograms.key(name));
+        write_u64(hist.key("count"), h.count);
+        write_u64(hist.key("max"), h.max);
+        write_num(hist.key("mean"), h.mean());
+        write_u64(hist.key("min"), h.min);
+        write_u64(hist.key("p50"), h.quantile(0.5));
+        write_u64(hist.key("p99"), h.quantile(0.99));
+        write_u64(hist.key("sum"), h.sum);
+        hist.end();
     }
-    writeln!(w, "  }},")?;
-    writeln!(w, "  \"spans\": [")?;
-    let rollup = report.span_rollup();
-    for (i, r) in rollup.iter().enumerate() {
-        let comma = if i + 1 < rollup.len() { "," } else { "" };
-        writeln!(
-            w,
-            "    {{\"name\": \"{}\", \"count\": {}, \"total_ns\": {}, \"max_ns\": {}}}{comma}",
-            json_escape(r.name),
-            r.count,
-            r.total_ns,
-            r.max_ns
-        )?;
+    histograms.end();
+    write_u64(doc.key("span_events"), report.spans.len() as u64);
+    let spans = doc.key("spans");
+    spans.push(b'[');
+    for (i, r) in report.span_rollup().iter().enumerate() {
+        if i > 0 {
+            spans.push(b',');
+        }
+        let mut span = ObjWriter::begin(spans);
+        write_u64(span.key("count"), r.count);
+        write_u64(span.key("max_ns"), r.max_ns);
+        write_str(span.key("name"), r.name);
+        write_u64(span.key("total_ns"), r.total_ns);
+        span.end();
     }
-    writeln!(w, "  ],")?;
-    writeln!(w, "  \"span_events\": {},", report.spans.len())?;
-    writeln!(w, "  \"dropped_spans\": {}", report.dropped_spans)?;
-    writeln!(w, "}}")
+    spans.push(b']');
+    doc.end();
+    out.push(b'\n');
+    w.write_all(&out)
 }
 
 /// Chrome `trace_event` JSON (the `DHDL_OBS=chrome` output): one
-/// complete (`"ph": "X"`) event per span, timestamps in microseconds
+/// complete (`"ph":"X"`) event per span, timestamps in microseconds
 /// since the recorder epoch, counters attached as a final metadata
 /// event. Load the file in `chrome://tracing` or Perfetto.
 ///
@@ -162,42 +142,57 @@ pub fn write_json(report: &Report, mut w: impl Write) -> io::Result<()> {
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_chrome(report: &Report, mut w: impl Write) -> io::Result<()> {
-    writeln!(w, "{{\"displayTimeUnit\": \"ms\", \"traceEvents\": [")?;
-    writeln!(
-        w,
-        "  {{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-         \"args\": {{\"name\": \"dhdl\"}}}},"
-    )?;
+    let mut out = Vec::new();
+    let mut doc = ObjWriter::begin(&mut out);
+    write_str(doc.key("displayTimeUnit"), "ms");
+    let events = doc.key("traceEvents");
+    events.push(b'[');
+    metadata(events, "process_name", |args| {
+        write_str(args.key("name"), "dhdl");
+    });
     for s in &report.spans {
         let name = match &s.label {
-            Some(label) => format!("{}:{}", s.name, label),
+            Some(label) => format!("{}:{label}", s.name),
             None => s.name.to_string(),
         };
-        let args = match s.arg {
-            Some((key, value)) => format!("{{\"{}\": {value}}}", json_escape(key)),
-            None => "{}".to_string(),
-        };
-        writeln!(
-            w,
-            "  {{\"name\": \"{}\", \"cat\": \"dhdl\", \"ph\": \"X\", \"pid\": 1, \
-             \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {args}}},",
-            json_escape(&name),
-            s.tid,
-            s.start_ns as f64 / 1e3,
-            s.dur_ns as f64 / 1e3
-        )?;
+        events.push(b',');
+        let mut event = ObjWriter::begin(events);
+        let mut args = ObjWriter::begin(event.key("args"));
+        if let Some((key, value)) = s.arg {
+            write_u64(args.key(key), value);
+        }
+        args.end();
+        write_str(event.key("cat"), "dhdl");
+        write_num(event.key("dur"), s.dur_ns as f64 / 1e3);
+        write_str(event.key("name"), &name);
+        write_str(event.key("ph"), "X");
+        write_u64(event.key("pid"), 1);
+        write_u64(event.key("tid"), u64::from(s.tid));
+        write_num(event.key("ts"), s.start_ns as f64 / 1e3);
+        event.end();
     }
-    // Final (comma-terminating) metadata event carrying the counters.
-    let counters: Vec<String> = report
-        .counters
-        .iter()
-        .map(|(name, value)| format!("\"{}\": {value}", json_escape(name)))
-        .collect();
-    writeln!(
-        w,
-        "  {{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"dhdl_counters\", \
-         \"args\": {{{}}}}}",
-        counters.join(", ")
-    )?;
-    writeln!(w, "]}}")
+    events.push(b',');
+    metadata(events, "dhdl_counters", |args| {
+        for (name, value) in &report.counters {
+            write_u64(args.key(name), *value);
+        }
+    });
+    events.push(b']');
+    doc.end();
+    out.push(b'\n');
+    w.write_all(&out)
+}
+
+/// Append a metadata (`"ph":"M"`) event called `name` whose `args`
+/// members `args` writes.
+fn metadata(out: &mut Vec<u8>, name: &str, args: impl FnOnce(&mut ObjWriter<'_>)) {
+    let mut event = ObjWriter::begin(out);
+    let mut members = ObjWriter::begin(event.key("args"));
+    args(&mut members);
+    members.end();
+    write_str(event.key("name"), name);
+    write_str(event.key("ph"), "M");
+    write_u64(event.key("pid"), 1);
+    write_u64(event.key("tid"), 0);
+    event.end();
 }

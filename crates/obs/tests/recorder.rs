@@ -1,6 +1,6 @@
 //! Recorder correctness: lossless concurrent counters (proptest over
 //! thread counts), span nesting reconstructing a valid tree, and the
-//! Chrome-trace JSON round-tripping through a minimal parser.
+//! JSON and Chrome-trace sinks round-tripping through the codec's parser.
 //!
 //! The recorder is process-global, so every test takes `obs_lock()` and
 //! uses test-unique metric/span names; the lock serializes mode changes
@@ -9,7 +9,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use dhdl_obs::{init, recorder, write_chrome, write_json, write_summary, Mode, Report, SpanEvent};
+use dhdl_obs::json::Json;
+use dhdl_obs::{
+    init, recorder, write_chrome, write_json, write_summary, HistSnapshot, Mode, Report, SpanEvent,
+};
 use proptest::proptest;
 
 /// Serialize tests that touch the global recorder mode.
@@ -194,206 +197,50 @@ fn span_nesting_reconstructs_a_valid_tree() {
     assert_eq!(key, "i");
 }
 
-// ---------------------------------------------------------------------
-// A minimal JSON parser: just enough for the documents our sinks emit
-// (objects, arrays, strings with the escapes we produce, f64 numbers,
-// and bare words). Used to prove the Chrome trace is well-formed JSON
-// and round-trips the span data.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+/// Parse a sink's output with the workspace codec.
+fn parse(out: &[u8]) -> Json {
+    Json::parse(out).unwrap_or_else(|e| panic!("{e}: {}", String::from_utf8_lossy(out)))
 }
 
-impl Json {
-    fn get(&self, key: &str) -> &Json {
-        match self {
-            Json::Obj(m) => m.get(key).unwrap_or_else(|| panic!("missing key {key}")),
-            other => panic!("not an object: {other:?}"),
-        }
-    }
+/// The member of `v` at `path`, which must be there.
+fn at<'a>(v: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter().fold(v, |v, key| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("missing key {key:?} in {v:?}"))
+    })
+}
 
-    fn as_str(&self) -> &str {
-        match self {
-            Json::Str(s) => s,
-            other => panic!("not a string: {other:?}"),
-        }
-    }
+fn text<'a>(v: &'a Json, path: &[&str]) -> &'a str {
+    at(v, path).as_str().expect("a string")
+}
 
-    fn as_num(&self) -> f64 {
-        match self {
-            Json::Num(n) => *n,
-            other => panic!("not a number: {other:?}"),
-        }
-    }
-
-    fn as_arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(v) => v,
-            other => panic!("not an array: {other:?}"),
-        }
+fn num(v: &Json, path: &[&str]) -> f64 {
+    match at(v, path) {
+        Json::Num(n) => *n,
+        other => panic!("not a number: {other:?}"),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn arr<'a>(v: &'a Json, path: &[&str]) -> &'a [Json] {
+    at(v, path).as_arr().expect("an array")
 }
 
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Json {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value();
-        p.skip_ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing bytes after JSON value");
-        v
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        self.bytes[self.pos]
-    }
-
-    fn eat(&mut self, c: u8) {
-        assert_eq!(self.peek(), c, "expected {} at {}", c as char, self.pos);
-        self.pos += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.word("true", Json::Bool(true)),
-            b'f' => self.word("false", Json::Bool(false)),
-            b'n' => self.word("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn word(&mut self, w: &str, v: Json) -> Json {
-        assert!(self.bytes[self.pos..].starts_with(w.as_bytes()));
-        self.pos += w.len();
-        v
-    }
-
-    fn object(&mut self) -> Json {
-        self.eat(b'{');
-        let mut map = BTreeMap::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Obj(map);
-        }
-        loop {
-            let key = {
-                assert_eq!(self.peek(), b'"');
-                self.string()
-            };
-            self.eat(b':');
-            map.insert(key, self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Obj(map);
-                }
-                c => panic!("unexpected {} in object", c as char),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.eat(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                c => panic!("unexpected {} in array", c as char),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .unwrap();
-                            let code = u32::from_str_radix(hex, 16).unwrap();
-                            out.push(char::from_u32(code).unwrap());
-                            self.pos += 4;
-                        }
-                        c => panic!("unsupported escape \\{}", c as char),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(text.parse().unwrap_or_else(|_| panic!("bad number {text}")))
+/// A span's name in a Chrome trace: `name`, or `name:label`.
+fn trace_name(s: &SpanEvent) -> String {
+    match &s.label {
+        Some(label) => format!("{}:{}", s.name, label),
+        None => s.name.to_string(),
     }
 }
+
+/// A name no sink may pass through verbatim: a quote, a backslash, a
+/// newline, control bytes and non-ASCII text.
+const HOSTILE: &str = "q\"uote\\back\nline\u{1}\t\u{1f}\u{7f}caf\u{e9} \u{1F4A1}";
 
 /// Build a synthetic report (the `Report` type is plain data) so the
-/// round-trip check is exact rather than timing-dependent.
+/// round-trip check is exact rather than timing-dependent. Span names,
+/// labels, argument keys, counter and histogram names include
+/// [`HOSTILE`] ones.
 fn synthetic_report() -> Report {
     let spans = vec![
         SpanEvent {
@@ -423,13 +270,30 @@ fn synthetic_report() -> Report {
             start_ns: 3_000,
             dur_ns: 7_250,
         },
+        SpanEvent {
+            name: HOSTILE,
+            label: Some(HOSTILE.to_string()),
+            arg: Some((HOSTILE, u64::MAX)),
+            tid: 1,
+            depth: 1,
+            start_ns: 4_000,
+            dur_ns: 1_000,
+        },
     ];
     let mut counters = BTreeMap::new();
     counters.insert("cache.l1.hit", 42u64);
     counters.insert("sim.cycles", 1_000_000u64);
+    counters.insert(HOSTILE, 7);
+    let hist = HistSnapshot {
+        count: 1,
+        sum: 5,
+        min: 5,
+        max: 5,
+        buckets: vec![0, 0, 0, 1],
+    };
     Report {
         counters,
-        histograms: BTreeMap::new(),
+        histograms: BTreeMap::from([(HOSTILE, hist)]),
         spans,
         dropped_spans: 0,
     }
@@ -440,33 +304,28 @@ fn chrome_trace_round_trips_through_a_parser() {
     let report = synthetic_report();
     let mut out = Vec::new();
     write_chrome(&report, &mut out).unwrap();
-    let text = String::from_utf8(out).unwrap();
-    let doc = Parser::parse(&text);
+    let doc = parse(&out);
 
-    assert_eq!(doc.get("displayTimeUnit").as_str(), "ms");
-    let events = doc.get("traceEvents").as_arr();
-    // Leading process_name metadata + 3 spans + trailing counter metadata.
-    assert_eq!(events.len(), 5);
-    assert_eq!(events[0].get("ph").as_str(), "M");
+    assert_eq!(text(&doc, &["displayTimeUnit"]), "ms");
+    let events = arr(&doc, &["traceEvents"]);
+    // Leading process_name metadata + the spans + trailing counter metadata.
+    let n = report.spans.len();
+    assert_eq!(events.len(), n + 2);
+    assert_eq!(text(&events[0], &["ph"]), "M");
     assert_eq!(
-        events[0].get("args").get("name").as_str(),
+        text(&events[0], &["args", "name"]),
         "dhdl",
         "process metadata names the process"
     );
 
     // Every span round-trips: name (with label), tid, µs timestamps, args.
-    let span_events = &events[1..4];
-    for (ev, src) in span_events.iter().zip(&report.spans) {
-        assert_eq!(ev.get("ph").as_str(), "X");
-        assert_eq!(ev.get("cat").as_str(), "dhdl");
-        let expect_name = match &src.label {
-            Some(label) => format!("{}:{}", src.name, label),
-            None => src.name.to_string(),
-        };
-        assert_eq!(ev.get("name").as_str(), expect_name);
-        assert_eq!(ev.get("tid").as_num() as u32, src.tid);
-        let ts_ns = ev.get("ts").as_num() * 1e3;
-        let dur_ns = ev.get("dur").as_num() * 1e3;
+    for (ev, src) in events[1..=n].iter().zip(&report.spans) {
+        assert_eq!(text(ev, &["ph"]), "X");
+        assert_eq!(text(ev, &["cat"]), "dhdl");
+        assert_eq!(text(ev, &["name"]), trace_name(src));
+        assert_eq!(num(ev, &["tid"]) as u32, src.tid);
+        let ts_ns = num(ev, &["ts"]) * 1e3;
+        let dur_ns = num(ev, &["dur"]) * 1e3;
         assert!(
             (ts_ns - src.start_ns as f64).abs() < 1.0,
             "ts {ts_ns} vs {}",
@@ -474,18 +333,16 @@ fn chrome_trace_round_trips_through_a_parser() {
         );
         assert!((dur_ns - src.dur_ns as f64).abs() < 1.0);
         if let Some((key, value)) = src.arg {
-            assert_eq!(ev.get("args").get(key).as_num() as u64, value);
+            assert_eq!(num(ev, &["args", key]), value as f64);
         }
     }
 
     // The counter metadata event carries every counter.
-    let meta = &events[4];
-    assert_eq!(meta.get("name").as_str(), "dhdl_counters");
-    assert_eq!(meta.get("args").get("cache.l1.hit").as_num() as u64, 42);
-    assert_eq!(
-        meta.get("args").get("sim.cycles").as_num() as u64,
-        1_000_000
-    );
+    let meta = &events[n + 1];
+    assert_eq!(text(meta, &["name"]), "dhdl_counters");
+    for (name, value) in &report.counters {
+        assert_eq!(num(meta, &["args", name]), *value as f64);
+    }
 }
 
 #[test]
@@ -493,15 +350,18 @@ fn json_sink_round_trips_through_the_parser() {
     let report = synthetic_report();
     let mut out = Vec::new();
     write_json(&report, &mut out).unwrap();
-    let doc = Parser::parse(&String::from_utf8(out).unwrap());
-    assert_eq!(doc.get("counters").get("cache.l1.hit").as_num() as u64, 42);
-    assert_eq!(doc.get("span_events").as_num() as usize, 3);
-    assert_eq!(doc.get("dropped_spans").as_num() as u64, 0);
-    let rollup = doc.get("spans").as_arr();
-    assert_eq!(rollup.len(), 3);
+    let doc = parse(&out);
+    for (name, value) in &report.counters {
+        assert_eq!(num(&doc, &["counters", name]), *value as f64);
+    }
+    assert_eq!(num(&doc, &["histograms", HOSTILE, "sum"]), 5.0);
+    assert_eq!(num(&doc, &["span_events"]) as usize, report.spans.len());
+    assert_eq!(num(&doc, &["dropped_spans"]) as u64, 0);
+    let rollup = arr(&doc, &["spans"]);
+    let names: Vec<&str> = rollup.iter().map(|r| text(r, &["name"])).collect();
     // Rollup is sorted by descending total time: sweep dominates.
-    assert_eq!(rollup[0].get("name").as_str(), "sweep");
-    assert_eq!(rollup[0].get("total_ns").as_num() as u64, 500_000);
+    assert_eq!(names, ["sweep", "elaborate", "estimate_net", HOSTILE]);
+    assert_eq!(num(&rollup[0], &["total_ns"]) as u64, 500_000);
 }
 
 #[test]

@@ -39,7 +39,7 @@ pub mod admission;
 pub mod chaos;
 pub mod client;
 pub mod frame;
-pub mod json;
+pub use dhdl_obs::json;
 pub mod protocol;
 pub mod server;
 pub mod signal;

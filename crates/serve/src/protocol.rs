@@ -36,37 +36,19 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 use dhdl_core::ParamValues;
 use dhdl_dse::DesignPoint;
 use dhdl_estimate::Estimate;
 use dhdl_target::AreaReport;
 
-use crate::json::{write_bool, write_num, write_str, Json, JsonError, ObjWriter, Parser};
+pub use crate::json::{bits_str, parse_bits};
+use crate::json::{
+    write_bits, write_bool, write_num, write_str, Json, JsonError, ObjWriter, Parser,
+};
 
 /// Protocol version, echoed in `health` responses.
 pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Render an `f64` as its 16-hex-digit IEEE-754 bit pattern.
-pub fn bits_str(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Append an `f64` as the string [`bits_str`] renders (hex digits need no
-/// escaping).
-fn write_bits(out: &mut Vec<u8>, v: f64) {
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(out, "\"{:016x}\"", v.to_bits());
-}
-
-/// Parse a 16-hex-digit IEEE-754 bit pattern back to the exact `f64`.
-pub fn parse_bits(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
 
 /// A structured protocol failure: a stable machine-readable `code` plus
 /// a human-readable message. Rendered as a `status: "error"` response.

@@ -46,3 +46,17 @@ fn corpus_covers_both_spec_kinds() {
     assert!(designs >= 6, "want >= 6 design cases, have {designs}");
     assert!(patterns >= 4, "want >= 4 pattern cases, have {patterns}");
 }
+
+#[test]
+fn every_case_file_re_renders_byte_identically() {
+    // Literals travel as IEEE-754 bit patterns: parsing a file and
+    // rendering it again must give back the same bytes, file name included.
+    for (path, case) in load_dir(Path::new("tests/corpus")).expect("corpus directory loads") {
+        let text = std::fs::read_to_string(&path).expect("read case file");
+        assert_eq!(case.to_text(), text, "{}", path.display());
+        assert_eq!(
+            path.file_name().and_then(|n| n.to_str()),
+            Some(case.file_name().as_str())
+        );
+    }
+}

@@ -211,7 +211,7 @@ fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
         let first_cell = row[1..].split('|').next().unwrap_or("");
         knob_names(first_cell, '`', '`', &mut documented);
     }
-    assert!(read.len() >= 11, "knob scan found only {read:?}");
+    assert!(read.len() >= 10, "knob scan found only {read:?}");
     let undocumented: Vec<_> = read.difference(&documented).collect();
     let stale: Vec<_> = documented.difference(&read).collect();
     assert!(
@@ -244,6 +244,59 @@ fn every_knob_the_code_reads_has_a_setter() {
     assert!(
         unset.is_empty(),
         "knobs the code reads that nothing sets: {unset:?}"
+    );
+}
+
+/// Whether `line` writes a JSON member by hand: a string literal holding
+/// `\"name\":`, or a raw one holding `"name":`.
+fn writes_json_member(line: &str) -> bool {
+    line.match_indices("\":").any(|(at, _)| {
+        let close = at - usize::from(line[..at].ends_with('\\'));
+        let name = line[..close].trim_end_matches(|c: char| {
+            c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '{' | '}')
+        });
+        name.len() < close && name.ends_with('"')
+    })
+}
+
+#[test]
+fn json_is_written_only_by_the_codec() {
+    // One encoder, one escaper: every JSON file and frame goes through
+    // `dhdl_obs::json`. A hand-written member is how two result files
+    // once shipped without escaping their strings. Test modules (from
+    // the first `#[cfg(test)]` on) may spell out the JSON they expect;
+    // the serve crate's reference tree parser is test-only as a whole.
+    let root = repo_root();
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let exempt = [
+        root.join("crates/obs/src/json.rs"),
+        root.join("crates/serve/src/codec_tests.rs"),
+    ];
+    let mut scanned = 0;
+    let mut found = Vec::new();
+    for path in sources
+        .iter()
+        .filter(|p| p.components().any(|c| c.as_os_str() == "src") && !exempt.contains(p))
+    {
+        scanned += 1;
+        let text = fs::read_to_string(path).expect("read source");
+        let code = text.split("#[cfg(test)]").next().unwrap_or("");
+        for (n, line) in code.lines().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            if writes_json_member(line) {
+                found.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(scanned >= 100, "the scan saw only {scanned} source files");
+    assert!(
+        found.is_empty(),
+        "JSON written outside dhdl_obs::json — build a `Json` or use its \
+         `ObjWriter`:\n{}",
+        found.join("\n")
     );
 }
 
