@@ -295,4 +295,24 @@ mod tests {
         assert_eq!(est, Estimator::calibrate_with(&platform, 30, 5).0);
         assert_ne!(est, Estimator::calibrate_with(&platform, 30, 6).0);
     }
+
+    #[test]
+    fn calibrated_bits_are_pinned() {
+        // Every weight, normalizer bound and fitted coefficient of the area
+        // model, and the training error, against the bits the trainer
+        // produced before its passes were fused. `{:?}` prints each f64 in
+        // its shortest round-trip form, so the text determines every bit.
+        // RPROP steps by each gradient's sign alone: a change to training
+        // shows here when it flips a sign or the stopping test.
+        use std::fmt::Write;
+        let digest = |samples, seed| {
+            let (est, report) = Estimator::calibrate_with(&Platform::maia(), samples, seed);
+            let mut h = dhdl_core::Fnv64::new();
+            write!(h, "{:?}", est.area_model()).unwrap();
+            h.write_u64(report.alm_training_error.to_bits());
+            h.finish()
+        };
+        assert_eq!(digest(200, 42), 0x50da_3d11_2f65_67c8);
+        assert_eq!(digest(20, 7), 0xf31b_c1c4_fd0c_d2f5);
+    }
 }

@@ -70,7 +70,7 @@ impl Layer {
         }
     }
 
-    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
+    pub(crate) fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(self.outputs);
         for o in 0..self.outputs {
@@ -178,19 +178,6 @@ impl Mlp {
             layer.forward(cur, next);
             std::mem::swap(cur, next);
         }
-    }
-
-    /// Forward pass retaining every layer's output (for backpropagation).
-    /// Index 0 is the input itself.
-    pub(crate) fn forward_trace(&self, x: &[f64]) -> Vec<Vec<f64>> {
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.to_vec());
-        for layer in &self.layers {
-            let mut out = Vec::new();
-            layer.forward(acts.last().expect("nonempty"), &mut out);
-            acts.push(out);
-        }
-        acts
     }
 }
 

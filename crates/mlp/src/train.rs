@@ -112,51 +112,77 @@ pub fn mse(net: &Mlp, data: &Dataset) -> f64 {
     total / count as f64
 }
 
-/// Accumulate full-batch gradients of the MSE loss into `grads`
-/// (flattened in the same order as the network's weights).
-fn batch_gradients(net: &Mlp, data: &Dataset, grads: &mut [f64]) {
-    for g in grads.iter_mut() {
-        *g = 0.0;
-    }
-    for (x, t) in data.iter() {
-        let acts = net.forward_trace(x);
-        // Backward pass: delta for the output layer is (y - t) * f'(y).
-        let mut deltas: Vec<f64> = acts
-            .last()
-            .expect("trace nonempty")
-            .iter()
-            .zip(t)
-            .map(|(&y, &ti)| y - ti)
-            .collect();
-        let mut offset = grads.len();
-        for (li, layer) in net.layers.iter().enumerate().rev() {
-            let input = &acts[li];
-            let output = &acts[li + 1];
-            offset -= layer.weights.len();
-            // Apply activation derivative to deltas.
-            for (d, &y) in deltas.iter_mut().zip(output.iter()) {
-                *d *= layer.activation.derivative_from_output(y);
+/// The buffers of [`Backprop::pass`], reused across samples and epochs.
+#[derive(Default)]
+struct Backprop {
+    /// Every layer's output for the current sample; index 0 is the input.
+    acts: Vec<Vec<f64>>,
+    /// The current layer's deltas.
+    deltas: Vec<f64>,
+    /// The deltas propagated to the layer below.
+    prev: Vec<f64>,
+}
+
+impl Backprop {
+    /// Accumulate full-batch gradients of the MSE loss into `grads`
+    /// (flattened in the same order as the network's weights) and return
+    /// the MSE at the current weights, both from the same forward passes:
+    /// the sums run in [`mse`]'s order, so the two agree bit for bit.
+    fn pass(&mut self, net: &Mlp, data: &Dataset, grads: &mut [f64]) -> f64 {
+        grads.fill(0.0);
+        let Backprop { acts, deltas, prev } = self;
+        acts.resize_with(net.layers.len() + 1, Vec::new);
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for (x, t) in data.iter() {
+            assert_eq!(x.len(), net.input_size(), "input width mismatch");
+            acts[0].clear();
+            acts[0].extend_from_slice(x);
+            for (li, layer) in net.layers.iter().enumerate() {
+                let (done, rest) = acts.split_at_mut(li + 1);
+                layer.forward(&done[li], &mut rest[0]);
             }
-            // Weight gradients.
-            for (o, &delta) in deltas.iter().enumerate().take(layer.outputs) {
-                let row = offset + o * (layer.inputs + 1);
-                for i in 0..layer.inputs {
-                    grads[row + i] += delta * input[i];
+            let y = &acts[net.layers.len()];
+            for (yi, ti) in y.iter().zip(t) {
+                total += (yi - ti) * (yi - ti);
+                count += 1;
+            }
+            // Backward pass: delta for the output layer is (y - t) * f'(y).
+            deltas.clear();
+            deltas.extend(y.iter().zip(t).map(|(&y, &ti)| y - ti));
+            let mut offset = grads.len();
+            for (li, layer) in net.layers.iter().enumerate().rev() {
+                let input = &acts[li];
+                let output = &acts[li + 1];
+                let width = layer.inputs + 1;
+                offset -= layer.weights.len();
+                // Apply activation derivative to deltas.
+                for (d, &y) in deltas.iter_mut().zip(output) {
+                    *d *= layer.activation.derivative_from_output(y);
                 }
-                grads[row + layer.inputs] += delta; // bias
-            }
-            // Propagate deltas to the previous layer.
-            if li > 0 {
-                let mut prev = vec![0.0; layer.inputs];
-                for (o, &delta) in deltas.iter().enumerate().take(layer.outputs) {
-                    let row = o * (layer.inputs + 1);
-                    for (i, p) in prev.iter_mut().enumerate() {
-                        *p += delta * layer.weights[row + i];
+                // Weight gradients, the bias last in each row.
+                let rows = grads[offset..offset + layer.weights.len()].chunks_exact_mut(width);
+                for (row, &delta) in rows.zip(deltas.iter()) {
+                    let (weights, bias) = row.split_at_mut(layer.inputs);
+                    for (g, &xi) in weights.iter_mut().zip(input) {
+                        *g += delta * xi;
                     }
+                    bias[0] += delta;
                 }
-                deltas = prev;
+                // Propagate deltas to the previous layer.
+                if li > 0 {
+                    prev.clear();
+                    prev.resize(layer.inputs, 0.0);
+                    for (row, &delta) in layer.weights.chunks_exact(width).zip(deltas.iter()) {
+                        for (p, &w) in prev.iter_mut().zip(row) {
+                            *p += delta * w;
+                        }
+                    }
+                    std::mem::swap(deltas, prev);
+                }
             }
         }
+        total / count as f64
     }
 }
 
@@ -166,20 +192,22 @@ fn batch_gradients(net: &Mlp, data: &Dataset, grads: &mut [f64]) {
 /// gradients, which makes it robust to feature scaling — the reason Encog
 /// uses it as the default trainer.
 pub fn train_rprop(net: &mut Mlp, data: &Dataset, cfg: &TrainConfig) -> TrainReport {
-    let n = net.weight_count();
-    let mut grads = vec![0.0; n];
-    let mut prev_grads = vec![0.0; n];
-    let mut deltas = vec![cfg.initial_delta; n];
-    let mut final_mse = mse(net, data);
     let mut epochs = 0;
     if data.is_empty() {
         return TrainReport {
             epochs,
-            mse: final_mse,
+            mse: mse(net, data),
         };
     }
+    let n = net.weight_count();
+    let mut grads = vec![0.0; n];
+    let mut prev_grads = vec![0.0; n];
+    let mut deltas = vec![cfg.initial_delta; n];
+    // One pass per epoch: the gradients for the next update and the MSE
+    // of the weights the last update left.
+    let mut backprop = Backprop::default();
+    let mut final_mse = backprop.pass(net, data, &mut grads);
     for epoch in 0..cfg.max_epochs {
-        batch_gradients(net, data, &mut grads);
         let mut w = 0usize;
         for layer in net.layers.iter_mut() {
             for weight in layer.weights.iter_mut() {
@@ -200,7 +228,7 @@ pub fn train_rprop(net: &mut Mlp, data: &Dataset, cfg: &TrainConfig) -> TrainRep
             }
         }
         epochs = epoch + 1;
-        final_mse = mse(net, data);
+        final_mse = backprop.pass(net, data, &mut grads);
         if final_mse < cfg.target_mse {
             break;
         }

@@ -8,11 +8,15 @@
 //! What depends on the [`Design`] alone is resolved once per *run*, in
 //! `Sim::new`: memories, the profile and node values live in node-indexed
 //! tables, every constant is quantized into its value slot, and each
-//! controller's iterators are one run of a sorted list. Executing the
-//! design then only indexes. (The tape backend resolves the same things
-//! once per *compile*, in code of its own: this interpreter is the
-//! reference the tape is checked against, so it borrows nothing from
-//! `compile`, `tape` or `arena`.)
+//! controller's iterators are one run of a sorted list. Each `Pipe`'s
+//! body is resolved into [`Step`]s the first time the run executes it:
+//! slot indices, precomputed quantizers and memory accesses, with any
+//! error the body holds raised by the step where the walk reaches it.
+//! Counters and tile coordinates are stepped, never decoded from a
+//! linear index. Executing the design then only indexes. (The tape
+//! backend resolves the same things once per *compile*, in code of its
+//! own: this interpreter is the reference the tape is checked against,
+//! so it borrows nothing from `compile`, `tape` or `arena`.)
 //!
 //! For timing, the simulator resolves what the estimator only
 //! approximates: `MetaPipe` stages are scheduled with the full pipeline
@@ -27,7 +31,8 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use dhdl_core::{
-    CounterChain, Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp, TileSpec,
+    CounterDim, DType, Design, MemFold, NodeId, NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp,
+    ReduceOp, TileSpec,
 };
 use dhdl_synth::chardata::{prim_cost, reduce_tree_latency};
 use dhdl_synth::pipe_depth;
@@ -322,6 +327,20 @@ struct Sim<'a> {
     /// design alone, scheduled at the pipe's first execution (a body the
     /// run rejects is never scheduled).
     depth: Vec<Option<f64>>,
+    /// Each `Pipe`'s body as [`Step`]s, resolved at the pipe's first
+    /// execution.
+    bodies: Vec<Option<Box<[Step]>>>,
+    /// The coordinates of every walk in progress, innermost last: an
+    /// outer controller, a pipe or a tile transfer pushes one [`Axis`]
+    /// per dimension when it starts and truncates them when it ends, so
+    /// no execution allocates.
+    axes: Vec<Axis>,
+    /// Two rows of stage finish times (the previous wave's, this wave's)
+    /// per outer controller in progress, stacked like `axes`.
+    times: Vec<f64>,
+    /// `(offset, array extent, row-major stride)` per dimension of the
+    /// tile transfer in progress.
+    spans: Vec<(u64, u64, u64)>,
     trace: Trace,
     node_evals: u64,
     ctrl_execs: u64,
@@ -334,6 +353,366 @@ fn slot(table: &[Option<Vec<f64>>], id: NodeId) -> Option<&Vec<f64>> {
 
 fn slot_mut(table: &mut [Option<Vec<f64>>], id: NodeId) -> Option<&mut Vec<f64>> {
     table.get_mut(id.index())?.as_mut()
+}
+
+/// One dimension of a walk: its coordinate and its extent.
+#[derive(Clone, Copy)]
+struct Axis {
+    at: u64,
+    len: u64,
+}
+
+/// Step row-major coordinates to the next linear index: the last axis
+/// fastest, a wrapped axis carrying into the one before it.
+fn advance(axes: &mut [Axis]) {
+    for a in axes.iter_mut().rev() {
+        a.at += 1;
+        if a.at < a.len {
+            return;
+        }
+        a.at = 0;
+    }
+}
+
+/// Whether `axes` hold linear index `lin` decoded with `%` and `/` (the
+/// walks' debug self-check).
+fn decodes(axes: &[Axis], lin: u64) -> bool {
+    let mut rem = lin;
+    axes.iter().rev().all(|a| {
+        let at = rem % a.len;
+        rem /= a.len;
+        a.at == at
+    })
+}
+
+/// Bind a controller's iterators (`iters`, in dimension order) to the
+/// walk at `axes`: iterator `d` reads coordinate `d` times its step,
+/// iterators beyond the chain's rank read zero.
+fn bind(vals: &mut [f64], iters: &[(NodeId, usize, NodeId)], dims: &[CounterDim], axes: &[Axis]) {
+    for &(_, _, it) in iters.iter().skip(dims.len()) {
+        vals[it.index()] = 0.0;
+    }
+    for ((&(_, _, it), dim), a) in iters.iter().zip(dims).zip(axes) {
+        vals[it.index()] = (a.at * dim.step) as f64;
+    }
+}
+
+/// A [`DType`]'s quantization with its `Fix` constants precomputed by
+/// the expressions of [`DType::quantize`], so every result is the same
+/// bits.
+#[derive(Clone, Copy)]
+enum Quant {
+    F64,
+    F32,
+    Bool,
+    Fix { scale: f64, min: f64, max: f64 },
+}
+
+impl Quant {
+    fn of(ty: DType) -> Self {
+        match ty {
+            DType::F64 => Quant::F64,
+            DType::F32 => Quant::F32,
+            DType::Bool => Quant::Bool,
+            DType::Fix { sign, int, frac } => {
+                let scale = (2.0f64).powi(i32::from(frac));
+                let max = (2.0f64).powi(i32::from(int) + i32::from(frac)) - 1.0;
+                let min = if sign { -max - 1.0 } else { 0.0 };
+                Quant::Fix { scale, min, max }
+            }
+        }
+    }
+
+    #[inline]
+    fn apply(self, x: f64) -> f64 {
+        match self {
+            Quant::F64 => x,
+            Quant::F32 => x as f32 as f64,
+            Quant::Bool => {
+                if x != 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Quant::Fix { scale, min, max } => (x * scale).round().clamp(min, max) / scale,
+        }
+    }
+}
+
+/// A `Load`/`Store` resolved against its memory.
+struct Access {
+    mem: NodeId,
+    /// `(value slot, extent)` per address dimension of a `Bram`; empty
+    /// for a register or a queue, which ignore their address.
+    dims: Box<[(usize, u64)]>,
+    size: u64,
+    queue: bool,
+}
+
+impl Access {
+    /// The access to `mem` at `addr`, or the error the access raises.
+    fn resolve(design: &Design, mem: NodeId, addr: &[NodeId]) -> Result<Access> {
+        let unindexed = |queue| Access {
+            mem,
+            dims: Box::default(),
+            size: 1,
+            queue,
+        };
+        let dims: &[u64] = match design.kind(mem) {
+            NodeKind::Bram(b) => &b.dims,
+            NodeKind::Reg(_) => return Ok(unindexed(false)),
+            NodeKind::PriorityQueue(_) => return Ok(unindexed(true)),
+            _ => return Err(SimError::Malformed(format!("access to non-memory {mem}"))),
+        };
+        if addr.len() != dims.len() {
+            return Err(SimError::Malformed(format!(
+                "access to {mem}: address rank {} != memory rank {}",
+                addr.len(),
+                dims.len()
+            )));
+        }
+        Ok(Access {
+            mem,
+            dims: addr
+                .iter()
+                .map(|a| a.index())
+                .zip(dims.iter().copied())
+                .collect(),
+            size: dims.iter().product(),
+            queue: false,
+        })
+    }
+
+    /// The row-major element index, bounds-checked.
+    #[inline]
+    fn index(&self, vals: &[f64]) -> Result<usize> {
+        let mut idx: i64 = 0;
+        for &(slot, extent) in &*self.dims {
+            idx = idx * extent as i64 + vals[slot] as i64;
+        }
+        if idx < 0 || idx as u64 >= self.size {
+            return Err(SimError::OutOfBounds {
+                mem: self.mem,
+                index: idx,
+                size: self.size,
+            });
+        }
+        Ok(idx as usize)
+    }
+
+    /// The memory's contents. Debug builds check that the design still
+    /// holds the kind of memory the access was resolved against.
+    #[inline]
+    fn state<'s>(
+        &self,
+        onchip: &'s mut [Option<Vec<f64>>],
+        design: &Design,
+    ) -> Result<&'s mut Vec<f64>> {
+        debug_assert!(
+            match design.kind(self.mem) {
+                NodeKind::Bram(b) => !self.queue && b.dims.len() == self.dims.len(),
+                NodeKind::Reg(_) => !self.queue && self.dims.is_empty(),
+                NodeKind::PriorityQueue(_) => self.queue,
+                _ => false,
+            },
+            "memory {} changed kind after its access was resolved",
+            self.mem
+        );
+        slot_mut(onchip, self.mem).ok_or(SimError::Unevaluated(self.mem))
+    }
+}
+
+/// One body node resolved for execution: operands and results are
+/// `vals` slots, and each result is quantized at its node's type.
+/// Constants have no step (their slots hold them from the start); a node
+/// the walk rejects is a `Fail` that raises its error when reached.
+enum Step {
+    Prim {
+        op: PrimOp,
+        a: usize,
+        b: Option<usize>,
+        out: usize,
+        q: Quant,
+    },
+    Mux {
+        sel: usize,
+        if_true: usize,
+        if_false: usize,
+        out: usize,
+        q: Quant,
+    },
+    /// An `Iter` read in the body: its slot re-quantized in place.
+    Requant {
+        out: usize,
+        q: Quant,
+    },
+    Load {
+        at: Access,
+        out: usize,
+        q: Quant,
+    },
+    Store {
+        at: Access,
+        value: usize,
+        /// The memory's quantization of the stored value.
+        stored: Quant,
+        out: usize,
+        q: Quant,
+    },
+    /// A reduce pipe folding its value into the register, after the body.
+    Reduce {
+        value: usize,
+        reg: NodeId,
+        op: ReduceOp,
+        q: Quant,
+    },
+    Fail(Box<SimError>),
+}
+
+/// Resolve `p`'s body, then its reduction, into steps. Nothing here
+/// fails: an error is raised by its step, where the walk reaches it.
+fn resolve_body(design: &Design, p: &PipeSpec) -> Box<[Step]> {
+    let fail = |e| Step::Fail(Box::new(e));
+    let mut steps = Vec::with_capacity(p.body.len() + 1);
+    for &n in &p.body {
+        let node = design.node(n);
+        let (out, q) = (n.index(), Quant::of(node.ty));
+        steps.push(match &node.kind {
+            NodeKind::Const(_) => continue,
+            NodeKind::Iter { .. } => Step::Requant { out, q },
+            NodeKind::Prim { op, inputs } => match inputs.first() {
+                Some(a) => Step::Prim {
+                    op: *op,
+                    a: a.index(),
+                    b: inputs.get(1).map(|b| b.index()),
+                    out,
+                    q,
+                },
+                None => fail(SimError::Malformed(format!(
+                    "primitive {op:?} at {n} has no operands"
+                ))),
+            },
+            NodeKind::Mux {
+                sel,
+                if_true,
+                if_false,
+            } => Step::Mux {
+                sel: sel.index(),
+                if_true: if_true.index(),
+                if_false: if_false.index(),
+                out,
+                q,
+            },
+            NodeKind::Load { mem, addr } => match Access::resolve(design, *mem, addr) {
+                Ok(at) => Step::Load { at, out, q },
+                Err(e) => fail(e),
+            },
+            NodeKind::Store { mem, addr, value } => match Access::resolve(design, *mem, addr) {
+                Ok(at) => Step::Store {
+                    at,
+                    value: value.index(),
+                    stored: Quant::of(design.ty(*mem)),
+                    out,
+                    q,
+                },
+                Err(e) => fail(e),
+            },
+            other => fail(SimError::Malformed(format!(
+                "{} cannot appear in a pipe body",
+                other.template_name()
+            ))),
+        });
+    }
+    if let Some(r) = &p.reduce {
+        // A register reference past the design is `Unevaluated` when the
+        // step runs; its quantization is then never applied.
+        let q = if r.reg.index() < design.len() {
+            Quant::of(design.ty(r.reg))
+        } else {
+            Quant::F64
+        };
+        steps.push(Step::Reduce {
+            value: r.value.index(),
+            reg: r.reg,
+            op: r.op,
+            q,
+        });
+    }
+    steps.into()
+}
+
+/// Evaluate one iteration of a resolved body.
+fn exec(
+    steps: &[Step],
+    vals: &mut [f64],
+    onchip: &mut [Option<Vec<f64>>],
+    design: &Design,
+) -> Result<()> {
+    for step in steps {
+        match step {
+            Step::Prim { op, a, b, out, q } => {
+                let b = b.map_or(0.0, |b| vals[b]);
+                vals[*out] = q.apply(apply_prim(*op, vals[*a], b));
+            }
+            Step::Mux {
+                sel,
+                if_true,
+                if_false,
+                out,
+                q,
+            } => {
+                let taken = if vals[*sel] != 0.0 { if_true } else { if_false };
+                vals[*out] = q.apply(vals[*taken]);
+            }
+            Step::Requant { out, q } => vals[*out] = q.apply(vals[*out]),
+            Step::Load { at, out, q } => {
+                let idx = at.index(vals)?;
+                let state = at.state(onchip, design)?;
+                let v = if !at.queue {
+                    state[idx]
+                } else if state.is_empty() {
+                    0.0
+                } else {
+                    // Pop the minimum element; total_cmp so a NaN pushed
+                    // into the queue (e.g. from a 0/0 upstream) sorts
+                    // last instead of panicking the comparator.
+                    let (mi, _) = state
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| a.1.total_cmp(b.1))
+                        .expect("nonempty");
+                    state.remove(mi)
+                };
+                vals[*out] = q.apply(v);
+            }
+            Step::Store {
+                at,
+                value,
+                stored,
+                out,
+                q,
+            } => {
+                let v = vals[*value];
+                let s = stored.apply(v);
+                let idx = at.index(vals)?;
+                let state = at.state(onchip, design)?;
+                if at.queue {
+                    state.push(s);
+                } else {
+                    state[idx] = s;
+                }
+                vals[*out] = q.apply(v);
+            }
+            Step::Reduce { value, reg, op, q } => {
+                let v = vals[*value];
+                let state = slot_mut(onchip, *reg).ok_or(SimError::Unevaluated(*reg))?;
+                state[0] = q.apply(op.apply(state[0], v));
+            }
+            Step::Fail(e) => return Err((**e).clone()),
+        }
+    }
+    Ok(())
 }
 
 impl<'a> Sim<'a> {
@@ -401,6 +780,10 @@ impl<'a> Sim<'a> {
             dram: DramTimeline::new(),
             profile: vec![(0, 0.0); design.len()],
             depth: vec![None; design.len()],
+            bodies: std::iter::repeat_with(|| None).take(design.len()).collect(),
+            axes: Vec::new(),
+            times: Vec::new(),
+            spans: Vec::new(),
             trace: Trace::default(),
             node_evals: 0,
             ctrl_execs: 0,
@@ -453,6 +836,13 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// Push a walk over `lens` onto `axes`, every coordinate zero.
+    fn push_axes(&mut self, lens: impl Iterator<Item = u64>) -> Range<usize> {
+        let start = self.axes.len();
+        self.axes.extend(lens.map(|len| Axis { at: 0, len }));
+        start..self.axes.len()
+    }
+
     /// Execute an outer controller (`Sequential` or `MetaPipe`).
     fn run_outer(
         &mut self,
@@ -483,43 +873,58 @@ impl<'a> Sim<'a> {
                 state.fill(f.op.identity());
             }
         }
-        // The ready time of stage `st` given this wave's finish times so
-        // far (`cur`) and the previous wave's (`finish`); for Sequential,
+        // Stage finish times: the previous wave's row at `prev`, this
+        // wave's at `cur`. The ready time of stage `st`: for Sequential,
         // stages within a wave serialize and waves serialize.
-        let ready = |st: usize, cur: &[f64], finish: &[f64]| {
+        let base = self.times.len();
+        let (mut prev, mut cur) = (base, base + n_stages);
+        self.times.resize(cur, start);
+        self.times.resize(cur + n_stages, 0.0);
+        let ready = |times: &[f64], prev: usize, cur: usize, st: usize| {
             if st == 0 {
-                finish[0]
+                times[prev]
             } else if pipelined {
-                cur[st - 1].max(finish[st])
+                times[cur + st - 1].max(times[prev + st])
             } else {
-                cur[st - 1]
+                times[cur + st - 1]
             }
         };
-        let mut finish = vec![start; n_stages];
-        let mut cur = vec![0.0f64; n_stages];
         let iters = self.iter_nodes(ctrl);
+        let walk = self.push_axes(s.ctr.dims.iter().map(|d| d.trip_count().max(1)));
+        // Members of one wave run concurrently; only the first is timed.
+        let (mut left, mut member_conc) = (0u64, 0.0);
         for lin in 0..total {
-            self.bind_iters(iters.clone(), &s.ctr, lin);
-            // Members of one wave run concurrently; only the first is
-            // timed.
-            let wave = lin / par;
-            let member_conc = conc * (((wave + 1) * par).min(total) - wave * par) as f64;
-            if timed && lin % par == 0 {
+            debug_assert!(decodes(&self.axes[walk.clone()], lin), "{ctrl} at {lin}");
+            bind(
+                &mut self.vals,
+                &self.iters[iters.clone()],
+                &s.ctr.dims,
+                &self.axes[walk.clone()],
+            );
+            let first = left == 0;
+            debug_assert_eq!(first, lin % par == 0, "{ctrl} at {lin}");
+            if first {
+                left = par.min(total - lin);
+                member_conc = conc * left as f64;
+            }
+            left -= 1;
+            if timed && first {
                 for (st, &stage) in s.stages.iter().enumerate() {
-                    let at = ready(st, &cur, &finish);
+                    let at = ready(&self.times, prev, cur, st);
                     let d = self.run(stage, at, true, member_conc)?;
-                    cur[st] = at + d + STAGE_OVERHEAD;
+                    self.times[cur + st] = at + d + STAGE_OVERHEAD;
                 }
                 if let Some(f) = &s.fold {
                     let st = n_stages - 1;
-                    let at = ready(st, &cur, &finish);
-                    cur[st] = at + self.run_fold(f)? + STAGE_OVERHEAD;
+                    let at = ready(&self.times, prev, cur, st);
+                    self.times[cur + st] = at + self.run_fold(f)? + STAGE_OVERHEAD;
                 }
                 if pipelined {
-                    std::mem::swap(&mut finish, &mut cur);
+                    std::mem::swap(&mut prev, &mut cur);
                 } else {
                     // Sequential: next wave starts after this one ends.
-                    finish.fill(cur[n_stages - 1]);
+                    let end = self.times[cur + n_stages - 1];
+                    self.times[prev..prev + n_stages].fill(end);
                 }
             } else {
                 for &stage in &s.stages {
@@ -529,8 +934,12 @@ impl<'a> Sim<'a> {
                     self.run_fold(f)?;
                 }
             }
+            advance(&mut self.axes[walk.clone()]);
         }
-        Ok(finish[n_stages - 1] - start + STAGE_OVERHEAD)
+        let end = self.times[prev + n_stages - 1];
+        self.axes.truncate(walk.start);
+        self.times.truncate(base);
+        Ok(end - start + STAGE_OVERHEAD)
     }
 
     /// Where `ctrl`'s iterator nodes sit in `self.iters`, ordered by
@@ -539,23 +948,6 @@ impl<'a> Sim<'a> {
         let lo = self.iters.partition_point(|e| e.0 < ctrl);
         let n = self.iters[lo..].iter().take_while(|e| e.0 == ctrl).count();
         lo..lo + n
-    }
-
-    /// Decode linear iteration `lin` into per-dimension iterator values;
-    /// iterators beyond the chain's rank read zero.
-    fn bind_iters(&mut self, iters: Range<usize>, ctr: &CounterChain, lin: u64) {
-        for k in iters.clone().skip(ctr.dims.len()) {
-            self.vals[self.iters[k].2.index()] = 0.0;
-        }
-        let mut rem = lin;
-        for (d, dim) in ctr.dims.iter().enumerate().rev() {
-            let trips = dim.trip_count().max(1);
-            if d < iters.len() {
-                let it = self.iters[iters.start + d].2;
-                self.vals[it.index()] = ((rem % trips) * dim.step) as f64;
-            }
-            rem /= trips;
-        }
     }
 
     /// Execute one `Pipe`: all counter iterations, functional body
@@ -574,33 +966,27 @@ impl<'a> Sim<'a> {
             }
         }
         // Functional execution over the full iteration space.
-        let dims: Vec<(u64, u64)> = p
-            .ctr
-            .dims
-            .iter()
-            .map(|d| (d.trip_count(), d.step))
-            .collect();
+        let design = self.design;
         let iters = self.iter_nodes(ctrl);
-        let mut coords = vec![0u64; dims.len()];
-        for _ in 0..total {
-            for (d, k) in iters.clone().enumerate() {
-                self.vals[self.iters[k].2.index()] = (coords[d] * dims[d].1) as f64;
-            }
-            self.eval_body(p)?;
-            // Advance the counter chain (row-major, last dim fastest).
-            for d in (0..dims.len()).rev() {
-                coords[d] += 1;
-                if coords[d] < dims[d].0 {
-                    break;
-                }
-                coords[d] = 0;
-            }
+        let walk = self.push_axes(p.ctr.dims.iter().map(CounterDim::trip_count));
+        let body = self.bodies[ctrl.index()].get_or_insert_with(|| resolve_body(design, p));
+        let axes = &mut self.axes[walk.clone()];
+        for lin in 0..total {
+            debug_assert!(decodes(axes, lin), "{ctrl} at {lin}");
+            bind(
+                &mut self.vals,
+                &self.iters[iters.clone()],
+                &p.ctr.dims,
+                axes,
+            );
+            exec(body, &mut self.vals, &mut self.onchip, design)?;
+            advance(axes);
         }
+        self.axes.truncate(walk.start);
         self.node_evals += total * p.body.len() as u64;
         // Timing: depth + ceil(iters/par) at II=1, plus a one-cycle counter
         // re-initialization bubble per outer-dimension wrap (a control
         // artifact the analytical model ignores).
-        let design = self.design;
         let depth = *self.depth[ctrl.index()].get_or_insert_with(|| {
             let mut depth = pipe_depth(design, p) as f64;
             if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
@@ -611,126 +997,16 @@ impl<'a> Sim<'a> {
             depth
         });
         let eff_iters = (total as f64 / f64::from(p.par.max(1))).ceil().max(1.0);
+        let dims = &p.ctr.dims;
         let outer_wraps: f64 = if dims.len() > 1 {
             dims[..dims.len() - 1]
                 .iter()
-                .map(|&(t, _)| t as f64)
+                .map(|d| d.trip_count() as f64)
                 .product()
         } else {
             1.0
         };
         Ok(depth + eff_iters + outer_wraps + STAGE_OVERHEAD)
-    }
-
-    fn eval_body(&mut self, p: &PipeSpec) -> Result<()> {
-        for &n in &p.body {
-            let v = self.eval_node(n)?;
-            self.vals[n.index()] = v;
-        }
-        if let Some(r) = &p.reduce {
-            let v = self.vals[r.value.index()];
-            let state = slot_mut(&mut self.onchip, r.reg).ok_or(SimError::Unevaluated(r.reg))?;
-            state[0] = self.design.ty(r.reg).quantize(r.op.apply(state[0], v));
-        }
-        Ok(())
-    }
-
-    fn eval_node(&mut self, n: NodeId) -> Result<f64> {
-        let design = self.design;
-        let node = design.node(n);
-        let v = match &node.kind {
-            NodeKind::Const(v) => *v,
-            NodeKind::Iter { .. } => self.vals[n.index()],
-            NodeKind::Prim { op, inputs } => {
-                if inputs.is_empty() {
-                    return Err(SimError::Malformed(format!(
-                        "primitive {op:?} at {n} has no operands"
-                    )));
-                }
-                let a = self.vals[inputs[0].index()];
-                let b = inputs.get(1).map_or(0.0, |b| self.vals[b.index()]);
-                apply_prim(*op, a, b)
-            }
-            NodeKind::Mux {
-                sel,
-                if_true,
-                if_false,
-            } => {
-                let taken = if self.vals[sel.index()] != 0.0 {
-                    if_true
-                } else {
-                    if_false
-                };
-                self.vals[taken.index()]
-            }
-            NodeKind::Load { mem, addr } => {
-                let idx = self.flat_index(*mem, addr)?;
-                let state = slot_mut(&mut self.onchip, *mem).ok_or(SimError::Unevaluated(*mem))?;
-                if !matches!(design.kind(*mem), NodeKind::PriorityQueue(_)) {
-                    state[idx]
-                } else if state.is_empty() {
-                    0.0
-                } else {
-                    // Pop the minimum element; total_cmp so a NaN pushed
-                    // into the queue (e.g. from a 0/0 upstream) sorts
-                    // last instead of panicking the comparator.
-                    let (mi, _) = state
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1.total_cmp(b.1))
-                        .expect("nonempty");
-                    state.remove(mi)
-                }
-            }
-            NodeKind::Store { mem, addr, value } => {
-                let v = self.vals[value.index()];
-                let stored = design.ty(*mem).quantize(v);
-                let idx = self.flat_index(*mem, addr)?;
-                let state = slot_mut(&mut self.onchip, *mem).ok_or(SimError::Unevaluated(*mem))?;
-                if matches!(design.kind(*mem), NodeKind::PriorityQueue(_)) {
-                    state.push(stored);
-                } else {
-                    state[idx] = stored;
-                }
-                v
-            }
-            other => {
-                return Err(SimError::Malformed(format!(
-                    "{} cannot appear in a pipe body",
-                    other.template_name()
-                )))
-            }
-        };
-        Ok(node.ty.quantize(v))
-    }
-
-    fn flat_index(&self, mem: NodeId, addr: &[NodeId]) -> Result<usize> {
-        let dims: &[u64] = match self.design.kind(mem) {
-            NodeKind::Bram(b) => &b.dims,
-            NodeKind::Reg(_) | NodeKind::PriorityQueue(_) => return Ok(0),
-            _ => return Err(SimError::Malformed(format!("access to non-memory {mem}"))),
-        };
-        if addr.len() != dims.len() {
-            return Err(SimError::Malformed(format!(
-                "access to {mem}: address rank {} != memory rank {}",
-                addr.len(),
-                dims.len()
-            )));
-        }
-        let mut idx: i64 = 0;
-        for (d, &a) in addr.iter().enumerate() {
-            let v = self.vals[a.index()] as i64;
-            idx = idx * dims[d] as i64 + v;
-        }
-        let size: u64 = dims.iter().product();
-        if idx < 0 || idx as u64 >= size {
-            return Err(SimError::OutOfBounds {
-                mem,
-                index: idx,
-                size,
-            });
-        }
-        Ok(idx as usize)
     }
 
     /// Execute the implicit fold stage of an outer controller.
@@ -791,28 +1067,31 @@ impl<'a> Sim<'a> {
                 dims.len()
             )));
         }
-        // Per dimension: resolved offset, tile extent, array extent and
-        // row-major stride.
-        let axes: Vec<(u64, u64, u64, u64)> = (0..dims.len())
-            .map(|d| {
-                let offset = self.vals[t.offsets[d].index()] as u64;
-                (offset, t.tile[d], dims[d], dims[d + 1..].iter().product())
-            })
-            .collect();
+        // Per dimension: resolved offset, array extent and row-major
+        // stride; the tile extents are the walk's.
+        self.spans.clear();
+        for d in 0..dims.len() {
+            let offset = self.vals[t.offsets[d].index()] as u64;
+            self.spans
+                .push((offset, dims[d], dims[d + 1..].iter().product()));
+        }
         // Functional copy, iterating the tile's coordinate space.
         let tile_elems: u64 = t.tile.iter().product();
+        let walk = self.push_axes(t.tile.iter().copied());
         let local = slot_mut(&mut self.onchip, t.local).ok_or(SimError::Unevaluated(t.local))?;
         // An array the off-chip list never declared has no element to
         // move: `Unevaluated`, but only once the address is in range.
         let array = slot_mut(&mut self.offchip, t.offchip).map_or(&mut [][..], |a| a);
         let local_len = local.len().max(1);
+        let axes = &mut self.axes[walk.clone()];
+        let mut li = 0;
         for lin in 0..tile_elems {
-            // Decode lin into tile coordinates (row-major).
-            let mut rem = lin;
+            debug_assert!(decodes(axes, lin), "tile on {} at {lin}", t.offchip);
+            debug_assert_eq!(li, lin as usize % local_len);
+            // Bounds are checked innermost axis first.
             let mut off_idx: u64 = 0;
-            for &(offset, extent, size, stride) in axes.iter().rev() {
-                let global = offset + rem % extent;
-                rem /= extent;
+            for (a, &(offset, size, stride)) in axes.iter().zip(&self.spans).rev() {
+                let global = offset + a.at;
                 if global >= size {
                     return Err(SimError::OutOfBounds {
                         mem: t.offchip,
@@ -822,7 +1101,6 @@ impl<'a> Sim<'a> {
                 }
                 off_idx += global * stride;
             }
-            let li = (lin as usize) % local_len;
             let elem = array
                 .get_mut(off_idx as usize)
                 .ok_or(SimError::Unevaluated(t.offchip))?;
@@ -831,7 +1109,13 @@ impl<'a> Sim<'a> {
             } else {
                 *elem = local[li];
             }
+            advance(axes);
+            li += 1;
+            if li == local_len {
+                li = 0;
+            }
         }
+        self.axes.truncate(walk.start);
         // Timing: reserve the shared channel.
         if !timed {
             return Ok(0.0);
@@ -1120,5 +1404,41 @@ mod tests {
         let d = b.finish().unwrap();
         let r = simulate(&d, &platform(), &Bindings::new()).unwrap();
         assert_eq!(r.output("out").unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn a_precomputed_quantizer_is_the_types_quantize_bit_for_bit() {
+        let types = [
+            DType::F64,
+            DType::F32,
+            DType::Bool,
+            DType::fixed(false, 4, 0),
+            DType::fixed(true, 3, 2),
+            DType::fixed(true, 16, 16),
+            DType::fixed(false, 0, 0),
+            DType::fixed(true, 60, 1100),
+        ];
+        let values = [
+            0.0,
+            -0.0,
+            0.1,
+            -1.13,
+            2.5,
+            -2.5,
+            7.4,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for ty in types {
+            let q = Quant::of(ty);
+            for x in values {
+                let (got, want) = (q.apply(x), ty.quantize(x));
+                assert_eq!(got.to_bits(), want.to_bits(), "{ty} of {x}");
+            }
+        }
     }
 }

@@ -417,3 +417,89 @@ fn a_fold_between_two_buffers_next_to_a_fold_of_one_into_itself() {
     let tape = dhdl_sim::simulate_compiled(&d, &platform(), &Bindings::new()).unwrap();
     assert_eq!(r.bit_diff(&tape), None);
 }
+
+#[test]
+fn a_bodys_static_error_is_raised_where_the_walk_reaches_it() {
+    // Two pipes after a tile load: the first reads an address out of
+    // memory (9, past the end of `t`), the second gets a `Bram` in the
+    // middle of its body. Each pipe's body is resolved when it first
+    // runs, and the resolved `Bram` raises its error only when reached:
+    // whichever pipe runs first decides the run's error.
+    let mut b = DesignBuilder::new("order");
+    let x = b.off_chip("x", DType::F64, &[4]);
+    b.sequential(|b| {
+        let t = b.bram("t", DType::F64, &[4]);
+        let z = b.index_const(0);
+        b.tile_load(x, t, &[z], &[4], 1);
+        b.pipe(&[by(4, 1)], 1, |b, it| {
+            let k = b.load(t, &[it[0]]);
+            let v = b.load(t, &[k]);
+            b.store(t, &[it[0]], v);
+        });
+        b.pipe(&[by(4, 1)], 1, |b, it| {
+            let v = b.load(t, &[it[0]]);
+            let w = b.add(v, v);
+            b.store(t, &[it[0]], w);
+        });
+    });
+    let text = dhdl_core::serialize::to_text(&b.finish().unwrap());
+    for line in [
+        "node 2 ty=f64 w=1 name=t Bram",
+        "Sequential ctr= par=1 pat=map stages=4,5,10 ",
+        "node 5 ty=bool w=1 name= Pipe ctr=4x1 par=1 pat=map body=7,8,9 ",
+        "node 10 ty=bool w=1 name= Pipe ctr=4x1 par=1 pat=map body=12,13,14 ",
+    ] {
+        assert!(text.contains(line), "`{line}` not in:\n{text}");
+    }
+    let text = text.replace("body=12,13,14", "body=12,2,14");
+    let run = |text: &str| {
+        let d = dhdl_core::serialize::from_text(text).unwrap();
+        let x = Bindings::new().bind("x", vec![9.0; 4]);
+        let r = simulate(&d, &platform(), &x).map(|_| ());
+        let tape = dhdl_sim::simulate_compiled(&d, &platform(), &x).map(|_| ());
+        assert_eq!(r, tape, "the backends disagree");
+        r.unwrap_err()
+    };
+    assert_eq!(
+        run(&text),
+        SimError::OutOfBounds {
+            mem: dhdl_core::NodeId::from_raw(2),
+            index: 9,
+            size: 4,
+        }
+    );
+    let swapped = run(&text.replace("stages=4,5,10", "stages=4,10,5"));
+    assert!(
+        matches!(&swapped, SimError::Malformed(m) if m.contains("cannot appear in a pipe body")),
+        "{swapped:?}"
+    );
+}
+
+#[test]
+fn a_reduction_into_a_node_past_the_design_is_unevaluated() {
+    // `from_text` does not check that a reduce pipe's register exists:
+    // the run must end in the structured error, never an index panic.
+    let mut b = DesignBuilder::new("red");
+    b.sequential(|b| {
+        let acc = b.reg("acc", DType::F64, 0.0);
+        b.pipe_reduce(&[by(4, 1)], 1, acc, ReduceOp::Add, |b, it| {
+            let one = b.constant(1.0, DType::F64);
+            b.add(it[0], one)
+        });
+    });
+    let text = dhdl_core::serialize::to_text(&b.finish().unwrap());
+    let red = text
+        .split_whitespace()
+        .find(|t| t.starts_with("red="))
+        .expect("a reduce pipe")
+        .to_string();
+    let (value, rest) = red["red=".len()..].split_once(':').unwrap();
+    let (_, op) = rest.split_once(':').unwrap();
+    let d = dhdl_core::serialize::from_text(&text.replace(&red, &format!("red={value}:999:{op}")))
+        .unwrap();
+    let r = simulate(&d, &platform(), &Bindings::new());
+    assert_eq!(
+        r.err(),
+        Some(SimError::Unevaluated(dhdl_core::NodeId::from_raw(999)))
+    );
+}

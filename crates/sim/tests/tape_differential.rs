@@ -172,6 +172,89 @@ fn two_d_tiles_match_bitwise() {
     assert_identical(&d, &Bindings::new().bind("x", xs));
 }
 
+/// A `TileLoad` (or `TileStore`) of `tile` at constant `offsets` on the
+/// `F64` array `x` of extent `dims`, run `runs` times by an outer loop;
+/// with more than one run, the loop's iterator is the outermost offset
+/// (`offsets[0]` is then 0). Both backends must raise `expected`; the
+/// interpreter's walk visits elements row-major and checks each element's
+/// axes innermost first.
+fn tile_overrun(dims: &[u64], tile: &[u64], offsets: &[u64], runs: u64, expected: SimError) {
+    assert!(runs == 1 || offsets[0] == 0);
+    for load in [true, false] {
+        let mut b = DesignBuilder::new("tile_oob");
+        let x = b.off_chip("x", DType::F64, dims);
+        b.sequential(|b| {
+            b.sequential_ctr(&[by(runs, 1)], 1, |b, iters| {
+                let t = b.bram("t", DType::F64, tile);
+                let mut at: Vec<NodeId> = offsets.iter().map(|&o| b.index_const(o)).collect();
+                if runs > 1 {
+                    at[0] = iters[0];
+                }
+                if load {
+                    b.tile_load(x, t, &at, tile, 1);
+                } else {
+                    b.tile_store(x, t, &at, tile, 1);
+                }
+            });
+        });
+        let d = b.finish().unwrap();
+        let data = Bindings::new().bind("x", vec![1.5; dims.iter().product::<u64>() as usize]);
+        let p = Platform::maia();
+        let interp = simulate(&d, &p, &data);
+        assert_eq!(
+            interp.as_ref().err(),
+            Some(&expected),
+            "load={load}: {interp:?}"
+        );
+        let tape = compile(&d, &p).expect("the tape compiles").run(&data);
+        assert_eq!(
+            tape.as_ref().err(),
+            Some(&expected),
+            "load={load}: {tape:?}"
+        );
+    }
+}
+
+#[test]
+fn a_two_d_tile_overrun_is_reported_at_its_first_element() {
+    let x = NodeId::from_raw(0);
+    let oob = |index, size| SimError::OutOfBounds {
+        mem: x,
+        index,
+        size,
+    };
+    // The outer axis leaves the 4×8 array on the tile's second row, in
+    // the loop's fourth execution (offset 3).
+    tile_overrun(&[4, 8], &[2, 8], &[0, 0], 4, oob(4, 4));
+    // The inner axis overruns in the middle of the first row.
+    tile_overrun(&[4, 8], &[2, 8], &[0, 4], 1, oob(8, 8));
+    // The outer axis leaves it on the tile's third row, mid-execution.
+    tile_overrun(&[4, 8], &[3, 6], &[2, 2], 1, oob(4, 4));
+    // Both axes out at the first element: the inner one is reported.
+    tile_overrun(&[4, 8], &[2, 8], &[4, 8], 1, oob(8, 8));
+}
+
+#[test]
+fn a_three_d_tile_overrun_is_reported_at_its_first_element() {
+    let x = NodeId::from_raw(0);
+    let oob = |index, size| SimError::OutOfBounds {
+        mem: x,
+        index,
+        size,
+    };
+    // The middle axis leaves the 2×3×4 array on the tile's second row.
+    tile_overrun(&[2, 3, 4], &[1, 2, 4], &[0, 2, 0], 1, oob(3, 3));
+    // The outermost axis leaves it on the second plane, in the loop's
+    // second execution.
+    tile_overrun(&[2, 3, 4], &[2, 3, 4], &[0, 0, 0], 2, oob(2, 2));
+    // The inner axis overruns mid-row, on the array's second plane.
+    tile_overrun(&[2, 3, 4], &[1, 2, 4], &[1, 1, 1], 1, oob(4, 4));
+    // Every axis out at the first element, then the outer two only: the
+    // innermost axis that is out is reported.
+    tile_overrun(&[2, 3, 4], &[1, 1, 1], &[5, 6, 7], 1, oob(7, 4));
+    tile_overrun(&[2, 3, 4], &[1, 1, 1], &[5, 6, 0], 1, oob(6, 3));
+}
+
 #[test]
 fn metapipe_schedule_matches_bitwise() {
     for toggle in [false, true] {

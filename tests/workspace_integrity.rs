@@ -301,6 +301,34 @@ fn json_is_written_only_by_the_codec() {
 }
 
 #[test]
+fn the_interpreter_names_nothing_of_the_tape_backend() {
+    // The interpreter is the reference the tape is held to, so it
+    // resolves and executes designs in code of its own: a helper shared
+    // with `compile`, `tape` or `arena` would make the differential
+    // oracles compare the helper with itself. Comments may name them.
+    let path = repo_root().join("crates/sim/src/interp.rs");
+    let text = fs::read_to_string(&path).expect("read interp.rs");
+    let mut found = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        let mut names = code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        if let Some(name) = names.find(|w| ["compile", "tape", "arena"].contains(w)) {
+            found.push(format!(
+                "{}:{}: `{name}` in {}",
+                path.display(),
+                n + 1,
+                line.trim()
+            ));
+        }
+    }
+    assert!(
+        text.lines().count() > 500,
+        "interp.rs is not the interpreter"
+    );
+    assert!(found.is_empty(), "{}", found.join("\n"));
+}
+
+#[test]
 fn no_tracked_file_lives_under_a_results_directory() {
     // A results file is an output. A tracked one is an input that no run
     // regenerates: three trained-model files once sat under
