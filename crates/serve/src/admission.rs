@@ -371,6 +371,21 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_never_takes_the_last_global_slot() {
+        let a = gate(100, 4, 100);
+        let _keep: Vec<Permit> = (0..2)
+            .map(|_| a.admit("bg", 1, WorkKind::Estimate).unwrap())
+            .collect();
+        let _sweep = a.admit("hi", 1, WorkKind::Sweep).unwrap();
+        // A second sweep would saturate the gate and is refused; an
+        // estimate may still take the last slot.
+        let r = a.admit("hi", 1, WorkKind::Sweep).unwrap_err();
+        assert_eq!(r.code, "overloaded");
+        let _last = a.admit("bg", 1, WorkKind::Estimate).unwrap();
+        assert_eq!(a.level(), LoadLevel::Saturated);
+    }
+
+    #[test]
     fn sweep_cap_is_separate_from_global() {
         let a = gate(100, 100, 1);
         let _s1 = a.admit("t", 2, WorkKind::Sweep).unwrap();

@@ -20,13 +20,12 @@
 //!   in-process;
 //! * [`frame`] — length-prefixed framing with limits enforced before
 //!   allocation, plus socket read/write timeouts against stalled peers;
-//! * [`client`] — jittered-exponential retries over transport faults
-//!   and rejections; a retried sweep is re-run, and the points its
-//!   interrupted attempt estimated come back from the estimate cache;
-//! * [`chaos`] — deterministic seeded connection faults (drops, stalls,
-//!   truncated frames) mirroring [`dhdl_dse::FaultInjector`] one layer
-//!   down; the chaos suite drives both at once and asserts recovery to
-//!   bit-identical results;
+//! * [`server`] — deadlines that return a sweep flagged `truncated`
+//!   instead of completing it silently, and [`ServerConfig::faults`],
+//!   which runs every sweep under [`dhdl_dse::FaultInjector`]; a sweep is
+//!   a pure function of its request, so a client that lost an answer
+//!   sends the request again, and the points already estimated come
+//!   back from the cache;
 //! * [`signal`] — SIGTERM/SIGINT drain: stop accepting, let in-flight
 //!   sweeps finish or hit their deadlines, flush the obs sinks, exit 0.
 //!
@@ -36,8 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod chaos;
-pub mod client;
 pub mod frame;
 pub use dhdl_obs::json;
 pub mod protocol;
@@ -48,8 +45,6 @@ pub mod signal;
 mod codec_tests;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats, LoadLevel, Permit, WorkKind};
-pub use chaos::{ChaosConfig, ChaosPlan};
-pub use client::{Client, ClientError, RetryPolicy};
 pub use frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME, DEFAULT_MAX_RESPONSE};
 pub use json::{Json, JsonError};
 pub use protocol::{

@@ -15,23 +15,23 @@
 //! * **deadlines** — `deadline_ms` headers propagate into
 //!   [`DseOptions::deadline`]; expired sweeps stop claiming points and
 //!   return flagged `truncated`, never silently completed;
-//! * **retries** — a sweep is a pure function of its request, so a
-//!   client retry after a torn connection re-runs it, and the points the
-//!   interrupted attempt estimated come back from the shared
+//! * **re-asking** — a sweep is a pure function of its request, so a
+//!   client that lost its connection sends the request again, and the
+//!   points the lost attempt estimated come back from the shared
 //!   [`EstimateCache`] through the params memo;
-//! * **chaos** — the connection-level [`ChaosConfig`] and the
-//!   evaluation-level [`FaultInjector`] are armed through
-//!   [`ServerConfig`]'s `chaos` and `faults` fields; the chaos suite
-//!   asserts results stay bit-identical.
+//! * **faults** — [`ServerConfig`]'s `faults` field runs every sweep
+//!   under the evaluation-level [`FaultInjector`]; `tests/chaos.rs`
+//!   asserts the served sweep stays byte-identical to a fault-free
+//!   in-process one.
 //!
 //! Drain (SIGTERM, SIGINT, or the `shutdown` op) stops the accept loop,
 //! rejects new work with `draining`, lets in-flight connections finish
 //! (bounded by their read timeouts and sweep deadlines), then flushes
 //! the obs sinks before returning.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -45,7 +45,6 @@ use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
 
 use crate::admission::{Admission, AdmissionConfig, LoadLevel, Rejection, WorkKind};
-use crate::chaos::ChaosConfig;
 use crate::frame::{
     read_frame_into, FrameBuf, FrameError, DEFAULT_MAX_FRAME, DEFAULT_MAX_RESPONSE,
 };
@@ -64,8 +63,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Admission bounds.
     pub admission: AdmissionConfig,
-    /// Connection-level chaos.
-    pub chaos: ChaosConfig,
     /// Evaluation-level fault injection.
     pub faults: Option<FaultConfig>,
     /// Per-connection socket read timeout: an idle or stalled peer is
@@ -97,7 +94,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7436".to_string(),
             admission: AdmissionConfig::default(),
-            chaos: ChaosConfig::disabled(),
             faults: None,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -120,9 +116,6 @@ struct ServeCounters {
     estimate_cache_hits: AtomicU64,
     sweeps: AtomicU64,
     degraded_hits: AtomicU64,
-    chaos_drops: AtomicU64,
-    chaos_truncations: AtomicU64,
-    chaos_stalls: AtomicU64,
 }
 
 /// One servable benchmark and its params-key salt.
@@ -146,7 +139,6 @@ struct State {
     /// Every benchmark `dhdl_apps::by_name` knows, built once at bind so
     /// a request neither boxes a benchmark nor takes a lock for its salt.
     served: Vec<Served>,
-    draining: AtomicBool,
     counters: ServeCounters,
 }
 
@@ -155,8 +147,10 @@ impl State {
         self.served.iter().find(|s| s.bench.name() == name)
     }
 
+    /// Whether a drain has begun: the `shutdown` op or `run`'s exit
+    /// closed admission, or a signal asked for it.
     fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst) || signal::drain_requested()
+        self.admission.is_draining() || signal::drain_requested()
     }
 }
 
@@ -196,7 +190,6 @@ impl Server {
                         salt: OnceLock::new(),
                     })
                     .collect(),
-                draining: AtomicBool::new(false),
                 counters: ServeCounters::default(),
             }),
         })
@@ -237,14 +230,11 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut conn_seq = 0u64;
         while !self.state.draining() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let state = Arc::clone(&self.state);
-                    let id = conn_seq;
-                    conn_seq += 1;
-                    conns.push(std::thread::spawn(move || handle_conn(&state, stream, id)));
+                    conns.push(std::thread::spawn(move || handle_conn(&state, stream)));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -267,16 +257,16 @@ impl Server {
     }
 }
 
-/// One connection: read a frame, apply the chaos plan, dispatch, write a
-/// frame; repeat until the peer closes, errors, or chaos kills it. The
-/// reader's buffer, the request payload and the response frame are the
-/// connection's own and are reused from request to request.
+/// One connection: read a frame, dispatch, write a frame; repeat until
+/// the peer closes or errors. The reader's buffer, the request payload
+/// and the response frame are the connection's own and are reused from
+/// request to request.
 ///
 /// With `DHDL_OBS` set the four stages around the dispatch are timed:
 /// `serve.frame.read_ns` (blocking, so it includes the wait for the
 /// peer's next frame), `serve.req.parse_ns`, `serve.req.encode_ns` and
 /// `serve.frame.write_ns`.
-fn handle_conn(state: &State, stream: TcpStream, conn_id: u64) {
+fn handle_conn(state: &State, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(state.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
     let _ = stream.set_nodelay(true);
@@ -285,7 +275,6 @@ fn handle_conn(state: &State, stream: TcpStream, conn_id: u64) {
     let mut payload = Vec::new();
     let mut frame = FrameBuf::default();
     let max_response = state.cfg.max_response;
-    let mut frame_idx = 0u64;
     loop {
         let timer = dhdl_obs::histogram!("serve.frame.read_ns").timer();
         let read = read_frame_into(&mut reader, state.cfg.max_frame, &mut payload);
@@ -315,15 +304,6 @@ fn handle_conn(state: &State, stream: TcpStream, conn_id: u64) {
                 return;
             }
         }
-        let plan = state.cfg.chaos.plan(conn_id, frame_idx);
-        frame_idx += 1;
-        if plan.drop_conn {
-            // Injected connection death *before* execution: the client
-            // sees a dead socket and retries; no work ran, so a retried
-            // non-idempotent request is still executed exactly once.
-            state.counters.chaos_drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         state.counters.requests.fetch_add(1, Ordering::Relaxed);
         let timer = dhdl_obs::histogram!("serve.req.parse_ns").timer();
         let request = Request::parse(&payload);
@@ -352,23 +332,6 @@ fn handle_conn(state: &State, stream: TcpStream, conn_id: u64) {
             write_error(frame.start(), &err);
         }
         drop(timer);
-        if plan.stall {
-            state.counters.chaos_stalls.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(state.cfg.chaos.stall);
-        }
-        if plan.truncate {
-            // Injected torn response: correct length prefix, half the
-            // payload, then close. The client must treat this as a
-            // failed attempt, not a short response.
-            state
-                .counters
-                .chaos_truncations
-                .fetch_add(1, Ordering::Relaxed);
-            if let Ok(bytes) = frame.seal(max_response) {
-                let _ = writer.write_all(&bytes[..4 + (bytes.len() - 4) / 2]);
-            }
-            return;
-        }
         let timer = dhdl_obs::histogram!("serve.frame.write_ns").timer();
         let sent = frame.send(&mut writer, max_response);
         drop(timer);
@@ -422,7 +385,6 @@ fn dispatch(state: &State, req: &Request) -> Reply {
         Op::Health => handle_health(state),
         Op::Stats => handle_stats(state),
         Op::Shutdown => {
-            state.draining.store(true, Ordering::SeqCst);
             state.admission.drain();
             Reply::Tree(ok_response([("state", Json::Str("draining".to_string()))]))
         }
@@ -496,12 +458,6 @@ fn handle_stats(state: &State) -> Reply {
         ),
         ("sweeps", n(c.sweeps.load(Ordering::Relaxed))),
         ("degraded_hits", n(c.degraded_hits.load(Ordering::Relaxed))),
-        ("chaos_drops", n(c.chaos_drops.load(Ordering::Relaxed))),
-        (
-            "chaos_truncations",
-            n(c.chaos_truncations.load(Ordering::Relaxed)),
-        ),
-        ("chaos_stalls", n(c.chaos_stalls.load(Ordering::Relaxed))),
         ("inflight", nu(a.inflight)),
         ("peak_inflight", nu(a.peak_inflight)),
         ("admitted", nu(a.admitted)),
@@ -846,6 +802,83 @@ mod tests {
             let message = refused.get("message").and_then(Json::as_str).unwrap();
             assert!(message.contains(&format!("`{value}`")), "{message}");
         }
+    }
+
+    #[test]
+    fn a_cache_hit_at_saturation_is_flagged_degraded() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let state = &*server.state;
+        let mut frame = FrameBuf::default();
+        let mut answer = |payload: &[u8]| {
+            serve(state, payload, &mut frame);
+            Json::parse(&frame.seal(DEFAULT_MAX_RESPONSE).unwrap()[4..]).unwrap()
+        };
+        let bench = dhdl_apps::by_name("dotproduct").unwrap();
+        let payload = Request::new(Op::Estimate {
+            bench: "dotproduct".to_string(),
+            params: bench.default_params(),
+        })
+        .render();
+        answer(&payload);
+        let flags = |v: &Json| {
+            let flag = |k| v.get(k).and_then(Json::as_bool);
+            (flag("cached"), flag("degraded"))
+        };
+        let permits: Vec<_> = (0..state.cfg.admission.global_cap)
+            .map(|i| {
+                let tenant = format!("t{i}");
+                state
+                    .admission
+                    .admit(&tenant, 1, WorkKind::Estimate)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(state.admission.level(), LoadLevel::Saturated);
+        assert_eq!(flags(&answer(&payload)), (Some(true), Some(true)));
+        drop(permits);
+        assert_eq!(flags(&answer(&payload)), (Some(true), Some(false)));
+    }
+
+    #[test]
+    fn stats_answers_exactly_its_members() {
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let mut frame = FrameBuf::default();
+        serve(&server.state, &Request::new(Op::Stats).render(), &mut frame);
+        let stats = Json::parse(&frame.seal(DEFAULT_MAX_RESPONSE).unwrap()[4..]).unwrap();
+        let members: Vec<&str> = stats.as_obj().unwrap().keys().map(String::as_str).collect();
+        // `benchmark/src/serve.rs` reads `protocol_errors`, the four
+        // `rejected_*`, `estimates` and `estimate_cache_hits`, and fails a
+        // run on any of them it cannot find.
+        assert_eq!(
+            members,
+            [
+                "admitted",
+                "cache_entries",
+                "cache_params_entries",
+                "degraded_hits",
+                "estimate_cache_hits",
+                "estimates",
+                "inflight",
+                "level",
+                "peak_inflight",
+                "protocol_errors",
+                "rejected_draining",
+                "rejected_overload",
+                "rejected_shed",
+                "rejected_tenant",
+                "requests",
+                "status",
+                "sweeps",
+            ]
+        );
     }
 
     #[test]

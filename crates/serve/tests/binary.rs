@@ -7,7 +7,11 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 
 use dhdl_serve::json::Json;
-use dhdl_serve::{Client, Op, Request, RetryPolicy};
+use dhdl_serve::{Op, Request};
+
+#[path = "support/conn.rs"]
+mod conn;
+use conn::{connect, request_ok};
 
 /// The child process, killed and reaped if the test fails before it
 /// exits on its own.
@@ -41,23 +45,23 @@ fn the_binary_serves_from_its_cache_and_drains_on_sigterm() {
         .parse()
         .expect("a socket address");
 
-    let mut client = Client::new(addr, RetryPolicy::default());
+    let mut stream = connect(addr);
     let bench = dhdl_apps::by_name("dotproduct").unwrap();
     let estimate = Request::new(Op::Estimate {
         bench: "dotproduct".to_string(),
         params: bench.default_params(),
     });
     for cached in [false, true] {
-        let resp = client.request_ok(&estimate).unwrap();
+        let resp = request_ok(&mut stream, &estimate);
         assert_eq!(resp.get("cached").and_then(Json::as_bool), Some(cached));
     }
-    let stats = client.request_ok(&Request::new(Op::Stats)).unwrap();
+    let stats = request_ok(&mut stream, &Request::new(Op::Stats));
     assert_eq!(
         stats.get("estimate_cache_hits").and_then(Json::as_u64),
         Some(1)
     );
     // An open connection holds the drain until its read timeout.
-    drop(client);
+    drop(stream);
 
     let kill = Command::new("kill")
         .args(["-TERM", &serving.0.id().to_string()])

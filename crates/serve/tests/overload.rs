@@ -2,12 +2,12 @@
 //! of growing, saturation degrades to cache-only service with the
 //! `degraded` flag, and drain flushes state and exits cleanly.
 
-use std::time::Duration;
-
 use dhdl_serve::json::Json;
-use dhdl_serve::{
-    AdmissionConfig, Client, ClientError, Op, Request, RetryPolicy, Server, ServerConfig,
-};
+use dhdl_serve::{AdmissionConfig, Op, Request, Server, ServerConfig};
+
+#[path = "support/conn.rs"]
+mod conn;
+use conn::{connect, request, request_ok};
 
 #[test]
 fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
@@ -26,21 +26,13 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
 
-    // Six tenants fire sweeps at once against a sweep cap of one, with
-    // no retry budget: the excess must come back as explicit 429-style
-    // rejections carrying retry_after_ms — not queue, not OOM, not hang.
-    let outcomes: Vec<Result<bool, ClientError>> = std::thread::scope(|s| {
+    // Six tenants fire sweeps at once against a sweep cap of one: the
+    // excess must come back as explicit 429-style rejections carrying
+    // retry_after_ms — not queue, not OOM, not hang.
+    let outcomes: Vec<Json> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..6)
             .map(|i| {
                 s.spawn(move || {
-                    let mut client = Client::new(
-                        addr,
-                        RetryPolicy {
-                            max_attempts: 1,
-                            ..RetryPolicy::default()
-                        },
-                    )
-                    .with_timeout(Duration::from_secs(60));
                     let mut req = Request::new(Op::Sweep {
                         bench: "dotproduct".to_string(),
                         points: 150,
@@ -49,19 +41,19 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
                     });
                     req.header.tenant = format!("tenant-{i}");
                     req.header.priority = 2;
-                    client
-                        .request(&req)
-                        .map(|r| r.get("status").and_then(Json::as_str) == Some("ok"))
+                    request(&mut connect(addr), &req)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let completed = outcomes.iter().filter(|o| matches!(o, Ok(true))).count();
-    let rejected = outcomes
-        .iter()
-        .filter(|o| matches!(o, Err(ClientError::Rejected(_))))
-        .count();
+    let count = |status: &str| {
+        outcomes
+            .iter()
+            .filter(|o| o.get("status").and_then(Json::as_str) == Some(status))
+            .count()
+    };
+    let (completed, rejected) = (count("ok"), count("rejected"));
     assert!(completed >= 1, "at least one sweep must get through");
     assert!(
         rejected >= 1,
@@ -71,8 +63,8 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
 
     // The bounded-queue invariant, from the server's own accounting:
     // in-flight work never exceeded the global cap.
-    let mut client = Client::new(addr, RetryPolicy::default());
-    let stats = client.request_ok(&Request::new(Op::Stats)).unwrap();
+    let mut stream = connect(addr);
+    let stats = request_ok(&mut stream, &Request::new(Op::Stats));
     let peak = stats.get("peak_inflight").and_then(Json::as_u64).unwrap();
     assert!(
         peak as usize <= GLOBAL_CAP,
@@ -86,8 +78,8 @@ fn overloaded_sweeps_are_rejected_explicitly_and_queues_stay_bounded() {
             >= 1
     );
 
-    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
-    drop(client);
+    request_ok(&mut stream, &Request::new(Op::Shutdown));
+    drop(stream);
     handle.join().unwrap().unwrap();
 }
 
@@ -98,7 +90,7 @@ fn saturation_serves_warm_cache_hits_degraded() {
         ..ServerConfig::default()
     };
     let (addr, handle) = Server::spawn(cfg).unwrap();
-    let mut client = Client::new(addr, RetryPolicy::default());
+    let mut stream = connect(addr);
 
     // Warm one estimate: first ask misses (real work), second hits.
     let bench = dhdl_apps::by_name("dotproduct").unwrap();
@@ -106,10 +98,10 @@ fn saturation_serves_warm_cache_hits_degraded() {
         bench: "dotproduct".to_string(),
         params: bench.default_params(),
     });
-    let first = client.request_ok(&warm).unwrap();
+    let first = request_ok(&mut stream, &warm);
     assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
     assert_eq!(first.get("degraded").and_then(Json::as_bool), Some(false));
-    let second = client.request_ok(&warm).unwrap();
+    let second = request_ok(&mut stream, &warm);
     assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(second.get("degraded").and_then(Json::as_bool), Some(false));
     // The cached answer is bit-identical to the computed one.
@@ -119,11 +111,11 @@ fn saturation_serves_warm_cache_hits_degraded() {
 
     // Put the server in its most degraded state (draining: no new work
     // at all) on this same connection, which stays serviced.
-    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
+    request_ok(&mut stream, &Request::new(Op::Shutdown));
 
     // Warm hits are still served — flagged degraded — while anything
     // needing real work is rejected outright.
-    let hit = client.request_ok(&warm).unwrap();
+    let hit = request_ok(&mut stream, &warm);
     assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(
         hit.get("degraded").and_then(Json::as_bool),
@@ -135,12 +127,15 @@ fn saturation_serves_warm_cache_hits_degraded() {
         bench: "gemm".to_string(),
         params: cold_bench.default_params(),
     });
-    match client.request(&cold) {
-        Err(ClientError::Rejected(code)) => assert_eq!(code, "draining"),
-        other => panic!("cold estimate during drain must be rejected, got {other:?}"),
-    }
+    let refused = request(&mut stream, &cold);
+    assert_eq!(
+        refused.get("status").and_then(Json::as_str),
+        Some("rejected"),
+        "cold estimate during drain must be rejected, got {refused:?}"
+    );
+    assert_eq!(refused.get("code").and_then(Json::as_str), Some("draining"));
 
     // Drain completes cleanly.
-    drop(client);
+    drop(stream);
     handle.join().unwrap().unwrap();
 }

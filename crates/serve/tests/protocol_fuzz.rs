@@ -4,11 +4,10 @@
 //! response, or a dead server.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use dhdl_serve::json::Json;
-use dhdl_serve::{read_frame, write_frame, Client, Op, Request, RetryPolicy, Server, ServerConfig};
+use dhdl_serve::{read_frame, write_frame, Op, Request, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,6 +27,9 @@ fn spawn_server() -> (
     Server::spawn(cfg).unwrap()
 }
 
+#[path = "support/conn.rs"]
+mod conn;
+use conn::{connect, request_ok};
 #[path = "support/hostile.rs"]
 mod hostile;
 use hostile::hostile_payload;
@@ -43,19 +45,15 @@ fn valid_request() -> Vec<u8> {
     .render()
 }
 
-fn connect(addr: std::net::SocketAddr) -> TcpStream {
-    let s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
-    s
+fn assert_healthy(addr: std::net::SocketAddr) {
+    let resp = request_ok(&mut connect(addr), &Request::new(Op::Health));
+    assert_eq!(resp.get("state").and_then(Json::as_str), Some("accepting"));
 }
 
-fn assert_healthy(addr: std::net::SocketAddr) {
-    let mut client = Client::new(addr, RetryPolicy::default());
-    let resp = client
-        .request_ok(&Request::new(Op::Health))
-        .expect("server must stay healthy under fuzzing");
-    assert_eq!(resp.get("state").and_then(Json::as_str), Some("accepting"));
+/// Ask the server to drain on a fresh connection and wait for it to exit.
+fn shut_down(addr: std::net::SocketAddr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
+    request_ok(&mut connect(addr), &Request::new(Op::Shutdown));
+    handle.join().unwrap().unwrap();
 }
 
 #[test]
@@ -104,10 +102,7 @@ fn malformed_frames_get_structured_errors_and_server_survives() {
         assert_healthy(addr);
         let _ = batch;
     }
-    let mut client = Client::new(addr, RetryPolicy::default());
-    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
-    drop(client);
-    handle.join().unwrap().unwrap();
+    shut_down(addr, handle);
 }
 
 #[test]
@@ -159,10 +154,7 @@ fn frames_written_back_to_back_are_answered_in_order() {
     assert_eq!(stats.get("protocol_errors").and_then(Json::as_u64), Some(1));
     drop(stream);
 
-    let mut client = Client::new(addr, RetryPolicy::default());
-    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
-    drop(client);
-    handle.join().unwrap().unwrap();
+    shut_down(addr, handle);
 }
 
 /// A sweep seed travels as a JSON number, an `f64`: one that is not an
@@ -209,10 +201,7 @@ fn a_sweep_seed_that_does_not_survive_f64_is_refused_not_replaced() {
     assert_ne!(points(&other), points(&default));
     drop(stream);
 
-    let mut client = Client::new(addr, RetryPolicy::default());
-    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
-    drop(client);
-    handle.join().unwrap().unwrap();
+    shut_down(addr, handle);
 }
 
 #[test]
@@ -271,8 +260,5 @@ fn oversized_and_torn_frames_are_bounded_and_survivable() {
     drop(stream);
 
     assert_healthy(addr);
-    let mut client = Client::new(addr, RetryPolicy::default());
-    client.request_ok(&Request::new(Op::Shutdown)).unwrap();
-    drop(client);
-    handle.join().unwrap().unwrap();
+    shut_down(addr, handle);
 }

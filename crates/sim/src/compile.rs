@@ -795,8 +795,8 @@ impl<'a> Emitter<'a> {
         Ok(())
     }
 
-    /// Resolve the memory of a body access, with the interpreter's
-    /// `flat_index` checks.
+    /// Resolve the memory of a body access, with the checks of the
+    /// interpreter's `Access::resolve` and `Access::index`.
     fn target(
         &self,
         mem: NodeId,
@@ -831,7 +831,7 @@ impl<'a> Emitter<'a> {
     }
 
     /// Lower one body node to its micro-op. `Err` is the structural
-    /// error the interpreter's `eval_node` raises for it.
+    /// error the interpreter's `exec` raises for it at its `Step::Fail`.
     fn emit_node(&self, n: NodeId, body: &mut Body) -> std::result::Result<(), SimError> {
         let design = self.design;
         let node = design.node(n);

@@ -35,12 +35,12 @@
 //! affine in-bounds access is one slice copy at stride 1, one read at 0.
 //!
 //! The executor is *bit-identical* to the interpreter by construction:
-//! per lane, every micro-op replicates the corresponding `eval_node`
-//! arm's f64 operation order and quantization points, and structural
-//! errors the interpreter would raise mid-run are compiled to
-//! [`Instr::Abort`] at the exact position where the interpreter would
-//! first discover them. Executing touches no `HashMap`s, walks no graph
-//! and clones no `NodeKind`s.
+//! per lane, every micro-op replicates the f64 operation order and
+//! quantization points of the corresponding `Step` arm of the
+//! interpreter's `exec`, and structural errors the interpreter would
+//! raise mid-run are compiled to [`Instr::Abort`] at the exact position
+//! where the interpreter would first discover them. Executing touches
+//! no `HashMap`s, walks no graph and clones no `NodeKind`s.
 
 use dhdl_core::{DType, NodeId, PrimOp, ReduceOp};
 
@@ -177,9 +177,9 @@ pub(crate) struct Access {
 
 /// One micro-op of a pipe body, evaluated for a whole block of
 /// iterations ("lanes") at a time: compute, quantize at `ty`, write the
-/// block's last lane through to `dst` — `eval_node`'s shape. After any
-/// block the arena therefore holds what the interpreter's `vals` would
-/// after that iteration.
+/// block's last lane through to `dst` — the shape of a `Step` arm of
+/// the interpreter's `exec`. After any block the arena therefore holds
+/// what the interpreter's `vals` would after that iteration.
 #[derive(Debug, Clone)]
 pub(crate) struct KOp {
     /// The scratch slot of the op's design node (`Reduce`: the
@@ -257,7 +257,8 @@ pub(crate) enum KKind {
         at: Access,
     },
     /// Bounds-checked memory write (also forwards the raw value to the
-    /// store node's own slot at the node's type, like `eval_node`).
+    /// store node's own slot at the node's type, like the interpreter's
+    /// `Step::Store`).
     Store {
         /// Where.
         at: Access,
@@ -591,7 +592,7 @@ impl Kernel {
     /// every operand being read from its written-through slot.
     ///
     /// Per lane, every micro-op performs exactly the f64 operations of
-    /// the interpreter's `eval_node` arm. Within a block the ops run
+    /// the interpreter's `exec` `Step` arm. Within a block the ops run
     /// lane-major, which the compiler proved unobservable before
     /// choosing a width above 1; at width 1 it is the interpreter's
     /// order. Out-of-bounds accesses are collected per block and the
