@@ -9,7 +9,7 @@
 //! dhdl sweep    <benchmark> <param>
 //! dhdl list
 //! dhdl estimate <benchmark> [param=value ...]
-//! dhdl explore  <benchmark> [--points N] [--num-fpgas K]
+//! dhdl explore  <benchmark> [--num-fpgas K]
 //! dhdl simulate <benchmark> [param=value ...] [--profile]
 //! dhdl codegen  <benchmark> [param=value ...]
 //! dhdl bottleneck <benchmark> [param=value ...]
@@ -17,8 +17,9 @@
 //! dhdl hls      <benchmark>                     # Figure 2 style C source
 //! ```
 //!
-//! The experiments' budgets come from the `DHDL_*` knobs of README.md's
-//! environment table.
+//! Every sweep evaluates the whole legal space of its benchmark; the
+//! `DHDL_*` knobs of README.md's environment table set threads, the
+//! sweep deadline and Table IV's point count.
 
 use std::process::ExitCode;
 
@@ -83,7 +84,7 @@ fn usage() {
          dhdl diagnose [benchmark] [pareto_points]\n  \
          dhdl sweep    <benchmark> <param>\n  \
          dhdl list\n  dhdl estimate <benchmark> [param=value ...]\n  \
-         dhdl explore  <benchmark> [--points N] [--num-fpgas K]\n  \
+         dhdl explore  <benchmark> [--num-fpgas K]\n  \
          dhdl simulate <benchmark> [param=value ...] [--profile]\n  \
          dhdl codegen  <benchmark> [param=value ...]\n  \
          dhdl bottleneck <benchmark> [param=value ...]\n  \
@@ -93,24 +94,22 @@ fn usage() {
 }
 
 /// A calibrated harness for an experiment or a tool.
-fn harness(seed: u64, points: usize) -> Harness {
+fn harness(seed: u64) -> Harness {
     eprintln!("calibrating estimator (one-time, application independent)...");
-    Harness::new(seed, points)
+    Harness::new(seed)
 }
 
-/// Run `cmd` if it names an experiment of the evaluation, at the scale
-/// the environment knobs select: print its report, write its files and
-/// apply its gate.
+/// Run `cmd` if it names an experiment of the evaluation: print its
+/// report, write its files and apply its gate.
 fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
     use dhdl_bench::{
         ablations, dnnbench, energy, fig5, fig6, partbench, sweep, table2, table3, table4,
     };
     let suite = dhdl_apps::all();
-    let dse_points = |default| knob("DHDL_DSE_POINTS").unwrap_or(default);
     let report = match cmd {
         "table2" => table2(&suite),
         "table3" => {
-            let h = harness(table3::SEED, dse_points(1_000));
+            let h = harness(table3::SEED);
             // Five spread-out Pareto points per benchmark.
             table3(&h, &suite, 5).report
         }
@@ -121,19 +120,12 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
             let gda = dhdl_apps::Gda::new(1_536, 96);
             let n = knob("DHDL_T4_POINTS").unwrap_or(250);
             // The first 30 points carry an outer-loop PIPELINE directive.
-            table4(&harness(table4::SEED, 1_000), &gda, n, 30).report
+            table4(&harness(table4::SEED), &gda, n, 30).report
         }
-        "fig5" => {
-            // The paper samples up to 75,000 legal points per benchmark;
-            // default lower here for quick runs.
-            fig5(
-                &harness(fig5::SEED, knob("DHDL_FIG5_POINTS").unwrap_or(3_000)),
-                &suite,
-            )
-        }
-        "fig6" => fig6(&harness(fig6::SEED, dse_points(1_500)), &suite).report,
-        "ablations" => ablations(&harness(ablations::SEED, dse_points(1_000)), &suite),
-        "energy" => energy(&harness(energy::SEED, dse_points(1_000)), &suite).report,
+        "fig5" => fig5(&harness(fig5::SEED), &suite),
+        "fig6" => fig6(&harness(fig6::SEED), &suite).report,
+        "ablations" => ablations(&harness(ablations::SEED), &suite),
+        "energy" => energy(&harness(energy::SEED), &suite).report,
         "diagnose" => {
             let name = rest.first().map_or("gda", String::as_str);
             let n = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
@@ -141,7 +133,7 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
                 eprintln!("unknown benchmark `{name}`");
                 return Some(ExitCode::FAILURE);
             };
-            let h = harness(table3::SEED, 1_000);
+            let h = harness(table3::SEED);
             let mut r = Report::default();
             r.say(dhdl_bench::diagnose(&h, bench.as_ref(), n).render());
             r
@@ -155,7 +147,7 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
                 eprintln!("unknown benchmark `{name}`");
                 return Some(ExitCode::from(2));
             };
-            match sweep(&harness(sweep::SEED, 100), bench.as_ref(), param) {
+            match sweep(&harness(sweep::SEED), bench.as_ref(), param) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("{e}");
@@ -164,11 +156,11 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
             }
         }
         "dnnbench" => {
-            let h = harness(dnnbench::SEED, knob("DHDL_DNN_POINTS").unwrap_or(2_000));
+            let h = harness(dnnbench::SEED);
             dnnbench(&h, &dhdl_apps::dnn(), dnnbench::PARETO_N).report
         }
         "partbench" => {
-            let h = harness(partbench::SEED, knob("DHDL_PART_POINTS").unwrap_or(800));
+            let h = harness(partbench::SEED);
             partbench(&h, &partbench::scenarios())
         }
         _ => return None,
@@ -221,7 +213,7 @@ fn list() {
 
 fn estimate(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest, &[]);
-    let harness = harness(0xC11, 100);
+    let harness = harness(0xC11);
     let design = bench.build(&p).expect("design builds");
     let est = harness.estimator.estimate(&design);
     let platform = &harness.platform;
@@ -264,33 +256,31 @@ fn hls(bench: &dyn Benchmark, _rest: &[String]) {
     }
 }
 
-/// `explore`'s flags, `--points <integer>` and `--num-fpgas <integer>`,
-/// in any order. Any other argument exits 2 naming it, as in
-/// [`params_from`]: carrying on would sweep the defaults instead.
-fn explore_flags(rest: &[String]) -> (Option<usize>, Option<usize>) {
+/// `explore`'s one flag, `--num-fpgas <integer>`. Any other argument
+/// exits 2 naming it, as in [`params_from`]: carrying on would sweep the
+/// defaults instead.
+fn explore_flags(rest: &[String]) -> Option<usize> {
     let bad = |arg: &str| -> ! {
-        eprintln!("bad argument `{arg}`: expected --points <integer> or --num-fpgas <integer>");
+        eprintln!("bad argument `{arg}`: expected --num-fpgas <integer>");
         std::process::exit(2);
     };
-    let (mut points, mut num_fpgas) = (None, None);
+    let mut num_fpgas = None;
     let mut args = rest.iter();
     while let Some(flag) = args.next() {
-        let slot = match flag.as_str() {
-            "--points" => &mut points,
-            "--num-fpgas" => &mut num_fpgas,
-            _ => bad(flag),
-        };
+        if flag != "--num-fpgas" {
+            bad(flag);
+        }
         match args.next() {
-            Some(v) => *slot = Some(v.parse().unwrap_or_else(|_| bad(&format!("{flag} {v}")))),
+            Some(v) => num_fpgas = Some(v.parse().unwrap_or_else(|_| bad(&format!("{flag} {v}")))),
             None => bad(flag),
         }
     }
-    (points, num_fpgas)
+    num_fpgas
 }
 
 fn explore(bench: &dyn Benchmark, rest: &[String]) {
-    let (points, num_fpgas) = explore_flags(rest);
-    let mut harness = harness(0xC12, points.unwrap_or(1_000));
+    let num_fpgas = explore_flags(rest);
+    let mut harness = harness(0xC12);
     // `--num-fpgas` > 1 adds the `num_fpgas` partitioning axis to the
     // swept space.
     if let Some(k) = num_fpgas {

@@ -2,9 +2,8 @@
 //!
 //! For each DNN-shaped benchmark (a 3x3 line-buffer convolution and an
 //! attention-shaped GEMM–softmax–GEMM pipeline) this runs the Figure-5
-//! and Figure-6 pipelines side by side: sweep the design space (both
-//! spaces fit inside the default budget, so the random sweep enumerates
-//! them), emit the Pareto front, simulate the fastest design under both
+//! and Figure-6 pipelines side by side: sweep the whole design space,
+//! emit the Pareto front, simulate the fastest design under both
 //! simulator backends with a bit-exact cross-check, and compare modeled
 //! FPGA time against the modeled Xeon CPU time. Table-III-style
 //! estimator errors on Pareto picks are *reported* (these workloads sit
@@ -118,7 +117,7 @@ fn sweep_run(
     }
 }
 
-fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]) -> Json {
+fn json(seed: u64, records: &[BenchRecord], mean_errors: [f64; 4]) -> Json {
     let errors = |[a, d, b, r]: [f64; 4]| {
         Json::obj([
             ("alm", fixed(a, 4)),
@@ -165,29 +164,24 @@ fn json(seed: u64, points: usize, records: &[BenchRecord], mean_errors: [f64; 4]
     });
     Json::obj([
         ("seed", Json::Num(seed as f64)),
-        ("points", Json::Num(points as f64)),
         ("benchmarks", Json::Arr(benchmarks.collect())),
         ("mean_model_errors", errors(mean_errors)),
     ])
 }
 
 /// Run the frontier over `benches` on `harness`, measuring model error
-/// on up to `pareto_n` Pareto picks of each random sweep.
+/// on up to `pareto_n` Pareto picks of each sweep.
 ///
 /// # Panics
 ///
-/// Panics if a benchmark has no valid design at this budget.
+/// Panics if a benchmark has no valid design.
 pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usize) -> DnnBench {
-    let points = harness.dse.max_points;
     let mut report = Report::default();
     let xeon = XeonModel::default();
 
     let mut records = Vec::new();
     for bench in benches {
-        report.say(format_args!(
-            "=== {} ({points} samples/strategy) ===",
-            bench.name()
-        ));
+        report.say(format_args!("=== {} ===", bench.name()));
         eprintln!("exploring {}...", bench.name());
         let dse = harness.explore(bench.as_ref());
         eprintln!("  {}", dse.stats.summary());
@@ -269,7 +263,7 @@ pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usi
     ));
     report.wrote(
         "BENCH_dnn.json",
-        json(harness.dse.seed, points, &records, mean).render() + "\n",
+        json(harness.dse.seed, &records, mean).render() + "\n",
     );
     DnnBench {
         mean_errors: mean,

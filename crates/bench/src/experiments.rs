@@ -43,7 +43,8 @@ pub struct Harness {
     pub platform: Platform,
     /// The calibrated estimator.
     pub estimator: Estimator,
-    /// DSE options (sample budget, seed, memory cap).
+    /// DSE options (seed, memory cap, threads, deadline); the budget is
+    /// the whole legal space.
     pub dse: DseOptions,
     /// Maximum devices for the multi-FPGA DSE axis (`dhdl explore
     /// --num-fpgas`; default 1 = single-chip). When `> 1`,
@@ -61,13 +62,16 @@ impl Harness {
     /// is a pure function of platform and seed that costs ~0.2 s, and a
     /// model file could outlive the characterization it was fitted on.
     ///
-    /// Sweep resilience knobs come from the environment so every
+    /// Every sweep evaluates the whole legal space: the largest one,
+    /// gemm's at `--num-fpgas 4`, holds 87 480 points and takes well
+    /// under a second, so a sample would buy nothing but an approximate
+    /// front. Sweep resilience knobs come from the environment so every
     /// experiment driver shares them: `DHDL_DSE_THREADS` (worker
     /// threads, 0 = all cores) and `DHDL_DSE_DEADLINE_MS` (wall-clock
     /// budget per sweep). Sweeps estimate every point with the bare
-    /// estimator: no experiment revisits enough points in one process
-    /// for [`dhdl_dse::CachedModel`] to pay for its hashing.
-    pub fn new(seed: u64, dse_points: usize) -> Self {
+    /// estimator: a sweep visits each point once, so a
+    /// [`dhdl_dse::CachedModel`] would only add hashing.
+    pub fn new(seed: u64) -> Self {
         let platform = Platform::maia();
         let estimator = Estimator::calibrate(&platform, seed);
         let threads = knob("DHDL_DSE_THREADS").unwrap_or(0);
@@ -76,7 +80,7 @@ impl Harness {
             platform,
             estimator,
             dse: DseOptions {
-                max_points: dse_points,
+                max_points: usize::MAX,
                 seed,
                 threads,
                 deadline,
@@ -248,7 +252,7 @@ mod tests {
     /// One calibration for the whole test binary.
     fn harness() -> &'static Harness {
         static HARNESS: OnceLock<Harness> = OnceLock::new();
-        HARNESS.get_or_init(|| Harness::new(3, 40))
+        HARNESS.get_or_init(|| Harness::new(3))
     }
 
     #[test]

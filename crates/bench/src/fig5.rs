@@ -1,9 +1,9 @@
 //! Figure 5: design-space exploration scatter plots.
 //!
-//! For every benchmark, samples the legal design space, estimates each
-//! point, and emits the three panels of the paper's Figure 5 row (ALM,
-//! DSP and BRAM utilization vs. log-cycles) as CSV plus an ASCII render of
-//! the ALM panel, with Pareto-optimal designs highlighted. Ends with the
+//! For every benchmark, estimates every point of the legal design space
+//! and emits the three panels of the paper's Figure 5 row (ALM, DSP and
+//! BRAM utilization vs. log-cycles) as CSV plus an ASCII render of the
+//! ALM panel, with Pareto-optimal designs highlighted. Ends with the
 //! boundedness analysis of §V-C1 (which resource limits each benchmark's
 //! Pareto front).
 
@@ -52,9 +52,9 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
     let mut r = Report::default();
     for bench in benches {
         eprintln!(
-            "exploring {} ({} samples)...",
+            "exploring {} ({} points)...",
             bench.name(),
-            harness.dse.max_points
+            bench.param_space().size()
         );
         let dse = harness.explore(bench.as_ref());
         // CSV: one row per point with all three panels' coordinates, the

@@ -9,7 +9,6 @@
 
 use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
-use dhdl_dse::refine;
 
 use crate::experiments::Harness;
 use crate::report::{times, Report, Table};
@@ -38,12 +37,12 @@ pub struct Fig6 {
     pub report: Report,
 }
 
-/// Explore and refine each of `benches` on `harness`, simulate the
-/// fastest valid design and compare it with the CPU model.
+/// Explore each of `benches` on `harness`, simulate the fastest valid
+/// design and compare it with the CPU model.
 ///
 /// # Panics
 ///
-/// Panics if a benchmark has no valid design at this budget.
+/// Panics if a benchmark has no valid design.
 pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
     let xeon = XeonModel::default();
     let mut t = Table::new(&[
@@ -65,16 +64,7 @@ pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
     let mut speedups = Vec::new();
     for bench in benches {
         eprintln!("exploring {} ...", bench.name());
-        let sampled = harness.explore(bench.as_ref());
-        // Local-search refinement around the sampled Pareto front.
-        let dse = refine(
-            |p| bench.build(p),
-            &bench.param_space(),
-            &harness.estimator,
-            &harness.dse,
-            &sampled,
-            2,
-        );
+        let dse = harness.explore(bench.as_ref());
         let best = dse
             .best()
             .unwrap_or_else(|| panic!("{}: no valid design found", bench.name()));

@@ -11,7 +11,7 @@ fn parse<T: FromStr>(name: &str, value: &str) -> Result<T, String> {
 
 /// The numeric knob `name`, or `None` (the caller's default applies)
 /// when it is unset. A value that does not parse warns on stderr before
-/// falling back: a typo'd `DHDL_FIG5_POINTS=3k` must not silently run the
+/// falling back: a typo'd `DHDL_T4_POINTS=3k` must not silently run the
 /// default budget.
 pub fn knob<T: FromStr>(name: &str) -> Option<T> {
     let value = std::env::var(name).ok()?;
@@ -24,12 +24,12 @@ mod tests {
 
     #[test]
     fn a_typo_warns_with_the_variable_and_the_value() {
-        assert_eq!(parse::<usize>("DHDL_FIG5_POINTS", "3000"), Ok(3_000));
-        let warning = parse::<usize>("DHDL_FIG5_POINTS", "3k").unwrap_err();
+        assert_eq!(parse::<usize>("DHDL_T4_POINTS", "250"), Ok(250));
+        let warning = parse::<usize>("DHDL_T4_POINTS", "3k").unwrap_err();
         assert!(
-            warning.starts_with("warning: DHDL_FIG5_POINTS: `3k`"),
+            warning.starts_with("warning: DHDL_T4_POINTS: `3k`"),
             "{warning}"
         );
-        assert!(parse::<usize>("DHDL_FIG5_POINTS", "").is_err());
+        assert!(parse::<usize>("DHDL_T4_POINTS", "").is_err());
     }
 }

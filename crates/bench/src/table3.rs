@@ -76,8 +76,7 @@ pub fn table3(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usize
     let mut report = Report::default();
     report.say("\nTable III: average absolute error for resource usage and runtime");
     report.say(format_args!(
-        "({pareto_n} Pareto points per benchmark, {} DSE samples)\n",
-        harness.dse.max_points
+        "({pareto_n} Pareto points per benchmark from its whole design space)\n"
     ));
     report.say(t.render());
     report.wrote("table3.csv", t.to_csv());

@@ -2,8 +2,8 @@
 //! ask again.
 //!
 //! A process re-estimates the same structural design whenever repeated
-//! requests to `dhdl-serve`, repeated sweeps, refinement rounds or
-//! retries revisit a parameter assignment. [`EstimateCache`]
+//! requests to `dhdl-serve`, repeated or nested sweeps, or retries
+//! revisit a parameter assignment. [`EstimateCache`]
 //! short-circuits those evaluations with two levels:
 //!
 //! 1. **Structural level** — a sharded, lock-striped concurrent map from
@@ -280,7 +280,7 @@ impl EstimateCache {
 ///
 /// A tag nothing reads back: a cache is only ever consulted by the
 /// process that filled it, through the model it was created for. It
-/// stays because `benchmark/` constructs caches with it.
+/// stays because `benchmark/` and `partbench` construct caches with it.
 pub fn model_fingerprint(estimator: &Estimator) -> u64 {
     let mut h = Fnv64::new();
     // The Debug renderings cover every weight of the area model and

@@ -8,11 +8,12 @@
 //! Pareto-optimal surface over execution time and ALM usage — the data
 //! behind Figure 5.
 //!
-//! The point budget is spent the paper's way: a seeded uniform sample
-//! of the legal space, every point estimated. At microseconds an
-//! estimate, a sweep over tens of thousands of points takes a fraction
-//! of a second, so there is no second, model-guided way to choose which
-//! points to evaluate (DESIGN.md, "Why the sweep is random").
+//! [`DseOptions::max_points`] bounds a sweep: a legal space no larger is
+//! enumerated, a larger one is sampled uniformly with a seed, and every
+//! chosen point is estimated. At microseconds an estimate, the whole
+//! space of every benchmark takes a fraction of a second, so the
+//! experiments enumerate it and there is no model-guided way to choose
+//! which points to evaluate (DESIGN.md, "A sweep is the space").
 //!
 //! Sweeps run on a resilient parallel runner: points fan out over a
 //! work-stealing thread pool with per-point panic isolation and bounded
@@ -63,5 +64,5 @@ pub use fault::{with_silent_panics, FaultConfig, FaultInjector, FaultPlan, Injec
 pub use objectives::{frontier_along, ResourceAxis};
 pub use pareto::{pareto_front, spread};
 pub use runner::{device_count, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};
-pub use search::{explore, refine, DesignPoint, DseOptions, DseResult};
+pub use search::{explore, DesignPoint, DseOptions, DseResult};
 pub use space::LegalSpace;

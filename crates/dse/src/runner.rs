@@ -276,9 +276,7 @@ impl OutcomeCounts {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SweepStats {
     /// Wall-clock seconds of the whole sweep: the [`crate::explore`] call
-    /// from sampling to the assembled result, and after
-    /// [`crate::refine`] also each of its rounds, from candidate
-    /// generation to the new front.
+    /// from sampling to the assembled result.
     pub elapsed_secs: f64,
     /// Points successfully evaluated in this sweep.
     pub evaluated: usize,
@@ -297,9 +295,8 @@ impl SweepStats {
         }
     }
 
-    /// Fold a later batch's stats into this one (refinement rounds add
-    /// onto the exploration sweep): times and counts accumulate, and the
-    /// later cache snapshot wins.
+    /// Fold a later batch's stats into this one: times and counts
+    /// accumulate, and the later cache snapshot wins.
     pub fn absorb(&mut self, later: SweepStats) {
         self.elapsed_secs += later.elapsed_secs;
         self.evaluated += later.evaluated;

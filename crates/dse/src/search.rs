@@ -1,8 +1,8 @@
 //! The design space walker: evaluate sampled legal points with the fast
 //! estimators and extract the Pareto-optimal surface (§IV-C, Figure 5).
 //!
-//! Since the resilient-runner rework, `explore` and `refine` fan their
-//! point evaluations out over [`crate::runner`]: panics are isolated per
+//! Since the resilient-runner rework, `explore` fans its point
+//! evaluations out over [`crate::runner`]: panics are isolated per
 //! point, transient failures are retried, every loss is accounted in
 //! [`OutcomeCounts`], and a deadline truncates gracefully. An interrupted
 //! sweep is re-run, not resumed: a sweep is a pure function of its
@@ -224,101 +224,6 @@ where
     result
 }
 
-/// Refine a DSE result with local search: for every Pareto point, evaluate
-/// all single-parameter neighbors (adjacent legal values), keep anything
-/// new, and repeat for `rounds` rounds or until no Pareto improvement —
-/// the "walk the space of designs" step layered on random sampling. Each
-/// round's candidate batch is evaluated on the same resilient parallel
-/// runner as [`explore`].
-pub fn refine<F, E>(
-    build: F,
-    space: &ParamSpace,
-    estimator: &E,
-    opts: &DseOptions,
-    result: &DseResult,
-    rounds: usize,
-) -> DseResult
-where
-    F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
-    E: CostModel + ?Sized,
-{
-    let mut points = result.points.clone();
-    let mut seen: std::collections::BTreeSet<String> =
-        points.iter().map(|p| p.params.to_string()).collect();
-    let mut pareto = result.pareto.clone();
-    let mut counts = result.counts;
-    let mut errors = result.errors.clone();
-    let mut stats = result.stats;
-    for _ in 0..rounds {
-        let round_start = Instant::now();
-        let frontier: Vec<ParamValues> = pareto.iter().map(|&i| points[i].params.clone()).collect();
-        let mut candidates = Vec::new();
-        for params in frontier {
-            for def in space.defs() {
-                let legal = def.kind.legal_values();
-                let Some(cur) = params.get(&def.name) else {
-                    continue;
-                };
-                let Some(pos) = legal.iter().position(|&v| v == cur) else {
-                    continue;
-                };
-                for neighbor in [pos.checked_sub(1), pos.checked_add(1)] {
-                    let Some(np) = neighbor.and_then(|i| legal.get(i)) else {
-                        continue;
-                    };
-                    let mut candidate = params.clone();
-                    candidate.set(&def.name, *np);
-                    if seen.insert(candidate.to_string()) {
-                        candidates.push(candidate);
-                    }
-                }
-            }
-        }
-        let any_new = !candidates.is_empty();
-        let outcomes = runner::evaluate(
-            &build,
-            estimator,
-            candidates.len(),
-            |i| candidates[i].clone(),
-            opts,
-            None,
-        );
-        let cache = outcomes.cache;
-        let evaluated_before = counts.evaluated;
-        for outcome in outcomes.into_ordered() {
-            counts.record(&outcome);
-            match outcome {
-                PointOutcome::Evaluated { point, .. } => points.push(point),
-                // Refinement candidates have no stable sample index;
-                // record them past the end of the sampled range.
-                PointOutcome::Discarded(err) => errors.push((usize::MAX, err)),
-                PointOutcome::Skipped => {}
-            }
-        }
-        let new_pareto = pareto_front(&point_tuples(&points));
-        let improved = new_pareto != pareto;
-        pareto = new_pareto;
-        stats.absorb(SweepStats {
-            elapsed_secs: round_start.elapsed().as_secs_f64(),
-            evaluated: counts.evaluated - evaluated_before,
-            cache,
-        });
-        if !any_new || !improved {
-            break;
-        }
-    }
-    DseResult {
-        points,
-        pareto,
-        space_size: result.space_size,
-        discarded: counts.discarded(),
-        counts,
-        errors,
-        truncated: result.truncated,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,31 +376,6 @@ mod tests {
         let best = result.best().unwrap();
         assert!(best.valid);
         assert_eq!(best.cycles, 10.0);
-    }
-
-    #[test]
-    fn refinement_never_worsens_the_front() {
-        let est = estimator();
-        let opts = DseOptions {
-            max_points: 30,
-            ..DseOptions::default()
-        };
-        let base = explore(build_dot, &space(), &est, &opts);
-        let refined = refine(build_dot, &space(), &est, &opts, &base, 3);
-        assert!(refined.points.len() >= base.points.len());
-        let best_before = base.best().unwrap().cycles;
-        let best_after = refined.best().unwrap().cycles;
-        assert!(best_after <= best_before, "{best_after} vs {best_before}");
-        // No duplicates introduced.
-        let mut names: Vec<String> = refined
-            .points
-            .iter()
-            .map(|p| p.params.to_string())
-            .collect();
-        let n = names.len();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), n);
     }
 
     #[test]

@@ -32,26 +32,17 @@ done
 # DNN workload frontier: conv2d + attention swept, the best designs
 # simulated under both simulator backends with a bit-exact cross-check,
 # and modeled speedups vs. the CPU model (results/BENCH_dnn.json,
-# byte-identical across re-runs and thread counts). Set
-# DHDL_DNN_POINTS=0 to skip.
-DHDL_DNN_POINTS="${DHDL_DNN_POINTS:-2000}"
-if [ "$DHDL_DNN_POINTS" -gt 0 ]; then
-  echo "=== dnnbench ==="
-  DHDL_DNN_POINTS="$DHDL_DNN_POINTS" \
-    cargo run -q -p dhdl-bench --bin dhdl --release -- dnnbench
-fi
+# byte-identical across re-runs and thread counts).
+echo "=== dnnbench ==="
+cargo run -q -p dhdl-bench --bin dhdl --release -- dnnbench
 
 # Multi-FPGA partitioning axis: gemm/gda/conv2d swept at K=1,2,4
 # devices (results/BENCH_part.json, byte-identical across thread
 # counts). partbench exits nonzero — failing this script loudly —
 # unless some configuration that is infeasible on one device becomes
-# valid at K>1. Set DHDL_PART_POINTS=0 to skip.
-DHDL_PART_POINTS="${DHDL_PART_POINTS:-800}"
-if [ "$DHDL_PART_POINTS" -gt 0 ]; then
-  echo "=== partbench (K=1,2,4 @ $DHDL_PART_POINTS points) ==="
-  DHDL_PART_POINTS="$DHDL_PART_POINTS" \
-    cargo run -q -p dhdl-bench --bin dhdl --release -- partbench
-fi
+# valid at K>1.
+echo "=== partbench (K=1,2,4) ==="
+cargo run -q -p dhdl-bench --bin dhdl --release -- partbench
 
 # DSE-as-a-service smoke: the benchmark's two serve workloads, two
 # seconds each, against a `dhdl-serve` child. Each exits nonzero on any

@@ -7,10 +7,10 @@ use dhdl_apps::Benchmark;
 use dhdl_bench::{energy, fig5, fig6, table2, table3, table4, Harness};
 use std::sync::OnceLock;
 
-/// Small sample budget; one calibration for the whole test binary.
+/// One calibration for the whole test binary.
 fn mini_harness() -> &'static Harness {
     static HARNESS: OnceLock<Harness> = OnceLock::new();
-    HARNESS.get_or_init(|| Harness::new(0x51, 60))
+    HARNESS.get_or_init(|| Harness::new(0x51))
 }
 
 fn only(bench: impl Benchmark + 'static) -> Vec<Box<dyn Benchmark>> {
@@ -82,6 +82,47 @@ fn mini_energy_fpga_wins() {
         "blackscholes energy advantage should be large: {}",
         e.advantages[0]
     );
+}
+
+#[test]
+fn every_sweep_is_the_whole_space_and_its_front_dominates_a_sample() {
+    let one_chip = mini_harness();
+    let mut four_chips = one_chip.clone();
+    four_chips.num_fpgas = 4;
+    let gemm: Box<dyn Benchmark> = Box::new(dhdl_apps::Gemm::default());
+    let runs = dhdl_apps::all()
+        .into_iter()
+        .chain(dhdl_apps::dnn())
+        .map(|bench| (one_chip, bench))
+        .chain([(&four_chips, gemm)]);
+    let mut space_size = 0;
+    for (harness, bench) in runs {
+        let name = format!("{} at K={}", bench.name(), harness.num_fpgas);
+        let whole = harness.explore(bench.as_ref());
+        assert!(!whole.truncated, "{name}");
+        assert_eq!(
+            (whole.points.len() + whole.discarded) as u128,
+            whole.space_size,
+            "{name}: not every legal point was evaluated"
+        );
+        space_size = whole.space_size;
+        // A seeded 1 000-point sample of the same space.
+        let mut sampling = harness.clone();
+        sampling.dse.max_points = 1_000;
+        let sample = sampling.explore(bench.as_ref());
+        for p in sample.pareto_points() {
+            assert!(
+                whole
+                    .pareto_points()
+                    .any(|q| q.cycles <= p.cycles && q.area.alms <= p.area.alms),
+                "{name}: sampled front point {} is not dominated by the whole space's front",
+                p.params
+            );
+        }
+    }
+    // Larger than the paper's 75 000-point budget and `DseOptions`'
+    // default: the harness must not fall back on either.
+    assert_eq!(space_size, 87_480, "gemm at K=4");
 }
 
 #[test]

@@ -207,7 +207,7 @@ fn pattern_benchmark_flows_through_the_whole_toolchain() {
     }
     let bench = PatternBenchmark::new("pat_toolchain", "pattern e2e", p, inputs);
 
-    let harness = Harness::new(0xFA7, 150);
+    let harness = Harness::new(0xFA7);
     let dse = harness.explore(&bench);
     assert!(!dse.pareto.is_empty());
     let best = dse.best().unwrap();

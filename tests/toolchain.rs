@@ -78,7 +78,7 @@ fn estimation_is_deterministic_and_fast() {
 fn dse_best_points_simulate_close_to_estimates() {
     // The contract that makes DSE trustworthy: for Pareto winners the
     // estimated cycle counts stay within ~25% of simulated ground truth.
-    let harness = Harness::new(0x77, 300);
+    let harness = Harness::new(0x77);
     for name in ["dotproduct", "tpchq6", "saxpy"] {
         let bench: Box<dyn dhdl_apps::Benchmark> = match name {
             "saxpy" => Box::new(dhdl_apps::Saxpy::default()),
@@ -186,7 +186,7 @@ fn midrange_device_shrinks_the_valid_space() {
 
 #[test]
 fn simulator_trace_exports_valid_vcd() {
-    let harness = Harness::new(0x7C, 50);
+    let harness = Harness::new(0x7C);
     let bench = dhdl_apps::DotProduct::new(1_920);
     use dhdl_apps::Benchmark as _;
     let design = bench.build(&bench.default_params()).unwrap();

@@ -211,7 +211,7 @@ fn the_readme_environment_table_lists_exactly_the_knobs_the_code_reads() {
         let first_cell = row[1..].split('|').next().unwrap_or("");
         knob_names(first_cell, '`', '`', &mut documented);
     }
-    assert!(read.len() >= 10, "knob scan found only {read:?}");
+    assert!(read.len() >= 6, "knob scan found only {read:?}");
     let undocumented: Vec<_> = read.difference(&documented).collect();
     let stale: Vec<_> = documented.difference(&read).collect();
     assert!(
