@@ -12,7 +12,7 @@ use crate::report::Table;
 ///
 /// # Panics
 ///
-/// Panics if a Pareto point fails to build or simulate.
+/// Panics if a Pareto point fails to build or time.
 pub fn diagnose(harness: &Harness, bench: &dyn Benchmark, n: usize) -> Table {
     let dse = harness.explore(bench);
     let mut t = Table::new(&[

@@ -59,8 +59,8 @@ pub fn energy(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Energy {
         let dse = harness.explore(bench.as_ref());
         let best = dse.best().expect("valid design");
         let design = bench.build(&best.params).expect("builds");
-        let sim = crate::simulate_bench(&harness.platform, bench.as_ref(), &design);
-        let fpga_s = sim.seconds(&harness.platform);
+        let cycles = crate::bench_cycles(&harness.platform, bench.as_ref(), &design);
+        let fpga_s = harness.platform.cycles_to_seconds(cycles);
         // Power priced over the *synthesized* (ground truth) area.
         let area = synthesize(&design, &harness.platform.fpga).area_report();
         let fpga_w = harness

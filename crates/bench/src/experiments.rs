@@ -1,12 +1,12 @@
 //! Shared experiment machinery: a calibrated harness plus end-to-end
 //! evaluation of individual design points (estimate + synthesize +
-//! simulate).
+//! time).
 
 use dhdl_apps::Benchmark;
 use dhdl_core::{Design, ParamValues};
 use dhdl_dse::{explore, spread, DseOptions, DseResult};
 use dhdl_estimate::Estimator;
-use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, CompileError, SimResult};
+use dhdl_sim::{compile, simulate, simulate_compiled, timing, Bindings, CompileError, SimResult};
 use dhdl_synth::{design_hash, place_and_route, SynthReport};
 use dhdl_target::{AreaReport, Platform};
 
@@ -33,6 +33,27 @@ fn bindings(bench: &dyn Benchmark) -> Bindings {
 pub fn simulate_bench(platform: &Platform, bench: &dyn Benchmark, design: &Design) -> SimResult {
     simulate_compiled(design, platform, &bindings(bench))
         .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.name()))
+}
+
+/// Ground-truth cycles of a built design: the compile-time timing walk,
+/// which every run of the design reports bit for bit, so no tape runs. A
+/// design the compiler rejects runs on the interpreter instead (counted
+/// as `sim.timing.fallback`). Needs a platform, not a calibrated
+/// [`Harness`], as [`simulate_bench`].
+///
+/// # Panics
+///
+/// Panics if simulation fails (benchmark designs are validated).
+pub fn bench_cycles(platform: &Platform, bench: &dyn Benchmark, design: &Design) -> f64 {
+    match timing(design, platform) {
+        Ok(Some(t)) => return t.cycles,
+        // Every run fails: the interpreter says why.
+        Ok(None) => {}
+        Err(CompileError::Unsupported(_)) => dhdl_obs::counter!("sim.timing.fallback").incr(),
+    }
+    simulate(design, platform, &bindings(bench))
+        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", bench.name()))
+        .cycles
 }
 
 /// A calibrated evaluation harness: platform, trained estimator, and the
@@ -149,11 +170,11 @@ impl Harness {
     }
 
     /// Fully evaluate one design point: estimate, synthesize (area ground
-    /// truth) and simulate (runtime ground truth + outputs).
+    /// truth) and time ([`bench_cycles`], runtime ground truth).
     ///
     /// # Panics
     ///
-    /// Panics if the design fails to build or simulate.
+    /// Panics if the design fails to build or time.
     pub fn evaluate(&self, bench: &dyn Benchmark, params: &ParamValues) -> PointEval {
         let design = bench
             .build(params)
@@ -164,13 +185,13 @@ impl Harness {
         let net = self.estimator.elaborate(&design);
         let est = self.estimator.estimate_net(&design, &net);
         let synth = place_and_route(design_hash(&design), &net, &self.platform.fpga);
-        let sim = simulate_bench(&self.platform, bench, &design);
+        let sim_cycles = bench_cycles(&self.platform, bench, &design);
         PointEval {
             params: params.clone(),
             est_area: est.area,
             est_cycles: est.cycles,
             synth,
-            sim_cycles: sim.cycles,
+            sim_cycles,
         }
     }
 
@@ -200,7 +221,7 @@ pub struct PointEval {
     pub est_cycles: f64,
     /// Synthesis-model ground-truth report.
     pub synth: SynthReport,
-    /// Simulated ground-truth cycles.
+    /// Ground-truth cycles ([`bench_cycles`]).
     pub sim_cycles: f64,
 }
 
@@ -272,6 +293,17 @@ mod tests {
         assert_eq!(
             place_and_route(design_hash(&design), &net, &h.platform.fpga),
             dhdl_synth::synthesize(&design, &h.platform.fpga)
+        );
+    }
+
+    #[test]
+    fn ground_truth_cycles_are_a_runs_cycles() {
+        let platform = Platform::maia();
+        let bench = DotProduct::new(1_920);
+        let design = bench.build(&bench.default_params()).unwrap();
+        assert_eq!(
+            bench_cycles(&platform, &bench, &design).to_bits(),
+            simulate_bench(&platform, &bench, &design).cycles.to_bits()
         );
     }
 

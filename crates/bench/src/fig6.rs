@@ -1,7 +1,7 @@
 //! Figure 6: speedups of the best generated designs over the 6-core CPU.
 //!
 //! For each benchmark: explore the design space, take the
-//! fastest valid (Pareto) design, simulate it on the platform model to get
+//! fastest valid (Pareto) design, time it on the platform model to get
 //! FPGA execution time, and compare against the modeled Xeon E5-2630 CPU
 //! time for the same (scaled) dataset. Measured host-CPU kernel times are
 //! reported alongside for reference (they are host-specific and not used
@@ -30,14 +30,14 @@ const PAPER: &[(&str, f64)] = &[
 /// Figure 6 at some scale.
 #[derive(Debug, Clone)]
 pub struct Fig6 {
-    /// Modeled-CPU time over simulated FPGA time of each benchmark's
+    /// Modeled-CPU time over ground-truth FPGA time of each benchmark's
     /// best design, in order.
     pub speedups: Vec<f64>,
     /// The table and `fig6.csv`.
     pub report: Report,
 }
 
-/// Explore each of `benches` on `harness`, simulate the fastest valid
+/// Explore each of `benches` on `harness`, time the fastest valid
 /// design and compare it with the CPU model.
 ///
 /// # Panics
@@ -69,12 +69,12 @@ pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
             .best()
             .unwrap_or_else(|| panic!("{}: no valid design found", bench.name()));
         eprintln!(
-            "  best: {} (est {:.0} cycles); simulating...",
+            "  best: {} (est {:.0} cycles); timing...",
             best.params, best.cycles
         );
         let design = bench.build(&best.params).expect("best point builds");
-        let sim = crate::simulate_bench(&harness.platform, bench.as_ref(), &design);
-        let fpga_s = sim.seconds(&harness.platform);
+        let cycles = crate::bench_cycles(&harness.platform, bench.as_ref(), &design);
+        let fpga_s = harness.platform.cycles_to_seconds(cycles);
         let cpu_s = xeon.seconds(&bench.work());
         let host = dhdl_cpu::run(bench.as_ref(), 3);
         let speedup = cpu_s / fpga_s;

@@ -4,8 +4,9 @@
 //! For each benchmark, runs design space exploration, selects five
 //! spread-out Pareto points (§V-B: "We select five Pareto points generated
 //! from our design space exploration for each of our benchmarks"),
-//! synthesizes and simulates each (the vendor-toolchain and FPGA-board
-//! substitutes), and compares against the fast estimates.
+//! synthesizes and times each (the vendor-toolchain and FPGA-board
+//! substitutes: the simulator's timing walk reports the cycles a run
+//! would), and compares against the fast estimates.
 
 use dhdl_apps::Benchmark;
 

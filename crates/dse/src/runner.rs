@@ -295,24 +295,6 @@ impl SweepStats {
         }
     }
 
-    /// Fold a later batch's stats into this one: times and counts
-    /// accumulate, and the later cache snapshot wins.
-    pub fn absorb(&mut self, later: SweepStats) {
-        self.elapsed_secs += later.elapsed_secs;
-        self.evaluated += later.evaluated;
-        if let Some(c) = later.cache {
-            self.cache = Some(match self.cache {
-                Some(prev) => CacheStats {
-                    hits: prev.hits + c.hits,
-                    misses: prev.misses + c.misses,
-                    inserts: prev.inserts + c.inserts,
-                    entries: c.entries,
-                },
-                None => c,
-            });
-        }
-    }
-
     /// One-line human-readable summary for sweep reports.
     pub fn summary(&self) -> String {
         let mut s = format!(
@@ -674,37 +656,23 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stats_absorb_and_summary() {
-        let mut a = SweepStats {
+    fn sweep_stats_summary() {
+        let a = SweepStats {
             elapsed_secs: 2.0,
             evaluated: 100,
             cache: None,
         };
         assert_eq!(a.points_per_sec(), 50.0);
-        a.absorb(SweepStats {
-            elapsed_secs: 1.0,
-            evaluated: 20,
+        let a = SweepStats {
+            elapsed_secs: 3.0,
+            evaluated: 120,
             cache: Some(CacheStats {
-                hits: 15,
+                hits: 20,
                 misses: 5,
                 inserts: 5,
                 entries: 5,
             }),
-        });
-        assert_eq!(a.evaluated, 120);
-        assert_eq!(a.elapsed_secs, 3.0);
-        assert_eq!(a.cache.unwrap().hits, 15);
-        a.absorb(SweepStats {
-            elapsed_secs: 0.0,
-            evaluated: 0,
-            cache: Some(CacheStats {
-                hits: 5,
-                misses: 0,
-                inserts: 0,
-                entries: 5,
-            }),
-        });
-        assert_eq!(a.cache.unwrap().hits, 20);
+        };
         let s = a.summary();
         assert!(s.contains("120 points"), "{s}");
         assert!(s.contains("cache 20 hits / 5 misses"), "{s}");

@@ -126,34 +126,6 @@ fn best_is_none_when_nothing_valid() {
 }
 
 #[test]
-fn sweep_stats_absorb_accumulates() {
-    let mut s = SweepStats {
-        elapsed_secs: 1.0,
-        evaluated: 10,
-        cache: Some(CacheStats {
-            hits: 1,
-            misses: 9,
-            inserts: 9,
-            entries: 9,
-        }),
-    };
-    s.absorb(SweepStats {
-        elapsed_secs: 0.5,
-        evaluated: 5,
-        cache: Some(CacheStats {
-            hits: 5,
-            misses: 0,
-            inserts: 0,
-            entries: 9,
-        }),
-    });
-    assert_eq!(s.elapsed_secs, 1.5);
-    assert_eq!(s.evaluated, 15);
-    let c = s.cache.unwrap();
-    assert_eq!((c.hits, c.misses, c.inserts), (6, 9, 9));
-}
-
-#[test]
 fn points_per_sec_handles_instant_sweeps() {
     let s = SweepStats {
         elapsed_secs: 0.0,

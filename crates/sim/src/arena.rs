@@ -20,7 +20,7 @@
 //! Priority queues are the one dynamically-sized structure and live in a
 //! small side table of `Vec<f64>`s, indexed densely.
 //!
-//! [`Layout::template`] is the arena's initial image; each
+//! [`Layout::template`] builds the arena's initial image; each
 //! [`crate::Compiled::run`] clones it and overlays the input bindings, so
 //! a run never mutates shared state.
 
@@ -67,28 +67,25 @@ pub(crate) struct Layout {
     pub n_queues: usize,
     /// First slot of the scratch region.
     scratch_base: usize,
-    /// Initial arena image: zeros, register inits (raw, unquantized —
-    /// matching the interpreter) and pre-quantized constants.
-    pub template: Vec<f64>,
+    /// Arena length, in slots.
+    len: usize,
 }
 
 impl Layout {
-    /// Lay out `design` into arena offsets and build the init template.
+    /// Lay out `design` into arena offsets.
     pub fn new(design: &Design) -> Self {
-        let mut template = Vec::new();
+        let mut len = 0;
         let mut offchips = Vec::new();
         for &off in design.offchips() {
             let node = design.node(off);
-            let (real, len) = match &node.kind {
+            let (real, n) = match &node.kind {
                 NodeKind::OffChip { dims } => (true, dims.iter().product::<u64>() as usize),
                 _ => (false, 0),
             };
-            let base = template.len();
-            template.extend(std::iter::repeat(0.0).take(len));
             offchips.push(OffchipRegion {
                 node: off,
-                base,
-                len,
+                base: len,
+                len: n,
                 real,
                 named: node.name.is_some(),
                 lookup_name: node.name.as_deref().unwrap_or_default().to_string(),
@@ -97,18 +94,19 @@ impl Layout {
                     .as_deref()
                     .map_or_else(|| format!("{off}"), str::to_string),
             });
+            len += n;
         }
         let mut mem_base = BTreeMap::new();
         let mut queues = BTreeMap::new();
         for (id, node) in design.iter() {
             match &node.kind {
                 NodeKind::Bram(b) => {
-                    mem_base.insert(id, template.len());
-                    template.extend(std::iter::repeat(0.0).take(b.elements() as usize));
+                    mem_base.insert(id, len);
+                    len += b.elements() as usize;
                 }
-                NodeKind::Reg(r) => {
-                    mem_base.insert(id, template.len());
-                    template.push(r.init);
+                NodeKind::Reg(_) => {
+                    mem_base.insert(id, len);
+                    len += 1;
                 }
                 NodeKind::PriorityQueue(_) => {
                     let n = queues.len();
@@ -117,22 +115,31 @@ impl Layout {
                 _ => {}
             }
         }
-        let scratch_base = template.len();
-        for (_, node) in design.iter() {
-            template.push(match &node.kind {
-                NodeKind::Const(v) => node.ty.quantize(*v),
-                _ => 0.0,
-            });
-        }
         let n_queues = queues.len();
         Layout {
             offchips,
             mem_base,
             queues,
             n_queues,
-            scratch_base,
-            template,
+            scratch_base: len,
+            len: len + design.len(),
         }
+    }
+
+    /// The arena's initial image: zeros, register inits (raw,
+    /// unquantized — matching the interpreter) and pre-quantized
+    /// constants. Only a tape needs it; [`crate::timing`] lays a design
+    /// out for the emitter's checks alone.
+    pub fn template(&self, design: &Design) -> Vec<f64> {
+        let mut template = vec![0.0; self.len];
+        for (id, node) in design.iter() {
+            match &node.kind {
+                NodeKind::Reg(r) => template[self.mem_base[&id]] = r.init,
+                NodeKind::Const(v) => template[self.slot(id)] = node.ty.quantize(*v),
+                _ => {}
+            }
+        }
+        template
     }
 
     /// Scratch slot of node `id` (the compiled `vals[id]`).
@@ -184,12 +191,13 @@ mod tests {
         assert_eq!(l.offchips.len(), 1);
         assert_eq!(l.offchips[0].len, 8);
         assert_eq!(l.offchips[0].output_name, "x");
-        assert_eq!(l.template.len(), 8 + 8 + d.len());
+        let template = l.template(&d);
+        assert_eq!(template.len(), 8 + 8 + d.len());
         // The constant's scratch slot is pre-quantized.
         let (cid, _) = d
             .iter()
             .find(|(_, n)| matches!(n.kind, dhdl_core::NodeKind::Const(v) if v == 2.5))
             .unwrap();
-        assert_eq!(l.template[l.slot(cid)], 2.5f32 as f64);
+        assert_eq!(template[l.slot(cid)], 2.5f32 as f64);
     }
 }

@@ -30,6 +30,10 @@
 //!    compiled design then only executes the functional tape and stamps
 //!    the precomputed timing onto the result.
 //!
+//! [`timing`] runs the same two passes, keeps no trace and drops the
+//! tape: it accepts exactly what [`compile`] accepts, because emission
+//! decides both.
+//!
 //! Constructs whose interpretation is dynamically sized (priority queues
 //! as fold/reduce/tile endpoints, more iterators than counter
 //! dimensions) are rejected with [`CompileError::Unsupported`];
@@ -79,14 +83,25 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Precomputed timing of one full design execution (valid because timing
-/// is data-independent for every compilable design).
+/// The timing of one full execution of a design: the cycles, transfers
+/// and profile a run reports. It holds for every input set, because
+/// timing is data-independent for every design the compiler accepts.
 #[derive(Debug, Clone, Default)]
-struct Timing {
-    cycles: f64,
-    transfers: usize,
+pub struct Timing {
+    /// Total execution cycles at the fabric clock.
+    pub cycles: f64,
+    /// Number of off-chip transfers issued.
+    pub transfers: usize,
     profile: Vec<ProfileEntry>,
+    /// Kept by [`compile`] alone, for the runs it stamps.
     trace: Trace,
+}
+
+impl Timing {
+    /// Per-controller cycle attribution, as [`SimResult::profile`].
+    pub fn profile(&self) -> &[ProfileEntry] {
+        &self.profile
+    }
 }
 
 /// A design lowered to an instruction tape, ready to run many times.
@@ -101,6 +116,8 @@ struct Timing {
 #[derive(Debug, Clone)]
 pub struct Compiled {
     layout: Layout,
+    /// The arena's initial image ([`Layout::template`]).
+    template: Vec<f64>,
     tape: Tape,
     timing: Timing,
 }
@@ -117,6 +134,45 @@ pub fn compile(
     platform: &Platform,
 ) -> std::result::Result<Compiled, CompileError> {
     let _span = dhdl_obs::span!("sim.compile");
+    let (layout, tape, timing) = lower(design, platform, true)?;
+    let compiled = Compiled {
+        template: layout.template(design),
+        layout,
+        tape,
+        // An aborting tape never reaches the point where a run stamps
+        // its timing on.
+        timing: timing.unwrap_or_default(),
+    };
+    compiled.publish_census();
+    Ok(compiled)
+}
+
+/// The timing of `design` on `platform` without a run: the cycles,
+/// transfers and profile that [`Compiled::run`] and [`simulate`] report
+/// for any input set, bit for bit (the trace needs [`compile`]).
+/// `Ok(None)` when the design has no timing because every run of it
+/// fails with a structural error (its tape aborts).
+///
+/// # Errors
+///
+/// Exactly the rejections of [`compile`], which shares its checks:
+/// callers fall back to [`simulate`] on [`CompileError::Unsupported`].
+pub fn timing(
+    design: &Design,
+    platform: &Platform,
+) -> std::result::Result<Option<Timing>, CompileError> {
+    let _span = dhdl_obs::span!("sim.timing");
+    Ok(lower(design, platform, false)?.2)
+}
+
+/// Both passes, for [`compile`] and [`timing`] alike: the emitter's
+/// checks decide what either accepts, and the walk runs once, unless
+/// the tape aborts. Only a tape keeps a trace.
+fn lower(
+    design: &Design,
+    platform: &Platform,
+    traced: bool,
+) -> std::result::Result<(Layout, Tape, Option<Timing>), CompileError> {
     let layout = Layout::new(design);
     let iters = iter_index(design);
     let mut em = Emitter {
@@ -128,22 +184,11 @@ pub fn compile(
         aborted: false,
     };
     em.emit_ctrl(design.top())?;
-    let aborted = em.aborted;
-    let tape = em.tape;
+    let (aborted, tape) = (em.aborted, em.tape);
     // A tape that starts with (or reaches) an Abort never reports
     // timing, exactly as an interpreter run that errors; skip the walk.
-    let timing = if aborted {
-        Timing::default()
-    } else {
-        TimingWalk::run(design, platform)
-    };
-    let compiled = Compiled {
-        layout,
-        tape,
-        timing,
-    };
-    compiled.publish_census();
-    Ok(compiled)
+    let timing = (!aborted).then(|| TimingWalk::run(design, platform, traced));
+    Ok((layout, tape, timing))
 }
 
 impl Compiled {
@@ -253,7 +298,7 @@ impl Compiled {
                 return Err(SimError::UnknownBinding(name.to_string()));
             }
         }
-        let mut arena = self.layout.template.clone();
+        let mut arena = self.template.clone();
         for r in &self.layout.offchips {
             if r.real {
                 if let Some(d) = bindings.get(&r.lookup_name) {
@@ -949,52 +994,68 @@ impl<'a> Emitter<'a> {
 /// Pass 2: replay the interpreter's timed schedule without touching
 /// data. Every f64 expression and every [`DramTimeline`] request below
 /// is copied from the interpreter's timing code verbatim, so the
-/// resulting cycles/profile/trace are bitwise identical.
+/// resulting cycles/profile/trace are bitwise identical. A pipe's and a
+/// fold's duration are pure in the static design, so each is priced
+/// once per walk, however often the controller executes.
 struct TimingWalk<'a> {
     design: &'a Design,
     platform: &'a Platform,
     dram: DramTimeline,
-    profile: BTreeMap<NodeId, (u64, f64)>,
-    trace: Trace,
+    /// Timed executions and cycles per controller, node-indexed.
+    profile: Vec<(u64, f64)>,
+    /// Each pipe's duration at the pipe's index, and each fold's at its
+    /// outer controller's, once priced.
+    durations: Vec<Option<f64>>,
+    /// Stage finish times of the outer controllers being walked: each
+    /// pushes its previous and current wave's rows and pops them on
+    /// return.
+    times: Vec<f64>,
+    /// Every timed execution, when the walk keeps a trace.
+    trace: Option<Trace>,
 }
 
 impl<'a> TimingWalk<'a> {
-    fn run(design: &'a Design, platform: &'a Platform) -> Timing {
+    fn run(design: &'a Design, platform: &'a Platform, traced: bool) -> Timing {
         let mut w = TimingWalk {
             design,
             platform,
             dram: DramTimeline::new(),
-            profile: BTreeMap::new(),
-            trace: Trace::default(),
+            profile: vec![(0, 0.0); design.len()],
+            durations: vec![None; design.len()],
+            times: Vec::new(),
+            trace: traced.then(Trace::default),
         };
         let cycles = w.walk(design.top(), 0.0, 1.0);
+        let rows = (0..).map(NodeId::from_raw).zip(w.profile.iter().copied());
         Timing {
             cycles,
             transfers: w.dram.transfers(),
-            profile: build_profile(design, w.profile.iter().map(|(&ctrl, &row)| (ctrl, row))),
-            trace: w.trace,
+            profile: build_profile(design, rows),
+            trace: w.trace.unwrap_or_default(),
         }
     }
 
     fn walk(&mut self, ctrl: NodeId, start: f64, conc: f64) -> f64 {
         let dur = self.walk_inner(ctrl, start, conc);
-        let e = self.profile.entry(ctrl).or_insert((0, 0.0));
+        let e = &mut self.profile[ctrl.index()];
         e.0 += 1;
         e.1 += dur;
-        self.trace.events.push(TraceEvent {
-            ctrl,
-            start,
-            end: start + dur,
-        });
+        if let Some(trace) = &mut self.trace {
+            trace.events.push(TraceEvent {
+                ctrl,
+                start,
+                end: start + dur,
+            });
+        }
         dur
     }
 
     fn walk_inner(&mut self, ctrl: NodeId, start: f64, conc: f64) -> f64 {
         let design = self.design;
         match design.kind(ctrl) {
-            NodeKind::Pipe(p) => self.pipe_duration(p),
-            NodeKind::Sequential(s) => self.walk_outer(s, false, start, conc),
-            NodeKind::MetaPipe(s) => self.walk_outer(s, true, start, conc),
+            NodeKind::Pipe(p) => self.pipe_duration(ctrl, p),
+            NodeKind::Sequential(s) => self.walk_outer(ctrl, s, false, start, conc),
+            NodeKind::MetaPipe(s) => self.walk_outer(ctrl, s, true, start, conc),
             NodeKind::ParallelCtrl { stages, .. } => {
                 let mut max = 0.0f64;
                 for &st in stages {
@@ -1012,81 +1073,98 @@ impl<'a> TimingWalk<'a> {
     /// The `run_outer` pipeline recurrence over timed members only (the
     /// first member of each wave; the rest are functional-only and have
     /// no timing side effects in the interpreter).
-    fn walk_outer(&mut self, s: &OuterSpec, pipelined: bool, start: f64, conc: f64) -> f64 {
+    fn walk_outer(
+        &mut self,
+        ctrl: NodeId,
+        s: &OuterSpec,
+        pipelined: bool,
+        start: f64,
+        conc: f64,
+    ) -> f64 {
         let total = s.ctr.total_iters();
         let n_stages = s.stages.len() + usize::from(s.fold.is_some());
         let par = u64::from(s.par.max(1));
         let waves = total.div_ceil(par);
-        let mut finish = vec![start; n_stages];
+        // The previous wave's finish times at `prev`, this wave's at
+        // `cur`; a stage reads only `cur` entries this wave wrote.
+        let base = self.times.len();
+        let (mut prev, mut cur) = (base, base + n_stages);
+        self.times.resize(cur, start);
+        self.times.resize(cur + n_stages, 0.0);
+        let ready = |times: &[f64], prev: usize, cur: usize, st: usize| {
+            if st == 0 {
+                times[prev]
+            } else if pipelined {
+                times[cur + st - 1].max(times[prev + st])
+            } else {
+                times[cur + st - 1]
+            }
+        };
         for wave in 0..waves {
             let members = ((wave + 1) * par).min(total) - wave * par;
             let member_conc = conc * members as f64;
-            let mut cur = vec![0.0f64; n_stages];
             for (st, &stage) in s.stages.iter().enumerate() {
-                let ready = if st == 0 {
-                    finish[0]
-                } else if pipelined {
-                    cur[st - 1].max(finish[st])
-                } else {
-                    cur[st - 1]
-                };
-                let d = self.walk(stage, ready, member_conc);
-                cur[st] = ready + d + STAGE_OVERHEAD;
+                let at = ready(&self.times, prev, cur, st);
+                let d = self.walk(stage, at, member_conc);
+                self.times[cur + st] = at + d + STAGE_OVERHEAD;
             }
-            if let Some(f) = s.fold {
+            if let Some(f) = &s.fold {
                 let st = n_stages - 1;
-                let ready = if st == 0 {
-                    finish[0]
-                } else if pipelined {
-                    cur[st - 1].max(finish[st])
-                } else {
-                    cur[st - 1]
-                };
-                let d = self.fold_duration(&f);
-                cur[st] = ready + d + STAGE_OVERHEAD;
+                let at = ready(&self.times, prev, cur, st);
+                let d = self.fold_duration(ctrl, f);
+                self.times[cur + st] = at + d + STAGE_OVERHEAD;
             }
-            if !pipelined {
-                let end = cur[n_stages - 1];
-                finish = vec![end; n_stages];
+            if pipelined {
+                std::mem::swap(&mut prev, &mut cur);
             } else {
-                finish = cur;
+                let end = self.times[cur + n_stages - 1];
+                self.times[prev..prev + n_stages].fill(end);
             }
         }
-        finish[n_stages - 1] - start + STAGE_OVERHEAD
+        let end = self.times[prev + n_stages - 1];
+        self.times.truncate(base);
+        end - start + STAGE_OVERHEAD
     }
 
-    fn fold_duration(&self, f: &MemFold) -> f64 {
-        let src_len = match self.design.kind(f.src) {
-            NodeKind::Bram(b) => b.elements() as usize,
-            _ => 1,
-        };
-        let ty = self.design.ty(f.accum);
-        let banks = match self.design.kind(f.accum) {
-            NodeKind::Bram(b) => b.banks.max(1),
-            _ => 1,
-        };
-        let lat = prim_cost(f.op.prim(), ty).latency as f64;
-        src_len as f64 / f64::from(banks) + lat
+    /// The duration of `ctrl`'s fold stage.
+    fn fold_duration(&mut self, ctrl: NodeId, f: &MemFold) -> f64 {
+        let design = self.design;
+        *self.durations[ctrl.index()].get_or_insert_with(|| {
+            let src_len = match design.kind(f.src) {
+                NodeKind::Bram(b) => b.elements() as usize,
+                _ => 1,
+            };
+            let ty = design.ty(f.accum);
+            let banks = match design.kind(f.accum) {
+                NodeKind::Bram(b) => b.banks.max(1),
+                _ => 1,
+            };
+            let lat = prim_cost(f.op.prim(), ty).latency as f64;
+            src_len as f64 / f64::from(banks) + lat
+        })
     }
 
-    fn pipe_duration(&self, p: &PipeSpec) -> f64 {
-        let mut depth = pipe_depth(self.design, p) as f64;
-        if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
-            let ty = self.design.ty(r.reg);
-            depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
-            depth += prim_cost(op.prim(), ty).latency as f64;
-        }
-        let total = p.ctr.total_iters();
-        let eff_iters = (total as f64 / f64::from(p.par.max(1))).ceil().max(1.0);
-        let outer_wraps: f64 = if p.ctr.dims.len() > 1 {
-            p.ctr.dims[..p.ctr.dims.len() - 1]
-                .iter()
-                .map(|d| d.trip_count() as f64)
-                .product()
-        } else {
-            1.0
-        };
-        depth + eff_iters + outer_wraps + STAGE_OVERHEAD
+    fn pipe_duration(&mut self, ctrl: NodeId, p: &PipeSpec) -> f64 {
+        let design = self.design;
+        *self.durations[ctrl.index()].get_or_insert_with(|| {
+            let mut depth = pipe_depth(design, p) as f64;
+            if let (Some(r), Pattern::Reduce(op)) = (&p.reduce, p.pattern) {
+                let ty = design.ty(r.reg);
+                depth += reduce_tree_latency(op.prim(), ty, p.par) as f64;
+                depth += prim_cost(op.prim(), ty).latency as f64;
+            }
+            let total = p.ctr.total_iters();
+            let eff_iters = (total as f64 / f64::from(p.par.max(1))).ceil().max(1.0);
+            let outer_wraps: f64 = if p.ctr.dims.len() > 1 {
+                p.ctr.dims[..p.ctr.dims.len() - 1]
+                    .iter()
+                    .map(|d| d.trip_count() as f64)
+                    .product()
+            } else {
+                1.0
+            };
+            depth + eff_iters + outer_wraps + STAGE_OVERHEAD
+        })
     }
 
     fn tile_duration(&mut self, t: &TileSpec, start: f64, conc: f64) -> f64 {

@@ -28,7 +28,14 @@
 //! [`simulate_compiled`] prefers the tape and
 //! falls back to the interpreter for designs the compiler
 //! rejects ([`CompileError::Unsupported`], counted as
-//! `sim.tape.fallback`). A multi-device plan never changes the executed
+//! `sim.tape.fallback`).
+//!
+//! [`timing`] is the compiler's timing walk without the tape: the
+//! cycles, transfers and profile ([`Timing`]) that every run of a design
+//! reports, for any inputs, without running it. It accepts exactly the
+//! designs [`compile`] accepts, and it is how the experiments read their
+//! runtime ground truth: under a millisecond a point on the nine
+//! applications' default designs, where a tape run takes up to 0.1 s. A multi-device plan never changes the executed
 //! run: under a `dhdl_synth` partitioning it is that run plus the plan's
 //! `link_cycles`.
 //!
@@ -72,7 +79,7 @@ mod memory;
 mod tape;
 mod trace;
 
-pub use compile::{compile, simulate_compiled, CompileError, Compiled};
+pub use compile::{compile, simulate_compiled, timing, CompileError, Compiled, Timing};
 pub use error::{Result, SimError};
 pub use interp::{simulate, Bindings, ProfileEntry, SimResult};
 pub use memory::DramTimeline;

@@ -14,8 +14,11 @@
 /// Invariant: `busy` holds disjoint, non-touching intervals sorted by
 /// start — any reservation that lands exactly adjacent to an existing
 /// interval is merged into it on insert, so back-to-back streaming
-/// traffic (the overwhelmingly common case) keeps the list at O(1)
-/// intervals instead of growing one entry per transfer.
+/// traffic stays one interval. Traffic with idle gaps between transfers
+/// still adds one interval per transfer: over gemm's 29 160 legal
+/// points the list held 1 558 intervals on average when a request
+/// arrived. Every one of those requests was placed at the end of the
+/// list, which is why [`DramTimeline::request`] searches from there.
 #[derive(Debug, Clone, Default)]
 pub struct DramTimeline {
     /// Busy intervals `(start, end)`, sorted by start, pairwise disjoint.
@@ -55,11 +58,10 @@ impl DramTimeline {
         }
         // First-fit: earliest idle gap of width `ideal` at or after start.
         // Intervals ending at or before `t` cannot constrain the search;
-        // binary-search past them instead of re-scanning them per request
-        // (the intervals are disjoint and sorted, so their ends are sorted
-        // too — a gap ending exactly at `t` is never revisited).
+        // skip past them instead of re-scanning them per request (a gap
+        // ending exactly at `t` is never revisited).
         let mut t = start.max(0.0);
-        let first = self.busy.partition_point(|&(_, e)| e <= t);
+        let first = self.first_ending_after(t);
         let mut insert_at = self.busy.len();
         for (i, &(s, e)) in self.busy.iter().enumerate().skip(first) {
             if s >= t + ideal {
@@ -90,6 +92,27 @@ impl DramTimeline {
             (false, false) => self.busy.insert(insert_at, (t, end)),
         }
         end - start
+    }
+
+    /// The index of the first busy interval that ends after `t`. The
+    /// intervals are disjoint and sorted, so their ends are sorted too;
+    /// and requests arrive nearly in time order, so the answer is almost
+    /// always among the last few intervals. The search gallops back from
+    /// the end, then bisects the last step: O(log d) for an answer `d`
+    /// intervals from the end.
+    fn first_ending_after(&self, t: f64) -> usize {
+        // Every interval from `hi` on ends after `t`.
+        let mut hi = self.busy.len();
+        let mut step = 1;
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if self.busy[lo].1 <= t {
+                return lo + 1 + self.busy[lo + 1..hi].partition_point(|&(_, e)| e <= t);
+            }
+            hi = lo;
+            step *= 2;
+        }
+        0
     }
 }
 
@@ -188,6 +211,79 @@ mod tests {
         }
         assert_eq!(t.busy_intervals().len(), 1);
         assert_eq!(t.busy_intervals()[0], (0.0, 30_000.0));
+    }
+
+    /// `request` as it was before the search galloped from the end: a
+    /// bisection over the whole list, then the same first-fit scan and
+    /// merge. The reference the random sequences below hold it to.
+    fn reference_request(busy: &mut Vec<(f64, f64)>, start: f64, ideal: f64) -> f64 {
+        if ideal <= 0.0 {
+            return 0.0;
+        }
+        let mut t = start.max(0.0);
+        let first = busy.partition_point(|&(_, e)| e <= t);
+        let mut insert_at = busy.len();
+        for (i, &(s, e)) in busy.iter().enumerate().skip(first) {
+            if s >= t + ideal {
+                insert_at = i;
+                break;
+            }
+            t = t.max(e);
+        }
+        let end = t + ideal;
+        let touches_prev = insert_at > 0 && busy[insert_at - 1].1 == t;
+        let touches_next = insert_at < busy.len() && busy[insert_at].0 == end;
+        match (touches_prev, touches_next) {
+            (true, true) => {
+                busy[insert_at - 1].1 = busy[insert_at].1;
+                busy.remove(insert_at);
+            }
+            (true, false) => busy[insert_at - 1].1 = end,
+            (false, true) => busy[insert_at].0 = t,
+            (false, false) => busy.insert(insert_at, (t, end)),
+        }
+        end - start
+    }
+
+    #[test]
+    fn galloping_search_matches_the_bisecting_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xD7A3);
+        let (mut out_of_order, mut gaps) = (0usize, 0usize);
+        for seq in 0..10_000 {
+            let mut t = DramTimeline::new();
+            let mut reference = Vec::new();
+            let mut transfers = 0;
+            let mut clock = 0.0f64;
+            for _ in 0..rng.gen_range(1..=64usize) {
+                // Mostly in time order, as a walk issues them, with
+                // backward jumps, idle gaps and exact touches mixed in.
+                let start = match rng.gen_range(0..8u32) {
+                    0 => rng.gen_range(0.0..clock.max(1.0)),
+                    1 => clock + f64::from(rng.gen_range(1..50u32)),
+                    2 => clock + rng.gen_range(0.0..10.0),
+                    _ => clock,
+                };
+                out_of_order += usize::from(start < clock);
+                gaps += usize::from(start > clock);
+                let ideal = match rng.gen_range(0..6u32) {
+                    0 => 0.0,
+                    1 => rng.gen_range(0.0..20.0),
+                    _ => f64::from(rng.gen_range(1..20u32)),
+                };
+                let got = t.request(start, ideal);
+                let want = reference_request(&mut reference, start, ideal);
+                transfers += usize::from(ideal > 0.0);
+                assert_eq!(got.to_bits(), want.to_bits(), "sequence {seq}");
+                assert_eq!(t.busy_intervals(), &reference[..], "sequence {seq}");
+                assert_eq!(t.transfers(), transfers, "sequence {seq}");
+                clock = clock.max(start + got);
+            }
+        }
+        assert!(
+            out_of_order > 10_000 && gaps > 10_000,
+            "{out_of_order} / {gaps}"
+        );
     }
 
     #[test]

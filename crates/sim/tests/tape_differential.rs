@@ -12,6 +12,8 @@
 //! elided quantization, uniform ops and all — computes what the same
 //! kernel computes one iteration at a time.
 
+mod common;
+
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +22,9 @@ use dhdl_core::{by, DType, Design, DesignBuilder, NodeId, NodeKind, PipeSpec, Pr
 use dhdl_sim::{compile, simulate, simulate_compiled, Bindings, Compiled, SimError};
 use dhdl_target::Platform;
 
+/// Also holds `timing` to both runs ([`common::assert_timing_entry`]).
 fn assert_identical(d: &dhdl_core::Design, bindings: &Bindings) {
+    common::assert_timing_entry(d, bindings);
     let p = Platform::maia();
     let interp = simulate(d, &p, bindings);
     let tape = simulate_compiled(d, &p, bindings);
@@ -212,6 +216,7 @@ fn tile_overrun(dims: &[u64], tile: &[u64], offsets: &[u64], runs: u64, expected
             Some(&expected),
             "load={load}: {tape:?}"
         );
+        common::assert_timing_entry(&d, &data);
     }
 }
 
@@ -404,6 +409,7 @@ fn unknown_output_lists_names_on_both_backends() {
         b.tile_load(x, t, &[z], &[4], 1);
     });
     let d = b.finish().unwrap();
+    common::assert_timing_entry(&d, &Bindings::new());
     let p = Platform::maia();
     for r in [
         simulate(&d, &p, &Bindings::new()).unwrap(),
