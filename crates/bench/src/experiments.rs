@@ -80,8 +80,9 @@ impl Harness {
     /// Build a harness: calibrates the estimator against the synthesis
     /// model (the paper's one-time, application-independent training) and
     /// touches no file. The trained model is never persisted: calibration
-    /// is a pure function of platform and seed that costs ~0.2 s, and a
-    /// model file could outlive the characterization it was fitted on.
+    /// is a pure function of platform and seed that costs under 0.1 s in
+    /// release, and a model file could outlive the characterization it
+    /// was fitted on.
     ///
     /// Every sweep evaluates the whole legal space: the largest one,
     /// gemm's at `--num-fpgas 4`, holds 87 480 points and takes well

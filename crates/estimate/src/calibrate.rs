@@ -184,6 +184,7 @@ pub fn calibrate(target: &FpgaTarget, n: usize, seed: u64) -> (AreaEstimator, Ca
     let mut bram_pairs = Vec::with_capacity(n);
     let mut nets = Vec::with_capacity(n);
     let mut reports = Vec::with_capacity(n);
+    let samples_span = dhdl_obs::span!("calibrate.samples");
     for k in 0..n {
         let design = random_design(seed.wrapping_add(k as u64));
         let net = elaborate(&design, target);
@@ -202,15 +203,29 @@ pub fn calibrate(target: &FpgaTarget, n: usize, seed: u64) -> (AreaEstimator, Ca
         nets.push(net);
         reports.push(report);
     }
+    drop(samples_span);
     let cfg = TrainConfig {
         max_epochs: 800,
         target_mse: 1e-6,
         ..TrainConfig::default()
     };
-    // The paper's networks: 11 inputs, 6 hidden nodes, 1 output.
-    let routing = Regressor::fit(&routing_set, 6, seed ^ 0x01, &cfg);
-    let dup_regs = Regressor::fit(&dup_set, 6, seed ^ 0x02, &cfg);
-    let unavail = Regressor::fit(&unavail_set, 6, seed ^ 0x03, &cfg);
+    // The paper's networks: 11 inputs, 6 hidden nodes, 1 output. Each is
+    // a pure function of its set and seed, so the three train at once and
+    // join in a fixed order; a fit that panics re-raises its own payload.
+    let fit = |label: &str, set: &[(Vec<f64>, f64)], salt: u64| {
+        let mut span = dhdl_obs::span_labeled("calibrate.fit", label);
+        let (net, report) = Regressor::fit(set, 6, seed ^ salt, &cfg);
+        span.set_arg("epochs", report.epochs as u64);
+        net
+    };
+    let [routing, dup_regs, unavail] = std::thread::scope(|s| {
+        [
+            s.spawn(|| fit("routing", &routing_set, 0x01)),
+            s.spawn(|| fit("dup_regs", &dup_set, 0x02)),
+            s.spawn(|| fit("unavail", &unavail_set, 0x03)),
+        ]
+        .map(|fit| fit.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+    });
     let bram_linear = least_squares(&bram_pairs);
     let est = AreaEstimator {
         routing,

@@ -296,23 +296,53 @@ mod tests {
         assert_ne!(est, Estimator::calibrate_with(&platform, 30, 6).0);
     }
 
+    /// FNV-64 of every weight, normalizer bound and fitted coefficient of
+    /// the area model, and of the training error. `{:?}` prints each f64
+    /// in its shortest round-trip form, so the text determines every bit.
+    fn calibration_digest((est, report): &(Estimator, CalibrationReport)) -> u64 {
+        use std::fmt::Write;
+        let mut h = dhdl_core::Fnv64::new();
+        write!(h, "{:?}", est.area_model()).unwrap();
+        h.write_u64(report.alm_training_error.to_bits());
+        h.finish()
+    }
+
+    /// [`calibration_digest`] at (200, 42), the default sample count.
+    const PINNED_200_42: u64 = 0x50da_3d11_2f65_67c8;
+
     #[test]
     fn calibrated_bits_are_pinned() {
-        // Every weight, normalizer bound and fitted coefficient of the area
-        // model, and the training error, against the bits the trainer
-        // produced before its passes were fused. `{:?}` prints each f64 in
-        // its shortest round-trip form, so the text determines every bit.
-        // RPROP steps by each gradient's sign alone: a change to training
-        // shows here when it flips a sign or the stopping test.
-        use std::fmt::Write;
+        // The digest of the bits the trainer produced before its passes
+        // were fused. RPROP steps by each gradient's sign alone: a change
+        // to training shows here when it flips a sign or the stopping
+        // test (`dhdl-mlp`'s `training_arithmetic_is_pinned` pins the
+        // rounding too).
         let digest = |samples, seed| {
-            let (est, report) = Estimator::calibrate_with(&Platform::maia(), samples, seed);
-            let mut h = dhdl_core::Fnv64::new();
-            write!(h, "{:?}", est.area_model()).unwrap();
-            h.write_u64(report.alm_training_error.to_bits());
-            h.finish()
+            calibration_digest(&Estimator::calibrate_with(&Platform::maia(), samples, seed))
         };
-        assert_eq!(digest(200, 42), 0x50da_3d11_2f65_67c8);
+        assert_eq!(digest(200, 42), PINNED_200_42);
         assert_eq!(digest(20, 7), 0xf31b_c1c4_fd0c_d2f5);
+    }
+
+    #[test]
+    fn concurrent_calibrations_each_give_the_pinned_model() {
+        // Each calibration fits its three networks on threads of its own;
+        // four released at once must not see each other.
+        let start = std::sync::Barrier::new(4);
+        let runs: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        Estimator::calibrate_with(&Platform::maia(), 200, 42)
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        for run in &runs {
+            assert_eq!(run, &runs[0]);
+            assert_eq!(calibration_digest(run), PINNED_200_42);
+        }
     }
 }

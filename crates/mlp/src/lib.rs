@@ -1,24 +1,25 @@
 //! # dhdl-mlp — a small neural network library
 //!
 //! Substitute for the Encog machine-learning library used by the paper's
-//! hybrid area estimator (§IV-B2): fully connected feed-forward networks
-//! with RPROP training and min-max feature normalization.
+//! hybrid area estimator (§IV-B2): the one network shape the estimator
+//! trains, with RPROP training and min-max feature normalization.
 //!
 //! The paper's estimator uses "a set of small artificial neural networks
 //! ... three fully connected layers with eleven input nodes, six hidden
 //! layer nodes, and a single output node", trained once per target device
-//! and toolchain on ~200 design samples.
+//! and toolchain on ~200 design samples. [`Mlp`] is that network with its
+//! widths set at run time: a sigmoid hidden layer and one linear output.
 //!
 //! ```
-//! use dhdl_mlp::{train_rprop, Activation, Dataset, Mlp, TrainConfig};
+//! use dhdl_mlp::{train_rprop, Dataset, Mlp, TrainConfig};
 //!
 //! // Fit y = x^2 on [0, 1].
-//! let mut data = Dataset::new();
+//! let mut data = Dataset::new(1);
 //! for i in 0..=20 {
 //!     let x = i as f64 / 20.0;
-//!     data.push(&[x], &[x * x]);
+//!     data.push(&[x], x * x);
 //! }
-//! let mut net = Mlp::new(&[1, 6, 1], Activation::Sigmoid, 42);
+//! let mut net = Mlp::new(1, 6, 42);
 //! let report = train_rprop(&mut net, &data, &TrainConfig::default());
 //! assert!(report.mse < 1e-3);
 //! ```
@@ -29,9 +30,9 @@ mod network;
 mod norm;
 mod train;
 
-pub use network::{Activation, Mlp, Scratch};
+pub use network::Mlp;
 pub use norm::Normalizer;
-pub use train::{mse, train_rprop, Dataset, TrainConfig, TrainReport};
+pub use train::{train_rprop, Dataset, TrainConfig, TrainReport};
 
 /// A regression model bundling a network with its input/output normalizers,
 /// predicting a single scalar from a feature vector.
@@ -42,9 +43,19 @@ pub struct Regressor {
     outputs: Normalizer,
 }
 
+/// The buffers of [`Regressor::predict_with`]: the normalized input and
+/// the hidden outputs. A caller that predicts repeatedly keeps one, so
+/// only the first call allocates.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    input: Vec<f64>,
+    hidden: Vec<f64>,
+}
+
 impl Regressor {
     /// Fit a regressor on `(features, target)` samples using a
-    /// `[n_features, hidden, 1]` network.
+    /// `[n_features, hidden, 1]` network, returning it with its training
+    /// report.
     ///
     /// Samples with a non-finite feature or target are skipped (and
     /// counted on the `mlp.train.skipped_nonfinite` obs counter) rather
@@ -56,7 +67,12 @@ impl Regressor {
     /// # Panics
     ///
     /// Panics if no finite sample remains.
-    pub fn fit(samples: &[(Vec<f64>, f64)], hidden: usize, seed: u64, cfg: &TrainConfig) -> Self {
+    pub fn fit(
+        samples: &[(Vec<f64>, f64)],
+        hidden: usize,
+        seed: u64,
+        cfg: &TrainConfig,
+    ) -> (Self, TrainReport) {
         let finite: Vec<&(Vec<f64>, f64)> = samples
             .iter()
             .filter(|(x, y)| y.is_finite() && x.iter().all(|v| v.is_finite()))
@@ -73,17 +89,18 @@ impl Regressor {
         let ys: Vec<Vec<f64>> = finite.iter().map(|&&(_, y)| vec![y]).collect();
         let inputs = Normalizer::fit(&xs);
         let outputs = Normalizer::fit(&ys);
-        let mut data = Dataset::new();
-        for ((x, _), y) in finite.iter().zip(&ys) {
-            data.push(&inputs.apply(x), &outputs.apply(y));
+        let mut data = Dataset::new(inputs.width());
+        for (x, y) in xs.iter().zip(&ys) {
+            data.push(&inputs.apply(x), outputs.apply(y)[0]);
         }
-        let mut net = Mlp::new(&[xs[0].len(), hidden, 1], Activation::Sigmoid, seed);
-        train_rprop(&mut net, &data, cfg);
-        Regressor {
+        let mut net = Mlp::new(inputs.width(), hidden, seed);
+        let report = train_rprop(&mut net, &data, cfg);
+        let regressor = Regressor {
             net,
             inputs,
             outputs,
-        }
+        };
+        (regressor, report)
     }
 
     /// Predict the target for one feature vector.
@@ -93,9 +110,9 @@ impl Regressor {
 
     /// [`Regressor::predict`] through caller-owned buffers.
     pub fn predict_with(&self, features: &[f64], scratch: &mut Scratch) -> f64 {
-        self.inputs.apply_into(features, &mut scratch.cur);
-        self.net.forward_in(scratch);
-        self.outputs.invert(0, scratch.cur[0])
+        self.inputs.apply_into(features, &mut scratch.input);
+        let y = self.net.forward_with(&scratch.input, &mut scratch.hidden);
+        self.outputs.invert(0, y)
     }
 }
 
@@ -117,7 +134,7 @@ mod tests {
             max_epochs: 6000,
             ..TrainConfig::default()
         };
-        let r = Regressor::fit(&samples, 8, 9, &cfg);
+        let (r, _) = Regressor::fit(&samples, 8, 9, &cfg);
         for (x, y) in &samples {
             assert!((r.predict(x) - y).abs() < 0.08, "x={x:?} y={y}");
         }
@@ -135,15 +152,15 @@ mod tests {
             })
             .collect();
         let cfg = TrainConfig::default();
-        let a = Regressor::fit(&samples, 6, 1234, &cfg);
-        let b = Regressor::fit(&samples, 6, 1234, &cfg);
+        let (a, _) = Regressor::fit(&samples, 6, 1234, &cfg);
+        let (b, _) = Regressor::fit(&samples, 6, 1234, &cfg);
         assert_eq!(a, b);
         assert_eq!(
             a.predict(&[0.4, 0.6]).to_bits(),
             b.predict(&[0.4, 0.6]).to_bits()
         );
         // A different seed initializes differently.
-        let c = Regressor::fit(&samples, 6, 1235, &cfg);
+        let (c, _) = Regressor::fit(&samples, 6, 1235, &cfg);
         assert_ne!(a, c);
     }
 
@@ -155,13 +172,13 @@ mod tests {
                 (vec![x], 2.0 * x + 0.5)
             })
             .collect();
-        let clean = Regressor::fit(&samples, 4, 7, &TrainConfig::default());
+        let clean = Regressor::fit(&samples, 4, 7, &TrainConfig::default()).0;
         // Poison the set with NaN/inf targets and a NaN feature: the fit
         // must match a fit on the clean subset exactly.
         samples.push((vec![0.3], f64::NAN));
         samples.push((vec![0.6], f64::INFINITY));
         samples.push((vec![f64::NAN], 1.0));
-        let guarded = Regressor::fit(&samples, 4, 7, &TrainConfig::default());
+        let guarded = Regressor::fit(&samples, 4, 7, &TrainConfig::default()).0;
         assert_eq!(clean, guarded);
         assert!(guarded.predict(&[0.5]).is_finite());
         // All-poison data is refused, not fitted.

@@ -1,158 +1,121 @@
-//! Feed-forward multilayer perceptron.
+//! The one network the estimator trains: `[inputs, hidden, 1]`, a
+//! sigmoid hidden layer and a linear output node.
+
+use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Activation function of a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Logistic sigmoid, `1 / (1 + e^-x)`.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Identity (used for regression output layers).
-    Linear,
-    /// Rectified linear unit.
-    Relu,
+/// The hidden layer's activation, the logistic sigmoid.
+pub(crate) fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
 }
 
-impl Activation {
-    /// Apply the activation.
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
-            Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-        }
+/// One hidden node's output: its bias, plus each weighted input in input
+/// order, through the sigmoid. `row` is the node's weights, bias last.
+fn hidden_node(row: &[f64], x: &[f64]) -> f64 {
+    let (weights, bias) = row.split_at(x.len());
+    let mut acc = bias[0];
+    for (w, xi) in weights.iter().zip(x) {
+        acc += w * xi;
     }
-
-    /// Derivative of the activation expressed in terms of the *output* `y`.
-    pub fn derivative_from_output(self, y: f64) -> f64 {
-        match self {
-            Activation::Sigmoid => y * (1.0 - y),
-            Activation::Tanh => 1.0 - y * y,
-            Activation::Linear => 1.0,
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
+    sigmoid(acc)
 }
 
-/// One fully connected layer: `outputs × (inputs + 1)` weights, the last
-/// column being the bias.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Layer {
-    pub(crate) inputs: usize,
-    pub(crate) outputs: usize,
-    pub(crate) activation: Activation,
-    /// Row-major `[out][in+1]` weight matrix.
-    pub(crate) weights: Vec<f64>,
-}
-
-impl Layer {
-    fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut StdRng) -> Self {
-        // Xavier-style uniform initialization.
-        let scale = (6.0 / (inputs + outputs) as f64).sqrt();
-        let weights = (0..outputs * (inputs + 1))
-            .map(|_| rng.gen_range(-scale..scale))
-            .collect();
-        Layer {
-            inputs,
-            outputs,
-            activation,
-            weights,
-        }
-    }
-
-    pub(crate) fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(self.outputs);
-        for o in 0..self.outputs {
-            let row = &self.weights[o * (self.inputs + 1)..(o + 1) * (self.inputs + 1)];
-            let mut acc = row[self.inputs]; // bias
-            for (w, xi) in row[..self.inputs].iter().zip(x) {
-                acc += w * xi;
-            }
-            out.push(self.activation.apply(acc));
-        }
-    }
-}
-
-/// The two buffers a forward pass alternates between. A caller that
-/// predicts repeatedly keeps one and passes it to
-/// [`crate::Regressor::predict_with`], so only the first pass allocates.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    pub(crate) cur: Vec<f64>,
-    pub(crate) next: Vec<f64>,
-}
-
-/// A fully connected feed-forward network.
-///
-/// The paper's area estimator uses three-layer networks with eleven input
-/// nodes, six hidden nodes and one output node (§IV-B2); this type supports
-/// arbitrary layer shapes.
+/// A three-layer perceptron with one linear output (§IV-B2: "three fully
+/// connected layers with eleven input nodes, six hidden layer nodes, and
+/// a single output node"); the widths are set at construction.
 ///
 /// # Examples
 ///
 /// ```
-/// use dhdl_mlp::{Activation, Mlp};
+/// use dhdl_mlp::Mlp;
 ///
-/// let net = Mlp::new(&[11, 6, 1], Activation::Sigmoid, 42);
-/// let y = net.forward(&[0.5; 11]);
-/// assert_eq!(y.len(), 1);
+/// let net = Mlp::new(11, 6, 42);
+/// assert_eq!(net.weight_count(), 6 * 12 + 7);
+/// assert!(net.forward(&[0.5; 11]).is_finite());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct Mlp {
-    pub(crate) layers: Vec<Layer>,
+    pub(crate) inputs: usize,
+    pub(crate) hidden: usize,
+    /// The hidden layer's `[hidden][inputs + 1]` rows, then the output
+    /// node's `hidden + 1` weights; every bias last in its row.
+    pub(crate) weights: Vec<f64>,
 }
 
 impl Mlp {
-    /// Create a network with the given layer sizes (first entry is the
-    /// input width), hidden activation, and RNG seed. The output layer is
-    /// linear.
+    /// Create a network with `inputs` input and `hidden` hidden nodes,
+    /// weights drawn from `seed`.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two sizes are given or any size is zero.
-    pub fn new(sizes: &[usize], hidden: Activation, seed: u64) -> Self {
-        assert!(sizes.len() >= 2, "need at least input and output sizes");
-        assert!(sizes.iter().all(|&s| s > 0), "layer sizes must be nonzero");
+    /// Panics if either width is zero.
+    pub fn new(inputs: usize, hidden: usize, seed: u64) -> Self {
+        assert!(inputs > 0 && hidden > 0, "layer sizes must be nonzero");
         let mut rng = StdRng::seed_from_u64(seed);
-        let layers = sizes
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| {
-                let act = if i + 2 == sizes.len() {
-                    Activation::Linear
-                } else {
-                    hidden
-                };
-                Layer::new(w[0], w[1], act, &mut rng)
-            })
-            .collect();
-        Mlp { layers }
+        let mut weights = Vec::with_capacity(hidden * (inputs + 1) + hidden + 1);
+        // Xavier-style uniform initialization, layer by layer.
+        for (fan_in, fan_out) in [(inputs, hidden), (hidden, 1)] {
+            let scale = (6.0 / (fan_in + fan_out) as f64).sqrt();
+            weights.extend((0..fan_out * (fan_in + 1)).map(|_| rng.gen_range(-scale..scale)));
+        }
+        Mlp {
+            inputs,
+            hidden,
+            weights,
+        }
     }
 
     /// Input width of the network.
     pub fn input_size(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.inputs)
-    }
-
-    /// Output width of the network.
-    pub fn output_size(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.outputs)
+        self.inputs
     }
 
     /// Total number of trainable weights (including biases).
     pub fn weight_count(&self) -> usize {
-        self.layers.iter().map(|l| l.weights.len()).sum()
+        self.weights.len()
+    }
+
+    /// The hidden layer's weights and the output node's.
+    pub(crate) fn layers(&self) -> (&[f64], &[f64]) {
+        self.weights.split_at(self.hidden * (self.inputs + 1))
+    }
+
+    /// The hidden layer's outputs on input `x`, into `h`.
+    #[inline]
+    pub(crate) fn hidden_layer(&self, x: &[f64], h: &mut [f64]) {
+        // Two nodes at a time: each node's sum is one dependency chain,
+        // and two chains in one loop keep the core busy.
+        let width = self.inputs + 1;
+        let (w_hidden, _) = self.layers();
+        let mut pairs = w_hidden.chunks_exact(2 * width);
+        for (hp, rows) in h.chunks_exact_mut(2).zip(&mut pairs) {
+            let (ra, rb) = rows.split_at(width);
+            let (mut a, mut b) = (ra[self.inputs], rb[self.inputs]);
+            for ((wa, wb), xi) in ra.iter().zip(rb).zip(x) {
+                a += wa * xi;
+                b += wb * xi;
+            }
+            hp[0] = sigmoid(a);
+            hp[1] = sigmoid(b);
+        }
+        if let Some(last) = h.chunks_exact_mut(2).into_remainder().first_mut() {
+            *last = hidden_node(pairs.remainder(), x);
+        }
+    }
+
+    /// The output node on hidden outputs `h`: its bias, plus each
+    /// weighted hidden output in node order.
+    #[inline]
+    pub(crate) fn output(&self, h: &[f64]) -> f64 {
+        let (_, w_out) = self.layers();
+        let (weights, bias) = w_out.split_at(self.hidden);
+        let mut y = bias[0];
+        for (w, hj) in weights.iter().zip(h) {
+            y += w * hj;
+        }
+        y
     }
 
     /// Run the network on one input vector.
@@ -160,24 +123,40 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `x.len()` differs from [`Mlp::input_size`].
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut scratch = Scratch {
-            cur: x.to_vec(),
-            next: Vec::new(),
-        };
-        self.forward_in(&mut scratch);
-        scratch.cur
+    pub fn forward(&self, x: &[f64]) -> f64 {
+        self.forward_with(x, &mut Vec::new())
     }
 
-    /// [`Mlp::forward`] on the input held in `scratch.cur`, which holds
-    /// the output afterwards.
-    pub(crate) fn forward_in(&self, scratch: &mut Scratch) {
-        let Scratch { cur, next } = scratch;
-        assert_eq!(cur.len(), self.input_size(), "input width mismatch");
-        for layer in &self.layers {
-            layer.forward(cur, next);
-            std::mem::swap(cur, next);
+    /// [`Mlp::forward`] with the hidden outputs in a caller-owned buffer.
+    pub(crate) fn forward_with(&self, x: &[f64], h: &mut Vec<f64>) -> f64 {
+        assert_eq!(x.len(), self.inputs, "input width mismatch");
+        h.resize(self.hidden, 0.0);
+        self.hidden_layer(x, h);
+        self.output(h)
+    }
+}
+
+/// Prints the two layers as the generic network this type replaced did;
+/// `dhdl-estimate`'s `calibrated_bits_are_pinned` digests this text.
+impl fmt::Debug for Mlp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Layer<'a>(usize, usize, &'a str, &'a [f64]);
+        impl fmt::Debug for Layer<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct("Layer")
+                    .field("inputs", &self.0)
+                    .field("outputs", &self.1)
+                    .field("activation", &format_args!("{}", self.2))
+                    .field("weights", &self.3)
+                    .finish()
+            }
         }
+        let (hidden, output) = self.layers();
+        let layers = [
+            Layer(self.inputs, self.hidden, "Sigmoid", hidden),
+            Layer(self.hidden, 1, "Linear", output),
+        ];
+        f.debug_struct("Mlp").field("layers", &layers).finish()
     }
 }
 
@@ -187,34 +166,43 @@ mod tests {
 
     #[test]
     fn shapes() {
-        let net = Mlp::new(&[11, 6, 1], Activation::Sigmoid, 1);
+        let net = Mlp::new(11, 6, 1);
         assert_eq!(net.input_size(), 11);
-        assert_eq!(net.output_size(), 1);
         assert_eq!(net.weight_count(), 6 * 12 + 7);
-        assert_eq!(net.forward(&[0.0; 11]).len(), 1);
+        assert!(net.forward(&[0.0; 11]).is_finite());
     }
 
     #[test]
     fn deterministic_by_seed() {
-        let a = Mlp::new(&[4, 3, 2], Activation::Tanh, 7);
-        let b = Mlp::new(&[4, 3, 2], Activation::Tanh, 7);
-        let c = Mlp::new(&[4, 3, 2], Activation::Tanh, 8);
+        let a = Mlp::new(4, 3, 7);
+        let b = Mlp::new(4, 3, 7);
+        let c = Mlp::new(4, 3, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn activations() {
-        assert_eq!(Activation::Linear.apply(3.5), 3.5);
-        assert_eq!(Activation::Relu.apply(-1.0), 0.0);
-        assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
-        assert!((Activation::Tanh.derivative_from_output(0.0) - 1.0).abs() < 1e-12);
+        // Sigmoid hidden nodes, a linear output node.
+        assert_eq!(sigmoid(0.0), 0.5);
+        assert_eq!(hidden_node(&[2.0, -1.0], &[0.5]), 0.5);
+        // Nodes computed in pairs and the odd one out agree with one
+        // node at a time.
+        let (net, x) = (Mlp::new(2, 3, 0), [0.25, -0.5]);
+        let mut h = [0.0; 3];
+        net.hidden_layer(&x, &mut h);
+        for (hj, row) in h.iter().zip(net.layers().0.chunks_exact(3)) {
+            assert_eq!(*hj, hidden_node(row, &x));
+        }
+        let mut net = Mlp::new(1, 2, 0);
+        net.weights = vec![0.0, 0.0, 0.0, 0.0, 3.0, -1.0, 0.25];
+        assert_eq!(net.forward(&[1.0]), 0.25 + 3.0 * 0.5 - 0.5);
     }
 
     #[test]
     #[should_panic(expected = "input width mismatch")]
     fn forward_checks_width() {
-        let net = Mlp::new(&[3, 2], Activation::Sigmoid, 0);
+        let net = Mlp::new(3, 2, 0);
         net.forward(&[1.0]);
     }
 }

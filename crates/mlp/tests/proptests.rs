@@ -1,6 +1,6 @@
 //! Property tests for the neural network library.
 
-use dhdl_mlp::{mse, train_rprop, Activation, Dataset, Mlp, Normalizer, TrainConfig};
+use dhdl_mlp::{train_rprop, Dataset, Mlp, Normalizer, TrainConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,13 +25,14 @@ proptest! {
     /// untrained network (RPROP on a learnable linear target).
     #[test]
     fn training_reduces_error(seed: u64, slope in -2.0f64..2.0) {
-        let mut data = Dataset::new();
+        let mut data = Dataset::new(1);
         for i in 0..16 {
             let x = i as f64 / 16.0;
-            data.push(&[x], &[slope * x]);
+            data.push(&[x], slope * x);
         }
-        let mut net = Mlp::new(&[1, 4, 1], Activation::Sigmoid, seed);
-        let before = mse(&net, &data);
+        let mut net = Mlp::new(1, 4, seed);
+        let untrained = TrainConfig { max_epochs: 0, ..TrainConfig::default() };
+        let before = train_rprop(&mut net, &data, &untrained).mse;
         let cfg = TrainConfig { max_epochs: 150, ..TrainConfig::default() };
         let report = train_rprop(&mut net, &data, &cfg);
         prop_assert!(report.mse <= before + 1e-12, "{} -> {}", before, report.mse);
@@ -40,8 +41,7 @@ proptest! {
     /// Forward output is finite for any finite input.
     #[test]
     fn forward_is_finite(x in prop::collection::vec(-1e3f64..1e3, 4), seed: u64) {
-        let net = Mlp::new(&[4, 6, 1], Activation::Tanh, seed);
-        let y = net.forward(&x);
-        prop_assert!(y[0].is_finite());
+        let net = Mlp::new(4, 6, seed);
+        prop_assert!(net.forward(&x).is_finite());
     }
 }

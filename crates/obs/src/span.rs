@@ -101,6 +101,16 @@ impl Span {
     }
 }
 
+impl Span {
+    /// Set the span's numeric argument, for a value known only once the
+    /// work it times is done (no-op on an inert span).
+    pub fn set_arg(&mut self, key: &'static str, value: u64) {
+        if let Some(open) = &mut self.open {
+            open.arg = Some((key, value));
+        }
+    }
+}
+
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(open) = self.open.take() else {
