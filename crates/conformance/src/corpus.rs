@@ -1,9 +1,10 @@
 //! Replayable corpus persistence.
 //!
-//! Every fuzz case — a [`DesignSpec`] or a [`PatternSpec`] — serializes
-//! to a single self-contained text line (floats as IEEE-754 bit
-//! patterns, so round-trips are exact). Failing cases are shrunk and
-//! written to `tests/corpus/*.case`; a corpus file is:
+//! Every fuzz case — a [`DesignSpec`], a [`PatternSpec`] or a
+//! [`DnnSpec`] — serializes to a single self-contained
+//! [`dhdl_core::record`] line, its fields in one fixed order (floats as
+//! IEEE-754 bit patterns, so round-trips are exact). Failing cases are
+//! shrunk and written to `tests/corpus/*.case`; a corpus file is:
 //!
 //! ```text
 //! dhdl-fuzz case v1
@@ -15,9 +16,11 @@
 //! must produce zero violations once the underlying bug is fixed (seed
 //! cases pin the no-violation baseline from day one).
 
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use dhdl_core::record::{Join, Reader, Writer};
 use dhdl_core::{DType, PrimOp, ReduceOp};
 use dhdl_obs::json::{bits_str, parse_bits};
 
@@ -63,8 +66,11 @@ impl CorpusCase {
 
     /// Render the whole case file.
     pub fn to_text(&self) -> String {
-        let line = self.kind.to_line();
-        format!("{HEADER}\ninvariant={}\n{line}\n", self.invariant)
+        let mut w = Writer::default();
+        w.word(HEADER).end();
+        w.field("invariant", &self.invariant).end();
+        w.word(self.kind.to_line()).end();
+        w.finish()
     }
 
     /// Parse a case file.
@@ -77,24 +83,17 @@ impl CorpusCase {
         if lines.next() != Some(HEADER) {
             return Err(format!("missing `{HEADER}` header"));
         }
-        let inv = lines
-            .next()
-            .and_then(|l| l.strip_prefix("invariant="))
-            .ok_or("missing `invariant=` line")?;
+        let mut r = Reader::new(lines.next().unwrap_or_default());
+        let invariant = r.value("invariant", |s| Some(s.to_string()))?;
+        r.end()?;
         let spec = lines.next().ok_or("missing spec line")?;
-        let kind = if spec.starts_with("design v1 ") {
-            CaseKind::Design(design_from_line(spec)?)
-        } else if spec.starts_with("pattern v1 ") {
-            CaseKind::Pattern(pattern_from_line(spec)?)
-        } else if spec.starts_with("dnn v1 ") {
-            CaseKind::Dnn(dnn_from_line(spec)?)
-        } else {
-            return Err(format!("unrecognized spec line: {spec}"));
+        let kind = match Reader::new(spec).word("a spec tag", Some)? {
+            "design" => CaseKind::Design(design_from_line(spec)?),
+            "pattern" => CaseKind::Pattern(pattern_from_line(spec)?),
+            "dnn" => CaseKind::Dnn(dnn_from_line(spec)?),
+            other => return Err(format!("unknown spec tag `{other}`")),
         };
-        Ok(CorpusCase {
-            invariant: inv.to_string(),
-            kind,
-        })
+        Ok(CorpusCase { invariant, kind })
     }
 }
 
@@ -162,204 +161,144 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusCase)>, String> {
         .collect()
 }
 
-fn ty_text(ty: DType) -> String {
-    match ty {
-        DType::F32 => "f32".to_string(),
-        DType::F64 => "f64".to_string(),
-        DType::Bool => "bool".to_string(),
-        DType::Fix { sign, int, frac } => {
-            format!("fix:{}:{int}:{frac}", u8::from(sign))
+/// The corpus's own type spelling, `fix:<sign>:<int>:<frac>` for fixed
+/// point: the tracked case files are written this way.
+struct Ty(DType);
+
+impl fmt::Display for Ty {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            DType::Fix { sign, int, frac } => write!(f, "fix:{}:{int}:{frac}", u8::from(sign)),
+            ty => ty.fmt(f),
         }
     }
 }
 
-fn ty_parse(s: &str) -> Result<DType, String> {
-    match s {
-        "f32" => Ok(DType::F32),
-        "f64" => Ok(DType::F64),
-        "bool" => Ok(DType::Bool),
-        other => {
-            let parts: Vec<&str> = other.split(':').collect();
-            if parts.len() == 4 && parts[0] == "fix" {
-                let sign = parts[1] == "1";
-                let int = parts[2].parse().map_err(|_| "bad int bits")?;
-                let frac = parts[3].parse().map_err(|_| "bad frac bits")?;
-                Ok(DType::fixed(sign, int, frac))
-            } else {
-                Err(format!("unrecognized dtype `{other}`"))
-            }
-        }
-    }
+fn ty_parse(s: &str) -> Option<DType> {
+    let Some(bits) = s.strip_prefix("fix:") else {
+        return s.parse().ok().filter(|ty| !matches!(ty, DType::Fix { .. }));
+    };
+    let mut parts = bits.split(':');
+    let sign = match parts.next()? {
+        "0" => false,
+        "1" => true,
+        _ => return None,
+    };
+    let ty = DType::fixed(
+        sign,
+        parts.next()?.parse().ok()?,
+        parts.next()?.parse().ok()?,
+    );
+    parts.next().is_none().then_some(ty)
 }
 
-fn prim_text(op: PrimOp) -> &'static str {
-    match op {
-        PrimOp::Add => "Add",
-        PrimOp::Sub => "Sub",
-        PrimOp::Mul => "Mul",
-        PrimOp::Min => "Min",
-        PrimOp::Max => "Max",
-        PrimOp::Abs => "Abs",
-        PrimOp::Neg => "Neg",
-        PrimOp::Sqrt => "Sqrt",
-        other => unreachable!("generator never emits {other:?}"),
-    }
+fn hex(s: &str) -> Option<u64> {
+    u64::from_str_radix(s, 16).ok()
 }
 
-fn prim_parse(s: &str) -> Result<PrimOp, String> {
-    Ok(match s {
-        "Add" => PrimOp::Add,
-        "Sub" => PrimOp::Sub,
-        "Mul" => PrimOp::Mul,
-        "Min" => PrimOp::Min,
-        "Max" => PrimOp::Max,
-        "Abs" => PrimOp::Abs,
-        "Neg" => PrimOp::Neg,
-        "Sqrt" => PrimOp::Sqrt,
-        other => return Err(format!("unrecognized primitive `{other}`")),
-    })
-}
-
+/// A terminal reduction, or `-` for none.
 fn reduce_text(op: Option<ReduceOp>) -> &'static str {
-    match op {
-        None => "-",
-        Some(ReduceOp::Add) => "Add",
-        Some(ReduceOp::Min) => "Min",
-        Some(ReduceOp::Max) => "Max",
-    }
+    op.map_or("-", ReduceOp::name)
 }
 
-fn reduce_parse(s: &str) -> Result<Option<ReduceOp>, String> {
-    Ok(match s {
-        "-" => None,
-        "Add" => Some(ReduceOp::Add),
-        "Min" => Some(ReduceOp::Min),
-        "Max" => Some(ReduceOp::Max),
-        other => return Err(format!("unrecognized reduce op `{other}`")),
-    })
-}
-
-fn operand_text(o: Operand) -> String {
-    match o {
-        Operand::Lit(c) => format!("l:{}", bits_str(c)),
-        Operand::Second => "y".to_string(),
-        Operand::Index => "i".to_string(),
-    }
-}
-
-fn operand_parse(s: &str) -> Result<Operand, String> {
+fn reduce_parse(s: &str) -> Option<Option<ReduceOp>> {
     match s {
-        "y" => Ok(Operand::Second),
-        "i" => Ok(Operand::Index),
-        other => match other.strip_prefix("l:") {
-            Some(bits) => Ok(Operand::Lit(
-                parse_bits(bits).ok_or_else(|| format!("bad float bits `{bits}`"))?,
-            )),
-            None => Err(format!("unrecognized operand `{other}`")),
-        },
+        "-" => Some(None),
+        _ => ReduceOp::from_name(s).map(Some),
     }
 }
 
-fn steps_text(steps: &[MapStep]) -> String {
-    if steps.is_empty() {
-        return "-".to_string();
+/// A `;`-separated list of steps, `-` when there is none.
+struct Steps<'a, T>(&'a [T]);
+
+impl<T: fmt::Display> fmt::Display for Steps<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            [] => f.write_str("-"),
+            steps => Join(';', steps).fmt(f),
+        }
     }
-    steps
-        .iter()
-        .map(|s| match s {
-            MapStep::Bin { op, rhs } => format!("bin:{}:{}", prim_text(*op), operand_text(*rhs)),
-            MapStep::Un { op } => format!("un:{}", prim_text(*op)),
-            MapStep::Select { thresh, rhs } => {
-                format!("sel:{}:{}", bits_str(*thresh), operand_text(*rhs))
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(";")
 }
 
-fn steps_parse(s: &str) -> Result<Vec<MapStep>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
+fn steps_parse<T>(s: &str, step: impl FnMut(&str) -> Option<T>) -> Option<Vec<T>> {
+    match s {
+        "-" => Some(Vec::new()),
+        _ => s.split(';').map(step).collect(),
     }
-    s.split(';')
-        .map(|item| {
-            let mut parts = item.splitn(2, ':');
-            let tag = parts.next().unwrap_or("");
-            let rest = parts.next().unwrap_or("");
-            match tag {
-                "bin" => {
-                    let (op, rhs) = rest
-                        .split_once(':')
-                        .ok_or_else(|| format!("malformed bin step `{item}`"))?;
-                    Ok(MapStep::Bin {
-                        op: prim_parse(op)?,
-                        rhs: operand_parse(rhs)?,
-                    })
-                }
-                "un" => Ok(MapStep::Un {
-                    op: prim_parse(rest)?,
-                }),
-                "sel" => {
-                    let (thresh, rhs) = rest
-                        .split_once(':')
-                        .ok_or_else(|| format!("malformed sel step `{item}`"))?;
-                    Ok(MapStep::Select {
-                        thresh: parse_bits(thresh)
-                            .ok_or_else(|| format!("bad float bits `{thresh}`"))?,
-                        rhs: operand_parse(rhs)?,
-                    })
-                }
-                other => Err(format!("unrecognized step tag `{other}`")),
-            }
-        })
-        .collect()
+}
+
+/// The corpus encoding: `l:<f64 bits>`, `y` or `i`.
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Operand::Lit(c) => write!(f, "l:{}", bits_str(c)),
+            Operand::Second => f.write_str("y"),
+            Operand::Index => f.write_str("i"),
+        }
+    }
+}
+
+fn operand_parse(s: &str) -> Option<Operand> {
+    match s {
+        "y" => Some(Operand::Second),
+        "i" => Some(Operand::Index),
+        _ => s.strip_prefix("l:").and_then(parse_bits).map(Operand::Lit),
+    }
+}
+
+/// The corpus encoding: `bin:<op>:<operand>`, `un:<op>` or
+/// `sel:<threshold bits>:<operand>`.
+impl fmt::Display for MapStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            MapStep::Bin { op, rhs } => write!(f, "bin:{}:{rhs}", op.name()),
+            MapStep::Un { op } => write!(f, "un:{}", op.name()),
+            MapStep::Select { thresh, rhs } => write!(f, "sel:{}:{rhs}", bits_str(thresh)),
+        }
+    }
+}
+
+fn step_parse(s: &str) -> Option<MapStep> {
+    let (tag, rest) = s.split_once(':')?;
+    match tag {
+        "bin" => {
+            let (op, rhs) = rest.split_once(':')?;
+            Some(MapStep::Bin {
+                op: PrimOp::from_name(op)?,
+                rhs: operand_parse(rhs)?,
+            })
+        }
+        "un" => Some(MapStep::Un {
+            op: PrimOp::from_name(rest)?,
+        }),
+        "sel" => {
+            let (thresh, rhs) = rest.split_once(':')?;
+            Some(MapStep::Select {
+                thresh: parse_bits(thresh)?,
+                rhs: operand_parse(rhs)?,
+            })
+        }
+        _ => None,
+    }
 }
 
 /// Render a design spec as its one-line corpus form.
 pub fn design_to_line(s: &DesignSpec) -> String {
-    format!(
-        "design v1 case={:x} ty={} n={} tile={} par={} lp={} mp={} seq={} plo={} s1={} s2={} red={}",
-        s.case_id,
-        ty_text(s.ty),
-        s.n,
-        s.tile,
-        s.par,
-        s.load_par,
-        u8::from(s.metapipe),
-        u8::from(s.nested_seq),
-        u8::from(s.parallel_loads),
-        steps_text(&s.stage1),
-        steps_text(&s.stage2),
-        reduce_text(s.reduce),
-    )
-}
-
-fn fields_of(line: &str, kind: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .strip_prefix(&format!("{kind} v1 "))
-        .ok_or_else(|| format!("not a `{kind} v1` line"))?;
-    body.split_whitespace()
-        .map(|field| {
-            field
-                .split_once('=')
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .ok_or_else(|| format!("malformed field `{field}`"))
-        })
-        .collect()
-}
-
-fn get<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn num<T: std::str::FromStr>(fields: &[(String, String)], key: &str) -> Result<T, String> {
-    get(fields, key)?
-        .parse()
-        .map_err(|_| format!("bad numeric field `{key}`"))
+    let mut w = Writer::default();
+    w.word("design v1")
+        .field("case", format_args!("{:x}", s.case_id))
+        .field("ty", Ty(s.ty))
+        .field("n", s.n)
+        .field("tile", s.tile)
+        .field("par", s.par)
+        .field("lp", s.load_par)
+        .flag("mp", s.metapipe)
+        .flag("seq", s.nested_seq)
+        .flag("plo", s.parallel_loads)
+        .field("s1", Steps(&s.stage1))
+        .field("s2", Steps(&s.stage2))
+        .field("red", reduce_text(s.reduce));
+    w.finish()
 }
 
 /// Parse a design spec from its one-line corpus form.
@@ -368,41 +307,46 @@ fn num<T: std::str::FromStr>(fields: &[(String, String)], key: &str) -> Result<T
 ///
 /// Returns a description of the first malformed field.
 pub fn design_from_line(line: &str) -> Result<DesignSpec, String> {
-    let fields = fields_of(line, "design")?;
-    Ok(DesignSpec {
-        case_id: u64::from_str_radix(get(&fields, "case")?, 16)
-            .map_err(|_| "bad case id".to_string())?,
-        ty: ty_parse(get(&fields, "ty")?)?,
-        n: num(&fields, "n")?,
-        tile: num(&fields, "tile")?,
-        par: num(&fields, "par")?,
-        load_par: num(&fields, "lp")?,
-        metapipe: get(&fields, "mp")? == "1",
-        nested_seq: get(&fields, "seq")? == "1",
-        parallel_loads: get(&fields, "plo")? == "1",
-        stage1: steps_parse(get(&fields, "s1")?)?,
-        stage2: steps_parse(get(&fields, "s2")?)?,
-        reduce: reduce_parse(get(&fields, "red")?)?,
-    })
+    let mut r = Reader::open(line, "design")?;
+    let spec = DesignSpec {
+        case_id: r.value("case", hex)?,
+        ty: r.value("ty", ty_parse)?,
+        n: r.num("n")?,
+        tile: r.num("tile")?,
+        par: r.num("par")?,
+        load_par: r.num("lp")?,
+        metapipe: r.flag("mp")?,
+        nested_seq: r.flag("seq")?,
+        parallel_loads: r.flag("plo")?,
+        stage1: r.value("s1", |s| steps_parse(s, step_parse))?,
+        stage2: r.value("s2", |s| steps_parse(s, step_parse))?,
+        reduce: r.value("red", reduce_parse)?,
+    };
+    r.end()?;
+    Ok(spec)
+}
+
+fn dnn_kind_text(kind: DnnKind) -> &'static str {
+    match kind {
+        DnnKind::Conv => "conv",
+        DnnKind::Attn => "attn",
+    }
 }
 
 /// Render a DNN fragment spec as its one-line corpus form.
 pub fn dnn_to_line(s: &DnnSpec) -> String {
-    let kind = match s.kind {
-        DnnKind::Conv => "conv",
-        DnnKind::Attn => "attn",
-    };
-    format!(
-        "dnn v1 case={:x} kind={kind} size={} cout={} tile={} par={} par2={} mp={} mp2={}",
-        s.case_id,
-        s.size,
-        s.cout,
-        s.tile,
-        s.par,
-        s.par2,
-        u8::from(s.metapipe),
-        u8::from(s.metapipe2),
-    )
+    let mut w = Writer::default();
+    w.word("dnn v1")
+        .field("case", format_args!("{:x}", s.case_id))
+        .field("kind", dnn_kind_text(s.kind))
+        .field("size", s.size)
+        .field("cout", s.cout)
+        .field("tile", s.tile)
+        .field("par", s.par)
+        .field("par2", s.par2)
+        .flag("mp", s.metapipe)
+        .flag("mp2", s.metapipe2);
+    w.finish()
 }
 
 /// Parse a DNN fragment spec from its one-line corpus form.
@@ -411,66 +355,70 @@ pub fn dnn_to_line(s: &DnnSpec) -> String {
 ///
 /// Returns a description of the first malformed field.
 pub fn dnn_from_line(line: &str) -> Result<DnnSpec, String> {
-    let fields = fields_of(line, "dnn")?;
-    let kind = match get(&fields, "kind")? {
-        "conv" => DnnKind::Conv,
-        "attn" => DnnKind::Attn,
-        other => return Err(format!("unrecognized dnn kind `{other}`")),
+    let mut r = Reader::open(line, "dnn")?;
+    let spec = DnnSpec {
+        case_id: r.value("case", hex)?,
+        kind: r.value("kind", |s| {
+            [DnnKind::Conv, DnnKind::Attn]
+                .into_iter()
+                .find(|&k| dnn_kind_text(k) == s)
+        })?,
+        size: r.num("size")?,
+        cout: r.num("cout")?,
+        tile: r.num("tile")?,
+        par: r.num("par")?,
+        par2: r.num("par2")?,
+        metapipe: r.flag("mp")?,
+        metapipe2: r.flag("mp2")?,
     };
-    Ok(DnnSpec {
-        case_id: u64::from_str_radix(get(&fields, "case")?, 16)
-            .map_err(|_| "bad case id".to_string())?,
-        kind,
-        size: num(&fields, "size")?,
-        cout: num(&fields, "cout")?,
-        tile: num(&fields, "tile")?,
-        par: num(&fields, "par")?,
-        par2: num(&fields, "par2")?,
-        metapipe: get(&fields, "mp")? == "1",
-        metapipe2: get(&fields, "mp2")? == "1",
-    })
+    r.end()?;
+    Ok(spec)
 }
 
-fn pat_rhs_text(r: PatRhs) -> String {
-    match r {
-        PatRhs::Lit(c) => format!("l:{}", bits_str(c)),
-        PatRhs::In0 => "in0".to_string(),
-        PatRhs::In1 => "in1".to_string(),
+/// The corpus encoding: `l:<f64 bits>`, `in0` or `in1`.
+impl fmt::Display for PatRhs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            PatRhs::Lit(c) => write!(f, "l:{}", bits_str(c)),
+            PatRhs::In0 => f.write_str("in0"),
+            PatRhs::In1 => f.write_str("in1"),
+        }
     }
 }
 
-fn pat_rhs_parse(s: &str) -> Result<PatRhs, String> {
+fn pat_rhs_parse(s: &str) -> Option<PatRhs> {
     match s {
-        "in0" => Ok(PatRhs::In0),
-        "in1" => Ok(PatRhs::In1),
-        other => match other.strip_prefix("l:") {
-            Some(bits) => Ok(PatRhs::Lit(
-                parse_bits(bits).ok_or_else(|| format!("bad float bits `{bits}`"))?,
-            )),
-            None => Err(format!("unrecognized pattern rhs `{other}`")),
-        },
+        "in0" => Some(PatRhs::In0),
+        "in1" => Some(PatRhs::In1),
+        _ => s.strip_prefix("l:").and_then(parse_bits).map(PatRhs::Lit),
     }
+}
+
+/// The corpus encoding: `<op>:<rhs>`.
+impl fmt::Display for PatStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", self.op.name(), self.rhs)
+    }
+}
+
+fn pat_step_parse(s: &str) -> Option<PatStep> {
+    let (op, rhs) = s.split_once(':')?;
+    Some(PatStep {
+        op: PrimOp::from_name(op)?,
+        rhs: pat_rhs_parse(rhs)?,
+    })
 }
 
 /// Render a pattern spec as its one-line corpus form.
 pub fn pattern_to_line(s: &PatternSpec) -> String {
-    let steps = if s.steps.is_empty() {
-        "-".to_string()
-    } else {
-        s.steps
-            .iter()
-            .map(|st| format!("{}:{}", prim_text(st.op), pat_rhs_text(st.rhs)))
-            .collect::<Vec<_>>()
-            .join(";")
-    };
-    format!(
-        "pattern v1 case={:x} len={} two={} steps={} red={}",
-        s.case_id,
-        s.len,
-        u8::from(s.two_inputs),
-        steps,
-        reduce_text(s.reduce),
-    )
+    let mut w = Writer::default();
+    w.word("pattern v1")
+        .field("case", format_args!("{:x}", s.case_id))
+        .field("len", s.len)
+        .flag("two", s.two_inputs)
+        .field("steps", Steps(&s.steps))
+        .field("red", reduce_text(s.reduce));
+    w.finish()
 }
 
 /// Parse a pattern spec from its one-line corpus form.
@@ -479,30 +427,14 @@ pub fn pattern_to_line(s: &PatternSpec) -> String {
 ///
 /// Returns a description of the first malformed field.
 pub fn pattern_from_line(line: &str) -> Result<PatternSpec, String> {
-    let fields = fields_of(line, "pattern")?;
-    let steps_field = get(&fields, "steps")?;
-    let steps = if steps_field == "-" {
-        Vec::new()
-    } else {
-        steps_field
-            .split(';')
-            .map(|item| {
-                let (op, rhs) = item
-                    .split_once(':')
-                    .ok_or_else(|| format!("malformed pattern step `{item}`"))?;
-                Ok(PatStep {
-                    op: prim_parse(op)?,
-                    rhs: pat_rhs_parse(rhs)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?
+    let mut r = Reader::open(line, "pattern")?;
+    let spec = PatternSpec {
+        case_id: r.value("case", hex)?,
+        len: r.num("len")?,
+        two_inputs: r.flag("two")?,
+        steps: r.value("steps", |s| steps_parse(s, pat_step_parse))?,
+        reduce: r.value("red", reduce_parse)?,
     };
-    Ok(PatternSpec {
-        case_id: u64::from_str_radix(get(&fields, "case")?, 16)
-            .map_err(|_| "bad case id".to_string())?,
-        len: num(&fields, "len")?,
-        two_inputs: get(&fields, "two")? == "1",
-        steps,
-        reduce: reduce_parse(get(&fields, "red")?)?,
-    })
+    r.end()?;
+    Ok(spec)
 }

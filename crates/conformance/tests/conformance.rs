@@ -5,7 +5,7 @@
 
 use dhdl_conformance::corpus::{
     design_from_line, design_to_line, dnn_from_line, dnn_to_line, pattern_from_line,
-    pattern_to_line, CorpusCase,
+    pattern_to_line, CorpusCase, HEADER,
 };
 use dhdl_conformance::{
     generate, generate_dnn, generate_pattern, shrink, shrink_dnn, CaseKind, Conformance, DnnKind,
@@ -99,7 +99,7 @@ fn corpus_case_files_roundtrip() {
         let text = case.to_text();
         let back = CorpusCase::from_text(&text).expect("case file parses");
         assert_eq!(back, case);
-        // File names are stable and distinguish the two spec kinds.
+        // File names are stable and distinguish the three spec kinds.
         assert!(case.file_name().ends_with(".case"));
     }
 }
@@ -116,6 +116,27 @@ fn corpus_rejects_malformed_input() {
     assert!(pattern_from_line("pattern v1 case=0 len=64 two=0 steps=Wat:in0 red=-").is_err());
     let good = design_to_line(&generate(0, 0));
     assert!(design_from_line(&good.replace("ty=", "ty=q")).is_err());
+    // One line of each writer, each of its tokens garbled (the tag so
+    // made unknown), dropped, or swapped with the one before it: the
+    // reader is positional.
+    let rejects =
+        |line: &str| CorpusCase::from_text(&format!("{HEADER}\ninvariant=x\n{line}\n")).is_err();
+    let pattern = pattern_to_line(&generate_pattern(0, 1));
+    for line in [good, pattern, dnn_to_line(&generate_dnn(0, 0))] {
+        assert!(!rejects(&line), "{line}");
+        let tokens: Vec<&str> = line.split(' ').collect();
+        for j in 0..tokens.len() {
+            let (mut garbled, mut dropped, mut swapped) =
+                (tokens.clone(), tokens.clone(), tokens.clone());
+            let bad = format!("{}#", tokens[j]);
+            garbled[j] = &bad;
+            dropped.remove(j);
+            swapped.swap(j.saturating_sub(1), j);
+            assert!(rejects(&garbled.join(" ")), "{line}: garbled {j}");
+            assert!(rejects(&dropped.join(" ")), "{line}: dropped {j}");
+            assert!(j == 0 || rejects(&swapped.join(" ")), "{line}: swapped {j}");
+        }
+    }
 }
 
 proptest! {

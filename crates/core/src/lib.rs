@@ -54,6 +54,7 @@ mod error;
 mod hash;
 mod node;
 mod params;
+pub mod record;
 pub mod serialize;
 mod small;
 mod types;

@@ -122,6 +122,21 @@ impl PrimOp {
             Min, Max,
         ]
     }
+
+    /// The op's name in the persisted text formats: its `Debug` name.
+    pub fn name(self) -> &'static str {
+        // In declaration order, as `all()` is.
+        const NAMES: [&str; 21] = [
+            "Add", "Sub", "Mul", "Div", "Rem", "Lt", "Le", "Gt", "Ge", "Eq", "Ne", "And", "Or",
+            "Not", "Neg", "Abs", "Sqrt", "Exp", "Ln", "Min", "Max",
+        ];
+        NAMES[self as usize]
+    }
+
+    /// The op [`PrimOp::name`] calls `name`.
+    pub fn from_name(name: &str) -> Option<PrimOp> {
+        PrimOp::all().iter().copied().find(|op| op.name() == name)
+    }
 }
 
 impl fmt::Display for PrimOp {
@@ -192,6 +207,22 @@ impl ReduceOp {
             ReduceOp::Min => PrimOp::Min,
             ReduceOp::Max => PrimOp::Max,
         }
+    }
+
+    /// The op's name in the persisted text formats: its `Debug` name.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReduceOp::Add => "Add",
+            ReduceOp::Min => "Min",
+            ReduceOp::Max => "Max",
+        }
+    }
+
+    /// The op [`ReduceOp::name`] calls `name`.
+    pub fn from_name(name: &str) -> Option<ReduceOp> {
+        [ReduceOp::Add, ReduceOp::Min, ReduceOp::Max]
+            .into_iter()
+            .find(|op| op.name() == name)
     }
 }
 
@@ -583,6 +614,11 @@ mod tests {
         assert!(PrimOp::Exp.is_complex());
         assert!(!PrimOp::Add.is_complex());
         assert!(PrimOp::Lt.is_predicate());
+        for &op in PrimOp::all() {
+            assert_eq!(op.name(), format!("{op:?}"));
+            assert_eq!(PrimOp::from_name(op.name()), Some(op));
+        }
+        assert_eq!(PrimOp::from_name("add"), None);
     }
 
     #[test]
@@ -592,6 +628,11 @@ mod tests {
         assert_eq!(ReduceOp::Min.apply(2.0, 3.0), 2.0);
         assert_eq!(ReduceOp::Max.apply(2.0, 3.0), 3.0);
         assert_eq!(ReduceOp::Min.identity(), f64::INFINITY);
+        for op in [ReduceOp::Add, ReduceOp::Min, ReduceOp::Max] {
+            assert_eq!(op.name(), format!("{op:?}"));
+            assert_eq!(ReduceOp::from_name(op.name()), Some(op));
+        }
+        assert_eq!(ReduceOp::from_name("Mul"), None);
     }
 
     #[test]

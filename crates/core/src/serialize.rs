@@ -1,40 +1,41 @@
 //! Textual serialization of design instances.
 //!
-//! A stable line-oriented format for persisting elaborated designs —
-//! caching DSE winners, shipping designs between the estimator and
-//! generator processes, or diffing design instances. Round-trips exactly:
-//! `parse(print(d)) == d`.
+//! A line-oriented format: a `dhdl v1 <name>` header, a `top` line, an
+//! `offchips` line and one `node` record per node, in id order, written
+//! and read with [`crate::record`]. It round-trips exactly:
+//! `from_text(&to_text(d)) == d`, and `to_text` gives back the same bytes.
+//! The `serialize-roundtrip` conformance oracle holds every generated
+//! design to that (in `dhdl-fuzz` and in the benchmark's `fuzz`
+//! workload), and tests patch the text to build designs the builder
+//! refuses. [`from_text`] checks syntax only, never the design.
+
+use std::fmt;
 
 use crate::design::Design;
 use crate::error::{DhdlError, Result};
 use crate::node::{
-    BramSpec, CounterChain, CounterDim, Extents, Ids, Interleaving, MemFold, Node, NodeId,
-    NodeKind, OuterSpec, Pattern, PipeSpec, PrimOp, QueueSpec, RegReduce, RegSpec, TileSpec,
+    BramSpec, CounterChain, CounterDim, Interleaving, MemFold, Node, NodeId, NodeKind, OuterSpec,
+    Pattern, PipeSpec, PrimOp, QueueSpec, ReduceOp, RegReduce, RegSpec, TileSpec,
 };
-use crate::types::DType;
+use crate::record::{Join, Reader, Writer};
 
 /// Serialize a design to the textual format.
 pub fn to_text(design: &Design) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("dhdl v1 {}\n", escape(design.name())));
-    out.push_str(&format!("top {}\n", design.top().index()));
-    let offs: Vec<String> = design
-        .offchips()
-        .iter()
-        .map(|o| o.index().to_string())
-        .collect();
-    out.push_str(&format!("offchips {}\n", offs.join(" ")));
+    let mut w = Writer::default();
+    w.word("dhdl v1").word(Escaped(design.name())).end();
+    w.word("top").word(design.top().index()).end();
+    let offchips = design.offchips().iter().map(|o| o.index());
+    w.word("offchips").word(Join(' ', offchips)).end();
     for (id, node) in design.iter() {
-        out.push_str(&format!(
-            "node {} ty={} w={} name={} {}\n",
-            id.index(),
-            node.ty,
-            node.width,
-            node.name.as_deref().map(escape).unwrap_or_default(),
-            kind_text(&node.kind)
-        ));
+        w.word("node")
+            .word(id.index())
+            .field("ty", node.ty)
+            .field("w", node.width)
+            .field("name", Escaped(node.name.as_deref().unwrap_or_default()));
+        write_kind(&mut w, &node.kind);
+        w.end();
     }
-    out
+    w.finish()
 }
 
 /// Parse a design from [`to_text`] output.
@@ -44,475 +45,358 @@ pub fn to_text(design: &Design) -> String {
 /// Returns [`DhdlError::Validation`] describing the first malformed line.
 pub fn from_text(text: &str) -> Result<Design> {
     let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| bad("empty input"))?;
-    let name = header
-        .strip_prefix("dhdl v1 ")
-        .ok_or_else(|| bad("bad header"))?;
-    let top_line = lines.next().ok_or_else(|| bad("missing top"))?;
-    let top = NodeId::from_raw(
-        top_line
-            .strip_prefix("top ")
-            .ok_or_else(|| bad("bad top line"))?
-            .parse::<u32>()
-            .map_err(|e| bad(&e.to_string()))?,
-    );
-    let off_line = lines.next().ok_or_else(|| bad("missing offchips"))?;
-    let offchips: Ids = off_line
-        .strip_prefix("offchips")
-        .ok_or_else(|| bad("bad offchips line"))?
-        .split_whitespace()
-        .map(|s| s.parse::<u32>().map(NodeId::from_raw))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(|e| bad(&e.to_string()))?;
-    let mut nodes: Vec<(u32, Node)> = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rest = line
-            .strip_prefix("node ")
-            .ok_or_else(|| bad(&format!("expected node line, got `{line}`")))?;
-        let mut parts = Tok::new(rest);
-        let id: u32 = parts.next()?.parse().map_err(|e| bad(&format!("{e}")))?;
-        let ty = parse_ty(parts.kv("ty")?)?;
-        let width: u32 = parts.kv("w")?.parse().map_err(|e| bad(&format!("{e}")))?;
-        let name_raw = parts.kv("name")?;
-        let name = if name_raw.is_empty() {
-            None
-        } else {
-            Some(unescape(name_raw).into())
-        };
-        let kind = parse_kind(&mut parts)?;
-        nodes.push((
-            id,
-            Node {
-                kind,
-                ty,
-                width,
-                name,
-            },
-        ));
+    let name = lines
+        .next()
+        .and_then(|l| l.strip_prefix("dhdl v1 "))
+        .and_then(unescape)
+        .ok_or_else(|| bad("missing or malformed `dhdl v1` header"))?;
+    let mut r = Reader::new(lines.next().unwrap_or_default());
+    r.expect("top")?;
+    let top = r.word("top node id", id)?;
+    r.end()?;
+    let mut r = Reader::new(lines.next().unwrap_or_default());
+    r.expect("offchips")?;
+    let offchips = r.rest("offchip id", id)?;
+    let mut nodes = Vec::new();
+    for line in lines.filter(|l| !l.trim().is_empty()) {
+        let mut r = Reader::new(line);
+        r.expect("node")?;
+        let at = nodes.len();
+        r.word("the next node id", |s| (s.parse() == Ok(at)).then_some(()))?;
+        let ty = r.num("ty")?;
+        let width = r.num("w")?;
+        let name = r.value("name", |s| match s {
+            "" => Some(None),
+            s => unescape(s).map(|n| Some(n.into())),
+        })?;
+        let kind = read_kind(&mut r)?;
+        r.end()?;
+        nodes.push(Node {
+            kind,
+            ty,
+            width,
+            name,
+        });
     }
-    nodes.sort_by_key(|(id, _)| *id);
-    for (i, (id, _)) in nodes.iter().enumerate() {
-        if *id as usize != i {
-            return Err(bad(&format!("non-contiguous node id {id}")));
-        }
-    }
-    let nodes = nodes.into_iter().map(|(_, n)| n).collect();
-    Ok(Design::from_parts(
-        unescape(name).into(),
-        nodes,
-        top,
-        offchips,
-    ))
+    Ok(Design::from_parts(name.into(), nodes, top, offchips))
 }
 
 fn bad(msg: &str) -> DhdlError {
     DhdlError::Validation(format!("deserialize: {msg}"))
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace(' ', "\\s")
-        .replace('\n', "\\n")
+/// A name with `\`, space and newline written as `\\`, `\s` and `\n`, so
+/// that it is one token.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '\\' => f.write_str("\\\\")?,
+                ' ' => f.write_str("\\s")?,
+                '\n' => f.write_str("\\n")?,
+                c => fmt::Write::write_char(f, c)?,
+            }
+        }
+        Ok(())
+    }
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("\\n", "\n")
-        .replace("\\s", " ")
-        .replace("\\\\", "\\")
+/// The inverse of [`Escaped`]; `None` on any other escape.
+fn unescape(s: &str) -> Option<String> {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next()? {
+                '\\' => '\\',
+                's' => ' ',
+                'n' => '\n',
+                _ => return None,
+            },
+            c => c,
+        });
+    }
+    Some(out)
 }
 
-fn ids(v: &[NodeId]) -> String {
-    v.iter()
-        .map(|i| i.index().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+fn ids(v: &[NodeId]) -> Join<impl Iterator<Item = usize> + Clone + '_> {
+    Join(',', v.iter().map(|i| i.index()))
 }
 
-fn dims_text(v: &[u64]) -> String {
-    v.iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
+fn id(s: &str) -> Option<NodeId> {
+    s.parse().ok().map(NodeId::from_raw)
 }
 
-fn ctr_text(c: &CounterChain) -> String {
-    c.dims
-        .iter()
-        .map(|d| format!("{}x{}", d.end, d.step))
-        .collect::<Vec<_>>()
-        .join(",")
+fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
 }
 
-fn kind_text(kind: &NodeKind) -> String {
+/// A counter chain as `end`x`step` per dimension.
+fn ctr(c: &CounterChain) -> Join<impl Iterator<Item = Dim> + Clone + '_> {
+    Join(',', c.dims.iter().map(|&d| Dim(d)))
+}
+
+struct Dim(CounterDim);
+
+impl fmt::Display for Dim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}x{}", self.0.end, self.0.step)
+    }
+}
+
+fn read_dim(s: &str) -> Option<CounterDim> {
+    let (end, step) = s.split_once('x')?;
+    Some(CounterDim {
+        end: end.parse().ok()?,
+        step: step.parse().ok()?,
+    })
+}
+
+/// `map` or `reduce-<op>`.
+struct Pat(Pattern);
+
+impl fmt::Display for Pat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Pattern::Map => f.write_str("map"),
+            Pattern::Reduce(op) => write!(f, "reduce-{}", op.name()),
+        }
+    }
+}
+
+fn read_pattern(s: &str) -> Option<Pattern> {
+    match s {
+        "map" => Some(Pattern::Map),
+        _ => s
+            .strip_prefix("reduce-")
+            .and_then(ReduceOp::from_name)
+            .map(Pattern::Reduce),
+    }
+}
+
+/// A pipe's reduction or an outer controller's fold, `value:target:op`,
+/// or nothing.
+struct Triple(Option<(NodeId, NodeId, ReduceOp)>);
+
+impl fmt::Display for Triple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some((a, b, op)) => write!(f, "{}:{}:{}", a.index(), b.index(), op.name()),
+            None => Ok(()),
+        }
+    }
+}
+
+fn read_triple(s: &str) -> Option<Option<(NodeId, NodeId, ReduceOp)>> {
+    if s.is_empty() {
+        return Some(None);
+    }
+    let mut parts = s.split(':');
+    let triple = (
+        id(parts.next()?)?,
+        id(parts.next()?)?,
+        ReduceOp::from_name(parts.next()?)?,
+    );
+    parts.next().is_none().then_some(Some(triple))
+}
+
+fn interleave_name(il: Interleaving) -> &'static str {
+    match il {
+        Interleaving::Cyclic => "cyclic",
+        Interleaving::Blocked => "blocked",
+    }
+}
+
+fn read_interleave(s: &str) -> Option<Interleaving> {
+    [Interleaving::Cyclic, Interleaving::Blocked]
+        .into_iter()
+        .find(|&il| interleave_name(il) == s)
+}
+
+fn write_kind(w: &mut Writer, kind: &NodeKind) {
     match kind {
-        NodeKind::Const(v) => format!("Const v={v:e}"),
-        NodeKind::Prim { op, inputs } => format!("Prim op={op:?} in={}", ids(inputs)),
+        NodeKind::Const(v) => w.word("Const").field("v", format_args!("{v:e}")),
+        NodeKind::Prim { op, inputs } => w
+            .word("Prim")
+            .field("op", op.name())
+            .field("in", ids(inputs)),
         NodeKind::Mux {
             sel,
             if_true,
             if_false,
-        } => format!(
-            "Mux sel={} t={} f={}",
-            sel.index(),
-            if_true.index(),
-            if_false.index()
-        ),
-        NodeKind::Load { mem, addr } => format!("Load mem={} addr={}", mem.index(), ids(addr)),
-        NodeKind::Store { mem, addr, value } => format!(
-            "Store mem={} addr={} val={}",
-            mem.index(),
-            ids(addr),
-            value.index()
-        ),
-        NodeKind::Iter { ctrl, dim } => format!("Iter ctrl={} dim={}", ctrl.index(), dim),
-        NodeKind::OffChip { dims } => format!("OffChip dims={}", dims_text(dims)),
-        NodeKind::Bram(b) => format!(
-            "Bram dims={} db={} banks={} ww={} il={}",
-            dims_text(&b.dims),
-            u8::from(b.double_buf),
-            b.banks,
-            b.word_width,
-            match b.interleave {
-                Interleaving::Cyclic => "cyclic",
-                Interleaving::Blocked => "blocked",
-            }
-        ),
-        NodeKind::Reg(r) => format!("Reg init={:e} db={}", r.init, u8::from(r.double_buf)),
-        NodeKind::PriorityQueue(q) => {
-            format!("PQueue depth={} db={}", q.depth, u8::from(q.double_buf))
+        } => w
+            .word("Mux")
+            .field("sel", sel.index())
+            .field("t", if_true.index())
+            .field("f", if_false.index()),
+        NodeKind::Load { mem, addr } => w
+            .word("Load")
+            .field("mem", mem.index())
+            .field("addr", ids(addr)),
+        NodeKind::Store { mem, addr, value } => w
+            .word("Store")
+            .field("mem", mem.index())
+            .field("addr", ids(addr))
+            .field("val", value.index()),
+        NodeKind::Iter { ctrl, dim } => {
+            w.word("Iter").field("ctrl", ctrl.index()).field("dim", dim)
         }
-        NodeKind::Pipe(p) => format!(
-            "Pipe ctr={} par={} pat={} body={} red={}",
-            ctr_text(&p.ctr),
-            p.par,
-            pattern_text(p.pattern),
-            ids(&p.body),
-            p.reduce
-                .map(|r| format!("{}:{}:{:?}", r.value.index(), r.reg.index(), r.op))
-                .unwrap_or_default()
-        ),
-        NodeKind::MetaPipe(s) => outer_text("MetaPipe", s),
-        NodeKind::Sequential(s) => outer_text("Sequential", s),
-        NodeKind::ParallelCtrl { stages, locals } => {
-            format!("Parallel stages={} locals={}", ids(stages), ids(locals))
-        }
-        NodeKind::TileLoad(t) => tile_text("TileLoad", t),
-        NodeKind::TileStore(t) => tile_text("TileStore", t),
-    }
+        NodeKind::OffChip { dims } => w.word("OffChip").field("dims", Join(',', dims.iter())),
+        NodeKind::Bram(b) => w
+            .word("Bram")
+            .field("dims", Join(',', b.dims.iter()))
+            .flag("db", b.double_buf)
+            .field("banks", b.banks)
+            .field("ww", b.word_width)
+            .field("il", interleave_name(b.interleave)),
+        NodeKind::Reg(r) => w
+            .word("Reg")
+            .field("init", format_args!("{:e}", r.init))
+            .flag("db", r.double_buf),
+        NodeKind::PriorityQueue(q) => w
+            .word("PQueue")
+            .field("depth", q.depth)
+            .flag("db", q.double_buf),
+        NodeKind::Pipe(p) => w
+            .word("Pipe")
+            .field("ctr", ctr(&p.ctr))
+            .field("par", p.par)
+            .field("pat", Pat(p.pattern))
+            .field("body", ids(&p.body))
+            .field("red", Triple(p.reduce.map(|r| (r.value, r.reg, r.op)))),
+        NodeKind::MetaPipe(s) => write_outer(w, "MetaPipe", s),
+        NodeKind::Sequential(s) => write_outer(w, "Sequential", s),
+        NodeKind::ParallelCtrl { stages, locals } => w
+            .word("Parallel")
+            .field("stages", ids(stages))
+            .field("locals", ids(locals)),
+        NodeKind::TileLoad(t) => write_tile(w, "TileLoad", t),
+        NodeKind::TileStore(t) => write_tile(w, "TileStore", t),
+    };
 }
 
-fn pattern_text(p: Pattern) -> String {
-    match p {
-        Pattern::Map => "map".to_string(),
-        Pattern::Reduce(op) => format!("reduce-{op:?}"),
-    }
+fn write_outer<'w>(w: &'w mut Writer, tag: &str, s: &OuterSpec) -> &'w mut Writer {
+    w.word(tag)
+        .field("ctr", ctr(&s.ctr))
+        .field("par", s.par)
+        .field("pat", Pat(s.pattern))
+        .field("stages", ids(&s.stages))
+        .field("locals", ids(&s.locals))
+        .field("fold", Triple(s.fold.map(|f| (f.src, f.accum, f.op))))
 }
 
-fn outer_text(tag: &str, s: &OuterSpec) -> String {
-    format!(
-        "{tag} ctr={} par={} pat={} stages={} locals={} fold={}",
-        ctr_text(&s.ctr),
-        s.par,
-        pattern_text(s.pattern),
-        ids(&s.stages),
-        ids(&s.locals),
-        s.fold
-            .map(|f| format!("{}:{}:{:?}", f.src.index(), f.accum.index(), f.op))
-            .unwrap_or_default()
-    )
+fn write_tile<'w>(w: &'w mut Writer, tag: &str, t: &TileSpec) -> &'w mut Writer {
+    w.word(tag)
+        .field("off", t.offchip.index())
+        .field("local", t.local.index())
+        .field("offsets", ids(&t.offsets))
+        .field("tile", Join(',', t.tile.iter()))
+        .field("par", t.par)
 }
 
-fn tile_text(tag: &str, t: &TileSpec) -> String {
-    format!(
-        "{tag} off={} local={} offsets={} tile={} par={}",
-        t.offchip.index(),
-        t.local.index(),
-        ids(&t.offsets),
-        dims_text(&t.tile),
-        t.par
-    )
-}
-
-/// Whitespace tokenizer with `key=value` access.
-struct Tok<'a> {
-    parts: std::str::SplitWhitespace<'a>,
-}
-
-impl<'a> Tok<'a> {
-    fn new(s: &'a str) -> Self {
-        Tok {
-            parts: s.split_whitespace(),
-        }
-    }
-
-    fn next(&mut self) -> Result<&'a str> {
-        self.parts
-            .next()
-            .ok_or_else(|| bad("unexpected end of line"))
-    }
-
-    fn kv(&mut self, key: &str) -> Result<&'a str> {
-        let tok = self.next()?;
-        tok.strip_prefix(key)
-            .and_then(|r| r.strip_prefix('='))
-            .ok_or_else(|| bad(&format!("expected `{key}=`, got `{tok}`")))
-    }
-}
-
-fn parse_ty(s: &str) -> Result<DType> {
-    match s {
-        "f32" => Ok(DType::F32),
-        "f64" => Ok(DType::F64),
-        "bool" => Ok(DType::Bool),
-        other => {
-            let sign = other.starts_with('s');
-            let rest = other
-                .strip_prefix(if sign { "sfix" } else { "ufix" })
-                .ok_or_else(|| bad(&format!("bad type `{other}`")))?;
-            let (int, frac) = rest
-                .split_once('.')
-                .ok_or_else(|| bad(&format!("bad fixed type `{other}`")))?;
-            Ok(DType::fixed(
-                sign,
-                int.parse().map_err(|e| bad(&format!("{e}")))?,
-                frac.parse().map_err(|e| bad(&format!("{e}")))?,
-            ))
-        }
-    }
-}
-
-fn parse_ids<C: FromIterator<NodeId>>(s: &str) -> Result<C> {
-    if s.is_empty() {
-        return Ok(C::from_iter([]));
-    }
-    s.split(',')
-        .map(|p| {
-            p.parse::<u32>()
-                .map(NodeId::from_raw)
-                .map_err(|e| bad(&format!("{e}")))
-        })
-        .collect()
-}
-
-fn parse_dims(s: &str) -> Result<Extents> {
-    if s.is_empty() {
-        return Ok(Extents::new());
-    }
-    s.split(',')
-        .map(|p| p.parse::<u64>().map_err(|e| bad(&format!("{e}"))))
-        .collect()
-}
-
-fn parse_ctr(s: &str) -> Result<CounterChain> {
-    if s.is_empty() {
-        return Ok(CounterChain::unit());
-    }
-    let dims = s
-        .split(',')
-        .map(|p| {
-            let (end, step) = p
-                .split_once('x')
-                .ok_or_else(|| bad(&format!("bad counter `{p}`")))?;
-            Ok(CounterDim {
-                end: end.parse().map_err(|e| bad(&format!("{e}")))?,
-                step: step.parse().map_err(|e| bad(&format!("{e}")))?,
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok(CounterChain { dims })
-}
-
-fn parse_pattern(s: &str) -> Result<Pattern> {
-    match s {
-        "map" => Ok(Pattern::Map),
-        other => {
-            let op = other
-                .strip_prefix("reduce-")
-                .ok_or_else(|| bad(&format!("bad pattern `{other}`")))?;
-            Ok(Pattern::Reduce(parse_reduce_op(op)?))
-        }
-    }
-}
-
-fn parse_reduce_op(s: &str) -> Result<crate::node::ReduceOp> {
-    use crate::node::ReduceOp;
-    match s {
-        "Add" => Ok(ReduceOp::Add),
-        "Min" => Ok(ReduceOp::Min),
-        "Max" => Ok(ReduceOp::Max),
-        other => Err(bad(&format!("bad reduce op `{other}`"))),
-    }
-}
-
-fn parse_prim_op(s: &str) -> Result<PrimOp> {
-    PrimOp::all()
-        .iter()
-        .copied()
-        .find(|op| format!("{op:?}") == s)
-        .ok_or_else(|| bad(&format!("bad prim op `{s}`")))
-}
-
-fn parse_triple(s: &str) -> Result<Option<(NodeId, NodeId, crate::node::ReduceOp)>> {
-    if s.is_empty() {
-        return Ok(None);
-    }
-    let mut it = s.split(':');
-    let a: u32 = it
-        .next()
-        .ok_or_else(|| bad("bad fold"))?
-        .parse()
-        .map_err(|e| bad(&format!("{e}")))?;
-    let b: u32 = it
-        .next()
-        .ok_or_else(|| bad("bad fold"))?
-        .parse()
-        .map_err(|e| bad(&format!("{e}")))?;
-    let op = parse_reduce_op(it.next().ok_or_else(|| bad("bad fold"))?)?;
-    Ok(Some((NodeId::from_raw(a), NodeId::from_raw(b), op)))
-}
-
-fn parse_kind(parts: &mut Tok<'_>) -> Result<NodeKind> {
-    let tag = parts.next()?;
-    match tag {
-        "Const" => Ok(NodeKind::Const(
-            parts.kv("v")?.parse().map_err(|e| bad(&format!("{e}")))?,
-        )),
-        "Prim" => {
-            let op = parse_prim_op(parts.kv("op")?)?;
-            let inputs = parse_ids(parts.kv("in")?)?;
-            Ok(NodeKind::Prim { op, inputs })
-        }
-        "Mux" => Ok(NodeKind::Mux {
-            sel: NodeId::from_raw(parts.kv("sel")?.parse().map_err(|e| bad(&format!("{e}")))?),
-            if_true: NodeId::from_raw(parts.kv("t")?.parse().map_err(|e| bad(&format!("{e}")))?),
-            if_false: NodeId::from_raw(parts.kv("f")?.parse().map_err(|e| bad(&format!("{e}")))?),
+fn read_kind(r: &mut Reader<'_>) -> Result<NodeKind> {
+    Ok(match r.word("a node kind", Some)? {
+        "Const" => NodeKind::Const(r.num("v")?),
+        "Prim" => NodeKind::Prim {
+            op: r.value("op", PrimOp::from_name)?,
+            inputs: r.list("in", id)?,
+        },
+        "Mux" => NodeKind::Mux {
+            sel: r.value("sel", id)?,
+            if_true: r.value("t", id)?,
+            if_false: r.value("f", id)?,
+        },
+        "Load" => NodeKind::Load {
+            mem: r.value("mem", id)?,
+            addr: r.list("addr", id)?,
+        },
+        "Store" => NodeKind::Store {
+            mem: r.value("mem", id)?,
+            addr: r.list("addr", id)?,
+            value: r.value("val", id)?,
+        },
+        "Iter" => NodeKind::Iter {
+            ctrl: r.value("ctrl", id)?,
+            dim: r.num("dim")?,
+        },
+        "OffChip" => NodeKind::OffChip {
+            dims: r.list("dims", num)?,
+        },
+        "Bram" => NodeKind::Bram(BramSpec {
+            dims: r.list("dims", num)?,
+            double_buf: r.flag("db")?,
+            banks: r.num("banks")?,
+            word_width: r.num("ww")?,
+            interleave: r.value("il", read_interleave)?,
         }),
-        "Load" => Ok(NodeKind::Load {
-            mem: NodeId::from_raw(parts.kv("mem")?.parse().map_err(|e| bad(&format!("{e}")))?),
-            addr: parse_ids(parts.kv("addr")?)?,
+        "Reg" => NodeKind::Reg(RegSpec {
+            init: r.num("init")?,
+            double_buf: r.flag("db")?,
         }),
-        "Store" => Ok(NodeKind::Store {
-            mem: NodeId::from_raw(parts.kv("mem")?.parse().map_err(|e| bad(&format!("{e}")))?),
-            addr: parse_ids(parts.kv("addr")?)?,
-            value: NodeId::from_raw(parts.kv("val")?.parse().map_err(|e| bad(&format!("{e}")))?),
+        "PQueue" => NodeKind::PriorityQueue(QueueSpec {
+            depth: r.num("depth")?,
+            double_buf: r.flag("db")?,
         }),
-        "Iter" => Ok(NodeKind::Iter {
-            ctrl: NodeId::from_raw(
-                parts
-                    .kv("ctrl")?
-                    .parse()
-                    .map_err(|e| bad(&format!("{e}")))?,
-            ),
-            dim: parts.kv("dim")?.parse().map_err(|e| bad(&format!("{e}")))?,
-        }),
-        "OffChip" => Ok(NodeKind::OffChip {
-            dims: parse_dims(parts.kv("dims")?)?,
-        }),
-        "Bram" => Ok(NodeKind::Bram(BramSpec {
-            dims: parse_dims(parts.kv("dims")?)?,
-            double_buf: parts.kv("db")? == "1",
-            banks: parts
-                .kv("banks")?
-                .parse()
-                .map_err(|e| bad(&format!("{e}")))?,
-            word_width: parts.kv("ww")?.parse().map_err(|e| bad(&format!("{e}")))?,
-            interleave: match parts.kv("il")? {
-                "cyclic" => Interleaving::Cyclic,
-                "blocked" => Interleaving::Blocked,
-                other => return Err(bad(&format!("bad interleave `{other}`"))),
+        "Pipe" => NodeKind::Pipe(PipeSpec {
+            ctr: CounterChain {
+                dims: r.list("ctr", read_dim)?,
             },
-        })),
-        "Reg" => Ok(NodeKind::Reg(RegSpec {
-            init: parts
-                .kv("init")?
-                .parse()
-                .map_err(|e| bad(&format!("{e}")))?,
-            double_buf: parts.kv("db")? == "1",
-        })),
-        "PQueue" => Ok(NodeKind::PriorityQueue(QueueSpec {
-            depth: parts
-                .kv("depth")?
-                .parse()
-                .map_err(|e| bad(&format!("{e}")))?,
-            double_buf: parts.kv("db")? == "1",
-        })),
-        "Pipe" => {
-            let ctr = parse_ctr(parts.kv("ctr")?)?;
-            let par = parts.kv("par")?.parse().map_err(|e| bad(&format!("{e}")))?;
-            let pattern = parse_pattern(parts.kv("pat")?)?;
-            let body = parse_ids(parts.kv("body")?)?;
-            let reduce = parse_triple(parts.kv("red")?)?.map(|(value, reg, op)| RegReduce {
-                value,
-                reg,
-                op,
-            });
-            Ok(NodeKind::Pipe(PipeSpec {
-                ctr,
-                par,
-                pattern,
-                body,
-                reduce,
-            }))
-        }
-        "MetaPipe" | "Sequential" => {
-            let ctr = parse_ctr(parts.kv("ctr")?)?;
-            let par = parts.kv("par")?.parse().map_err(|e| bad(&format!("{e}")))?;
-            let pattern = parse_pattern(parts.kv("pat")?)?;
-            let stages = parse_ids(parts.kv("stages")?)?;
-            let locals = parse_ids(parts.kv("locals")?)?;
-            let fold =
-                parse_triple(parts.kv("fold")?)?.map(|(src, accum, op)| MemFold { src, accum, op });
+            par: r.num("par")?,
+            pattern: r.value("pat", read_pattern)?,
+            body: r.list("body", id)?,
+            reduce: r
+                .value("red", read_triple)?
+                .map(|(value, reg, op)| RegReduce { value, reg, op }),
+        }),
+        tag @ ("MetaPipe" | "Sequential") => {
             let spec = OuterSpec {
-                ctr,
-                par,
-                pattern,
-                stages,
-                locals,
-                fold,
+                ctr: CounterChain {
+                    dims: r.list("ctr", read_dim)?,
+                },
+                par: r.num("par")?,
+                pattern: r.value("pat", read_pattern)?,
+                stages: r.list("stages", id)?,
+                locals: r.list("locals", id)?,
+                fold: r
+                    .value("fold", read_triple)?
+                    .map(|(src, accum, op)| MemFold { src, accum, op }),
             };
-            Ok(if tag == "MetaPipe" {
+            if tag == "MetaPipe" {
                 NodeKind::MetaPipe(spec)
             } else {
                 NodeKind::Sequential(spec)
-            })
+            }
         }
-        "Parallel" => Ok(NodeKind::ParallelCtrl {
-            stages: parse_ids(parts.kv("stages")?)?,
-            locals: parse_ids(parts.kv("locals")?)?,
-        }),
-        "TileLoad" | "TileStore" => {
+        "Parallel" => NodeKind::ParallelCtrl {
+            stages: r.list("stages", id)?,
+            locals: r.list("locals", id)?,
+        },
+        tag @ ("TileLoad" | "TileStore") => {
             let spec = TileSpec {
-                offchip: NodeId::from_raw(
-                    parts.kv("off")?.parse().map_err(|e| bad(&format!("{e}")))?,
-                ),
-                local: NodeId::from_raw(
-                    parts
-                        .kv("local")?
-                        .parse()
-                        .map_err(|e| bad(&format!("{e}")))?,
-                ),
-                offsets: parse_ids(parts.kv("offsets")?)?,
-                tile: parse_dims(parts.kv("tile")?)?,
-                par: parts.kv("par")?.parse().map_err(|e| bad(&format!("{e}")))?,
+                offchip: r.value("off", id)?,
+                local: r.value("local", id)?,
+                offsets: r.list("offsets", id)?,
+                tile: r.list("tile", num)?,
+                par: r.num("par")?,
             };
-            Ok(if tag == "TileLoad" {
+            if tag == "TileLoad" {
                 NodeKind::TileLoad(spec)
             } else {
                 NodeKind::TileStore(spec)
-            })
+            }
         }
-        other => Err(bad(&format!("unknown node tag `{other}`"))),
-    }
+        other => return Err(bad(&format!("unknown node kind `{other}`"))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::DesignBuilder;
-    use crate::node::{by, ReduceOp};
+    use crate::node::by;
+    use crate::types::DType;
 
     fn sample() -> Design {
         let mut b = DesignBuilder::new("round trip");
@@ -553,11 +437,47 @@ mod tests {
         assert_eq!(to_text(&back), text);
     }
 
+    /// The bytes of [`sample`]'s text: PQueue, Mux, both fold triples,
+    /// `Parallel` and an escaped name.
+    const SAMPLE_TEXT: &str = r"dhdl v1 round\strip
+top 2
+offchips 0 1
+node 0 ty=f32 w=1 name=x OffChip dims=128
+node 1 ty=bool w=1 name=y OffChip dims=128
+node 2 ty=bool w=1 name= Sequential ctr= par=1 pat=map stages=5 locals=3,4 fold=
+node 3 ty=f32 w=1 name=acc Reg init=1.5e0 db=1
+node 4 ty=f32 w=1 name=q PQueue depth=16 db=0
+node 5 ty=bool w=1 name= MetaPipe ctr=128x32 par=2 pat=reduce-Max stages=10,13 locals=7,8,9 fold=9:3:Max
+node 6 ty=ufix32.0 w=1 name= Iter ctrl=5 dim=0
+node 7 ty=f32 w=1 name=xT Bram dims=32 db=1 banks=2 ww=32 il=cyclic
+node 8 ty=bool w=1 name=yT Bram dims=32 db=1 banks=2 ww=1 il=cyclic
+node 9 ty=f32 w=1 name=p Reg init=0e0 db=1
+node 10 ty=bool w=1 name= Parallel stages=11,12 locals=
+node 11 ty=f32 w=2 name= TileLoad off=0 local=7 offsets=6 tile=32 par=2
+node 12 ty=bool w=1 name= TileLoad off=1 local=8 offsets=6 tile=32 par=1
+node 13 ty=bool w=1 name= Pipe ctr=32x1 par=2 pat=reduce-Max body=15,16,18 red=18:9:Max
+node 14 ty=ufix32.0 w=1 name= Iter ctrl=13 dim=0
+node 15 ty=f32 w=2 name= Load mem=7 addr=14
+node 16 ty=bool w=2 name= Load mem=8 addr=14
+node 17 ty=f32 w=1 name= Const v=0e0
+node 18 ty=f32 w=2 name= Mux sel=16 t=15 f=17
+";
+
+    #[test]
+    fn sample_text_is_pinned() {
+        assert_eq!(to_text(&sample()), SAMPLE_TEXT);
+        assert_eq!(to_text(&from_text(SAMPLE_TEXT).unwrap()), SAMPLE_TEXT);
+    }
+
     #[test]
     fn names_with_spaces_survive() {
         let d = sample();
         let back = from_text(&to_text(&d)).unwrap();
         assert_eq!(back.name(), "round trip");
+        for name in ["a\\s b", "\\", "x\ny", "\\n"] {
+            let text = SAMPLE_TEXT.replacen("round\\strip", &Escaped(name).to_string(), 1);
+            assert_eq!(from_text(&text).unwrap().name(), name, "{text}");
+        }
     }
 
     #[test]
@@ -565,10 +485,40 @@ mod tests {
         assert!(from_text("").is_err());
         assert!(from_text("nope").is_err());
         assert!(from_text("dhdl v1 x\ntop 0\noffchips\nnode 0 garbage").is_err());
-        let d = sample();
-        let text = to_text(&d);
         // Drop a node: ids become non-contiguous.
-        let broken: Vec<&str> = text.lines().filter(|l| !l.contains("node 3 ")).collect();
+        let broken: Vec<&str> = SAMPLE_TEXT
+            .lines()
+            .filter(|l| !l.contains("node 3 "))
+            .collect();
         assert!(from_text(&broken.join("\n")).is_err());
+        let err = from_text(&SAMPLE_TEXT.replace("db=0", "db=2")).unwrap_err();
+        assert!(err.to_string().ends_with("bad value in `db=2`"), "{err}");
+        // Every token dropped or garbled (`\x` makes no number, list item,
+        // name or tag), and every node kind unknown. Only garbled: the
+        // offchip ids, the one list whose items are tokens.
+        let lines: Vec<&str> = SAMPLE_TEXT.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let rejects = |new: &str| {
+                let mut text = lines.clone();
+                text[i] = new;
+                from_text(&text.join("\n")).is_err()
+            };
+            let tokens: Vec<&str> = line.split(' ').collect();
+            for j in 0..tokens.len() {
+                let (mut garbled, mut dropped) = (tokens.clone(), tokens.clone());
+                let bad = format!("{}\\x", tokens[j]);
+                garbled[j] = &bad;
+                assert!(rejects(&garbled.join(" ")), "{line}: garbled {j}");
+                dropped.remove(j);
+                let list_item = i == 2 && j > 0;
+                assert!(
+                    list_item || rejects(&dropped.join(" ")),
+                    "{line}: dropped {j}"
+                );
+            }
+            if line.starts_with("node") {
+                assert!(rejects(&line.replacen(tokens[5], "Wat", 1)), "{line}");
+            }
+        }
     }
 }

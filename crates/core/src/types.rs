@@ -5,6 +5,9 @@
 //! an associated [`DType`].
 
 use std::fmt;
+use std::str::FromStr;
+
+use crate::error::DhdlError;
 
 /// A DHDL scalar element type.
 ///
@@ -126,6 +129,29 @@ impl fmt::Display for DType {
     }
 }
 
+/// The inverse of `Display`: `f32`, `f64`, `bool`, `sfixI.F`, `ufixI.F`.
+impl FromStr for DType {
+    type Err = DhdlError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let fixed = |sign: bool, bits: &str| {
+            let (int, frac) = bits.split_once('.')?;
+            Some(DType::fixed(sign, int.parse().ok()?, frac.parse().ok()?))
+        };
+        match s {
+            "f32" => Some(DType::F32),
+            "f64" => Some(DType::F64),
+            "bool" => Some(DType::Bool),
+            _ => match (s.strip_prefix("sfix"), s.strip_prefix("ufix")) {
+                (Some(bits), _) => fixed(true, bits),
+                (_, Some(bits)) => fixed(false, bits),
+                _ => None,
+            },
+        }
+        .ok_or_else(|| DhdlError::Type(format!("unknown type `{s}`")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +199,9 @@ mod tests {
         assert_eq!(DType::F32.to_string(), "f32");
         assert_eq!(DType::fixed(true, 15, 16).to_string(), "sfix15.16");
         assert_eq!(DType::Bool.to_string(), "bool");
+        let types = [DType::F64, DType::i32(), DType::fixed(false, 3, 9)];
+        assert!(types.iter().all(|&ty| ty.to_string().parse() == Ok(ty)));
+        let bad = ["f16", "sfix3", "ufix3.", "xfix3.2", "sfix70000.0"];
+        assert!(bad.iter().all(|s| s.parse::<DType>().is_err()));
     }
 }

@@ -29,7 +29,7 @@ fn spawn_server() -> (
 
 #[path = "support/conn.rs"]
 mod conn;
-use conn::{connect, request_ok};
+use conn::{connect, request, request_ok};
 #[path = "support/hostile.rs"]
 mod hostile;
 use hostile::hostile_payload;
@@ -260,5 +260,35 @@ fn oversized_and_torn_frames_are_bounded_and_survivable() {
     drop(stream);
 
     assert_healthy(addr);
+    shut_down(addr, handle);
+}
+
+/// An answer over `max_response` becomes the structured
+/// `response_too_large` error, and the connection stays in step: it
+/// answers its next request.
+#[test]
+fn an_oversized_response_is_a_structured_error_and_the_connection_lives_on() {
+    let (addr, handle) = Server::spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        max_response: 256,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut stream = connect(addr);
+    let sweep = Request::new(Op::Sweep {
+        bench: "dotproduct".to_string(),
+        points: 8,
+        seed: 0,
+        num_fpgas: None,
+    });
+    let v = request(&mut stream, &sweep);
+    let code = v.get("code").and_then(Json::as_str);
+    assert_eq!(code, Some("response_too_large"), "{}", v.render());
+    let health = request_ok(&mut stream, &Request::new(Op::Health));
+    assert_eq!(
+        health.get("state").and_then(Json::as_str),
+        Some("accepting")
+    );
+    drop(stream);
     shut_down(addr, handle);
 }

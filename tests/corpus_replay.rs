@@ -37,14 +37,19 @@ fn corpus_replays_with_zero_violations() {
 
 #[test]
 fn corpus_covers_both_spec_kinds() {
+    use dhdl_conformance::{CaseKind, DnnKind};
     let cases = load_dir(Path::new("tests/corpus")).expect("corpus directory loads");
-    let designs = cases
-        .iter()
-        .filter(|(_, c)| matches!(c.kind, dhdl_conformance::CaseKind::Design(_)))
-        .count();
-    let patterns = cases.len() - designs;
+    let count = |kind: fn(&CaseKind) -> bool| cases.iter().filter(|(_, c)| kind(&c.kind)).count();
+    let designs = count(|k| matches!(k, CaseKind::Design(_)));
+    let patterns = count(|k| matches!(k, CaseKind::Pattern(_)));
+    let convs = count(|k| matches!(k, CaseKind::Dnn(s) if s.kind == DnnKind::Conv));
+    let attns = count(|k| matches!(k, CaseKind::Dnn(s) if s.kind == DnnKind::Attn));
     assert!(designs >= 6, "want >= 6 design cases, have {designs}");
     assert!(patterns >= 4, "want >= 4 pattern cases, have {patterns}");
+    assert!(
+        convs >= 1 && attns >= 1,
+        "want a conv and an attention case"
+    );
 }
 
 #[test]

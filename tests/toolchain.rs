@@ -139,6 +139,24 @@ fn design_serialization_roundtrips_every_benchmark() {
     }
 }
 
+/// The design text of the nine applications' default designs, pinned by an
+/// FNV-64 digest: a change to the text format's bytes fails here.
+#[test]
+fn design_text_bytes_are_pinned() {
+    use dhdl_core::serialize::to_text;
+    let mut h = dhdl_core::Fnv64::new();
+    for bench in dhdl_apps::all().into_iter().chain(dhdl_apps::dnn()) {
+        let design = bench.build(&bench.default_params()).unwrap();
+        h.write(to_text(&design).as_bytes());
+    }
+    assert_eq!(
+        h.finish(),
+        0x172a_89ca_d009_0164,
+        "design text digest {:#018x}",
+        h.finish()
+    );
+}
+
 #[test]
 fn random_legal_points_all_build() {
     use dhdl_dse::LegalSpace;
