@@ -41,5 +41,5 @@ fn explore_takes_its_one_integer_flag_and_refuses_anything_else() {
     let out = dhdl(&["explore", "dotproduct", "--num-fpgas", "1"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("evaluated 1120 "), "{stdout}");
+    assert!(stdout.contains("evaluated 1120,"), "{stdout}");
 }

@@ -2,8 +2,8 @@
 //! ask again.
 //!
 //! A process re-estimates the same structural design whenever repeated
-//! requests to `dhdl-serve`, repeated or nested sweeps, or retries
-//! revisit a parameter assignment. [`EstimateCache`]
+//! requests to `dhdl-serve` or repeated or nested sweeps revisit a
+//! parameter assignment. [`EstimateCache`]
 //! short-circuits those evaluations with two levels:
 //!
 //! 1. **Structural level** — a sharded, lock-striped concurrent map from
@@ -29,13 +29,13 @@
 //!   wrapped model produced on the miss, so sweeps with the cache off,
 //!   cold or warm yield byte-identical results (tested in
 //!   `tests/cache_consistency.rs`).
-//! * **Only finite estimates are cached.** The runner treats non-finite
-//!   estimates as transient and retries them; caching a NaN would turn a
-//!   transient fault into a permanent one. [`EstimateCache::insert`]
-//!   silently drops non-finite entries, so a [`crate::FaultInjector`]
-//!   NaN is re-evaluated on retry and the *successful* result is cached.
-//!   The parameter memo only records assignments whose estimate landed
-//!   in the structural map, so the fast path can never fabricate or
+//! * **Only finite estimates are cached.** The runner discards a point
+//!   whose estimate is non-finite, but its warm path returns a memo hit
+//!   without checking finiteness: a cached NaN would make a warm sweep
+//!   report as evaluated a point that a cold sweep discards.
+//!   [`EstimateCache::insert`] silently drops non-finite entries, and the
+//!   parameter memo only records assignments whose estimate landed in
+//!   the structural map, so the fast path can never fabricate or
 //!   resurrect a non-finite estimate.
 //!
 //! The cache lives and dies with its process. A point costs about as
@@ -136,9 +136,9 @@ impl CacheStats {
 ///
 /// Shards are plain `Mutex<HashMap>`s: lookups in the sweep are dwarfed
 /// by elaboration even on a hit-heavy run, so striping (not lock-free
-/// cleverness) is all the concurrency the workload needs. Poisoned locks
-/// are recovered, not propagated — a panicking estimator thread (fault
-/// injection does this on purpose) must not take the cache down with it.
+/// cleverness) is all the concurrency the workload needs. A poisoned
+/// stripe is taken over, not propagated: a thread that panicked while
+/// holding one must not take the cache down with it.
 #[derive(Debug)]
 pub struct EstimateCache {
     shards: Vec<Mutex<HashMap<u64, Estimate>>>,
@@ -197,8 +197,8 @@ impl EstimateCache {
     }
 
     /// Store a *finite* estimate for `key`. Non-finite estimates are
-    /// dropped: the runner retries them as transient faults, and a cached
-    /// NaN would be re-served forever.
+    /// dropped: the runner discards their points, and a cached NaN would
+    /// be served to a warm sweep as an evaluated point.
     pub fn insert(&self, key: u64, est: Estimate) {
         if !est.is_finite() {
             return;
@@ -296,9 +296,9 @@ pub fn model_fingerprint(estimator: &Estimator) -> u64 {
 /// path ([`CostModel::lookup_params`]) so warm sweeps skip design
 /// construction entirely.
 ///
-/// Wrap the *outermost* model: in fault-injection tests the cache wraps
-/// the [`crate::FaultInjector`], so an injected NaN reaches the cache
-/// (and is dropped by the finite-only insert) rather than bypassing it.
+/// Wrap the *outermost* model: in the fault-injection tests the cache
+/// wraps the injector, so an injected NaN reaches the cache (and is
+/// dropped by the finite-only insert) rather than bypassing it.
 #[derive(Debug)]
 pub struct CachedModel<'a, E: CostModel> {
     inner: &'a E,
@@ -335,8 +335,8 @@ impl<'a, E: CostModel> CachedModel<'a, E> {
         };
         // Record the fast-path mapping only for estimates the structural
         // map accepted (finite): a memo entry pointing at nothing would
-        // just double-count misses, and one recorded during a transient
-        // NaN fault would defeat the runner's retry.
+        // just double-count misses, and one recorded for a NaN would let
+        // a warm sweep skip the evaluation that discards its point.
         if let Some(pk) = params_key {
             if est.is_finite() {
                 self.cache.insert_params(pk, key);
@@ -424,6 +424,29 @@ mod tests {
         assert_eq!(cache.stats().inserts, 0);
         // The failed lookups above were not made; these count as misses.
         assert_eq!(cache.get(1), None);
+    }
+
+    #[test]
+    fn a_poisoned_stripe_keeps_serving() {
+        let cache = EstimateCache::new(0);
+        cache.insert(1, est(10.0));
+        cache.insert_params(9, 1);
+        // A thread panics while it holds the stripes of structural key 1
+        // and of parameter key 9.
+        let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _entries = cache.shard(1).lock().unwrap();
+            let _memo = cache.params[9 & (SHARDS - 1)].lock().unwrap();
+            panic!("a worker dies holding two stripes");
+        }));
+        assert!(held.is_err());
+        assert!(cache.shard(1).is_poisoned());
+        assert_eq!(cache.get(1), Some(est(10.0)));
+        assert_eq!(cache.get_params(9), Some(1));
+        // Key 17 shares key 1's stripe.
+        cache.insert(17, est(20.0));
+        cache.insert_params(25, 17);
+        assert_eq!(cache.get(17), Some(est(20.0)));
+        assert_eq!((cache.len(), cache.params_len()), (2, 2));
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! experiments enumerate it and there is no model-guided way to choose
 //! which points to evaluate (DESIGN.md, "A sweep is the space").
 //!
-//! Sweeps run on a resilient parallel runner: points fan out over a
-//! work-stealing thread pool with per-point panic isolation and bounded
-//! retries, discards are accounted per cause in [`OutcomeCounts`], and a
-//! wall-clock [`DseOptions::deadline`] truncates gracefully. A sweep is a
-//! pure function of its options, so an interrupted one is re-run, not
-//! resumed. The [`FaultInjector`] harness injects deterministic panics,
-//! NaNs and latency spikes so those paths stay tested.
+//! Sweeps run on a resilient parallel runner. Points fan out over a
+//! work-stealing thread pool, and each is evaluated once with its panics
+//! isolated: a panic or a non-finite estimate discards the point with
+//! its reason. Discards are accounted per cause in [`OutcomeCounts`],
+//! and a wall-clock [`DseOptions::deadline`] truncates gracefully. A
+//! sweep is a pure function of its options, so an interrupted one is
+//! re-run, not resumed. The crate's tests drive those paths with a
+//! deterministic fault injector (`tests/support/fault.rs`).
 //!
 //! Estimates are memoizable: [`CachedModel`] wraps any [`CostModel`]
 //! with a sharded [`EstimateCache`] keyed by the canonical
@@ -50,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod fault;
 mod objectives;
 mod pareto;
 mod runner;
@@ -60,7 +60,6 @@ mod space;
 pub use cache::{
     devices_key, model_fingerprint, params_key, CacheStats, CachedModel, EstimateCache,
 };
-pub use fault::{with_silent_panics, FaultConfig, FaultInjector, FaultPlan, InjectionCounts};
 pub use objectives::{frontier_along, ResourceAxis};
 pub use pareto::{pareto_front, spread};
 pub use runner::{device_count, CostModel, DseError, OutcomeCounts, PointOutcome, SweepStats};

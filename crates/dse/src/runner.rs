@@ -5,11 +5,15 @@
 //! long-running job that survives bad points instead of a fragile serial
 //! loop. Design points are fanned out over a [`std::thread::scope`]
 //! work-stealing pool (the same pattern as `dhdl-cpu`'s kernels), every
-//! point is evaluated under [`std::panic::catch_unwind`] isolation with a
-//! bounded retry budget, failures land in a structured
-//! [`PointOutcome`]/[`DseError`] taxonomy instead of being silently
-//! discarded, and an optional wall-clock deadline degrades the sweep
-//! gracefully to a partial-but-valid result flagged `truncated`.
+//! point is evaluated once under [`std::panic::catch_unwind`] isolation,
+//! failures land in a structured [`PointOutcome`]/[`DseError`] taxonomy
+//! instead of being silently discarded, and an optional wall-clock
+//! deadline degrades the sweep gracefully to a partial-but-valid result
+//! flagged `truncated`.
+//!
+//! Nothing is retried: the estimator is a pure function of the design
+//! and the calibrated model, so a second attempt after a panic or a
+//! non-finite estimate would fail the same way again.
 //!
 //! Results are deterministic across thread counts: outcomes are keyed by
 //! sample index and reassembled in sample order, so the same seed yields
@@ -29,10 +33,10 @@ use crate::search::{DesignPoint, DseOptions};
 
 /// A cost model the sweep runner can query for design estimates.
 ///
-/// [`Estimator`] is the production implementation; the fault-injection
-/// harness ([`crate::FaultInjector`]) wraps one to exercise the runner's
-/// isolation, retry and deadline paths in tests, and
-/// [`crate::CachedModel`] wraps either with a memoizing estimate cache.
+/// [`Estimator`] is the production implementation, and
+/// [`crate::CachedModel`] wraps any model with a memoizing estimate
+/// cache. The crate's tests wrap one in a fault injector to exercise the
+/// runner's isolation and deadline paths.
 pub trait CostModel: Sync {
     /// Estimate cycles and area for a design instance.
     fn estimate(&self, design: &Design) -> Estimate;
@@ -137,19 +141,13 @@ pub enum DseError {
         /// The configured cap in bits.
         cap_bits: u64,
     },
-    /// Building or estimating the point panicked on every attempt.
+    /// Building or estimating the point panicked.
     Panic {
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// The final panic payload, when it carried a message.
+        /// The panic payload, when it carried a message.
         message: String,
     },
-    /// The estimator returned a non-finite cycle count or area on every
-    /// attempt.
-    NonFinite {
-        /// Attempts made (1 + retries).
-        attempts: u32,
-    },
+    /// The estimator returned a non-finite cycle count or area.
+    NonFinite,
 }
 
 impl std::fmt::Display for DseError {
@@ -159,12 +157,8 @@ impl std::fmt::Display for DseError {
             DseError::MemCap { bits, cap_bits } => {
                 write!(f, "memory cap exceeded: {bits} bits > {cap_bits} bits")
             }
-            DseError::Panic { attempts, message } => {
-                write!(f, "panicked on all {attempts} attempts: {message}")
-            }
-            DseError::NonFinite { attempts } => {
-                write!(f, "non-finite estimate on all {attempts} attempts")
-            }
+            DseError::Panic { message } => write!(f, "panicked: {message}"),
+            DseError::NonFinite => write!(f, "non-finite estimate"),
         }
     }
 }
@@ -181,8 +175,6 @@ pub enum PointOutcome {
     Evaluated {
         /// The evaluated point.
         point: DesignPoint,
-        /// Attempts needed (> 1 means transient failures were retried).
-        attempts: u32,
     },
     /// The point was discarded, with the reason recorded.
     Discarded(DseError),
@@ -201,11 +193,8 @@ pub struct OutcomeCounts {
     pub build_failed: usize,
     /// Points violating the local-memory cap.
     pub mem_cap: usize,
-    /// Points that panicked or stayed non-finite through all retries.
+    /// Points whose evaluation panicked or came back non-finite.
     pub eval_failed: usize,
-    /// Evaluated points that needed more than one attempt (transient
-    /// faults absorbed by the retry budget).
-    pub recovered: usize,
     /// Points never evaluated because the deadline expired.
     pub skipped: usize,
 }
@@ -221,9 +210,8 @@ impl OutcomeCounts {
     /// One-line human-readable summary for sweep reports.
     pub fn summary(&self) -> String {
         format!(
-            "evaluated {} (recovered {}), discarded {} (build {} / mem-cap {} / eval {}), skipped {}",
+            "evaluated {}, discarded {} (build {} / mem-cap {} / eval {}), skipped {}",
             self.evaluated,
-            self.recovered,
             self.discarded(),
             self.build_failed,
             self.mem_cap,
@@ -235,12 +223,8 @@ impl OutcomeCounts {
     /// Count one outcome.
     pub(crate) fn record(&mut self, outcome: &PointOutcome) {
         match outcome {
-            PointOutcome::Evaluated { attempts, .. } => {
+            PointOutcome::Evaluated { .. } => {
                 self.evaluated += 1;
-                if *attempts > 1 {
-                    self.recovered += 1;
-                    dhdl_obs::counter!("dse.points.recovered").incr();
-                }
                 dhdl_obs::counter!("dse.points.evaluated").incr();
             }
             PointOutcome::Discarded(DseError::Build(_)) => {
@@ -255,7 +239,7 @@ impl OutcomeCounts {
                 self.eval_failed += 1;
                 dhdl_obs::counter!("dse.points.panicked").incr();
             }
-            PointOutcome::Discarded(DseError::NonFinite { .. }) => {
+            PointOutcome::Discarded(DseError::NonFinite) => {
                 self.eval_failed += 1;
                 dhdl_obs::counter!("dse.points.non_finite").incr();
             }
@@ -435,19 +419,9 @@ where
     }
 }
 
-/// What one isolated evaluation attempt produced.
-enum Attempt {
-    Point { est: Estimate, valid: bool },
-    Build(String),
-    MemCap { bits: u64, cap_bits: u64 },
-    NonFinite,
-}
-
-/// Evaluate a single design point under panic isolation with a bounded
-/// retry budget. Deterministic failures (build errors, memory-cap
-/// violations) are never retried; panics and non-finite estimates are
-/// retried up to `opts.retries` extra times so transient faults do not
-/// cost the sweep a point.
+/// Evaluate a single design point once, under panic isolation. A build
+/// error, a memory-cap violation, a panic and a non-finite estimate each
+/// discard the point with its reason.
 fn evaluate_one<F, E>(
     build: &F,
     estimator: &E,
@@ -458,21 +432,19 @@ where
     F: Fn(&ParamValues) -> dhdl_core::Result<Design> + Sync,
     E: CostModel + ?Sized,
 {
-    let evaluated = |params, est: Estimate, valid, attempts| PointOutcome::Evaluated {
+    let evaluated = |params, est: Estimate| PointOutcome::Evaluated {
         point: DesignPoint {
             params,
             cycles: est.cycles,
             area: est.area,
-            valid,
+            valid: est.area.fits(&estimator.platform().fpga),
         },
-        attempts,
     };
     // Warm fast path: a memoized parameter key skips design construction
     // and structural hashing outright. Only successfully evaluated
     // (finite, under-mem-cap) assignments ever enter the memo, and the
     // memoized estimate is the bit-exact one the full path would compute,
-    // so outcomes and counts match a cold sweep (`recovered` aside —
-    // hits bypass transient faults, as all cache hits do).
+    // so outcomes and counts match a cold sweep.
     let params_key = opts
         .cache_salt
         .map(|salt| crate::cache::params_key(salt, &params));
@@ -482,58 +454,30 @@ where
     let devices = device_count(&params);
     if let Some(pk) = params_key {
         if let Some(est) = estimator.lookup_params(pk) {
-            let valid = est.area.fits(&estimator.platform().fpga);
-            return evaluated(params, est, valid, 1);
+            return evaluated(params, est);
         }
     }
-    let max_attempts = opts.retries.saturating_add(1);
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let design = match build(&params) {
-                Ok(d) => d,
-                Err(e) => return Attempt::Build(e.to_string()),
-            };
-            if let Some(bits) = mem_cap_violation(&design, opts.mem_cap_bits) {
-                return Attempt::MemCap {
-                    bits,
-                    cap_bits: opts.mem_cap_bits,
-                };
-            }
-            let est = estimator.estimate_devices(params_key, &design, devices);
-            if !est.is_finite() {
-                return Attempt::NonFinite;
-            }
-            let valid = est.area.fits(&estimator.platform().fpga);
-            Attempt::Point { est, valid }
-        }));
-        match result {
-            Ok(Attempt::Point { est, valid }) => {
-                return evaluated(params, est, valid, attempts);
-            }
-            Ok(Attempt::Build(msg)) => {
-                return PointOutcome::Discarded(DseError::Build(msg));
-            }
-            Ok(Attempt::MemCap { bits, cap_bits }) => {
-                return PointOutcome::Discarded(DseError::MemCap { bits, cap_bits });
-            }
-            Ok(Attempt::NonFinite) => {
-                if attempts >= max_attempts {
-                    return PointOutcome::Discarded(DseError::NonFinite { attempts });
-                }
-                dhdl_obs::counter!("dse.retries.non_finite").incr();
-            }
-            Err(payload) => {
-                if attempts >= max_attempts {
-                    return PointOutcome::Discarded(DseError::Panic {
-                        attempts,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-                dhdl_obs::counter!("dse.retries.panic").incr();
-            }
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let design = build(&params).map_err(|e| DseError::Build(e.to_string()))?;
+        if let Some(bits) = mem_cap_violation(&design, opts.mem_cap_bits) {
+            return Err(DseError::MemCap {
+                bits,
+                cap_bits: opts.mem_cap_bits,
+            });
         }
+        let est = estimator.estimate_devices(params_key, &design, devices);
+        if est.is_finite() {
+            Ok(est)
+        } else {
+            Err(DseError::NonFinite)
+        }
+    }));
+    match result {
+        Ok(Ok(est)) => evaluated(params, est),
+        Ok(Err(err)) => PointOutcome::Discarded(err),
+        Err(payload) => PointOutcome::Discarded(DseError::Panic {
+            message: panic_message(payload.as_ref()),
+        }),
     }
 }
 
@@ -615,10 +559,7 @@ mod tests {
     #[test]
     fn panicking_build_is_isolated_and_recorded() {
         let est = estimator();
-        let opts = DseOptions {
-            retries: 1,
-            ..DseOptions::default()
-        };
+        let opts = DseOptions::default();
         let samples: Vec<ParamValues> = space()
             .defs()
             .iter()
@@ -647,8 +588,7 @@ mod tests {
         assert_eq!(counts.eval_failed, 1);
         assert_eq!(counts.evaluated, samples.len() - 1);
         match &outcomes[1] {
-            PointOutcome::Discarded(DseError::Panic { attempts, message }) => {
-                assert_eq!(*attempts, 2);
+            PointOutcome::Discarded(DseError::Panic { message }) => {
                 assert!(message.contains("injected build panic"), "{message}");
             }
             other => panic!("expected panic outcome, got {other:?}"),
@@ -686,19 +626,11 @@ mod tests {
             build_failed: 1,
             mem_cap: 2,
             eval_failed: 3,
-            recovered: 4,
             skipped: 6,
         };
         assert_eq!(counts.discarded(), 6);
         let s = counts.summary();
-        for needle in [
-            "evaluated 5",
-            "build 1",
-            "mem-cap 2",
-            "eval 3",
-            "recovered 4",
-            "skipped 6",
-        ] {
+        for needle in ["evaluated 5", "build 1", "mem-cap 2", "eval 3", "skipped 6"] {
             assert!(s.contains(needle), "{s} missing {needle}");
         }
     }

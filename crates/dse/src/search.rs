@@ -1,12 +1,12 @@
 //! The design space walker: evaluate sampled legal points with the fast
 //! estimators and extract the Pareto-optimal surface (§IV-C, Figure 5).
 //!
-//! Since the resilient-runner rework, `explore` fans its point
-//! evaluations out over [`crate::runner`]: panics are isolated per
-//! point, transient failures are retried, every loss is accounted in
-//! [`OutcomeCounts`], and a deadline truncates gracefully. An interrupted
-//! sweep is re-run, not resumed: a sweep is a pure function of its
-//! options, so the re-run returns what the interrupted one would have.
+//! `explore` fans its point evaluations out over [`crate::runner`]: each
+//! point is evaluated once with its panics isolated, every loss is
+//! accounted in [`OutcomeCounts`], and a deadline truncates gracefully.
+//! An interrupted sweep is re-run, not resumed: a sweep is a pure
+//! function of its options, so the re-run returns what the interrupted
+//! one would have.
 
 use std::time::{Duration, Instant};
 
@@ -32,9 +32,6 @@ pub struct DseOptions {
     /// Worker threads for the parallel sweep (`0` = all available cores).
     /// Results are identical for every thread count.
     pub threads: usize,
-    /// Extra evaluation attempts after a panic or non-finite estimate
-    /// before the point is recorded as failed.
-    pub retries: u32,
     /// Wall-clock budget for the sweep. When it expires, the sweep stops
     /// claiming points and returns a partial result flagged
     /// [`DseResult::truncated`] whose evaluated points are the
@@ -57,7 +54,6 @@ impl Default for DseOptions {
             seed: 0xD5E,
             mem_cap_bits: 8 * 1024 * 1024, // 8 Mbit per logical buffer
             threads: 0,
-            retries: 2,
             deadline: None,
             cache_salt: None,
         }
@@ -91,8 +87,7 @@ pub struct DseResult {
     /// the per-category [`DseResult::counts`]).
     pub discarded: usize,
     /// Per-category outcome accounting: build failures, memory-cap
-    /// violations, evaluation failures, retry recoveries and
-    /// deadline-skipped points.
+    /// violations, evaluation failures and deadline-skipped points.
     pub counts: OutcomeCounts,
     /// Sample indices that were discarded, with the structured reason —
     /// nothing is lost silently.
@@ -192,8 +187,8 @@ fn point_tuples(points: &[DesignPoint]) -> Vec<(f64, f64, bool)> {
 /// gray points of Figure 5). The budget is the paper's uniform random
 /// sweep: a seeded sample of `max_points` legal points, all of them
 /// evaluated. Evaluation runs on a work-stealing thread pool with
-/// per-point panic isolation; see [`DseOptions`] for the thread, retry
-/// and deadline knobs. Results are deterministic in `opts.seed` for
+/// per-point panic isolation; see [`DseOptions`] for the thread and
+/// deadline knobs. Results are deterministic in `opts.seed` for
 /// every thread count.
 pub fn explore<F, E>(build: F, space: &ParamSpace, estimator: &E, opts: &DseOptions) -> DseResult
 where

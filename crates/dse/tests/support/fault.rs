@@ -1,33 +1,27 @@
-//! Deterministic fault injection for the sweep runner.
+//! Deterministic fault injection for the sweep runner's tests.
 //!
-//! The runner's panic isolation, retry and deadline paths are worthless
-//! if nothing ever exercises them, so this harness ships with the crate:
 //! [`FaultInjector`] wraps any [`CostModel`] and injects panics, NaN
-//! estimates and latency spikes at configurable rates. Injection
-//! decisions are *seed-driven and keyed by design hash*, not by call
-//! order, so a given (seed, design) pair faults identically regardless
-//! of thread count, evaluation order, or how many other designs the
-//! sweep contains — which is what lets tests assert that a faulty sweep
-//! produces the exact Pareto front of a fault-free one.
-//!
-//! By default faults are *transient*: a design faults on its first
-//! evaluation attempt and succeeds on retry, modeling the flaky-point
-//! behavior the retry budget exists for. Set
-//! [`FaultConfig::transient`] to `false` for hard faults that exhaust
-//! the retries and land in [`crate::DseError`] records instead.
+//! estimates and latency spikes at configured rates. Each decision is
+//! seed-driven and keyed by the design's structural hash, not by call
+//! order, so a (seed, design) pair faults the same way on every call,
+//! whatever the thread count, the evaluation order or the rest of the
+//! sweep. A planned fault fires on every evaluation of its design, as a
+//! fault of a pure estimator would: [`expected_under`] names the exact
+//! discards a faulty sweep must report and holds every other point to the
+//! clean sweep's bits.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use dhdl_core::{structural_hash, Design};
+use dhdl_dse::{CacheStats, CostModel, DseError, DseResult};
 use dhdl_estimate::Estimate;
 use dhdl_target::Platform;
 
-use crate::runner::CostModel;
+use crate::fixture::{build_dot, by_index, PointBits};
 
-/// Fault rates and behavior for a [`FaultInjector`].
+/// Fault rates for a [`FaultInjector`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed mixed into every injection decision.
@@ -41,10 +35,6 @@ pub struct FaultConfig {
     pub spike_rate: f64,
     /// Stall duration for latency-spike faults.
     pub spike: Duration,
-    /// When `true` (the default), a design faults only on its first
-    /// evaluation attempt and recovers on retry; when `false`, it faults
-    /// on every attempt.
-    pub transient: bool,
 }
 
 impl Default for FaultConfig {
@@ -55,7 +45,6 @@ impl Default for FaultConfig {
             nan_rate: 0.0,
             spike_rate: 0.0,
             spike: Duration::from_millis(10),
-            transient: true,
         }
     }
 }
@@ -66,23 +55,17 @@ impl Default for FaultConfig {
 pub struct FaultPlan {
     /// Evaluation will panic.
     pub panic: bool,
-    /// The estimate's cycle count will be NaN.
+    /// The estimate's cycle count will be NaN (unless it panics first).
     pub nan: bool,
     /// Evaluation will stall for the configured spike duration.
     pub spike: bool,
 }
-
-/// Counts of faults actually injected so far, in injection order
-/// `(panics, nans, spikes)`.
-pub type InjectionCounts = (usize, usize, usize);
 
 /// A [`CostModel`] wrapper injecting deterministic, seed-driven faults.
 #[derive(Debug)]
 pub struct FaultInjector<'a, E: CostModel> {
     inner: &'a E,
     cfg: FaultConfig,
-    /// Injected-fault count per design hash, for transient recovery.
-    injected_for: Mutex<HashMap<u64, u32>>,
     panics: AtomicUsize,
     nans: AtomicUsize,
     spikes: AtomicUsize,
@@ -94,20 +77,16 @@ impl<'a, E: CostModel> FaultInjector<'a, E> {
         FaultInjector {
             inner,
             cfg,
-            injected_for: Mutex::new(HashMap::new()),
             panics: AtomicUsize::new(0),
             nans: AtomicUsize::new(0),
             spikes: AtomicUsize::new(0),
         }
     }
 
-    /// The faults this injector will plan for `design` — independent of
+    /// The faults this injector plans for `design` — independent of
     /// evaluation order and of any other design in the sweep.
     pub fn plan(&self, design: &Design) -> FaultPlan {
-        self.plan_for_hash(structural_hash(design))
-    }
-
-    fn plan_for_hash(&self, h: u64) -> FaultPlan {
+        let h = structural_hash(design);
         FaultPlan {
             panic: decide(h, self.cfg.seed, 0x70A1C, self.cfg.panic_rate),
             nan: decide(h, self.cfg.seed, 0x0A0A0, self.cfg.nan_rate),
@@ -116,7 +95,7 @@ impl<'a, E: CostModel> FaultInjector<'a, E> {
     }
 
     /// Total faults injected so far as `(panics, nans, spikes)`.
-    pub fn injected(&self) -> InjectionCounts {
+    pub fn injected(&self) -> (usize, usize, usize) {
         (
             self.panics.load(Ordering::Relaxed),
             self.nans.load(Ordering::Relaxed),
@@ -124,56 +103,21 @@ impl<'a, E: CostModel> FaultInjector<'a, E> {
         )
     }
 
-    /// Number of distinct designs that have had at least one fault
-    /// injected (panic or NaN) — the count a resilient sweep should
-    /// report as `recovered` when faults are transient.
-    pub fn faulted_designs(&self) -> usize {
-        self.injected_for
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
-    /// Should a planned fault fire for design hash `h` now? Transient
-    /// faults fire only while the design has no prior injections.
-    fn armed(&self, h: u64) -> bool {
-        if !self.cfg.transient {
-            return true;
-        }
-        let map = self.injected_for.lock().unwrap_or_else(|e| e.into_inner());
-        !map.contains_key(&h)
-    }
-
-    fn note_injection(&self, h: u64) {
-        *self
-            .injected_for
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(h)
-            .or_insert(0) += 1;
-    }
-}
-
-impl<E: CostModel> FaultInjector<'_, E> {
     /// Run the inner estimate `f` under this design's fault plan —
     /// shared by the single-chip and multi-device entry points so a
     /// design faults identically whichever path evaluates it.
     fn with_faults(&self, design: &Design, f: impl FnOnce() -> Estimate) -> Estimate {
-        let h = structural_hash(design);
-        let plan = self.plan_for_hash(h);
-        let armed = self.armed(h);
-        if plan.spike && armed {
+        let plan = self.plan(design);
+        if plan.spike {
             self.spikes.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.cfg.spike);
         }
-        if plan.panic && armed {
-            self.note_injection(h);
+        if plan.panic {
             self.panics.fetch_add(1, Ordering::Relaxed);
-            panic!("injected estimator fault (design hash {h:#x})");
+            panic!("{}", panic_message(design));
         }
         let mut est = f();
-        if plan.nan && armed {
-            self.note_injection(h);
+        if plan.nan {
             self.nans.fetch_add(1, Ordering::Relaxed);
             est.cycles = f64::NAN;
         }
@@ -196,15 +140,53 @@ impl<E: CostModel> CostModel for FaultInjector<'_, E> {
         self.inner.platform()
     }
 
-    fn cache_stats(&self) -> Option<crate::CacheStats> {
+    fn cache_stats(&self) -> Option<CacheStats> {
         self.inner.cache_stats()
     }
+}
+
+/// The message an injected panic carries for `design`.
+fn panic_message(design: &Design) -> String {
+    format!(
+        "injected estimator fault (design hash {:#x})",
+        structural_hash(design)
+    )
+}
+
+/// What a sweep of [`build_dot`] through `injector` must report, index by
+/// index, given the fault-free sweep `clean` with the same options: a
+/// point planned to panic is a [`DseError::Panic`] with the injector's
+/// message, one planned to come back NaN is a [`DseError::NonFinite`],
+/// and every other outcome is the clean one, bit for bit.
+pub fn expected_under<E: CostModel>(
+    clean: &DseResult,
+    injector: &FaultInjector<E>,
+) -> Vec<Result<PointBits, DseError>> {
+    let mut points = clean.points.iter();
+    by_index(clean)
+        .into_iter()
+        .map(|outcome| {
+            let bits = outcome?;
+            let p = points.next().expect("one point per evaluated index");
+            let design = build_dot(&p.params).expect("an evaluated point builds");
+            let plan = injector.plan(&design);
+            if plan.panic {
+                Err(DseError::Panic {
+                    message: panic_message(&design),
+                })
+            } else if plan.nan {
+                Err(DseError::NonFinite)
+            } else {
+                Ok(bits)
+            }
+        })
+        .collect()
 }
 
 /// Order-independent Bernoulli draw: mix the design hash, the seed and a
 /// per-fault-class salt through SplitMix64 finalization and compare the
 /// top 53 bits against `rate`.
-fn decide(hash: u64, seed: u64, salt: u64, rate: f64) -> bool {
+pub fn decide(hash: u64, seed: u64, salt: u64, rate: f64) -> bool {
     if rate <= 0.0 {
         return false;
     }
@@ -237,48 +219,5 @@ pub fn with_silent_panics<R>(f: impl FnOnce() -> R) -> R {
     match out {
         Ok(r) => r,
         Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn decide_is_deterministic_and_rate_bounded() {
-        let mut hits = 0usize;
-        let n = 20_000;
-        for h in 0..n as u64 {
-            assert_eq!(decide(h, 7, 3, 0.25), decide(h, 7, 3, 0.25));
-            if decide(h, 7, 3, 0.25) {
-                hits += 1;
-            }
-            assert!(!decide(h, 7, 3, 0.0));
-            assert!(decide(h, 7, 3, 1.0));
-        }
-        let frac = hits as f64 / n as f64;
-        assert!((frac - 0.25).abs() < 0.02, "hit rate {frac}");
-    }
-
-    #[test]
-    fn different_seeds_give_different_schedules() {
-        let hit = |seed: u64| (0..1000u64).filter(|&h| decide(h, seed, 1, 0.3)).count();
-        // Not a strict requirement on any single pair, but these seeds
-        // must not produce the identical schedule.
-        let a: Vec<bool> = (0..1000u64).map(|h| decide(h, 1, 1, 0.3)).collect();
-        let b: Vec<bool> = (0..1000u64).map(|h| decide(h, 2, 1, 0.3)).collect();
-        assert_ne!(a, b);
-        assert!(hit(1) > 0 && hit(2) > 0);
-    }
-
-    #[test]
-    fn silent_panics_restores_hook_on_unwind() {
-        let result = std::panic::catch_unwind(|| {
-            with_silent_panics(|| panic!("inner"));
-        });
-        assert!(result.is_err());
-        // If the hook was not restored, this would be silent; we cannot
-        // easily observe output here, but the call must still work.
-        with_silent_panics(|| 42);
     }
 }

@@ -59,9 +59,8 @@ pub struct Estimate {
 }
 
 impl Estimate {
-    /// Whether every field is finite. The sweep runner retries a
-    /// non-finite estimate as a transient fault and the estimate cache
-    /// refuses to hold one.
+    /// Whether every field is finite. The sweep runner discards a point
+    /// whose estimate is not, and the estimate cache refuses to hold one.
     pub fn is_finite(&self) -> bool {
         let a = &self.area;
         [self.cycles, a.alms, a.regs, a.dsps, a.brams]

@@ -21,11 +21,9 @@
 //! * [`frame`] — length-prefixed framing with limits enforced before
 //!   allocation, plus socket read/write timeouts against stalled peers;
 //! * [`server`] — deadlines that return a sweep flagged `truncated`
-//!   instead of completing it silently, and [`ServerConfig::faults`],
-//!   which runs every sweep under [`dhdl_dse::FaultInjector`]; a sweep is
-//!   a pure function of its request, so a client that lost an answer
-//!   sends the request again, and the points already estimated come
-//!   back from the cache;
+//!   instead of completing it silently; a sweep is a pure function of
+//!   its request, so a client that lost an answer sends the request
+//!   again, and the points already estimated come back from the cache;
 //! * [`signal`] — SIGTERM/SIGINT drain: stop accepting, let in-flight
 //!   sweeps finish or hit their deadlines, flush the obs sinks, exit 0.
 //!

@@ -18,11 +18,7 @@
 //! * **re-asking** — a sweep is a pure function of its request, so a
 //!   client that lost its connection sends the request again, and the
 //!   points the lost attempt estimated come back from the shared
-//!   [`EstimateCache`] through the params memo;
-//! * **faults** — [`ServerConfig`]'s `faults` field runs every sweep
-//!   under the evaluation-level [`FaultInjector`]; `tests/chaos.rs`
-//!   asserts the served sweep stays byte-identical to a fault-free
-//!   in-process one.
+//!   [`EstimateCache`] through the params memo.
 //!
 //! Drain (SIGTERM, SIGINT, or the `shutdown` op) stops the accept loop,
 //! rejects new work with `draining`, lets in-flight connections finish
@@ -38,8 +34,8 @@ use std::time::{Duration, Instant};
 use dhdl_apps::Benchmark;
 use dhdl_core::{structural_hash, ParamValues};
 use dhdl_dse::{
-    device_count, explore, model_fingerprint, params_key, with_silent_panics, CachedModel,
-    CostModel, DseOptions, EstimateCache, FaultConfig, FaultInjector, LegalSpace,
+    device_count, explore, model_fingerprint, params_key, CachedModel, CostModel, DseOptions,
+    EstimateCache, LegalSpace,
 };
 use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
@@ -63,8 +59,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Admission bounds.
     pub admission: AdmissionConfig,
-    /// Evaluation-level fault injection.
-    pub faults: Option<FaultConfig>,
     /// Per-connection socket read timeout: an idle or stalled peer is
     /// disconnected after this long.
     pub read_timeout: Duration,
@@ -94,7 +88,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7436".to_string(),
             admission: AdmissionConfig::default(),
-            faults: None,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             max_frame: DEFAULT_MAX_FRAME,
@@ -605,14 +598,7 @@ fn handle_sweep(
         space.devices(u64::from(num_fpgas));
     }
     let model = CachedModel::new(&state.estimator, &state.cache);
-    let build = |p: &ParamValues| bench.build(p);
-    let result = match &state.cfg.faults {
-        Some(fcfg) => {
-            let injector = FaultInjector::new(&model, fcfg.clone());
-            with_silent_panics(|| explore(build, &space, &injector, &opts))
-        }
-        None => explore(build, &space, &model, &opts),
-    };
+    let result = explore(|p: &ParamValues| bench.build(p), &space, &model, &opts);
     dhdl_obs::histogram!("serve.sweep.ms").record(t0.elapsed().as_millis() as u64);
     Reply::Tree(ok_response([
         (
@@ -625,7 +611,6 @@ fn handle_sweep(
         ),
         ("space_size", Json::Str(result.space_size.to_string())),
         ("discarded", Json::Num(result.discarded as f64)),
-        ("recovered", Json::Num(result.counts.recovered as f64)),
         ("truncated", Json::Bool(result.truncated)),
     ]))
 }

@@ -292,3 +292,68 @@ fn an_oversized_response_is_a_structured_error_and_the_connection_lives_on() {
     drop(stream);
     shut_down(addr, handle);
 }
+
+/// A peer that pipelines sweeps and never reads the answers fills both
+/// socket buffers, and the server's next write blocks. The write timeout
+/// gives that worker up, so a drain still finishes: without it the
+/// worker waits on the peer forever and `run` with it.
+#[test]
+fn a_peer_that_never_reads_its_answers_cannot_hold_the_drain() {
+    const DRAIN_BOUND: Duration = Duration::from_secs(20);
+    let (addr, handle) = Server::spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        // A read timeout cannot free a worker blocked in a write.
+        write_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let sweep = Request::new(Op::Sweep {
+        bench: "outerprod".to_string(),
+        points: 2_000,
+        seed: 0,
+        num_fpgas: None,
+    });
+    // Warm the cache, so that the pipelined sweeps are quick to answer,
+    // and learn how large one answer is.
+    let mut probe = connect(addr);
+    let answer = request_ok(&mut probe, &sweep).render().len();
+    // More than any loopback socket's send and receive buffers hold.
+    let requests = (96 << 20) / answer + 1;
+
+    let mut stalled = connect(addr);
+    let frame = sweep.render();
+    for _ in 0..requests {
+        write_frame(&mut stalled, &frame, MAX_FRAME).unwrap();
+    }
+    // Wait until the stalled connection's sweeps stop: its worker has
+    // blocked in a write, and then given up.
+    let sweeps = |probe: &mut std::net::TcpStream| {
+        request_ok(probe, &Request::new(Op::Stats))
+            .get("sweeps")
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let mut seen = sweeps(&mut probe);
+    let mut unchanged = 0;
+    while unchanged < 2 {
+        std::thread::sleep(Duration::from_millis(500));
+        let now = sweeps(&mut probe);
+        unchanged = if now == seen { unchanged + 1 } else { 0 };
+        seen = now;
+    }
+    // The count holds the probe's sweep too.
+    assert!(
+        seen <= requests as u64,
+        "every answer fit in the socket buffers; the test proved nothing"
+    );
+
+    request_ok(&mut probe, &Request::new(Op::Shutdown));
+    drop(probe);
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.join()));
+    let result = joined
+        .recv_timeout(DRAIN_BOUND)
+        .expect("the drain waited on a peer that never reads");
+    result.unwrap().unwrap();
+    drop(stalled);
+}

@@ -363,3 +363,47 @@ fn no_tracked_file_lives_under_a_results_directory() {
     // At least every member crate and its `src/`.
     assert!(walked >= 30, "the walk saw only {walked} directories");
 }
+
+#[test]
+fn only_a_main_or_a_lone_test_switches_observation() {
+    // `dhdl_obs::init` switches recording for the whole process. A library
+    // that calls it changes what every caller records, and a test that
+    // calls it beside other tests changes what they record while they
+    // run. A binary's `main` owns its process, and a test alone in its
+    // file runs alone in its own test binary.
+    // Spelled in two halves so that this file does not match itself.
+    let call = ["dhdl_obs::", "init("].concat();
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    let mut allowed = 0;
+    let mut found = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).expect("read source");
+        let calls: Vec<usize> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim_start().starts_with("//") && l.contains(&call))
+            .map(|(n, _)| n + 1)
+            .collect();
+        if calls.is_empty() {
+            continue;
+        }
+        let relative = path.strip_prefix(&root).expect("a path under the root");
+        let in_tests = relative.components().any(|c| c.as_os_str() == "tests");
+        let is_main = text.lines().any(|l| l.starts_with("fn main("));
+        if is_main || (in_tests && text.matches("#[test]").count() == 1) {
+            allowed += 1;
+        } else {
+            found.extend(calls.iter().map(|n| format!("{}:{n}", relative.display())));
+        }
+    }
+    assert!(allowed >= 1, "the scan found no `{call}` call");
+    assert!(
+        found.is_empty(),
+        "`{call}` outside a `main` and outside a file of one test:\n{}",
+        found.join("\n")
+    );
+}
