@@ -95,7 +95,8 @@ impl Conformance {
                     .iter()
                     .filter_map(|p| bench.build(p).ok())
                     .find(|d| shape_hash(d) == shape_hash(&design) && *d != design);
-                self.check_latency_plan(&design, sibling.as_ref(), &mut v);
+                let derived = self.derive(&design);
+                self.check_latency_plan(&design, &derived, sibling.as_ref(), &mut v);
                 self.check_finish_analyses(&design, &mut v);
                 let mut bindings = Bindings::new();
                 for (k, data) in bench.inputs() {

@@ -239,15 +239,17 @@ impl Conformance {
         if let Some((first, _)) = self.check_backends(&design, &bindings, Some(&expected), &mut v) {
             self.check_determinism(&design, &bindings, &first, &mut v);
         }
-        self.check_estimate_sane(&design, &mut v);
-        self.check_latency_plan(&design, spec.serial().build().ok().as_ref(), &mut v);
+        let derived = self.derive(&design);
+        self.check_estimate_sane(&design, &derived, &mut v);
+        let serial = spec.serial().build().ok();
+        self.check_latency_plan(&design, &derived, serial.as_ref(), &mut v);
         if spec.par.max(spec.par2) > 1 {
-            if let Ok(sd) = spec.serial().build() {
-                self.check_par_monotonic(&design, &sd, spec.par.max(spec.par2), &mut v);
+            if let Some(sd) = &serial {
+                self.check_par_monotonic(&derived, sd, spec.par.max(spec.par2), &mut v);
             }
         }
-        self.check_synth(&design, &mut v);
-        self.check_cache(&design, &mut v);
+        self.check_synth(&design, &derived, &mut v);
+        self.check_cache(&design, &derived, &mut v);
         self.check_params(&spec.param_space(), &spec.param_values(), &mut v);
         v
     }

@@ -30,7 +30,9 @@ use dhdl_dse::{model_fingerprint, CachedModel, CostModel, EstimateCache};
 use dhdl_estimate::{estimate_cycles, estimate_cycles_net, Estimate, Estimator};
 use dhdl_sim::{compile, simulate, Bindings, CompileError, Compiled, SimResult};
 use dhdl_synth::partition::{util_proxy, FIT_MARGIN};
-use dhdl_synth::{elaborate, elaborate_with, partition, synthesize, Skeleton};
+use dhdl_synth::{
+    design_hash, elaborate, elaborate_with, partition, place_and_route, Netlist, Skeleton,
+};
 use dhdl_target::{AreaReport, FpgaTarget, MultiFpgaPlatform, Platform};
 
 use crate::finish::FinishCoverage;
@@ -58,6 +60,20 @@ impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {}", self.invariant, self.detail)
     }
+}
+
+/// What the oracle derives from one design once and hands to every
+/// layer that reads it. Each invariant still compares it with a path
+/// computed independently: `est` with `estimate_net` over `net`, `net`
+/// with a freshly built skeleton's re-cost and with the K=1 plan, and
+/// `est` with the estimate cache's miss and hit.
+pub(crate) struct Derived {
+    /// `elaborate(design)`, through the per-thread skeleton cache.
+    pub(crate) net: Netlist,
+    /// `Estimator::estimate(design)`.
+    pub(crate) est: Estimate,
+    /// The reference latency walk, `estimate_cycles(design)`.
+    pub(crate) cycles: f64,
 }
 
 /// Shared context for conformance checks: the target platform, one
@@ -162,6 +178,15 @@ impl Conformance {
         &self.platform
     }
 
+    /// The views of `design` every layer shares (see [`Derived`]).
+    pub(crate) fn derive(&self, design: &Design) -> Derived {
+        Derived {
+            net: elaborate(design, &self.platform.fpga),
+            est: self.estimator.estimate(design),
+            cycles: estimate_cycles(design, &self.platform),
+        }
+    }
+
     /// Run every invariant against one generated design spec.
     ///
     /// Returns the full list of violations (empty = conforming). Checks
@@ -190,12 +215,13 @@ impl Conformance {
         if let Some((base, _)) = &base {
             self.check_determinism(&design, &bindings, base, &mut v);
         }
-        self.check_estimator(spec, &design, &mut v);
-        self.check_synth(&design, &mut v);
-        self.check_cache(&design, &mut v);
+        let derived = self.derive(&design);
+        self.check_estimator(spec, &design, &derived, &mut v);
+        self.check_synth(&design, &derived, &mut v);
+        self.check_cache(&design, &derived, &mut v);
         self.check_params(&spec.param_space(), &spec.param_values(), &mut v);
         let base = base.as_ref().map(|(run, tape)| (run, tape.as_ref()));
-        self.check_partition(&design, &bindings, base, &mut v);
+        self.check_partition(&design, &derived, &bindings, base, &mut v);
         v
     }
 
@@ -337,23 +363,34 @@ impl Conformance {
         }
     }
 
-    fn check_estimator(&self, spec: &DesignSpec, design: &Design, v: &mut Vec<Violation>) {
-        self.check_estimate_sane(design, v);
+    fn check_estimator(
+        &self,
+        spec: &DesignSpec,
+        design: &Design,
+        derived: &Derived,
+        v: &mut Vec<Violation>,
+    ) {
+        self.check_estimate_sane(design, derived, v);
         // Twice the data is another parameterization of the same shape.
         let mut longer = spec.clone();
         longer.n *= 2;
-        self.check_latency_plan(design, longer.build().ok().as_ref(), v);
+        self.check_latency_plan(design, derived, longer.build().ok().as_ref(), v);
         if spec.par > 1 {
             let mut serial = spec.clone();
             serial.par = 1;
             if let Ok(sd) = serial.build() {
-                self.check_par_monotonic(design, &sd, spec.par, v);
+                self.check_par_monotonic(derived, &sd, spec.par, v);
             }
         }
     }
 
-    pub(crate) fn check_estimate_sane(&self, design: &Design, v: &mut Vec<Violation>) {
-        let est = self.estimator.estimate(design);
+    pub(crate) fn check_estimate_sane(
+        &self,
+        design: &Design,
+        derived: &Derived,
+        v: &mut Vec<Violation>,
+    ) {
+        let est = derived.est;
         if !estimate_is_sane(&est) {
             v.push(Violation {
                 invariant: "estimate-finite",
@@ -366,8 +403,7 @@ impl Conformance {
         // Elaborate-once equivalence: costing a pre-built netlist must
         // be bit-identical to the all-in-one entry point (the DSE hot
         // path depends on this).
-        let net = self.estimator.elaborate(design);
-        let via_net = self.estimator.estimate_net(design, &net);
+        let via_net = self.estimator.estimate_net(design, &derived.net);
         if est.to_bits() != via_net.to_bits() {
             v.push(Violation {
                 invariant: "skeleton-recost",
@@ -383,24 +419,27 @@ impl Conformance {
     pub(crate) fn check_latency_plan(
         &self,
         design: &Design,
+        derived: &Derived,
         sibling: Option<&Design>,
         v: &mut Vec<Violation>,
     ) {
         let fpga = &self.platform.fpga;
-        let reference = estimate_cycles(design, &self.platform);
-        let own = elaborate(design, fpga);
-        let mut nets = vec![("its own skeleton", own)];
-        match sibling {
-            Some(s) if shape_hash(s) == shape_hash(design) => nets.push((
-                "a sibling's skeleton",
-                elaborate_with(design, fpga, &Skeleton::of(s)),
-            )),
-            _ => v.push(Violation {
-                invariant: "latency-plan",
-                detail: "no second parameterization of the same shape to plan from".to_string(),
-            }),
-        }
-        for (via, net) in &nets {
+        let reference = derived.cycles;
+        let via_sibling = match sibling {
+            Some(s) if shape_hash(s) == shape_hash(design) => {
+                Some(elaborate_with(design, fpga, &Skeleton::of(s)))
+            }
+            _ => {
+                v.push(Violation {
+                    invariant: "latency-plan",
+                    detail: "no second parameterization of the same shape to plan from".to_string(),
+                });
+                None
+            }
+        };
+        let mut nets = vec![("its own skeleton", &derived.net)];
+        nets.extend(via_sibling.as_ref().map(|n| ("a sibling's skeleton", n)));
+        for (via, net) in nets {
             let planned = estimate_cycles_net(design, &self.platform, net);
             if net.latency.is_none() || planned.to_bits() != reference.to_bits() {
                 v.push(Violation {
@@ -411,7 +450,7 @@ impl Conformance {
                 });
             }
         }
-        let plan = nets[0].1.latency.as_deref();
+        let plan = derived.net.latency.as_deref();
         let contended = plan.is_some_and(|p| !p.competitors.is_empty());
         self.planned.fetch_add(1, Ordering::Relaxed);
         self.contended
@@ -423,12 +462,12 @@ impl Conformance {
     /// the parallel version under the analytic model.
     pub(crate) fn check_par_monotonic(
         &self,
-        design: &Design,
+        derived: &Derived,
         serial: &Design,
         par: u32,
         v: &mut Vec<Violation>,
     ) {
-        let wide = self.estimator.raw_area(design);
+        let wide = self.estimator.raw_area_net(&derived.net);
         let narrow = self.estimator.raw_area(serial);
         // Small absolute slack: control/banking overhead is not
         // perfectly linear, but duplicated compute dominates.
@@ -443,7 +482,7 @@ impl Conformance {
                 ),
             });
         }
-        let fast = self.estimator.cycles(design);
+        let fast = derived.cycles;
         let slow = self.estimator.cycles(serial);
         if fast > slow * 1.05 + 16.0 {
             v.push(Violation {
@@ -455,18 +494,16 @@ impl Conformance {
         }
     }
 
-    pub(crate) fn check_synth(&self, design: &Design, v: &mut Vec<Violation>) {
+    pub(crate) fn check_synth(&self, design: &Design, derived: &Derived, v: &mut Vec<Violation>) {
         let fpga = &self.platform.fpga;
-        let full = elaborate(design, fpga);
-        let skel = Skeleton::of(design);
-        let recost = elaborate_with(design, fpga, &skel);
-        if full != recost {
+        let recost = elaborate_with(design, fpga, &Skeleton::of(design));
+        if derived.net != recost {
             v.push(Violation {
                 invariant: "skeleton-recost",
                 detail: "elaborate(d) != elaborate_with(d, Skeleton::of(d))".to_string(),
             });
         }
-        let rep = synthesize(design, fpga);
+        let rep = place_and_route(design_hash(design), &derived.net, fpga);
         let fields = [
             ("alms", rep.alms),
             ("regs", rep.regs),
@@ -500,7 +537,7 @@ impl Conformance {
                 ),
             });
         }
-        let est = self.estimator.area(design);
+        let est = derived.est.area;
         let (bound, abs) = (8.0, 4_000.0);
         if est.alms > rep.alms * bound + abs || rep.alms > est.alms * bound + abs {
             v.push(Violation {
@@ -513,8 +550,8 @@ impl Conformance {
         }
     }
 
-    pub(crate) fn check_cache(&self, design: &Design, v: &mut Vec<Violation>) {
-        let direct = self.estimator.estimate(design);
+    pub(crate) fn check_cache(&self, design: &Design, derived: &Derived, v: &mut Vec<Violation>) {
+        let direct = derived.est;
         let cm = CachedModel::new(&self.estimator, &self.cache);
         // The first call may hit (a structurally identical design was
         // cached earlier in the campaign) or miss; the second call is a
@@ -549,6 +586,7 @@ impl Conformance {
     pub(crate) fn check_partition(
         &self,
         design: &Design,
+        derived: &Derived,
         bindings: &Bindings,
         base: Option<(&SimResult, Option<&Compiled>)>,
         v: &mut Vec<Violation>,
@@ -556,9 +594,9 @@ impl Conformance {
         let fpga = &self.platform.fpga;
         let mp = MultiFpgaPlatform::from_platform(&self.platform, 4);
 
-        let whole = elaborate(design, fpga);
+        let whole = &derived.net;
         let p1 = partition(design, fpga, &mp.link, 1);
-        if !p1.is_single() || !p1.channels.is_empty() || p1.partitions[0].net != whole {
+        if !p1.is_single() || !p1.channels.is_empty() || p1.partitions[0].net != *whole {
             v.push(Violation {
                 invariant: "partition-identity",
                 detail: format!(

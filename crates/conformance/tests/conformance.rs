@@ -425,3 +425,184 @@ fn partition_oracle_forced_cuts_are_not_vacuous() {
         "forced-cut plans changed"
     );
 }
+
+#[test]
+fn partition_netlists_are_pinned_whole() {
+    // The plan digest above folds each partition's `raw` resources only.
+    // This one folds every field of every partition's `Netlist` — raw,
+    // breakdown, features, pipe depths and latency plan — with its
+    // endpoints and the cut rule, over two sets of cuts: the same 200
+    // forced cuts, and the cuts of `dhdl partbench` (gemm, gda and
+    // conv2d past one device, at K = 2 and 4 on the real device) over a
+    // fixed sample of each scenario's points.
+    use dhdl_apps::{Benchmark, Conv2d, Gda, Gemm};
+    use dhdl_core::{Fnv64, ParamSpace};
+    use dhdl_dse::LegalSpace;
+    use dhdl_synth::partition::{util_proxy, CutKind, Partitioning, FIT_MARGIN};
+    use dhdl_synth::{elaborate, partition, Netlist};
+    use dhdl_target::{FpgaTarget, MultiFpgaPlatform, Platform, Resources};
+    fn res(h: &mut Fnv64, r: &Resources) {
+        for x in [r.lut_packable, r.lut_unpackable, r.regs, r.dsps, r.brams] {
+            h.write_u64(x.to_bits());
+        }
+    }
+    fn net(h: &mut Fnv64, n: &Netlist) {
+        res(h, &n.raw);
+        let b = &n.breakdown;
+        for r in [b.primitives, b.memories, b.control, b.transfers, b.delays] {
+            res(h, &r);
+        }
+        let f = &n.features;
+        for x in [f.prims, f.mems, f.ctrls, f.depth, f.edges, f.avg_width] {
+            h.write_u64(x.to_bits());
+        }
+        h.write_u64(n.pipe_depths.len() as u64);
+        for &(id, depth) in &n.pipe_depths {
+            h.write_u64(id.index() as u64);
+            h.write_u64(depth);
+        }
+        let plan = n
+            .latency
+            .as_deref()
+            .expect("an elaborated netlist has a plan");
+        h.write_u64(plan.ctrls.len() as u64);
+        for c in &plan.ctrls {
+            for x in [c.id.index() as u64, c.span.into(), c.slot.into()] {
+                h.write_u64(x);
+            }
+            h.write_u64(c.competitors.0.into());
+            h.write_u64(c.competitors.1.into());
+        }
+        h.write_u64(plan.transfers as u64);
+        h.write_u64(plan.competitors.len() as u64);
+        for &c in &plan.competitors {
+            h.write_u64(c.into());
+        }
+    }
+    // Folds a plan; counts leaf-range and replica cuts.
+    fn fold(h: &mut Fnv64, plan: &Partitioning, cuts: &mut [u32; 2]) {
+        match plan.cut {
+            CutKind::Single => h.write_u64(0),
+            CutKind::LeafRanges => {
+                cuts[0] += 1;
+                h.write_u64(1);
+            }
+            CutKind::Replicas(ctrl) => {
+                cuts[1] += 1;
+                h.write_u64(2);
+                h.write_u64(ctrl.index() as u64);
+            }
+        }
+        h.write_u64(plan.partitions.len() as u64);
+        for part in &plan.partitions {
+            h.write_u64(part.device.into());
+            h.write_u64(part.units.len() as u64);
+            for u in &part.units {
+                h.write_u64(u.index() as u64);
+            }
+            net(h, &part.net);
+            res(h, &part.endpoints);
+        }
+        h.write_u64(plan.channels.len() as u64);
+        for ch in &plan.channels {
+            for x in [
+                u64::from(ch.src),
+                u64::from(ch.dst),
+                ch.mem.index() as u64,
+                ch.words,
+                u64::from(ch.word_bits),
+                ch.transfers,
+                u64::from(ch.overlapped),
+            ] {
+                h.write_u64(x);
+            }
+        }
+    }
+    let platform = Platform::maia();
+    let fpga = &platform.fpga;
+    let link = MultiFpgaPlatform::from_platform(&platform, 4).link;
+
+    let mut forced = Fnv64::new();
+    let mut forced_cuts = [0; 2];
+    for id in 0..200u64 {
+        let design = generate(0, id).build().expect("builds");
+        let scale = util_proxy(&elaborate(&design, fpga).raw, fpga) / (2.0 * FIT_MARGIN);
+        let shrink = |cap: u64| ((cap as f64 * scale).ceil() as u64).max(1);
+        let tiny = FpgaTarget {
+            alms: shrink(fpga.alms),
+            dsps: shrink(fpga.dsps),
+            brams: shrink(fpga.brams),
+            ..fpga.clone()
+        };
+        for k in 2..=4 {
+            fold(
+                &mut forced,
+                &partition(&design, &tiny, &link, k),
+                &mut forced_cuts,
+            );
+        }
+    }
+
+    // `partbench`'s three scenarios, spaces as it opens them.
+    let gemm = Gemm::new(1024, 1024, 1024);
+    let mut gemm_space = ParamSpace::new();
+    gemm_space
+        .tile("tm", gemm.m, 128, 512)
+        .tile("tn", gemm.n, 128, 512)
+        .tile("tk", gemm.k, 128, 512)
+        .par("p", 48, 48)
+        .toggle("mp1")
+        .toggle("mp2");
+    let gda = Gda::new(16_384, 256);
+    let mut gda_space = ParamSpace::new();
+    gda_space
+        .tile("rts", gda.r, 256, 1024)
+        .par("p1", gda.d, 16)
+        .par("p2", gda.d, 16)
+        .par("m2p", 4, 4)
+        .par("m1p", 4, 4)
+        .toggle("m1")
+        .toggle("m2");
+    let conv = Conv2d::new(514, 64);
+    let mut conv_space = ParamSpace::new();
+    conv_space
+        .tile("th", conv.out_size(), 2, 4)
+        .par("pc", conv.cout, 64)
+        .par("pj", conv.out_size(), 16)
+        .toggle("mp")
+        .toggle("mpc");
+    let scenarios: [(&dyn Benchmark, &ParamSpace); 3] = [
+        (&gemm, &gemm_space),
+        (&gda, &gda_space),
+        (&conv, &conv_space),
+    ];
+    let mut traffic = Fnv64::new();
+    let mut traffic_cuts = [0; 2];
+    for (bench, space) in scenarios {
+        for params in LegalSpace::new(space).sample(24, 0x9A27) {
+            let design = bench.build(&params).expect("a legal point builds");
+            for k in [2, 4] {
+                let multi = MultiFpgaPlatform::from_platform(&platform, k);
+                let plan = partition(&design, multi.device(), &multi.link, k);
+                fold(&mut traffic, &plan, &mut traffic_cuts);
+            }
+        }
+    }
+    // Generated designs are cut by leaf ranges; replica cuts come from
+    // conv2d's channel-parallel controller.
+    assert!(
+        forced_cuts[0] >= 100 && traffic_cuts[0] > 0 && traffic_cuts[1] > 0,
+        "leaf-range and replica cuts must both occur: forced {forced_cuts:?}, \
+         partbench {traffic_cuts:?} ([leaf ranges, replicas])"
+    );
+    assert_eq!(
+        [
+            format!("{:016x}", forced.finish()),
+            format!("{:016x}", traffic.finish())
+        ],
+        // Computed on the tree before partitions were derived in place
+        // (one clone and one fresh skeleton per range), by this test.
+        ["be00343820194bed", "c8268512b8166b5a"],
+        "partition netlists changed (forced {forced_cuts:?}, partbench {traffic_cuts:?})"
+    );
+}

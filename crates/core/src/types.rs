@@ -88,6 +88,18 @@ impl DType {
         matches!(self, DType::F32 | DType::F64)
     }
 
+    /// `2^k`, the scale of a fixed-point format with `k` fraction bits,
+    /// built from its exponent bits: the bits of `2.0f64.powi(k)`
+    /// (`+inf` past `k = 1023`) at a constant cost.
+    #[inline]
+    pub fn pow2(k: u32) -> f64 {
+        if k > 1023 {
+            f64::INFINITY
+        } else {
+            f64::from_bits(u64::from(k + 1023) << 52)
+        }
+    }
+
     /// Quantize an `f64` working value to this type's representable set.
     ///
     /// The functional simulator computes in `f64` and calls this after every
@@ -106,9 +118,9 @@ impl DType {
                 }
             }
             DType::Fix { sign, int, frac } => {
-                let scale = (2.0f64).powi(i32::from(frac));
+                let scale = DType::pow2(u32::from(frac));
                 let scaled = (x * scale).round();
-                let max = (2.0f64).powi(i32::from(int) + i32::from(frac)) - 1.0;
+                let max = DType::pow2(u32::from(int) + u32::from(frac)) - 1.0;
                 let min = if sign { -max - 1.0 } else { 0.0 };
                 scaled.clamp(min, max) / scale
             }
@@ -155,6 +167,19 @@ impl FromStr for DType {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pow2_is_powi_bit_for_bit() {
+        // `int` and `frac` are `u16`s, so a format's exponents reach
+        // 2 * 65 535.
+        for k in 0..=131_070u32 {
+            assert_eq!(
+                DType::pow2(k).to_bits(),
+                2.0f64.powi(k as i32).to_bits(),
+                "2^{k}"
+            );
+        }
+    }
 
     #[test]
     fn bit_widths() {

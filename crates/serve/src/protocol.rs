@@ -32,7 +32,7 @@
 //! Cycle counts and area fields cross the wire as 16-hex-digit IEEE-754
 //! bit patterns ([`bits_str`]/[`parse_bits`]), never as JSON numbers, so
 //! a sweep fetched through the server is *byte-identical* to one run
-//! in-process — the chaos suite asserts exactly that.
+//! in-process — the served-sweep suite asserts exactly that.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

@@ -611,6 +611,7 @@ fn handle_sweep(
         ),
         ("space_size", Json::Str(result.space_size.to_string())),
         ("discarded", Json::Num(result.discarded as f64)),
+        ("skipped", Json::Num(result.counts.skipped as f64)),
         ("truncated", Json::Bool(result.truncated)),
     ]))
 }

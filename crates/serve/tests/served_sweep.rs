@@ -73,7 +73,7 @@ fn parse_sweep(resp: &Json) -> (Vec<DesignPoint>, Vec<usize>) {
 }
 
 #[test]
-fn deadline_truncates_and_retry_completes() {
+fn deadline_truncates_and_a_resend_completes() {
     const BENCH: &str = "gemm";
     const POINTS: usize = 120;
     const SEED: u64 = 0xDEAD;
@@ -110,13 +110,20 @@ fn deadline_truncates_and_retry_completes() {
         Some(true),
         "a 0ms deadline must truncate, not silently complete"
     );
+    // ... and says how much of it did not run: every point of it.
+    assert_eq!(
+        resp.get("skipped").and_then(Json::as_u64),
+        Some(POINTS as u64),
+        "a truncated sweep must count the points it skipped"
+    );
 
-    // The retry without the deadline completes, matching the reference
-    // exactly.
-    let mut retry = first.clone();
-    retry.header.deadline_ms = None;
-    let resp = request_ok(&mut stream, &retry);
+    // The same request sent again without the deadline completes,
+    // matching the reference exactly, and skips nothing.
+    let mut resend = first.clone();
+    resend.header.deadline_ms = None;
+    let resp = request_ok(&mut stream, &resend);
     assert_eq!(resp.get("truncated").and_then(Json::as_bool), Some(false));
+    assert_eq!(resp.get("skipped").and_then(Json::as_u64), Some(0));
     let (points, pareto) = parse_sweep(&resp);
     assert_eq!(sweep_csv(&points, &pareto), reference_csv);
 

@@ -415,8 +415,8 @@ impl Quant {
             DType::F32 => Quant::F32,
             DType::Bool => Quant::Bool,
             DType::Fix { sign, int, frac } => {
-                let scale = (2.0f64).powi(i32::from(frac));
-                let max = (2.0f64).powi(i32::from(int) + i32::from(frac)) - 1.0;
+                let scale = DType::pow2(u32::from(frac));
+                let max = DType::pow2(u32::from(int) + u32::from(frac)) - 1.0;
                 let min = if sign { -max - 1.0 } else { 0.0 };
                 Quant::Fix { scale, min, max }
             }

@@ -16,7 +16,8 @@
 //!   *structure* (controller tree, pipe body topology, per-node cost-model
 //!   lookups keyed by op and type, and the [`LatencyPlan`] the cycle
 //!   estimator walks), built once per structure and cached per-thread
-//!   keyed by [`shape_hash`];
+//!   keyed by [`shape_hash`] (a partition's derived designs reuse the
+//!   cached skeleton's pipe plans and rebuild only the controller tree);
 //! * a cheap re-costing pass ([`elaborate_with`]) that reads the
 //!   param-dependent values (par factors, replication, memory geometry,
 //!   banking, counter lengths) from the concrete design and produces the
@@ -115,11 +116,17 @@ pub struct Netlist {
 /// many parameterizations of one benchmark pays the structural analysis
 /// once; use [`elaborate_with`] to manage the skeleton explicitly.
 pub fn elaborate(design: &Design, target: &FpgaTarget) -> Netlist {
+    elaborate_with(design, target, &cached_skeleton(design))
+}
+
+/// The skeleton of `design` from the per-thread cache [`elaborate`]
+/// reads, built on a miss.
+pub(crate) fn cached_skeleton(design: &Design) -> Rc<Skeleton> {
     thread_local! {
         static SKELETONS: RefCell<HashMap<u64, Rc<Skeleton>>> = RefCell::new(HashMap::new());
     }
     let shape = shape_hash(design);
-    let skel = SKELETONS.with(|cache| {
+    SKELETONS.with(|cache| {
         let mut map = cache.borrow_mut();
         // Bound the per-thread cache; a sweep touches a handful of shapes.
         if map.len() >= 256 {
@@ -137,8 +144,7 @@ pub fn elaborate(design: &Design, target: &FpgaTarget) -> Netlist {
                     .clone()
             }
         }
-    });
-    elaborate_with(design, target, &skel)
+    })
 }
 
 /// Elaborate `design` using a pre-built structural [`Skeleton`].
@@ -185,13 +191,18 @@ pub fn elaborate_with(design: &Design, target: &FpgaTarget, skel: &Skeleton) -> 
 /// per `Pipe`, resolved per-lane cost-model lookups and body wiring.
 /// Build once per benchmark structure (see [`shape_hash`]) and re-cost
 /// arbitrarily many parameterizations with [`elaborate_with`].
+///
+/// The pipe plans are shared, not copied: a partition's derived design
+/// keeps every node and pipe body of the design it was cut from, so its
+/// skeleton rebuilds only the controller tree and reuses the original
+/// skeleton's plans.
 #[derive(Debug, Clone)]
 pub struct Skeleton {
     shape: u64,
     /// The controller tree, flattened; shared with every netlist.
     latency: Arc<LatencyPlan>,
     /// Body plans of the `Pipe`s, indexed by [`PlanCtrl::slot`].
-    pipes: Vec<PipePlan>,
+    pipes: Vec<Arc<PipePlan>>,
 }
 
 impl Skeleton {
@@ -205,11 +216,14 @@ impl Skeleton {
             let _t = dhdl_obs::histogram!("synth.skeleton.latency_plan_ns").timer();
             Arc::new(LatencyPlan::of(design))
         };
+        // Body positions of the pipe being planned, by node; every other
+        // node reads `OUTSIDE`.
+        let mut position = vec![OUTSIDE; design.len()];
         let pipes = latency
             .ctrls
             .iter()
             .filter_map(|c| match design.kind(c.id) {
-                NodeKind::Pipe(p) => Some(pipe_plan(design, p)),
+                NodeKind::Pipe(p) => Some(Arc::new(pipe_plan(design, p, &mut position))),
                 _ => None,
             });
         Skeleton {
@@ -219,33 +233,74 @@ impl Skeleton {
         }
     }
 
+    /// The skeleton of `derived`, a design that keeps every node and
+    /// pipe body of the design this skeleton was built from and differs
+    /// only in its outer controllers' stages, locals, folds and `par` —
+    /// a partition's derived design. Its controller tree is walked
+    /// afresh; its pipe plans are this skeleton's own.
+    pub(crate) fn restrict(&self, derived: &Design) -> Skeleton {
+        let latency = LatencyPlan::of(derived);
+        let is_pipe = |c: &&PlanCtrl| matches!(derived.kind(c.id), NodeKind::Pipe(_));
+        // Pruning keeps the surviving pipes in pre-order, so one pass
+        // over the original pipes finds them all.
+        let mut own = self.latency.ctrls.iter().filter(is_pipe);
+        let pipes = latency
+            .ctrls
+            .iter()
+            .filter(is_pipe)
+            .map(|c| {
+                let at = own
+                    .find(|o| o.id == c.id)
+                    .expect("a derived design keeps its pipes in pre-order");
+                self.pipes[at.slot as usize].clone()
+            })
+            .collect();
+        Skeleton {
+            shape: shape_hash(derived),
+            latency: Arc::new(latency),
+            pipes,
+        }
+    }
+
     /// The [`shape_hash`] of the structure this skeleton was built from.
     pub fn shape(&self) -> u64 {
         self.shape
     }
 }
 
+/// Marks a node outside the pipe body being planned.
+const OUTSIDE: u32 = u32::MAX;
+
 /// Pre-resolved structure of one pipe body.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PipePlan {
     body: Vec<BodyPlan>,
+    /// Every body node's scheduled inputs, concatenated in body order:
+    /// positions (indices into the body) of inputs that are themselves
+    /// body nodes, in raw input order. Other inputs (iterators,
+    /// out-of-body values) are timing-free.
+    inputs: Vec<u32>,
     /// Dataflow edges of one body replica (Σ input counts).
     edges: f64,
 }
 
 /// One body node: its cost-model resolution and intra-body wiring.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BodyPlan {
     cost: BodyCost,
     /// The node's own element type (delay bit-widths, access lanes).
     ty: DType,
-    /// Positions (indices into the body) of inputs that are themselves
-    /// body nodes, in raw input order. Other inputs (iterators,
-    /// out-of-body values) are timing-free.
-    sched_inputs: Vec<u32>,
+    /// Its range `from..to` of [`PipePlan::inputs`].
+    inputs: (u32, u32),
 }
 
-#[derive(Debug, Clone)]
+impl PipePlan {
+    fn inputs(&self, b: &BodyPlan) -> &[u32] {
+        &self.inputs[b.inputs.0 as usize..b.inputs.1 as usize]
+    }
+}
+
+#[derive(Debug)]
 enum BodyCost {
     /// Cost fully determined by structure (Prim at its cost type, Mux).
     Fixed(OpCost),
@@ -366,13 +421,13 @@ impl LatencyPlan {
     }
 }
 
-fn pipe_plan(design: &Design, p: &PipeSpec) -> PipePlan {
-    let position: HashMap<NodeId, u32> = p
-        .body
-        .iter()
-        .enumerate()
-        .map(|(k, &n)| (n, k as u32))
-        .collect();
+/// Plan one pipe body. `position` reads `OUTSIDE` for every node on
+/// entry and on return.
+fn pipe_plan(design: &Design, p: &PipeSpec, position: &mut [u32]) -> PipePlan {
+    for (k, &n) in p.body.iter().enumerate() {
+        position[n.index()] = k as u32;
+    }
+    let mut inputs = Vec::with_capacity(2 * p.body.len());
     let mut edges = 0.0;
     let body = p
         .body
@@ -388,17 +443,28 @@ fn pipe_plan(design: &Design, p: &PipeSpec) -> PipePlan {
                 _ => BodyCost::Free,
             };
             edges += design.prim_inputs(n).count() as f64;
+            let from = inputs.len() as u32;
+            inputs.extend(
+                design
+                    .prim_inputs(n)
+                    .map(|i| position[i.index()])
+                    .filter(|&k| k != OUTSIDE),
+            );
             BodyPlan {
                 cost,
                 ty: node.ty,
-                sched_inputs: design
-                    .prim_inputs(n)
-                    .filter_map(|i| position.get(&i).copied())
-                    .collect(),
+                inputs: (from, inputs.len() as u32),
             }
         })
         .collect();
-    PipePlan { body, edges }
+    for &n in &p.body {
+        position[n.index()] = OUTSIDE;
+    }
+    PipePlan {
+        body,
+        inputs,
+        edges,
+    }
 }
 
 #[derive(Debug, Default)]
@@ -521,8 +587,8 @@ fn pipe_cost(
     // their ready time (body order is topological; a forward reference
     // would be timing-free here, matching the direct walk).
     for (k, b) in plan.body.iter().enumerate() {
-        sched[k].0 = b
-            .sched_inputs
+        sched[k].0 = plan
+            .inputs(b)
             .iter()
             .map(|&j| j as usize)
             .filter(|&j| j < k)
@@ -535,7 +601,7 @@ fn pipe_cost(
     // the slack cycles.
     let mut delays = Resources::zero();
     for (k, b) in plan.body.iter().enumerate() {
-        for &j in &b.sched_inputs {
+        for &j in plan.inputs(b) {
             let (start, lat) = sched[j as usize];
             let slack = sched[k].0.saturating_sub(start + lat);
             if slack > 0 {

@@ -26,32 +26,40 @@
 //! **bit-identical** to [`elaborate`] — the unpartitioned path is the
 //! degenerate case, not a parallel implementation.
 //!
-//! Per-partition netlists come from *derived designs*: the design is
-//! cloned, controllers/locals that the partition does not keep are pruned
-//! from the stage/local lists, and the ordinary [`elaborate`] pass runs
-//! on the result, so partition areas are priced by exactly the same
-//! template models as whole designs. Each contiguous leaf range is derived
-//! and elaborated once per call: the leaf-range DP of every device count
-//! and the plans it picks read the same table, whose cells the
-//! `synth.partition.range_elaborations` counter counts. Channel endpoint
-//! FIFOs are added analytically on top. (Derived designs share the
-//! original arena, so the netlist *features* — used only by the
-//! estimator's correction networks — still see whole-design statistics;
-//! the resource counts, which drive capacity checks, are exact for the
-//! pruned tree.)
+//! Per-partition netlists come from *derived designs*: controllers and
+//! locals that the partition does not keep are pruned from the
+//! stage/local lists, and the design is re-costed by the ordinary
+//! [`elaborate_with`] pass, so partition areas are priced by exactly the
+//! same template models as whole designs. A derived design keeps every
+//! node of the original and differs only in its outer controllers'
+//! `stages`, `locals`, `fold` and `par`, so a call clones the design once
+//! and rewrites those four fields, from the original, for each partition
+//! in turn. Its skeleton is the design's own — the one [`elaborate`]'s
+//! per-thread cache holds — restricted to the pruned controller tree:
+//! the pipe plans are shared, not rebuilt. Each contiguous leaf range is
+//! derived and elaborated once per call: the leaf-range DP of every
+//! device count and the plans it picks read the same table, whose cells
+//! the `synth.partition.range_elaborations` counter counts, and the
+//! placer scores a leaf-range plan from the table before building only
+//! the winner. Channel endpoint FIFOs are added analytically on top.
+//! (Derived designs share the original arena, so the netlist *features*
+//! — used only by the estimator's correction networks — still see
+//! whole-design statistics; the resource counts, which drive capacity
+//! checks, are exact for the pruned tree.)
 //!
 //! Cross-device traffic assumes host-broadcast off-chip inputs: every
 //! device's DRAM holds the input arrays, so only *on-chip* memories
 //! crossing a cut become link channels.
+//!
+//! [`elaborate`]: crate::elaborate::elaborate
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use dhdl_core::analysis::traversal::CtrlTree;
 use dhdl_core::{Design, NodeId, NodeKind};
 use dhdl_target::{BoardLink, FpgaTarget, Resources};
 
 use crate::chardata::{bram_cost, counter_cost};
-use crate::elaborate::{elaborate, Netlist};
+use crate::elaborate::{cached_skeleton, elaborate_with, Netlist, Skeleton};
 
 /// Placer fit margin on the raw-utilization proxy: a partition is
 /// considered to fit its device when its largest utilization axis is
@@ -159,44 +167,37 @@ impl Partitioning {
 ///
 /// `k == 1` (or a design with at most one leaf controller) returns a
 /// single partition whose netlist is bit-identical to
-/// [`elaborate`]`(design, target)`. Designs whose utilization proxy
-/// already fits one device (under [`FIT_MARGIN`]) also stay single: the
-/// placer never pays link traffic it does not need.
+/// [`elaborate`](crate::elaborate::elaborate)`(design, target)`. Designs
+/// whose utilization proxy already fits one device (under
+/// [`FIT_MARGIN`]) also stay single: the placer never pays link traffic
+/// it does not need.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`.
 pub fn partition(design: &Design, target: &FpgaTarget, link: &BoardLink, k: u32) -> Partitioning {
     assert!(k > 0, "partitioning needs at least one device");
-    let whole = elaborate(design, target);
+    let skel = cached_skeleton(design);
+    let whole = elaborate_with(design, target, &skel);
     let units = leaf_units(design);
-    let single = |net: Netlist| Partitioning {
-        num_devices: k,
-        cut: CutKind::Single,
-        partitions: vec![Partition {
-            device: 0,
-            units: units.clone(),
-            net,
-            endpoints: Resources::zero(),
-        }],
-        channels: Vec::new(),
-    };
     if k == 1 || units.len() <= 1 || util_proxy(&whole.raw, target) <= FIT_MARGIN {
-        return single(whole);
+        return Partitioning::single(k, units, whole);
     }
     let _span = dhdl_obs::span_arg("partition", "k", u64::from(k));
-    let ctx = Ctx::new(design, target, link);
-    let mut candidates: Vec<Partitioning> = Vec::new();
+    let ctx = Ctx::new(design, target, link, &skel, units);
+    // Every derived design is this one copy, rewritten in place.
+    let mut work = design.clone();
+    let mut candidates: Vec<Candidate> = Vec::new();
     // Leaf-range plans: one per device count, boundaries from a min-max
     // DP over contiguous range costs, every range priced once per call.
-    let table = ctx.range_table();
-    for parts in 2..=k.min(units.len() as u32) {
-        if let Some(plan) = table.best(parts as usize) {
-            candidates.push(ctx.build_ranges(k, &plan, &table));
+    let table = ctx.range_table(&mut work);
+    for parts in 2..=k.min(ctx.units.len() as u32) {
+        if let Some(bounds) = table.best(parts as usize) {
+            candidates.push(Candidate::Ranges(ctx.plan_ranges(bounds, &table)));
         }
     }
     // Replica plans: one per parallelized outer controller.
-    for ctrl in design.controllers() {
+    for &ctrl in &ctx.outer {
         let (NodeKind::MetaPipe(s) | NodeKind::Sequential(s)) = design.kind(ctrl) else {
             continue;
         };
@@ -207,25 +208,28 @@ pub fn partition(design: &Design, target: &FpgaTarget, link: &BoardLink, k: u32)
         if devices < 2 {
             continue;
         }
-        candidates.push(ctx.build_replicas(k, ctrl, s.par, devices));
+        let plan = ctx.build_replicas(&mut work, k, ctrl, s.par, devices);
+        candidates.push(Candidate::Built(plan));
     }
     if candidates.is_empty() {
-        return single(whole);
+        return Partitioning::single(k, ctx.units, whole);
     }
     // Deterministic selection: fewest devices whose largest partition
     // fits, then minimum peak utilization, then candidate order.
-    let score = |p: &Partitioning| -> (bool, usize, f64) {
-        let peak = p
-            .partitions
-            .iter()
-            .map(|part| util_proxy(&part.net.raw, target))
-            .fold(0.0, f64::max);
-        (peak > FIT_MARGIN, p.partitions.len(), peak)
-    };
+    let scores: Vec<(bool, usize, f64)> = candidates
+        .iter()
+        .map(|c| {
+            let (parts, peak) = match c {
+                Candidate::Ranges(plan) => (plan.bounds.len(), plan.peak),
+                Candidate::Built(p) => (p.partitions.len(), peak_util(p, target)),
+            };
+            (peak > FIT_MARGIN, parts, peak)
+        })
+        .collect();
     let mut best = 0;
-    for i in 1..candidates.len() {
-        let (a_over, a_parts, a_util) = score(&candidates[best]);
-        let (b_over, b_parts, b_util) = score(&candidates[i]);
+    for i in 1..scores.len() {
+        let (a_over, a_parts, a_util) = scores[best];
+        let (b_over, b_parts, b_util) = scores[i];
         // Lexicographic: fitting beats overflowing, then fewer devices,
         // then lower peak utilization; ties keep the earlier candidate.
         let better = (b_over, b_parts, b_util.total_cmp(&a_util))
@@ -234,7 +238,35 @@ pub fn partition(design: &Design, target: &FpgaTarget, link: &BoardLink, k: u32)
             best = i;
         }
     }
-    candidates.swap_remove(best)
+    match candidates.swap_remove(best) {
+        Candidate::Ranges(plan) => ctx.build_ranges(k, plan, &table),
+        Candidate::Built(p) => p,
+    }
+}
+
+impl Partitioning {
+    /// The whole design on one device.
+    fn single(k: u32, units: Vec<NodeId>, net: Netlist) -> Partitioning {
+        Partitioning {
+            num_devices: k,
+            cut: CutKind::Single,
+            partitions: vec![Partition {
+                device: 0,
+                units,
+                net,
+                endpoints: Resources::zero(),
+            }],
+            channels: Vec::new(),
+        }
+    }
+}
+
+/// Largest-partition utilization of a built plan: the placer's score.
+fn peak_util(p: &Partitioning, target: &FpgaTarget) -> f64 {
+    p.partitions
+        .iter()
+        .map(|part| util_proxy(&part.net.raw, target))
+        .fold(0.0, f64::max)
 }
 
 /// Largest fractional utilization axis of a raw resource vector against
@@ -272,7 +304,7 @@ fn endpoint_cost(target: &FpgaTarget, link: &BoardLink, word_bits: u32) -> Resou
 /// Every contiguous leaf range `i..j` elaborated once: row `i` holds the
 /// derived-design netlists of `i..i+1` through `i..u` (no channel
 /// endpoints) and their utilization proxies. The DP of every device count
-/// reads the costs, and a chosen range's netlist is cloned from here.
+/// reads the costs, and the chosen range's netlist is cloned from here.
 struct RangeTable {
     nets: Vec<Vec<Netlist>>,
     cost: Vec<Vec<f64>>,
@@ -325,241 +357,351 @@ impl RangeTable {
     }
 }
 
-/// Shared analysis state for candidate-plan construction.
+/// A candidate plan as the placer scores it.
+enum Candidate {
+    /// A leaf-range split, scored from the range table without building
+    /// its partitions.
+    Ranges(RangePlan),
+    /// A replica split, built in full.
+    Built(Partitioning),
+}
+
+/// A leaf-range split: its ranges, its links, and the utilization of
+/// its largest partition.
+struct RangePlan {
+    bounds: Vec<(usize, usize)>,
+    links: Links,
+    peak: f64,
+}
+
+/// The channels of a plan, and each device's channel-endpoint resources
+/// summed in channel order.
+struct Links {
+    channels: Vec<Channel>,
+    endpoints: Vec<Resources>,
+}
+
+impl Links {
+    fn new(devices: usize) -> Self {
+        Links {
+            channels: Vec::new(),
+            endpoints: vec![Resources::zero(); devices],
+        }
+    }
+}
+
+/// Marks "none" in [`Ctx`]'s node-indexed tables.
+const NONE: u32 = u32::MAX;
+
+/// One on-chip memory some unit accesses, with what a channel carrying
+/// it needs.
+struct MemAccess {
+    mem: NodeId,
+    /// Elements and element bits.
+    words: u64,
+    word_bits: u32,
+    /// Refills over the whole run (executions of its scope's body), and
+    /// whether the scope overlaps its stages (`MetaPipe` / `Parallel`).
+    transfers: u64,
+    overlapped: bool,
+    /// Declaring controller.
+    scope: Option<NodeId>,
+    /// `(unit, reads, writes)` of every accessing unit, in unit order.
+    units: Vec<(u32, bool, bool)>,
+}
+
+/// Shared analysis state for candidate-plan construction. Every table
+/// is a `Vec`, indexed by unit or by node.
 struct Ctx<'a> {
     design: &'a Design,
     target: &'a FpgaTarget,
     link: &'a BoardLink,
+    skel: &'a Skeleton,
     units: Vec<NodeId>,
-    /// Memories read / written by each unit (fold stages attributed to
-    /// the last unit of the folding controller's subtree).
-    unit_reads: Vec<BTreeSet<NodeId>>,
-    unit_writes: Vec<BTreeSet<NodeId>>,
+    /// Memories each unit reads or writes (fold stages attributed to the
+    /// last unit of the folding controller's subtree).
+    unit_mems: Vec<Vec<NodeId>>,
     /// Controllers whose fold stage each unit owns.
-    fold_owned: Vec<BTreeSet<NodeId>>,
-    /// Scope (declaring controller) of every on-chip memory.
-    scope: BTreeMap<NodeId, NodeId>,
-    /// Executions of each controller's body over the whole run.
-    body_execs: BTreeMap<NodeId, u64>,
-    /// Pre-order leaf-unit index range `[start, end)` of each controller
-    /// subtree.
-    subtree: BTreeMap<NodeId, (usize, usize)>,
-    tree: CtrlTree,
+    fold_owned: Vec<Vec<NodeId>>,
+    /// Accessed memories with a nonzero element count, by id.
+    accesses: Vec<MemAccess>,
+    /// Outer controllers (`MetaPipe`, `Sequential`, `Parallel`) in
+    /// pre-order: the nodes a derivation rewrites.
+    outer: Vec<NodeId>,
+    /// By node: the parent controller.
+    parent: Vec<u32>,
+    /// By node: the pre-order leaf-unit range `[start, end)` of each
+    /// controller subtree.
+    subtree: Vec<(u32, u32)>,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(design: &'a Design, target: &'a FpgaTarget, link: &'a BoardLink) -> Self {
-        let units = leaf_units(design);
-        let index: BTreeMap<NodeId, usize> =
-            units.iter().enumerate().map(|(i, &u)| (u, i)).collect();
-        let mut unit_reads = vec![BTreeSet::new(); units.len()];
-        let mut unit_writes = vec![BTreeSet::new(); units.len()];
-        let mut fold_owned = vec![BTreeSet::new(); units.len()];
-        let mut scope = BTreeMap::new();
-        let mut subtree = BTreeMap::new();
-        // Subtree leaf ranges: pre-order leaves of a subtree are
-        // contiguous, so a recursive walk assigns [start, end) ranges.
-        fn ranges(
-            design: &Design,
+    fn new(
+        design: &'a Design,
+        target: &'a FpgaTarget,
+        link: &'a BoardLink,
+        skel: &'a Skeleton,
+        units: Vec<NodeId>,
+    ) -> Self {
+        let n = design.len();
+        let mut index = vec![NONE; n];
+        for (i, u) in units.iter().enumerate() {
+            index[u.index()] = i as u32;
+        }
+        let mut ctx = Ctx {
+            design,
+            target,
+            link,
+            skel,
+            unit_mems: vec![Vec::new(); units.len()],
+            fold_owned: vec![Vec::new(); units.len()],
+            units,
+            accesses: Vec::new(),
+            outer: Vec::new(),
+            parent: vec![NONE; n],
+            subtree: vec![(0, 0); n],
+        };
+        // One pre-order walk: parents, outer controllers, subtree leaf
+        // ranges (pre-order leaves of a subtree are contiguous) and the
+        // executions of each controller's body over the whole run (the
+        // product of ancestor effective trip counts, matching the latency
+        // estimator).
+        let mut body_execs = vec![1u64; n];
+        fn walk(
+            ctx: &mut Ctx,
+            index: &[u32],
+            body_execs: &mut [u64],
             id: NodeId,
-            index: &BTreeMap<NodeId, usize>,
-            subtree: &mut BTreeMap<NodeId, (usize, usize)>,
-        ) -> (usize, usize) {
-            if let Some(&i) = index.get(&id) {
-                subtree.insert(id, (i, i + 1));
-                return (i, i + 1);
-            }
-            let mut lo = usize::MAX;
-            let mut hi = 0;
-            for &st in design.stages(id) {
-                let (a, b) = ranges(design, st, index, subtree);
-                lo = lo.min(a);
-                hi = hi.max(b);
-            }
-            if lo == usize::MAX {
-                lo = 0;
-                hi = 0;
-            }
-            subtree.insert(id, (lo, hi));
-            (lo, hi)
-        }
-        ranges(design, design.top(), &index, &mut subtree);
-        for ctrl in design.controllers() {
-            for &m in design.locals(ctrl) {
-                scope.insert(m, ctrl);
-            }
-            match design.kind(ctrl) {
-                NodeKind::Pipe(p) => {
-                    let i = index[&ctrl];
-                    for &n in &p.body {
-                        match design.kind(n) {
-                            NodeKind::Load { mem, .. } => {
-                                unit_reads[i].insert(*mem);
-                            }
-                            NodeKind::Store { mem, .. } => {
-                                unit_writes[i].insert(*mem);
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Some(r) = &p.reduce {
-                        unit_reads[i].insert(r.reg);
-                        unit_writes[i].insert(r.reg);
-                    }
-                }
-                NodeKind::TileLoad(t) => {
-                    unit_writes[index[&ctrl]].insert(t.local);
-                }
-                NodeKind::TileStore(t) => {
-                    unit_reads[index[&ctrl]].insert(t.local);
-                }
-                NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
-                    if let Some(f) = &s.fold {
-                        // The implicit fold stage runs after the body's
-                        // last unit: attribute its accesses (and the
-                        // fold itself) there.
-                        let (_, end) = subtree[&ctrl];
-                        if end > 0 {
-                            let owner = end - 1;
-                            unit_reads[owner].insert(f.src);
-                            unit_reads[owner].insert(f.accum);
-                            unit_writes[owner].insert(f.accum);
-                            fold_owned[owner].insert(ctrl);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Executions of each controller's body: the product of ancestor
-        // effective trip counts, matching the latency estimator.
-        let mut body_execs = BTreeMap::new();
-        fn execs(design: &Design, id: NodeId, runs: u64, out: &mut BTreeMap<NodeId, u64>) {
+            runs: u64,
+        ) -> (u32, u32) {
+            let design = ctx.design;
             let body = match design.kind(id) {
                 NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
                     runs * s.ctr.total_iters().div_ceil(u64::from(s.par.max(1))).max(1)
                 }
                 _ => runs,
             };
-            out.insert(id, body);
-            for &st in design.stages(id) {
-                execs(design, st, body, out);
-            }
-        }
-        execs(design, design.top(), 1, &mut body_execs);
-        Ctx {
-            design,
-            target,
-            link,
-            units,
-            unit_reads,
-            unit_writes,
-            fold_owned,
-            scope,
-            body_execs,
-            subtree,
-            tree: CtrlTree::of(design),
-        }
-    }
-
-    fn subtree_has_tile_store(&self, ctrl: NodeId) -> bool {
-        let (lo, hi) = self.subtree[&ctrl];
-        self.units[lo..hi]
-            .iter()
-            .any(|&u| matches!(self.design.kind(u), NodeKind::TileStore(_)))
-    }
-
-    /// Elements / element bits of an on-chip memory.
-    fn mem_shape(&self, m: NodeId) -> (u64, u32) {
-        let node = self.design.node(m);
-        let words = match &node.kind {
-            NodeKind::Bram(b) => b.elements(),
-            NodeKind::Reg(_) => 1,
-            NodeKind::PriorityQueue(q) => q.depth,
-            _ => 0,
-        };
-        (words, node.ty.bits())
-    }
-
-    /// Refill count and overlap flag of a memory, from its scope.
-    fn mem_timing(&self, m: NodeId) -> (u64, bool) {
-        let Some(&scope) = self.scope.get(&m) else {
-            return (1, false);
-        };
-        let transfers = self.body_execs.get(&scope).copied().unwrap_or(1).max(1);
-        let overlapped = matches!(
-            self.design.kind(scope),
-            NodeKind::MetaPipe(_) | NodeKind::ParallelCtrl { .. }
-        );
-        (transfers, overlapped)
-    }
-
-    /// The derived design of one partition: kept units' ancestors retain
-    /// only kept stages and accessed locals; fold stages survive only on
-    /// the partition owning their attributed unit; an optional `par`
-    /// override implements replica shares.
-    fn derive(&self, keep: &BTreeSet<usize>, par_override: Option<(NodeId, u32)>) -> Design {
-        let mut kept_mems: BTreeSet<NodeId> = BTreeSet::new();
-        let mut kept_units: BTreeSet<NodeId> = BTreeSet::new();
-        let mut kept_folds: BTreeSet<NodeId> = BTreeSet::new();
-        for &i in keep {
-            kept_units.insert(self.units[i]);
-            kept_mems.extend(self.unit_reads[i].iter().copied());
-            kept_mems.extend(self.unit_writes[i].iter().copied());
-            kept_folds.extend(self.fold_owned[i].iter().copied());
-        }
-        let mut kept_ctrls = kept_units.clone();
-        for &u in &kept_units {
-            let mut n = u;
-            while let Some(p) = self.tree.parent(n) {
-                kept_ctrls.insert(p);
-                n = p;
-            }
-        }
-        let mut derived = self.design.clone();
-        for ctrl in self.design.controllers() {
-            match &mut derived.node_mut(ctrl).kind {
-                NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
-                    s.stages.retain(|st| kept_ctrls.contains(st));
-                    s.locals.retain(|m| kept_mems.contains(m));
-                    if s.fold.is_some() && !kept_folds.contains(&ctrl) {
-                        s.fold = None;
+            body_execs[id.index()] = body;
+            let range = match index[id.index()] {
+                NONE => {
+                    if matches!(
+                        design.kind(id),
+                        NodeKind::MetaPipe(_)
+                            | NodeKind::Sequential(_)
+                            | NodeKind::ParallelCtrl { .. }
+                    ) {
+                        ctx.outer.push(id);
                     }
-                    if let Some((c, share)) = par_override {
-                        if c == ctrl {
-                            s.par = share;
-                        }
+                    let (mut lo, mut hi) = (u32::MAX, 0);
+                    for &st in design.stages(id) {
+                        ctx.parent[st.index()] = id.index() as u32;
+                        let (a, b) = walk(ctx, index, body_execs, st, body);
+                        lo = lo.min(a);
+                        hi = hi.max(b);
+                    }
+                    if lo == u32::MAX {
+                        (0, 0)
+                    } else {
+                        (lo, hi)
                     }
                 }
-                NodeKind::ParallelCtrl { stages, locals } => {
-                    stages.retain(|st| kept_ctrls.contains(st));
-                    locals.retain(|m| kept_mems.contains(m));
+                i => (i, i + 1),
+            };
+            ctx.subtree[id.index()] = range;
+            range
+        }
+        walk(&mut ctx, &index, &mut body_execs, design.top(), 1);
+        // Every access as `(memory, unit, reads, writes)`, and each
+        // memory's scope.
+        let mut scope = vec![NONE; n];
+        let mut seen: Vec<(NodeId, u32, bool, bool)> = Vec::new();
+        for ctrl in design.controllers() {
+            for &m in design.locals(ctrl) {
+                scope[m.index()] = ctrl.index() as u32;
+            }
+            let i = index[ctrl.index()];
+            match design.kind(ctrl) {
+                NodeKind::Pipe(p) => {
+                    for &b in &p.body {
+                        match design.kind(b) {
+                            NodeKind::Load { mem, .. } => seen.push((*mem, i, true, false)),
+                            NodeKind::Store { mem, .. } => seen.push((*mem, i, false, true)),
+                            _ => {}
+                        }
+                    }
+                    if let Some(r) = &p.reduce {
+                        seen.push((r.reg, i, true, true));
+                    }
+                }
+                NodeKind::TileLoad(t) => seen.push((t.local, i, false, true)),
+                NodeKind::TileStore(t) => seen.push((t.local, i, true, false)),
+                NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
+                    if let Some(f) = &s.fold {
+                        // The implicit fold stage runs after the body's
+                        // last unit: attribute its accesses (and the
+                        // fold itself) there.
+                        let (_, end) = ctx.subtree[ctrl.index()];
+                        if end > 0 {
+                            let owner = end - 1;
+                            seen.push((f.src, owner, true, false));
+                            seen.push((f.accum, owner, true, true));
+                            ctx.fold_owned[owner as usize].push(ctrl);
+                        }
+                    }
                 }
                 _ => {}
             }
         }
-        derived
+        for &(m, i, _, _) in &seen {
+            ctx.unit_mems[i as usize].push(m);
+        }
+        seen.sort_unstable_by_key(|&(m, i, _, _)| (m, i));
+        for (m, i, r, w) in seen {
+            match ctx.accesses.last_mut() {
+                Some(last) if last.mem == m => match last.units.last_mut() {
+                    Some(u) if u.0 == i => {
+                        u.1 |= r;
+                        u.2 |= w;
+                    }
+                    _ => last.units.push((i, r, w)),
+                },
+                _ => {
+                    let (words, word_bits) = mem_shape(design, m);
+                    let scope =
+                        (scope[m.index()] != NONE).then(|| NodeId::from_raw(scope[m.index()]));
+                    let (transfers, overlapped) = match scope {
+                        Some(s) => (
+                            body_execs[s.index()].max(1),
+                            matches!(
+                                design.kind(s),
+                                NodeKind::MetaPipe(_) | NodeKind::ParallelCtrl { .. }
+                            ),
+                        ),
+                        None => (1, false),
+                    };
+                    ctx.accesses.push(MemAccess {
+                        mem: m,
+                        words,
+                        word_bits,
+                        transfers,
+                        overlapped,
+                        scope,
+                        units: vec![(i, r, w)],
+                    });
+                }
+            }
+        }
+        // A memory without elements never becomes a channel.
+        ctx.accesses.retain(|a| a.words > 0);
+        ctx
+    }
+
+    fn subtree_has_tile_store(&self, ctrl: NodeId) -> bool {
+        let (lo, hi) = self.subtree[ctrl.index()];
+        self.units[lo as usize..hi as usize]
+            .iter()
+            .any(|&u| matches!(self.design.kind(u), NodeKind::TileStore(_)))
+    }
+
+    /// Whether controller `anc` is `node` or one of its ancestors.
+    fn is_ancestor(&self, anc: NodeId, mut node: NodeId) -> bool {
+        loop {
+            if node == anc {
+                return true;
+            }
+            match self.parent[node.index()] {
+                NONE => return false,
+                p => node = NodeId::from_raw(p),
+            }
+        }
+    }
+
+    /// Rewrite `work`, a copy of the design, into the derived design of
+    /// the partition running units `keep`: kept units' ancestors retain
+    /// only kept stages and accessed locals; fold stages survive only on
+    /// the partition owning their attributed unit; an optional `par`
+    /// override implements replica shares. Only the outer controllers'
+    /// `stages`, `locals`, `fold` and `par` change, each rewritten from
+    /// the original, so one copy serves every partition in turn.
+    fn derive(&self, work: &mut Design, keep: Range<usize>, par_override: Option<(NodeId, u32)>) {
+        // By node: kept controllers and memories, and kept fold stages.
+        let mut kept = vec![false; self.design.len()];
+        let mut folds = vec![false; self.design.len()];
+        for i in keep {
+            for m in &self.unit_mems[i] {
+                kept[m.index()] = true;
+            }
+            for c in &self.fold_owned[i] {
+                folds[c.index()] = true;
+            }
+            // A unit and its ancestors, up to the first one already kept.
+            let mut c = self.units[i].index();
+            while !kept[c] {
+                kept[c] = true;
+                match self.parent[c] {
+                    NONE => break,
+                    p => c = p as usize,
+                }
+            }
+        }
+        let keeps = |id: &&NodeId| kept[id.index()];
+        for &ctrl in &self.outer {
+            match (&mut work.node_mut(ctrl).kind, self.design.kind(ctrl)) {
+                (
+                    NodeKind::MetaPipe(w) | NodeKind::Sequential(w),
+                    NodeKind::MetaPipe(o) | NodeKind::Sequential(o),
+                ) => {
+                    w.stages = o.stages.iter().filter(keeps).copied().collect();
+                    w.locals = o.locals.iter().filter(keeps).copied().collect();
+                    w.fold = if folds[ctrl.index()] { o.fold } else { None };
+                    w.par = match par_override {
+                        Some((c, share)) if c == ctrl => share,
+                        _ => o.par,
+                    };
+                }
+                (
+                    NodeKind::ParallelCtrl { stages, locals },
+                    NodeKind::ParallelCtrl {
+                        stages: os,
+                        locals: ol,
+                    },
+                ) => {
+                    *stages = os.iter().filter(keeps).copied().collect();
+                    *locals = ol.iter().filter(keeps).copied().collect();
+                }
+                _ => unreachable!("a working copy keeps every controller's kind"),
+            }
+        }
+    }
+
+    /// The netlist of the partition running units `keep`: `work`
+    /// rewritten into its derived design and re-costed through a
+    /// skeleton restricted from the design's own.
+    fn elaborate_share(
+        &self,
+        work: &mut Design,
+        keep: Range<usize>,
+        par_override: Option<(NodeId, u32)>,
+    ) -> Netlist {
+        self.derive(work, keep, par_override);
+        elaborate_with(work, self.target, &self.skel.restrict(work))
     }
 
     /// A partition's netlist: its derived design's elaboration `net` plus
-    /// the hardware of its channel endpoints, which is also returned.
-    fn with_endpoints(&self, mut net: Netlist, endpoint_bits: &[u32]) -> (Netlist, Resources) {
-        let mut endpoints = Resources::zero();
-        for &bits in endpoint_bits {
-            endpoints += endpoint_cost(self.target, self.link, bits);
-        }
+    /// the hardware of its channel endpoints.
+    fn with_endpoints(mut net: Netlist, endpoints: Resources) -> Netlist {
         net.raw += endpoints;
         net.breakdown.memories += endpoints;
-        (net, endpoints)
+        net
     }
 
     /// Derive and elaborate every contiguous leaf range once.
-    fn range_table(&self) -> RangeTable {
+    fn range_table(&self, work: &mut Design) -> RangeTable {
         let u = self.units.len();
         let nets: Vec<Vec<Netlist>> = (0..u)
             .map(|i| {
                 ((i + 1)..=u)
-                    .map(|j| elaborate(&self.derive(&(i..j).collect(), None), self.target))
+                    .map(|j| self.elaborate_share(work, i..j, None))
                     .collect()
             })
             .collect();
@@ -575,102 +717,93 @@ impl<'a> Ctx<'a> {
         RangeTable { nets, cost }
     }
 
-    /// Build the full plan for a leaf-range split: partitions in range
-    /// order (device = rank), channels wherever a memory's accessors
-    /// span partitions.
-    fn build_ranges(&self, k: u32, ranges: &[(usize, usize)], table: &RangeTable) -> Partitioning {
-        let part_of = |unit: usize| -> u32 {
-            ranges
-                .iter()
-                .position(|&(a, b)| unit >= a && unit < b)
-                .expect("ranges cover all units") as u32
-        };
-        // Accessor partitions per memory, in unit order.
-        let mut readers: BTreeMap<NodeId, BTreeSet<u32>> = BTreeMap::new();
-        let mut writers: BTreeMap<NodeId, BTreeSet<u32>> = BTreeMap::new();
-        let mut home: BTreeMap<NodeId, u32> = BTreeMap::new();
-        for i in 0..self.units.len() {
-            let p = part_of(i);
-            for &m in &self.unit_writes[i] {
-                writers.entry(m).or_default().insert(p);
-                home.entry(m).or_insert(p);
-            }
-            for &m in &self.unit_reads[i] {
-                readers.entry(m).or_default().insert(p);
-            }
+    /// Add a channel carrying `words` of `a` from `src` to `dst`, with
+    /// an endpoint on either device.
+    fn channel(&self, links: &mut Links, a: &MemAccess, src: u32, dst: u32, words: u64) {
+        links.channels.push(Channel {
+            src,
+            dst,
+            mem: a.mem,
+            words,
+            word_bits: a.word_bits,
+            transfers: a.transfers,
+            overlapped: a.overlapped,
+        });
+        for d in [src, dst] {
+            links.endpoints[d as usize] += endpoint_cost(self.target, self.link, a.word_bits);
         }
-        // Readers-only memories are homed at their first reader.
-        for i in 0..self.units.len() {
-            let p = part_of(i);
-            for &m in &self.unit_reads[i] {
-                home.entry(m).or_insert(p);
-            }
+    }
+
+    /// Score a leaf-range split (device = rank) without building it:
+    /// channels wherever a memory's accessors span partitions, and the
+    /// utilization of each range's table entry plus its endpoints.
+    fn plan_ranges(&self, bounds: Vec<(usize, usize)>, table: &RangeTable) -> RangePlan {
+        let mut part = vec![0u32; self.units.len()];
+        for (d, &(a, b)) in bounds.iter().enumerate() {
+            part[a..b].fill(d as u32);
         }
-        let mut channels = Vec::new();
-        let mut endpoint_bits: Vec<Vec<u32>> = vec![Vec::new(); ranges.len()];
-        let mems: BTreeSet<NodeId> = readers.keys().chain(writers.keys()).copied().collect();
-        for m in mems {
-            let (words, word_bits) = self.mem_shape(m);
-            if words == 0 {
-                continue;
+        let mut links = Links::new(bounds.len());
+        // Which partitions read and write the memory at hand.
+        let mut access = vec![(false, false); bounds.len()];
+        for a in &self.accesses {
+            access.fill((false, false));
+            for &(u, r, w) in &a.units {
+                let p = &mut access[part[u as usize] as usize];
+                p.0 |= r;
+                p.1 |= w;
             }
-            let (transfers, overlapped) = self.mem_timing(m);
-            let h = home[&m];
-            let empty = BTreeSet::new();
-            let rs = readers.get(&m).unwrap_or(&empty);
-            let ws = writers.get(&m).unwrap_or(&empty);
-            let accessors: BTreeSet<u32> = rs.iter().chain(ws.iter()).copied().collect();
-            for p in accessors {
+            // Homed at the first writer, or at the first reader of a
+            // memory that no unit writes.
+            let first = a.units.iter().find(|u| u.2).unwrap_or(&a.units[0]);
+            let h = part[first.0 as usize];
+            for (p, &(reads, writes)) in access.iter().enumerate() {
+                let p = p as u32;
                 if p == h {
                     continue;
                 }
-                if rs.contains(&p) {
-                    channels.push(Channel {
-                        src: h,
-                        dst: p,
-                        mem: m,
-                        words,
-                        word_bits,
-                        transfers,
-                        overlapped,
-                    });
-                    endpoint_bits[h as usize].push(word_bits);
-                    endpoint_bits[p as usize].push(word_bits);
+                if reads {
+                    self.channel(&mut links, a, h, p, a.words);
                 }
-                if ws.contains(&p) {
-                    channels.push(Channel {
-                        src: p,
-                        dst: h,
-                        mem: m,
-                        words,
-                        word_bits,
-                        transfers,
-                        overlapped,
-                    });
-                    endpoint_bits[p as usize].push(word_bits);
-                    endpoint_bits[h as usize].push(word_bits);
+                if writes {
+                    self.channel(&mut links, a, p, h, a.words);
                 }
             }
         }
-        let partitions = ranges
+        let peak = bounds
             .iter()
+            .zip(&links.endpoints)
+            .map(|(&(a, b), &e)| {
+                let mut raw = table.net(a, b).raw;
+                raw += e;
+                util_proxy(&raw, self.target)
+            })
+            .fold(0.0, f64::max);
+        RangePlan {
+            bounds,
+            links,
+            peak,
+        }
+    }
+
+    /// Build the partitions of the chosen leaf-range split.
+    fn build_ranges(&self, k: u32, plan: RangePlan, table: &RangeTable) -> Partitioning {
+        let partitions = plan
+            .bounds
+            .iter()
+            .zip(plan.links.endpoints)
             .enumerate()
-            .map(|(d, &(a, b))| {
-                let (net, endpoints) =
-                    self.with_endpoints(table.net(a, b).clone(), &endpoint_bits[d]);
-                Partition {
-                    device: d as u32,
-                    units: self.units[a..b].to_vec(),
-                    net,
-                    endpoints,
-                }
+            .map(|(d, (&(a, b), endpoints))| Partition {
+                device: d as u32,
+                units: self.units[a..b].to_vec(),
+                net: Self::with_endpoints(table.net(a, b).clone(), endpoints),
+                endpoints,
             })
             .collect();
         Partitioning {
             num_devices: k,
             cut: CutKind::LeafRanges,
             partitions,
-            channels,
+            channels: plan.links.channels,
         }
     }
 
@@ -679,86 +812,56 @@ impl<'a> Ctx<'a> {
     /// share; devices 1.. keep only the replica subtree. Memories read
     /// by the subtree but homed outside broadcast 0→i; memories written
     /// by the subtree gather each device's share i→0.
-    fn build_replicas(&self, k: u32, ctrl: NodeId, total: u32, devices: u32) -> Partitioning {
-        let (lo, hi) = self.subtree[&ctrl];
+    fn build_replicas(
+        &self,
+        work: &mut Design,
+        k: u32,
+        ctrl: NodeId,
+        total: u32,
+        devices: u32,
+    ) -> Partitioning {
+        let (lo, hi) = self.subtree[ctrl.index()];
         let share = |i: u32| -> u32 { total / devices + u32::from(i < total % devices) };
-        let mut sub_reads: BTreeSet<NodeId> = BTreeSet::new();
-        let mut sub_writes: BTreeSet<NodeId> = BTreeSet::new();
-        for i in lo..hi {
-            sub_reads.extend(self.unit_reads[i].iter().copied());
-            sub_writes.extend(self.unit_writes[i].iter().copied());
-        }
-        // Only memories declared *outside* the subtree cross the cut
-        // (subtree-local memories are private to each replica share).
-        let outside = |m: &NodeId| -> bool {
-            match self.scope.get(m) {
-                Some(&s) => !self.tree.is_ancestor(ctrl, s),
-                None => true,
+        let mut links = Links::new(devices as usize);
+        for a in &self.accesses {
+            let (mut reads, mut writes) = (false, false);
+            for &(u, r, w) in &a.units {
+                if (lo..hi).contains(&u) {
+                    reads |= r;
+                    writes |= w;
+                }
             }
-        };
-        let mut channels = Vec::new();
-        let mut endpoint_bits: Vec<Vec<u32>> = vec![Vec::new(); devices as usize];
-        let crossing: BTreeSet<NodeId> = sub_reads
-            .union(&sub_writes)
-            .copied()
-            .filter(outside)
-            .collect();
-        for m in crossing {
-            let (words, word_bits) = self.mem_shape(m);
-            if words == 0 {
+            // Only memories declared *outside* the subtree cross the cut
+            // (subtree-local memories are private to each replica share).
+            let outside = a.scope.map_or(true, |s| !self.is_ancestor(ctrl, s));
+            if !(reads || writes) || !outside {
                 continue;
             }
-            let (transfers, overlapped) = self.mem_timing(m);
             for d in 1..devices {
-                if sub_reads.contains(&m) {
-                    channels.push(Channel {
-                        src: 0,
-                        dst: d,
-                        mem: m,
-                        words,
-                        word_bits,
-                        transfers,
-                        overlapped,
-                    });
-                    endpoint_bits[0].push(word_bits);
-                    endpoint_bits[d as usize].push(word_bits);
+                if reads {
+                    self.channel(&mut links, a, 0, d, a.words);
                 }
-                if sub_writes.contains(&m) {
+                if writes {
                     // Each device produces its replica share of the
                     // memory's elements.
-                    let part_words = (words * u64::from(share(d))).div_ceil(u64::from(total));
-                    channels.push(Channel {
-                        src: d,
-                        dst: 0,
-                        mem: m,
-                        words: part_words,
-                        word_bits,
-                        transfers,
-                        overlapped,
-                    });
-                    endpoint_bits[d as usize].push(word_bits);
-                    endpoint_bits[0].push(word_bits);
+                    let part_words = (a.words * u64::from(share(d))).div_ceil(u64::from(total));
+                    self.channel(&mut links, a, d, 0, part_words);
                 }
             }
         }
         let partitions = (0..devices)
-            .map(|d| {
-                let keep: BTreeSet<usize> = if d == 0 {
-                    (0..self.units.len()).collect()
+            .zip(links.endpoints)
+            .map(|(d, endpoints)| {
+                let keep = if d == 0 {
+                    0..self.units.len()
                 } else {
-                    (lo..hi).collect()
+                    lo as usize..hi as usize
                 };
-                let derived = self.derive(&keep, Some((ctrl, share(d))));
-                let (net, endpoints) = self
-                    .with_endpoints(elaborate(&derived, self.target), &endpoint_bits[d as usize]);
+                let net = self.elaborate_share(work, keep.clone(), Some((ctrl, share(d))));
                 Partition {
                     device: d,
-                    units: if d == 0 {
-                        self.units.clone()
-                    } else {
-                        self.units[lo..hi].to_vec()
-                    },
-                    net,
+                    units: self.units[keep].to_vec(),
+                    net: Self::with_endpoints(net, endpoints),
                     endpoints,
                 }
             })
@@ -767,15 +870,31 @@ impl<'a> Ctx<'a> {
             num_devices: k,
             cut: CutKind::Replicas(ctrl),
             partitions,
-            channels,
+            channels: links.channels,
         }
     }
 }
 
+/// Elements / element bits of an on-chip memory.
+fn mem_shape(design: &Design, m: NodeId) -> (u64, u32) {
+    let node = design.node(m);
+    let words = match &node.kind {
+        NodeKind::Bram(b) => b.elements(),
+        NodeKind::Reg(_) => 1,
+        NodeKind::PriorityQueue(q) => q.depth,
+        _ => 0,
+    };
+    (words, node.ty.bits())
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use dhdl_core::{by, DType, DesignBuilder};
+    use crate::elaborate::elaborate;
+    use dhdl_core::analysis::traversal::CtrlTree;
+    use dhdl_core::{by, DType, DesignBuilder, ReduceOp};
 
     fn link() -> BoardLink {
         BoardLink::maia_interlink()
@@ -895,31 +1014,33 @@ mod tests {
         assert_eq!(partition(&d, &t, &l, 1).link_cycles(&l), 0.0);
     }
 
-    #[test]
-    fn replica_cut_splits_outer_par() {
-        let t = FpgaTarget::stratix_v();
-        // Compute-dominated: one outer controller replicated 8×, each
-        // replica multiplying a large F64 tile (DSP-heavy).
+    /// Compute-dominated: one outer controller replicated 16×, each
+    /// replica multiplying a large F64 tile (DSP-heavy).
+    fn replicated() -> Design {
         let tile = 2048u64;
         let mut b = DesignBuilder::new("rep");
         let x = b.off_chip("x", DType::F64, &[tile]);
-        let d = {
-            b.sequential(|b| {
-                let xt = b.bram("xT", DType::F64, &[tile]);
-                let z = b.index_const(0);
-                b.tile_load(x, xt, &[z], &[tile], 1);
-                b.meta_pipe(&[by(1024, 1)], 16, |b, _| {
-                    let yt = b.bram("yT", DType::F64, &[tile]);
-                    b.pipe(&[by(tile, 1)], 32, |b, it| {
-                        let v = b.load(xt, &[it[0]]);
-                        let w = b.mul(v, v);
-                        let u = b.mul(w, v);
-                        b.store(yt, &[it[0]], u);
-                    });
+        b.sequential(|b| {
+            let xt = b.bram("xT", DType::F64, &[tile]);
+            let z = b.index_const(0);
+            b.tile_load(x, xt, &[z], &[tile], 1);
+            b.meta_pipe(&[by(1024, 1)], 16, |b, _| {
+                let yt = b.bram("yT", DType::F64, &[tile]);
+                b.pipe(&[by(tile, 1)], 32, |b, it| {
+                    let v = b.load(xt, &[it[0]]);
+                    let w = b.mul(v, v);
+                    let u = b.mul(w, v);
+                    b.store(yt, &[it[0]], u);
                 });
             });
-            b.finish().unwrap()
-        };
+        });
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn replica_cut_splits_outer_par() {
+        let t = FpgaTarget::stratix_v();
+        let d = replicated();
         let whole = elaborate(&d, &t);
         assert!(
             util_proxy(&whole.raw, &t) > FIT_MARGIN,
@@ -933,5 +1054,183 @@ mod tests {
             .map(|q| util_proxy(&q.net.raw, &t))
             .fold(0.0, f64::max);
         assert!(peak < util_proxy(&whole.raw, &t));
+    }
+
+    /// A folding outer controller inside a `Parallel` container, with a
+    /// register reduced by one of its pipes: the fold, `Parallel` and
+    /// reduction paths of a derivation.
+    fn folded() -> Design {
+        let mut b = DesignBuilder::new("fold");
+        let x = b.off_chip("x", DType::F32, &[4096]);
+        let y = b.off_chip("y", DType::F32, &[64]);
+        b.sequential(|b| {
+            let acc = b.bram("acc", DType::F32, &[64]);
+            let r = b.reg("r", DType::F32, 0.0);
+            b.parallel(|b| {
+                b.outer_fold(true, &[by(4096, 64)], 2, acc, ReduceOp::Add, |b, iters| {
+                    let xt = b.bram("xT", DType::F32, &[64]);
+                    let pt = b.bram("pT", DType::F32, &[64]);
+                    b.tile_load(x, xt, &[iters[0]], &[64], 1);
+                    b.pipe(&[by(64, 1)], 4, |b, it| {
+                        let v = b.load(xt, &[it[0]]);
+                        let w = b.mul(v, v);
+                        b.store(pt, &[it[0]], w);
+                    });
+                    pt
+                });
+                b.pipe_reduce(&[by(64, 1)], 2, r, ReduceOp::Add, |b, it| {
+                    let v = b.load(acc, &[it[0]]);
+                    b.add(v, v)
+                });
+            });
+            let z = b.index_const(0);
+            b.tile_store(y, acc, &[z], &[64], 1);
+        });
+        b.finish().unwrap()
+    }
+
+    /// The clone-and-retain derivation the in-place one replaced, kept
+    /// as its oracle: every derived design is a fresh clone of the
+    /// original, pruned through sets.
+    fn derive_by_clone(
+        design: &Design,
+        keep: &BTreeSet<usize>,
+        par_override: Option<(NodeId, u32)>,
+    ) -> Design {
+        let units = leaf_units(design);
+        let index: std::collections::BTreeMap<NodeId, usize> =
+            units.iter().enumerate().map(|(i, &u)| (u, i)).collect();
+        let tree = CtrlTree::of(design);
+        let subtree_end = |ctrl: NodeId| {
+            let mut end = 0;
+            design.walk_controllers(ctrl, &mut |_, id| {
+                if let Some(&i) = index.get(&id) {
+                    end = end.max(i + 1);
+                }
+            });
+            end
+        };
+        let mut unit_mems = vec![BTreeSet::new(); units.len()];
+        let mut fold_owned = vec![BTreeSet::new(); units.len()];
+        for ctrl in design.controllers() {
+            match design.kind(ctrl) {
+                NodeKind::Pipe(p) => {
+                    let i = index[&ctrl];
+                    for &n in &p.body {
+                        if let NodeKind::Load { mem, .. } | NodeKind::Store { mem, .. } =
+                            design.kind(n)
+                        {
+                            unit_mems[i].insert(*mem);
+                        }
+                    }
+                    if let Some(r) = &p.reduce {
+                        unit_mems[i].insert(r.reg);
+                    }
+                }
+                NodeKind::TileLoad(t) | NodeKind::TileStore(t) => {
+                    unit_mems[index[&ctrl]].insert(t.local);
+                }
+                NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
+                    if let Some(f) = &s.fold {
+                        let end = subtree_end(ctrl);
+                        if end > 0 {
+                            unit_mems[end - 1].insert(f.src);
+                            unit_mems[end - 1].insert(f.accum);
+                            fold_owned[end - 1].insert(ctrl);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut kept_mems = BTreeSet::new();
+        let mut kept_ctrls = BTreeSet::new();
+        let mut kept_folds = BTreeSet::new();
+        for &i in keep {
+            kept_mems.extend(unit_mems[i].iter().copied());
+            kept_folds.extend(fold_owned[i].iter().copied());
+            let mut n = units[i];
+            kept_ctrls.insert(n);
+            while let Some(p) = tree.parent(n) {
+                kept_ctrls.insert(p);
+                n = p;
+            }
+        }
+        let mut derived = design.clone();
+        for ctrl in design.controllers() {
+            match &mut derived.node_mut(ctrl).kind {
+                NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
+                    s.stages.retain(|st| kept_ctrls.contains(st));
+                    s.locals.retain(|m| kept_mems.contains(m));
+                    if s.fold.is_some() && !kept_folds.contains(&ctrl) {
+                        s.fold = None;
+                    }
+                    if let Some((c, share)) = par_override {
+                        if c == ctrl {
+                            s.par = share;
+                        }
+                    }
+                }
+                NodeKind::ParallelCtrl { stages, locals } => {
+                    stages.retain(|st| kept_ctrls.contains(st));
+                    locals.retain(|m| kept_mems.contains(m));
+                }
+                _ => {}
+            }
+        }
+        derived
+    }
+
+    /// Every leaf range and replica share of the test designs, derived
+    /// in place on one working copy, equals the clone-and-retain
+    /// derivation, and the restricted skeleton re-costs it to exactly
+    /// the netlist `elaborate` gives it.
+    #[test]
+    fn in_place_derivation_matches_clone_and_retain() {
+        let t = FpgaTarget::stratix_v();
+        let l = link();
+        let designs = [
+            staged(64, 1),
+            staged(4096, 8),
+            staged(262_144, 2),
+            replicated(),
+            folded(),
+        ];
+        let (mut ranges, mut shares) = (0, 0);
+        for d in &designs {
+            let skel = Skeleton::of(d);
+            let ctx = Ctx::new(d, &t, &l, &skel, leaf_units(d));
+            let mut work = d.clone();
+            let mut check = |keep: Range<usize>, par: Option<(NodeId, u32)>| {
+                let net = ctx.elaborate_share(&mut work, keep.clone(), par);
+                let expected = derive_by_clone(d, &keep.collect(), par);
+                assert_eq!(work, expected, "{}: derived design", d.name());
+                assert_eq!(net, elaborate(&expected, &t), "{}: netlist", d.name());
+            };
+            // Shares first, the smallest last, so that the ranges after
+            // them start from a copy whose `par` is not the original's.
+            let u = ctx.units.len();
+            for &ctrl in &ctx.outer {
+                let (NodeKind::MetaPipe(s) | NodeKind::Sequential(s)) = d.kind(ctrl) else {
+                    continue;
+                };
+                let (lo, hi) = ctx.subtree[ctrl.index()];
+                for share in (1..=s.par).rev() {
+                    check(0..u, Some((ctrl, share)));
+                    check(lo as usize..hi as usize, Some((ctrl, share)));
+                    shares += 2;
+                }
+            }
+            for i in 0..u {
+                for j in i + 1..=u {
+                    check(i..j, None);
+                    ranges += 1;
+                }
+            }
+        }
+        assert!(
+            ranges > 20 && shares > 20,
+            "{ranges} ranges, {shares} shares"
+        );
     }
 }
