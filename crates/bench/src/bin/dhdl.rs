@@ -27,7 +27,7 @@ use dhdl_apps::Benchmark;
 use dhdl_bench::report::Table;
 use dhdl_bench::{knob, simulate_bench, Harness, Report};
 use dhdl_core::ParamValues;
-use dhdl_synth::{maxj, synthesize};
+use dhdl_synth::maxj;
 use dhdl_target::Platform;
 
 fn main() -> ExitCode {
@@ -214,10 +214,10 @@ fn list() {
 fn estimate(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest, &[]);
     let harness = harness(0xC11);
-    let design = bench.build(&p).expect("design builds");
-    let est = harness.estimator.estimate(&design);
+    let eval = harness.evaluate(bench, &p);
+    let est = eval.est;
     let platform = &harness.platform;
-    println!("design:  {} with {p}", design.name());
+    println!("design:  {} with {p}", bench.name());
     println!(
         "cycles:  {:.0} ({:.4} ms at {} MHz)",
         est.cycles,
@@ -237,15 +237,11 @@ fn estimate(bench: &dyn Benchmark, rest: &[String]) {
         est.watts(platform),
         est.joules(platform) * 1e3
     );
-    let truth = synthesize(&design, &platform.fpga);
     println!(
         "synth:   {:.0} ALMs, {:.0} DSPs, {:.0} BRAMs (place-and-route model)",
-        truth.alms, truth.dsps, truth.brams
+        eval.synth.alms, eval.synth.dsps, eval.synth.brams
     );
-    println!(
-        "class:   {}",
-        dhdl_estimate::classify(&design, &est, platform)
-    );
+    println!("class:   {}", eval.class);
 }
 
 /// Print the benchmark in the C-like HLS form (Figure 2 of the paper).

@@ -2,7 +2,6 @@
 //! one benchmark's Pareto points (signed errors, raw components).
 
 use dhdl_apps::Benchmark;
-use dhdl_synth::elaborate;
 
 use crate::experiments::Harness;
 use crate::report::Table;
@@ -25,19 +24,15 @@ pub fn diagnose(harness: &Harness, bench: &dyn Benchmark, n: usize) -> Table {
         "cycles est/sim",
     ]);
     for e in harness.evaluate_front(bench, &dse, n) {
-        let design = bench.build(&e.params).expect("builds");
-        let net = elaborate(&design, &harness.platform.fpga);
+        let est = &e.est.area;
         t.row(&[
             e.params.to_string(),
-            format!("{:.0}/{:.0}", e.est_area.alms, e.synth.alms),
-            format!("{:.0}/{:.0}", net.raw.lut_packable, net.raw.lut_unpackable),
-            format!("{:.0}/{:.0}", e.est_area.regs, e.synth.regs),
-            format!(
-                "{:.0}/{:.0} ({:.0})",
-                e.est_area.brams, e.synth.brams, net.raw.brams
-            ),
-            format!("{:.0}/{:.0}", e.est_area.dsps, e.synth.dsps),
-            format!("{:.0}/{:.0}", e.est_cycles, e.sim_cycles),
+            format!("{:.0}/{:.0}", est.alms, e.synth.alms),
+            format!("{:.0}/{:.0}", e.raw.lut_packable, e.raw.lut_unpackable),
+            format!("{:.0}/{:.0}", est.regs, e.synth.regs),
+            format!("{:.0}/{:.0} ({:.0})", est.brams, e.synth.brams, e.raw.brams),
+            format!("{:.0}/{:.0}", est.dsps, e.synth.dsps),
+            format!("{:.0}/{:.0}", e.est.cycles, e.sim_cycles),
         ]);
     }
     t

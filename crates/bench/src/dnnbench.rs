@@ -200,11 +200,10 @@ pub fn dnnbench(harness: &Harness, benches: &[Box<dyn Benchmark>], pareto_n: usi
         }
         let fpga_s = sim.seconds(&harness.platform);
         let cpu_s = xeon.seconds(&bench.work());
-        let est = dhdl_estimate::Estimate {
-            cycles: best.cycles,
-            area: best.area,
-        };
-        let bottleneck = dhdl_estimate::classify(&design, &est, &harness.platform).to_string();
+        let bottleneck = harness
+            .evaluate(bench.as_ref(), &best.params)
+            .class
+            .to_string();
 
         // Table-III-style model errors on a spread of Pareto picks.
         let errors = mean_errors(&harness.evaluate_front(bench.as_ref(), &dse, pareto_n));

@@ -7,7 +7,6 @@
 
 use dhdl_apps::Benchmark;
 use dhdl_cpu::XeonModel;
-use dhdl_synth::synthesize;
 
 use crate::experiments::Harness;
 use crate::report::{times, Report, Table};
@@ -58,11 +57,10 @@ pub fn energy(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Energy {
         eprintln!("exploring {} ...", bench.name());
         let dse = harness.explore(bench.as_ref());
         let best = dse.best().expect("valid design");
-        let design = bench.build(&best.params).expect("builds");
-        let cycles = crate::bench_cycles(&harness.platform, bench.as_ref(), &design);
-        let fpga_s = harness.platform.cycles_to_seconds(cycles);
+        let truth = harness.evaluate(bench.as_ref(), &best.params);
+        let fpga_s = harness.platform.cycles_to_seconds(truth.sim_cycles);
         // Power priced over the *synthesized* (ground truth) area.
-        let area = synthesize(&design, &harness.platform.fpga).area_report();
+        let area = truth.synth.area_report();
         let fpga_w = harness
             .platform
             .power

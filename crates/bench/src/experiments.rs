@@ -1,14 +1,14 @@
 //! Shared experiment machinery: a calibrated harness plus end-to-end
 //! evaluation of individual design points (estimate + synthesize +
-//! time).
+//! time + classify).
 
 use dhdl_apps::Benchmark;
 use dhdl_core::{Design, ParamValues};
 use dhdl_dse::{explore, spread, DseOptions, DseResult};
-use dhdl_estimate::Estimator;
+use dhdl_estimate::{classify, Bottleneck, Estimate, Estimator};
 use dhdl_sim::{compile, simulate, simulate_compiled, timing, Bindings, CompileError, SimResult};
 use dhdl_synth::{design_hash, place_and_route, SynthReport};
-use dhdl_target::{AreaReport, Platform};
+use dhdl_target::{Platform, Resources};
 
 use crate::knobs::knob;
 
@@ -38,13 +38,9 @@ pub fn simulate_bench(platform: &Platform, bench: &dyn Benchmark, design: &Desig
 /// Ground-truth cycles of a built design: the compile-time timing walk,
 /// which every run of the design reports bit for bit, so no tape runs. A
 /// design the compiler rejects runs on the interpreter instead (counted
-/// as `sim.timing.fallback`). Needs a platform, not a calibrated
-/// [`Harness`], as [`simulate_bench`].
-///
-/// # Panics
-///
-/// Panics if simulation fails (benchmark designs are validated).
-pub fn bench_cycles(platform: &Platform, bench: &dyn Benchmark, design: &Design) -> f64 {
+/// as `sim.timing.fallback`); its failure panics. Read through
+/// [`Harness::evaluate`].
+fn bench_cycles(platform: &Platform, bench: &dyn Benchmark, design: &Design) -> f64 {
     match timing(design, platform) {
         Ok(Some(t)) => return t.cycles,
         // Every run fails: the interpreter says why.
@@ -170,8 +166,10 @@ impl Harness {
         (interp, verdict)
     }
 
-    /// Fully evaluate one design point: estimate, synthesize (area ground
-    /// truth) and time ([`bench_cycles`], runtime ground truth).
+    /// Fully evaluate one single-chip design point, the one path from an
+    /// assignment to anything beyond its sweep estimate: one build and
+    /// one elaboration give the estimate, the place-and-route report,
+    /// the raw resources and the class; the walk gives the cycles.
     ///
     /// # Panics
     ///
@@ -180,19 +178,17 @@ impl Harness {
         let design = bench
             .build(params)
             .unwrap_or_else(|e| panic!("{}: build failed: {e}", bench.name()));
-        // One elaboration feeds the estimate and the synthesis model;
         // `place_and_route` on the shared netlist is exactly
         // `dhdl_synth::synthesize` without its internal re-elaboration.
         let net = self.estimator.elaborate(&design);
         let est = self.estimator.estimate_net(&design, &net);
-        let synth = place_and_route(design_hash(&design), &net, &self.platform.fpga);
-        let sim_cycles = bench_cycles(&self.platform, bench, &design);
         PointEval {
             params: params.clone(),
-            est_area: est.area,
-            est_cycles: est.cycles,
-            synth,
-            sim_cycles,
+            est,
+            raw: net.raw,
+            synth: place_and_route(design_hash(&design), &net, &self.platform.fpga),
+            sim_cycles: bench_cycles(&self.platform, bench, &design),
+            class: classify(&design, &est, &self.platform),
         }
     }
 
@@ -216,14 +212,16 @@ impl Harness {
 pub struct PointEval {
     /// The parameter assignment.
     pub params: ParamValues,
-    /// Estimated area.
-    pub est_area: AreaReport,
-    /// Estimated cycles.
-    pub est_cycles: f64,
+    /// The estimate: area and cycles.
+    pub est: Estimate,
+    /// Raw resources of the elaborated netlist, before place and route.
+    pub raw: Resources,
     /// Synthesis-model ground-truth report.
     pub synth: SynthReport,
-    /// Ground-truth cycles ([`bench_cycles`]).
+    /// Ground-truth cycles: the timing walk's, which a run reports.
     pub sim_cycles: f64,
+    /// What limits the point, classified from its estimate.
+    pub class: Bottleneck,
 }
 
 impl PointEval {
@@ -244,10 +242,10 @@ impl PointEval {
     pub fn errors(&self) -> [f64; 4] {
         let truth = self.synth.area_report();
         [
-            Self::rel_err(self.est_area.alms, truth.alms),
-            Self::rel_err(self.est_area.dsps, truth.dsps),
-            Self::rel_err(self.est_area.brams, truth.brams),
-            Self::rel_err(self.est_cycles, self.sim_cycles),
+            Self::rel_err(self.est.area.alms, truth.alms),
+            Self::rel_err(self.est.area.dsps, truth.dsps),
+            Self::rel_err(self.est.area.brams, truth.brams),
+            Self::rel_err(self.est.cycles, self.sim_cycles),
         ]
     }
 }
@@ -284,17 +282,39 @@ mod tests {
         assert!((PointEval::rel_err(110.0, 100.0) - 0.1).abs() < 1e-12);
     }
 
+    /// What `evaluate` reads from one netlist equals what each per-call
+    /// path gives on its own, at the nine applications' default points.
     #[test]
     fn shared_netlist_evaluation_matches_synthesize() {
         let h = harness();
-        let bench = DotProduct::new(1_920);
-        let design = bench.build(&bench.default_params()).unwrap();
-        // The shared-netlist evaluation path equals the per-call one.
-        let net = h.estimator.elaborate(&design);
-        assert_eq!(
-            place_and_route(design_hash(&design), &net, &h.platform.fpga),
-            dhdl_synth::synthesize(&design, &h.platform.fpga)
-        );
+        let benches: Vec<_> = dhdl_apps::all()
+            .into_iter()
+            .chain(dhdl_apps::dnn())
+            .collect();
+        assert_eq!(benches.len(), 9);
+        std::thread::scope(|s| {
+            for bench in &benches {
+                s.spawn(move || {
+                    let name = bench.name();
+                    let params = bench.default_params();
+                    let design = bench.build(&params).unwrap();
+                    let e = h.evaluate(bench.as_ref(), &params);
+                    let est = h.estimator.estimate(&design);
+                    assert_eq!(e.est, est, "{name}");
+                    assert_eq!(
+                        e.synth,
+                        dhdl_synth::synthesize(&design, &h.platform.fpga),
+                        "{name}"
+                    );
+                    // The interpreter: a run that does not read the walk.
+                    let run = simulate(&design, &h.platform, &bindings(bench.as_ref())).unwrap();
+                    assert_eq!(e.sim_cycles.to_bits(), run.cycles.to_bits(), "{name}");
+                    assert_eq!(e.class, classify(&design, &est, &h.platform), "{name}");
+                    let raw = dhdl_synth::elaborate(&design, &h.platform.fpga).raw;
+                    assert_eq!(e.raw, raw, "{name}");
+                });
+            }
+        });
     }
 
     #[test]

@@ -141,13 +141,11 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
         // Classify the fastest valid design with the bottleneck analyzer.
         let class = dse
             .best()
-            .and_then(|best| bench.build(&best.params).ok().map(|d| (d, best)))
-            .map(|(design, best)| {
-                let est = dhdl_estimate::Estimate {
-                    cycles: best.cycles,
-                    area: best.area,
-                };
-                dhdl_estimate::classify(&design, &est, &harness.platform).to_string()
+            .map(|best| {
+                harness
+                    .evaluate(bench.as_ref(), &best.params)
+                    .class
+                    .to_string()
             })
             .unwrap_or_default();
         summary.row(&[

@@ -72,9 +72,8 @@ pub fn fig6(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Fig6 {
             "  best: {} (est {:.0} cycles); timing...",
             best.params, best.cycles
         );
-        let design = bench.build(&best.params).expect("best point builds");
-        let cycles = crate::bench_cycles(&harness.platform, bench.as_ref(), &design);
-        let fpga_s = harness.platform.cycles_to_seconds(cycles);
+        let truth = harness.evaluate(bench.as_ref(), &best.params);
+        let fpga_s = harness.platform.cycles_to_seconds(truth.sim_cycles);
         let cpu_s = xeon.seconds(&bench.work());
         let host = dhdl_cpu::run(bench.as_ref(), 3);
         let speedup = cpu_s / fpga_s;

@@ -50,7 +50,7 @@ pub use ablations::ablations;
 pub use diagnose::diagnose;
 pub use dnnbench::dnnbench;
 pub use energy::energy;
-pub use experiments::{bench_cycles, mean_errors, simulate_bench, Harness, PointEval};
+pub use experiments::{mean_errors, simulate_bench, Harness, PointEval};
 pub use fig5::fig5;
 pub use fig6::fig6;
 pub use knobs::knob;

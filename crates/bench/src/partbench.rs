@@ -17,7 +17,7 @@
 //! *and* at K=4 — the acceptance gate for the partitioning axis.
 
 use dhdl_apps::{Benchmark, Conv2d, Gda, Gemm};
-use dhdl_core::ParamSpace;
+use dhdl_core::{ParamSpace, ParamValues, NUM_FPGAS};
 use dhdl_dse::{
     device_count, explore, model_fingerprint, CachedModel, DseOptions, DseResult, EstimateCache,
 };
@@ -132,18 +132,26 @@ fn sweep(
     if k > 1 {
         space.devices(u64::from(k));
     }
+    // No deadline: `analyze` reads the K=1 sweep as the one-device view
+    // of every later sweep's points.
     let opts = DseOptions {
-        max_points: harness.dse.max_points,
-        seed: harness.dse.seed,
-        threads: harness.dse.threads,
-        ..DseOptions::default()
+        deadline: None,
+        ..harness.dse.clone()
     };
     explore(|p| sc.bench.build(p), &space, model, &opts)
 }
 
-fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult) -> Run {
+/// Reduce the sweep at `k` devices; `single` is the same space's K=1
+/// sweep.
+fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult, single: &DseResult) -> Run {
     let target = &harness.platform.fpga;
     let on_front: std::collections::BTreeSet<usize> = dse.pareto.iter().copied().collect();
+    // Metaprograms ignore `num_fpgas`, so the K=1 sweep already holds the
+    // one-device view of every assignment.
+    let one_device = |q: &ParamValues| q.clone().with(NUM_FPGAS, 1).to_string();
+    let single: std::collections::HashMap<String, _> = (single.points.iter())
+        .map(|q| (one_device(&q.params), q))
+        .collect();
     let mut rescued = Vec::new();
     let (mut rescued_total, mut worst_link) = (0usize, 0.0f64);
     for (i, p) in dse.points.iter().enumerate() {
@@ -151,21 +159,19 @@ fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult) -> Run {
         if !p.valid || devices <= 1 {
             continue;
         }
-        // Re-ask the estimator about the same construction parameters
-        // on one device; metaprograms ignore `num_fpgas`, so this is
-        // exactly the K=1 view of the point.
-        let design = match sc.bench.build(&p.params) {
-            Ok(d) => d,
-            Err(_) => continue,
+        // An assignment the K=1 sweep discarded has no one-device view.
+        let Some(whole) = single.get(&one_device(&p.params)) else {
+            continue;
         };
-        let whole = harness.estimator.estimate(&design);
-        if whole.area.fits(target) {
+        if whole.valid {
             continue; // feasible on one chip; partitioning was optional
         }
         rescued_total += 1;
         if !on_front.contains(&i) {
             continue;
         }
+        // Only a rescued front point is built again, for its devices.
+        let design = sc.bench.build(&p.params).expect("a swept point builds");
         let pe = harness.estimator.estimate_partitioned(&design, devices);
         worst_link = worst_link.max(pe.link_cycles / pe.estimate.cycles);
         rescued.push(Json::obj([
@@ -263,15 +269,12 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
             sc.bench.dataset_desc()
         ));
         let mut runs = Vec::new();
-        let mut space_size = 0u128;
+        let mut single: Option<DseResult> = None;
         for k in std::iter::once(1).chain(DEVICE_SWEEPS) {
             eprintln!("sweeping {} at K={k}...", sc.bench.name());
             let dse = sweep(harness, &model, sc, k);
             eprintln!("  {} ({})", dse.stats.summary(), dse.counts.summary());
-            if k == 1 {
-                space_size = dse.space_size;
-            }
-            let run = analyze(harness, sc, k, &dse);
+            let run = analyze(harness, sc, k, &dse, single.as_ref().unwrap_or(&dse));
             r.say(format_args!(
                 "  K={k}: {} evaluated, {} valid / {} infeasible, {} on front, \
                  rescued {} on front / {} anywhere",
@@ -283,11 +286,13 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
                 run.rescued_total
             ));
             runs.push(run);
+            // The K=1 sweep stays for the device sweeps that follow it.
+            single.get_or_insert(dse);
         }
         records.push((
             sc.bench.name().to_string(),
             sc.bench.dataset_desc(),
-            space_size,
+            single.map_or(0, |s| s.space_size),
             runs,
         ));
     }

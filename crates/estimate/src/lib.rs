@@ -192,11 +192,6 @@ impl Estimator {
         Estimate { cycles, area }
     }
 
-    /// Estimate only the area of a design instance.
-    pub fn area(&self, design: &Design) -> AreaReport {
-        self.area.estimate(design, &self.platform.fpga)
-    }
-
     /// Estimate only the cycle count of a design instance.
     pub fn cycles(&self, design: &Design) -> f64 {
         estimate_cycles(design, &self.platform)
@@ -259,7 +254,8 @@ mod tests {
         // One elaboration feeding both paths gives exactly the per-call
         // results (the cache relies on this equivalence being bit-exact).
         assert_eq!(est.estimate_net(&d, &net), est.estimate(&d));
-        assert_eq!(est.estimate(&d).area, est.area(&d));
+        let area = est.area_model().estimate(&d, &platform.fpga);
+        assert_eq!(est.estimate(&d).area, area);
         assert_eq!(est.estimate(&d).cycles, est.cycles(&d));
         assert_eq!(est.raw_area_net(&net), est.raw_area(&d));
     }

@@ -20,7 +20,7 @@
 //! sequential scopes (overlapped scopes hide all but one).
 
 use dhdl_core::Design;
-use dhdl_synth::partition::partition;
+use dhdl_synth::partition::partition_elaborated;
 use dhdl_target::{AreaReport, MultiFpgaPlatform};
 
 use crate::{Estimate, Estimator};
@@ -62,9 +62,12 @@ impl Estimator {
     /// partitioning pass is not consulted at all). For `k > 1` the
     /// placer cuts the design (or leaves it whole if it already fits one
     /// device), each partition's netlist runs through the calibrated
-    /// area model, and channel traffic adds exposed link cycles.
+    /// area model, and channel traffic adds exposed link cycles. Either
+    /// way the whole design is elaborated once: the placer reads the
+    /// netlist the estimate was computed from.
     pub fn estimate_partitioned(&self, design: &Design, k: u32) -> PartitionedEstimate {
-        let base = self.estimate(design);
+        let net = self.elaborate(design);
+        let base = self.estimate_net(design, &net);
         let whole = || PartitionedEstimate {
             estimate: base,
             per_device: vec![base.area],
@@ -76,7 +79,9 @@ impl Estimator {
         }
         let _span = dhdl_obs::span_arg("estimate_partitioned", "k", u64::from(k));
         let multi = MultiFpgaPlatform::from_platform(self.platform(), k);
-        let parts = partition(design, multi.device(), &multi.link, k);
+        // `multi.device()` is this estimator's device, so `net` is the
+        // whole design's netlist on it.
+        let parts = partition_elaborated(design, net, multi.device(), &multi.link, k);
         if parts.is_single() {
             // The placer kept the design whole: identical to the
             // single-chip estimate on one of the K devices.
@@ -104,6 +109,7 @@ impl Estimator {
 mod tests {
     use super::*;
     use dhdl_core::{by, DType, DesignBuilder};
+    use dhdl_synth::partition::partition;
     use dhdl_target::Platform;
 
     fn estimator() -> Estimator {
@@ -195,6 +201,58 @@ mod tests {
             assert!(a.alms <= p.estimate.area.alms);
             assert!(a.dsps <= p.estimate.area.dsps);
             assert!(a.brams <= p.estimate.area.brams);
+        }
+    }
+
+    /// The public path that `estimate_partitioned` shortens by sharing
+    /// one netlist: [`Estimator::estimate`], then [`partition`], which
+    /// elaborates the design again, then each partition through the
+    /// area model.
+    fn reference(est: &Estimator, d: &Design, k: u32) -> PartitionedEstimate {
+        let base = est.estimate(d);
+        let multi = MultiFpgaPlatform::from_platform(est.platform(), k);
+        assert_eq!(multi.device(), &est.platform().fpga);
+        let parts = partition(d, multi.device(), &multi.link, k);
+        let per_device: Vec<AreaReport> = parts
+            .partitions
+            .iter()
+            .map(|p| est.area_model().estimate_net(&p.net))
+            .collect();
+        let link_cycles = parts.link_cycles(&multi.link);
+        PartitionedEstimate {
+            estimate: Estimate {
+                cycles: base.cycles + link_cycles,
+                area: area_max(&per_device),
+            },
+            per_device,
+            link_cycles,
+            devices_used: parts.devices_used(),
+        }
+    }
+
+    /// Every field of a partitioned estimate, as bits.
+    fn bits(p: &PartitionedEstimate) -> Vec<u64> {
+        let area = |a: &AreaReport| [a.alms, a.regs, a.dsps, a.brams].map(f64::to_bits);
+        let mut out = vec![p.estimate.cycles.to_bits(), p.link_cycles.to_bits()];
+        out.extend(area(&p.estimate.area));
+        out.extend(p.per_device.iter().flat_map(area));
+        out.push(u64::from(p.devices_used));
+        out
+    }
+
+    #[test]
+    fn partitioned_estimate_equals_the_public_path() {
+        let est = estimator();
+        // Kept whole, cut in two, cut in four.
+        for tile in [4096, 204_800, 262_144] {
+            let d = staged(tile);
+            for k in [2, 4] {
+                assert_eq!(
+                    bits(&est.estimate_partitioned(&d, k)),
+                    bits(&reference(&est, &d, k)),
+                    "staged({tile}) at k = {k}"
+                );
+            }
         }
     }
 

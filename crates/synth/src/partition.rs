@@ -59,7 +59,7 @@ use dhdl_core::{Design, NodeId, NodeKind};
 use dhdl_target::{BoardLink, FpgaTarget, Resources};
 
 use crate::chardata::{bram_cost, counter_cost};
-use crate::elaborate::{cached_skeleton, elaborate_with, Netlist, Skeleton};
+use crate::elaborate::{cached_skeleton, elaborate, elaborate_with, Netlist, Skeleton};
 
 /// Placer fit margin on the raw-utilization proxy: a partition is
 /// considered to fit its device when its largest utilization axis is
@@ -167,23 +167,33 @@ impl Partitioning {
 ///
 /// `k == 1` (or a design with at most one leaf controller) returns a
 /// single partition whose netlist is bit-identical to
-/// [`elaborate`](crate::elaborate::elaborate)`(design, target)`. Designs
-/// whose utilization proxy already fits one device (under
-/// [`FIT_MARGIN`]) also stay single: the placer never pays link traffic
-/// it does not need.
+/// [`elaborate`]`(design, target)`. Designs whose utilization proxy
+/// already fits one device (under [`FIT_MARGIN`]) also stay single: the
+/// placer never pays link traffic it does not need.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`.
 pub fn partition(design: &Design, target: &FpgaTarget, link: &BoardLink, k: u32) -> Partitioning {
+    partition_elaborated(design, elaborate(design, target), target, link, k)
+}
+
+/// [`partition`] given `whole`, the design's [`elaborate`]`(design,
+/// target)` netlist: a caller that has it does not elaborate twice.
+pub fn partition_elaborated(
+    design: &Design,
+    whole: Netlist,
+    target: &FpgaTarget,
+    link: &BoardLink,
+    k: u32,
+) -> Partitioning {
     assert!(k > 0, "partitioning needs at least one device");
-    let skel = cached_skeleton(design);
-    let whole = elaborate_with(design, target, &skel);
     let units = leaf_units(design);
     if k == 1 || units.len() <= 1 || util_proxy(&whole.raw, target) <= FIT_MARGIN {
         return Partitioning::single(k, units, whole);
     }
     let _span = dhdl_obs::span_arg("partition", "k", u64::from(k));
+    let skel = cached_skeleton(design);
     let ctx = Ctx::new(design, target, link, &skel, units);
     // Every derived design is this one copy, rewritten in place.
     let mut work = design.clone();

@@ -4,7 +4,11 @@
 //! full-scale run.
 
 use dhdl_apps::Benchmark;
-use dhdl_bench::{energy, fig5, fig6, table2, table3, table4, Harness};
+use dhdl_bench::partbench::Scenario;
+use dhdl_bench::{
+    diagnose, energy, fig5, fig6, partbench, table2, table3, table4, Harness, Report,
+};
+use dhdl_core::{Fnv64, ParamSpace};
 use std::sync::OnceLock;
 
 /// One calibration for the whole test binary.
@@ -132,4 +136,84 @@ fn report_tables_render_for_experiment_shapes() {
     // Title, blank, header, rule, one row per benchmark, blank, `wrote`.
     assert_eq!(t.text.lines().count(), 6 + suite.len());
     assert!(t.files[0].1.lines().count() == 1 + suite.len());
+}
+
+/// FNV-64 of a report: its text without the lines that name a path or a
+/// wall-clock rate, then each file's name and contents.
+fn report_digest(report: &Report) -> u64 {
+    let mut h = Fnv64::new();
+    let stable = report
+        .text
+        .lines()
+        .filter(|l| !l.contains("wrote ") && !l.starts_with("sweep throughput"));
+    for line in stable {
+        h.write(line.as_bytes());
+        h.write(b"\n");
+    }
+    for (name, contents) in &report.files {
+        h.write_u64(name.len() as u64);
+        h.write(name.as_bytes());
+        h.write_u64(contents.len() as u64);
+        h.write(contents.as_bytes());
+    }
+    h.finish()
+}
+
+/// A GDA tiling space whose largest row tiles overflow one device and
+/// which a two-device cut rescues onto the front: `partbench` at test
+/// size.
+fn gda_scenario() -> Scenario {
+    let gda = dhdl_apps::Gda::new(16_384, 256);
+    let mut space = ParamSpace::new();
+    space.tile("rts", gda.r, 256, 512);
+    space.par("p1", gda.d, 2);
+    space.par("p2", gda.d, 2);
+    space.par("m2p", 4, 1);
+    space.par("m1p", 4, 2);
+    space.toggle("m1");
+    space.toggle("m2");
+    Scenario {
+        bench: Box::new(gda),
+        space,
+    }
+}
+
+/// The outputs of every experiment that evaluates a point's ground
+/// truth, at miniature scale, pinned byte for byte by one FNV-64 digest
+/// each: the report text and every `results/` file of `table3`, `fig5`,
+/// `energy` and `partbench`, the table of `diagnose`, and `fig6.csv`
+/// (`fig6`'s text holds a measured host-CPU time). A change to how a
+/// point is built, estimated, synthesized, timed or classified that
+/// moves a digit fails here.
+#[test]
+fn experiment_outputs_are_pinned() {
+    let h = mini_harness();
+    let t3 = table3(h, &only(dhdl_apps::DotProduct::new(9_600)), 3).report;
+    let f5 = fig5(h, &only(dhdl_apps::BlackScholes::new(4_608)));
+    let f6 = fig6(h, &only(dhdl_apps::TpchQ6::new(9_600))).report;
+    let f6_csv = Report {
+        files: f6.files,
+        ..Report::default()
+    };
+    let en = energy(h, &only(dhdl_apps::BlackScholes::new(4_608))).report;
+    let dg = diagnose(h, &dhdl_apps::Gda::new(192, 32), 3);
+    let dg = Report {
+        text: dg.render() + &dg.to_csv(),
+        ..Report::default()
+    };
+    let pb = partbench(h, &[gda_scenario()]);
+    // The gate: a cut rescues a front point at K=2 and at K=4.
+    assert!(pb.failures.is_empty(), "{:?}\n{}", pb.failures, pb.text);
+    let pinned = [
+        ("table3", &t3, 0xd702_fb2c_497b_dde4),
+        ("fig5", &f5, 0x7eef_25a9_d3c9_ab88),
+        ("fig6", &f6_csv, 0xa345_8c66_b9a9_a162),
+        ("energy", &en, 0xe31b_6a70_6a6a_a5fc),
+        ("diagnose", &dg, 0x15c2_9566_7b63_d618),
+        ("partbench", &pb, 0xa3c1_8bbe_ea90_6223),
+    ];
+    for (name, report, want) in pinned {
+        let got = report_digest(report);
+        assert_eq!(got, want, "{name} digest {got:#018x}");
+    }
 }
