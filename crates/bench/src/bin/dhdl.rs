@@ -18,8 +18,8 @@
 //! ```
 //!
 //! Every sweep evaluates the whole legal space of its benchmark; the
-//! `DHDL_*` knobs of README.md's environment table set threads, the
-//! sweep deadline and Table IV's point count.
+//! `DHDL_*` knobs of README.md's environment table set threads and
+//! Table IV's point count.
 
 use std::process::ExitCode;
 
@@ -128,10 +128,14 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
         "energy" => energy(&harness(energy::SEED), &suite).report,
         "diagnose" => {
             let name = rest.first().map_or("gda", String::as_str);
-            let n = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
             let Some(bench) = dhdl_apps::by_name(name) else {
-                eprintln!("unknown benchmark `{name}`");
-                return Some(ExitCode::FAILURE);
+                eprintln!("unknown benchmark `{name}` (try `dhdl list`)");
+                return Some(ExitCode::from(2));
+            };
+            // A count that does not parse exits 2, as in `params_from`.
+            let Ok(n) = rest.get(1).map_or(Ok(5), |s| s.parse()) else {
+                eprintln!("bad argument `{}`: expected <pareto_points>", rest[1]);
+                return Some(ExitCode::from(2));
             };
             let h = harness(table3::SEED);
             let mut r = Report::default();
@@ -373,14 +377,14 @@ fn bottleneck(bench: &dyn Benchmark, rest: &[String]) {
     let p = params_from(bench, rest, &[]);
     let platform = Platform::maia();
     let design = bench.build(&p).expect("design builds");
+    let net = elaborate(&design, &platform.fpga);
     println!("estimated cycle attribution (heaviest controllers first):");
-    for e in estimate_breakdown(&design, &platform).iter().take(10) {
+    for e in estimate_breakdown(&design, &platform, &net).iter().take(10) {
         println!(
             "{:>14.0} cycles  {:>10.0} runs x {:>10.0}  {}",
             e.total, e.executions, e.per_execution, e.label
         );
     }
-    let net = elaborate(&design, &platform.fpga);
     println!("\nraw area by template class (LUTs / regs / DSPs / BRAMs):");
     let rows = [
         ("primitives", net.breakdown.primitives),

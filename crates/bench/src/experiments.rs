@@ -60,8 +60,8 @@ pub struct Harness {
     pub platform: Platform,
     /// The calibrated estimator.
     pub estimator: Estimator,
-    /// DSE options (seed, memory cap, threads, deadline); the budget is
-    /// the whole legal space.
+    /// DSE options (seed, memory cap, threads); the budget is the whole
+    /// legal space and there is no deadline.
     pub dse: DseOptions,
     /// Maximum devices for the multi-FPGA DSE axis (`dhdl explore
     /// --num-fpgas`; default 1 = single-chip). When `> 1`,
@@ -83,17 +83,15 @@ impl Harness {
     /// Every sweep evaluates the whole legal space: the largest one,
     /// gemm's at `--num-fpgas 4`, holds 87 480 points and takes well
     /// under a second, so a sample would buy nothing but an approximate
-    /// front. Sweep resilience knobs come from the environment so every
-    /// experiment driver shares them: `DHDL_DSE_THREADS` (worker
-    /// threads, 0 = all cores) and `DHDL_DSE_DEADLINE_MS` (wall-clock
-    /// budget per sweep). Sweeps estimate every point with the bare
-    /// estimator: a sweep visits each point once, so a
-    /// [`dhdl_dse::CachedModel`] would only add hashing.
+    /// front, and a deadline nothing but a partial one. The worker
+    /// count comes from the environment so every experiment driver
+    /// shares it: `DHDL_DSE_THREADS` (0 = all cores). Sweeps estimate
+    /// every point with the bare estimator: a sweep visits each point
+    /// once, so the estimate cache would only add hashing.
     pub fn new(seed: u64) -> Self {
         let platform = Platform::maia();
         let estimator = Estimator::calibrate(&platform, seed);
         let threads = knob("DHDL_DSE_THREADS").unwrap_or(0);
-        let deadline = knob("DHDL_DSE_DEADLINE_MS").map(std::time::Duration::from_millis);
         Harness {
             platform,
             estimator,
@@ -101,7 +99,6 @@ impl Harness {
                 max_points: usize::MAX,
                 seed,
                 threads,
-                deadline,
                 ..DseOptions::default()
             },
             num_fpgas: 1,
@@ -109,9 +106,7 @@ impl Harness {
     }
 
     /// Explore a benchmark's design space with the harness settings on
-    /// the resilient parallel runner. A sweep the `DHDL_DSE_DEADLINE_MS`
-    /// deadline cut short is re-run, not resumed: the re-run without the
-    /// deadline returns the complete result, bit for bit.
+    /// the resilient parallel runner.
     pub fn explore(&self, bench: &dyn Benchmark) -> DseResult {
         let _span = dhdl_obs::span_labeled("sweep", bench.name());
         let build = |p: &ParamValues| bench.build(p);
@@ -122,17 +117,7 @@ impl Harness {
             // estimation time, not construction time).
             space.devices(u64::from(self.num_fpgas));
         }
-        let result = explore(build, &space, &self.estimator, &self.dse);
-        if result.truncated {
-            eprintln!(
-                "warning: {} sweep truncated by deadline ({} of {} points skipped); \
-                 re-run without the deadline for the complete result",
-                bench.name(),
-                result.counts.skipped,
-                result.counts.skipped + result.counts.evaluated + result.discarded
-            );
-        }
-        result
+        explore(build, &space, &self.estimator, &self.dse)
     }
 
     /// Simulate `design` under both backends and bit-compare. Returns
@@ -169,7 +154,8 @@ impl Harness {
     /// Fully evaluate one single-chip design point, the one path from an
     /// assignment to anything beyond its sweep estimate: one build and
     /// one elaboration give the estimate, the place-and-route report,
-    /// the raw resources and the class; the walk gives the cycles.
+    /// the raw resources and the class (from the netlist's latency
+    /// plan, as the estimate's cycles); the walk gives the cycles.
     ///
     /// # Panics
     ///
@@ -188,7 +174,7 @@ impl Harness {
             raw: net.raw,
             synth: place_and_route(design_hash(&design), &net, &self.platform.fpga),
             sim_cycles: bench_cycles(&self.platform, bench, &design),
-            class: classify(&design, &est, &self.platform),
+            class: classify(&design, &est, &self.platform, &net),
         }
     }
 
@@ -309,9 +295,13 @@ mod tests {
                     // The interpreter: a run that does not read the walk.
                     let run = simulate(&design, &h.platform, &bindings(bench.as_ref())).unwrap();
                     assert_eq!(e.sim_cycles.to_bits(), run.cycles.to_bits(), "{name}");
-                    assert_eq!(e.class, classify(&design, &est, &h.platform), "{name}");
-                    let raw = dhdl_synth::elaborate(&design, &h.platform.fpga).raw;
-                    assert_eq!(e.raw, raw, "{name}");
+                    let net = dhdl_synth::elaborate(&design, &h.platform.fpga);
+                    assert_eq!(
+                        e.class,
+                        classify(&design, &est, &h.platform, &net),
+                        "{name}"
+                    );
+                    assert_eq!(e.raw, net.raw, "{name}");
                 });
             }
         });

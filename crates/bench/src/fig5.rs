@@ -106,15 +106,7 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
             path.display()
         ));
         // Per-category outcome accounting: point loss is never silent.
-        r.say(format_args!(
-            "sweep outcomes: {}{}",
-            dse.counts.summary(),
-            if dse.truncated {
-                " [TRUNCATED by deadline]"
-            } else {
-                ""
-            }
-        ));
+        r.say(format_args!("sweep outcomes: {}", dse.counts.summary()));
         r.say(format_args!("sweep throughput: {}", dse.stats.summary()));
         r.say(ascii_scatter(&scatter, 64, 16));
 
@@ -155,11 +147,8 @@ pub fn fig5(harness: &Harness, benches: &[Box<dyn Benchmark>]) -> Report {
             valid.to_string(),
             dse.pareto.len().to_string(),
             format!(
-                "{}/{}/{}{}",
-                dse.counts.build_failed,
-                dse.counts.mem_cap,
-                dse.counts.eval_failed,
-                if dse.truncated { " (truncated)" } else { "" }
+                "{}/{}/{}",
+                dse.counts.build_failed, dse.counts.mem_cap, dse.counts.eval_failed
             ),
             format!("{} ({})", names[bi], pct(*bu)),
             class,

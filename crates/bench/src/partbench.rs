@@ -3,11 +3,11 @@
 //! The paper's DSE is bounded by what fits on one Stratix V: tilings
 //! whose working set exceeds single-chip BRAM are estimated, marked
 //! infeasible, and never reach a Pareto front. This experiment sweeps
-//! over-capacity gemm/gda/conv2d tilings three times — single-chip
-//! (K=1), and with the multi-FPGA partitioning axis opened to K=2 and
-//! K=4 — and reports the *rescued* configurations: points on a K>1
-//! Pareto front whose construction parameters do not fit one device
-//! unpartitioned.
+//! over-capacity gemm/gda/conv2d tilings once each, with the multi-FPGA
+//! partitioning axis opened to K=4, and reads three fronts from that
+//! sweep — single-chip (K=1), K=2 and K=4 — reporting the *rescued*
+//! configurations: points on a K>1 Pareto front whose construction
+//! parameters do not fit one device unpartitioned.
 //!
 //! Everything written to `results/BENCH_part.json` is a deterministic
 //! modeled quantity: the file is byte-identical across reruns and
@@ -18,10 +18,7 @@
 
 use dhdl_apps::{Benchmark, Conv2d, Gda, Gemm};
 use dhdl_core::{ParamSpace, ParamValues, NUM_FPGAS};
-use dhdl_dse::{
-    device_count, explore, model_fingerprint, CachedModel, DseOptions, DseResult, EstimateCache,
-};
-use dhdl_estimate::Estimator;
+use dhdl_dse::{device_count, explore, pareto_front, DesignPoint, DseResult, LegalSpace};
 use dhdl_obs::json::Json;
 
 use crate::experiments::Harness;
@@ -30,7 +27,8 @@ use crate::report::{fixed, pct, Report, Table};
 /// Harness seed — shared with the part-smoke CI job.
 pub const SEED: u64 = 0x9A27;
 
-/// Device counts swept after the single-chip baseline.
+/// Device counts read after the single-chip baseline; the last is the
+/// width of the one sweep.
 const DEVICE_SWEEPS: [u32; 2] = [2, 4];
 
 /// One benchmark instance sized past single-chip capacity, with a
@@ -98,7 +96,7 @@ pub fn scenarios() -> Vec<Scenario> {
     out
 }
 
-/// One sweep's outcome reduced to deterministic values.
+/// One device count's view of a sweep reduced to deterministic values.
 struct Run {
     k: u32,
     evaluated: usize,
@@ -122,52 +120,65 @@ struct Run {
     rescued_total: usize,
 }
 
-fn sweep(
-    harness: &Harness,
-    model: &CachedModel<'_, Estimator>,
-    sc: &Scenario,
-    k: u32,
-) -> DseResult {
-    let mut space = sc.space.clone();
-    if k > 1 {
-        space.devices(u64::from(k));
-    }
-    // No deadline: `analyze` reads the K=1 sweep as the one-device view
-    // of every later sweep's points.
-    let opts = DseOptions {
-        deadline: None,
-        ..harness.dse.clone()
-    };
-    explore(|p| sc.bench.build(p), &space, model, &opts)
+/// A wider sweep's points with `num_fpgas <= k`, in sweep order, and
+/// their front: what a sweep of the space opened to `k` devices gives,
+/// point for point (a point's estimate reads only its assignment). At
+/// K=1 they drop `num_fpgas`, which a single-chip space never carries.
+struct View {
+    points: Vec<DesignPoint>,
+    front: Vec<usize>,
 }
 
-/// Reduce the sweep at `k` devices; `single` is the same space's K=1
-/// sweep.
-fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult, single: &DseResult) -> Run {
+impl View {
+    fn of(sweep: &DseResult, k: u32) -> View {
+        let points: Vec<DesignPoint> = (sweep.points.iter())
+            .filter(|p| device_count(&p.params) <= k)
+            .map(|p| DesignPoint {
+                params: if k > 1 {
+                    p.params.clone()
+                } else {
+                    (p.params.iter())
+                        .filter(|&(name, _)| name != NUM_FPGAS)
+                        .fold(ParamValues::new(), |q, (name, v)| q.with(name, v))
+                },
+                ..p.clone()
+            })
+            .collect();
+        let objectives: Vec<_> = (points.iter())
+            .map(|p| (p.cycles, p.area.alms, p.valid))
+            .collect();
+        View {
+            front: pareto_front(&objectives),
+            points,
+        }
+    }
+}
+
+/// Reduce the view of a sweep at `k` devices.
+fn analyze(harness: &Harness, sc: &Scenario, k: u32, view: &View) -> Run {
     let target = &harness.platform.fpga;
-    let on_front: std::collections::BTreeSet<usize> = dse.pareto.iter().copied().collect();
-    // Metaprograms ignore `num_fpgas`, so the K=1 sweep already holds the
-    // one-device view of every assignment.
-    let one_device = |q: &ParamValues| q.clone().with(NUM_FPGAS, 1).to_string();
-    let single: std::collections::HashMap<String, _> = (single.points.iter())
-        .map(|q| (one_device(&q.params), q))
-        .collect();
     let mut rescued = Vec::new();
     let (mut rescued_total, mut worst_link) = (0usize, 0.0f64);
-    for (i, p) in dse.points.iter().enumerate() {
+    // The latest one-device point: an assignment's precedes its K > 1
+    // points in sweep order, unless the sweep discarded it.
+    let mut single: Option<&DesignPoint> = None;
+    for (i, p) in view.points.iter().enumerate() {
         let devices = device_count(&p.params);
+        if devices == 1 {
+            single = Some(p);
+        }
         if !p.valid || devices <= 1 {
             continue;
         }
-        // An assignment the K=1 sweep discarded has no one-device view.
-        let Some(whole) = single.get(&one_device(&p.params)) else {
+        let one_device = p.params.clone().with(NUM_FPGAS, 1);
+        let Some(whole) = single.filter(|w| w.params == one_device) else {
             continue;
         };
         if whole.valid {
             continue; // feasible on one chip; partitioning was optional
         }
         rescued_total += 1;
-        if !on_front.contains(&i) {
+        if !view.front.contains(&i) {
             continue;
         }
         // Only a rescued front point is built again, for its devices.
@@ -191,14 +202,19 @@ fn analyze(harness: &Harness, sc: &Scenario, k: u32, dse: &DseResult, single: &D
             ),
         ]));
     }
-    let valid = dse.points.iter().filter(|p| p.valid).count();
-    let best = dse.best().map(|p| (p.params.to_string(), p.cycles));
+    let valid = view.points.iter().filter(|p| p.valid).count();
+    // The front's first point is the fastest valid one, the smaller area
+    // and then the earlier point breaking ties: `DseResult::best`'s pick.
+    let best = (view.front.first()).map(|&i| {
+        let p = &view.points[i];
+        (p.params.to_string(), p.cycles)
+    });
     Run {
         k,
-        evaluated: dse.counts.evaluated,
+        evaluated: view.points.len(),
         valid,
-        infeasible: dse.points.len() - valid,
-        front_size: dse.pareto.len(),
+        infeasible: view.points.len() - valid,
+        front_size: view.front.len(),
         best,
         rescued,
         worst_link,
@@ -251,15 +267,11 @@ fn json(seed: u64, records: &[(String, String, u128, Vec<Run>)]) -> Json {
     ])
 }
 
-/// Sweep each of `scenarios` at K=1, 2 and 4 with the harness's budget
-/// (the whole space), seed and thread count.
+/// Sweep each of `scenarios` once, opened to K=4, with the harness's
+/// budget (the whole space), seed and thread count, and read its K=1,
+/// K=2 and K=4 fronts from that sweep.
 pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
-    // The K=2 space holds the K=1 designs again, and the K=4 space the
-    // K=2 ones: one cache lets each sweep estimate only its new device
-    // count, which on gda's whole space is a third of the partitioning
-    // work. A hit is bit-identical to a recompute.
-    let cache = EstimateCache::new(model_fingerprint(&harness.estimator));
-    let model = CachedModel::new(&harness.estimator, &cache);
+    let widest = DEVICE_SWEEPS[DEVICE_SWEEPS.len() - 1];
     let mut r = Report::default();
     let mut records = Vec::new();
     for sc in scenarios {
@@ -268,13 +280,15 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
             sc.bench.name(),
             sc.bench.dataset_desc()
         ));
+        eprintln!("sweeping {} up to K={widest}...", sc.bench.name());
+        let mut space = sc.space.clone();
+        space.devices(u64::from(widest));
+        let (est, opts) = (&harness.estimator, &harness.dse);
+        let dse = explore(|p| sc.bench.build(p), &space, est, opts);
+        eprintln!("  {} ({})", dse.stats.summary(), dse.counts.summary());
         let mut runs = Vec::new();
-        let mut single: Option<DseResult> = None;
         for k in std::iter::once(1).chain(DEVICE_SWEEPS) {
-            eprintln!("sweeping {} at K={k}...", sc.bench.name());
-            let dse = sweep(harness, &model, sc, k);
-            eprintln!("  {} ({})", dse.stats.summary(), dse.counts.summary());
-            let run = analyze(harness, sc, k, &dse, single.as_ref().unwrap_or(&dse));
+            let run = analyze(harness, sc, k, &View::of(&dse, k));
             r.say(format_args!(
                 "  K={k}: {} evaluated, {} valid / {} infeasible, {} on front, \
                  rescued {} on front / {} anywhere",
@@ -286,13 +300,11 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
                 run.rescued_total
             ));
             runs.push(run);
-            // The K=1 sweep stays for the device sweeps that follow it.
-            single.get_or_insert(dse);
         }
         records.push((
             sc.bench.name().to_string(),
             sc.bench.dataset_desc(),
-            single.map_or(0, |s| s.space_size),
+            LegalSpace::new(&sc.space).size(),
             runs,
         ));
     }
@@ -347,4 +359,70 @@ pub fn partbench(harness: &Harness, scenarios: &[Scenario]) -> Report {
         }
     }
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dhdl_dse::DseOptions;
+    use dhdl_estimate::{Estimate, Estimator};
+    use dhdl_target::Platform;
+
+    /// Every device count's view of one sweep opened to K=4 is the sweep
+    /// of that count's own space: the same points in the same order, bit
+    /// for bit, the same front and the same best point.
+    #[test]
+    fn views_of_the_widest_sweep_are_the_narrower_sweeps() {
+        let estimator = Estimator::calibrate_with(&Platform::maia(), 30, 5).0;
+        let gda = Gda::new(16_384, 256);
+        let mut base = ParamSpace::new();
+        base.tile("rts", gda.r, 256, 512);
+        base.par("p1", gda.d, 2);
+        base.par("p2", gda.d, 1);
+        base.par("m2p", 4, 1);
+        base.par("m1p", 4, 1);
+        base.toggle("m1");
+        base.toggle("m2");
+        let build = |p: &ParamValues| gda.build(p);
+        let space = |k: u32| {
+            let mut s = base.clone();
+            if k > 1 {
+                s.devices(u64::from(k));
+            }
+            s
+        };
+        let bits = |p: &DesignPoint| {
+            Estimate {
+                cycles: p.cycles,
+                area: p.area,
+            }
+            .to_bits()
+        };
+        for threads in [1, 2] {
+            let opts = DseOptions {
+                max_points: usize::MAX,
+                threads,
+                ..DseOptions::default()
+            };
+            let sweep = explore(build, &space(4), &estimator, &opts);
+            assert!(sweep
+                .points
+                .iter()
+                .any(|p| p.valid && device_count(&p.params) > 1));
+            for k in [1, 2, 4] {
+                let own = explore(build, &space(k), &estimator, &opts);
+                let view = View::of(&sweep, k);
+                assert_eq!(view.points.len(), own.counts.evaluated, "K={k}");
+                assert_eq!(view.points.len(), own.points.len(), "K={k}");
+                for (v, o) in view.points.iter().zip(&own.points) {
+                    assert_eq!(v.params, o.params, "K={k}");
+                    assert_eq!(v.valid, o.valid, "K={k} {}", o.params);
+                    assert_eq!(bits(v), bits(o), "K={k} {}", o.params);
+                }
+                assert_eq!(view.front, own.pareto, "K={k}");
+                let best = view.front.first().map(|&i| &view.points[i]);
+                assert_eq!(best, own.best(), "K={k}");
+            }
+        }
+    }
 }

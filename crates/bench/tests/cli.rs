@@ -43,3 +43,40 @@ fn explore_takes_its_one_integer_flag_and_refuses_anything_else() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("evaluated 1120,"), "{stdout}");
 }
+
+#[test]
+fn diagnose_refuses_an_unknown_benchmark_and_a_malformed_point_count() {
+    for (args, named) in [
+        (&["diagnose", "nosuch"][..], "`nosuch`"),
+        (&["diagnose", "gda", "notanumber"], "`notanumber`"),
+    ] {
+        let out = dhdl(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: diagnosed anyway");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+/// `dhdl bottleneck`'s cycle and area tables for the nine applications'
+/// default points, pinned by one FNV-64 digest of each name and stdout
+/// (computed before the breakdown walked the netlist's latency plan).
+#[test]
+fn bottleneck_tables_are_pinned() {
+    let benches: Vec<_> = dhdl_apps::all()
+        .into_iter()
+        .chain(dhdl_apps::dnn())
+        .collect();
+    assert_eq!(benches.len(), 9);
+    let mut h = dhdl_core::Fnv64::new();
+    for bench in &benches {
+        let out = dhdl(&["bottleneck", bench.name()]);
+        assert!(out.status.success(), "{}", bench.name());
+        for part in [bench.name().as_bytes(), &out.stdout] {
+            h.write_u64(part.len() as u64);
+            h.write(part);
+        }
+    }
+    let got = h.finish();
+    assert_eq!(got, 0x169a_c882_52ce_0a7b, "bottleneck digest {got:#018x}");
+}

@@ -119,7 +119,10 @@ fn estimates_are_finite_and_monotone_in_par() {
             wa.alms,
             na.alms
         );
-        let (nc, wc) = (h.estimator.cycles(&narrow), h.estimator.cycles(&wide));
+        let (nc, wc) = (
+            h.estimator.estimate(&narrow).cycles,
+            h.estimator.estimate(&wide).cycles,
+        );
         assert!(
             wc <= nc * 1.05 + 16.0,
             "{}: par={wide_par} modeled {wc:.0} cycles, slower than {nc:.0}",

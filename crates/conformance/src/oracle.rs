@@ -441,7 +441,7 @@ impl Conformance {
         nets.extend(via_sibling.as_ref().map(|n| ("a sibling's skeleton", n)));
         for (via, net) in nets {
             let planned = estimate_cycles_net(design, &self.platform, net);
-            if net.latency.is_none() || planned.to_bits() != reference.to_bits() {
+            if planned.to_bits() != reference.to_bits() {
                 v.push(Violation {
                     invariant: "latency-plan",
                     detail: format!(
@@ -450,8 +450,7 @@ impl Conformance {
                 });
             }
         }
-        let plan = derived.net.latency.as_deref();
-        let contended = plan.is_some_and(|p| !p.competitors.is_empty());
+        let contended = !derived.net.latency.competitors.is_empty();
         self.planned.fetch_add(1, Ordering::Relaxed);
         self.contended
             .fetch_add(u64::from(contended), Ordering::Relaxed);
@@ -483,7 +482,7 @@ impl Conformance {
             });
         }
         let fast = derived.cycles;
-        let slow = self.estimator.cycles(serial);
+        let slow = estimate_cycles(serial, &self.platform);
         if fast > slow * 1.05 + 16.0 {
             v.push(Violation {
                 invariant: "par-monotonic",

@@ -2,9 +2,9 @@
 //! ask again.
 //!
 //! A process re-estimates the same structural design whenever repeated
-//! requests to `dhdl-serve` or repeated or nested sweeps revisit a
-//! parameter assignment. [`EstimateCache`]
-//! short-circuits those evaluations with two levels:
+//! requests to `dhdl-serve` revisit a parameter assignment, and a
+//! library caller that sweeps one space again does the same.
+//! [`EstimateCache`] short-circuits those evaluations with two levels:
 //!
 //! 1. **Structural level** — a sharded, lock-striped concurrent map from
 //!    the canonical [`dhdl_core::structural_hash`] of a design to its
@@ -280,7 +280,7 @@ impl EstimateCache {
 ///
 /// A tag nothing reads back: a cache is only ever consulted by the
 /// process that filled it, through the model it was created for. It
-/// stays because `benchmark/` and `partbench` construct caches with it.
+/// stays because dhdl-serve, the oracle and `benchmark/` build caches with it.
 pub fn model_fingerprint(estimator: &Estimator) -> u64 {
     let mut h = Fnv64::new();
     // The Debug renderings cover every weight of the area model and

@@ -4,10 +4,11 @@
 //! bandwidth (dotproduct, tpchq6), ALMs (blackscholes, kmeans), BRAM
 //! (outerprod, gemm) or compute depth (gda). This module performs that
 //! classification automatically from a design's estimates: the resource
-//! closest to capacity if the design is near-full, otherwise whether the
-//! estimated runtime is dominated by transfer or compute controllers.
+//! closest to capacity if the design is near-full, otherwise whether its
+//! netlist's latency plan attributes runtime to transfers or compute.
 
 use dhdl_core::{Design, NodeKind};
+use dhdl_synth::Netlist;
 use dhdl_target::Platform;
 
 use crate::latency::estimate_breakdown;
@@ -44,10 +45,11 @@ impl std::fmt::Display for Bottleneck {
 /// Utilization threshold above which a resource is considered binding.
 const RESOURCE_BOUND: f64 = 0.75;
 
-/// Classify what limits a design point, given its estimate.
-pub fn classify(design: &Design, estimate: &Estimate, platform: &Platform) -> Bottleneck {
+/// Classify what limits a design point, given its estimate and the
+/// netlist it was made from, whose runtime [`estimate_breakdown`] splits.
+pub fn classify(design: &Design, est: &Estimate, platform: &Platform, net: &Netlist) -> Bottleneck {
     // Resource-bound if any resource is close to capacity.
-    let (alm, dsp, bram) = estimate.area.utilization(&platform.fpga);
+    let (alm, dsp, bram) = est.area.utilization(&platform.fpga);
     let resources = [
         (alm, Bottleneck::Alms),
         (dsp, Bottleneck::Dsps),
@@ -64,7 +66,7 @@ pub fn classify(design: &Design, estimate: &Estimate, platform: &Platform) -> Bo
     // compute-controller time among leaf controllers.
     let mut transfer = 0.0;
     let mut compute = 0.0;
-    for e in estimate_breakdown(design, platform) {
+    for e in estimate_breakdown(design, platform, net) {
         match design.kind(e.ctrl) {
             NodeKind::TileLoad(_) | NodeKind::TileStore(_) => transfer += e.total,
             NodeKind::Pipe(_) => compute += e.total,
@@ -137,7 +139,8 @@ mod tests {
         let est = estimator();
         let d = streaming();
         let e = est.estimate(&d);
-        assert_eq!(classify(&d, &e, est.platform()), Bottleneck::Memory);
+        let net = est.elaborate(&d);
+        assert_eq!(classify(&d, &e, est.platform(), &net), Bottleneck::Memory);
     }
 
     #[test]
@@ -145,7 +148,8 @@ mod tests {
         let est = estimator();
         let d = computational();
         let e = est.estimate(&d);
-        assert_eq!(classify(&d, &e, est.platform()), Bottleneck::Compute);
+        let net = est.elaborate(&d);
+        assert_eq!(classify(&d, &e, est.platform(), &net), Bottleneck::Compute);
     }
 
     #[test]
@@ -154,7 +158,8 @@ mod tests {
         let d = streaming();
         let mut e = est.estimate(&d);
         e.area.brams = est.platform().fpga.brams as f64 * 0.9;
-        assert_eq!(classify(&d, &e, est.platform()), Bottleneck::Brams);
+        let net = est.elaborate(&d);
+        assert_eq!(classify(&d, &e, est.platform(), &net), Bottleneck::Brams);
         assert_eq!(Bottleneck::Brams.to_string(), "BRAM-bound");
     }
 }

@@ -145,7 +145,7 @@ mod tests {
                 avg_width: 2.0,
             },
             pipe_depths: Vec::new(),
-            latency: None,
+            latency: Default::default(),
         }
     }
 

@@ -11,16 +11,17 @@
 //! Two walks compute it. [`estimate_cycles`] is the reference: it needs
 //! nothing but the design, and derives the controller list, the parent
 //! and replication maps, every pipe schedule and every pair of competing
-//! transfers on each call. [`estimate_cycles_net`] is the DSE hot path:
-//! it runs the same recurrence over the [`LatencyPlan`] that elaboration
-//! left on the [`Netlist`] — controllers and competitor lists fixed per
-//! design *shape*, pipe depths already scheduled — with replication
-//! passed down the recursion and each transfer's channel occupancy
-//! computed once, and allocates nothing. The property it leans on,
-//! **planned walk ≡ reference walk, bitwise** (a plan built from one
-//! parameterization serving every other of the same shape included), is
-//! the `latency-plan` conformance oracle; both walks share the
-//! per-controller arithmetic below and add in the same order.
+//! transfers on each call; only the `latency-plan` oracle and tests run
+//! it. [`estimate_cycles_net`] (the DSE hot path, allocating nothing)
+//! and [`estimate_breakdown`] run the same recurrence over the latency
+//! plan elaboration left on the [`Netlist`] — controllers and competitor
+//! lists fixed per design *shape*, pipe depths already scheduled — with
+//! replication passed down the recursion and each transfer's channel
+//! occupancy computed once. That oracle holds **planned walk ≡
+//! reference walk, bitwise** (a plan built from one parameterization
+//! serving every other of the same shape included); both walks share
+//! the private per-controller arithmetic below, which is why the
+//! reference lives here, and add in the same order.
 
 use std::collections::BTreeMap;
 
@@ -45,24 +46,20 @@ pub fn estimate_cycles(design: &Design, platform: &Platform) -> f64 {
 
 /// [`estimate_cycles`] over the latency plan and the pipe critical-path
 /// depths recorded on an already-elaborated [`Netlist`] of the same
-/// design. Bit-identical to `estimate_cycles` (see the module docs); a
-/// hand-assembled netlist without a plan gets the reference walk.
+/// design. Bit-identical to `estimate_cycles` (see the module docs).
 pub fn estimate_cycles_net(design: &Design, platform: &Platform, net: &Netlist) -> f64 {
-    let Some(plan) = net.latency.as_deref() else {
-        return estimate_cycles(design, platform);
-    };
     let walk = Planned {
         design,
         platform,
         net,
-        plan,
+        plan: &net.latency,
     };
     let mut inline = [0.0; INLINE_TRANSFERS];
     let mut spill = Vec::new();
-    let occupancy = match inline.get_mut(..plan.transfers) {
+    let occupancy = match inline.get_mut(..walk.plan.transfers) {
         Some(fits) => fits,
         None => {
-            spill.resize(plan.transfers, 0.0);
+            spill.resize(walk.plan.transfers, 0.0);
             &mut spill[..]
         }
     };
@@ -240,32 +237,46 @@ pub struct LatencyEntry {
 
 /// Per-controller estimated cycle breakdown, heaviest first — the
 /// analytic counterpart of the simulator's execution profile, used for
-/// bottleneck attribution without running anything.
-pub fn estimate_breakdown(design: &Design, platform: &Platform) -> Vec<LatencyEntry> {
-    let ctx = Ctx::new(design, platform);
-    let mut entries = Vec::new();
+/// bottleneck attribution without running anything. It walks `net`'s
+/// latency plan as [`estimate_cycles_net`] does: the top controller's
+/// entry holds that walk's cycles, bit for bit.
+pub fn estimate_breakdown(
+    design: &Design,
+    platform: &Platform,
+    net: &Netlist,
+) -> Vec<LatencyEntry> {
+    let plan = &*net.latency;
+    let walk = Planned {
+        design,
+        platform,
+        net,
+        plan,
+    };
+    let mut occupancy = vec![0.0; plan.transfers];
+    walk.occupancy(0, 1.0, &mut occupancy);
     // Executions of each controller: product of ancestor effective trip
-    // counts (total iterations / par).
-    fn walk(ctx: &Ctx, design: &Design, ctrl: NodeId, execs: f64, entries: &mut Vec<LatencyEntry>) {
-        let per = ctx.cycles(ctrl);
+    // counts (total iterations / par), pushed down in pre-order.
+    let mut execs = vec![1.0; plan.ctrls.len()];
+    let mut entries = Vec::with_capacity(execs.len());
+    for (i, c) in plan.ctrls.iter().enumerate() {
+        let per = walk.cycles(i, &occupancy);
         entries.push(LatencyEntry {
-            ctrl,
-            label: format!("{} {}", design.kind(ctrl).template_name(), ctrl),
+            ctrl: c.id,
+            label: format!("{} {}", design.kind(c.id).template_name(), c.id),
             per_execution: per,
-            executions: execs,
-            total: per * execs,
+            executions: execs[i],
+            total: per * execs[i],
         });
-        let child_execs = match design.kind(ctrl) {
+        let child_execs = match design.kind(c.id) {
             NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
-                execs * (s.ctr.total_iters() as f64 / f64::from(s.par.max(1))).ceil()
+                execs[i] * (s.ctr.total_iters() as f64 / f64::from(s.par.max(1))).ceil()
             }
-            _ => execs,
+            _ => execs[i],
         };
-        for &st in design.stages(ctrl) {
-            walk(ctx, design, st, child_execs, entries);
+        for child in plan.children(i) {
+            execs[child] = child_execs;
         }
     }
-    walk(&ctx, design, design.top(), 1.0, &mut entries);
     entries.sort_by(|a, b| b.total.total_cmp(&a.total));
     entries
 }
@@ -374,6 +385,7 @@ impl<'a> Ctx<'a> {
 mod tests {
     use super::*;
     use dhdl_core::{by, DType, DesignBuilder, ReduceOp};
+    use dhdl_synth::elaborate;
 
     fn platform() -> Platform {
         Platform::maia()
@@ -428,45 +440,20 @@ mod tests {
         assert!(big < small, "{big} vs {small}");
     }
 
-    #[test]
-    fn reduce_pipe_counts_tree_latency() {
-        let p = platform();
-        let build = |par: u32| {
-            let mut b = DesignBuilder::new("red");
-            b.sequential(|b| {
-                let acc = b.reg("acc", DType::F32, 0.0);
-                let m = b.bram("m", DType::F32, &[64]);
-                b.pipe_reduce(&[by(64, 1)], par, acc, ReduceOp::Add, |b, it| {
-                    b.load(m, &[it[0]])
-                });
+    fn reduction(par: u32) -> Design {
+        let mut b = DesignBuilder::new("red");
+        b.sequential(|b| {
+            let acc = b.reg("acc", DType::F32, 0.0);
+            let m = b.bram("m", DType::F32, &[64]);
+            b.pipe_reduce(&[by(64, 1)], par, acc, ReduceOp::Add, |b, it| {
+                b.load(m, &[it[0]])
             });
-            b.finish().unwrap()
-        };
-        let c1 = estimate_cycles(&build(1), &p);
-        let c8 = estimate_cycles(&build(8), &p);
-        // 8 lanes: 64/8 = 8 iterations instead of 64, despite tree latency.
-        assert!(c8 < c1);
+        });
+        b.finish().unwrap()
     }
 
-    #[test]
-    fn breakdown_top_entry_is_the_design() {
-        let p = platform();
-        let d = streaming(true, 2, 256);
-        let total = estimate_cycles(&d, &p);
-        let entries = estimate_breakdown(&d, &p);
-        // The heaviest entry is the root controller and matches the total.
-        assert_eq!(entries[0].ctrl, d.top());
-        assert!((entries[0].total - total).abs() < 1e-9);
-        // Every controller appears exactly once.
-        assert_eq!(entries.len(), d.controllers().len());
-        // Nested entries never exceed the root.
-        for e in &entries {
-            assert!(e.total <= entries[0].total * 1.5, "{e:?}");
-        }
-    }
-
-    #[test]
-    fn contention_counts_parallel_siblings() {
+    /// Two loads side by side in a `Parallel`, then a pipe over both.
+    fn parallel_loads() -> Design {
         let mut b = DesignBuilder::new("par");
         let x = b.off_chip("x", DType::F32, &[1024]);
         let y = b.off_chip("y", DType::F32, &[1024]);
@@ -485,11 +472,92 @@ mod tests {
                 b.store(xt, &[it[0]], s);
             });
         });
-        let d = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn reduce_pipe_counts_tree_latency() {
         let p = platform();
-        let cycles = estimate_cycles(&d, &p);
+        let c1 = estimate_cycles(&reduction(1), &p);
+        let c8 = estimate_cycles(&reduction(8), &p);
+        // 8 lanes: 64/8 = 8 iterations instead of 64, despite tree latency.
+        assert!(c8 < c1);
+    }
+
+    #[test]
+    fn breakdown_top_entry_is_the_design() {
+        let p = platform();
+        let d = streaming(true, 2, 256);
+        let total = estimate_cycles(&d, &p);
+        let entries = estimate_breakdown(&d, &p, &elaborate(&d, &p.fpga));
+        // The heaviest entry is the root controller and matches the total.
+        assert_eq!(entries[0].ctrl, d.top());
+        assert!((entries[0].total - total).abs() < 1e-9);
+        // Every controller appears exactly once.
+        assert_eq!(entries.len(), d.controllers().len());
+        // Nested entries never exceed the root.
+        for e in &entries {
+            assert!(e.total <= entries[0].total * 1.5, "{e:?}");
+        }
+    }
+
+    #[test]
+    fn contention_counts_parallel_siblings() {
+        let p = platform();
+        let cycles = estimate_cycles(&parallel_loads(), &p);
         // Two concurrent loads of 4 KiB at 250 B/cycle with contention 2
         // must take at least 2 * 4096/250 cycles plus compute.
         assert!(cycles > 2.0 * 4096.0 / 250.0);
+    }
+
+    /// Executions of every controller under `ctrl` by the recursion over
+    /// the design: the product of ancestor effective trip counts.
+    fn reference_executions(design: &Design, ctrl: NodeId, execs: f64) -> Vec<(NodeId, f64)> {
+        let child_execs = match design.kind(ctrl) {
+            NodeKind::MetaPipe(s) | NodeKind::Sequential(s) => {
+                execs * (s.ctr.total_iters() as f64 / f64::from(s.par.max(1))).ceil()
+            }
+            _ => execs,
+        };
+        let stages = design.stages(ctrl).iter();
+        std::iter::once((ctrl, execs))
+            .chain(stages.flat_map(|&st| reference_executions(design, st, child_execs)))
+            .collect()
+    }
+
+    #[test]
+    fn planned_breakdown_is_the_reference_walk_bitwise() {
+        let p = platform();
+        let designs = (0..400).map(crate::random_design).chain([
+            streaming(false, 1, 256),
+            streaming(true, 8, 64),
+            reduction(8),
+            parallel_loads(),
+        ]);
+        let mut ctrls = 0;
+        for d in designs {
+            let reference = Ctx::new(&d, &p);
+            let entries = estimate_breakdown(&d, &p, &elaborate(&d, &p.fpga));
+            let executions = reference_executions(&d, d.top(), 1.0);
+            assert_eq!(entries.len(), executions.len(), "{}", d.name());
+            for (ctrl, execs) in executions {
+                let e = entries.iter().find(|e| e.ctrl == ctrl).unwrap();
+                let per = reference.cycles(ctrl);
+                assert_eq!(
+                    e.per_execution.to_bits(),
+                    per.to_bits(),
+                    "{} {ctrl}",
+                    d.name()
+                );
+                assert_eq!(
+                    e.executions.to_bits(),
+                    execs.to_bits(),
+                    "{} {ctrl}",
+                    d.name()
+                );
+            }
+            ctrls += entries.len();
+        }
+        assert!(ctrls > 4_000, "{ctrls} controllers");
     }
 }

@@ -4,9 +4,10 @@
 //! FPGA resource usage and execution cycles for DHDL design instances,
 //! accurate enough to drive design space exploration.
 //!
-//! * [`estimate_cycles`] — recursive latency analysis with the MetaPipe
-//!   pipelining formula `(N−1)·max(stages) + Σ stages`, critical-path
-//!   search in pipe bodies, and a contention-aware off-chip memory model;
+//! * [`estimate_cycles_net`] — recursive latency analysis with the
+//!   MetaPipe pipelining formula `(N−1)·max(stages) + Σ stages`,
+//!   critical-path search in pipe bodies, and a contention-aware
+//!   off-chip memory model ([`estimate_cycles`] is its reference walk);
 //! * [`AreaEstimator`] — hybrid analytical + neural-network area model
 //!   (§IV-B2): characterized template counts, ML-predicted routing LUTs,
 //!   register duplication and unavailable LUTs, a linear model for BRAM
@@ -192,11 +193,6 @@ impl Estimator {
         Estimate { cycles, area }
     }
 
-    /// Estimate only the cycle count of a design instance.
-    pub fn cycles(&self, design: &Design) -> f64 {
-        estimate_cycles(design, &self.platform)
-    }
-
     /// Raw analytical area estimate without the learned correction (the
     /// ablation baseline of DESIGN.md).
     pub fn raw_area(&self, design: &Design) -> AreaReport {
@@ -256,7 +252,7 @@ mod tests {
         assert_eq!(est.estimate_net(&d, &net), est.estimate(&d));
         let area = est.area_model().estimate(&d, &platform.fpga);
         assert_eq!(est.estimate(&d).area, area);
-        assert_eq!(est.estimate(&d).cycles, est.cycles(&d));
+        assert_eq!(est.estimate(&d).cycles, estimate_cycles(&d, &platform));
         assert_eq!(est.raw_area_net(&net), est.raw_area(&d));
     }
 

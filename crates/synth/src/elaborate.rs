@@ -106,8 +106,8 @@ pub struct Netlist {
     /// same design.
     pub pipe_depths: Vec<(NodeId, u64)>,
     /// The skeleton's latency plan, shared (not copied) into every
-    /// netlist re-costed from it; `None` on hand-assembled netlists.
-    pub latency: Option<Arc<LatencyPlan>>,
+    /// netlist re-costed from it.
+    pub latency: Arc<LatencyPlan>,
 }
 
 /// Elaborate a design into raw resource counts on `target`.
@@ -182,7 +182,7 @@ pub fn elaborate_with(design: &Design, target: &FpgaTarget, skel: &Skeleton) -> 
             avg_width: stats.avg_width(),
         },
         pipe_depths: acc.pipe_depths,
-        latency: Some(skel.latency.clone()),
+        latency: skel.latency.clone(),
     }
 }
 
@@ -838,7 +838,7 @@ mod tests {
                 avg_width: stats.avg_width(),
             },
             pipe_depths: depths,
-            latency: None,
+            latency: Arc::default(),
         }
     }
 
@@ -871,7 +871,7 @@ mod tests {
     /// the skeleton path carries a latency plan.
     fn normalized(mut n: Netlist) -> Netlist {
         n.pipe_depths.sort_unstable();
-        n.latency = None;
+        n.latency = Arc::default();
         n
     }
 

@@ -267,7 +267,7 @@ mod tests {
             breakdown: Default::default(),
             features: NetFeatures::default(),
             pipe_depths: Vec::new(),
-            latency: None,
+            latency: Default::default(),
         };
         let rep = place_and_route(12345, &net, &t);
         assert!(rep.alms.is_finite());

@@ -36,7 +36,7 @@ done
 echo "=== dnnbench ==="
 cargo run -q -p dhdl-bench --bin dhdl --release -- dnnbench
 
-# Multi-FPGA partitioning axis: gemm/gda/conv2d swept at K=1,2,4
+# Multi-FPGA partitioning axis: gemm/gda/conv2d swept once to K=4, read at K=1,2,4
 # devices (results/BENCH_part.json, byte-identical across thread
 # counts). partbench exits nonzero — failing this script loudly —
 # unless some configuration that is infeasible on one device becomes

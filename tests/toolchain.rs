@@ -237,7 +237,8 @@ fn estimator_breakdown_matches_total() {
     for bench in dhdl_apps::all() {
         let design = bench.build(&bench.default_params()).unwrap();
         let total = estimate_cycles(&design, &platform);
-        let breakdown = estimate_breakdown(&design, &platform);
+        let net = dhdl_synth::elaborate(&design, &platform.fpga);
+        let breakdown = estimate_breakdown(&design, &platform, &net);
         assert_eq!(breakdown[0].ctrl, design.top(), "{}", bench.name());
         assert!(
             (breakdown[0].total - total).abs() < 1e-6,
