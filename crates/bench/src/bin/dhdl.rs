@@ -127,6 +127,9 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
         "ablations" => ablations(&harness(ablations::SEED), &suite),
         "energy" => energy(&harness(energy::SEED), &suite).report,
         "diagnose" => {
+            if let Some(code) = refuse_extra(rest, 2, "dhdl diagnose [benchmark] [pareto_points]") {
+                return Some(code);
+            }
             let name = rest.first().map_or("gda", String::as_str);
             let Some(bench) = dhdl_apps::by_name(name) else {
                 eprintln!("unknown benchmark `{name}` (try `dhdl list`)");
@@ -147,6 +150,9 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
                 eprintln!("usage: dhdl sweep <benchmark> <param>");
                 return Some(ExitCode::from(2));
             };
+            if let Some(code) = refuse_extra(rest, 2, "dhdl sweep <benchmark> <param>") {
+                return Some(code);
+            }
             let Some(bench) = dhdl_apps::by_name(name) else {
                 eprintln!("unknown benchmark `{name}`");
                 return Some(ExitCode::from(2));
@@ -179,6 +185,14 @@ fn experiment(cmd: &str, rest: &[String]) -> Option<ExitCode> {
         eprintln!("  {f}");
     }
     Some(ExitCode::FAILURE)
+}
+
+/// Exit 2 naming the first of `rest` past its `max` positional
+/// arguments, as [`params_from`] does: carrying on would ignore it.
+fn refuse_extra(rest: &[String], max: usize, usage: &str) -> Option<ExitCode> {
+    let extra = rest.get(max)?;
+    eprintln!("unexpected argument `{extra}`: usage: {usage}");
+    Some(ExitCode::from(2))
 }
 
 /// Parse `key=value` overrides on top of the benchmark's defaults. An

@@ -58,6 +58,20 @@ fn diagnose_refuses_an_unknown_benchmark_and_a_malformed_point_count() {
     }
 }
 
+#[test]
+fn diagnose_and_sweep_refuse_an_extra_argument() {
+    for args in [
+        &["diagnose", "dotproduct", "2", "bogus"][..],
+        &["sweep", "dotproduct", "ts", "bogus"],
+    ] {
+        let out = dhdl(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`bogus`"), "{args:?}: {stderr}");
+    }
+}
+
 /// `dhdl bottleneck`'s cycle and area tables for the nine applications'
 /// default points, pinned by one FNV-64 digest of each name and stdout
 /// (computed before the breakdown walked the netlist's latency plan).

@@ -25,7 +25,7 @@ fn b9() -> impl Iterator<Item = Box<dyn Benchmark>> {
 }
 
 /// The key up to cache format v2, kept as the reference: byte-wise
-/// FNV-1a over the name and the `Debug` text of every `(id, node)`.
+/// [`Fnv64`] over the name and the `Debug` text of every `(id, node)`.
 fn debug_text_hash(design: &Design) -> u64 {
     use std::fmt::Write as _;
     let mut h = Fnv64::new();

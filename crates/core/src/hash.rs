@@ -16,7 +16,8 @@
 //!   distinct design points onto one key and must stay that way (cached
 //!   calibration artifacts under `results/` are keyed by its stream).
 //!
-//! All are FNV-1a at heart; [`Fnv64`] is the shared primitive.
+//! All are FNV-1a-shaped at heart; [`Fnv64`] is the shared primitive
+//! (its prime is not FNV-1a's, see there).
 //!
 //! # The walk
 //!
@@ -64,27 +65,33 @@ use crate::node::{
 };
 use crate::{DType, Design};
 
-/// Incremental 64-bit FNV-1a hasher.
+/// Incremental 64-bit hasher of FNV-1a's shape: xor a unit in, then
+/// multiply by a prime, starting from FNV-1a's 64-bit offset basis.
 ///
-/// Byte-oriented writes ([`Fnv64::write`]) implement textbook FNV-1a;
+/// It is **not** textbook FNV-1a: the prime is 2^44 + 0x1b3, where the
+/// FNV-1a 64-bit prime is 2^40 + 0x1b3, so a reference FNV-1a disagrees
+/// from the first byte. Every structural hash, memo key and pinned digest
+/// in the workspace is computed with this prime, so it stays.
+///
+/// Byte-oriented writes ([`Fnv64::write`]) mix one byte per round;
 /// [`Fnv64::write_u64`] mixes a whole 64-bit word per round (the coarser
 /// variant `dhdl_synth::design_hash` is built on). The two must not be
 /// interleaved carelessly — they produce different streams by design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv64(u64);
 
-/// FNV-1a 64-bit offset basis.
+/// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
+/// This hasher's prime, 2^44 + 0x1b3 (FNV-1a's is 2^40 + 0x1b3).
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 impl Fnv64 {
-    /// A fresh hasher at the FNV-1a offset basis.
+    /// A fresh hasher at the offset basis.
     pub fn new() -> Self {
         Fnv64(FNV_OFFSET)
     }
 
-    /// Mix `bytes` one byte per round (textbook FNV-1a).
+    /// Mix `bytes` one byte per round.
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -447,6 +454,16 @@ mod tests {
         b.write_u64(0x0102);
         assert_ne!(a.finish(), b.finish());
         assert_eq!(Fnv64::new().finish(), FNV_OFFSET);
+    }
+
+    #[test]
+    fn fnv_byte_stream_is_pinned_to_its_own_prime() {
+        // Textbook FNV-1a (prime 2^40 + 0x1b3) gives 0xd114_eb67_5ae4_cec9
+        // for these bytes; this hasher's prime is 2^44 + 0x1b3.
+        assert_eq!(FNV_PRIME, (1 << 44) + 0x1b3);
+        let mut h = Fnv64::new();
+        h.write(b"dhdl");
+        assert_eq!(h.finish(), 0x1b4b_9b67_5ae4_cec9);
     }
 
     /// A design taken apart: name, nodes, root, off-chip declarations.

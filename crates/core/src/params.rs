@@ -234,6 +234,17 @@ impl ParamValues {
         self
     }
 
+    /// Set the value of the `index`-th name in name order (the one
+    /// [`ParamValues::iter`] yields `index`-th), comparing no names: an
+    /// assignment whose names are known fills its values by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the number of names.
+    pub fn set_nth(&mut self, index: usize, value: u64) {
+        self.entries[index].1 = value;
+    }
+
     /// Builder-style `set`.
     pub fn with(mut self, name: &str, value: u64) -> Self {
         self.set(name, value);
@@ -282,6 +293,12 @@ impl ParamValues {
     /// Iterate over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
+    /// [`ParamValues::iter`] with each name as its bytes, without the
+    /// UTF-8 check that reading an in-place name as `&str` costs.
+    pub fn iter_bytes(&self) -> impl Iterator<Item = (&[u8], u64)> {
+        self.entries.iter().map(|(k, v)| (k.as_bytes(), *v))
     }
 }
 

@@ -34,7 +34,6 @@ use std::ops::{Deref, DerefMut};
 #[derive(Clone)]
 pub struct SmallList<T, const N: usize>(Repr<T, N>);
 
-#[derive(Clone)]
 enum Repr<T, const N: usize> {
     /// `items[..len]` are the list; the rest hold `T::default()`.
     Inline {
@@ -42,6 +41,20 @@ enum Repr<T, const N: usize> {
         items: [T; N],
     },
     Spilled(Vec<T>),
+}
+
+/// Written out because the derived clone of the in-place array cost about
+/// twice as much: a sweep clones an assignment per decoded point.
+impl<T: Clone, const N: usize> Clone for Repr<T, N> {
+    fn clone(&self) -> Self {
+        match self {
+            Repr::Inline { len, items } => Repr::Inline {
+                len: *len,
+                items: std::array::from_fn(|i| items[i].clone()),
+            },
+            Repr::Spilled(v) => Repr::Spilled(v.clone()),
+        }
+    }
 }
 
 impl<T: Default, const N: usize> SmallList<T, N> {
@@ -262,10 +275,8 @@ const SHORT: usize = 22;
 /// assert_eq!(format!("{s:?}"), "\"tileA\"");
 /// assert_eq!(std::mem::size_of::<ShortStr>(), std::mem::size_of::<String>());
 /// ```
-#[derive(Clone)]
 pub struct ShortStr(StrRepr);
 
-#[derive(Clone)]
 enum StrRepr {
     /// `bytes[..len]` is UTF-8 copied from a `str`.
     Inline {
@@ -293,6 +304,26 @@ impl ShortStr {
             StrRepr::Boxed(s) => s.as_bytes(),
         }
     }
+}
+
+/// In-place text is copied; boxed text, which is rare, is cloned out of
+/// line, so a list of names clones without a call per name.
+impl Clone for ShortStr {
+    fn clone(&self) -> Self {
+        match &self.0 {
+            StrRepr::Inline { len, bytes } => ShortStr(StrRepr::Inline {
+                len: *len,
+                bytes: *bytes,
+            }),
+            StrRepr::Boxed(s) => clone_boxed(s),
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn clone_boxed(s: &str) -> ShortStr {
+    ShortStr(StrRepr::Boxed(s.into()))
 }
 
 impl From<&str> for ShortStr {

@@ -42,7 +42,6 @@
 //! much to parse back from a file as to compute, so nothing is persisted
 //! (measurements in EXPERIMENTS.md § Estimation cache).
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -52,6 +51,7 @@ use dhdl_estimate::{Estimate, Estimator};
 use dhdl_target::Platform;
 
 use crate::runner::CostModel;
+use crate::word_hash::WordMap;
 
 /// Number of independent lock shards. A power of two so the shard index
 /// is a mask of the (well-mixed) FNV key; 16 shards keep contention
@@ -59,7 +59,7 @@ use crate::runner::CostModel;
 const SHARDS: usize = 16;
 
 /// The level-2 key of a parameter assignment under a benchmark `salt`:
-/// FNV-1a over the salt word followed by each `(name, value)` pair in
+/// [`Fnv64`] over the salt word followed by each `(name, value)` pair in
 /// canonical (name-sorted) order.
 ///
 /// The salt identifies *which metaprogram* maps these parameters to a
@@ -69,8 +69,8 @@ const SHARDS: usize = 16;
 pub fn params_key(salt: u64, params: &ParamValues) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(salt);
-    for (name, value) in params.iter() {
-        h.write(name.as_bytes());
+    for (name, value) in params.iter_bytes() {
+        h.write(name);
         h.write_u64(value);
     }
     h.finish()
@@ -141,10 +141,10 @@ impl CacheStats {
 /// holding one must not take the cache down with it.
 #[derive(Debug)]
 pub struct EstimateCache {
-    shards: Vec<Mutex<HashMap<u64, Estimate>>>,
+    shards: Vec<Mutex<WordMap<u64, Estimate>>>,
     /// The parameter memo ([`params_key`] → structural hash), sharded
     /// the same way.
-    params: Vec<Mutex<HashMap<u64, u64>>>,
+    params: Vec<Mutex<WordMap<u64, u64>>>,
     fingerprint: u64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -156,8 +156,8 @@ impl EstimateCache {
     /// (see [`model_fingerprint`]; a label, not checked on lookup).
     pub fn new(fingerprint: u64) -> Self {
         EstimateCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            params: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            params: (0..SHARDS).map(|_| Mutex::default()).collect(),
             fingerprint,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -171,7 +171,7 @@ impl EstimateCache {
         self.fingerprint
     }
 
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Estimate>> {
+    fn shard(&self, key: u64) -> &Mutex<WordMap<u64, Estimate>> {
         // FNV output is well mixed; the low bits pick the stripe.
         &self.shards[(key as usize) & (SHARDS - 1)]
     }
@@ -462,6 +462,17 @@ mod tests {
             params_key(7, &ParamValues::new().with("a", 1)),
             params_key(7, &ParamValues::new().with("b", 1))
         );
+    }
+
+    #[test]
+    fn params_key_is_pinned() {
+        let p = ParamValues::new()
+            .with("tileSize", 768)
+            .with("innerPar", 4)
+            .with("metapipe", 1)
+            .with("num_fpgas", 2);
+        assert_eq!(params_key(0x5EED, &p), 0xb800_221b_2509_60c8);
+        assert_eq!(params_key(0, &ParamValues::new()), 0xaf72_e84c_8601_b7df);
     }
 
     #[test]

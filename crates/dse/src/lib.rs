@@ -56,6 +56,7 @@ mod pareto;
 mod runner;
 mod search;
 mod space;
+mod word_hash;
 
 pub use cache::{
     devices_key, model_fingerprint, params_key, CacheStats, CachedModel, EstimateCache,

@@ -6,29 +6,36 @@
 /// Matches the paper's Figure 5, which highlights "Pareto-optimal designs
 /// along the dimensions of execution time and ALM utilization".
 pub fn pareto_front(points: &[(f64, f64, bool)]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..points.len()).filter(|&i| points[i].2).collect();
     // Sort by cycles ascending, then area ascending, then input index:
     // points with exactly equal objectives tie-break to the earliest
     // index *explicitly* (not by leaning on sort stability), so the
     // frontier is a deterministic function of the point list however it
     // was assembled — a requirement for comparing strategies bit-exactly
-    // across thread counts and truncated re-runs.
-    idx.sort_by(|&a, &b| {
-        points[a]
-            .0
-            .total_cmp(&points[b].0)
-            .then(points[a].1.total_cmp(&points[b].1))
-            .then(a.cmp(&b))
-    });
+    // across thread counts and truncated re-runs. The keys are
+    // `f64::total_cmp`'s, taken once per point instead of per comparison.
+    let mut keyed: Vec<(i64, i64, usize)> = points
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.2)
+        .map(|(i, p)| (total_key(p.0), total_key(p.1), i))
+        .collect();
+    keyed.sort_unstable();
     let mut front = Vec::new();
     let mut best_area = f64::INFINITY;
-    for i in idx {
+    for (_, _, i) in keyed {
         if points[i].1 < best_area {
             front.push(i);
             best_area = points[i].1;
         }
     }
     front
+}
+
+/// An integer that orders as `f64::total_cmp` orders `x` (the same
+/// transform `total_cmp` applies to both operands).
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Select up to `n` representative points from a frontier, spread evenly
@@ -92,6 +99,26 @@ mod tests {
         // representative, still the earliest.
         let pts = vec![(1.0, 4.0, true), (1.0, 4.0, true), (1.0, 3.0, true)];
         assert_eq!(pareto_front(&pts), vec![2]);
+    }
+
+    #[test]
+    fn keys_order_as_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(total_key(a).cmp(&total_key(b)), a.total_cmp(&b), "{a} {b}");
+            }
+        }
     }
 
     #[test]

@@ -384,7 +384,9 @@ where
                     // per-point eval histogram is the busy portion, so
                     // idle = worker span − Σ eval_ns.
                     let _wspan = dhdl_obs::span!("dse.worker");
-                    let mut local = Vec::new();
+                    // Room for an even share up front: a list that grows
+                    // by doubling moves each 300-byte outcome again.
+                    let mut local = Vec::with_capacity(n / threads + 1);
                     loop {
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             dhdl_obs::counter!("dse.worker.deadline_stop").incr();
@@ -448,15 +450,15 @@ where
     let params_key = opts
         .cache_salt
         .map(|salt| crate::cache::params_key(salt, &params));
-    // The device count is an ordinary parameter of the assignment, so it
-    // is already part of `params_key` — the warm fast path below
-    // distinguishes device counts for free.
-    let devices = device_count(&params);
     if let Some(pk) = params_key {
         if let Some(est) = estimator.lookup_params(pk) {
             return evaluated(params, est);
         }
     }
+    // The device count is an ordinary parameter of the assignment, so it
+    // is already part of `params_key`: the warm fast path above
+    // distinguishes device counts without reading it.
+    let devices = device_count(&params);
     let result = catch_unwind(AssertUnwindSafe(|| {
         let design = build(&params).map_err(|e| DseError::Build(e.to_string()))?;
         if let Some(bits) = mem_cap_violation(&design, opts.mem_cap_bits) {

@@ -10,40 +10,75 @@
 use dhdl_core::{ParamSpace, ParamValues};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+
+use crate::word_hash::WordSet;
 
 /// An enumerable legal subspace of a benchmark's parameter space.
 #[derive(Debug, Clone)]
 pub struct LegalSpace {
-    names: Vec<String>,
+    /// Each declaration's legal values, in declaration order: the last
+    /// declaration's digit turns fastest.
     values: Vec<Vec<u64>>,
+    /// Each declaration's position in `template`, or `None` for a
+    /// repeated name, whose first definition wins (as with
+    /// [`ParamValues::set`] applied last declaration first).
+    slots: Vec<Option<usize>>,
+    /// Every declared name once, in name order: the assignment each
+    /// decode clones and fills by slot.
+    template: ParamValues,
+    size: u128,
 }
 
 impl LegalSpace {
     /// Build the legal subspace of `space` using the divisor pruning rules.
     pub fn new(space: &ParamSpace) -> Self {
-        let names = space.defs().iter().map(|d| d.name.clone()).collect();
-        let values = space.defs().iter().map(|d| d.kind.legal_values()).collect();
-        LegalSpace { names, values }
+        let defs = space.defs();
+        let values: Vec<Vec<u64>> = defs.iter().map(|d| d.kind.legal_values()).collect();
+        let mut template = ParamValues::new();
+        for d in defs {
+            template.set(&d.name, 0);
+        }
+        let slots = defs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let repeated = defs[..i].iter().any(|e| e.name == d.name);
+                (!repeated).then(|| {
+                    template
+                        .iter()
+                        .position(|(name, _)| name == d.name)
+                        .expect("the template holds every declared name")
+                })
+            })
+            .collect();
+        let size = values.iter().map(|v| v.len() as u128).product();
+        LegalSpace {
+            values,
+            slots,
+            template,
+            size,
+        }
     }
 
     /// Total number of legal points.
     pub fn size(&self) -> u128 {
-        self.values.iter().map(|v| v.len() as u128).product()
+        self.size
     }
 
     /// Decode a linear index into a parameter assignment, or `None` if
     /// `index >= self.size()` — the checked form callers should prefer
     /// so a malformed index is an error, not a process abort.
     pub fn try_point(&self, index: u128) -> Option<ParamValues> {
-        if index >= self.size() {
+        if index >= self.size {
             return None;
         }
         let mut rem = index;
-        let mut v = ParamValues::new();
-        for (name, vals) in self.names.iter().zip(&self.values).rev() {
+        let mut v = self.template.clone();
+        for (vals, slot) in self.values.iter().zip(&self.slots).rev() {
             let n = vals.len() as u128;
-            v.set(name, vals[(rem % n) as usize]);
+            if let Some(slot) = *slot {
+                v.set_nth(slot, vals[(rem % n) as usize]);
+            }
             rem /= n;
         }
         Some(v)
@@ -81,12 +116,12 @@ impl LegalSpace {
     /// points, else up to `n` distinct seeded draws. Every index is below
     /// [`LegalSpace::size`].
     pub fn sample_indices(&self, n: usize, seed: u64) -> Vec<u128> {
-        let size = self.size();
+        let size = self.size;
         if size <= n as u128 {
             return (0..size).collect();
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = BTreeSet::new();
+        let mut seen = WordSet::default();
         let mut out = Vec::with_capacity(n);
         // Rejection sampling with a generous retry budget.
         let mut tries = 0usize;
@@ -104,6 +139,7 @@ impl LegalSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn space() -> ParamSpace {
         let mut s = ParamSpace::new();
@@ -111,6 +147,66 @@ mod tests {
         s.par("p1", 16, 8);
         s.toggle("m");
         s
+    }
+
+    /// The decode `try_point` replaced: one `set` per declaration, last
+    /// declaration first, so a repeated name keeps its first definition.
+    fn set_built(space: &ParamSpace, index: u128) -> ParamValues {
+        let mut rem = index;
+        let mut v = ParamValues::new();
+        for d in space.defs().iter().rev() {
+            let vals = d.kind.legal_values();
+            let n = vals.len() as u128;
+            v.set(&d.name, vals[(rem % n) as usize]);
+            rem /= n;
+        }
+        v
+    }
+
+    #[test]
+    fn try_point_equals_the_set_built_assignment_out_of_name_order() {
+        let mut shuffled = ParamSpace::new();
+        shuffled
+            .toggle("z")
+            .par("b", 12, 6)
+            .tile("m", 96, 8, 96)
+            .toggle("a");
+        let mut repeated = ParamSpace::new();
+        repeated
+            .par("q", 16, 8)
+            .toggle("c")
+            .tile("q", 64, 4, 64)
+            .par("b", 6, 6);
+        for space in [shuffled, repeated] {
+            let ls = LegalSpace::new(&space);
+            assert_eq!(ls.size(), space.size());
+            for i in 0..ls.size() {
+                assert_eq!(ls.try_point(i), Some(set_built(&space, i)), "#{i}");
+            }
+        }
+        // The first definition of `q` (a par factor, at most 8) wins.
+        let mut repeated = ParamSpace::new();
+        repeated.par("q", 16, 8).tile("q", 64, 16, 64);
+        let ls = LegalSpace::new(&repeated);
+        assert_eq!(ls.point(ls.size() - 1).to_string(), "{q=8}");
+    }
+
+    #[test]
+    fn sample_indices_are_pinned() {
+        let ls = LegalSpace::new(&space());
+        // size 56 <= n: every index in order.
+        assert!(ls.sample_indices(56, 9).into_iter().eq(0..56));
+        // Rejection sampling: distinct seeded draws in draw order.
+        assert_eq!(
+            ls.sample_indices(12, 5),
+            vec![48, 27, 53, 20, 32, 54, 14, 39, 16, 25, 2, 50]
+        );
+        let most = ls.sample_indices(55, 2);
+        assert_eq!(most.len(), 55);
+        assert_eq!(
+            most[40..],
+            [2, 19, 44, 6, 37, 43, 46, 48, 10, 0, 40, 49, 27, 31, 35]
+        );
     }
 
     #[test]

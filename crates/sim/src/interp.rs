@@ -27,6 +27,11 @@
 //! `dhdl_estimate::estimate_cycles` is the runtime-estimation error
 //! reported in Table III.
 
+// `ok_or(SimError::Unevaluated(..))` would build an error on every
+// memory access and drop it again (the type owns `String`s in other
+// variants); `ok_or_else` builds one only when it is returned.
+#![allow(clippy::unnecessary_lazy_evaluations)]
+
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -519,7 +524,7 @@ impl Access {
             "memory {} changed kind after its access was resolved",
             self.mem
         );
-        slot_mut(onchip, self.mem).ok_or(SimError::Unevaluated(self.mem))
+        slot_mut(onchip, self.mem).ok_or_else(|| SimError::Unevaluated(self.mem))
     }
 }
 
@@ -706,7 +711,7 @@ fn exec(
             }
             Step::Reduce { value, reg, op, q } => {
                 let v = vals[*value];
-                let state = slot_mut(onchip, *reg).ok_or(SimError::Unevaluated(*reg))?;
+                let state = slot_mut(onchip, *reg).ok_or_else(|| SimError::Unevaluated(*reg))?;
                 state[0] = q.apply(op.apply(state[0], v));
             }
             Step::Fail(e) => return Err((**e).clone()),
@@ -1023,7 +1028,7 @@ impl<'a> Sim<'a> {
         // the source can be read beside it.
         let mut accum = self.onchip[f.accum.index()]
             .take()
-            .ok_or(SimError::Unevaluated(f.accum))?;
+            .ok_or_else(|| SimError::Unevaluated(f.accum))?;
         let src_len = match slot(&self.onchip, f.src) {
             Some(src) => {
                 for (a, &s) in accum.iter_mut().zip(src) {
@@ -1078,7 +1083,8 @@ impl<'a> Sim<'a> {
         // Functional copy, iterating the tile's coordinate space.
         let tile_elems: u64 = t.tile.iter().product();
         let walk = self.push_axes(t.tile.iter().copied());
-        let local = slot_mut(&mut self.onchip, t.local).ok_or(SimError::Unevaluated(t.local))?;
+        let local =
+            slot_mut(&mut self.onchip, t.local).ok_or_else(|| SimError::Unevaluated(t.local))?;
         // An array the off-chip list never declared has no element to
         // move: `Unevaluated`, but only once the address is in range.
         let array = slot_mut(&mut self.offchip, t.offchip).map_or(&mut [][..], |a| a);
@@ -1103,7 +1109,7 @@ impl<'a> Sim<'a> {
             }
             let elem = array
                 .get_mut(off_idx as usize)
-                .ok_or(SimError::Unevaluated(t.offchip))?;
+                .ok_or_else(|| SimError::Unevaluated(t.offchip))?;
             if load {
                 local[li] = *elem;
             } else {
