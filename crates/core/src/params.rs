@@ -92,7 +92,8 @@ pub struct ParamDef {
     pub kind: ParamKind,
 }
 
-/// The declared parameter space of a benchmark.
+/// The declared parameter space of a benchmark. Each name is declared
+/// once; declaring it again panics.
 ///
 /// # Examples
 ///
@@ -120,37 +121,40 @@ impl ParamSpace {
 
     /// Add a tile-size parameter dividing `divides`, in `min..=max`.
     pub fn tile(&mut self, name: &str, divides: u64, min: u64, max: u64) -> &mut Self {
-        self.defs.push(ParamDef {
-            name: name.to_string(),
-            kind: ParamKind::Tile { divides, min, max },
-        });
-        self
+        self.declare(name, ParamKind::Tile { divides, min, max })
     }
 
     /// Add a parallelization-factor parameter dividing `divides`, `<= max`.
     pub fn par(&mut self, name: &str, divides: u64, max: u64) -> &mut Self {
-        self.defs.push(ParamDef {
-            name: name.to_string(),
-            kind: ParamKind::Par { divides, max },
-        });
-        self
+        self.declare(name, ParamKind::Par { divides, max })
     }
 
     /// Add a MetaPipe toggle parameter.
     pub fn toggle(&mut self, name: &str) -> &mut Self {
-        self.defs.push(ParamDef {
-            name: name.to_string(),
-            kind: ParamKind::Toggle,
-        });
-        self
+        self.declare(name, ParamKind::Toggle)
     }
 
     /// Add the device-count parameter [`NUM_FPGAS`] with up to `max`
     /// devices (legal values: powers of two `1..=max`).
     pub fn devices(&mut self, max: u64) -> &mut Self {
+        self.declare(NUM_FPGAS, ParamKind::Devices { max })
+    }
+
+    /// Append one definition. A name is declared once: an assignment
+    /// holds one value per name, so a second definition could only be
+    /// ignored or overwrite the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already declared.
+    fn declare(&mut self, name: &str, kind: ParamKind) -> &mut Self {
+        assert!(
+            self.defs.iter().all(|d| d.name != name),
+            "parameter `{name}` is declared twice"
+        );
         self.defs.push(ParamDef {
-            name: NUM_FPGAS.to_string(),
-            kind: ParamKind::Devices { max },
+            name: name.to_string(),
+            kind,
         });
         self
     }
@@ -368,6 +372,12 @@ mod tests {
         assert!(s.is_legal(&d));
         let bad = ParamValues::new().with("ts", 5).with("p", 1).with("m", 0);
         assert!(!s.is_legal(&bad));
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter `q` is declared twice")]
+    fn a_second_declaration_of_a_name_is_refused() {
+        ParamSpace::new().par("q", 16, 8).tile("q", 64, 16, 64);
     }
 
     #[test]

@@ -19,10 +19,8 @@ pub struct LegalSpace {
     /// Each declaration's legal values, in declaration order: the last
     /// declaration's digit turns fastest.
     values: Vec<Vec<u64>>,
-    /// Each declaration's position in `template`, or `None` for a
-    /// repeated name, whose first definition wins (as with
-    /// [`ParamValues::set`] applied last declaration first).
-    slots: Vec<Option<usize>>,
+    /// Each declaration's position in `template`.
+    slots: Vec<usize>,
     /// Every declared name once, in name order: the assignment each
     /// decode clones and fills by slot.
     template: ParamValues,
@@ -38,18 +36,11 @@ impl LegalSpace {
         for d in defs {
             template.set(&d.name, 0);
         }
+        // `ParamSpace` declares each name once, so a declaration's slot
+        // is its name's rank.
         let slots = defs
             .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let repeated = defs[..i].iter().any(|e| e.name == d.name);
-                (!repeated).then(|| {
-                    template
-                        .iter()
-                        .position(|(name, _)| name == d.name)
-                        .expect("the template holds every declared name")
-                })
-            })
+            .map(|d| defs.iter().filter(|e| e.name < d.name).count())
             .collect();
         let size = values.iter().map(|v| v.len() as u128).product();
         LegalSpace {
@@ -74,11 +65,9 @@ impl LegalSpace {
         }
         let mut rem = index;
         let mut v = self.template.clone();
-        for (vals, slot) in self.values.iter().zip(&self.slots).rev() {
+        for (vals, &slot) in self.values.iter().zip(&self.slots).rev() {
             let n = vals.len() as u128;
-            if let Some(slot) = *slot {
-                v.set_nth(slot, vals[(rem % n) as usize]);
-            }
+            v.set_nth(slot, vals[(rem % n) as usize]);
             rem /= n;
         }
         Some(v)
@@ -149,8 +138,7 @@ mod tests {
         s
     }
 
-    /// The decode `try_point` replaced: one `set` per declaration, last
-    /// declaration first, so a repeated name keeps its first definition.
+    /// The decode `try_point` replaced: one `set` per declaration.
     fn set_built(space: &ParamSpace, index: u128) -> ParamValues {
         let mut rem = index;
         let mut v = ParamValues::new();
@@ -171,24 +159,11 @@ mod tests {
             .par("b", 12, 6)
             .tile("m", 96, 8, 96)
             .toggle("a");
-        let mut repeated = ParamSpace::new();
-        repeated
-            .par("q", 16, 8)
-            .toggle("c")
-            .tile("q", 64, 4, 64)
-            .par("b", 6, 6);
-        for space in [shuffled, repeated] {
-            let ls = LegalSpace::new(&space);
-            assert_eq!(ls.size(), space.size());
-            for i in 0..ls.size() {
-                assert_eq!(ls.try_point(i), Some(set_built(&space, i)), "#{i}");
-            }
+        let ls = LegalSpace::new(&shuffled);
+        assert_eq!(ls.size(), shuffled.size());
+        for i in 0..ls.size() {
+            assert_eq!(ls.try_point(i), Some(set_built(&shuffled, i)), "#{i}");
         }
-        // The first definition of `q` (a par factor, at most 8) wins.
-        let mut repeated = ParamSpace::new();
-        repeated.par("q", 16, 8).tile("q", 64, 16, 64);
-        let ls = LegalSpace::new(&repeated);
-        assert_eq!(ls.point(ls.size() - 1).to_string(), "{q=8}");
     }
 
     #[test]
